@@ -9,12 +9,14 @@ checks they produce comparable hit ratios and false-miss ratios.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.core.summary import SummaryConfig
-from repro.sharing.summary_sharing import (
+from repro.summaries import (
     IntervalUpdatePolicy,
     PacketFillUpdatePolicy,
-    SummarySharingConfig,
+    SummaryConfig,
     ThresholdUpdatePolicy,
+)
+from repro.sharing.summary_sharing import (
+    SummarySharingConfig,
     simulate_summary_sharing,
 )
 from repro.traces.stats import compute_stats, mean_cacheable_size

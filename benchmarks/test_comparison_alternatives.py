@@ -13,12 +13,11 @@ discusses (Sections I and VIII related work).
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing.carp import simulate_carp
 from repro.sharing.directory_server import simulate_directory_server
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )

@@ -8,10 +8,9 @@ throughput.
 from __future__ import annotations
 
 from repro import experiments
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_summary_sharing,
 )
 from repro.traces.stats import compute_stats, mean_cacheable_size

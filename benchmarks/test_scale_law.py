@@ -11,10 +11,9 @@ grows monotonically, bridging the laptop-scale tables to the paper's.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )

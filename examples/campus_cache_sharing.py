@@ -17,10 +17,9 @@ Run:  python examples/campus_cache_sharing.py [--scale 1.0]
 import argparse
 
 from repro.analysis.tables import format_table
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_global_cache,
     simulate_icp,
     simulate_no_sharing,

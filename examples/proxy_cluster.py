@@ -15,7 +15,7 @@ import asyncio
 import time
 
 from repro.analysis.tables import format_table
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 

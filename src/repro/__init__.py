@@ -21,7 +21,7 @@ The package is organized around the paper's structure:
 - :mod:`repro.analysis` -- the 100-proxy scalability extrapolation
   (Section V-F).
 - :mod:`repro.obs` -- the observability layer every other module
-  reports through: metrics registry, ICP trace-event ring, and the
+  reports through: metrics registry, span ring, and the
   Prometheus/JSON exposition behind ``GET /metrics``.
 
 Quickstart::

@@ -37,10 +37,9 @@ from typing import Any, Dict, Optional
 from repro.errors import ConfigurationError
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_summary_sharing,
 )
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.traces.binary import BinaryTraceReader
 from repro.traces.workloads import pack_workload, workload_config
 

@@ -60,7 +60,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
 from repro import experiments
 from repro.analysis.tables import format_table
@@ -72,6 +72,10 @@ from repro.placement import CooperationPolicy
 from repro.summaries import parse_update_policy
 from repro.traces.readers import write_jsonl
 from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
+
+#: What every subcommand binds with ``set_defaults(handler=...)`` where
+#: its parser is built: parsed arguments in, process exit code out.
+Handler = Callable[[argparse.Namespace], int]
 
 
 def _add_workload_args(parser: argparse.ArgumentParser) -> None:
@@ -169,27 +173,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="trace statistics (Table I)")
+    p.set_defaults(handler=_table1)
     p.add_argument("--scale", type=float, default=1.0)
 
     p = sub.add_parser("fig1", help="sharing-scheme hit ratios (Fig. 1)")
+    p.set_defaults(handler=_fig1)
     _add_workload_args(p)
 
     p = sub.add_parser("table2", help="ICP overhead benchmark (Table II)")
+    p.set_defaults(handler=_table2)
     p.add_argument("--hit-ratio", type=float, default=0.25)
     p.add_argument("--clients-per-proxy", type=int, default=30)
     p.add_argument("--requests-per-client", type=int, default=200)
 
     p = sub.add_parser("fig2", help="update-delay sweep (Fig. 2)")
+    p.set_defaults(handler=_fig2)
     _add_workload_args(p)
 
     p = sub.add_parser("table3", help="summary memory (Table III)")
+    p.set_defaults(handler=_table3)
     p.add_argument("--scale", type=float, default=1.0)
     _add_jobs_arg(p)
-    sub.add_parser("fig4", help="false-positive curves (Fig. 4)")
+    p = sub.add_parser("fig4", help="false-positive curves (Fig. 4)")
+    p.set_defaults(handler=_fig4)
 
     p = sub.add_parser(
         "representations", help="summary representation sweep (Figs. 5-8)"
     )
+    p.set_defaults(handler=_representations)
     _add_workload_args(p)
     _add_summary_args(p)
     p.add_argument("--threshold", type=float, default=0.01)
@@ -202,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             "worker processes (--jobs)"
         ),
     )
+    p.set_defaults(handler=_simulate)
     p.add_argument(
         "--workloads",
         nargs="+",
@@ -246,29 +258,35 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
 
     p = sub.add_parser("table4", help="client-bound replay (Table IV)")
+    p.set_defaults(handler=_table45)
     _add_workload_args(p)
     p = sub.add_parser("table5", help="round-robin replay (Table V)")
+    p.set_defaults(handler=_table45)
     _add_workload_args(p)
 
-    sub.add_parser(
+    p = sub.add_parser(
         "scalability", help="100-proxy extrapolation (Section V-F)"
     )
+    p.set_defaults(handler=_scalability)
 
     p = sub.add_parser(
         "hierarchy", help="parent/child hierarchy extension (Section VIII)"
     )
+    p.set_defaults(handler=_hierarchy)
     _add_workload_args(p)
 
     p = sub.add_parser(
         "alternatives",
         help="summary cache vs ICP/CARP/directory-server comparison",
     )
+    p.set_defaults(handler=_alternatives)
     _add_workload_args(p)
 
     p = sub.add_parser(
         "metrics",
         help="replay one workload with instrumentation on and dump the registry",
     )
+    p.set_defaults(handler=_metrics)
     _add_workload_args(p)
     _add_summary_args(p)
     p.add_argument("--threshold", type=float, default=0.01)
@@ -283,6 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a live proxy cluster on localhost until stopped",
     )
+    p.set_defaults(handler=_run_async(_serve))
     _add_summary_args(p)
     p.add_argument(
         "--proxies", type=int, default=3, help="cluster size (default: 3)"
@@ -341,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
             "snapshot with false-hit attribution"
         ),
     )
+    pc.set_defaults(handler=_run_async(_obs_cluster))
     pc.add_argument(
         "--targets",
         nargs="+",
@@ -383,6 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help="print one reassembled cross-proxy trace as a span tree",
     )
+    pt.set_defaults(handler=_run_async(_obs_trace))
     pt.add_argument("trace_id", help="8-hex-digit trace id")
     pt.add_argument(
         "--targets",
@@ -399,6 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
             "fresh clusters with tracing enabled vs disabled"
         ),
     )
+    po.set_defaults(handler=_run_async(_obs_overhead))
     po.add_argument("--proxies", type=int, default=3)
     po.add_argument("--clients", type=int, default=8)
     po.add_argument("--requests", type=int, default=150)
@@ -421,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
             "workload clients and report req/s + latency percentiles"
         ),
     )
+    p.set_defaults(handler=_run_async(_loadgen))
     p.add_argument(
         "--proxies", type=int, default=2, help="cluster size (default: 2)"
     )
@@ -499,11 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="also write the runs as a BENCH_proxy-style JSON record",
     )
-    p.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="install uvloop before running, when available",
-    )
 
     p = sub.add_parser(
         "placement-bench",
@@ -512,6 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
             "and rank aggregate hit ratio + bytes from origin"
         ),
     )
+    p.set_defaults(handler=_run_async(_placement_bench))
     p.add_argument(
         "--proxies",
         type=int,
@@ -586,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("gen-trace", help="write a synthetic trace to disk")
+    p.set_defaults(handler=_gen_trace)
     _add_workload_args(p)
     p.add_argument("--out", required=True, help="output JSONL path")
 
@@ -602,6 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "pack",
         help="stream a workload preset into a packed .sctr file",
     )
+    tp.set_defaults(handler=_trace_pack)
     _add_workload_args(tp)
     tp.add_argument("--seed", type=int, default=None)
     tp.add_argument(
@@ -619,6 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = trace_sub.add_parser(
         "info", help="print a packed trace's header and statistics"
     )
+    tp.set_defaults(handler=_trace_info)
     tp.add_argument("path", help=".sctr file to inspect")
 
     tp = trace_sub.add_parser(
@@ -628,6 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
             "workload, record by record"
         ),
     )
+    tp.set_defaults(handler=_trace_verify)
     tp.add_argument("path", help=".sctr file to verify")
     _add_workload_args(tp)
     tp.add_argument("--seed", type=int, default=None)
@@ -650,6 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(peak RSS in spawned subprocesses)"
         ),
     )
+    tp.set_defaults(handler=_trace_bench)
     _add_workload_args(tp)
     tp.add_argument("--seed", type=int, default=None)
     tp.add_argument(
@@ -704,6 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
             "extrapolated overheads"
         ),
     )
+    p.set_defaults(handler=_dissemination)
     _add_workload_args(p)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument(
@@ -767,6 +792,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the sc-lint static-analysis suite (SC001..SC009)",
     )
+    p.set_defaults(handler=run_lint_command)
     add_lint_arguments(p)
 
     p = sub.add_parser(
@@ -776,6 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
             "drive concurrent load, and report any races detected"
         ),
     )
+    p.set_defaults(handler=_run_async(_sanitize_run))
     p.add_argument(
         "--proxies", type=int, default=3, help="cluster size (default: 3)"
     )
@@ -829,6 +856,184 @@ def _summary_overrides(args: argparse.Namespace) -> Dict[str, Any]:
     if args.update_policy is not None:
         kwargs["update_policy"] = parse_update_policy(args.update_policy)
     return kwargs
+
+
+def _run_async(
+    command: Callable[[argparse.Namespace], Coroutine[Any, Any, int]],
+) -> Handler:
+    """Handler running an async subcommand; Ctrl-C is a clean exit."""
+
+    def handler(args: argparse.Namespace) -> int:
+        try:
+            return asyncio.run(command(args))
+        except KeyboardInterrupt:
+            return 0
+
+    return handler
+
+
+def _print_table(table: Tuple[Any, Any], title: str) -> int:
+    headers, rows = table
+    print(format_table(headers, rows, title=title))
+    return 0
+
+
+def _table1(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.table1(scale=args.scale), "Table I: trace statistics"
+    )
+
+
+def _fig1(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.fig1(args.workload, scale=args.scale),
+        f"Fig. 1: hit ratios under sharing schemes ({args.workload})",
+    )
+
+
+def _table2(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.table2(
+            target_hit_ratio=args.hit_ratio,
+            clients_per_proxy=args.clients_per_proxy,
+            requests_per_client=args.requests_per_client,
+        ),
+        f"Table II: ICP overhead (inherent hit ratio {args.hit_ratio:g})",
+    )
+
+
+def _fig2(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.fig2(args.workload, scale=args.scale),
+        f"Fig. 2: update delay impact ({args.workload})",
+    )
+
+
+def _table3(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.table3(scale=args.scale, jobs=args.jobs),
+        "Table III: summary memory",
+    )
+
+
+def _fig4(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.fig4(), "Fig. 4: false positive probability"
+    )
+
+
+def _representations(args: argparse.Namespace) -> int:
+    results = experiments.representations(
+        args.workload,
+        scale=args.scale,
+        threshold=args.threshold,
+        jobs=args.jobs,
+        **_summary_overrides(args),
+    )
+    return _print_table(
+        experiments.representation_rows(results),
+        f"Figs. 5-8: summary representations ({args.workload}, "
+        f"threshold {args.threshold:g})",
+    )
+
+
+def _simulate(args: argparse.Namespace) -> int:
+    from repro.simulation.parallel import (
+        fig5_grid,
+        pack_grid_traces,
+        run_cells,
+    )
+
+    cells = fig5_grid(
+        args.workloads,
+        load_factors=args.load_factors,
+        thresholds=args.thresholds,
+        include_icp=not args.no_icp,
+        scale=args.scale,
+    )
+    if args.pack_dir:
+        cells = pack_grid_traces(cells, args.pack_dir)
+    results = run_cells(cells, jobs=args.jobs)
+    headers = (
+        "cell", "total-HR", "false-hit", "msgs/req", "bytes/req",
+    )
+    rows = [
+        (
+            cell.label(),
+            f"{r.total_hit_ratio:.3f}",
+            f"{r.false_hit_ratio:.4f}",
+            f"{r.messages_per_request:.3f}",
+            f"{r.message_bytes_per_request:.0f}",
+        )
+        for cell, r in zip(cells, results)
+    ]
+    return _print_table(
+        (headers, rows),
+        f"Simulation grid ({len(cells)} cells, jobs={args.jobs})",
+    )
+
+
+def _table45(args: argparse.Namespace) -> int:
+    if args.command == "table4":
+        assignment, label = "client-bound", "IV"
+    else:
+        assignment, label = "round-robin", "V"
+    return _print_table(
+        experiments.table45(
+            assignment=assignment, workload=args.workload, scale=args.scale
+        ),
+        f"Table {label}: trace replay ({assignment})",
+    )
+
+
+def _scalability(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.scalability(), "Section V-F: scalability extrapolation"
+    )
+
+
+def _hierarchy(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.hierarchy(args.workload, scale=args.scale),
+        f"Section VIII: hierarchy extension ({args.workload})",
+    )
+
+
+def _alternatives(args: argparse.Namespace) -> int:
+    return _print_table(
+        experiments.alternatives(args.workload, scale=args.scale),
+        f"Related-work comparison ({args.workload})",
+    )
+
+
+def _metrics(args: argparse.Namespace) -> int:
+    overrides = {}
+    if args.summary_repr is not None:
+        overrides["summary"] = experiments.summary_config_for_repr(
+            args.summary_repr
+        )
+    if args.update_policy is not None:
+        overrides["update_policy"] = parse_update_policy(args.update_policy)
+    registry = experiments.metrics_snapshot(
+        args.workload,
+        scale=args.scale,
+        threshold=args.threshold,
+        **overrides,
+    )
+    if args.format == "json":
+        print(render_json(registry, workload=args.workload))
+    else:
+        print(render_prometheus(registry), end="")
+    return 0
+
+
+def _gen_trace(args: argparse.Namespace) -> int:
+    trace, groups = make_workload(args.workload, scale=args.scale)
+    write_jsonl(trace, args.out)
+    print(
+        f"wrote {len(trace)} requests ({groups} proxy groups) to {args.out}"
+    )
+    return 0
 
 
 async def _serve(args: argparse.Namespace) -> int:
@@ -1718,16 +1923,6 @@ def _trace_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _trace_command(args: argparse.Namespace) -> int:
-    handler = {
-        "pack": _trace_pack,
-        "info": _trace_info,
-        "verify": _trace_verify,
-        "bench": _trace_bench,
-    }[args.trace_command]
-    return handler(args)
-
-
 def _dissemination(args: argparse.Namespace) -> int:
     """The measured Section V-F run, one cell per dissemination policy."""
     import os
@@ -1853,226 +2048,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
     configure_logging(args.verbose)
-
-    if args.command == "table1":
-        headers, rows = experiments.table1(scale=args.scale)
-        print(format_table(headers, rows, title="Table I: trace statistics"))
-    elif args.command == "fig1":
-        headers, rows = experiments.fig1(args.workload, scale=args.scale)
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Fig. 1: hit ratios under sharing schemes ({args.workload})",
-            )
-        )
-    elif args.command == "table2":
-        headers, rows = experiments.table2(
-            target_hit_ratio=args.hit_ratio,
-            clients_per_proxy=args.clients_per_proxy,
-            requests_per_client=args.requests_per_client,
-        )
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Table II: ICP overhead (inherent hit ratio {args.hit_ratio:g})",
-            )
-        )
-    elif args.command == "fig2":
-        headers, rows = experiments.fig2(args.workload, scale=args.scale)
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Fig. 2: update delay impact ({args.workload})",
-            )
-        )
-    elif args.command == "table3":
-        headers, rows = experiments.table3(scale=args.scale, jobs=args.jobs)
-        print(
-            format_table(headers, rows, title="Table III: summary memory")
-        )
-    elif args.command == "fig4":
-        headers, rows = experiments.fig4()
-        print(
-            format_table(
-                headers, rows, title="Fig. 4: false positive probability"
-            )
-        )
-    elif args.command == "representations":
-        results = experiments.representations(
-            args.workload,
-            scale=args.scale,
-            threshold=args.threshold,
-            jobs=args.jobs,
-            **_summary_overrides(args),
-        )
-        headers, rows = experiments.representation_rows(results)
-        print(
-            format_table(
-                headers,
-                rows,
-                title=(
-                    f"Figs. 5-8: summary representations ({args.workload}, "
-                    f"threshold {args.threshold:g})"
-                ),
-            )
-        )
-    elif args.command == "simulate":
-        from repro.simulation.parallel import (
-            fig5_grid,
-            pack_grid_traces,
-            run_cells,
-        )
-
-        cells = fig5_grid(
-            args.workloads,
-            load_factors=args.load_factors,
-            thresholds=args.thresholds,
-            include_icp=not args.no_icp,
-            scale=args.scale,
-        )
-        if args.pack_dir:
-            cells = pack_grid_traces(cells, args.pack_dir)
-        results = run_cells(cells, jobs=args.jobs)
-        headers = (
-            "cell", "total-HR", "false-hit", "msgs/req", "bytes/req",
-        )
-        rows = [
-            (
-                cell.label(),
-                f"{r.total_hit_ratio:.3f}",
-                f"{r.false_hit_ratio:.4f}",
-                f"{r.messages_per_request:.3f}",
-                f"{r.message_bytes_per_request:.0f}",
-            )
-            for cell, r in zip(cells, results)
-        ]
-        print(
-            format_table(
-                headers,
-                rows,
-                title=(
-                    f"Simulation grid ({len(cells)} cells, "
-                    f"jobs={args.jobs})"
-                ),
-            )
-        )
-    elif args.command in ("table4", "table5"):
-        assignment = (
-            "client-bound" if args.command == "table4" else "round-robin"
-        )
-        headers, rows = experiments.table45(
-            assignment=assignment, workload=args.workload, scale=args.scale
-        )
-        label = "IV" if args.command == "table4" else "V"
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Table {label}: trace replay ({assignment})",
-            )
-        )
-    elif args.command == "scalability":
-        headers, rows = experiments.scalability()
-        print(
-            format_table(
-                headers, rows, title="Section V-F: scalability extrapolation"
-            )
-        )
-    elif args.command == "hierarchy":
-        headers, rows = experiments.hierarchy(
-            args.workload, scale=args.scale
-        )
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Section VIII: hierarchy extension ({args.workload})",
-            )
-        )
-    elif args.command == "alternatives":
-        headers, rows = experiments.alternatives(
-            args.workload, scale=args.scale
-        )
-        print(
-            format_table(
-                headers,
-                rows,
-                title=f"Related-work comparison ({args.workload})",
-            )
-        )
-    elif args.command == "metrics":
-        overrides = {}
-        if args.summary_repr is not None:
-            overrides["summary"] = experiments.summary_config_for_repr(
-                args.summary_repr
-            )
-        if args.update_policy is not None:
-            overrides["update_policy"] = parse_update_policy(
-                args.update_policy
-            )
-        registry = experiments.metrics_snapshot(
-            args.workload,
-            scale=args.scale,
-            threshold=args.threshold,
-            **overrides,
-        )
-        if args.format == "json":
-            print(render_json(registry, workload=args.workload))
-        else:
-            print(render_prometheus(registry), end="")
-    elif args.command == "serve":
-        try:
-            return asyncio.run(_serve(args))
-        except KeyboardInterrupt:
-            return 0
-    elif args.command == "obs":
-        handler = {
-            "cluster": _obs_cluster,
-            "trace": _obs_trace,
-            "overhead": _obs_overhead,
-        }[args.obs_command]
-        try:
-            return asyncio.run(handler(args))
-        except KeyboardInterrupt:
-            return 0
-    elif args.command == "loadgen":
-        if args.uvloop:
-            from repro.proxy.eventloop import install_uvloop
-
-            if not install_uvloop():
-                print("uvloop not available; using the default event loop")
-        try:
-            return asyncio.run(_loadgen(args))
-        except KeyboardInterrupt:
-            return 0
-    elif args.command == "placement-bench":
-        try:
-            return asyncio.run(_placement_bench(args))
-        except KeyboardInterrupt:
-            return 0
-    elif args.command == "lint":
-        return run_lint_command(args)
-    elif args.command == "sanitize-run":
-        try:
-            return asyncio.run(_sanitize_run(args))
-        except KeyboardInterrupt:
-            return 0
-    elif args.command == "gen-trace":
-        trace, groups = make_workload(args.workload, scale=args.scale)
-        write_jsonl(trace, args.out)
-        print(
-            f"wrote {len(trace)} requests ({groups} proxy groups) to {args.out}"
-        )
-    elif args.command == "trace":
-        return _trace_command(args)
-    elif args.command == "dissemination":
-        return _dissemination(args)
-    else:  # pragma: no cover - argparse enforces choices
-        return 2
-    return 0
+    handler: Handler = args.handler
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -13,11 +13,14 @@ This subpackage contains the paper's primary algorithmic contribution:
   both insertions and deletions (Section V-C).
 - :mod:`repro.core.bfmath` -- the analytic false-positive and
   counter-overflow formulas behind Fig. 4.
-- :mod:`repro.core.summary` -- the three summary representations compared
-  in Section V (exact-directory, server-name, Bloom filter).
 - :mod:`repro.core.position_cache` -- the shared LRU memo of MD5 digests
   and derived bit positions that lets N proxies probing the same URL
   hash once instead of N times (see ``docs/performance.md``).
+
+The three summary representations compared in Section V
+(exact-directory, server-name, Bloom filter) are built on these
+structures in :mod:`repro.summaries`; their classes are importable
+from here as well.
 """
 
 from repro.core.bfmath import (
@@ -37,7 +40,7 @@ from repro.core.position_cache import (
     position_cache,
     set_position_cache,
 )
-from repro.core.summary import (
+from repro.summaries import (
     BloomSummary,
     DigestDelta,
     ExactDirectorySummary,

@@ -34,7 +34,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.scalability import extrapolate
 from repro.core.bfmath import example_table, fig4_series
-from repro.core.summary import SummaryConfig
 from repro.proxy.config import ProxyMode
 from repro.sharing.carp import simulate_carp
 from repro.sharing.directory_server import simulate_directory_server
@@ -48,7 +47,6 @@ from repro.sharing.schemes import (
 )
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )
@@ -58,7 +56,7 @@ from repro.simulation.experiment import (
     run_replay_experiment,
 )
 from repro.simulation.parallel import ExperimentCell, run_cells
-from repro.summaries import UpdatePolicy
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy, UpdatePolicy
 from repro.traces.model import Trace
 from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import WORKLOAD_PRESETS, make_workload

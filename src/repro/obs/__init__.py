@@ -1,12 +1,10 @@
-"""End-to-end observability: metrics registry, trace ring, exporters.
+"""End-to-end observability: metrics registry, span ring, exporters.
 
 The measurement layer the rest of the reproduction reports through:
 
 - :mod:`repro.obs.registry` -- counters, gauges, fixed-bucket
   histograms, ``timed``/``time_block`` phase timing, and the
   zero-cost-when-disabled default-registry switch;
-- :mod:`repro.obs.trace` -- a bounded ring buffer of per-process
-  message-lifecycle events (kept for harness-local logging);
 - :mod:`repro.obs.spans` -- request-scoped distributed tracing: spans,
   the per-proxy span ring behind ``GET /trace``, and the
   ``X-SC-Trace``/ICP-Options context propagation model;
@@ -54,7 +52,6 @@ from repro.obs.spans import (
     TraceContext,
     format_id,
 )
-from repro.obs.trace import TraceEvent, TraceRing
 
 __all__ = [
     "Counter",
@@ -71,8 +68,6 @@ __all__ = [
     "SpanRing",
     "TRACE_HEADER",
     "TraceContext",
-    "TraceEvent",
-    "TraceRing",
     "format_id",
     "configure_logging",
     "disable",

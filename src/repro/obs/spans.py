@@ -1,7 +1,6 @@
 """Request-scoped distributed tracing: spans and context propagation.
 
-Where :mod:`repro.obs.trace` keeps a flat ring of per-process events,
-this module models a request as a **trace**: a tree of :class:`Span`
+This module models a request as a **trace**: a tree of :class:`Span`
 records sharing one 32-bit trace id, with parent/child links, wall-time
 extents, and typed attributes.  The point is the *cross-proxy* view the
 paper's accounting needs (false hits, remote hits, and inter-proxy

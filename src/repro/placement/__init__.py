@@ -20,8 +20,8 @@ consume:
   immutable ring and report which locally held keys were displaced so
   the owner can migrate or invalidate them.
 
-:mod:`repro.sharing.carp` re-exports :func:`carp_owner`, so simulator
-results and placement decisions come from one implementation.
+:mod:`repro.sharing.carp` routes through :func:`carp_owner`, so
+simulator results and placement decisions come from one implementation.
 """
 
 from repro.placement.live import Placement, displaced_keys

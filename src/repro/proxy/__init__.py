@@ -27,7 +27,6 @@ push the data plane to benchmark scale without reimplementing an RFC
 from repro.proxy.client import ClientDriver, ReplayReport
 from repro.proxy.cluster import ClusterResult, ProxyCluster
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
-from repro.proxy.eventloop import install_uvloop
 from repro.proxy.origin import OriginServer
 from repro.proxy.pool import ConnectionPool, PooledConnection, PoolStats
 from repro.proxy.server import ProxyStats, SummaryCacheProxy
@@ -46,5 +45,4 @@ __all__ = [
     "ProxyStats",
     "ReplayReport",
     "SummaryCacheProxy",
-    "install_uvloop",
 ]

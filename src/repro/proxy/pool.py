@@ -78,9 +78,9 @@ class ConnectionPool:
     idle_timeout:
         Seconds an idle connection stays eligible; stale entries are
         closed lazily on the next acquire against that upstream.
-    on_reuse / on_create:
-        Optional zero-argument hooks (the proxy wires these to its
-        ``proxy_connections_reused_total`` counter family).
+    on_reuse:
+        Optional zero-argument hook (the proxy wires it to its
+        ``proxy_connections_reused_total`` counter).
     """
 
     def __init__(
@@ -88,14 +88,12 @@ class ConnectionPool:
         max_idle_per_host: int = 8,
         idle_timeout: float = 10.0,
         on_reuse: Optional[Callable[[], None]] = None,
-        on_create: Optional[Callable[[], None]] = None,
     ) -> None:
         self.max_idle_per_host = max_idle_per_host
         self.idle_timeout = idle_timeout
         self.stats = PoolStats()
         self._idle: Dict[Tuple[str, int], List[PooledConnection]] = {}
         self._on_reuse = on_reuse
-        self._on_create = on_create
         self._closed = False
 
     def idle_count(self, host: str, port: int) -> int:
@@ -124,8 +122,6 @@ class ConnectionPool:
             self.stats.expired += 1
         reader, writer = await asyncio.open_connection(host, port)
         self.stats.created += 1
-        if self._on_create is not None:
-            self._on_create()
         return PooledConnection(host, port, reader, writer)
 
     def release(self, conn: PooledConnection, reusable: bool = True) -> None:

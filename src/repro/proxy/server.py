@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Dict, List, Optional, Set, Tuple, Union, cast
 
@@ -115,25 +114,25 @@ _PHASE_BUCKETS = (
 
 
 class _ProxyMetrics:
-    """Registry instruments mirroring (and extending) :class:`ProxyStats`.
+    """The proxy's registry instruments: the only place it counts.
 
-    Counter names follow Prometheus conventions (``*_total`` suffixes);
-    the counters matching :class:`ProxyStats` fields increment at the
-    exact same sites, so ``GET /metrics`` and ``GET /__stats__`` always
-    agree.  Scrape-time gauges (cache occupancy, summary fill) read the
-    live structures via callbacks and cost nothing between scrapes.
+    Counter names follow Prometheus conventions (``*_total`` suffixes).
+    Attributes named like a :class:`ProxyStats` field are the counters
+    that view reads, so ``GET /metrics`` and ``proxy.stats`` cannot
+    disagree.  Scrape-time gauges (cache occupancy, summary fill) read
+    the live structures via callbacks and cost nothing between scrapes.
     """
 
     __slots__ = (
         "http_requests", "local_hits", "remote_hits",
-        "remote_fetch_failures", "false_hits", "origin_fetches",
+        "remote_fetch_failures", "false_query_rounds", "origin_fetches",
         "bytes_served", "icp_queries_sent", "icp_queries_received",
         "icp_replies_sent", "icp_replies_received", "icp_timeouts",
         "dirupdates_sent", "dirupdates_received", "dirupdate_rejects",
-        "summary_resizes", "udp_sent", "udp_received", "peer_served",
+        "summary_resizes", "udp_sent", "udp_received", "peer_served_requests",
         "phase_seconds", "connections_open", "connections_reused",
         "backpressure_waits", "peer_forwards", "peer_forward_failures",
-        "rebalances", "entries_invalidated",
+        "placement_rebalances", "placement_entries_invalidated",
     )
 
     def __init__(self, registry: MetricsRegistry, representation: str) -> None:
@@ -154,7 +153,7 @@ class _ProxyMetrics:
             "proxy_remote_fetch_failures_total",
             "peer fetches that no longer held the document",
         )
-        self.false_hits = c(
+        self.false_query_rounds = c(
             "proxy_icp_false_hits_total",
             "query rounds where no queried peer held the document",
         )
@@ -203,7 +202,7 @@ class _ProxyMetrics:
         self.udp_received = c(
             "proxy_udp_received_total", "UDP datagrams received"
         )
-        self.peer_served = c(
+        self.peer_served_requests = c(
             "proxy_peer_served_total", "proxy-to-proxy fetches served"
         )
         # Placement family (carp cooperation: owner routing and
@@ -217,11 +216,11 @@ class _ProxyMetrics:
             "owner forwards that failed and fell over to the next "
             "replica or the origin",
         )
-        self.rebalances = c(
+        self.placement_rebalances = c(
             "placement_rebalances_total",
             "membership changes applied to the placement ring",
         )
-        self.entries_invalidated = c(
+        self.placement_entries_invalidated = c(
             "placement_entries_invalidated_total",
             "cached entries invalidated because a membership change "
             "moved their placement elsewhere",
@@ -250,37 +249,53 @@ class _ProxyMetrics:
         }
 
 
-@dataclass
-class ProxyStats:
-    """Counters mirroring what the paper measures per proxy.
+class _CounterView:
+    """Descriptor reading the :class:`_ProxyMetrics` counter of its name."""
 
-    UDP counters correspond to the paper's ``netstat`` UDP datagram
-    counts; ``false_query_rounds`` are SC-ICP query rounds in which no
-    queried peer actually held the document (false hits).
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, stats: "ProxyStats", owner: object = None) -> int:
+        return int(getattr(stats._metrics, self._name).value)
+
+
+class ProxyStats:
+    """Read-only live view of the counters the paper measures per proxy.
+
+    Nothing is stored here: every field reads the proxy's own registry
+    counter of the same name in :class:`_ProxyMetrics`.  UDP counters
+    correspond to the paper's ``netstat`` UDP datagram counts;
+    ``false_query_rounds`` are SC-ICP query rounds in which no queried
+    peer actually held the document (false hits).
     """
 
-    http_requests: int = 0
-    local_hits: int = 0
-    remote_hits: int = 0
-    remote_fetch_failures: int = 0
-    false_query_rounds: int = 0
-    origin_fetches: int = 0
-    bytes_served: int = 0
-    icp_queries_sent: int = 0
-    icp_queries_received: int = 0
-    icp_replies_sent: int = 0
-    icp_replies_received: int = 0
-    dirupdates_sent: int = 0
-    dirupdates_received: int = 0
-    dirupdate_rejects: int = 0
-    summary_resizes: int = 0
-    udp_sent: int = 0
-    udp_received: int = 0
-    peer_served_requests: int = 0
-    peer_forwards: int = 0
-    peer_forward_failures: int = 0
-    placement_rebalances: int = 0
-    placement_entries_invalidated: int = 0
+    __slots__ = ("_metrics",)
+
+    http_requests = _CounterView()
+    local_hits = _CounterView()
+    remote_hits = _CounterView()
+    remote_fetch_failures = _CounterView()
+    false_query_rounds = _CounterView()
+    origin_fetches = _CounterView()
+    bytes_served = _CounterView()
+    icp_queries_sent = _CounterView()
+    icp_queries_received = _CounterView()
+    icp_replies_sent = _CounterView()
+    icp_replies_received = _CounterView()
+    dirupdates_sent = _CounterView()
+    dirupdates_received = _CounterView()
+    dirupdate_rejects = _CounterView()
+    summary_resizes = _CounterView()
+    udp_sent = _CounterView()
+    udp_received = _CounterView()
+    peer_served_requests = _CounterView()
+    peer_forwards = _CounterView()
+    peer_forward_failures = _CounterView()
+    placement_rebalances = _CounterView()
+    placement_entries_invalidated = _CounterView()
+
+    def __init__(self, metrics: _ProxyMetrics) -> None:
+        self._metrics = metrics
 
     @property
     def hit_ratio(self) -> float:
@@ -356,27 +371,23 @@ class SummaryCacheProxy:
         self,
         config: ProxyConfig,
         origin_address: Tuple[str, int],
-        registry: Optional[MetricsRegistry] = None,
-        span_ring: Optional[SpanRing] = None,
         sanitizer: Optional[Sanitizer] = None,
     ) -> None:
         self.config = config
         self.origin_address = origin_address
-        self.stats = ProxyStats()
         #: Interleaving sanitizer: explicit instance, the process-wide
         #: one when ``SC_SANITIZE=1``, else None (zero overhead).
         self._san = (
             sanitizer if sanitizer is not None else default_sanitizer()
         )
         #: Per-proxy metrics registry backing ``GET /metrics``.
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self._m = _ProxyMetrics(self.registry, config.summary.kind)
+        self.stats = ProxyStats(self._m)
         #: Span ring backing ``GET /trace`` and the cluster aggregator;
         #: the shared null ring when tracing is disabled (no spans
         #: retained, no trace context on any wire).
-        if span_ring is not None:
-            self.spans = span_ring
-        elif config.trace_enabled:
+        if config.trace_enabled:
             dropped = self.registry.counter(
                 "trace_ring_dropped_total",
                 "spans dropped from a full trace ring",
@@ -640,11 +651,9 @@ class SummaryCacheProxy:
             displaced = self._placement.remove_member(member, items)
         for url in displaced:
             self._cache.remove(url)
-        self.stats.placement_rebalances += 1
-        self.stats.placement_entries_invalidated += len(displaced)
-        self._m.rebalances.inc()
+        self._m.placement_rebalances.inc()
         if displaced:
-            self._m.entries_invalidated.inc(len(displaced))
+            self._m.placement_entries_invalidated.inc(len(displaced))
         span.set(
             members=len(self._placement.members),
             invalidated=len(displaced),
@@ -746,7 +755,6 @@ class SummaryCacheProxy:
         self._node.rebuild(
             self._cache.urls(), perf_counter(), digests=self._cache.digests()
         )
-        self.stats.summary_resizes += 1
         self._m.summary_resizes.inc()
         logger.info(
             "proxy=%s summary resized to %d bits (%d cached documents)",
@@ -769,8 +777,6 @@ class SummaryCacheProxy:
                 continue
             for message in messages:
                 transport.sendto(message.encode(), peer_addr)
-                self.stats.dirupdates_sent += 1
-                self.stats.udp_sent += 1
                 self._m.dirupdates_sent.inc()
                 self._m.udp_sent.inc()
 
@@ -806,8 +812,6 @@ class SummaryCacheProxy:
                 continue
             for message in messages:
                 transport.sendto(message.encode(), peer_addr)
-                self.stats.dirupdates_sent += 1
-                self.stats.udp_sent += 1
                 self._m.dirupdates_sent.inc()
                 self._m.udp_sent.inc()
         drain_span.set(messages=len(messages)).end()
@@ -823,7 +827,6 @@ class SummaryCacheProxy:
     # ------------------------------------------------------------------
 
     def _on_datagram(self, data: bytes, addr: Tuple[str, int]) -> None:
-        self.stats.udp_received += 1
         self._m.udp_received.inc()
         try:
             message = decode_message(data)
@@ -841,7 +844,6 @@ class SummaryCacheProxy:
     def _handle_query(
         self, query: IcpQuery, addr: Tuple[str, int]
     ) -> None:
-        self.stats.icp_queries_received += 1
         self._m.icp_queries_received.inc()
         if self._icp is None or self._icp.transport is None:
             return
@@ -869,15 +871,12 @@ class SummaryCacheProxy:
                 url=query.url, request_number=query.request_number
             )
         self._icp.transport.sendto(reply.encode(), addr)
-        self.stats.icp_replies_sent += 1
-        self.stats.udp_sent += 1
         self._m.icp_replies_sent.inc()
         self._m.udp_sent.inc()
 
     def _handle_reply(
         self, reply: Union[IcpHit, IcpMiss], addr: Tuple[str, int]
     ) -> None:
-        self.stats.icp_replies_received += 1
         self._m.icp_replies_received.inc()
         pending = self._pending.get(reply.request_number)
         if pending is None or pending.future.done():
@@ -907,7 +906,6 @@ class SummaryCacheProxy:
         cleanly: the copy is left untouched and the peer's digest (or
         pending-everything delta after a set rebuild) resynchronizes it.
         """
-        self.stats.dirupdates_received += 1
         self._m.dirupdates_received.inc()
         state = self._peers.get(addr)
         if state is None:
@@ -917,7 +915,6 @@ class SummaryCacheProxy:
                 state.summary, update
             )
         except SummaryMismatchError as exc:
-            self.stats.dirupdate_rejects += 1
             self._m.dirupdate_rejects.inc()
             self.spans.start_span(
                 "dirupdate.reject",
@@ -944,7 +941,6 @@ class SummaryCacheProxy:
         self, chunk: DigestChunk, addr: Tuple[str, int]
     ) -> None:
         """Feed a whole-filter chunk to the peer's reassembler."""
-        self.stats.dirupdates_received += 1
         self._m.dirupdates_received.inc()
         state = self._peers.get(addr)
         if state is None:
@@ -1012,9 +1008,7 @@ class SummaryCacheProxy:
                 # iteration is an independent request that is supposed
                 # to see the then-current state, so the cross-request
                 # "window" is serial request handling, not a race.
-                if request.url == "/__stats__":
-                    await self._serve_stats(writer, keep_alive)
-                elif request.url.partition("?")[0] == "/metrics":
+                if request.url.partition("?")[0] == "/metrics":
                     await self._serve_metrics(request, writer, keep_alive)
                 elif request.url.partition("?")[0] == "/trace":
                     await self._serve_trace(request, writer, keep_alive)
@@ -1042,35 +1036,6 @@ class SummaryCacheProxy:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass
-
-    async def _serve_stats(
-        self, writer: asyncio.StreamWriter, keep_alive: bool = False
-    ) -> None:
-        """Serve the admin endpoint: counters and cache state as JSON."""
-        payload = dict(asdict(self.stats))
-        payload.update(
-            {
-                "name": self.config.name,
-                "mode": self.config.mode.value,
-                "cache_entries": len(self._cache),
-                "cache_used_bytes": self._cache.used_bytes,
-                "cache_capacity_bytes": self._cache.capacity_bytes,
-                "summary_fill_ratio": self._node.local.fill_ratio(),
-                "summary_representation": self.config.summary.kind,
-                "peers": len(self._peers),
-                "cooperation": self.config.cooperation.value,
-                "placement_members": list(self._placement.members),
-            }
-        )
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        write_response(
-            writer,
-            200,
-            body,
-            headers={"Content-Type": "application/json"},
-            keep_alive=keep_alive,
-        )
-        await writer.drain()
 
     async def _serve_metrics(
         self,
@@ -1172,8 +1137,7 @@ class SummaryCacheProxy:
                 keep_alive=keep_alive,
             )
         else:
-            self.stats.peer_served_requests += 1
-            self._m.peer_served.inc()
+            self._m.peer_served_requests.inc()
             await self._stream_response(
                 writer, body, {"X-Cache": "HIT"}, keep_alive
             )
@@ -1240,8 +1204,7 @@ class SummaryCacheProxy:
                 # (collapsing duplicate fetches is a deliberate
                 # non-goal for idempotent GETs).
                 self._store(url, body)  # sc-lint: disable=SC007
-            self.stats.peer_served_requests += 1
-            self._m.peer_served.inc()
+            self._m.peer_served_requests.inc()
             span.set(source=source, bytes=len(body)).end()
         await self._stream_response(
             writer,
@@ -1257,7 +1220,6 @@ class SummaryCacheProxy:
         writer: asyncio.StreamWriter,
         keep_alive: bool = False,
     ) -> None:
-        self.stats.http_requests += 1
         self._m.http_requests.inc()
         url = request.url
         size_hint = request.header("x-size")
@@ -1294,10 +1256,8 @@ class SummaryCacheProxy:
                     url, size_hint, root
                 )
             else:
-                self.stats.local_hits += 1
                 self._m.local_hits.inc()
 
-            self.stats.bytes_served += len(body)
             self._m.bytes_served.inc(len(body))
             self._m.phase_seconds["total"].observe(perf_counter() - start)
             root.add_event("http.served", source=source, bytes=len(body))
@@ -1389,7 +1349,6 @@ class SummaryCacheProxy:
                         perf_counter() - fetch_start
                     )
                     if body is not None:
-                        self.stats.remote_hits += 1
                         self._m.remote_hits.inc()
                         lookup.set(
                             outcome="remote_hit", peer=holder.address.name
@@ -1404,15 +1363,13 @@ class SummaryCacheProxy:
                             # GETs, no single-flight by design).
                             self._store(url, body)  # sc-lint: disable=SC007
                         return body, "REMOTE-HIT"
-                    self.stats.remote_fetch_failures += 1
                     self._m.remote_fetch_failures.inc()
                     outcome = "fetch_failed"
                     lookup.set(peer=holder.address.name)
                 else:
                     # False-hit resolution: the summaries (or the query
                     # round) promised a copy nobody actually held.
-                    self.stats.false_query_rounds += 1
-                    self._m.false_hits.inc()
+                    self._m.false_query_rounds.inc()
                     outcome = "false_hit"
             lookup.set(outcome=outcome).end()
 
@@ -1457,12 +1414,10 @@ class SummaryCacheProxy:
                     "REMOTE-HIT" if owner_source == "HIT" else "MISS"
                 )
                 if source == "REMOTE-HIT":
-                    self.stats.remote_hits += 1
                     self._m.remote_hits.inc()
                 if self._placement.policy.caches_remote_hits:
                     self._store(url, body)
                 return body, source
-            self.stats.peer_forward_failures += 1
             self._m.peer_forward_failures.inc()
             if verdict == "error":
                 break  # owner is up but erroring: go to the origin
@@ -1527,7 +1482,6 @@ class SummaryCacheProxy:
                 headers["X-Size"] = size_hint
             if span.trace_id:
                 headers[TRACE_HEADER] = span.context().header_value()
-            self.stats.peer_forwards += 1
             self._m.peer_forwards.inc()
             fetch_start = perf_counter()
             try:
@@ -1601,8 +1555,6 @@ class SummaryCacheProxy:
             round_span.add_event("icp.query.sent", peers=len(candidates))
             for state in candidates:
                 transport.sendto(encoded, state.address.icp_addr)
-                self.stats.icp_queries_sent += 1
-                self.stats.udp_sent += 1
                 self._m.icp_queries_sent.inc()
                 self._m.udp_sent.inc()
             round_start = perf_counter()
@@ -1673,7 +1625,6 @@ class SummaryCacheProxy:
         self, url: str, size_hint: str, parent: Span = NULL_SPAN
     ) -> bytes:
         headers = {"X-Size": size_hint} if size_hint else {}
-        self.stats.origin_fetches += 1
         self._m.origin_fetches.inc()
         with self.spans.start_span(
             "origin.fetch",

@@ -14,7 +14,7 @@ This subpackage reproduces the paper's simulation studies:
   simulators.
 """
 
-from repro.sharing.carp import CarpResult, carp_owner, simulate_carp
+from repro.sharing.carp import CarpResult, simulate_carp
 from repro.sharing.directory_server import (
     DirectoryServerLoad,
     simulate_directory_server,
@@ -33,10 +33,7 @@ from repro.sharing.schemes import (
     simulate_single_copy_sharing,
 )
 from repro.sharing.summary_sharing import (
-    IntervalUpdatePolicy,
-    PacketFillUpdatePolicy,
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )
@@ -45,15 +42,11 @@ __all__ = [
     "CarpResult",
     "DirectoryServerLoad",
     "HierarchyResult",
-    "IntervalUpdatePolicy",
     "MessageCounts",
-    "PacketFillUpdatePolicy",
     "QUERY_MESSAGE_BYTES",
     "SharingResult",
     "SummarySharingConfig",
-    "ThresholdUpdatePolicy",
     "bloom_update_bytes",
-    "carp_owner",
     "digest_update_bytes",
     "simulate_carp",
     "simulate_directory_server",

@@ -12,8 +12,7 @@ hop even on a hit.
 
 The hash-routing math itself lives in :mod:`repro.placement.ring`
 (rendezvous hashing over the interned MD5 digests of
-:mod:`repro.core.position_cache`); this module re-exports
-:func:`carp_owner` from there so the simulator and the live proxy
+:mod:`repro.core.position_cache`), so the simulator and the live proxy
 data plane route every URL to the same owner from one implementation.
 
 This simulator measures what the paper's argument needs:
@@ -34,10 +33,9 @@ from typing import Dict, List
 
 from repro.cache import WebCache
 from repro.placement.ring import carp_owner
-from repro.traces.model import Trace
-from repro.traces.partition import group_of
+from repro.traces.partition import TraceLike, group_of
 
-__all__ = ["CarpResult", "carp_owner", "simulate_carp"]
+__all__ = ["CarpResult", "simulate_carp"]
 
 
 @dataclass
@@ -74,7 +72,7 @@ class CarpResult:
 
 
 def simulate_carp(
-    trace: Trace,
+    trace: TraceLike,
     num_proxies: int,
     capacity_per_proxy: int,
     policy: str = "lru",
@@ -85,7 +83,7 @@ def simulate_carp(
         for _ in range(num_proxies)
     ]
     result = CarpResult(
-        trace_name=trace.name,
+        trace_name=getattr(trace, "name", "stream"),
         num_proxies=num_proxies,
         per_proxy_requests=[0] * num_proxies,
     )

@@ -24,8 +24,7 @@ from typing import Dict, List, Set
 from repro.cache import WebCache
 from repro.sharing.messages import QUERY_MESSAGE_BYTES
 from repro.sharing.results import SharingResult
-from repro.traces.model import Trace
-from repro.traces.partition import group_of
+from repro.traces.partition import TraceLike, group_of
 
 #: Wire size assumed for one directory change notification (header
 #: plus a 16-byte digest, the exact-directory record size).
@@ -51,7 +50,7 @@ class DirectoryServerLoad:
 
 
 def simulate_directory_server(
-    trace: Trace,
+    trace: TraceLike,
     num_proxies: int,
     capacity_per_proxy: int,
     policy: str = "lru",
@@ -91,7 +90,7 @@ def simulate_directory_server(
 
     result = SharingResult(
         scheme="directory-server",
-        trace_name=trace.name,
+        trace_name=getattr(trace, "name", "stream"),
         num_proxies=num_proxies,
         cache_capacity_bytes=capacity_per_proxy,
     )

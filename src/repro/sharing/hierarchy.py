@@ -27,17 +27,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache import WebCache
-from repro.core.summary import SummaryConfig
 from repro.errors import ConfigurationError
 from repro.sharing.messages import QUERY_MESSAGE_BYTES
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     _delta_bytes,
     _ProxyState,
 )
-from repro.traces.model import Trace
-from repro.traces.partition import group_of
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+from repro.traces.partition import TraceLike, group_of
 
 
 @dataclass
@@ -77,7 +75,7 @@ class HierarchyResult:
 
 
 def simulate_hierarchy(
-    trace: Trace,
+    trace: TraceLike,
     num_children: int,
     child_capacity: int,
     parent_capacity: int,
@@ -101,7 +99,8 @@ def simulate_hierarchy(
     ]
     parent = WebCache(parent_capacity)
     result = HierarchyResult(
-        trace_name=trace.name, num_children=num_children
+        trace_name=getattr(trace, "name", "stream"),
+        num_children=num_children,
     )
     live = (
         isinstance(cfg.update_policy, ThresholdUpdatePolicy)

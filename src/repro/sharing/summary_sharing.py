@@ -18,9 +18,8 @@ remote stale hit -- are tallied along with message counts and bytes
 under the paper's size model (:mod:`repro.sharing.messages`).
 
 Update dissemination is governed by an update policy from
-:mod:`repro.summaries.policies` (threshold / interval / packet-fill;
-re-exported here for compatibility with pre-refactor imports).  A
-threshold of 0 means peers always see the live directory (the "no
+:mod:`repro.summaries.policies` (threshold / interval / packet-fill).
+A threshold of 0 means peers always see the live directory (the "no
 update delay" top line of Fig. 2).
 """
 
@@ -45,8 +44,6 @@ from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BitFlipDelta,
     DigestDelta,
-    IntervalUpdatePolicy,
-    PacketFillUpdatePolicy,
     SummaryConfig,
     SummaryNode,
     ThresholdUpdatePolicy,
@@ -55,11 +52,7 @@ from repro.summaries import (
 from repro.traces.partition import TraceLike, grouped_chunks
 
 __all__ = [
-    "IntervalUpdatePolicy",
-    "PacketFillUpdatePolicy",
     "SummarySharingConfig",
-    "ThresholdUpdatePolicy",
-    "UpdatePolicy",
     "simulate_icp",
     "simulate_summary_sharing",
 ]
@@ -107,70 +100,75 @@ class _ProxyState:
         )
 
 
-class _SharingMetrics:
-    """Registry counters for one simulation run, labelled by scheme.
+def _publish_metrics(
+    result: SharingResult, update_drains: int, elapsed: float
+) -> None:
+    """Publish one finished run to the default registry, by scheme.
 
-    The Figs. 6-8 numbers (false hits, messages, bytes) increment here
-    as they happen, so a registry snapshot mid- or post-run reads the
-    same series the :class:`~repro.sharing.results.SharingResult`
-    reports -- no parallel bookkeeping to reconcile.
+    The replay loops count into the :class:`~repro.sharing.results.
+    SharingResult` alone; nothing can scrape a synchronous replay
+    mid-run, so the Figs. 6-8 series (false hits, messages, bytes) are
+    written from it once here and always agree with it.  Under the
+    default null registry every call below is a no-op.
     """
-
-    __slots__ = (
-        "requests", "local_hits", "remote_hits", "false_hits",
-        "false_misses", "query_messages", "query_bytes",
-        "update_drains", "update_messages", "update_bytes",
-    )
-
-    def __init__(self, registry, scheme: str) -> None:
-        labels = {"scheme": scheme}
-
-        def counter(name: str, help: str):
-            return registry.counter(name, help, labels=labels)
-
-        self.requests = counter(
-            "sharing_requests_total", "requests simulated"
-        )
-        self.local_hits = counter(
-            "sharing_local_hits_total", "fresh hits in the local cache"
-        )
-        self.remote_hits = counter(
-            "sharing_remote_hits_total", "fresh hits served by a peer"
-        )
-        self.false_hits = counter(
-            "sharing_false_hits_total",
-            "query rounds where no queried peer held the document (Fig. 6)",
-        )
-        self.false_misses = counter(
-            "sharing_false_misses_total",
-            "fresh peer copies the summaries failed to reveal",
-        )
-        self.query_messages = counter(
-            "sharing_query_messages_total", "ICP queries sent (Fig. 7)"
-        )
-        self.query_bytes = counter(
-            "sharing_query_bytes_total", "ICP query bytes sent (Fig. 8)"
-        )
-        self.update_drains = counter(
-            "sharing_update_drains_total",
-            "summary deltas drained and published",
-        )
-        self.update_messages = counter(
-            "sharing_update_messages_total",
-            "summary update messages shipped (Fig. 7)",
-        )
-        self.update_bytes = counter(
-            "sharing_update_bytes_total",
-            "summary update bytes shipped (Fig. 8)",
-        )
-
-
-def _bind_metrics(scheme: str) -> Optional[_SharingMetrics]:
-    """Per-run counters from the default registry; ``None`` if disabled."""
     registry = get_registry()
-    if not registry.enabled:
-        return None
-    return _SharingMetrics(registry, scheme)
+    labels = {"scheme": result.scheme}
+    msgs = result.messages
+
+    def counter(name: str, help: str, value: int) -> None:
+        registry.counter(name, help, labels=labels).inc(value)
+
+    counter("sharing_requests_total", "requests simulated", result.requests)
+    counter(
+        "sharing_local_hits_total",
+        "fresh hits in the local cache",
+        result.local_hits,
+    )
+    counter(
+        "sharing_remote_hits_total",
+        "fresh hits served by a peer",
+        result.remote_hits,
+    )
+    counter(
+        "sharing_false_hits_total",
+        "query rounds where no queried peer held the document (Fig. 6)",
+        result.false_hits,
+    )
+    counter(
+        "sharing_false_misses_total",
+        "fresh peer copies the summaries failed to reveal",
+        result.false_misses,
+    )
+    counter(
+        "sharing_query_messages_total",
+        "ICP queries sent (Fig. 7)",
+        msgs.query_messages,
+    )
+    counter(
+        "sharing_query_bytes_total",
+        "ICP query bytes sent (Fig. 8)",
+        msgs.query_bytes,
+    )
+    counter(
+        "sharing_update_drains_total",
+        "summary deltas drained and published",
+        update_drains,
+    )
+    counter(
+        "sharing_update_messages_total",
+        "summary update messages shipped (Fig. 7)",
+        msgs.update_messages,
+    )
+    counter(
+        "sharing_update_bytes_total",
+        "summary update bytes shipped (Fig. 8)",
+        msgs.update_bytes,
+    )
+    registry.histogram(
+        "sharing_simulation_seconds",
+        "wall time of one sharing simulation",
+        labels=labels,
+    ).observe(elapsed)
 
 
 def _delta_bytes(delta, num_bits: Optional[int] = None) -> int:
@@ -225,7 +223,7 @@ def simulate_summary_sharing(
         cache_capacity_bytes=sum(capacities) // num_proxies,
     )
     msgs = result.messages
-    m = _bind_metrics(result.scheme)
+    update_drains = 0
     sim_start = perf_counter()
     # All proxies share one hash family and filter geometry, so the
     # probe key (MD5 digest / server name / bit positions) of a URL is
@@ -248,15 +246,11 @@ def simulate_summary_sharing(
             me = proxies[g]
             result.requests += 1
             result.bytes_requested += req.size
-            if m is not None:
-                m.requests.inc()
 
             entry = me.cache.get(req.url, version=req.version, size=req.size)
             if entry is not None:
                 result.local_hits += 1
                 result.bytes_hit += entry.size
-                if m is not None:
-                    m.local_hits.inc()
                 continue
 
             # Probe peers' summaries (live or shipped) and query the
@@ -273,16 +267,13 @@ def simulate_summary_sharing(
                 if summary.contains_key(key):
                     candidates.append(j)
 
+            fresh = None
+            stale_seen = False
             if candidates:
                 msgs.query_messages += len(candidates)
                 msgs.reply_messages += len(candidates)
                 msgs.query_bytes += QUERY_MESSAGE_BYTES * len(candidates)
                 msgs.reply_bytes += QUERY_MESSAGE_BYTES * len(candidates)
-                if m is not None:
-                    m.query_messages.inc(len(candidates))
-                    m.query_bytes.inc(QUERY_MESSAGE_BYTES * len(candidates))
-                fresh = None
-                stale_seen = False
                 for j in candidates:
                     outcome = proxies[j].cache.probe(req.url, req.version)
                     if outcome == "hit":
@@ -290,37 +281,22 @@ def simulate_summary_sharing(
                         break
                     if outcome == "stale":
                         stale_seen = True
-                if fresh is not None:
-                    result.remote_hits += 1
-                    result.bytes_hit += req.size
-                    proxies[fresh].cache.touch(req.url)
-                    if m is not None:
-                        m.remote_hits.inc()
-                elif stale_seen:
-                    result.remote_stale_hits += 1
-                    if _oracle_fresh_elsewhere(
-                        proxies, g, candidates, req.url, req.version
-                    ):
-                        result.false_misses += 1
-                        if m is not None:
-                            m.false_misses.inc()
-                else:
-                    result.false_hits += 1
-                    if m is not None:
-                        m.false_hits.inc()
-                    if _oracle_fresh_elsewhere(
-                        proxies, g, candidates, req.url, req.version
-                    ):
-                        result.false_misses += 1
-                        if m is not None:
-                            m.false_misses.inc()
+            if fresh is not None:
+                result.remote_hits += 1
+                result.bytes_hit += req.size
+                proxies[fresh].cache.touch(req.url)
             else:
+                if stale_seen:
+                    result.remote_stale_hits += 1
+                elif candidates:
+                    result.false_hits += 1
+                # No fresh copy among the queried peers (none queried
+                # when *candidates* is empty): a fresh copy anywhere
+                # else is one the summaries failed to reveal.
                 if _oracle_fresh_elsewhere(
-                    proxies, g, (), req.url, req.version
+                    proxies, g, candidates, req.url, req.version
                 ):
                     result.false_misses += 1
-                    if m is not None:
-                        m.false_misses.inc()
 
             # Fetch (from peer or origin) and cache locally, then check the
             # update trigger -- insertion may have pushed us past threshold.
@@ -334,17 +310,8 @@ def simulate_summary_sharing(
                 update_bytes = _delta_bytes(delta, num_bits) * fanout
                 msgs.update_messages += fanout
                 msgs.update_bytes += update_bytes
-                if m is not None:
-                    m.update_drains.inc()
-                    m.update_messages.inc(fanout)
-                    m.update_bytes.inc(update_bytes)
+                update_drains += 1
 
-    if m is not None:
-        get_registry().histogram(
-            "sharing_simulation_seconds",
-            "wall time of one sharing simulation",
-            labels={"scheme": result.scheme},
-        ).observe(perf_counter() - sim_start)
     result.local_stale_hits = sum(
         p.cache.stats.stale_hits for p in proxies
     )
@@ -354,6 +321,7 @@ def simulate_summary_sharing(
         remote = proxies[0].node.local.remote_size_bytes()
         local = proxies[0].node.local.size_bytes()
         result.summary_memory_bytes = remote * (num_proxies - 1) + local
+    _publish_metrics(result, update_drains, perf_counter() - sim_start)
     return result
 
 
@@ -395,7 +363,6 @@ def simulate_icp(
         cache_capacity_bytes=sum(capacities) // num_proxies,
     )
     msgs = result.messages
-    m = _bind_metrics(result.scheme)
     sim_start = perf_counter()
 
     for chunk in grouped_chunks(trace, num_proxies):
@@ -403,14 +370,10 @@ def simulate_icp(
             cache = caches[g]
             result.requests += 1
             result.bytes_requested += req.size
-            if m is not None:
-                m.requests.inc()
             entry = cache.get(req.url, version=req.version, size=req.size)
             if entry is not None:
                 result.local_hits += 1
                 result.bytes_hit += entry.size
-                if m is not None:
-                    m.local_hits.inc()
                 continue
 
             fanout = num_proxies - 1
@@ -418,9 +381,6 @@ def simulate_icp(
             msgs.reply_messages += fanout
             msgs.query_bytes += QUERY_MESSAGE_BYTES * fanout
             msgs.reply_bytes += QUERY_MESSAGE_BYTES * fanout
-            if m is not None:
-                m.query_messages.inc(fanout)
-                m.query_bytes.inc(QUERY_MESSAGE_BYTES * fanout)
 
             fresh = None
             stale_seen = False
@@ -436,17 +396,10 @@ def simulate_icp(
                 result.remote_hits += 1
                 result.bytes_hit += req.size
                 caches[fresh].touch(req.url)
-                if m is not None:
-                    m.remote_hits.inc()
             elif stale_seen:
                 result.remote_stale_hits += 1
             cache.put(req.url, req.size, version=req.version)
 
-    if m is not None:
-        get_registry().histogram(
-            "sharing_simulation_seconds",
-            "wall time of one sharing simulation",
-            labels={"scheme": result.scheme},
-        ).observe(perf_counter() - sim_start)
     result.local_stale_hits = sum(c.stats.stale_hits for c in caches)
+    _publish_metrics(result, 0, perf_counter() - sim_start)
     return result

@@ -20,7 +20,7 @@ from repro.cache import WebCache
 from repro.errors import ConfigurationError
 from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
-from repro.core.summary import SummaryConfig, expected_documents_for_cache
+from repro.summaries import SummaryConfig, expected_documents_for_cache
 from repro.proxy.config import ProxyMode
 from repro.simulation.costs import CostModel, CpuAccount
 from repro.simulation.engine import Engine, Resource

@@ -35,11 +35,10 @@ from repro.obs.registry import get_registry
 from repro.sharing.results import SharingResult
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.traces.binary import BinaryTraceReader
 from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import make_workload, pack_workload

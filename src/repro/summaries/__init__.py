@@ -16,9 +16,6 @@ wire protocol, and the live asyncio proxy all consume the same classes:
   update policies;
 - :mod:`repro.summaries.codec` -- representation-tagged delta and
   digest encode/decode against :mod:`repro.protocol`.
-
-``repro.core.summary`` re-exports the representation classes for
-compatibility with pre-refactor imports.
 """
 
 from repro.summaries.backend import (

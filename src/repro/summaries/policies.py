@@ -14,10 +14,6 @@ A threshold of 0 means no update delay at all: the Section V simulator
 treats it as "peers probe the live directory" (the top line of Fig. 2),
 while the live proxy ships an update after every insert -- the closest
 a real wire protocol can get to that ideal.
-
-These classes lived in :mod:`repro.sharing.summary_sharing` before the
-summary backend was unified; that module re-exports them for
-compatibility.
 """
 
 from __future__ import annotations

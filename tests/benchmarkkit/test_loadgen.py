@@ -15,7 +15,7 @@ from repro.benchmarkkit.loadgen import (
     results_to_json,
     run_loadgen,
 )
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode

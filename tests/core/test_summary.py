@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.summary import (
+from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BloomSummary,
     ExactDirectorySummary,

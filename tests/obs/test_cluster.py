@@ -7,7 +7,7 @@ from typing import Any, Dict, Optional
 
 import pytest
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.errors import ProtocolError
 from repro.obs.cluster import (
     ClusterSnapshot,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import replace
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 
 

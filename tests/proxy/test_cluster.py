@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.errors import ConfigurationError
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, synth_body, write_request
@@ -330,7 +330,7 @@ class TestDigestEncoding:
 
 
 class TestStatsEndpoint:
-    def test_stats_json_reflects_activity(self):
+    def test_metrics_json_reflects_activity(self):
         import json
 
         async def scenario():
@@ -346,7 +346,7 @@ class TestStatsEndpoint:
                 reader, writer = await asyncio.open_connection(
                     proxy.config.host, proxy.http_port
                 )
-                write_request(writer, "/__stats__")
+                write_request(writer, "/metrics?format=json")
                 await writer.drain()
                 response = await read_response(reader)
                 writer.close()
@@ -355,12 +355,17 @@ class TestStatsEndpoint:
         response = run(scenario())
         assert response.status == 200
         assert response.header("content-type") == "application/json"
-        stats = json.loads(response.body)
-        assert stats["http_requests"] == 2
-        assert stats["local_hits"] == 1
-        assert stats["cache_entries"] == 1
-        assert stats["mode"] == "no-icp"
-        assert stats["cache_used_bytes"] == 256
+        doc = json.loads(response.body)
+        values = {
+            record["name"]: record["value"]
+            for record in doc["metrics"]
+            if record["kind"] != "histogram"
+        }
+        assert values["proxy_http_requests_total"] == 2
+        assert values["proxy_local_hits_total"] == 1
+        assert values["proxy_cache_entries"] == 1
+        assert doc["mode"] == "no-icp"
+        assert values["proxy_cache_used_bytes"] == 256
 
 
 class TestSummaryResize:

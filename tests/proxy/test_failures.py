@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.config import PeerAddress
 from repro.proxy.http import synth_body

@@ -13,7 +13,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import replace
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.client import ClientDriver
 from repro.proxy.http import read_response, synth_body, write_request

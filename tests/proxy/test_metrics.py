@@ -5,7 +5,7 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.obs.export import parse_prometheus
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.client import ClientDriver

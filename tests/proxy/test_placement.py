@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.hashing import md5_digest
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.placement import CooperationPolicy
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 

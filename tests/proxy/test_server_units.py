@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from repro.core.bloom import BloomFilter
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
 from repro.proxy.server import SummaryCacheProxy, _PeerState
 
@@ -119,3 +121,29 @@ class TestSummaryMaintenance:
     def test_reset_unknown_peer_is_noop(self):
         proxy = make_proxy(ProxyMode.SC_ICP)
         proxy.reset_peer(("10.0.0.1", 99))  # no exception
+
+
+class TestStatsView:
+    def test_stats_read_the_registry_counters(self):
+        """``proxy.stats`` stores nothing: a counter increment is visible
+        through it with no second write anywhere."""
+        proxy = make_proxy(ProxyMode.SC_ICP)
+        assert proxy.stats.http_requests == 0
+        assert proxy.stats.hit_ratio == 0.0
+        proxy.registry.counter("proxy_http_requests_total").inc(4)
+        proxy.registry.counter("proxy_local_hits_total").inc()
+        proxy.registry.counter("proxy_icp_false_hits_total").inc(2)
+        assert proxy.stats.http_requests == 4
+        assert proxy.stats.false_query_rounds == 2
+        assert proxy.stats.hit_ratio == 0.25
+        proxy._on_datagram(b"garbage", ("127.0.0.1", 9))
+        assert proxy.stats.udp_received == 1
+        assert proxy.registry.value("proxy_udp_received_total") == 1
+
+    def test_stats_reject_assignment(self):
+        proxy = make_proxy(ProxyMode.SC_ICP)
+        with pytest.raises(AttributeError):
+            proxy.stats.http_requests = 7
+        with pytest.raises(AttributeError):
+            proxy.stats.not_a_field = 1
+        assert proxy.stats.http_requests == 0

@@ -13,7 +13,7 @@ import asyncio
 
 import pytest
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig
 from repro.obs.spans import TRACE_HEADER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, write_request

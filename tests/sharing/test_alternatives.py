@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sharing.carp import CarpResult, carp_owner, simulate_carp
+from repro.sharing.carp import CarpResult, simulate_carp
+from repro.placement import carp_owner
 from repro.sharing.directory_server import simulate_directory_server
 from repro.sharing.schemes import (
     simulate_global_cache,

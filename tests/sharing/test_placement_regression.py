@@ -11,9 +11,8 @@ silent drift between the simulator and the live proxy data plane.
 
 from __future__ import annotations
 
-from repro.placement import HashRing
+from repro.placement import HashRing, carp_owner
 from repro.sharing import (
-    carp_owner,
     simulate_carp,
     simulate_simple_sharing,
     simulate_single_copy_sharing,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing.schemes import (
     simulate_global_cache,
     simulate_no_sharing,
@@ -14,7 +14,6 @@ from repro.sharing.schemes import (
 )
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )

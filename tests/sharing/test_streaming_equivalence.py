@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.sharing.carp import simulate_carp
+from repro.sharing.directory_server import simulate_directory_server
+from repro.sharing.hierarchy import simulate_hierarchy
 from repro.sharing.schemes import (
     simulate_global_cache,
     simulate_no_sharing,
@@ -21,11 +24,10 @@ from repro.sharing.schemes import (
 )
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_summary_sharing,
 )
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.traces.binary import BinaryTraceReader, pack_trace
 
 GROUPS = 4
@@ -99,6 +101,32 @@ def test_icp_identical_across_sources(small_trace, packed_path):
     baseline = {**results["trace"].__dict__, "trace_name": ""}
     for label, result in results.items():
         assert {**result.__dict__, "trace_name": ""} == baseline, label
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        lambda source: [simulate_carp(source, GROUPS, CAPACITY)],
+        lambda source: simulate_directory_server(source, GROUPS, CAPACITY),
+        lambda source: [
+            simulate_hierarchy(source, GROUPS, CAPACITY, 4 * CAPACITY)
+        ],
+    ],
+    ids=["carp", "directory_server", "hierarchy"],
+)
+def test_alternatives_identical_across_sources(
+    simulate, small_trace, packed_path
+):
+    """The non-``schemes`` simulators take any request iterable too."""
+    results = {
+        label: [
+            {**record.__dict__, "trace_name": ""}
+            for record in simulate(source)
+        ]
+        for label, source in _sources(small_trace, packed_path).items()
+    }
+    for label, records in results.items():
+        assert records == results["trace"], label
 
 
 def test_reader_keeps_trace_name(small_trace, packed_path):

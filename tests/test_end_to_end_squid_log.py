@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_icp,
     simulate_no_sharing,
     simulate_summary_sharing,

@@ -23,7 +23,7 @@ from repro.errors import (
     ReproError,
     SummaryStateError,
 )
-from repro.obs.trace import TraceRing
+from repro.obs.spans import SpanRing
 from repro.summaries.exact import ExactDirectorySummary
 from repro.summaries.servername import ServerNameSummary
 
@@ -105,11 +105,11 @@ class TestRaiseSites:
         with pytest.raises(TypeError):  # old-vocabulary callers
             family.hashes(1234, 64)  # type: ignore[arg-type]
 
-    def test_trace_ring_bad_capacity(self):
+    def test_span_ring_bad_capacity(self):
         with pytest.raises(ConfigurationError):
-            TraceRing(capacity=0)
+            SpanRing(capacity=0)
         with pytest.raises(ValueError):  # old-vocabulary callers
-            TraceRing(capacity=0)
+            SpanRing(capacity=0)
 
     def test_all_cases_catchable_as_repro_error(self):
         with pytest.raises(ReproError):

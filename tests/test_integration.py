@@ -12,11 +12,10 @@ import asyncio
 
 import pytest
 
-from repro.core.summary import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.sharing import (
     SummarySharingConfig,
-    ThresholdUpdatePolicy,
     simulate_simple_sharing,
     simulate_summary_sharing,
 )
