@@ -5,20 +5,9 @@ concurrent clients against running proxies and measures what the
 paper's prototype claims rest on: sustained requests/sec and tail
 latency on real sockets.  Each client is a serial
 :class:`~repro.proxy.client.ClientDriver` (the benchmark's
-"no thinking time" client processes); clients run concurrently and are
-dealt round-robin across the target proxies.
-
-Two connection disciplines matter for `BENCH_proxy.json`:
-
-- ``keep_alive=True`` -- every client rides one persistent connection
-  and the proxies pool their origin/peer connections (the post-PR
-  data plane);
-- ``keep_alive=False`` -- one TCP connection per request and
-  ``pool_size=0`` proxies (the pre-keep-alive baseline).
-
-Cache behaviour is identical either way (same URLs in the same
-per-client order), so the comparison isolates pure data-plane
-overhead.
+"no thinking time" client processes) riding one persistent
+connection; clients run concurrently and are dealt round-robin across
+the target proxies.
 
 Latency is measured client-side per request (exact percentiles over
 every sample) and cross-checked against the proxies'
@@ -53,9 +42,6 @@ class LoadGenConfig:
     #: Concurrent clients (each serial, no think time).
     clients: int = 16
     requests_per_client: int = 200
-    #: Persistent client connections + pooled upstream fetches when
-    #: true; one connection per request when false.
-    keep_alive: bool = True
     #: Inherent hit ratio of each client's stream (Wisconsin knob).
     target_hit_ratio: float = 0.25
     mean_size: int = 8 * 1024
@@ -113,7 +99,7 @@ class LoadGenResult:
     #: the server-side cross-check of the client-side numbers.
     proxy_phase_p50_ms: Optional[float] = None
     proxy_phase_p99_ms: Optional[float] = None
-    #: Origin-side accounting over this run (deltas, so phases sharing
+    #: Origin-side accounting over this run (deltas, so runs sharing
     #: one origin do not bleed into each other); ``None`` when the
     #: caller did not pass the origin server.
     origin_requests: Optional[int] = None
@@ -193,35 +179,21 @@ def aggregate_phase_quantiles(
     proxies: Sequence[SummaryCacheProxy], q: float
 ) -> Optional[float]:
     """q-quantile (seconds) over all proxies' total-phase histograms."""
-    merged: Dict[float, int] = {}
+    merged: Optional[Histogram] = None
     for proxy in proxies:
         histogram = proxy.registry.histogram(
             "proxy_request_phase_seconds",
             "wall time of one request phase",
             labels={"phase": "total"},
         )
-        for bound, count in histogram.cumulative():
-            merged[bound] = merged.get(bound, 0) + count
-    if not merged:
-        return None
-    cumulative = sorted(merged.items())
-    if cumulative[-1][1] == 0:
-        return None
-    # Re-run the interpolation over the merged cumulative counts.
-    rank = q * cumulative[-1][1]
-    lower_bound = 0.0
-    lower_count = 0
-    for bound, count in cumulative:
-        if count >= rank:
-            if bound == float("inf"):
-                return lower_bound
-            span = count - lower_count
-            if span <= 0:
-                return bound
-            fraction = (rank - lower_count) / span
-            return lower_bound + (bound - lower_bound) * fraction
-        lower_bound, lower_count = bound, count
-    return lower_bound
+        if merged is None:
+            merged = Histogram(histogram.name, buckets=histogram.bounds)
+        # Every proxy registers the phase histogram with one bucket
+        # layout, so the per-bucket counts add slot by slot.
+        merged.counts = [
+            a + b for a, b in zip(merged.counts, histogram.counts)
+        ]
+    return None if merged is None else histogram_quantile(merged, q)
 
 
 async def _run_client(
@@ -260,9 +232,9 @@ async def run_loadgen(
         ``(host, http_port)`` of each proxy; clients are dealt
         round-robin across them.
     config:
-        Workload shape and connection discipline.
+        Workload shape.
     label:
-        Name recorded in the result (e.g. ``"keepalive_pooled"``).
+        Name recorded in the result (default ``"loadgen"``).
     proxies:
         When the caller runs the cluster in-process, passing the proxy
         objects lets the result carry the server-side histogram
@@ -273,8 +245,8 @@ async def run_loadgen(
         (deltas against its counters at entry).
     drivers:
         Reuse these drivers (one per concurrent client, e.g. from an
-        earlier phase) instead of constructing fresh ones; each is
-        rebound to its target, which resets its per-phase report.
+        earlier run) instead of constructing fresh ones; each is
+        rebound to its target, which resets its per-run report.
         Must match ``config.clients``.
     """
     if not targets:
@@ -285,7 +257,6 @@ async def run_loadgen(
             ClientDriver(
                 *targets[client_id % len(targets)],
                 timeout=config.timeout,
-                keep_alive=config.keep_alive,
             )
             for client_id in range(len(streams))
         ]
@@ -296,12 +267,7 @@ async def run_loadgen(
             )
         for client_id, driver in enumerate(drivers):
             host, port = targets[client_id % len(targets)]
-            await driver.rebind(
-                host,
-                port,
-                timeout=config.timeout,
-                keep_alive=config.keep_alive,
-            )
+            await driver.rebind(host, port, timeout=config.timeout)
     origin_requests_before = origin.stats.requests if origin else 0
     origin_bytes_before = origin.stats.bytes_served if origin else 0
     peer_fetches_before = sum(
@@ -326,7 +292,7 @@ async def run_loadgen(
     phase_p50 = aggregate_phase_quantiles(proxies, 0.50)
     phase_p99 = aggregate_phase_quantiles(proxies, 0.99)
     return LoadGenResult(
-        label=label or ("keepalive" if config.keep_alive else "per-request"),
+        label=label or "loadgen",
         clients=config.clients,
         requests=requests,
         errors=errors,
@@ -364,7 +330,7 @@ async def run_loadgen(
 def render_comparison(
     results: Sequence[LoadGenResult],
 ) -> str:
-    """Human-readable summary of one or more runs, speedup included."""
+    """Human-readable summary of one or more runs, one line each."""
     lines = []
     for result in results:
         lines.append(
@@ -375,14 +341,6 @@ def render_comparison(
             f"p99 {result.latency_p99_ms:.2f} ms; "
             f"{result.connections_opened} connections"
         )
-    if len(results) == 2 and results[0].requests_per_second > 0:
-        speedup = (
-            results[1].requests_per_second / results[0].requests_per_second
-        )
-        lines.append(
-            f"speedup ({results[1].label} vs {results[0].label}): "
-            f"{speedup:.2f}x requests/sec"
-        )
     return "\n".join(lines)
 
 
@@ -392,9 +350,4 @@ def results_to_json(
     """Serialize runs (plus caller-provided context) as a JSON record."""
     payload: Dict[str, Any] = dict(extra)
     payload["runs"] = [result.to_dict() for result in results]
-    if len(results) == 2 and results[0].requests_per_second > 0:
-        payload["speedup_requests_per_second"] = round(
-            results[1].requests_per_second / results[0].requests_per_second,
-            2,
-        )
     return json.dumps(payload, indent=2, sort_keys=False)

@@ -38,7 +38,7 @@ and the proxy data plane can be load-tested with concurrent
 keep-alive clients replaying the Wisconsin workload::
 
     summary-cache loadgen --proxies 2 --clients 16 --requests 200 \\
-        --json benchmarks/BENCH_proxy.json
+        --json benchmarks/results/loadgen.json
 
 and cooperation policies (summary / carp owner-routing / single-copy)
 swept against each other at fixed total cache size::
@@ -491,16 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulated origin latency in seconds (default: 0)",
     )
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--phases",
-        default="both",
-        choices=("both", "baseline", "keepalive"),
-        help=(
-            "baseline = one connection per GET + unpooled proxies; "
-            "keepalive = persistent clients + pooled proxies "
-            "(default: both, printing the speedup)"
-        ),
-    )
     p.add_argument(
         "--shared-fraction",
         type=float,
@@ -1279,29 +1269,17 @@ async def _obs_overhead(args: argparse.Namespace) -> int:
 async def _loadgen(args: argparse.Namespace) -> int:
     """Measure req/s + latency of a live cluster under concurrent load.
 
-    Runs up to two phases on *fresh* clusters so no phase warms the
-    caches for the next:
-
-    - ``baseline_per_connection``: one TCP connection per GET and
-      ``pool_size=0`` proxies (the pre-keep-alive data plane);
-    - ``keepalive_pooled``: persistent client connections and pooled
-      origin/peer fetches.
-
-    Cache behaviour is identical in both (same per-client URL streams),
-    so the speedup line isolates connection handling.
+    One run on a fresh in-process cluster: persistent client
+    connections, pooled origin/peer fetches.
     """
-    from dataclasses import replace
-
     from repro.benchmarkkit.loadgen import (
         LoadGenConfig,
-        LoadGenResult,
         render_comparison,
         results_to_json,
         run_loadgen,
     )
-    from repro.proxy.client import ClientDriver
     from repro.proxy.cluster import ProxyCluster
-    from repro.proxy.config import ProxyConfig, ProxyMode
+    from repro.proxy.config import ProxyMode
 
     config = LoadGenConfig(
         clients=args.clients,
@@ -1309,82 +1287,49 @@ async def _loadgen(args: argparse.Namespace) -> int:
         target_hit_ratio=args.hit_ratio,
         mean_size=args.mean_size,
         seed=args.seed,
-        keep_alive=True,
         shared_fraction=args.shared_fraction,
         shared_docs=args.shared_docs,
     )
-    phases = []
-    if args.phases in ("both", "baseline"):
-        phases.append(
-            (
-                "baseline_per_connection",
-                replace(config, keep_alive=False),
-                replace(ProxyConfig(), pool_size=0),
-            )
+    async with ProxyCluster(
+        num_proxies=args.proxies,
+        mode=ProxyMode(args.mode),
+        cache_capacity=int(args.cache_mb * 1024 * 1024),
+        origin_delay=args.origin_delay,
+        cooperation=args.cooperation,
+        replication=args.replication,
+    ) as cluster:
+        result = await run_loadgen(
+            cluster.targets(),
+            config,
+            label="keepalive_pooled",
+            proxies=cluster.proxies,
+            origin=cluster.origin,
         )
-    if args.phases in ("both", "keepalive"):
-        phases.append(("keepalive_pooled", config, ProxyConfig()))
-
-    # One driver per concurrent client for the whole run; each phase
-    # rebinds them to its fresh cluster's ports (which resets their
-    # per-phase reports) instead of rebuilding the fleet.
-    drivers = [ClientDriver("127.0.0.1", 0) for _ in range(config.clients)]
-    results: List[LoadGenResult] = []
-    for label, phase_config, base_config in phases:
-        async with ProxyCluster(
-            num_proxies=args.proxies,
-            mode=ProxyMode(args.mode),
-            cache_capacity=int(args.cache_mb * 1024 * 1024),
-            origin_delay=args.origin_delay,
-            base_config=base_config,
-            cooperation=args.cooperation,
-            replication=args.replication,
-        ) as cluster:
-            targets = [
-                (proxy.config.host, proxy.http_port)
-                for proxy in cluster.proxies
-            ]
-            result = await run_loadgen(
-                targets,
-                phase_config,
-                label=label,
-                proxies=cluster.proxies,
-                origin=cluster.origin,
-                drivers=drivers,
-            )
-        results.append(result)
-        print(render_comparison([result]), flush=True)
-    if len(results) == 2:
-        print(render_comparison(results).splitlines()[-1])
+    print(render_comparison([result]), flush=True)
     if args.json:
         import os
 
         record = results_to_json(
-            results,
+            [result],
             benchmark="proxy_loadgen",
             description=(
-                "Proxy data-plane throughput for the keep-alive rework: "
-                "the Wisconsin workload replayed by concurrent no-think-"
-                "time clients against a live cluster, one-connection-per-"
-                "GET + unpooled proxies (baseline_per_connection) vs "
-                "persistent client connections + pooled origin/peer "
-                "fetches (keepalive_pooled). Identical cache_sources "
-                "across runs demonstrate cache behaviour is unchanged; "
-                "only connection handling differs."
+                "Proxy data-plane throughput: the Wisconsin workload "
+                "replayed by concurrent no-think-time clients over "
+                "persistent connections against a live cluster with "
+                "pooled origin/peer fetches."
             ),
             host_cpu_count=os.cpu_count(),
             method=(
                 "summary-cache loadgen --proxies "
                 f"{args.proxies} --mode {args.mode} --clients "
                 f"{args.clients} --requests {args.requests} --seed "
-                f"{args.seed}; each phase runs on a fresh in-process "
-                "cluster (OS-assigned ports, synthetic origin) so no "
-                "phase warms caches for the next. Latency percentiles "
+                f"{args.seed}; a fresh in-process cluster (OS-assigned "
+                "ports, synthetic origin). Latency percentiles "
                 "are exact client-side samples; proxy_phase_* are "
                 "bucket-interpolated from the proxies' "
                 "proxy_request_phase_seconds histograms. Single run; "
                 "wall-clock swings +/-10-20% between runs on a small "
-                "container, the speedup ratio is stable."
+                "container."
             ),
             proxies=args.proxies,
             mode=args.mode,
@@ -1433,7 +1378,6 @@ async def _sanitize_run(args: argparse.Namespace) -> int:
         requests_per_client=args.requests,
         target_hit_ratio=0.25,
         seed=args.seed,
-        keep_alive=True,
         shared_fraction=args.shared_fraction,
     )
     async with ProxyCluster(

@@ -27,9 +27,10 @@ push the data plane to benchmark scale without reimplementing an RFC
 from repro.proxy.client import ClientDriver, ReplayReport
 from repro.proxy.cluster import ClusterResult, ProxyCluster
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
+from repro.proxy.metrics import ProxyStats
 from repro.proxy.origin import OriginServer
 from repro.proxy.pool import ConnectionPool, PooledConnection, PoolStats
-from repro.proxy.server import ProxyStats, SummaryCacheProxy
+from repro.proxy.server import SummaryCacheProxy
 
 __all__ = [
     "ClientDriver",

@@ -61,6 +61,10 @@ class ReplayReport:
 class ClientDriver:
     """Issues GET requests sequentially (no think time) to one proxy.
 
+    The driver holds one persistent connection to the proxy and rides
+    it across requests, reconnecting transparently (at most once per
+    request) if the proxy closed it between exchanges.
+
     Parameters
     ----------
     host, port:
@@ -70,15 +74,6 @@ class ClientDriver:
         exceeding it raises :class:`~repro.errors.ProxyError` after a
         warning carrying the proxy address and the request's trace id,
         so slow rounds can be correlated with the proxy-side trace ring.
-    keep_alive:
-        When true (the default), the driver holds one persistent
-        connection to the proxy and rides it across requests,
-        reconnecting transparently (at most once per request) if the
-        proxy closed it between exchanges.  When false, every request
-        opens and closes its own connection -- the pre-keep-alive
-        behaviour the load generator uses as its baseline.  Cache
-        behaviour is identical either way; only connection churn
-        differs.
     send_trace:
         When true (the default), every request carries a fresh
         ``X-SC-Trace`` context, so the proxy's root span -- and
@@ -92,13 +87,11 @@ class ClientDriver:
         host: str,
         port: int,
         timeout: Optional[float] = None,
-        keep_alive: bool = True,
         send_trace: bool = True,
     ) -> None:
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self.send_trace = send_trace
         self.report = ReplayReport()
         #: Trace id (8-hex-digit form) of the most recent completed
@@ -107,7 +100,7 @@ class ClientDriver:
         #: carrying context completes.
         self.last_trace = ""
         #: Connections opened over the driver's lifetime (1 for an
-        #: undisturbed keep-alive session; one per request without).
+        #: undisturbed session).
         self.connections_opened = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
@@ -179,28 +172,13 @@ class ClientDriver:
     async def _request(
         self, url: str, size: int, ctx: Optional[TraceContext] = None
     ) -> HttpResponse:
-        """One request/response round trip (persistent or one-shot)."""
+        """One request/response round trip on the persistent connection."""
         headers = {"X-Size": str(size)} if size else {}
         if ctx is not None:
             headers[TRACE_HEADER] = ctx.header_value()
-        if not self.keep_alive:
-            reader, writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-            self.connections_opened += 1
-            try:
-                write_request(writer, url, headers, keep_alive=False)
-                await writer.drain()
-                return await read_response(reader)
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, asyncio.CancelledError):
-                    pass
-        # Keep-alive: ride the persistent connection; a proxy may close
-        # it between requests (idle timeout, per-connection request
-        # cap), so one transparent reconnect per request is allowed.
+        # A proxy may close the connection between requests (idle
+        # timeout, per-connection request cap), so one transparent
+        # reconnect per request is allowed.
         for attempt in (0, 1):
             reused = self._writer is not None
             if self._writer is None or self._writer.is_closing():
@@ -231,21 +209,19 @@ class ClientDriver:
         host: str,
         port: int,
         timeout: Optional[float] = None,
-        keep_alive: bool = True,
     ) -> None:
-        """Point this driver at a new proxy and reset per-phase state.
+        """Point this driver at a new proxy and reset per-run state.
 
-        Lets one driver per concurrent client survive across benchmark
-        phases (fresh cluster, fresh ports) instead of being rebuilt
-        each phase: the persistent connection is dropped, and the
-        report / connection counters restart so each phase's numbers
+        Lets one driver per concurrent client survive across runs
+        against successive clusters (fresh ports) instead of being
+        rebuilt each time: the persistent connection is dropped, and
+        the report / connection counters restart so each run's numbers
         are its own.
         """
         await self.close()
         self.host = host
         self.port = port
         self.timeout = timeout
-        self.keep_alive = keep_alive
         self.report = ReplayReport()
         self.connections_opened = 0
         self.last_trace = ""

@@ -18,8 +18,9 @@ from repro.errors import ConfigurationError
 from repro.placement import CooperationPolicy
 from repro.proxy.client import ClientDriver, ReplayReport, replay_concurrently
 from repro.proxy.config import ProxyConfig, ProxyMode
+from repro.proxy.metrics import ProxyStats
 from repro.proxy.origin import OriginServer
-from repro.proxy.server import ProxyStats, SummaryCacheProxy
+from repro.proxy.server import SummaryCacheProxy
 from repro.summaries import SummaryConfig, UpdatePolicy
 from repro.traces.model import Request, Trace
 from repro.traces.partition import group_of

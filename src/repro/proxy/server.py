@@ -39,7 +39,17 @@ import asyncio
 import json
 import logging
 from time import perf_counter
-from typing import Dict, List, Optional, Set, Tuple, Union, cast
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+    cast,
+)
 
 from repro.cache import WebCache
 from repro.core.bfmath import false_positive_probability_exact
@@ -49,7 +59,7 @@ from repro.obs.export import (
     render_json,
     render_prometheus,
 )
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.spans import (
     NULL_SPAN,
     NULL_SPAN_RING,
@@ -74,6 +84,7 @@ from repro.placement import Placement
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
 from repro.summaries import LocalSummary, RemoteSummary, SummaryNode
 from repro.summaries import codec
+from repro.summaries.backend import SummaryDelta
 from repro.summaries.bloom import BloomRemote, BloomSummary
 from repro.proxy.http import (
     HttpRequest,
@@ -85,7 +96,8 @@ from repro.proxy.http import (
     write_request,
     write_response,
 )
-from repro.proxy.pool import ConnectionPool, PooledConnection
+from repro.proxy.metrics import ProxyMetrics, ProxyStats
+from repro.proxy.pool import ConnectionPool
 from repro.sanitizer import (
     GuardedConnectionPool,
     GuardedPlacement,
@@ -106,203 +118,8 @@ FORWARD_HEADER = "X-SC-Forward"
 #: Response header naming the proxy that answered a forwarded fetch.
 OWNER_HEADER = "X-SC-Owner"
 
-#: Histogram bounds for request-phase timings (0.1 ms .. 10 s; ICP
-#: timeouts sit around 2 s and origin delays around 1 s).
-_PHASE_BUCKETS = (
-    1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0,
-)
-
-
-class _ProxyMetrics:
-    """The proxy's registry instruments: the only place it counts.
-
-    Counter names follow Prometheus conventions (``*_total`` suffixes).
-    Attributes named like a :class:`ProxyStats` field are the counters
-    that view reads, so ``GET /metrics`` and ``proxy.stats`` cannot
-    disagree.  Scrape-time gauges (cache occupancy, summary fill) read
-    the live structures via callbacks and cost nothing between scrapes.
-    """
-
-    __slots__ = (
-        "http_requests", "local_hits", "remote_hits",
-        "remote_fetch_failures", "false_query_rounds", "origin_fetches",
-        "bytes_served", "icp_queries_sent", "icp_queries_received",
-        "icp_replies_sent", "icp_replies_received", "icp_timeouts",
-        "dirupdates_sent", "dirupdates_received", "dirupdate_rejects",
-        "summary_resizes", "udp_sent", "udp_received", "peer_served_requests",
-        "phase_seconds", "connections_open", "connections_reused",
-        "backpressure_waits", "peer_forwards", "peer_forward_failures",
-        "placement_rebalances", "placement_entries_invalidated",
-    )
-
-    def __init__(self, registry: MetricsRegistry, representation: str) -> None:
-        c = registry.counter
-        # Summary-traffic counters carry the representation so a scrape
-        # of a mixed cluster shows which wire encoding each proxy runs.
-        rep = {"representation": representation}
-        self.http_requests = c(
-            "proxy_http_requests_total", "client HTTP requests"
-        )
-        self.local_hits = c(
-            "proxy_local_hits_total", "requests served from the local cache"
-        )
-        self.remote_hits = c(
-            "proxy_remote_hits_total", "requests served from a peer cache"
-        )
-        self.remote_fetch_failures = c(
-            "proxy_remote_fetch_failures_total",
-            "peer fetches that no longer held the document",
-        )
-        self.false_query_rounds = c(
-            "proxy_icp_false_hits_total",
-            "query rounds where no queried peer held the document",
-        )
-        self.origin_fetches = c(
-            "proxy_origin_fetches_total", "documents fetched from the origin"
-        )
-        self.bytes_served = c(
-            "proxy_bytes_served_total", "response body bytes to clients"
-        )
-        self.icp_queries_sent = c(
-            "proxy_icp_queries_sent_total", "ICP_OP_QUERY datagrams sent"
-        )
-        self.icp_queries_received = c(
-            "proxy_icp_queries_received_total",
-            "ICP_OP_QUERY datagrams received",
-        )
-        self.icp_replies_sent = c(
-            "proxy_icp_replies_sent_total", "ICP HIT/MISS replies sent"
-        )
-        self.icp_replies_received = c(
-            "proxy_icp_replies_received_total", "ICP HIT/MISS replies received"
-        )
-        self.icp_timeouts = c(
-            "proxy_icp_timeouts_total", "query rounds ended by timeout"
-        )
-        self.dirupdates_sent = c(
-            "proxy_dirupdates_sent_total",
-            "DIRUPDATE/DIGEST datagrams sent to peers",
-            labels=rep,
-        )
-        self.dirupdates_received = c(
-            "proxy_dirupdates_received_total",
-            "DIRUPDATE/DIGEST datagrams received from peers",
-            labels=rep,
-        )
-        self.dirupdate_rejects = c(
-            "proxy_dirupdate_rejects_total",
-            "DIRUPDATEs rejected for representation/geometry mismatch",
-            labels=rep,
-        )
-        self.summary_resizes = c(
-            "proxy_summary_resizes_total", "summary rebuilds",
-            labels=rep,
-        )
-        self.udp_sent = c("proxy_udp_sent_total", "UDP datagrams sent")
-        self.udp_received = c(
-            "proxy_udp_received_total", "UDP datagrams received"
-        )
-        self.peer_served_requests = c(
-            "proxy_peer_served_total", "proxy-to-proxy fetches served"
-        )
-        # Placement family (carp cooperation: owner routing and
-        # membership rebalancing).
-        self.peer_forwards = c(
-            "proxy_peer_forwards_total",
-            "misses forwarded to the object's placement owner",
-        )
-        self.peer_forward_failures = c(
-            "proxy_peer_forward_failures_total",
-            "owner forwards that failed and fell over to the next "
-            "replica or the origin",
-        )
-        self.placement_rebalances = c(
-            "placement_rebalances_total",
-            "membership changes applied to the placement ring",
-        )
-        self.placement_entries_invalidated = c(
-            "placement_entries_invalidated_total",
-            "cached entries invalidated because a membership change "
-            "moved their placement elsewhere",
-        )
-        # Connection-lifecycle family (keep-alive data plane).
-        self.connections_open = registry.gauge(
-            "proxy_connections_open", "client connections currently open"
-        )
-        self.connections_reused = c(
-            "proxy_connections_reused_total",
-            "origin/peer fetches served over a pooled connection",
-        )
-        self.backpressure_waits = c(
-            "proxy_backpressure_waits_total",
-            "drain() waits taken because a client write buffer exceeded "
-            "the in-flight ceiling",
-        )
-        self.phase_seconds = {
-            phase: registry.histogram(
-                "proxy_request_phase_seconds",
-                "wall time of one request phase",
-                labels={"phase": phase},
-                buckets=_PHASE_BUCKETS,
-            )
-            for phase in ("total", "icp_round", "peer_fetch", "origin_fetch")
-        }
-
-
-class _CounterView:
-    """Descriptor reading the :class:`_ProxyMetrics` counter of its name."""
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self._name = name
-
-    def __get__(self, stats: "ProxyStats", owner: object = None) -> int:
-        return int(getattr(stats._metrics, self._name).value)
-
-
-class ProxyStats:
-    """Read-only live view of the counters the paper measures per proxy.
-
-    Nothing is stored here: every field reads the proxy's own registry
-    counter of the same name in :class:`_ProxyMetrics`.  UDP counters
-    correspond to the paper's ``netstat`` UDP datagram counts;
-    ``false_query_rounds`` are SC-ICP query rounds in which no queried
-    peer actually held the document (false hits).
-    """
-
-    __slots__ = ("_metrics",)
-
-    http_requests = _CounterView()
-    local_hits = _CounterView()
-    remote_hits = _CounterView()
-    remote_fetch_failures = _CounterView()
-    false_query_rounds = _CounterView()
-    origin_fetches = _CounterView()
-    bytes_served = _CounterView()
-    icp_queries_sent = _CounterView()
-    icp_queries_received = _CounterView()
-    icp_replies_sent = _CounterView()
-    icp_replies_received = _CounterView()
-    dirupdates_sent = _CounterView()
-    dirupdates_received = _CounterView()
-    dirupdate_rejects = _CounterView()
-    summary_resizes = _CounterView()
-    udp_sent = _CounterView()
-    udp_received = _CounterView()
-    peer_served_requests = _CounterView()
-    peer_forwards = _CounterView()
-    peer_forward_failures = _CounterView()
-    placement_rebalances = _CounterView()
-    placement_entries_invalidated = _CounterView()
-
-    def __init__(self, metrics: _ProxyMetrics) -> None:
-        self._metrics = metrics
-
-    @property
-    def hit_ratio(self) -> float:
-        """Local + remote hits over client requests."""
-        if not self.http_requests:
-            return 0.0
-        return (self.local_hits + self.remote_hits) / self.http_requests
+#: What a request handler decides: ``(status, body, headers)``.
+_Response = Tuple[int, bytes, Dict[str, str]]
 
 
 class _PeerState:
@@ -327,10 +144,6 @@ class _IcpProtocol(asyncio.DatagramProtocol):
 
     def __init__(self, proxy: "SummaryCacheProxy") -> None:
         self._proxy = proxy
-        self.transport: Optional[asyncio.DatagramTransport] = None
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        self.transport = cast(asyncio.DatagramTransport, transport)
 
     def datagram_received(
         self, data: bytes, addr: Tuple[str, int]
@@ -382,7 +195,7 @@ class SummaryCacheProxy:
         )
         #: Per-proxy metrics registry backing ``GET /metrics``.
         self.registry = MetricsRegistry()
-        self._m = _ProxyMetrics(self.registry, config.summary.kind)
+        self._m = ProxyMetrics(self.registry, config.summary.kind)
         self.stats = ProxyStats(self._m)
         #: Span ring backing ``GET /trace`` and the cluster aggregator;
         #: the shared null ring when tracing is disabled (no spans
@@ -430,11 +243,7 @@ class SummaryCacheProxy:
         #: This proxy's view of cluster-wide object placement.  Always
         #: maintained (membership tracking is cheap); misses route by
         #: owner only when the cooperation policy says so.
-        self._placement = Placement(
-            config.name,
-            policy=config.cooperation,
-            replication=config.replication,
-        )
+        self._placement = self._new_placement()
         if self._san is not None:
             # Wrap the shared mutable state in interleaving-check
             # guards.  The guards are structural stand-ins (full method
@@ -446,10 +255,6 @@ class SummaryCacheProxy:
             self._pool = cast(
                 ConnectionPool,
                 GuardedConnectionPool(self._pool, self._san, config.name),
-            )
-            self._placement = cast(
-                Placement,
-                GuardedPlacement(self._placement, self._san, config.name),
             )
             violations = self.registry.counter(
                 "sanitizer_violations_total",
@@ -473,7 +278,7 @@ class SummaryCacheProxy:
         #: before the listening socket closed).
         self._client_writers: Set[asyncio.StreamWriter] = set()
         self._http_server: Optional[asyncio.AbstractServer] = None
-        self._icp: Optional[_IcpProtocol] = None
+        self._udp: Optional[asyncio.DatagramTransport] = None
         # Scrape-time gauges: evaluated when /metrics renders, free
         # between scrapes.  cache_hits/requests mirror CacheStats so a
         # scrape can be cross-checked against the in-process counters.
@@ -528,11 +333,10 @@ class SummaryCacheProxy:
         self._http_server = await asyncio.start_server(
             self._handle_http, self.config.host, self.config.http_port
         )
-        _transport, protocol = await loop.create_datagram_endpoint(
+        self._udp, _protocol = await loop.create_datagram_endpoint(
             lambda: _IcpProtocol(self),
             local_addr=(self.config.host, self.config.icp_port),
         )
-        self._icp = protocol
         logger.info(
             "proxy=%s started mode=%s http_port=%d icp_port=%d",
             self.config.name,
@@ -550,13 +354,12 @@ class SummaryCacheProxy:
             self._client_writers.clear()
             await self._http_server.wait_closed()
             self._http_server = None
-        if self._icp is not None and self._icp.transport is not None:
-            self._icp.transport.close()
-            self._icp = None
+        if self._udp is not None:
+            self._udp.close()
+            self._udp = None
         await self._pool.close()
         for pending in self._pending.values():
-            if not pending.future.done():
-                pending.future.cancel()
+            pending.future.cancel()  # no-op on a finished round
         self._pending.clear()
         logger.info("proxy=%s stopped", self.config.name)
 
@@ -570,9 +373,9 @@ class SummaryCacheProxy:
     @property
     def icp_port(self) -> int:
         """Bound ICP/UDP port (valid after :meth:`start`)."""
-        if self._icp is None or self._icp.transport is None:
+        if self._udp is None:
             raise ProxyError(f"{self.config.name}: proxy is not running")
-        return self._icp.transport.get_extra_info("sockname")[1]
+        return self._udp.get_extra_info("sockname")[1]
 
     def address(self) -> PeerAddress:
         """This proxy's address record, for handing to its peers."""
@@ -589,9 +392,13 @@ class SummaryCacheProxy:
         self._peers_by_name = {
             state.address.name: state for state in self._peers.values()
         }
+        self._placement = self._new_placement(peer.name for peer in peers)
+
+    def _new_placement(self, peer_names: Iterable[str] = ()) -> Placement:
+        """A placement view over *peer_names* (guarded when sanitizing)."""
         placement = Placement(
             self.config.name,
-            [peer.name for peer in peers],
+            peer_names,
             policy=self.config.cooperation,
             replication=self.config.replication,
         )
@@ -600,7 +407,7 @@ class SummaryCacheProxy:
                 Placement,
                 GuardedPlacement(placement, self._san, self.config.name),
             )
-        self._placement = placement
+        return placement
 
     def add_peer(self, peer: PeerAddress) -> None:
         """Admit one peer at runtime (membership join).
@@ -762,23 +569,43 @@ class SummaryCacheProxy:
             getattr(self._node.local, "num_bits", 0),
             len(self._cache),
         )
-        self._broadcast_digest()
+        if self._peers:
+            self._broadcast()  # a delta cannot describe the new geometry
 
-    def _broadcast_digest(self) -> None:
-        """Ship the whole summary to every peer (resync after a resize)."""
-        if not self._peers or self._icp is None:
-            return
-        transport = self._icp.transport
-        messages = codec.whole_summary_messages(
-            self._node.local, mtu=self.config.mtu
-        )
+    def _broadcast(self, delta: Optional[SummaryDelta] = None) -> int:
+        """Ship the summary to every live peer; returns the message count.
+
+        *delta* travels as DIRUPDATEs.  With none (the resync after a
+        resize), or under ``update_encoding="digest"`` (Squid
+        cache-digest style), the whole bit array goes instead.
+        """
+        messages: Sequence[Union[DirUpdate, SetDirUpdate, DigestChunk]]
+        if delta is None or self.config.update_encoding == "digest":
+            messages = codec.whole_summary_messages(
+                self._node.local, mtu=self.config.mtu
+            )
+        else:
+            messages = codec.delta_messages(
+                self._node.local, delta, mtu=self.config.mtu
+            )
+        encoded = [message.encode() for message in messages]
         for peer_addr, state in self._peers.items():
-            if not state.alive:
-                continue
-            for message in messages:
-                transport.sendto(message.encode(), peer_addr)
-                self._m.dirupdates_sent.inc()
-                self._m.udp_sent.inc()
+            if state.alive:
+                for data in encoded:
+                    self._send(data, peer_addr, self._m.dirupdates_sent)
+        return len(encoded)
+
+    def _send(
+        self, data: bytes, addr: Tuple[str, int], kind: Counter
+    ) -> None:
+        """The one place a datagram leaves: sent, then counted in
+        ``proxy_udp_sent_total`` and its per-type counter *kind*.  A
+        proxy that is not (or no longer) bound sends nothing."""
+        if self._udp is None:
+            return
+        self._udp.sendto(data, addr)
+        self._m.udp_sent.inc()
+        kind.inc()
 
     def _maybe_broadcast_update(self) -> None:
         now = perf_counter()
@@ -787,7 +614,7 @@ class SummaryCacheProxy:
         ):
             return
         delta = self._node.publish(now)
-        if delta.is_empty() or not self._peers or self._icp is None:
+        if delta.is_empty() or not self._peers or self._udp is None:
             return
         drain_span = self.spans.start_span(
             "dirupdate.drain",
@@ -797,29 +624,13 @@ class SummaryCacheProxy:
             encoding=self.config.update_encoding,
             peers=sum(1 for s in self._peers.values() if s.alive),
         )
-        if self.config.update_encoding == "digest":
-            # Squid cache-digest style: ship the whole bit array.
-            messages = codec.whole_summary_messages(
-                self._node.local, mtu=self.config.mtu
-            )
-        else:
-            messages = codec.delta_messages(
-                self._node.local, delta, mtu=self.config.mtu
-            )
-        transport = self._icp.transport
-        for peer_addr, state in self._peers.items():
-            if not state.alive:
-                continue
-            for message in messages:
-                transport.sendto(message.encode(), peer_addr)
-                self._m.dirupdates_sent.inc()
-                self._m.udp_sent.inc()
-        drain_span.set(messages=len(messages)).end()
+        sent = self._broadcast(delta)
+        drain_span.set(messages=sent).end()
         logger.debug(
             "proxy=%s dirupdate drained records=%d messages=%d",
             self.config.name,
             delta.change_count,
-            len(messages),
+            sent,
         )
 
     # ------------------------------------------------------------------
@@ -836,17 +647,20 @@ class SummaryCacheProxy:
             self._handle_query(message, addr)
         elif isinstance(message, (IcpHit, IcpMiss)):
             self._handle_reply(message, addr)
-        elif isinstance(message, (DirUpdate, SetDirUpdate)):
-            self._handle_dir_update(message, addr)
-        elif isinstance(message, DigestChunk):
-            self._handle_digest_chunk(message, addr)
+        elif isinstance(message, (DirUpdate, SetDirUpdate, DigestChunk)):
+            self._m.dirupdates_received.inc()
+            state = self._peers.get(addr)
+            if state is None:
+                return  # summary traffic from an unconfigured peer
+            if isinstance(message, DigestChunk):
+                self._handle_digest_chunk(message, state)
+            else:
+                self._handle_dir_update(message, state)
 
     def _handle_query(
         self, query: IcpQuery, addr: Tuple[str, int]
     ) -> None:
         self._m.icp_queries_received.inc()
-        if self._icp is None or self._icp.transport is None:
-            return
         hit = query.url in self._cache
         if query.trace_id:
             # The datagram carried trace context (Options/Option Data),
@@ -861,25 +675,23 @@ class SummaryCacheProxy:
                 url=query.url,
                 hit=hit,
             ).end()
-        reply: Union[IcpHit, IcpMiss]
-        if hit:
-            reply = IcpHit(
-                url=query.url, request_number=query.request_number
-            )
-        else:
-            reply = IcpMiss(
-                url=query.url, request_number=query.request_number
-            )
-        self._icp.transport.sendto(reply.encode(), addr)
-        self._m.icp_replies_sent.inc()
-        self._m.udp_sent.inc()
+        reply = (IcpHit if hit else IcpMiss)(
+            url=query.url, request_number=query.request_number
+        )
+        self._send(reply.encode(), addr, self._m.icp_replies_sent)
 
     def _handle_reply(
         self, reply: Union[IcpHit, IcpMiss], addr: Tuple[str, int]
     ) -> None:
         self._m.icp_replies_received.inc()
         pending = self._pending.get(reply.request_number)
-        if pending is None or pending.future.done():
+        if (
+            pending is None
+            or pending.future.done()
+            # A sender this round never queried (or its second reply)
+            # must not end the round for the genuine replies.
+            or addr not in pending.outstanding
+        ):
             return
         pending.span.add_event(
             "icp.reply",
@@ -896,7 +708,7 @@ class SummaryCacheProxy:
     def _handle_dir_update(
         self,
         update: Union[DirUpdate, SetDirUpdate],
-        addr: Tuple[str, int],
+        state: _PeerState,
     ) -> None:
         """Patch the sender's remote copy from a (Set)DirUpdate.
 
@@ -906,10 +718,6 @@ class SummaryCacheProxy:
         cleanly: the copy is left untouched and the peer's digest (or
         pending-everything delta after a set rebuild) resynchronizes it.
         """
-        self._m.dirupdates_received.inc()
-        state = self._peers.get(addr)
-        if state is None:
-            return  # update from an unconfigured peer
         try:
             state.summary, changed = codec.apply_update(
                 state.summary, update
@@ -938,13 +746,9 @@ class SummaryCacheProxy:
         ).end()
 
     def _handle_digest_chunk(
-        self, chunk: DigestChunk, addr: Tuple[str, int]
+        self, chunk: DigestChunk, state: _PeerState
     ) -> None:
         """Feed a whole-filter chunk to the peer's reassembler."""
-        self._m.dirupdates_received.inc()
-        state = self._peers.get(addr)
-        if state is None:
-            return
         completed = state.assembler.add(chunk)
         if completed is not None:
             state.summary = BloomRemote(completed)
@@ -971,6 +775,12 @@ class SummaryCacheProxy:
         ``Connection: close`` after that many responses.  The loop ends
         on ``Connection: close``, clean client EOF, the idle timeout,
         or a framing error (answered with a final 400).
+
+        Handlers only decide ``(status, body, headers)``; the response
+        is written here.  The body travels as memoryview slices over
+        the cached object -- no per-response copy -- and ``drain()`` is
+        awaited whenever more than ``max_inflight_bytes`` sit unsent, so
+        a slow client bounds its own buffer instead of the proxy's heap.
         """
         self._m.connections_open.inc()
         self._client_writers.add(writer)
@@ -981,13 +791,11 @@ class SummaryCacheProxy:
         try:
             while True:
                 try:
-                    if self.config.idle_timeout > 0:
-                        request = await asyncio.wait_for(
-                            read_request(reader),
-                            timeout=self.config.idle_timeout,
-                        )
-                    else:
-                        request = await read_request(reader)
+                    # idle_timeout 0 disables the reaper (None: no limit).
+                    request = await asyncio.wait_for(
+                        read_request(reader),
+                        timeout=self.config.idle_timeout or None,
+                    )
                 except asyncio.TimeoutError:
                     break  # idle (or glacially slow) connection reaped
                 except ProtocolError:
@@ -1008,22 +816,34 @@ class SummaryCacheProxy:
                 # iteration is an independent request that is supposed
                 # to see the then-current state, so the cross-request
                 # "window" is serial request handling, not a race.
-                if request.url.partition("?")[0] == "/metrics":
-                    await self._serve_metrics(request, writer, keep_alive)
-                elif request.url.partition("?")[0] == "/trace":
-                    await self._serve_trace(request, writer, keep_alive)
+                path = request.url.partition("?")[0]
+                if path == "/metrics":
+                    response = self._serve_metrics(request)
+                elif path == "/trace":
+                    response = self._serve_trace(request)
                 elif request.header("x-only-if-cached"):
-                    await self._serve_peer(  # sc-lint: disable=SC007
-                        request, writer, keep_alive
-                    )
+                    response = self._serve_peer(request)
                 elif request.header("x-sc-forward"):
-                    await self._serve_forward(  # sc-lint: disable=SC007
-                        request, writer, keep_alive
+                    response = await self._serve_forward(  # sc-lint: disable=SC007
+                        request
                     )
                 else:
-                    await self._serve_client(  # sc-lint: disable=SC007
-                        request, writer, keep_alive
+                    response = await self._serve_client(  # sc-lint: disable=SC007
+                        request
                     )
+                status, body, headers = response
+                writer.write(
+                    response_head(status, len(body), headers, keep_alive)
+                )
+                waits = await stream_body(
+                    writer,
+                    body,
+                    chunk_size=self.config.stream_chunk_bytes,
+                    max_inflight=self.config.max_inflight_bytes,
+                )
+                if waits:
+                    self._m.backpressure_waits.inc(waits)
+                await writer.drain()
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.CancelledError):
@@ -1037,12 +857,7 @@ class SummaryCacheProxy:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _serve_metrics(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool = False,
-    ) -> None:
+    def _serve_metrics(self, request: HttpRequest) -> _Response:
         """Serve the registry: Prometheus text, or JSON on request.
 
         ``GET /metrics`` returns the text exposition format;
@@ -1056,32 +871,20 @@ class SummaryCacheProxy:
             or "json" in request.header("accept")
         )
         if wants_json:
-            body = render_json(
+            text = render_json(
                 self.registry,
                 name=self.config.name,
                 mode=self.config.mode.value,
                 spans=self.spans.as_dicts()[-64:],
                 trace_ring_dropped=self.spans.dropped,
-            ).encode("utf-8")
+            )
             content_type = "application/json"
         else:
-            body = render_prometheus(self.registry).encode("utf-8")
+            text = render_prometheus(self.registry)
             content_type = PROMETHEUS_CONTENT_TYPE
-        write_response(
-            writer,
-            200,
-            body,
-            headers={"Content-Type": content_type},
-            keep_alive=keep_alive,
-        )
-        await writer.drain()
+        return 200, text.encode("utf-8"), {"Content-Type": content_type}
 
-    async def _serve_trace(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool = False,
-    ) -> None:
+    def _serve_trace(self, request: HttpRequest) -> _Response:
         """Serve the span ring as JSON (the cluster aggregator's feed).
 
         ``GET /trace`` returns every retained span, oldest first;
@@ -1102,21 +905,9 @@ class SummaryCacheProxy:
             "spans": spans,
         }
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        write_response(
-            writer,
-            200,
-            body,
-            headers={"Content-Type": "application/json"},
-            keep_alive=keep_alive,
-        )
-        await writer.drain()
+        return 200, body, {"Content-Type": "application/json"}
 
-    async def _serve_peer(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool = False,
-    ) -> None:
+    def _serve_peer(self, request: HttpRequest) -> _Response:
         """Serve a proxy-to-proxy fetch: cache or 504, never recurse."""
         body = self._lookup_local(request.url)
         ctx = TraceContext.parse(request.header(TRACE_HEADER))
@@ -1132,23 +923,11 @@ class SummaryCacheProxy:
                 hit=body is not None,
             ).end()
         if body is None:
-            write_response(
-                writer, 504, headers={"X-Cache": "MISS"},
-                keep_alive=keep_alive,
-            )
-        else:
-            self._m.peer_served_requests.inc()
-            await self._stream_response(
-                writer, body, {"X-Cache": "HIT"}, keep_alive
-            )
-        await writer.drain()
+            return 504, b"", {"X-Cache": "MISS"}
+        self._m.peer_served_requests.inc()
+        return 200, body, {"X-Cache": "HIT"}
 
-    async def _serve_forward(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool = False,
-    ) -> None:
+    async def _serve_forward(self, request: HttpRequest) -> _Response:
         """Serve a placement-routed peer fetch (the owner side).
 
         The requester marked the request with ``X-SC-Forward``, so this
@@ -1160,89 +939,40 @@ class SummaryCacheProxy:
         see it.
         """
         url = request.url
-        requester = request.header("x-sc-forward")
-        ctx = TraceContext.parse(request.header(TRACE_HEADER))
         # The with-statement ends the span on *every* exit -- including
         # a client disconnect cancelling this handler mid-await -- so a
         # dropped peer request never strands a live span in the ring.
-        with self.spans.start_span(
+        with self._request_span(
             "peer.serve",
-            trace_id=ctx.trace_id if ctx is not None else None,
-            parent_id=ctx.span_id if ctx is not None else 0,
-            proxy=self.config.name,
-            url=url,
-            requester=requester,
+            request,
+            requester=request.header("x-sc-forward"),
             forwarded=True,
         ) as span:
-            if self._san is not None:
-                self._san.begin_request(
-                    format_id(span.trace_id) if span.trace_id else ""
-                )
             body = self._lookup_local(url)
             source = "HIT"
             if body is None:
                 source = "MISS"
                 try:
-                    body = await self._fetch_from_origin(
+                    # Concurrent misses for the same URL each fetch and
+                    # store; the store is idempotent over identical
+                    # origin bodies, so the lost-update SC007 sees is
+                    # benign (collapsing duplicate fetches is a
+                    # deliberate non-goal for idempotent GETs).
+                    body = await self._origin_path(  # sc-lint: disable=SC007
                         url, request.header("x-size"), span
                     )
-                except (
-                    ProxyError, ConnectionError, ProtocolError, OSError
-                ):
+                except ProxyError:
                     span.set(source=source).end(status="error")
-                    write_response(
-                        writer,
-                        502,
-                        headers={OWNER_HEADER: self.config.name},
-                        keep_alive=keep_alive,
-                    )
-                    await writer.drain()
-                    return
-                # Concurrent misses for the same URL each fetch and
-                # store; the store is idempotent over identical origin
-                # bodies, so the lost-update SC007 sees is benign
-                # (collapsing duplicate fetches is a deliberate
-                # non-goal for idempotent GETs).
-                self._store(url, body)  # sc-lint: disable=SC007
+                    return 502, b"", {OWNER_HEADER: self.config.name}
             self._m.peer_served_requests.inc()
             span.set(source=source, bytes=len(body)).end()
-        await self._stream_response(
-            writer,
-            body,
-            {"X-Cache": source, OWNER_HEADER: self.config.name},
-            keep_alive,
-        )
-        await writer.drain()
+        return 200, body, {"X-Cache": source, OWNER_HEADER: self.config.name}
 
-    async def _serve_client(
-        self,
-        request: HttpRequest,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool = False,
-    ) -> None:
+    async def _serve_client(self, request: HttpRequest) -> _Response:
         self._m.http_requests.inc()
         url = request.url
         size_hint = request.header("x-size")
-        # The root span of this request's trace: continue the client's
-        # context when the request carried an X-SC-Trace header, start a
-        # fresh trace otherwise.  (With tracing disabled this is the
-        # null span, whose zero trace id suppresses every propagation
-        # site below.)
-        ctx = TraceContext.parse(request.header(TRACE_HEADER))
-        with self.spans.start_span(
-            "http.request",
-            trace_id=ctx.trace_id if ctx is not None else None,
-            parent_id=ctx.span_id if ctx is not None else 0,
-            proxy=self.config.name,
-            url=url,
-        ) as root:
-            if self._san is not None:
-                # New logical scope (read markers from the previous
-                # request on this keep-alive task are not ours), plus
-                # trace attribution for any violation we cause.
-                self._san.begin_request(
-                    format_id(root.trace_id) if root.trace_id else ""
-                )
+        with self._request_span("http.request", request) as root:
             start = perf_counter()
 
             body = self._lookup_local(url)
@@ -1267,32 +997,35 @@ class SummaryCacheProxy:
             # Echo the trace context so the client learns which trace
             # its request joined (the load driver records it).
             headers[TRACE_HEADER] = root.context().header_value()
-        await self._stream_response(writer, body, headers, keep_alive)
-        await writer.drain()
+        return 200, body, headers
 
-    async def _stream_response(
-        self,
-        writer: asyncio.StreamWriter,
-        body: bytes,
-        headers: Dict[str, str],
-        keep_alive: bool,
-    ) -> None:
-        """Write a 200 head, then stream *body* with backpressure.
+    def _request_span(
+        self, name: str, request: HttpRequest, **attrs: object
+    ) -> Span:
+        """Open the root span of one served request.
 
-        The body bytes travel as memoryview slices over the cached
-        object -- no per-response copy -- and ``drain()`` is awaited
-        whenever more than ``max_inflight_bytes`` sit unsent, so a slow
-        client bounds its own buffer instead of the proxy's heap.
+        Continues the sender's ``X-SC-Trace`` context when the request
+        carried one and starts a fresh trace otherwise.  (With tracing
+        disabled this is the null span, whose zero trace id suppresses
+        every propagation site downstream.)
         """
-        writer.write(response_head(200, len(body), headers, keep_alive))
-        waits = await stream_body(
-            writer,
-            body,
-            chunk_size=self.config.stream_chunk_bytes,
-            max_inflight=self.config.max_inflight_bytes,
+        ctx = TraceContext.parse(request.header(TRACE_HEADER))
+        span = self.spans.start_span(
+            name,
+            trace_id=ctx.trace_id if ctx is not None else None,
+            parent_id=ctx.span_id if ctx is not None else 0,
+            proxy=self.config.name,
+            url=request.url,
+            **attrs,
         )
-        if waits:
-            self._m.backpressure_waits.inc(waits)
+        if self._san is not None:
+            # New logical scope (read markers from the previous request
+            # on this keep-alive task are not ours), plus trace
+            # attribution for any violation we cause.
+            self._san.begin_request(
+                format_id(span.trace_id) if span.trace_id else ""
+            )
+        return span
 
     def _lookup_local(self, url: str) -> Optional[bytes]:
         entry = self._cache.get(url)
@@ -1337,50 +1070,49 @@ class SummaryCacheProxy:
             candidates=len(candidates),
             **attrs,
         ) as lookup:
-            outcome = "no_candidates"
+            holder = None
             if candidates:
                 holder = await self._query_peers(url, candidates, lookup)
-                if holder is not None:
-                    fetch_start = perf_counter()
-                    body = await self._fetch_from_peer(
-                        holder, url, size_hint, lookup
-                    )
-                    self._m.phase_seconds["peer_fetch"].observe(
-                        perf_counter() - fetch_start
-                    )
-                    if body is not None:
-                        self._m.remote_hits.inc()
-                        lookup.set(
-                            outcome="remote_hit", peer=holder.address.name
-                        ).end()
-                        # Single-copy cooperation leaves the document at
-                        # the serving peer (whose copy the fetch just
-                        # touched); summary cooperation caches it
-                        # locally.
-                        if self._placement.policy.caches_remote_hits:
-                            # Duplicate store of an identical body by
-                            # concurrent misses is benign (idempotent
-                            # GETs, no single-flight by design).
-                            self._store(url, body)  # sc-lint: disable=SC007
-                        return body, "REMOTE-HIT"
-                    self._m.remote_fetch_failures.inc()
-                    outcome = "fetch_failed"
-                    lookup.set(peer=holder.address.name)
-                else:
-                    # False-hit resolution: the summaries (or the query
-                    # round) promised a copy nobody actually held.
-                    self._m.false_query_rounds.inc()
-                    outcome = "false_hit"
+            if holder is not None:
+                # A peer that no longer holds the document answers 504:
+                # any verdict but "ok" falls to the origin.
+                verdict, body, _ = await self._upstream_get(
+                    "peer.fetch",
+                    holder,
+                    url,
+                    {"X-Only-If-Cached": "1"},
+                    size_hint,
+                    lookup,
+                )
+                lookup.set(peer=holder.address.name)
+                if verdict == "ok":
+                    self._m.remote_hits.inc()
+                    lookup.set(outcome="remote_hit").end()
+                    # Single-copy cooperation leaves the document at the
+                    # serving peer (whose copy the fetch just touched);
+                    # summary cooperation caches it locally.
+                    if self._placement.policy.caches_remote_hits:
+                        # Duplicate store of an identical body by
+                        # concurrent misses is benign (idempotent GETs,
+                        # no single-flight by design).
+                        self._store(url, body)  # sc-lint: disable=SC007
+                    return body, "REMOTE-HIT"
+                self._m.remote_fetch_failures.inc()
+                outcome = "fetch_failed"
+            elif candidates:
+                # False-hit resolution: the summaries (or the query
+                # round) promised a copy nobody actually held.
+                self._m.false_query_rounds.inc()
+                outcome = "false_hit"
+            else:
+                outcome = "no_candidates"
             lookup.set(outcome=outcome).end()
 
-        fetch_start = perf_counter()
-        body = await self._fetch_from_origin(url, size_hint, parent)
-        self._m.phase_seconds["origin_fetch"].observe(
-            perf_counter() - fetch_start
-        )
         # Benign duplicate store under concurrent same-URL misses (see
         # the remote-hit branch above).
-        self._store(url, body)  # sc-lint: disable=SC007
+        body = await self._origin_path(  # sc-lint: disable=SC007
+            url, size_hint, parent
+        )
         return body, "MISS"
 
     async def _owner_path(
@@ -1396,9 +1128,11 @@ class SummaryCacheProxy:
         that cannot be reached is treated as departed -- the ring is
         rebalanced (span + metrics) and the next replica under the
         *new* ring is tried.  The loop strictly shrinks the membership,
-        so it terminates at this proxy alone in the worst case; the
-        origin is the final fallback either way, and the client never
-        sees a 5xx for a peer failure.
+        so it terminates at this proxy alone in the worst case.  An
+        owner that answers but cannot serve (its own origin path failed)
+        sends this proxy to the origin itself; the origin is the final
+        fallback either way, and the client never sees a 5xx for a peer
+        failure.
         """
         digest = md5_digest(url)
         while True:
@@ -1406,9 +1140,18 @@ class SummaryCacheProxy:
             routed_version = self._placement.version
             if self.config.name in replicas:
                 break  # ours: fall through to the origin fetch + store
-            verdict, body, owner_source = await self._forward_to_owner(
-                replicas[0], url, size_hint, parent
-            )
+            owner = self._peers_by_name.get(replicas[0])
+            verdict, body, owner_source = "gone", b"", ""
+            if owner is not None and owner.alive:
+                self._m.peer_forwards.inc()
+                verdict, body, owner_source = await self._upstream_get(
+                    "peer.forward",
+                    owner,
+                    url,
+                    {FORWARD_HEADER: self.config.name},
+                    size_hint,
+                    parent,
+                )
             if verdict == "ok":
                 source = (
                     "REMOTE-HIT" if owner_source == "HIT" else "MISS"
@@ -1437,71 +1180,39 @@ class SummaryCacheProxy:
                     replicas[0], reason="failure"
                 )
 
-        fetch_start = perf_counter()
-        body = await self._fetch_from_origin(url, size_hint, parent)
-        self._m.phase_seconds["origin_fetch"].observe(
-            perf_counter() - fetch_start
-        )
-        # Store only when this proxy belongs to the replica set -- the
-        # degraded path (owner up but erroring) served the client from
+        # Stored only if this proxy belongs to the replica set -- the
+        # degraded path (owner up but erroring) serves the client from
         # the origin without creating an off-placement duplicate.
-        if self.config.name in self._placement.replicas(digest):
-            self._store(url, body)
+        body = await self._origin_path(url, size_hint, parent, placed=digest)
         return body, "MISS"
 
-    async def _forward_to_owner(
+    async def _origin_path(
         self,
-        owner: str,
         url: str,
         size_hint: str,
         parent: Span = NULL_SPAN,
-    ) -> Tuple[str, bytes, str]:
-        """One marked fetch to *owner*.
+        placed: Optional[bytes] = None,
+    ) -> bytes:
+        """The one tail every unresolved miss ends in: origin, then store.
 
-        Returns ``(verdict, body, owner_source)``: verdict ``"ok"``
-        with the body and the owner's ``X-Cache`` verdict (``HIT`` from
-        its cache, ``MISS`` fetched from the origin on our behalf);
-        ``"gone"`` when the peer cannot be reached at all (the caller
-        rebalances and fails over); ``"error"`` when the peer answered
-        but could not serve (its own origin path failed) -- the caller
-        goes to the origin itself, never surfacing a 5xx to the client.
+        The client path, the owner-routed path and the owner side of a
+        forward all finish here (the single home for single-flighting
+        misses later).  *placed* is the URL's digest when the caller
+        routed by owner: the body is then stored only if this proxy is
+        in the replica set once the fetch has returned.  Raises
+        :class:`~repro.errors.ProxyError` when the origin cannot serve.
         """
-        state = self._peers_by_name.get(owner)
-        if state is None or not state.alive:
-            return "gone", b"", ""
-        with self.spans.start_span(
-            "peer.forward",
-            trace_id=parent.trace_id or None,
-            parent_id=parent.span_id,
-            proxy=self.config.name,
-            peer=owner,
-            url=url,
-        ) as span:
-            headers = {FORWARD_HEADER: self.config.name}
-            if size_hint:
-                headers["X-Size"] = size_hint
-            if span.trace_id:
-                headers[TRACE_HEADER] = span.context().header_value()
-            self._m.peer_forwards.inc()
-            fetch_start = perf_counter()
-            try:
-                response = await self._fetch(
-                    state.address.host, state.address.http_port, url,
-                    headers, span,
-                )
-            except (ConnectionError, ProtocolError, OSError):
-                span.end(status="error")
-                return "gone", b"", ""
-            finally:
-                self._m.phase_seconds["peer_fetch"].observe(
-                    perf_counter() - fetch_start
-                )
-            if response.status != 200:
-                span.set(status_code=response.status).end(status="error")
-                return "error", b"", ""
-            owner_source = response.header("x-cache", "MISS").upper()
-            span.set(bytes=len(response.body), source=owner_source).end()
-            return "ok", response.body, owner_source
+        self._m.origin_fetches.inc()
+        verdict, body, _ = await self._upstream_get(
+            "origin.fetch", None, url, {}, size_hint, parent
+        )
+        if verdict != "ok":
+            raise ProxyError(f"origin fetch failed ({verdict}) for {url!r}")
+        if placed is None or self.config.name in self._placement.replicas(
+            placed
+        ):
+            self._store(url, body)
+        return body
 
     def _candidate_peers(self, url: str) -> List[_PeerState]:
         """Which peers to query for *url*, per the cooperation mode."""
@@ -1528,7 +1239,7 @@ class SummaryCacheProxy:
         its ids travel in the query datagram's Options/Option Data
         fields, and each reply lands as an ``icp.reply`` event on it.
         """
-        if self._icp is None or self._icp.transport is None:
+        if self._udp is None:
             return None
         self._request_counter += 1
         reqnum = self._request_counter & 0xFFFFFFFF
@@ -1544,7 +1255,6 @@ class SummaryCacheProxy:
         ) as round_span:
             pending = _PendingQuery(outstanding, round_span)
             self._pending[reqnum] = pending
-            transport = self._icp.transport
             query = IcpQuery(
                 url=url,
                 request_number=reqnum,
@@ -1554,9 +1264,9 @@ class SummaryCacheProxy:
             encoded = query.encode()
             round_span.add_event("icp.query.sent", peers=len(candidates))
             for state in candidates:
-                transport.sendto(encoded, state.address.icp_addr)
-                self._m.icp_queries_sent.inc()
-                self._m.udp_sent.inc()
+                self._send(
+                    encoded, state.address.icp_addr, self._m.icp_queries_sent
+                )
             round_start = perf_counter()
             try:
                 winner_addr = await asyncio.wait_for(
@@ -1580,76 +1290,68 @@ class SummaryCacheProxy:
                 self._m.phase_seconds["icp_round"].observe(
                     perf_counter() - round_start
                 )
-            if winner_addr is None:
-                round_span.set(hit=False).end()
-                return None
-            round_span.set(hit=True).end()
-            return self._peers.get(winner_addr)
+            round_span.set(hit=winner_addr is not None).end()
+            return self._peers.get(winner_addr) if winner_addr else None
 
-    async def _fetch_from_peer(
+    async def _upstream_get(
         self,
-        peer: _PeerState,
+        span_name: str,
+        peer: Optional[_PeerState],
         url: str,
+        headers: Dict[str, str],
         size_hint: str,
         parent: Span = NULL_SPAN,
-    ) -> Optional[bytes]:
-        """HTTP-fetch a remote hit; ``None`` if the peer no longer has it."""
-        headers = {"X-Only-If-Cached": "1"}
+    ) -> Tuple[str, bytes, str]:
+        """One traced, timed GET to *peer* (``None``: the origin).
+
+        *headers* is the caller's marker (``X-Only-If-Cached``,
+        ``X-SC-Forward`` or nothing); size hint and trace context are
+        added here.  Returns ``(verdict, body, source)``: ``"ok"`` with
+        the 200 body and the upstream's ``X-Cache`` value (empty when it
+        sent none), ``"error"`` when it answered anything else,
+        ``"gone"`` when it could not be reached at all.
+        """
+        if peer is None:
+            host, port = self.origin_address
+            phase = "origin_fetch"
+            attrs: Dict[str, object] = {}
+        else:
+            host, port = peer.address.host, peer.address.http_port
+            phase = "peer_fetch"
+            attrs = {"peer": peer.address.name}
         if size_hint:
             headers["X-Size"] = size_hint
-        with self.spans.start_span(
-            "peer.fetch",
-            trace_id=parent.trace_id or None,
-            parent_id=parent.span_id,
-            proxy=self.config.name,
-            peer=peer.address.name,
-            url=url,
-        ) as span:
-            if span.trace_id:
-                headers[TRACE_HEADER] = span.context().header_value()
-            try:
-                response = await self._fetch(
-                    peer.address.host, peer.address.http_port, url,
-                    headers, span,
-                )
-            except (ConnectionError, ProtocolError, OSError):
-                span.end(status="error")
-                return None
-            if response.status != 200:
-                span.set(status_code=response.status).end(status="error")
-                return None
-            span.set(bytes=len(response.body)).end()
-            return response.body
-
-    async def _fetch_from_origin(
-        self, url: str, size_hint: str, parent: Span = NULL_SPAN
-    ) -> bytes:
-        headers = {"X-Size": size_hint} if size_hint else {}
-        self._m.origin_fetches.inc()
-        with self.spans.start_span(
-            "origin.fetch",
-            trace_id=parent.trace_id or None,
-            parent_id=parent.span_id,
-            proxy=self.config.name,
-            url=url,
-        ) as span:
-            if span.trace_id:
-                headers[TRACE_HEADER] = span.context().header_value()
-            try:
-                response = await self._fetch(
-                    self.origin_address[0], self.origin_address[1], url,
-                    headers, span,
-                )
-            except (ConnectionError, ProtocolError, OSError):
-                span.end(status="error")
-                raise
-            if response.status != 200:
-                span.set(status_code=response.status).end(status="error")
-                raise ProxyError(
-                    f"origin returned {response.status} for {url!r}"
-                )
-            span.set(bytes=len(response.body)).end()
-            return response.body
+        start = perf_counter()
+        try:
+            with self.spans.start_span(
+                span_name,
+                trace_id=parent.trace_id or None,
+                parent_id=parent.span_id,
+                proxy=self.config.name,
+                url=url,
+                **attrs,
+            ) as span:
+                if span.trace_id:
+                    headers[TRACE_HEADER] = span.context().header_value()
+                try:
+                    response = await self._fetch(
+                        host, port, url, headers, span
+                    )
+                except (ConnectionError, ProtocolError, OSError):
+                    span.end(status="error")
+                    return "gone", b"", ""
+                if response.status != 200:
+                    span.set(status_code=response.status).end(
+                        status="error"
+                    )
+                    return "error", b"", ""
+                source = response.header("x-cache").upper()
+                span.set(bytes=len(response.body))
+                if source:
+                    span.set(source=source)
+                return "ok", response.body, source
+        finally:
+            self._m.phase_seconds[phase].observe(perf_counter() - start)
 
     async def _fetch(
         self,
@@ -1667,18 +1369,6 @@ class SummaryCacheProxy:
         the idle list, so the loop terminates with a fresh socket whose
         failure is genuine and propagates.
         """
-        if self.config.pool_size <= 0:
-            reader, writer = await asyncio.open_connection(host, port)
-            try:
-                write_request(writer, url, headers, keep_alive=False)
-                await writer.drain()
-                return await read_response(reader)
-            finally:
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, asyncio.CancelledError):
-                    pass
         while True:
             conn = await self._pool.acquire(host, port)
             span.add_event(
@@ -1687,7 +1377,9 @@ class SummaryCacheProxy:
                 reused=conn.was_reused,
             )
             try:
-                response = await self._exchange(conn, url, headers)
+                write_request(conn.writer, url, headers, keep_alive=True)
+                await conn.writer.drain()
+                response = await read_response(conn.reader)
             except (ConnectionError, ProtocolError, OSError):
                 self._pool.release(conn, reusable=False)
                 if not conn.was_reused:
@@ -1702,14 +1394,6 @@ class SummaryCacheProxy:
                 raise
             self._pool.release(conn, reusable=response.keep_alive)
             return response
-
-    async def _exchange(
-        self, conn: PooledConnection, url: str, headers: Dict[str, str]
-    ) -> HttpResponse:
-        """One request/response round trip on an open connection."""
-        write_request(conn.writer, url, headers, keep_alive=True)
-        await conn.writer.drain()
-        return await read_response(conn.reader)
 
     # ------------------------------------------------------------------
     # Introspection used by tests and benchmarks

@@ -13,7 +13,7 @@ hits do occur, so the experiment also shows SC-ICP's latency benefit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 from repro.errors import ConfigurationError
@@ -166,8 +166,7 @@ def run_overhead_experiment(
     engine = Engine()
     costs = costs or CostModel()
     network = network or NetworkModel()
-    config = proxy_config or SimProxyConfig()
-    config.mode = mode
+    config = replace(proxy_config or SimProxyConfig(), mode=mode)
     origin, proxies = _build_cluster(
         engine, num_proxies, config, costs, network, origin_delay
     )
@@ -211,8 +210,7 @@ def run_replay_experiment(
     engine = Engine()
     costs = costs or CostModel()
     network = network or NetworkModel()
-    config = proxy_config or SimProxyConfig()
-    config.mode = mode
+    config = replace(proxy_config or SimProxyConfig(), mode=mode)
     origin, proxies = _build_cluster(
         engine, num_proxies, config, costs, network, origin_delay
     )

@@ -17,10 +17,14 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
 from repro.cache import WebCache
+from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
-from repro.core.counting_bloom import CountingBloomFilter
-from repro.core.hashing import MD5HashFamily
-from repro.summaries import SummaryConfig, expected_documents_for_cache
+from repro.summaries import (
+    PacketFillUpdatePolicy,
+    SummaryConfig,
+    SummaryNode,
+    UpdatePolicy,
+)
 from repro.proxy.config import ProxyMode
 from repro.simulation.costs import CostModel, CpuAccount
 from repro.simulation.engine import Engine, Resource
@@ -50,11 +54,11 @@ class SimProxyConfig:
     max_object_size: Optional[int] = 250 * 1024
     summary: SummaryConfig = field(default_factory=SummaryConfig)
     expected_doc_size: int = 8 * 1024
-    update_threshold: float = 0.01
-    #: ``"packet-fill"`` ships an update once pending flips fill one
+    #: When pending changes ship.  The default sends once they fill one
     #: MTU-sized DIRUPDATE (the Squid prototype's behaviour, Section
-    #: VI-B); ``"threshold"`` uses the new-document fraction.
-    update_policy: str = "packet-fill"
+    #: VI-B); :class:`~repro.summaries.ThresholdUpdatePolicy` uses the
+    #: new-document fraction instead.
+    update_policy: UpdatePolicy = PacketFillUpdatePolicy()
     #: How DIRUPDATEs reach the peers.  ``"unicast"`` is the paper's
     #: all-pairs pattern: the updater sends to every peer itself, O(n)
     #: sender CPU and sends per update.  ``"hierarchy"`` relays through
@@ -100,7 +104,8 @@ class SimOrigin:
         :attr:`delay`)."""
         if self.delay <= 0:
             return 0.0
-        frac = (hash(url) & 0xFFFF) / 0xFFFF
+        # Not hash(url): str hashes are salted per process.
+        frac = int.from_bytes(md5_digest(url)[:2], "big") / 0xFFFF
         return self.delay * (0.9 + 0.2 * frac)
 
 
@@ -125,25 +130,23 @@ class SimProxy:
         self.cpu: Resource = engine.resource(f"cpu{index}")
         self.cpu_account = CpuAccount()
         self.counters = PacketCounters()
-        self.local_summary = CountingBloomFilter.for_capacity(
-            expected_documents_for_cache(
-                config.cache_capacity, config.expected_doc_size
-            ),
-            load_factor=config.summary.load_factor,
-            hash_family=MD5HashFamily(
-                num_functions=config.summary.num_hashes
-            ),
-            counter_width=config.summary.counter_width,
+        #: The local summary plus its update bookkeeping.  The node
+        #: does not track the shipped copy: here delivery takes
+        #: simulated time, so the DES owns it (below).
+        self.node = SummaryNode(
+            config.summary,
+            config.cache_capacity,
+            doc_size=config.expected_doc_size,
+            track_shipped=False,
         )
-        #: The summary copy peers currently hold (updates are applied
+        #: The summary copy peers currently hold (deltas are applied
         #: here when DIRUPDATE dissemination completes).
-        self.shipped_summary = self.local_summary.snapshot()
-        self._new_since_update = 0
+        self.shipped = self.node.local.export()
         self.cache = WebCache(
             config.cache_capacity,
             max_object_size=config.max_object_size,
-            on_insert=self._on_insert,
-            on_evict=self._on_evict,
+            on_insert=self.node.on_insert,
+            on_evict=self.node.on_evict,
         )
         self.peers: List["SimProxy"] = []
         # Outcome tallies.
@@ -156,15 +159,6 @@ class SimProxy:
         self.icp_replies_received = 0
         self.dirupdates_sent = 0
         self.bytes_served = 0
-
-    # -- cache/summary bookkeeping ------------------------------------
-
-    def _on_insert(self, url: str) -> None:
-        self.local_summary.add(url)
-        self._new_since_update += 1
-
-    def _on_evict(self, url: str) -> None:
-        self.local_summary.remove(url)
 
     def _charge(self, user: float = 0.0, system: float = 0.0):
         """Charge CPU and return the completion signal to yield on."""
@@ -200,26 +194,21 @@ class SimProxy:
             yield from self._fetch_origin(request)
 
         self.cache.put(request.url, request.size, version=request.version)
-        if (
-            self.config.mode is ProxyMode.SC_ICP
-            and self._update_due()
+        if self.config.mode is ProxyMode.SC_ICP and self.node.due_for_update(
+            self.config.update_policy, self.engine.now, len(self.cache)
         ):
             yield from self._broadcast_update()
 
     def _candidates(self, request: Request) -> List["SimProxy"]:
         if self.config.mode is ProxyMode.ICP:
             return list(self.peers)
-        # SC-ICP: probe the peers' shipped summaries (one MD5 per URL).
+        # SC-ICP: probe the peers' shipped summaries (one MD5 per URL;
+        # the cluster is built from one config, so one key fits all).
         self.cpu_account.charge(user=self.costs.md5_user)
-        key = None
-        candidates = []
-        for peer in self.peers:
-            if key is None:
-                key = peer.shipped_summary.positions(request.url)
-            bits = peer.shipped_summary.bits
-            if all(bits.get(p) for p in key):
-                candidates.append(peer)
-        return candidates
+        key = self.node.local.key_of(request.url)
+        return [
+            peer for peer in self.peers if peer.shipped.contains_key(key)
+        ]
 
     def _try_peers(self, request: Request):
         """Query candidate peers; fetch from the first fresh holder."""
@@ -331,29 +320,16 @@ class SimProxy:
 
     # -- summary update dissemination -----------------------------------
 
-    def _update_due(self) -> bool:
-        if self.config.update_policy == "packet-fill":
-            return (
-                self.local_summary.pending_flip_count
-                >= DIRUPDATE_RECORDS_PER_MESSAGE
-            )
-        docs = max(1, len(self.cache))
-        return (
-            self._new_since_update / docs >= self.config.update_threshold
-        )
-
     def _broadcast_update(self):
-        flips = self.local_summary.drain_flips()
-        self._new_since_update = 0
-        if not flips or not self.peers:
+        delta = self.node.publish(self.engine.now)
+        if delta.is_empty() or not self.peers:
             return
-        num_messages = -(-len(flips) // DIRUPDATE_RECORDS_PER_MESSAGE)
-        message_bytes = 32 + 4 * min(
-            len(flips), DIRUPDATE_RECORDS_PER_MESSAGE
-        )
+        records = delta.change_count
+        num_messages = -(-records // DIRUPDATE_RECORDS_PER_MESSAGE)
+        message_bytes = 32 + 4 * min(records, DIRUPDATE_RECORDS_PER_MESSAGE)
         if self.config.dissemination == "hierarchy":
             yield from self._hierarchy_update(
-                list(flips), num_messages, message_bytes
+                delta, num_messages, message_bytes
             )
             return
         yield self._charge(
@@ -376,22 +352,22 @@ class SimProxy:
         self.engine.call_later(
             self.network.transfer_time(message_bytes),
             self._apply_update,
-            list(flips),
+            delta,
             done,
         )
         yield done
 
-    def _apply_update(self, flips, done) -> None:
-        self.shipped_summary.apply_flips(flips)
+    def _apply_update(self, delta, done) -> None:
+        self.shipped.apply_delta(delta)
         done.fire()
 
-    def _hierarchy_update(self, flips, num_messages, message_bytes):
+    def _hierarchy_update(self, delta, num_messages, message_bytes):
         """Disseminate one update through a k-ary fan-out tree.
 
         The updater is the tree root; the peers occupy heap positions
         1..P in index order (deterministic across runs).  The root pays
         send CPU for its own children only; interior peers receive,
-        then forward to theirs.  The flips land on the shared shipped
+        then forward to theirs.  The delta lands on the shared shipped
         copy when the last peer has received -- the conservative
         reading of "all peers hold the new bits" under staggered
         delivery, so the extra tree-depth staleness is fully charged to
@@ -422,12 +398,12 @@ class SimProxy:
         )
         for position in root_children:
             self._hierarchy_send(
-                self, order, position, flips, num_messages,
+                self, order, position, delta, num_messages,
                 message_bytes, state,
             )
 
     def _hierarchy_send(
-        self, sender, order, position, flips, num_messages,
+        self, sender, order, position, delta, num_messages,
         message_bytes, state,
     ) -> None:
         """Count *sender*'s datagrams to heap slot *position* and
@@ -439,11 +415,11 @@ class SimProxy:
         self.engine.call_later(
             self.network.transfer_time(message_bytes),
             self._hierarchy_deliver,
-            order, position, flips, num_messages, message_bytes, state,
+            order, position, delta, num_messages, message_bytes, state,
         )
 
     def _hierarchy_deliver(
-        self, order, position, flips, num_messages, message_bytes, state
+        self, order, position, delta, num_messages, message_bytes, state
     ) -> None:
         """One peer received the update: charge it, relay, maybe apply."""
         node = order[position - 1]
@@ -465,12 +441,12 @@ class SimProxy:
         )
         for child in children:
             self._hierarchy_send(
-                node, order, child, flips, num_messages,
+                node, order, child, delta, num_messages,
                 message_bytes, state,
             )
         state["delivered"] += 1
         if state["delivered"] == len(order):
-            self.shipped_summary.apply_flips(flips)
+            self.shipped.apply_delta(delta)
 
     # -- helpers ---------------------------------------------------------
 

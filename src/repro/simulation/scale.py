@@ -38,6 +38,7 @@ from repro.simulation.nodes import (
     SimProxy,
     SimProxyConfig,
 )
+from repro.summaries import ThresholdUpdatePolicy
 from repro.traces.model import Request
 from repro.traces.partition import group_of
 
@@ -141,8 +142,7 @@ def run_scale_experiment(
         mode=ProxyMode.SC_ICP,
         cache_capacity=cache_capacity,
         expected_doc_size=expected_doc_size,
-        update_threshold=update_threshold,
-        update_policy="threshold",
+        update_policy=ThresholdUpdatePolicy(update_threshold),
         dissemination=dissemination,
         dissemination_fanout=fanout,
     )
@@ -213,16 +213,13 @@ def run_scale_experiment(
             ),
         }
 
-    sample = proxies[0]
+    sample = proxies[0].node.local
     summary_memory = (
-        sample.local_summary.remote_size_bytes() * (num_proxies - 1)
+        sample.remote_size_bytes() * (num_proxies - 1)
         if num_proxies > 1
         else 0
     )
-    counter_memory = (
-        sample.local_summary.size_bytes()
-        - sample.local_summary.remote_size_bytes()
-    )
+    counter_memory = sample.size_bytes() - sample.remote_size_bytes()
     return ScaleResult(
         num_proxies=num_proxies,
         dissemination=dissemination,

@@ -340,9 +340,10 @@ class SummaryNode:
     Bundles the local summary, optionally the *shipped* copy peers
     currently hold (the Section V simulator's reliable-multicast
     assumption collapses the n-1 identical peer copies into one), and
-    the counters the update policies consult.  Both the simulator and
-    the live proxy drive their summaries through this class, so the
-    "when is an update due" logic exists exactly once.
+    the counters the update policies consult.  The Section V simulator,
+    the discrete-event simulator and the live proxy all drive their
+    summaries through this class, so the "when is an update due" logic
+    exists exactly once.
     """
 
     __slots__ = ("local", "shipped", "new_since_update", "last_update_time")

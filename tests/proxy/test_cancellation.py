@@ -40,9 +40,10 @@ class TestCancelledFetch:
                 origin_delay=5.0,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                host, port = proxy.origin_address
                 task = asyncio.create_task(
-                    proxy._fetch(host, port, "http://slow.com/d", {})
+                    proxy._upstream_get(
+                        "origin.fetch", None, "http://slow.com/d", {}, ""
+                    )
                 )
                 # Let the task acquire a connection and start awaiting
                 # the origin's (delayed) response.
@@ -75,7 +76,7 @@ class TestCancelledFetch:
             ) as cluster:
                 proxy = cluster.proxies[0]
                 task = asyncio.create_task(
-                    proxy._fetch_from_origin("http://slow.com/d", "128")
+                    proxy._origin_path("http://slow.com/d", "128")
                 )
                 for _ in range(20):
                     await asyncio.sleep(0)

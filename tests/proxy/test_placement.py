@@ -59,11 +59,22 @@ class TestCarpRouting:
                 origin_requests = cluster.origin.stats.requests
                 reports = [d.report for d in drivers]
                 stats = [p.stats for p in cluster.proxies]
-            return urls, holdings, owners, names, origin_requests, reports, stats
+                origin_phase_count = sum(
+                    p.registry.get(
+                        "proxy_request_phase_seconds",
+                        {"phase": "origin_fetch"},
+                    ).count
+                    for p in cluster.proxies
+                )
+            return (
+                urls, holdings, owners, names, origin_requests, reports,
+                stats, origin_phase_count,
+            )
 
-        urls, holdings, owners, names, origin_requests, reports, stats = run(
-            scenario()
-        )
+        (
+            urls, holdings, owners, names, origin_requests, reports,
+            stats, origin_phase_count,
+        ) = run(scenario())
         # Each document was fetched from the origin exactly once ...
         assert origin_requests == len(urls)
         # ... lives at exactly one proxy: the ring's owner for it.
@@ -86,6 +97,10 @@ class TestCarpRouting:
         )
         assert sum(s.peer_forwards for s in stats) > 0
         assert all(r.errors == 0 for r in reports)
+        # Owner-side origin fetches (a forwarded miss) are timed like
+        # any other: the phase histogram counts what the counter counts.
+        assert sum(s.origin_fetches for s in stats) == len(urls)
+        assert origin_phase_count == len(urls)
 
     def test_stats_endpoint_reports_cooperation(self):
         async def scenario():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import asyncio
 from dataclasses import replace
 
 import pytest
 
 from repro.core.bloom import BloomFilter
+from repro.protocol.wire import IcpHit, IcpMiss, decode_message
 from repro.summaries import SummaryConfig
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
+from repro.proxy.http import HttpResponse
 from repro.proxy.server import SummaryCacheProxy, _PeerState
 
 BASE = ProxyConfig(
@@ -66,6 +69,118 @@ class TestCandidatePeers:
         }
         assert proxy._candidate_peers("http://a.com/x") == [knows]
         assert proxy._candidate_peers("http://other.com/y") == []
+
+
+class _FakeTransport:
+    """Records datagrams instead of sending them."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def sendto(self, data, addr) -> None:
+        self.sent.append((data, addr))
+
+
+class TestQueryRound:
+    """``_handle_reply`` through ``_on_datagram``, no sockets."""
+
+    URL = "http://a.com/x"
+
+    @pytest.mark.parametrize(
+        "replies, winner",
+        [
+            # A HIT from an unconfigured sender is ignored; the queried
+            # peer's HIT wins.
+            ([("stray", True), ("a", False), ("b", True)], "b"),
+            # A configured peer this round never queried cannot end it;
+            # a repeated MISS counts once; the last MISS resolves None.
+            (
+                [("c", True), ("a", False), ("a", False), ("b", False)],
+                None,
+            ),
+        ],
+    )
+    def test_only_queried_peers_resolve_the_round(self, replies, winner):
+        async def scenario():
+            proxy = make_proxy(ProxyMode.ICP)
+            proxy._udp = _FakeTransport()
+            peers = {
+                name: peer_state(name, port)
+                for name, port in (("a", 1001), ("b", 1002), ("c", 1003))
+            }
+            proxy._peers = {
+                state.address.icp_addr: state for state in peers.values()
+            }
+            addrs = {n: s.address.icp_addr for n, s in peers.items()}
+            addrs["stray"] = ("127.0.0.1", 4242)
+            round_task = asyncio.ensure_future(
+                proxy._query_peers(self.URL, [peers["a"], peers["b"]])
+            )
+            await asyncio.sleep(0)
+            sent = proxy._udp.sent
+            assert [addr for _, addr in sent] == [addrs["a"], addrs["b"]]
+            reqnum = decode_message(sent[0][0]).request_number
+            for sender, hit in replies[:-1]:
+                reply = (IcpHit if hit else IcpMiss)(self.URL, reqnum)
+                proxy._on_datagram(reply.encode(), addrs[sender])
+                await asyncio.sleep(0)
+                assert not round_task.done()
+            sender, hit = replies[-1]
+            reply = (IcpHit if hit else IcpMiss)(self.URL, reqnum)
+            proxy._on_datagram(reply.encode(), addrs[sender])
+            holder = await asyncio.wait_for(round_task, timeout=1.0)
+            assert proxy.stats.udp_sent == 2
+            assert proxy.stats.icp_queries_sent == 2
+            assert proxy.stats.icp_replies_received == len(replies)
+            return holder.address.name if holder is not None else None
+
+        assert asyncio.run(scenario()) == winner
+
+
+class TestUpstreamGet:
+    """``_upstream_get`` over a stubbed ``_fetch``: one verdict table."""
+
+    @pytest.mark.parametrize(
+        "outcome, expected, span_status",
+        [
+            (
+                HttpResponse(200, {"x-cache": "hit"}, b"body"),
+                ("ok", b"body", "HIT"),
+                "ok",
+            ),
+            (HttpResponse(504), ("error", b"", ""), "error"),
+            (ConnectionRefusedError(), ("gone", b"", ""), "error"),
+        ],
+    )
+    def test_verdicts(self, outcome, expected, span_status):
+        proxy = make_proxy(ProxyMode.NO_ICP)
+        seen = {}
+
+        async def fake_fetch(host, port, url, headers, span):
+            seen.update(host=host, port=port, headers=dict(headers))
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        proxy._fetch = fake_fetch
+        peer = peer_state("p1", 1001)
+        result = asyncio.run(
+            proxy._upstream_get(
+                "peer.fetch", peer, "http://a.com/x", {"X-Mark": "1"}, "64"
+            )
+        )
+        assert result == expected
+        assert (seen["host"], seen["port"]) == ("127.0.0.1", 1)
+        assert seen["headers"]["X-Mark"] == "1"
+        assert seen["headers"]["X-Size"] == "64"
+        (span,) = proxy.spans.spans(name="peer.fetch")
+        assert span.duration is not None
+        assert span.status == span_status
+        assert span.attributes["peer"] == "p1"
+        phase = proxy.registry.get(
+            "proxy_request_phase_seconds", {"phase": "peer_fetch"}
+        )
+        assert phase.count == 1
 
 
 class TestCacheBodySync:

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -12,6 +17,7 @@ from repro.simulation.experiment import (
     run_replay_experiment,
 )
 from repro.simulation.nodes import SimProxyConfig
+from repro.summaries import ThresholdUpdatePolicy
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
 SMALL = dict(clients_per_proxy=4, requests_per_client=50)
@@ -105,6 +111,46 @@ class TestOverheadExperiment:
         assert a.mean_latency == b.mean_latency
         assert a.udp_sent == b.udp_sent
 
+    def test_identical_across_hash_seeds(self):
+        # str hashes are salted per process; the origin jitter (and
+        # with it every latency and packet count) must not depend on it.
+        script = (
+            "from repro.proxy.config import ProxyMode\n"
+            "from repro.simulation.experiment import "
+            "run_overhead_experiment\n"
+            "print(run_overhead_experiment(ProxyMode.SC_ICP, "
+            "num_proxies=2, clients_per_proxy=3, requests_per_client=30))"
+        )
+        rows = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(sys.path)
+            rows.append(
+                subprocess.run(
+                    [sys.executable, "-c", script],
+                    env=env,
+                    capture_output=True,
+                    text=True,
+                    check=True,
+                    timeout=120,
+                ).stdout
+            )
+        assert rows[0].startswith("ExperimentResult(")
+        assert rows[0] == rows[1]
+
+    def test_caller_config_left_unchanged(self, replay_trace):
+        config = SimProxyConfig(cache_capacity=1024 * 1024)
+        before = replace(config)
+        run_overhead_experiment(
+            ProxyMode.SC_ICP, proxy_config=config, **SMALL
+        )
+        run_replay_experiment(
+            replay_trace, ProxyMode.ICP, clients_per_proxy=4,
+            proxy_config=config,
+        )
+        assert config == before
+        assert config.mode is ProxyMode.NO_ICP
+
     def test_higher_hit_ratio_lowers_latency(self):
         low = run_overhead_experiment(
             ProxyMode.NO_ICP, target_hit_ratio=0.25, **SMALL
@@ -164,7 +210,7 @@ class TestReplayExperiment:
             ProxyMode.SC_ICP,
             clients_per_proxy=4,
             proxy_config=SimProxyConfig(
-                update_policy="threshold", update_threshold=0.01
+                update_policy=ThresholdUpdatePolicy(0.01)
             ),
         )
         # Total UDP drops; the per-miss query flood specifically drops

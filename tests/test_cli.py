@@ -95,40 +95,13 @@ class TestCommands:
             == 0
         )
         out = capsys.readouterr().out
-        assert "baseline_per_connection" in out
         assert "keepalive_pooled" in out
-        assert "speedup" in out
         record = json.loads(out_path.read_text())
         assert record["benchmark"] == "proxy_loadgen"
-        assert len(record["runs"]) == 2
+        assert len(record["runs"]) == 1
         assert record["runs"][0]["errors"] == 0
-        assert record["runs"][1]["errors"] == 0
-        # Same workload, same cache behaviour, different connections.
-        assert (
-            record["runs"][0]["cache_sources"]
-            == record["runs"][1]["cache_sources"]
-        )
-
-    def test_loadgen_single_phase(self, capsys):
-        assert (
-            main(
-                [
-                    "loadgen",
-                    "--proxies",
-                    "1",
-                    "--clients",
-                    "2",
-                    "--requests",
-                    "5",
-                    "--phases",
-                    "keepalive",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "keepalive_pooled" in out
-        assert "baseline" not in out
+        assert record["runs"][0]["requests"] == 16
+        assert record["runs"][0]["connections_opened"] == 2
 
     def test_gen_trace(self, tmp_path, capsys):
         out_path = tmp_path / "trace.jsonl"
