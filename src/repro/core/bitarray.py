@@ -17,7 +17,7 @@ the real footprint of each representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import (
     BitIndexError,
@@ -127,6 +127,38 @@ class BitArray:
             self._popcount -= len(changed)
         return changed
 
+    def write_many(self, records: Iterable[Tuple[int, bool]]) -> int:
+        """Write every ``(index, value)`` record in order; return how
+        many writes changed a bit.
+
+        Records are absolute, so when an index repeats the last record
+        wins, exactly as if each had been applied with :meth:`set`.
+        """
+        buf = self._buf
+        size = self._size
+        changed = 0
+        ones = 0
+        try:
+            for index, value in records:
+                if not 0 <= index < size:
+                    raise BitIndexError(
+                        f"bit index {index} out of range [0, {size})"
+                    )
+                byte_index = index >> 3
+                mask = 1 << (index & 7)
+                if value:
+                    if not buf[byte_index] & mask:
+                        buf[byte_index] |= mask
+                        changed += 1
+                        ones += 1
+                elif buf[byte_index] & mask:
+                    buf[byte_index] &= ~mask & 0xFF
+                    changed += 1
+                    ones -= 1
+        finally:
+            self._popcount += ones
+        return changed
+
     def flipped_indices(self, other: "BitArray") -> List[Tuple[int, bool]]:
         """Positions where this array differs from *other*, as
         ``(index, value-in-self)`` records.
@@ -226,7 +258,10 @@ class CounterArray:
     unlikely false negative for bounded memory.
     """
 
-    __slots__ = ("_size", "_width", "_max", "_buf", "_saturated")
+    __slots__ = (
+        "_size", "_width", "_max", "_byte_shift", "_slot_mask", "_buf",
+        "_saturated",
+    )
 
     #: Widths that pack evenly into bytes; arbitrary widths would
     #: complicate indexing for no experimental benefit.
@@ -243,6 +278,10 @@ class CounterArray:
         self._width = width
         self._max = (1 << width) - 1
         per_byte = 8 // width
+        #: ``per_byte`` is a power of two, so locating counter *i* is a
+        #: shift (its byte) and a mask (its slot within the byte).
+        self._byte_shift = per_byte.bit_length() - 1
+        self._slot_mask = per_byte - 1
         self._buf = bytearray((size + per_byte - 1) // per_byte)
         self._saturated = 0
 
@@ -277,52 +316,96 @@ class CounterArray:
             raise BitIndexError(
                 f"counter index {index} out of range [0, {self._size})"
             )
-        per_byte = 8 // self._width
-        byte_index = index // per_byte
-        shift = (index % per_byte) * self._width
-        return byte_index, shift
+        return (
+            index >> self._byte_shift,
+            (index & self._slot_mask) * self._width,
+        )
 
     def get(self, index: int) -> int:
         """Return the value of counter *index*."""
         byte_index, shift = self._locate(index)
         return (self._buf[byte_index] >> shift) & self._max
 
-    def _put(self, index: int, value: int) -> None:
-        byte_index, shift = self._locate(index)
-        cleared = self._buf[byte_index] & ~(self._max << shift) & 0xFF
-        self._buf[byte_index] = cleared | (value << shift)
+    def increment_many(self, indices: Sequence[int]) -> List[int]:
+        """Increment every counter in *indices*, saturating at
+        :attr:`max_value`; return the indices that went 0 -> 1.
 
-    def increment(self, index: int) -> int:
-        """Increment counter *index*, saturating at :attr:`max_value`.
-
-        Returns the new counter value.
+        One pass per key instead of a call chain per position.  An index
+        listed twice is incremented twice (two of a key's hash functions
+        may collide); a counter already at the ceiling stays there and
+        counts one saturation event.  An out-of-range index raises
+        :class:`~repro.errors.BitIndexError` before any counter moves.
         """
-        value = self.get(index)
-        if value >= self._max:
-            self._saturated += 1
-            return value
-        self._put(index, value + 1)
-        return value + 1
+        buf = self._buf
+        size = self._size
+        for index in indices:
+            if not 0 <= index < size:
+                raise BitIndexError(
+                    f"counter index {index} out of range [0, {size})"
+                )
+        width = self._width
+        top = self._max
+        byte_shift = self._byte_shift
+        slot_mask = self._slot_mask
+        raised: List[int] = []
+        for index in indices:
+            byte_index = index >> byte_shift
+            shift = (index & slot_mask) * width
+            value = (buf[byte_index] >> shift) & top
+            if value == top:
+                self._saturated += 1
+            else:
+                buf[byte_index] += 1 << shift
+                if not value:
+                    raised.append(index)
+        return raised
 
-    def decrement(self, index: int) -> int:
-        """Decrement counter *index*.
+    def decrement_many(self, indices: Iterable[int]) -> List[int]:
+        """Decrement every counter in *indices*; return the indices that
+        went 1 -> 0.
 
         A saturated counter is left untouched (the paper's stick-at-max
-        rule); a zero counter raises
-        :class:`~repro.errors.SummaryStateError` because the
-        caller tried to delete a key that was never inserted.
-
-        Returns the new counter value.
+        rule).  All or nothing: an out-of-range index
+        (:class:`~repro.errors.BitIndexError`) or a counter that would
+        drop below zero (:class:`~repro.errors.SummaryStateError` -- the
+        caller tried to delete a key that was never inserted, or listed
+        an index more often than it was counted) leaves every counter
+        as it was.
         """
-        value = self.get(index)
-        if value == self._max:
-            return value
-        if value == 0:
-            raise SummaryStateError(
-                f"counter {index} underflow: decrement of a zero counter"
-            )
-        self._put(index, value - 1)
-        return value - 1
+        buf = self._buf
+        size = self._size
+        width = self._width
+        top = self._max
+        byte_shift = self._byte_shift
+        slot_mask = self._slot_mask
+        cleared: List[int] = []
+        undo: List[Tuple[int, int]] = []
+        try:
+            for index in indices:
+                if not 0 <= index < size:
+                    raise BitIndexError(
+                        f"counter index {index} out of range [0, {size})"
+                    )
+                byte_index = index >> byte_shift
+                shift = (index & slot_mask) * width
+                byte = buf[byte_index]
+                value = (byte >> shift) & top
+                if value == top:
+                    continue
+                if not value:
+                    raise SummaryStateError(
+                        f"counter {index} underflow: "
+                        "decrement of a zero counter"
+                    )
+                undo.append((byte_index, byte))
+                buf[byte_index] = byte - (1 << shift)
+                if value == 1:
+                    cleared.append(index)
+        except (BitIndexError, SummaryStateError):
+            for byte_index, byte in reversed(undo):
+                buf[byte_index] = byte
+            raise
+        return cleared
 
     def nonzero_indices(self) -> List[int]:
         """Return indices of all counters with nonzero value."""
@@ -335,7 +418,9 @@ class CounterArray:
                 raise ConfigurationError(
                     f"counter value {value} out of range [0, {self._max}]"
                 )
-            self._put(i, value)
+            byte_index, shift = self._locate(i)
+            cleared = self._buf[byte_index] & ~(self._max << shift) & 0xFF
+            self._buf[byte_index] = cleared | (value << shift)
 
     def size_bytes(self) -> int:
         """Memory footprint of the packed counters, in bytes."""

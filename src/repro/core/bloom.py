@@ -163,22 +163,6 @@ class BloomFilter:
             obs.probe_positives.inc()
         return result
 
-    def may_contain_many(self, keys: Iterable[Key]) -> List[bool]:
-        """Batch membership probes: one answer per key, in order."""
-        keys = list(keys)
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
-        get = self.bits.get
-        positions = self.positions
-        results = [
-            all(get(pos) for pos in positions(key)) for key in keys
-        ]
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.probes.inc(len(keys))
-            obs.probe_positives.inc(sum(results))
-        return results
-
     def __contains__(self, key: Key) -> bool:
         return self.may_contain(key)
 
@@ -194,11 +178,7 @@ class BloomFilter:
         the property the paper relies on to ship updates over unreliable
         transport.
         """
-        changed = 0
-        for index, value in flips:
-            if self.bits.set(index, value):
-                changed += 1
-        return changed
+        return self.bits.write_many(flips)
 
     def reset(self) -> None:
         """Clear the filter (e.g. when a failed neighbour recovers)."""

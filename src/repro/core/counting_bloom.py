@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
 from repro.core.bloom import BloomFilter, _OP_BUCKETS
 from repro.core.hashing import Key, MD5HashFamily
-from repro.errors import ConfigurationError, ProtocolError, SummaryStateError
+from repro.errors import ConfigurationError, ProtocolError
 from repro.obs.registry import MetricsRegistry, get_registry
 
 
@@ -139,18 +139,9 @@ class CountingBloomFilter:
 
     def add(self, key: Key) -> None:
         """Insert *key*, recording any 0 -> 1 bit flips for the next delta."""
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
-        for pos in self.filter.positions(key):
-            if self.counters.increment(pos) == 1:
-                self.filter.bits.set(pos, True)
-                self._pending_flips.append((pos, True))
-        self._keys_added += 1
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc()
+        self.add_at(self.filter.positions(key))
 
-    def add_at(self, positions: Tuple[int, ...]) -> None:
+    def add_at(self, positions: Sequence[int]) -> None:
         """Insert one key by its precomputed bit *positions*.
 
         The positions MUST come from this filter's own hash family and
@@ -160,9 +151,10 @@ class CountingBloomFilter:
         """
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        for pos in positions:
-            if self.counters.increment(pos) == 1:
-                self.filter.bits.set(pos, True)
+        raised = self.counters.increment_many(positions)
+        if raised:
+            self.filter.bits.set_many(raised)
+            for pos in raised:
                 self._pending_flips.append((pos, True))
         self._keys_added += 1
         if obs is not None:
@@ -173,21 +165,22 @@ class CountingBloomFilter:
         """Insert every key in one batch (the rebuild/resync fast path).
 
         Equivalent to calling :meth:`add` per key -- same counters, same
-        bit flips, same pending-delta records -- but instruments and
-        attribute lookups are hoisted out of the loop.
+        bit flips, same pending-delta records -- but the instruments see
+        one operation.
         """
         keys = list(keys)
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
         positions_of = self.filter.positions
-        increment = self.counters.increment
-        set_bit = self.filter.bits.set
+        increment_many = self.counters.increment_many
         record = self._pending_flips.append
+        raised_bits: List[int] = []
         for key in keys:
-            for pos in positions_of(key):
-                if increment(pos) == 1:
-                    set_bit(pos, True)
-                    record((pos, True))
+            raised = increment_many(positions_of(key))
+            raised_bits += raised
+            for pos in raised:
+                record((pos, True))
+        self.filter.bits.set_many(raised_bits)
         self._keys_added += len(keys)
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
@@ -198,21 +191,15 @@ class CountingBloomFilter:
 
         Removing a key that was never added raises
         :class:`~repro.errors.SummaryStateError`
-        (counter underflow) rather than silently corrupting the filter.
+        (counter underflow) and leaves counters, bits and pending flips
+        untouched rather than silently corrupting the filter.
         """
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        positions = self.filter.positions(key)
-        # Validate all counters before mutating any, so a bad remove
-        # leaves the filter untouched.
-        for pos in positions:
-            if self.counters.get(pos) == 0:
-                raise SummaryStateError(
-                    f"remove of key not present in filter (counter {pos} is 0)"
-                )
-        for pos in positions:
-            if self.counters.decrement(pos) == 0:
-                self.filter.bits.set(pos, False)
+        cleared = self.counters.decrement_many(self.filter.positions(key))
+        if cleared:
+            self.filter.bits.set_many(cleared, False)
+            for pos in cleared:
                 self._pending_flips.append((pos, False))
         self._keys_added -= 1
         if obs is not None:
@@ -350,8 +337,7 @@ class CountingBloomFilter:
                 f"expected {expected}"
             )
         filt.counters.load_bytes(payload)
-        for index in filt.counters.nonzero_indices():
-            filt.filter.bits.set(index, True)
+        filt.filter.bits.set_many(filt.counters.nonzero_indices())
         filt._keys_added = keys_added
         return filt
 

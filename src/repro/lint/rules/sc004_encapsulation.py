@@ -33,10 +33,11 @@ STORAGE_ATTRIBUTES = ("bits", "counters", "bit_array", "counter_array")
 MUTATOR_METHODS = (
     "set",
     "set_many",
+    "write_many",
     "flip",
     "reset",
-    "increment",
-    "decrement",
+    "increment_many",
+    "decrement_many",
     "load_from",
     "load_bytes",
     "apply_flips",

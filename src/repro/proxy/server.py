@@ -211,14 +211,12 @@ class SummaryCacheProxy:
         else:
             self.spans = NULL_SPAN_RING
         self._bodies: Dict[str, bytes] = {}
-        #: The local summary plus its update bookkeeping.  The proxy
-        #: never tracks a shipped copy (peers hold the remote copies),
-        #: so ``track_shipped=False``.
+        #: The local summary plus its update bookkeeping (the peers
+        #: hold the remote copies).
         self._node = SummaryNode(
             config.summary,
             config.cache_capacity,
             doc_size=config.expected_doc_size,
-            track_shipped=False,
         )
         self._update_policy = config.effective_update_policy()
         self._cache = WebCache(

@@ -34,7 +34,12 @@ from repro.sharing.summary_sharing import (
     _delta_bytes,
     _ProxyState,
 )
-from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+from repro.summaries import (
+    PeerSummaries,
+    SummaryConfig,
+    ThresholdUpdatePolicy,
+    slots_of,
+)
 from repro.traces.partition import TraceLike, group_of
 
 
@@ -107,7 +112,8 @@ def simulate_hierarchy(
         and cfg.update_policy.live
     )
     key_cache: dict = {}
-    key_of = children[0].node.local.key_of
+    shipped = PeerSummaries.of([c.node.local for c in children])
+    key_of = shipped.key_of
 
     for req in trace:
         g = group_of(req.client_id, num_children)
@@ -125,13 +131,7 @@ def simulate_hierarchy(
             if key is None:
                 key = key_of(req.url)
                 key_cache[req.url] = key
-            candidates = []
-            for j, peer in enumerate(children):
-                if j == g:
-                    continue
-                summary = peer.node.local if live else peer.node.shipped
-                if summary.contains_key(key):
-                    candidates.append(j)
+            candidates = slots_of(shipped.probe(key) & ~(1 << g))
             if candidates:
                 result.sibling_query_messages += len(candidates)
                 result.sibling_query_bytes += (
@@ -160,14 +160,16 @@ def simulate_hierarchy(
                 parent.put(req.url, req.size, version=req.version)
 
         me.cache.put(req.url, req.size, version=req.version)
-        if (
-            sibling_sharing
-            and not live
-            and me.node.due_for_update(
+        if sibling_sharing and (
+            live
+            or me.node.due_for_update(
                 cfg.update_policy, req.timestamp, len(me.cache)
             )
         ):
             delta = me.node.publish(req.timestamp)
+            shipped.apply_delta(g, delta)
+            if live:
+                continue  # no update delay: no message to count
             fanout = num_children - 1
             result.sibling_update_messages += fanout
             result.sibling_update_bytes += _delta_bytes(delta) * fanout

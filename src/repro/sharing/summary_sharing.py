@@ -4,14 +4,16 @@ Each proxy maintains:
 
 - its document cache (:class:`repro.cache.WebCache`);
 - a **local summary** of its own directory, updated on every insert and
-  evict via cache callbacks;
-- a **shipped summary** -- the copy its peers currently hold.  The
-  simulation assumes updates reach all peers reliably and atomically
-  (the paper's simulation assumption), so one shipped copy per proxy
-  stands in for the n-1 identical peer copies.
+  evict via cache callbacks.
 
-On a local miss, the requesting proxy probes every peer's shipped
-summary and queries exactly the peers whose summaries say "maybe"
+The copies peers hold of those summaries -- the *shipped* summaries --
+live in one :class:`~repro.summaries.PeerSummaries` for the whole run.
+The simulation assumes updates reach all peers reliably and atomically
+(the paper's simulation assumption), so one slot per proxy stands in
+for the n-1 identical peer copies.
+
+On a local miss, the requesting proxy probes all shipped summaries at
+once and queries exactly the peers whose summaries say "maybe"
 (sending one query and receiving one reply per queried peer).  The
 four outcome classes of Section V -- remote hit, false hit, false miss,
 remote stale hit -- are tallied along with message counts and bytes
@@ -20,7 +22,8 @@ under the paper's size model (:mod:`repro.sharing.messages`).
 Update dissemination is governed by an update policy from
 :mod:`repro.summaries.policies` (threshold / interval / packet-fill).
 A threshold of 0 means peers always see the live directory (the "no
-update delay" top line of Fig. 2).
+update delay" top line of Fig. 2): every change is delivered at once,
+and no update message is counted.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BitFlipDelta,
     DigestDelta,
+    PeerSummaries,
     SummaryConfig,
     SummaryNode,
     ThresholdUpdatePolicy,
@@ -81,9 +85,9 @@ class SummarySharingConfig:
 class _ProxyState:
     """Per-proxy simulation state: a cache wired to a summary node.
 
-    All summary plumbing (local/shipped copies, update bookkeeping)
-    lives in :class:`repro.summaries.SummaryNode`; this class only pairs
-    it with the document cache driving its callbacks.
+    All summary plumbing (the local summary, update bookkeeping) lives
+    in :class:`repro.summaries.SummaryNode`; this class only pairs it
+    with the document cache driving its callbacks.
     """
 
     __slots__ = ("cache", "node")
@@ -225,18 +229,20 @@ def simulate_summary_sharing(
     msgs = result.messages
     update_drains = 0
     sim_start = perf_counter()
-    # All proxies share one hash family and filter geometry, so the
-    # probe key (MD5 digest / server name / bit positions) of a URL is
-    # identical at every peer: derive it once per URL per run via this
-    # plain dict, the cheapest possible lookup on the hot path.  The
-    # derivation underneath (MD5 digest / bit positions) additionally
-    # flows through the process-wide HashPositionCache
-    # (repro.core.position_cache), which survives across runs -- so in a
-    # multi-cell grid over one trace, later cells warm-start instead of
-    # re-hashing every URL, and disabling that cache gives an honest
-    # recompute-everything baseline for benchmarks.
+    # The probe key (MD5 digest / server name / bit positions) of a URL
+    # is the same whichever proxy asks: derive it once per URL per run
+    # via this plain dict, the cheapest possible lookup on the hot path.
+    # The derivation underneath additionally flows through the
+    # process-wide HashPositionCache (repro.core.position_cache), which
+    # survives across runs -- so in a multi-cell grid over one trace,
+    # later cells warm-start instead of re-hashing every URL, and
+    # disabling that cache gives an honest recompute-everything baseline
+    # for benchmarks.
     key_cache: dict = {}
-    key_of = proxies[0].node.local.key_of if proxies else None
+    shipped = PeerSummaries.of([p.node.local for p in proxies])
+    key_of = shipped.key_of
+    # What a whole-filter update would carry, per proxy (Bloom only).
+    filter_bits = [getattr(p.node.local, "num_bits", None) for p in proxies]
 
     # Replay in chunks: group ids for a whole chunk are derived in one
     # sweep, and the per-request protocol logic below is untouched, so
@@ -253,19 +259,20 @@ def simulate_summary_sharing(
                 result.bytes_hit += entry.size
                 continue
 
-            # Probe peers' summaries (live or shipped) and query the
-            # promising ones.
+            # Probe the peers' shipped summaries and query the
+            # promising ones, in peer order.
             key = key_cache.get(req.url)
             if key is None:
                 key = key_of(req.url)
                 key_cache[req.url] = key
+            mask = shipped.probe(key) & ~(1 << g)
+            # slots_of(mask), spelled out: a call per miss is the one
+            # thing this loop can still save.
             candidates = []
-            for j, peer in enumerate(proxies):
-                if j == g:
-                    continue
-                summary = peer.node.local if live else peer.node.shipped
-                if summary.contains_key(key):
-                    candidates.append(j)
+            while mask:
+                low = mask & -mask
+                candidates.append(low.bit_length() - 1)
+                mask ^= low
 
             fresh = None
             stale_seen = False
@@ -301,13 +308,15 @@ def simulate_summary_sharing(
             # Fetch (from peer or origin) and cache locally, then check the
             # update trigger -- insertion may have pushed us past threshold.
             me.cache.put(req.url, req.size, version=req.version)
-            if not live and me.node.due_for_update(
+            if live or me.node.due_for_update(
                 cfg.update_policy, req.timestamp, len(me.cache)
             ):
                 delta = me.node.publish(req.timestamp)
+                shipped.apply_delta(g, delta)
+                if live:
+                    continue  # no update delay: no message to count
                 fanout = num_proxies - 1
-                num_bits = getattr(me.node.local, "num_bits", None)
-                update_bytes = _delta_bytes(delta, num_bits) * fanout
+                update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
                 msgs.update_messages += fanout
                 msgs.update_bytes += update_bytes
                 update_drains += 1

@@ -22,7 +22,13 @@ from repro.benchmarkkit.wisconsin import WisconsinConfig, generate_client_stream
 from repro.simulation.costs import CostModel
 from repro.simulation.engine import Engine
 from repro.simulation.network import NetworkModel
-from repro.simulation.nodes import SimClient, SimOrigin, SimProxy, SimProxyConfig
+from repro.simulation.nodes import (
+    SimClient,
+    SimOrigin,
+    SimProxy,
+    SimProxyConfig,
+    connect,
+)
 from repro.traces.model import Request, Trace
 from repro.traces.partition import group_of
 
@@ -91,8 +97,7 @@ def _build_cluster(
         SimProxy(engine, i, proxy_config, costs, network, origin)
         for i in range(num_proxies)
     ]
-    for proxy in proxies:
-        proxy.peers = [p for p in proxies if p is not proxy]
+    connect(proxies)
     return origin, proxies
 
 

@@ -14,16 +14,18 @@ thinking time in between").
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.cache import WebCache
 from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
 from repro.summaries import (
     PacketFillUpdatePolicy,
+    PeerSummaries,
     SummaryConfig,
     SummaryNode,
     UpdatePolicy,
+    slots_of,
 )
 from repro.proxy.config import ProxyMode
 from repro.simulation.costs import CostModel, CpuAccount
@@ -130,25 +132,25 @@ class SimProxy:
         self.cpu: Resource = engine.resource(f"cpu{index}")
         self.cpu_account = CpuAccount()
         self.counters = PacketCounters()
-        #: The local summary plus its update bookkeeping.  The node
-        #: does not track the shipped copy: here delivery takes
-        #: simulated time, so the DES owns it (below).
+        #: The local summary plus its update bookkeeping.
         self.node = SummaryNode(
             config.summary,
             config.cache_capacity,
             doc_size=config.expected_doc_size,
-            track_shipped=False,
         )
-        #: The summary copy peers currently hold (deltas are applied
-        #: here when DIRUPDATE dissemination completes).
-        self.shipped = self.node.local.export()
         self.cache = WebCache(
             config.cache_capacity,
             max_object_size=config.max_object_size,
             on_insert=self.node.on_insert,
             on_evict=self.node.on_evict,
         )
+        #: Set by :func:`connect`: the other proxies, the whole cluster
+        #: in index order, and the summary copies the cluster's peers
+        #: currently hold (slot i is proxy i's; a delta is applied when
+        #: its DIRUPDATE dissemination completes).
         self.peers: List["SimProxy"] = []
+        self.cluster: Sequence["SimProxy"]
+        self.peer_summaries: PeerSummaries
         # Outcome tallies.
         self.http_requests = 0
         self.local_hits = 0
@@ -202,12 +204,12 @@ class SimProxy:
     def _candidates(self, request: Request) -> List["SimProxy"]:
         if self.config.mode is ProxyMode.ICP:
             return list(self.peers)
-        # SC-ICP: probe the peers' shipped summaries (one MD5 per URL;
-        # the cluster is built from one config, so one key fits all).
+        # SC-ICP: probe the peers' shipped summaries (one MD5 per URL).
         self.cpu_account.charge(user=self.costs.md5_user)
-        key = self.node.local.key_of(request.url)
+        shipped = self.peer_summaries
+        mask = shipped.probe(shipped.key_of(request.url))
         return [
-            peer for peer in self.peers if peer.shipped.contains_key(key)
+            self.cluster[j] for j in slots_of(mask & ~(1 << self.index))
         ]
 
     def _try_peers(self, request: Request):
@@ -347,7 +349,7 @@ class SimProxy:
                 system=peer.costs.dirupdate_system * num_messages,
             )
         # Model delivery: after the LAN latency all peers hold the new
-        # bits (applied to the single shared shipped copy).
+        # bits (applied to this proxy's slot of the shared copies).
         done = self.engine.signal()
         self.engine.call_later(
             self.network.transfer_time(message_bytes),
@@ -358,7 +360,7 @@ class SimProxy:
         yield done
 
     def _apply_update(self, delta, done) -> None:
-        self.shipped.apply_delta(delta)
+        self.peer_summaries.apply_delta(self.index, delta)
         done.fire()
 
     def _hierarchy_update(self, delta, num_messages, message_bytes):
@@ -446,7 +448,7 @@ class SimProxy:
             )
         state["delivered"] += 1
         if state["delivered"] == len(order):
-            self.shipped.apply_delta(delta)
+            self.peer_summaries.apply_delta(self.index, delta)
 
     # -- helpers ---------------------------------------------------------
 
@@ -457,6 +459,19 @@ class SimProxy:
             self.network.transfer_time(num_bytes), done.fire
         )
         return done
+
+
+def connect(proxies: Sequence[SimProxy]) -> None:
+    """Make *proxies* one cluster: every proxy peers with all others.
+
+    ``proxies[i].index`` must be ``i``: it is the proxy's slot in the
+    cluster's shared :class:`~repro.summaries.PeerSummaries`.
+    """
+    shipped = PeerSummaries.of([proxy.node.local for proxy in proxies])
+    for proxy in proxies:
+        proxy.peers = [p for p in proxies if p is not proxy]
+        proxy.cluster = proxies
+        proxy.peer_summaries = shipped
 
 
 class SimClient:

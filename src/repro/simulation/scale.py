@@ -37,6 +37,7 @@ from repro.simulation.nodes import (
     SimOrigin,
     SimProxy,
     SimProxyConfig,
+    connect,
 )
 from repro.summaries import ThresholdUpdatePolicy
 from repro.traces.model import Request
@@ -154,8 +155,7 @@ def run_scale_experiment(
         SimProxy(engine, i, config, costs, network, origin)
         for i in range(num_proxies)
     ]
-    for proxy in proxies:
-        proxy.peers = [p for p in proxies if p is not proxy]
+    connect(proxies)
 
     clients: List[SimClient] = []
     for group in range(num_proxies):

@@ -12,6 +12,8 @@ wire protocol, and the live asyncio proxy all consume the same classes:
   update bookkeeping);
 - :mod:`repro.summaries.exact`, :mod:`repro.summaries.servername`,
   :mod:`repro.summaries.bloom` -- one module per representation;
+- :mod:`repro.summaries.peers` -- :class:`PeerSummaries`, every peer's
+  shipped copy in one bit-sliced store, probed in one pass;
 - :mod:`repro.summaries.policies` -- threshold / interval / packet-fill
   update policies;
 - :mod:`repro.summaries.codec` -- representation-tagged delta and
@@ -32,6 +34,7 @@ from repro.summaries.backend import (
 )
 from repro.summaries.bloom import BloomRemote, BloomSummary
 from repro.summaries.exact import ExactDirectoryRemote, ExactDirectorySummary
+from repro.summaries.peers import PeerSummaries, slots_of
 from repro.summaries.policies import (
     IntervalUpdatePolicy,
     PacketFillUpdatePolicy,
@@ -53,6 +56,7 @@ __all__ = [
     "IntervalUpdatePolicy",
     "LocalSummary",
     "PacketFillUpdatePolicy",
+    "PeerSummaries",
     "RemoteSummary",
     "ServerNameRemote",
     "ServerNameSummary",
@@ -63,4 +67,5 @@ __all__ = [
     "expected_documents_for_cache",
     "make_local_summary",
     "parse_update_policy",
+    "slots_of",
 ]

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -138,27 +139,15 @@ class BitFlipDelta:
 class RemoteSummary(ABC):
     """A peer's (possibly stale) view of another proxy's directory.
 
-    Probing twice: :meth:`may_contain` is the convenient form;
-    :meth:`key_of` + :meth:`contains_key` split the (potentially
-    expensive) key derivation from the probe so a simulator checking
-    one URL against many peer summaries hashes it once.
+    One copy per peer is what the live proxy holds (its peers resize
+    independently and arrive over the wire).  The simulators, whose
+    peers all share one configuration, hold the same copies bit-sliced
+    in one :class:`~repro.summaries.peers.PeerSummaries` instead.
     """
 
     @abstractmethod
     def may_contain(self, url: str) -> bool:
         """Probe the summary; a ``False`` is authoritative for this copy."""
-
-    @abstractmethod
-    def key_of(self, url: str) -> Any:
-        """Derive the probe key for *url* (digest, name, or positions).
-
-        The key is opaque: valid only for :meth:`contains_key` of the
-        same representation.
-        """
-
-    @abstractmethod
-    def contains_key(self, key: Any) -> bool:
-        """Probe with a key previously derived by :meth:`key_of`."""
 
     @abstractmethod
     def apply_delta(self, delta: SummaryDelta) -> None:
@@ -190,15 +179,13 @@ class LocalSummary(ABC):
 
     @abstractmethod
     def key_of(self, url: str) -> Any:
-        """Derive the probe key for *url* (digest, name, or positions).
+        """The key this summary files *url* under: its MD5 digest, its
+        server name, or its bit positions in this filter's geometry.
 
-        The key is opaque: valid only for :meth:`contains_key` of the
-        same representation.
+        Deriving it is the expensive half of a probe, so
+        :class:`~repro.summaries.peers.PeerSummaries` takes it once per
+        URL and answers for every peer from it.
         """
-
-    @abstractmethod
-    def contains_key(self, key: Any) -> bool:
-        """Probe with a key previously derived by :meth:`key_of`."""
 
     @abstractmethod
     def drain_delta(self) -> SummaryDelta:
@@ -271,12 +258,6 @@ class DigestSetRemote(RemoteSummary):
     def may_contain(self, url: str) -> bool:
         return self._key(url) in self._digests
 
-    def key_of(self, url: str) -> DigestKey:
-        return self._key(url)
-
-    def contains_key(self, key: Any) -> bool:
-        return key in self._digests
-
     def apply_delta(self, delta: SummaryDelta) -> None:
         if not isinstance(delta, DigestDelta):
             raise SummaryMismatchError(
@@ -292,6 +273,9 @@ class DigestSetRemote(RemoteSummary):
 
     def __len__(self) -> int:
         return len(self._digests)
+
+    def __iter__(self) -> Iterator[DigestKey]:
+        return iter(self._digests)
 
 
 def expected_documents_for_cache(
@@ -335,30 +319,27 @@ def make_local_summary(
 
 
 class SummaryNode:
-    """One proxy's summary state plus update-policy bookkeeping.
+    """One proxy's local summary plus update-policy bookkeeping.
 
-    Bundles the local summary, optionally the *shipped* copy peers
-    currently hold (the Section V simulator's reliable-multicast
-    assumption collapses the n-1 identical peer copies into one), and
-    the counters the update policies consult.  The Section V simulator,
-    the discrete-event simulator and the live proxy all drive their
-    summaries through this class, so the "when is an update due" logic
-    exists exactly once.
+    Bundles the local summary with the counters the update policies
+    consult.  The Section V simulator, the discrete-event simulator and
+    the live proxy all drive their summaries through this class, so the
+    "when is an update due" logic exists exactly once.  The copies
+    peers hold are not kept here: :meth:`publish` hands the drained
+    delta to the caller, which applies it to its
+    :class:`~repro.summaries.peers.PeerSummaries` (simulators) or puts
+    it on the wire (proxy).
     """
 
-    __slots__ = ("local", "shipped", "new_since_update", "last_update_time")
+    __slots__ = ("local", "new_since_update", "last_update_time")
 
     def __init__(
         self,
         config: SummaryConfig,
         cache_capacity: int,
         doc_size: int = AVERAGE_DOCUMENT_SIZE,
-        track_shipped: bool = True,
     ) -> None:
         self.local = make_local_summary(config, cache_capacity, doc_size=doc_size)
-        self.shipped: Optional[RemoteSummary] = (
-            self.local.export() if track_shipped else None
-        )
         self.new_since_update = 0
         self.last_update_time = 0.0
 
@@ -374,7 +355,7 @@ class SummaryNode:
     def due_for_update(
         self, policy: UpdatePolicy, now: float, cached_documents: int
     ) -> bool:
-        """Check whether the shipped summary should be refreshed."""
+        """Check whether the copies peers hold should be refreshed."""
         return policy.due(
             new_documents=self.new_since_update,
             cached_documents=cached_documents,
@@ -384,13 +365,11 @@ class SummaryNode:
         )
 
     def publish(self, now: float) -> SummaryDelta:
-        """Drain the pending delta (into the shipped copy, if tracked).
+        """Drain the pending delta and reset the update bookkeeping.
 
-        Returns the delta (for message building or size accounting).
+        Returns the delta, for the caller to deliver.
         """
         delta = self.local.drain_delta()
-        if self.shipped is not None:
-            self.shipped.apply_delta(delta)
         self.new_since_update = 0
         self.last_update_time = now
         return delta
@@ -408,7 +387,5 @@ class SummaryNode:
         stored *digests* to skip re-hashing the directory.
         """
         self.local.rebuild(urls, digests=digests)
-        if self.shipped is not None:
-            self.shipped = self.local.export()
         self.new_since_update = 0
         self.last_update_time = now

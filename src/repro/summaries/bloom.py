@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.counting_bloom import CountingBloomFilter
@@ -32,16 +32,6 @@ class BloomRemote(RemoteSummary):
 
     def may_contain(self, url: str) -> bool:
         return self.filter.may_contain(url)
-
-    def key_of(self, url: str) -> Tuple[int, ...]:
-        return self.filter.positions(url)
-
-    def contains_key(self, key: Any) -> bool:
-        get = self.filter.bits.get
-        for pos in key:
-            if not get(pos):
-                return False
-        return True
 
     def apply_delta(self, delta: SummaryDelta) -> None:
         if not isinstance(delta, BitFlipDelta):
@@ -112,13 +102,6 @@ class BloomSummary(LocalSummary):
 
     def key_of(self, url: str) -> Tuple[int, ...]:
         return self._cbf.filter.positions(url)
-
-    def contains_key(self, key: Any) -> bool:
-        get = self._cbf.filter.bits.get
-        for pos in key:
-            if not get(pos):
-                return False
-        return True
 
     def drain_delta(self) -> BitFlipDelta:
         return BitFlipDelta(flips=self._cbf.drain_flips())

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Set
+from typing import Iterable, Mapping, Optional, Set
 
 from repro.core.hashing import md5_digest
 from repro.errors import SummaryStateError
@@ -52,9 +52,6 @@ class ExactDirectorySummary(LocalSummary):
 
     def key_of(self, url: str) -> bytes:
         return md5_digest(url)
-
-    def contains_key(self, key: Any) -> bool:
-        return key in self._digests
 
     def drain_delta(self) -> DigestDelta:
         delta = DigestDelta(

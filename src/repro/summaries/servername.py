@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping, Optional, Set
 
 from repro.errors import SummaryStateError
 from repro.summaries.backend import DigestDelta, DigestSetRemote, LocalSummary
@@ -61,9 +61,6 @@ class ServerNameSummary(LocalSummary):
 
     def key_of(self, url: str) -> str:
         return server_of(url)
-
-    def contains_key(self, key: Any) -> bool:
-        return key in self._refcounts
 
     def drain_delta(self) -> DigestDelta:
         delta = DigestDelta(

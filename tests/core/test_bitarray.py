@@ -185,24 +185,26 @@ class TestCounterArray:
 
     def test_increment_and_decrement(self):
         counters = CounterArray(10)
-        assert counters.increment(3) == 1
-        assert counters.increment(3) == 2
-        assert counters.decrement(3) == 1
-        assert counters.decrement(3) == 0
+        assert counters.increment_many([3]) == [3]  # went 0 -> 1
+        assert counters.increment_many([3]) == []
+        assert counters.get(3) == 2
+        assert counters.decrement_many([3]) == []
+        assert counters.decrement_many([3]) == [3]  # went 1 -> 0
+        assert counters.get(3) == 0
 
     def test_underflow_raises(self):
         counters = CounterArray(4)
         with pytest.raises(ValueError):
-            counters.decrement(0)
+            counters.decrement_many([0])
 
     def test_saturation_sticks_at_max(self):
         counters = CounterArray(4, width=2)  # max value 3
         for _ in range(5):
-            counters.increment(1)
+            counters.increment_many([1])
         assert counters.get(1) == 3
         assert counters.saturation_events == 2
         # The paper's rule: a saturated counter is never decremented.
-        assert counters.decrement(1) == 3
+        assert counters.decrement_many([1]) == []
         assert counters.get(1) == 3
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -211,25 +213,47 @@ class TestCounterArray:
         top = counters.max_value
         assert top == (1 << width) - 1
         for _ in range(top):
-            counters.increment(7)
+            counters.increment_many([7])
         assert counters.get(7) == top
 
     def test_neighbours_do_not_interfere(self):
         # Two 4-bit counters share a byte; mutating one must not leak.
         counters = CounterArray(10, width=4)
-        counters.increment(4)
-        counters.increment(5)
-        counters.increment(5)
+        counters.increment_many([4, 5, 5])
         assert counters.get(4) == 1
         assert counters.get(5) == 2
-        counters.decrement(5)
+        counters.decrement_many([5])
         assert counters.get(4) == 1
 
     def test_nonzero_indices(self):
         counters = CounterArray(16)
-        counters.increment(2)
-        counters.increment(9)
+        counters.increment_many([2, 9])
         assert counters.nonzero_indices() == [2, 9]
+
+    def test_duplicate_index_counts_twice_but_reports_once(self):
+        # Two of a key's hash functions may land on one position.
+        counters = CounterArray(8)
+        assert counters.increment_many([5, 5, 2]) == [5, 2]
+        assert counters.get(5) == 2
+        assert counters.decrement_many([5, 5, 2]) == [5, 2]
+        assert counters.nonzero_indices() == []
+
+    def test_bad_increment_moves_no_counter(self):
+        counters = CounterArray(8)
+        with pytest.raises(IndexError):
+            counters.increment_many([1, 2, 8])
+        assert counters.nonzero_indices() == []
+
+    @pytest.mark.parametrize("bad", [[1, 2, 3], [1, 2, 2], [1, 2, 8]])
+    def test_bad_decrement_moves_no_counter(self, bad):
+        # 3 was never counted, 2 only once, 8 is out of range: the
+        # counters before the offending index must be put back.
+        counters = CounterArray(8)
+        counters.increment_many([1, 1, 2])
+        before = counters.to_bytes()
+        with pytest.raises((ValueError, IndexError)):
+            counters.decrement_many(bad)
+        assert counters.to_bytes() == before
 
     def test_load_from(self):
         counters = CounterArray(4, width=4)
@@ -260,19 +284,55 @@ class TestCounterArray:
 
     @given(
         st.lists(
-            st.tuples(st.integers(0, 49), st.booleans()),
-            max_size=400,
+            st.tuples(
+                st.booleans(),
+                st.lists(st.integers(0, 11), min_size=1, max_size=4),
+            ),
+            max_size=200,
         )
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_counter_model(self, ops):
-        counters = CounterArray(50, width=8)
-        reference = [0] * 50
-        for index, is_increment in ops:
+        """``increment_many`` / ``decrement_many`` against the scalar
+        rules applied one index at a time, for every width, with
+        duplicate indices inside a batch and counters at the ceiling."""
+        for width in CounterArray.SUPPORTED_WIDTHS:
+            self.check_against_scalar_reference(width, ops)
+
+    @staticmethod
+    def check_against_scalar_reference(width, ops):
+        counters = CounterArray(12, width=width)
+        top = counters.max_value
+        reference = [0] * 12
+        saturated = 0
+        for is_increment, batch in ops:
             if is_increment:
-                counters.increment(index)
-                reference[index] = min(255, reference[index] + 1)
-            elif reference[index] > 0:
-                counters.decrement(index)
-                reference[index] -= 1
-        assert [counters.get(i) for i in range(50)] == reference
+                raised = []
+                for index in batch:
+                    if reference[index] == top:
+                        saturated += 1
+                        continue
+                    reference[index] += 1
+                    if reference[index] == 1:
+                        raised.append(index)
+                assert counters.increment_many(batch) == raised
+                continue
+            trial = list(reference)
+            cleared = []
+            for index in batch:
+                if trial[index] == top:
+                    continue
+                if trial[index] == 0:
+                    trial = None
+                    break
+                trial[index] -= 1
+                if trial[index] == 0:
+                    cleared.append(index)
+            if trial is None:
+                with pytest.raises(ValueError):
+                    counters.decrement_many(batch)
+            else:
+                assert counters.decrement_many(batch) == cleared
+                reference = trial
+        assert [counters.get(i) for i in range(12)] == reference
+        assert counters.saturation_events == saturated

@@ -83,6 +83,21 @@ class TestBloomFilterUpdatesAndSerialization:
         assert filt.apply_flips(flips) == 2
         assert filt.apply_flips(flips) == 0
 
+    def test_apply_flips_last_record_wins(self):
+        # Absolute records: a (hostile) delta repeating an index leaves
+        # the bit at the last value listed, whichever order they come in.
+        filt = BloomFilter(128)
+        assert filt.apply_flips([(9, True), (9, False), (4, False), (4, True)]) == 3
+        assert not filt.bits.get(9)
+        assert filt.bits.get(4)
+        assert filt.bits.popcount == 1
+
+    def test_apply_flips_bad_index_keeps_popcount_true(self):
+        filt = BloomFilter(16)
+        with pytest.raises(IndexError):
+            filt.apply_flips([(3, True), (16, True)])
+        assert filt.bits.popcount == sum(1 for _ in filt.bits.iter_set_bits())
+
     def test_set_bit(self):
         filt = BloomFilter(64)
         assert filt.set_bit(5, True) is True
@@ -148,13 +163,3 @@ class TestBatchOperations:
         batched = BloomFilter(2048)
         batched.add_many(urls)
         assert batched == one_by_one
-
-    def test_may_contain_many_matches_scalar(self):
-        filt = BloomFilter(2048)
-        present = [f"http://in{i}.com/p" for i in range(20)]
-        absent = [f"http://out{i}.com/p" for i in range(20)]
-        filt.add_many(present)
-        probes = present + absent
-        assert filt.may_contain_many(probes) == [
-            filt.may_contain(u) for u in probes
-        ]

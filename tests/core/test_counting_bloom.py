@@ -43,6 +43,46 @@ class TestAddRemove:
             cbf.remove("http://never-added.com/y")
         assert cbf.snapshot() == before
 
+    def test_bad_remove_midway_leaves_counters_bits_and_flips(self):
+        # A tiny filter, so an absent key shares its first position with
+        # present keys: that counter could be decremented before the
+        # zero one further on is met.  Nothing may move.
+        cbf = CountingBloomFilter(16)
+        for key in ("a", "b"):
+            cbf.add(key)
+
+        def fails_midway(key):
+            counts = [cbf.counters.get(p) for p in cbf.filter.positions(key)]
+            return counts[0] > 0 and 0 in counts
+
+        absent = next(
+            key for key in (f"absent{i}" for i in range(1000))
+            if fails_midway(key)
+        )
+        counters = cbf.counters.to_bytes()
+        bits = cbf.snapshot()
+        pending = cbf.peek_flips()
+        with pytest.raises(ValueError):
+            cbf.remove(absent)
+        assert cbf.counters.to_bytes() == counters
+        assert cbf.snapshot() == bits
+        assert cbf.peek_flips() == pending
+        assert cbf.pending_flip_count == len(pending)
+        assert cbf.keys_added == 2
+
+    def test_colliding_positions_of_one_key_count_twice(self):
+        # Two bits, four hash functions: positions repeat within the key.
+        cbf = CountingBloomFilter(2)
+        cbf.add("k")
+        positions = cbf.filter.positions("k")
+        assert len(set(positions)) < len(positions)
+        assert sum(cbf.counters.get(p) for p in set(positions)) == 4
+        assert sorted(cbf.peek_flips()) == [(p, True) for p in sorted(set(positions))]
+        cbf.remove("k")
+        assert cbf.counters.nonzero_indices() == []
+        assert cbf.fill_ratio() == 0.0
+        assert cbf.drain_flips() == []
+
     def test_keys_added_tracks_net_count(self):
         cbf = CountingBloomFilter(1024)
         for i in range(5):

@@ -10,6 +10,7 @@ from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BloomSummary,
     ExactDirectorySummary,
+    PeerSummaries,
     ServerNameSummary,
     SummaryConfig,
     expected_documents_for_cache,
@@ -66,11 +67,15 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize("summary", make_all_summaries())
     def test_key_of_contains_key_agrees_with_may_contain(self, summary):
+        """``contains_key`` became ``PeerSummaries.probe``: the key a
+        summary derives, probed against its exported copy, answers like
+        ``may_contain``."""
         for url in URLS[:10]:
             summary.add(url)
+        copies = PeerSummaries.of([summary])
         for url in URLS:
-            key = summary.key_of(url)
-            assert summary.contains_key(key) == summary.may_contain(url)
+            held = copies.probe(summary.key_of(url))
+            assert held == int(summary.may_contain(url))
 
     @pytest.mark.parametrize("summary", make_all_summaries())
     def test_remote_copy_converges_via_deltas(self, summary):

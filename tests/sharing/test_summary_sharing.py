@@ -177,6 +177,39 @@ class TestRepresentations:
         assert abs(ratios[0] - ratios[1]) < 0.02
 
 
+class TestUnequalCapacities:
+    """A per-proxy capacity sequence gives Bloom filters of different
+    sizes, so one URL has different bit positions at different peers.
+    The probe key used to be derived from proxy 0's geometry alone: the
+    big-then-small order indexed past the small filters' end, and the
+    small-then-big order silently missed most remote hits."""
+
+    @pytest.mark.parametrize(
+        "capacities",
+        [
+            [1024 * 1024] + [256 * 1024] * 15,
+            [256 * 1024] + [1024 * 1024] * 15,
+        ],
+        ids=["big-first", "small-first"],
+    )
+    def test_bloom_tracks_exact_directory(self, capacities):
+        from repro.traces.workloads import make_workload
+
+        trace, _ = make_workload("dec", scale=0.02, seed=1)
+
+        def replay(kind):
+            cfg = SummarySharingConfig(summary=SummaryConfig(kind=kind))
+            return simulate_summary_sharing(trace, 16, capacities, cfg)
+
+        exact = replay("exact-directory")
+        bloom = replay("bloom")
+        assert exact.remote_hits > 300  # the trace does share documents
+        # Bloom summaries add false hits; they do not lose the remote
+        # hits the exact directory finds under the same update delay.
+        assert abs(bloom.remote_hits - exact.remote_hits) <= bloom.false_hits
+        assert bloom.false_misses <= exact.false_misses + bloom.false_hits
+
+
 class TestIcpBaseline:
     def test_message_count_formula(self, small_trace):
         r = simulate_icp(small_trace, GROUPS, CAPACITY)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.summaries import (
+    PeerSummaries,
     SummaryConfig,
     SummaryNode,
     ThresholdUpdatePolicy,
@@ -18,6 +19,11 @@ from repro.summaries.servername import ServerNameSummary
 ALL_KINDS = ("bloom", "exact-directory", "server-name")
 
 URLS = [f"http://host{i % 7}.net/doc{i}" for i in range(40)]
+
+
+def shipped_holds(shipped: PeerSummaries, url: str) -> bool:
+    """Does the one shipped copy in *shipped* say it may hold *url*?"""
+    return shipped.probe(shipped.key_of(url)) == 1
 
 
 class TestFactory:
@@ -50,33 +56,35 @@ class TestSummaryNode:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_shipped_copy_lags_until_publish(self, kind):
         node = SummaryNode(SummaryConfig(kind=kind), 1024 * 1024)
+        shipped = PeerSummaries.of([node.local])
         for url in URLS:
             node.on_insert(url)
         # The live summary sees everything; the shipped copy nothing.
         assert all(node.local.may_contain(u) for u in URLS)
-        assert not any(node.shipped.may_contain(u) for u in URLS)
-        node.publish(now=1.0)
-        assert all(node.shipped.may_contain(u) for u in URLS)
+        assert not any(shipped_holds(shipped, u) for u in URLS)
+        shipped.apply_delta(0, node.publish(now=1.0))
+        assert all(shipped_holds(shipped, u) for u in URLS)
         assert node.new_since_update == 0
         assert node.last_update_time == 1.0
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_evictions_propagate_through_delta(self, kind):
         node = SummaryNode(SummaryConfig(kind=kind), 1024 * 1024)
+        shipped = PeerSummaries.of([node.local])
         for url in URLS:
             node.on_insert(url)
-        node.publish(now=1.0)
+        shipped.apply_delta(0, node.publish(now=1.0))
         victim = URLS[0]  # host0 URLs: doc0, doc7, ... share the server
         node.on_evict(victim)
-        node.publish(now=2.0)
+        shipped.apply_delta(0, node.publish(now=2.0))
         if kind == "server-name":
             # Other docs on host0 remain: the name must survive.
-            assert node.shipped.may_contain(victim)
+            assert shipped_holds(shipped, victim)
         elif kind == "exact-directory":
-            assert not node.shipped.may_contain(victim)
+            assert not shipped_holds(shipped, victim)
         # (Bloom may keep answering True: false positives are allowed.)
         survivors = [u for u in URLS[1:]]
-        assert all(node.shipped.may_contain(u) for u in survivors)
+        assert all(shipped_holds(shipped, u) for u in survivors)
 
     def test_due_for_update_consults_policy(self):
         node = SummaryNode(SummaryConfig(kind="bloom"), 1024 * 1024)
@@ -86,15 +94,14 @@ class TestSummaryNode:
         assert not node.due_for_update(policy, now=0.0, cached_documents=100)
         assert node.due_for_update(policy, now=0.0, cached_documents=50)
 
-    def test_untracked_node_keeps_no_shipped_copy(self):
-        node = SummaryNode(
-            SummaryConfig(kind="bloom"), 1024 * 1024, track_shipped=False
-        )
+    def test_publish_hands_the_delta_to_the_caller(self):
+        # The node keeps no shipped copy: delivery is the caller's job.
+        node = SummaryNode(SummaryConfig(kind="bloom"), 1024 * 1024)
         node.on_insert(URLS[0])
-        assert node.shipped is None
         delta = node.publish(now=1.0)
         assert not delta.is_empty()
-        assert node.shipped is None
+        assert node.local.pending_change_count() == 0
+        assert node.publish(now=2.0).is_empty()
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_rebuild_resets_bookkeeping(self, kind):
@@ -106,8 +113,9 @@ class TestSummaryNode:
         assert node.new_since_update == 0
         assert node.last_update_time == 5.0
         assert all(node.local.may_contain(u) for u in live)
-        # The shipped copy is refreshed wholesale (digest resync).
-        assert all(node.shipped.may_contain(u) for u in live)
+        # Peers resync wholesale: a fresh export holds the directory.
+        resynced = PeerSummaries.of([node.local])
+        assert all(shipped_holds(resynced, u) for u in live)
 
     def test_bloom_rebuild_doubles_bits(self):
         node = SummaryNode(SummaryConfig(kind="bloom"), 64 * 1024)
