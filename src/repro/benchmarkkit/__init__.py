@@ -1,4 +1,4 @@
-"""Benchmark workloads and measurement harnesses.
+"""Benchmark workloads and the live load generator.
 
 :mod:`repro.benchmarkkit.wisconsin` mirrors the Wisconsin Proxy
 Benchmark 1.0 that Section IV describes: clients issue requests with no
@@ -7,22 +7,15 @@ alpha = 1.1", each client's stream has a tunable inherent hit ratio via
 temporal locality, and -- for the overhead experiments -- "the requests
 issued by different clients do not overlap; there is no remote cache
 hit among proxies."  :mod:`repro.benchmarkkit.loadgen` replays those
-streams against a live cluster; :mod:`repro.benchmarkkit.tracebench`
-measures the packed-trace engine (throughput, bounded-memory replay).
+streams against a live cluster.  Performance claims are measured by
+``bench/run.py``, not from here.
 """
 
 from repro.benchmarkkit.loadgen import (
     LoadGenConfig,
     LoadGenResult,
     render_comparison,
-    results_to_json,
     run_loadgen,
-)
-from repro.benchmarkkit.tracebench import (
-    bench_pack,
-    bench_scan,
-    bit_exact_check,
-    measure_replay_rss,
 )
 from repro.benchmarkkit.wisconsin import (
     WisconsinConfig,
@@ -33,12 +26,7 @@ __all__ = [
     "LoadGenConfig",
     "LoadGenResult",
     "WisconsinConfig",
-    "bench_pack",
-    "bench_scan",
-    "bit_exact_check",
     "generate_client_streams",
-    "measure_replay_rss",
     "render_comparison",
-    "results_to_json",
     "run_loadgen",
 ]

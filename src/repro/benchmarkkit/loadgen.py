@@ -18,10 +18,9 @@ interpolated quantiles ride along in the result.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.benchmarkkit.wisconsin import (
     WisconsinConfig,
@@ -109,34 +108,6 @@ class LoadGenResult:
     #: in-process proxies.
     peer_fetches: Optional[int] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (the `BENCH_proxy.json` shape)."""
-        out: Dict[str, Any] = {
-            "label": self.label,
-            "clients": self.clients,
-            "requests": self.requests,
-            "errors": self.errors,
-            "elapsed_seconds": round(self.elapsed_seconds, 4),
-            "requests_per_second": round(self.requests_per_second, 1),
-            "latency_p50_ms": round(self.latency_p50_ms, 3),
-            "latency_p99_ms": round(self.latency_p99_ms, 3),
-            "latency_mean_ms": round(self.latency_mean_ms, 3),
-            "bytes_received": self.bytes_received,
-            "connections_opened": self.connections_opened,
-            "cache_sources": dict(sorted(self.cache_sources.items())),
-        }
-        if self.proxy_phase_p50_ms is not None:
-            out["proxy_phase_p50_ms"] = round(self.proxy_phase_p50_ms, 3)
-        if self.proxy_phase_p99_ms is not None:
-            out["proxy_phase_p99_ms"] = round(self.proxy_phase_p99_ms, 3)
-        if self.origin_requests is not None:
-            out["origin_requests"] = self.origin_requests
-        if self.bytes_from_origin is not None:
-            out["bytes_from_origin"] = self.bytes_from_origin
-        if self.peer_fetches is not None:
-            out["peer_fetches"] = self.peer_fetches
-        return out
-
 
 def _quantile(sorted_samples: Sequence[float], q: float) -> float:
     """Exact q-quantile (nearest-rank) of pre-sorted samples."""
@@ -222,7 +193,6 @@ async def run_loadgen(
     label: str = "",
     proxies: Sequence[SummaryCacheProxy] = (),
     origin: Optional[OriginServer] = None,
-    drivers: Optional[List[ClientDriver]] = None,
 ) -> LoadGenResult:
     """Replay the Wisconsin workload over concurrent clients.
 
@@ -243,31 +213,17 @@ async def run_loadgen(
         The cluster's origin server; when given, the result reports the
         requests and body bytes the origin served *during this run*
         (deltas against its counters at entry).
-    drivers:
-        Reuse these drivers (one per concurrent client, e.g. from an
-        earlier run) instead of constructing fresh ones; each is
-        rebound to its target, which resets its per-run report.
-        Must match ``config.clients``.
     """
     if not targets:
         raise ConfigurationError("loadgen needs at least one target proxy")
     streams = generate_client_streams(config.workload())
-    if drivers is None:
-        drivers = [
-            ClientDriver(
-                *targets[client_id % len(targets)],
-                timeout=config.timeout,
-            )
-            for client_id in range(len(streams))
-        ]
-    else:
-        if len(drivers) != len(streams):
-            raise ConfigurationError(
-                f"got {len(drivers)} drivers for {len(streams)} clients"
-            )
-        for client_id, driver in enumerate(drivers):
-            host, port = targets[client_id % len(targets)]
-            await driver.rebind(host, port, timeout=config.timeout)
+    drivers = [
+        ClientDriver(
+            *targets[client_id % len(targets)],
+            timeout=config.timeout,
+        )
+        for client_id in range(len(streams))
+    ]
     origin_requests_before = origin.stats.requests if origin else 0
     origin_bytes_before = origin.stats.bytes_served if origin else 0
     peer_fetches_before = sum(
@@ -330,10 +286,14 @@ async def run_loadgen(
 def render_comparison(
     results: Sequence[LoadGenResult],
 ) -> str:
-    """Human-readable summary of one or more runs, one line each."""
+    """Human-readable summary of one or more runs, one line each.
+
+    Origin bytes and peer fetches appear when the run measured them
+    (see :func:`run_loadgen`'s ``origin`` and ``proxies``).
+    """
     lines = []
     for result in results:
-        lines.append(
+        line = (
             f"{result.label}: {result.requests} requests "
             f"({result.errors} errors) in {result.elapsed_seconds:.2f}s "
             f"= {result.requests_per_second:,.0f} req/s; "
@@ -341,13 +301,9 @@ def render_comparison(
             f"p99 {result.latency_p99_ms:.2f} ms; "
             f"{result.connections_opened} connections"
         )
+        if result.bytes_from_origin is not None:
+            line += f"; {result.bytes_from_origin:,} origin bytes"
+        if result.peer_fetches is not None:
+            line += f"; {result.peer_fetches} peer fetches"
+        lines.append(line)
     return "\n".join(lines)
-
-
-def results_to_json(
-    results: Sequence[LoadGenResult], **extra: Any
-) -> str:
-    """Serialize runs (plus caller-provided context) as a JSON record."""
-    payload: Dict[str, Any] = dict(extra)
-    payload["runs"] = [result.to_dict() for result in results]
-    return json.dumps(payload, indent=2, sort_keys=False)

@@ -23,9 +23,7 @@ the discrete-event simulator::
         --out dec.sctr
     summary-cache trace info dec.sctr
     summary-cache trace verify dec.sctr --workload dec --proxies 16
-    summary-cache trace bench --json benchmarks/BENCH_traces.json
-    summary-cache dissemination --proxies 100 \\
-        --policies unicast hierarchy --json benchmarks/BENCH_traces.json
+    summary-cache dissemination --proxies 100 --policies unicast hierarchy
     summary-cache simulate --workloads nlanr --jobs 4 --pack-dir /tmp/sctr
 
 and a live proxy cluster can be served on localhost with any summary
@@ -35,24 +33,22 @@ representation and update policy::
         --update-policy threshold:0.05 --duration 60
 
 and the proxy data plane can be load-tested with concurrent
-keep-alive clients replaying the Wisconsin workload::
+keep-alive clients replaying the Wisconsin workload, under any
+cooperation policy (summary / carp owner-routing / single-copy)::
 
-    summary-cache loadgen --proxies 2 --clients 16 --requests 200 \\
-        --json benchmarks/results/loadgen.json
-
-and cooperation policies (summary / carp owner-routing / single-copy)
-swept against each other at fixed total cache size::
-
-    summary-cache placement-bench --proxies 2 4 8 \\
-        --json benchmarks/BENCH_placement.json
+    summary-cache loadgen --proxies 2 --clients 16 --requests 200
+    summary-cache loadgen --proxies 4 --mode no-icp --cooperation carp \\
+        --shared-fraction 0.55 --shared-docs 192 --cache-mb 0.5
 
 and a cluster's observability (live or freshly booted) can be fused
-into one snapshot, traces reassembled across proxies, and the tracing
-overhead A/B-measured::
+into one snapshot and traces reassembled across proxies::
 
     summary-cache obs cluster --json snapshot.json
     summary-cache obs trace 1f2e3d4c --targets 127.0.0.1:8081 127.0.0.1:8082
-    summary-cache obs overhead --json benchmarks/BENCH_obs.json
+
+Performance is measured by one ruler, ``python3 bench/run.py`` (see
+``bench/README.md``); the records from before it are frozen tables in
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -348,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "obs",
         help=(
             "cluster-wide observability: fused /metrics + /trace "
-            "snapshots, cross-proxy traces, tracing overhead"
+            "snapshots and cross-proxy traces"
         ),
     )
     obs_sub = p.add_subparsers(dest="obs_command", required=True)
@@ -411,29 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         metavar="HOST:PORT",
         help="proxy HTTP endpoints whose rings to search",
-    )
-
-    po = obs_sub.add_parser(
-        "overhead",
-        help=(
-            "A/B-measure tracing overhead: identical loadgen runs on "
-            "fresh clusters with tracing enabled vs disabled"
-        ),
-    )
-    po.set_defaults(handler=_run_async(_obs_overhead))
-    po.add_argument("--proxies", type=int, default=3)
-    po.add_argument("--clients", type=int, default=8)
-    po.add_argument("--requests", type=int, default=150)
-    po.add_argument("--hit-ratio", type=float, default=0.25)
-    po.add_argument("--seed", type=int, default=1)
-    po.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "merge a tracing_overhead section into this BENCH_obs-style "
-            "JSON file (existing keys are preserved)"
-        ),
     )
 
     p = sub.add_parser(
@@ -506,93 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="distinct documents in the shared pool (default: 64)",
     )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="also write the runs as a BENCH_proxy-style JSON record",
-    )
-
-    p = sub.add_parser(
-        "placement-bench",
-        help=(
-            "sweep cluster size x cooperation policy over real sockets "
-            "and rank aggregate hit ratio + bytes from origin"
-        ),
-    )
-    p.set_defaults(handler=_run_async(_placement_bench))
-    p.add_argument(
-        "--proxies",
-        type=int,
-        nargs="+",
-        default=[2, 3, 4, 5, 6, 7, 8],
-        metavar="N",
-        help="cluster sizes to sweep (default: 2 3 4 5 6 7 8)",
-    )
-    p.add_argument(
-        "--clients",
-        type=int,
-        default=12,
-        help="concurrent clients per cell (default: 12)",
-    )
-    p.add_argument(
-        "--requests",
-        type=int,
-        default=150,
-        help="requests per client (default: 150)",
-    )
-    p.add_argument(
-        "--hit-ratio",
-        type=float,
-        default=0.05,
-        help="inherent hit ratio of each private stream (default: 0.05)",
-    )
-    p.add_argument(
-        "--shared-fraction",
-        type=float,
-        default=0.55,
-        help=(
-            "fraction of requests drawn from the cross-client shared "
-            "pool (default: 0.55, so the pool's bytes rival the total "
-            "cache and duplication has a visible cost)"
-        ),
-    )
-    p.add_argument(
-        "--shared-docs",
-        type=int,
-        default=192,
-        help="distinct documents in the shared pool (default: 192)",
-    )
-    p.add_argument(
-        "--mean-size",
-        type=int,
-        default=8 * 1024,
-        help="mean Pareto body size in bytes (default: 8192)",
-    )
-    p.add_argument(
-        "--total-cache-mb",
-        type=float,
-        default=2.0,
-        help=(
-            "total cache across the cluster, split evenly over N "
-            "proxies so every cell spends the same aggregate capacity "
-            "(default: 2)"
-        ),
-    )
-    p.add_argument(
-        "--replication",
-        type=int,
-        default=1,
-        metavar="R",
-        help="copies per object under owner routing (default: 1)",
-    )
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help="write the sweep as a BENCH_placement-style JSON record",
-    )
 
     p = sub.add_parser("gen-trace", help="write a synthetic trace to disk")
     p.set_defaults(handler=_gen_trace)
@@ -603,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
         "trace",
         help=(
             "packed binary traces (.sctr): pack once, inspect, verify "
-            "bit-exactness, benchmark bounded-memory replay"
+            "bit-exactness"
         ),
     )
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
@@ -653,60 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "additionally replay both sources through the N-proxy "
             "summary-sharing simulator and compare every counter"
-        ),
-    )
-
-    tp = trace_sub.add_parser(
-        "bench",
-        help=(
-            "measure pack/scan throughput and bounded-memory replay "
-            "(peak RSS in spawned subprocesses)"
-        ),
-    )
-    tp.set_defaults(handler=_trace_bench)
-    _add_workload_args(tp)
-    tp.add_argument("--seed", type=int, default=None)
-    tp.add_argument(
-        "--requests",
-        type=int,
-        default=10_000_000,
-        metavar="N",
-        help="length of the long packed trace (default: 10^7)",
-    )
-    tp.add_argument(
-        "--rss-requests",
-        nargs="+",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "trace lengths for the RSS flatness ladder (default: "
-            "requests/10 and requests)"
-        ),
-    )
-    tp.add_argument(
-        "--exact-requests",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="length of the bit-exactness cross-check (default: 10^5)",
-    )
-    tp.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for the packed files (default: a temporary "
-            "directory, removed afterwards)"
-        ),
-    )
-    tp.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "merge the results into this BENCH_traces-style JSON file "
-            "under the 'trace_engine' key"
         ),
     )
 
@@ -766,15 +598,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "replay this packed .sctr instead of packing the workload "
             "into a temporary file"
-        ),
-    )
-    p.add_argument(
-        "--json",
-        default=None,
-        metavar="PATH",
-        help=(
-            "merge the results into this BENCH_traces-style JSON file "
-            "under the 'dissemination' key"
         ),
     )
 
@@ -1174,98 +997,6 @@ async def _obs_trace(args: argparse.Namespace) -> int:
     return 0 if spans else 1
 
 
-async def _obs_overhead(args: argparse.Namespace) -> int:
-    """A/B the data plane with tracing enabled vs disabled.
-
-    Both phases replay the identical Wisconsin workload on a *fresh*
-    cluster; only ``trace_enabled`` differs, so the req/s delta is the
-    cost of span bookkeeping and context propagation on the full
-    request path.  (The bloom probe/insert microbenchmark bounds the
-    disabled-path cost separately -- see ``benchmarks/BENCH_obs.json``.)
-    """
-    import json as json_module
-    import os
-
-    from repro.benchmarkkit.loadgen import (
-        LoadGenConfig,
-        render_comparison,
-        run_loadgen,
-    )
-    from repro.proxy.cluster import ProxyCluster
-    from repro.proxy.config import ProxyConfig, ProxyMode
-
-    config = LoadGenConfig(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        target_hit_ratio=args.hit_ratio,
-        seed=args.seed,
-    )
-    results = []
-    for label, enabled in (
-        ("tracing_disabled", False),
-        ("tracing_enabled", True),
-    ):
-        async with ProxyCluster(
-            num_proxies=args.proxies,
-            mode=ProxyMode.SC_ICP,
-            base_config=ProxyConfig(trace_enabled=enabled),
-        ) as cluster:
-            results.append(
-                await run_loadgen(
-                    cluster.targets(),
-                    config,
-                    label=label,
-                    proxies=cluster.proxies,
-                )
-            )
-        print(render_comparison(results[-1:]), flush=True)
-    disabled, enabled_run = results
-    overhead = 0.0
-    if disabled.requests_per_second > 0:
-        overhead = (
-            1
-            - enabled_run.requests_per_second
-            / disabled.requests_per_second
-        ) * 100
-    print(
-        f"tracing overhead: {overhead:.1f}% requests/sec "
-        f"({enabled_run.requests_per_second:,.0f} enabled vs "
-        f"{disabled.requests_per_second:,.0f} disabled)"
-    )
-    if args.json:
-        record = {}
-        if os.path.exists(args.json):
-            with open(args.json, "r", encoding="utf-8") as fh:
-                record = json_module.load(fh)
-        record["tracing_overhead"] = {
-            "method": (
-                "summary-cache obs overhead: identical Wisconsin "
-                "loadgen runs on fresh clusters, trace_enabled=False "
-                "then True; overhead is the relative req/s drop. "
-                f"proxies={args.proxies} clients={args.clients} "
-                f"requests={args.requests} seed={args.seed}."
-            ),
-            "enabled_requests_per_second": round(
-                enabled_run.requests_per_second, 1
-            ),
-            "disabled_requests_per_second": round(
-                disabled.requests_per_second, 1
-            ),
-            "overhead_percent": round(overhead, 2),
-            "cache_sources_identical": (
-                disabled.cache_sources == enabled_run.cache_sources
-            ),
-        }
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json_module.dump(record, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"updated {args.json}")
-    return 0
-
-
 async def _loadgen(args: argparse.Namespace) -> int:
     """Measure req/s + latency of a live cluster under concurrent load.
 
@@ -1275,7 +1006,6 @@ async def _loadgen(args: argparse.Namespace) -> int:
     from repro.benchmarkkit.loadgen import (
         LoadGenConfig,
         render_comparison,
-        results_to_json,
         run_loadgen,
     )
     from repro.proxy.cluster import ProxyCluster
@@ -1306,47 +1036,6 @@ async def _loadgen(args: argparse.Namespace) -> int:
             origin=cluster.origin,
         )
     print(render_comparison([result]), flush=True)
-    if args.json:
-        import os
-
-        record = results_to_json(
-            [result],
-            benchmark="proxy_loadgen",
-            description=(
-                "Proxy data-plane throughput: the Wisconsin workload "
-                "replayed by concurrent no-think-time clients over "
-                "persistent connections against a live cluster with "
-                "pooled origin/peer fetches."
-            ),
-            host_cpu_count=os.cpu_count(),
-            method=(
-                "summary-cache loadgen --proxies "
-                f"{args.proxies} --mode {args.mode} --clients "
-                f"{args.clients} --requests {args.requests} --seed "
-                f"{args.seed}; a fresh in-process cluster (OS-assigned "
-                "ports, synthetic origin). Latency percentiles "
-                "are exact client-side samples; proxy_phase_* are "
-                "bucket-interpolated from the proxies' "
-                "proxy_request_phase_seconds histograms. Single run; "
-                "wall-clock swings +/-10-20% between runs on a small "
-                "container."
-            ),
-            proxies=args.proxies,
-            mode=args.mode,
-            cooperation=args.cooperation,
-            replication=args.replication,
-            clients=args.clients,
-            requests_per_client=args.requests,
-            target_hit_ratio=args.hit_ratio,
-            shared_fraction=args.shared_fraction,
-            seed=args.seed,
-        )
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(record + "\n")
-        print(f"wrote {args.json}")
     return 0
 
 
@@ -1411,228 +1100,6 @@ async def _sanitize_run(args: argparse.Namespace) -> int:
     return 1 if violations else 0
 
 
-async def _placement_bench(args: argparse.Namespace) -> int:
-    """Sweep cluster size x cooperation policy over real sockets.
-
-    Every cell replays the same shared-pool Wisconsin workload against
-    a fresh cluster whose *total* cache size is fixed (each of the N
-    proxies holds 1/N of it), so the sweep isolates how each
-    cooperation policy spends the same aggregate capacity: summary
-    duplicates every remote hit into the requesting proxy, carp routes
-    misses to the hash owner and keeps one copy cluster-wide,
-    single-copy discovers remote hits without copying them.
-    """
-    import json as json_module
-    import os
-
-    from repro.benchmarkkit.loadgen import LoadGenConfig, run_loadgen
-    from repro.proxy.cluster import ProxyCluster
-    from repro.proxy.config import ProxyMode
-
-    config = LoadGenConfig(
-        clients=args.clients,
-        requests_per_client=args.requests,
-        target_hit_ratio=args.hit_ratio,
-        mean_size=args.mean_size,
-        seed=args.seed,
-        shared_fraction=args.shared_fraction,
-        shared_docs=args.shared_docs,
-    )
-    policies = (
-        CooperationPolicy.SUMMARY,
-        CooperationPolicy.CARP,
-        CooperationPolicy.SINGLE_COPY,
-    )
-    runs: List[Dict[str, Any]] = []
-    rows: List[tuple] = []
-    for num_proxies in args.proxies:
-        cache_per_proxy = int(
-            args.total_cache_mb * 1024 * 1024 / num_proxies
-        )
-        for policy in policies:
-            # Owner routing replaces discovery outright, so carp runs
-            # without summaries; the discovery policies need them.
-            mode = (
-                ProxyMode.NO_ICP
-                if policy.routes_by_owner
-                else ProxyMode.SC_ICP
-            )
-            async with ProxyCluster(
-                num_proxies=num_proxies,
-                mode=mode,
-                cache_capacity=cache_per_proxy,
-                cooperation=policy,
-                replication=args.replication,
-            ) as cluster:
-                result = await run_loadgen(
-                    cluster.targets(),
-                    config,
-                    label=f"{policy.value}_n{num_proxies}",
-                    proxies=cluster.proxies,
-                    origin=cluster.origin,
-                )
-                stats = [proxy.stats for proxy in cluster.proxies]
-            http_requests = sum(s.http_requests for s in stats)
-            hits = sum(s.local_hits + s.remote_hits for s in stats)
-            hit_ratio = hits / http_requests if http_requests else 0.0
-            record = result.to_dict()
-            record.update(
-                proxies=num_proxies,
-                cooperation=policy.value,
-                mode=mode.value,
-                cache_per_proxy_bytes=cache_per_proxy,
-                aggregate_hit_ratio=round(hit_ratio, 4),
-            )
-            runs.append(record)
-            rows.append(
-                (
-                    str(num_proxies),
-                    policy.value,
-                    f"{hit_ratio:.3f}",
-                    f"{result.bytes_from_origin:,}",
-                    str(result.origin_requests),
-                    str(result.peer_fetches),
-                    f"{result.errors}",
-                )
-            )
-            print(
-                f"n={num_proxies} {policy.value}: "
-                f"hit-ratio {hit_ratio:.3f}, "
-                f"bytes-from-origin {result.bytes_from_origin:,}",
-                flush=True,
-            )
-    headers = (
-        "N",
-        "cooperation",
-        "hit-ratio",
-        "origin-bytes",
-        "origin-req",
-        "peer-fetch",
-        "errors",
-    )
-    print(
-        format_table(
-            headers,
-            rows,
-            title=(
-                f"Placement sweep (total cache {args.total_cache_mb:g} "
-                f"MiB, shared fraction {args.shared_fraction:g})"
-            ),
-        )
-    )
-    by_cell = {(r["proxies"], r["cooperation"]): r for r in runs}
-    comparison: Dict[str, Any] = {}
-    for num_proxies in args.proxies:
-        carp = by_cell.get((num_proxies, "carp"))
-        summary = by_cell.get((num_proxies, "summary"))
-        if carp is None or summary is None:
-            continue
-        comparison[str(num_proxies)] = {
-            "carp_bytes_from_origin": carp["bytes_from_origin"],
-            "summary_bytes_from_origin": summary["bytes_from_origin"],
-            "carp_saves_origin_bytes": (
-                carp["bytes_from_origin"] < summary["bytes_from_origin"]
-            ),
-        }
-        verdict = (
-            "beats"
-            if carp["bytes_from_origin"] < summary["bytes_from_origin"]
-            else "does NOT beat"
-        )
-        print(
-            f"carp {verdict} summary at N={num_proxies}: "
-            f"{carp['bytes_from_origin']:,} vs "
-            f"{summary['bytes_from_origin']:,} bytes from origin"
-        )
-    if args.json:
-        payload = {
-            "benchmark": "placement",
-            "description": (
-                "Aggregate hit ratio and bytes-from-origin for "
-                "cooperation policies on a live cluster: the shared-"
-                "pool Wisconsin workload replayed by concurrent "
-                "clients over real sockets, total cache size held "
-                "constant while N and the policy vary.  summary "
-                "caches remote hits locally (duplicates), carp hash-"
-                "routes misses to one owner copy, single-copy "
-                "discovers remote hits without duplicating them."
-            ),
-            "method": (
-                "summary-cache placement-bench --proxies "
-                + " ".join(str(n) for n in args.proxies)
-                + f" --clients {args.clients} --requests "
-                f"{args.requests} --hit-ratio {args.hit_ratio:g} "
-                f"--shared-fraction {args.shared_fraction:g} "
-                f"--shared-docs {args.shared_docs} --total-cache-mb "
-                f"{args.total_cache_mb:g} --seed {args.seed}; each "
-                "cell is a fresh in-process cluster (OS-assigned "
-                "ports, synthetic origin) replaying the identical "
-                "workload; carp cells run mode=no-icp (owner routing "
-                "needs no summaries), discovery cells run mode=sc-icp. "
-                "bytes_from_origin is the origin server's served-body "
-                "delta over the run."
-            ),
-            "host_cpu_count": os.cpu_count(),
-            "total_cache_mb": args.total_cache_mb,
-            "clients": args.clients,
-            "requests_per_client": args.requests,
-            "target_hit_ratio": args.hit_ratio,
-            "shared_fraction": args.shared_fraction,
-            "shared_docs": args.shared_docs,
-            "mean_size": args.mean_size,
-            "replication": args.replication,
-            "seed": args.seed,
-            "runs": runs,
-            "carp_vs_summary": comparison,
-        }
-        parent = os.path.dirname(args.json)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json_module.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-        print(f"wrote {args.json}")
-    return 0
-
-
-def _merge_bench_json(path: str, key: str, section: Dict[str, Any]) -> None:
-    """Merge *section* under *key* into the JSON document at *path*.
-
-    ``trace bench`` and ``dissemination`` both contribute to
-    ``BENCH_traces.json``; each rewrites only its own key so the two
-    commands can run in either order (or separately in CI) without
-    clobbering each other's numbers.
-    """
-    import json as json_module
-    import os
-
-    payload: Dict[str, Any] = {
-        "benchmark": "traces",
-        "description": (
-            "Streaming trace engine: packed binary traces "
-            "(struct records + URL string table), mmap-backed "
-            "bounded-memory replay, and the measured Section V-F "
-            "cluster run with summary dissemination as an axis."
-        ),
-    }
-    if os.path.exists(path):
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = json_module.load(fh)
-            if isinstance(existing, dict):
-                payload.update(existing)
-        except (OSError, ValueError):
-            pass
-    payload[key] = section
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json_module.dump(payload, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-    print(f"wrote {path} ({key})")
-
-
 def _trace_pack(args: argparse.Namespace) -> int:
     from time import perf_counter
 
@@ -1682,12 +1149,16 @@ def _trace_info(args: argparse.Namespace) -> int:
 
 
 def _trace_verify(args: argparse.Namespace) -> int:
-    """Record-by-record comparison against the regenerated workload."""
+    """Record-by-record comparison against the regenerated workload.
+
+    With ``--proxies N``, both sources are also replayed through the
+    N-proxy summary-sharing simulator and must agree on every counter.
+    """
     from repro.traces.binary import BinaryTraceReader
     from repro.traces.synthetic import iter_requests
     from repro.traces.workloads import workload_config
 
-    config, groups = workload_config(
+    config, _ = workload_config(
         args.workload,
         scale=args.scale,
         seed=args.seed,
@@ -1714,156 +1185,40 @@ def _trace_verify(args: argparse.Namespace) -> int:
             return 1
     print(f"OK: {checked:,} records bit-exact with {args.workload} "
           f"(scale {args.scale:g})")
-    if args.proxies is not None:
-        from repro.benchmarkkit.tracebench import bit_exact_check
+    if args.proxies is None:
+        return 0
 
-        outcome = bit_exact_check(
-            args.workload,
-            args.path,
-            scale=args.scale,
-            seed=args.seed,
-            num_requests=args.requests,
-        )
-        if not outcome["bit_exact"]:
-            print(
-                "MISMATCH: streamed replay diverged from in-memory "
-                f"replay ({outcome})"
-            )
-            return 1
-        print(
-            f"OK: {args.proxies}-proxy summary-sharing replay "
-            f"bit-exact (hit ratio {outcome['streamed_hit_ratio']:g})"
-        )
-    return 0
-
-
-def _trace_bench(args: argparse.Namespace) -> int:
-    """Pack/scan throughput + the spawn-isolated RSS flatness ladder."""
-    import os
-    import shutil
-    import tempfile
-
-    from repro.benchmarkkit.tracebench import (
-        bench_pack,
-        bench_scan,
-        bit_exact_check,
-        measure_replay_rss,
+    from repro.sharing.summary_sharing import (
+        SummarySharingConfig,
+        simulate_summary_sharing,
     )
-    from repro.traces.workloads import workload_config
+    from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+    from repro.traces.synthetic import generate_trace
 
-    directory = args.dir or tempfile.mkdtemp(prefix="sctr-bench-")
-    os.makedirs(directory, exist_ok=True)
-    _, groups = workload_config(args.workload, scale=args.scale,
-                                seed=args.seed)
-    rss_lengths = args.rss_requests or [
-        max(1, args.requests // 10), args.requests
-    ]
-    section: Dict[str, Any] = {
-        "workload": args.workload,
-        "scale": args.scale,
-        "requests": args.requests,
-        "rss_requests": rss_lengths,
-        "exact_requests": args.exact_requests,
-    }
-    try:
-        long_path = os.path.join(
-            directory, f"{args.workload}-{args.requests}.sctr"
+    sharing = SummarySharingConfig(
+        summary=SummaryConfig(kind="bloom", load_factor=8),
+        update_policy=ThresholdUpdatePolicy(0.01),
+        expected_doc_size=8 * 1024,
+    )
+    capacity = 4 * 1024 * 1024
+    in_memory = simulate_summary_sharing(
+        generate_trace(config), args.proxies, capacity, sharing
+    )
+    with BinaryTraceReader(args.path) as reader:
+        streamed = simulate_summary_sharing(
+            reader, args.proxies, capacity, sharing
         )
-        print(f"packing {args.requests:,} requests ...", flush=True)
-        pack = bench_pack(
-            args.workload,
-            long_path,
-            scale=args.scale,
-            seed=args.seed,
-            num_requests=args.requests,
-        )
-        section["pack"] = pack
+    if streamed != in_memory:
         print(
-            f"  {pack['pack_records_per_second']:,} records/s, "
-            f"{pack['file_bytes']:,} bytes "
-            f"({pack['bytes_per_record']} B/record)"
+            "MISMATCH: streamed replay diverged from in-memory replay "
+            f"(hit ratio {streamed.total_hit_ratio:g} vs "
+            f"{in_memory.total_hit_ratio:g})"
         )
-        scan = bench_scan(long_path)
-        section["scan"] = scan
-        print(f"  scan: {scan['scan_records_per_second']:,} records/s")
-
-        ladder = []
-        for length in rss_lengths:
-            if length == args.requests:
-                path = long_path
-            else:
-                path = os.path.join(
-                    directory, f"{args.workload}-{length}.sctr"
-                )
-                bench_pack(
-                    args.workload,
-                    path,
-                    scale=args.scale,
-                    seed=args.seed,
-                    num_requests=length,
-                )
-            entry = measure_replay_rss(path, mode="stream", groups=groups)
-            entry["trace_requests"] = length
-            ladder.append(entry)
-            print(
-                f"  streamed replay of {length:,}: peak RSS "
-                f"{entry['peak_rss_bytes'] / (1 << 20):.1f} MiB, "
-                f"{entry['replay_records_per_second']:,} records/s",
-                flush=True,
-            )
-        section["streamed_rss"] = ladder
-        if len(ladder) >= 2:
-            first, last = ladder[0], ladder[-1]
-            growth = last["peak_rss_bytes"] / max(1, first["peak_rss_bytes"])
-            length_growth = (
-                last["trace_requests"] / max(1, first["trace_requests"])
-            )
-            section["rss_growth_ratio"] = round(growth, 3)
-            section["trace_length_growth_ratio"] = round(length_growth, 3)
-            print(
-                f"  RSS grew {growth:.2f}x while the trace grew "
-                f"{length_growth:.0f}x"
-            )
-
-        exact_path = os.path.join(
-            directory, f"{args.workload}-{args.exact_requests}.sctr"
-        )
-        bench_pack(
-            args.workload,
-            exact_path,
-            scale=args.scale,
-            seed=args.seed,
-            num_requests=args.exact_requests,
-        )
-        materialized = measure_replay_rss(
-            exact_path, mode="materialized", groups=groups
-        )
-        materialized["trace_requests"] = args.exact_requests
-        section["materialized_rss"] = materialized
-        print(
-            f"  materialized replay of {args.exact_requests:,}: peak RSS "
-            f"{materialized['peak_rss_bytes'] / (1 << 20):.1f} MiB"
-        )
-        exact = bit_exact_check(
-            args.workload,
-            exact_path,
-            scale=args.scale,
-            seed=args.seed,
-            num_requests=args.exact_requests,
-        )
-        section["bit_exact"] = exact
-        status = "bit-exact" if exact["bit_exact"] else "DIVERGED"
-        print(
-            f"  streamed vs in-memory replay at "
-            f"{args.exact_requests:,}: {status}"
-        )
-        if not exact["bit_exact"]:
-            return 1
-    finally:
-        if args.dir is None:
-            shutil.rmtree(directory, ignore_errors=True)
-    if args.json:
-        _merge_bench_json(args.json, "trace_engine", section)
+        return 1
+    print(
+        f"OK: {args.proxies}-proxy summary-sharing replay "
+        f"bit-exact (hit ratio {streamed.total_hit_ratio:g})"
+    )
     return 0
 
 
@@ -1875,6 +1230,7 @@ def _dissemination(args: argparse.Namespace) -> int:
 
     from repro.simulation.scale import (
         DISSEMINATION_POLICIES,
+        ScaleResult,
         run_scale_experiment,
     )
     from repro.traces.binary import BinaryTraceReader
@@ -1896,7 +1252,7 @@ def _dissemination(args: argparse.Namespace) -> int:
         )
         print(f"packed {records:,} requests for the run", flush=True)
     cache_bytes = int(args.cache_mb * 1024 * 1024)
-    runs: List[Dict[str, Any]] = []
+    results: List[ScaleResult] = []
     rows: List[tuple] = []
     try:
         with BinaryTraceReader(trace_path) as reader:
@@ -1909,7 +1265,7 @@ def _dissemination(args: argparse.Namespace) -> int:
                     cache_capacity=cache_bytes,
                     update_threshold=args.threshold,
                 )
-                runs.append(result.to_dict())
+                results.append(result)
                 rows.append(
                     (
                         policy,
@@ -1952,9 +1308,9 @@ def _dissemination(args: argparse.Namespace) -> int:
             ),
         )
     )
-    predicted = runs[0].get("predicted", {}) if runs else {}
+    predicted = results[0].predicted if results else {}
     if predicted:
-        measured = runs[0]
+        measured = results[0]
         print(
             "extrapolation check (unadjusted Section V-F model at this "
             "geometry):"
@@ -1966,25 +1322,13 @@ def _dissemination(args: argparse.Namespace) -> int:
             if key in predicted:
                 print(
                     f"  {key}: predicted {predicted[key]:.4f}, "
-                    f"measured {measured[key]:.4f}"
+                    f"measured {getattr(measured, key):.4f}"
                 )
         print(
             f"  summary_memory_bytes: predicted "
             f"{predicted.get('summary_memory_bytes', 0):,}, measured "
-            f"{measured['summary_memory_bytes']:,}"
+            f"{measured.summary_memory_bytes:,}"
         )
-    if args.json:
-        section = {
-            "num_proxies": args.proxies,
-            "workload": args.workload,
-            "scale": args.scale,
-            "requests": args.requests,
-            "cache_mb": args.cache_mb,
-            "threshold": args.threshold,
-            "fanout": args.fanout,
-            "runs": runs,
-        }
-        _merge_bench_json(args.json, "dissemination", section)
     return 0
 
 

@@ -344,8 +344,8 @@ class NullSpanRing(SpanRing):
 
     ``new_trace_id`` still returns 0 so disabled proxies put no trace
     context on any wire; the data-plane cost of ``trace_enabled=False``
-    is one attribute test per site (benchmarked in
-    ``benchmarks/BENCH_obs.json``).
+    is one attribute test per site (the measured overhead is tabled in
+    ``docs/observability.md``).
     """
 
     enabled = False

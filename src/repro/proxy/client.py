@@ -204,28 +204,6 @@ class ClientDriver:
             f"proxy {self.peer} closed the connection twice for {url!r}"
         )  # pragma: no cover - loop returns or raises above
 
-    async def rebind(
-        self,
-        host: str,
-        port: int,
-        timeout: Optional[float] = None,
-    ) -> None:
-        """Point this driver at a new proxy and reset per-run state.
-
-        Lets one driver per concurrent client survive across runs
-        against successive clusters (fresh ports) instead of being
-        rebuilt each time: the persistent connection is dropped, and
-        the report / connection counters restart so each run's numbers
-        are its own.
-        """
-        await self.close()
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.report = ReplayReport()
-        self.connections_opened = 0
-        self.last_trace = ""
-
     async def close(self) -> None:
         """Drop the persistent connection (next request reconnects)."""
         writer, self._reader, self._writer = self._writer, None, None
