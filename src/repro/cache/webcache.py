@@ -8,7 +8,8 @@ document version validator.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from repro.cache.entry import CacheEntry
 from repro.cache.policies import ReplacementPolicy, make_policy
@@ -84,6 +85,12 @@ class WebCache:
             else type(self._policy).__name__.removesuffix("Policy").lower()
         )
         self._entries: Dict[str, CacheEntry] = {}
+        #: Read-only view of the directory, URL -> entry.  A simulator
+        #: reading a peer's copy through it does one lookup and compares
+        #: ``entry.version`` itself, leaving recency and statistics alone.
+        self.entries: Mapping[str, CacheEntry] = MappingProxyType(
+            self._entries
+        )
         self._used = 0
         self._on_insert = on_insert
         self._on_evict = on_evict

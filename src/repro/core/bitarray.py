@@ -8,7 +8,9 @@ Two storage primitives back the summary data structures:
   its own filter supports deletions.  The paper argues 4-bit counters
   suffice ("4 bits per count would be amply sufficient") and that a
   saturated counter should simply stick at its maximum; both behaviours
-  are implemented here.
+  are implemented here.  A counter array also owns the bit array of
+  which counters are nonzero -- the public bits of a counting filter --
+  and moves a counter and its bit in the same pass.
 
 Both classes pack their payload densely (``CounterArray`` packs two 4-bit
 counters per byte) because the memory analysis of Table III depends on
@@ -17,7 +19,7 @@ the real footprint of each representation.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import (
     BitIndexError,
@@ -35,14 +37,30 @@ except AttributeError:  # pragma: no cover - exercised on 3.9 only
 class BitArray:
     """A fixed-size array of bits packed into a :class:`bytearray`."""
 
-    __slots__ = ("_size", "_buf", "_popcount")
+    __slots__ = ("_size", "_buf")
 
     def __init__(self, size: int) -> None:
         if size < 1:
             raise ConfigurationError(f"BitArray size must be >= 1, got {size}")
         self._size = size
         self._buf = bytearray((size + 7) // 8)
-        self._popcount = 0
+
+    @classmethod
+    def view(cls, buffer: bytearray, size: int) -> "BitArray":
+        """An array of *size* bits reading and writing *buffer* in place.
+
+        No copy is made: whoever owns *buffer* may keep writing it.
+        :class:`CounterArray` publishes its nonzero flags this way, so a
+        counting filter's public bits are one store, not a second copy
+        kept in step.
+        """
+        if len(buffer) != (size + 7) // 8:
+            raise ConfigurationError(
+                f"buffer of {len(buffer)} bytes does not hold {size} bits"
+            )
+        array = cls(size)
+        array._buf = buffer
+        return array
 
     @property
     def size(self) -> int:
@@ -51,13 +69,18 @@ class BitArray:
 
     @property
     def popcount(self) -> int:
-        """Number of bits currently set to 1 (maintained incrementally)."""
-        return self._popcount
+        """Number of bits currently set to 1.
+
+        Counted on demand (one big-int ``bit_count``), so it is true
+        however the buffer was written -- including through a
+        :meth:`view`.
+        """
+        return _bit_count(int.from_bytes(self._buf, "little"))
 
     @property
     def fill_ratio(self) -> float:
         """Fraction of bits set to 1."""
-        return self._popcount / self._size
+        return self.popcount / self._size
 
     def _check_index(self, index: int) -> None:
         if not 0 <= index < self._size:
@@ -80,10 +103,8 @@ class BitArray:
             return False
         if value:
             self._buf[byte_index] |= mask
-            self._popcount += 1
         else:
             self._buf[byte_index] &= ~mask & 0xFF
-            self._popcount -= 1
         return True
 
     def clear(self, index: int) -> bool:
@@ -93,9 +114,8 @@ class BitArray:
     def set_many(self, indices: Iterable[int], value: bool = True) -> List[int]:
         """Set every bit in *indices* to *value*; return the changed ones.
 
-        The batch form of :meth:`set`: popcount bookkeeping is settled
-        once at the end instead of per bit, which is what a Bloom filter
-        insert (k probes per key) spends most of its time on.
+        The batch form of :meth:`set`: one call per Bloom filter insert
+        (k probes per key) instead of a call chain per bit.
         """
         buf = self._buf
         size = self._size
@@ -112,7 +132,6 @@ class BitArray:
                 if not buf[byte_index] & mask:
                     buf[byte_index] |= mask
                     append(index)
-            self._popcount += len(changed)
         else:
             for index in indices:
                 if not 0 <= index < size:
@@ -124,7 +143,6 @@ class BitArray:
                 if buf[byte_index] & mask:
                     buf[byte_index] &= ~mask & 0xFF
                     append(index)
-            self._popcount -= len(changed)
         return changed
 
     def write_many(self, records: Iterable[Tuple[int, bool]]) -> int:
@@ -137,27 +155,44 @@ class BitArray:
         buf = self._buf
         size = self._size
         changed = 0
-        ones = 0
-        try:
-            for index, value in records:
-                if not 0 <= index < size:
-                    raise BitIndexError(
-                        f"bit index {index} out of range [0, {size})"
-                    )
-                byte_index = index >> 3
-                mask = 1 << (index & 7)
-                if value:
-                    if not buf[byte_index] & mask:
-                        buf[byte_index] |= mask
-                        changed += 1
-                        ones += 1
-                elif buf[byte_index] & mask:
-                    buf[byte_index] &= ~mask & 0xFF
+        for index, value in records:
+            if not 0 <= index < size:
+                raise BitIndexError(
+                    f"bit index {index} out of range [0, {size})"
+                )
+            byte_index = index >> 3
+            mask = 1 << (index & 7)
+            if value:
+                if not buf[byte_index] & mask:
+                    buf[byte_index] |= mask
                     changed += 1
-                    ones -= 1
-        finally:
-            self._popcount += ones
+            elif buf[byte_index] & mask:
+                buf[byte_index] &= ~mask & 0xFF
+                changed += 1
         return changed
+
+    def holding(
+        self, records: Iterable[Tuple[int, bool]]
+    ) -> List[Tuple[int, bool]]:
+        """The ``(index, value)`` records whose value bit *index* holds
+        now, in the order given.
+
+        A counting filter drains its delta this way: of the first flip
+        recorded per bit since the last update, only those the bit still
+        agrees with are a net change worth shipping.
+        """
+        buf = self._buf
+        size = self._size
+        held: List[Tuple[int, bool]] = []
+        for record in records:
+            index, value = record
+            if not 0 <= index < size:
+                raise BitIndexError(
+                    f"bit index {index} out of range [0, {size})"
+                )
+            if bool(buf[index >> 3] & (1 << (index & 7))) == value:
+                held.append(record)
+        return held
 
     def flipped_indices(self, other: "BitArray") -> List[Tuple[int, bool]]:
         """Positions where this array differs from *other*, as
@@ -187,9 +222,8 @@ class BitArray:
         return flips
 
     def reset(self) -> None:
-        """Clear every bit."""
-        self._buf = bytearray(len(self._buf))
-        self._popcount = 0
+        """Clear every bit (in place, so a :meth:`view` stays attached)."""
+        self._buf[:] = bytes(len(self._buf))
 
     def iter_set_bits(self) -> Iterator[int]:
         """Yield the indices of all set bits in increasing order."""
@@ -222,14 +256,12 @@ class BitArray:
         tail_bits = size & 7
         if tail_bits:
             array._buf[-1] &= (1 << tail_bits) - 1
-        array._popcount = _bit_count(int.from_bytes(array._buf, "little"))
         return array
 
     def copy(self) -> "BitArray":
         """Return an independent copy of this array."""
         clone = BitArray(self._size)
         clone._buf = bytearray(self._buf)
-        clone._popcount = self._popcount
         return clone
 
     def size_bytes(self) -> int:
@@ -245,7 +277,7 @@ class BitArray:
         return self._size == other._size and self._buf == other._buf
 
     def __repr__(self) -> str:
-        return f"BitArray(size={self._size}, popcount={self._popcount})"
+        return f"BitArray(size={self._size}, popcount={self.popcount})"
 
 
 class CounterArray:
@@ -256,11 +288,17 @@ class CounterArray:
     ever exceeds 15, we can simply let it stay at 15".  Decrementing a
     saturated counter is therefore a no-op, trading an astronomically
     unlikely false negative for bounded memory.
+
+    The array also owns :attr:`bits`, whose bit *i* is set exactly when
+    counter *i* is nonzero -- the public bit array of a counting Bloom
+    filter.  :meth:`add_at` and :meth:`remove_at` are the one place a
+    counter moves: each walks a key's positions once, moving the counter,
+    writing its bit on a 0 <-> 1 transition and recording the flip.
     """
 
     __slots__ = (
         "_size", "_width", "_max", "_byte_shift", "_slot_mask", "_buf",
-        "_saturated",
+        "_flags", "_saturated", "bits",
     )
 
     #: Widths that pack evenly into bytes; arbitrary widths would
@@ -283,7 +321,11 @@ class CounterArray:
         self._byte_shift = per_byte.bit_length() - 1
         self._slot_mask = per_byte - 1
         self._buf = bytearray((size + per_byte - 1) // per_byte)
+        self._flags = bytearray((size + 7) // 8)
         self._saturated = 0
+        #: Which counters are nonzero, as a bit array over the flags
+        #: this array writes; read it, never write it.
+        self.bits = BitArray.view(self._flags, size)
 
     @property
     def size(self) -> int:
@@ -326,101 +368,141 @@ class CounterArray:
         byte_index, shift = self._locate(index)
         return (self._buf[byte_index] >> shift) & self._max
 
-    def increment_many(self, indices: Sequence[int]) -> List[int]:
-        """Increment every counter in *indices*, saturating at
-        :attr:`max_value`; return the indices that went 0 -> 1.
+    def _out_of_range(self, indices: Iterable[int]) -> BitIndexError:
+        bad = next(i for i in indices if not 0 <= i < self._size)
+        return BitIndexError(
+            f"counter index {bad} out of range [0, {self._size})"
+        )
 
-        One pass per key instead of a call chain per position.  An index
-        listed twice is incremented twice (two of a key's hash functions
-        may collide); a counter already at the ceiling stays there and
-        counts one saturation event.  An out-of-range index raises
+    def add_at(self, indices: Sequence[int], flips: Dict[int, bool]) -> int:
+        """Count one key in at *indices*; return how many bits went 0 -> 1.
+
+        One pass: each counter moves up one, saturating at
+        :attr:`max_value` (a counter already at the ceiling stays there
+        and counts one saturation event).  A counter leaving zero sets
+        its bit in :attr:`bits` and records ``index -> True`` in *flips*
+        unless *index* already has a record there (the first one is
+        kept).  An index listed twice counts twice -- two of a key's
+        hash functions may collide.  An out-of-range index raises
         :class:`~repro.errors.BitIndexError` before any counter moves.
         """
-        buf = self._buf
         size = self._size
-        for index in indices:
-            if not 0 <= index < size:
-                raise BitIndexError(
-                    f"counter index {index} out of range [0, {size})"
-                )
+        if indices and (min(indices) < 0 or max(indices) >= size):
+            raise self._out_of_range(indices)
+        counts = self._buf
+        flags = self._flags
         width = self._width
         top = self._max
         byte_shift = self._byte_shift
         slot_mask = self._slot_mask
-        raised: List[int] = []
+        raised = 0
         for index in indices:
             byte_index = index >> byte_shift
             shift = (index & slot_mask) * width
-            value = (buf[byte_index] >> shift) & top
+            value = (counts[byte_index] >> shift) & top
             if value == top:
                 self._saturated += 1
             else:
-                buf[byte_index] += 1 << shift
+                counts[byte_index] += 1 << shift
                 if not value:
-                    raised.append(index)
+                    flags[index >> 3] |= 1 << (index & 7)
+                    raised += 1
+                    if index not in flips:
+                        flips[index] = True
         return raised
 
-    def decrement_many(self, indices: Iterable[int]) -> List[int]:
-        """Decrement every counter in *indices*; return the indices that
-        went 1 -> 0.
+    def remove_at(self, indices: Sequence[int], flips: Dict[int, bool]) -> int:
+        """Count one key out at *indices*; return how many bits went 1 -> 0.
 
-        A saturated counter is left untouched (the paper's stick-at-max
-        rule).  All or nothing: an out-of-range index
-        (:class:`~repro.errors.BitIndexError`) or a counter that would
-        drop below zero (:class:`~repro.errors.SummaryStateError` -- the
-        caller tried to delete a key that was never inserted, or listed
-        an index more often than it was counted) leaves every counter
-        as it was.
+        The mirror of :meth:`add_at`: a saturated counter is left
+        untouched (the paper's stick-at-max rule), and a counter reaching
+        zero clears its bit and records ``index -> False`` in *flips*
+        unless *index* already has a record.  All or nothing: an
+        out-of-range index raises :class:`~repro.errors.BitIndexError`
+        before any counter moves, and a counter that would drop below
+        zero raises :class:`~repro.errors.SummaryStateError` (the caller
+        tried to delete a key that was never inserted, or listed an index
+        more often than it was counted) after putting back every counter,
+        bit and flip record this call changed.
         """
-        buf = self._buf
         size = self._size
+        if indices and (min(indices) < 0 or max(indices) >= size):
+            raise self._out_of_range(indices)
+        counts = self._buf
+        flags = self._flags
         width = self._width
         top = self._max
         byte_shift = self._byte_shift
         slot_mask = self._slot_mask
-        cleared: List[int] = []
-        undo: List[Tuple[int, int]] = []
-        try:
-            for index in indices:
-                if not 0 <= index < size:
-                    raise BitIndexError(
-                        f"counter index {index} out of range [0, {size})"
-                    )
-                byte_index = index >> byte_shift
-                shift = (index & slot_mask) * width
-                byte = buf[byte_index]
-                value = (byte >> shift) & top
-                if value == top:
-                    continue
+        records_before = len(flips)
+        cleared = 0
+        # An explicit iterator, so that on underflow what is left of it
+        # tells how many indices were already counted out.
+        walk = iter(indices)
+        for index in walk:
+            byte_index = index >> byte_shift
+            shift = (index & slot_mask) * width
+            value = (counts[byte_index] >> shift) & top
+            if value == top:
+                continue
+            if not value:
+                break
+            counts[byte_index] -= 1 << shift
+            if value == 1:
+                flags[index >> 3] &= ~(1 << (index & 7))
+                cleared += 1
+                if index not in flips:
+                    flips[index] = False
+        else:
+            return cleared
+        done = len(indices) - 1 - sum(1 for _ in walk)
+        for undone in reversed(indices[:done]):
+            byte_index = undone >> byte_shift
+            shift = (undone & slot_mask) * width
+            value = (counts[byte_index] >> shift) & top
+            if value != top:  # at the ceiling: was skipped, not moved
+                counts[byte_index] += 1 << shift
                 if not value:
-                    raise SummaryStateError(
-                        f"counter {index} underflow: "
-                        "decrement of a zero counter"
-                    )
-                undo.append((byte_index, byte))
-                buf[byte_index] = byte - (1 << shift)
-                if value == 1:
-                    cleared.append(index)
-        except (BitIndexError, SummaryStateError):
-            for byte_index, byte in reversed(undo):
-                buf[byte_index] = byte
-            raise
-        return cleared
+                    flags[undone >> 3] |= 1 << (undone & 7)
+        while len(flips) > records_before:
+            flips.popitem()
+        raise SummaryStateError(
+            f"counter {index} underflow: decrement of a zero counter"
+        )
 
     def nonzero_indices(self) -> List[int]:
-        """Return indices of all counters with nonzero value."""
-        return [i for i in range(self._size) if self.get(i) != 0]
+        """Return indices of all counters with nonzero value, ascending."""
+        return list(self.bits.iter_set_bits())
+
+    def _sync_flags(self) -> None:
+        """Recompute :attr:`bits` from the counters, in place."""
+        flags = bytearray(len(self._flags))
+        per_byte = self._slot_mask + 1
+        for byte_index, byte in enumerate(self._buf):
+            if not byte:
+                continue
+            base = byte_index << self._byte_shift
+            for slot in range(per_byte):
+                index = base + slot
+                if index < self._size and (
+                    (byte >> (slot * self._width)) & self._max
+                ):
+                    flags[index >> 3] |= 1 << (index & 7)
+        self._flags[:] = flags
 
     def load_from(self, values: Iterable[int]) -> None:
         """Bulk-load counter values (used when rebuilding after restart)."""
-        for i, value in enumerate(values):
-            if not 0 <= value <= self._max:
-                raise ConfigurationError(
-                    f"counter value {value} out of range [0, {self._max}]"
-                )
-            byte_index, shift = self._locate(i)
-            cleared = self._buf[byte_index] & ~(self._max << shift) & 0xFF
-            self._buf[byte_index] = cleared | (value << shift)
+        try:
+            for i, value in enumerate(values):
+                if not 0 <= value <= self._max:
+                    raise ConfigurationError(
+                        f"counter value {value} out of range [0, {self._max}]"
+                    )
+                byte_index, shift = self._locate(i)
+                cleared = self._buf[byte_index] & ~(self._max << shift) & 0xFF
+                self._buf[byte_index] = cleared | (value << shift)
+        finally:
+            self._sync_flags()
 
     def size_bytes(self) -> int:
         """Memory footprint of the packed counters, in bytes."""
@@ -443,6 +525,7 @@ class CounterArray:
             )
         self._buf = bytearray(payload)
         self._saturated = 0
+        self._sync_flags()
 
     def __len__(self) -> int:
         return self._size

@@ -8,6 +8,15 @@ Only the 0 <-> 1 transitions flip bits in the public bit array, and each
 flip is recorded so a delta update (``ICP_OP_DIRUPDATE``) can later be
 assembled for peers.
 
+An insert or evict is one pass over the key's k positions
+(:meth:`~repro.core.bitarray.CounterArray.add_at` /
+:meth:`~repro.core.bitarray.CounterArray.remove_at`): the public bits
+*are* the counters' nonzero flags, so there is no second array to bring
+into step.  Pending flips are coalesced as they are recorded -- one
+entry per bit, holding its first flip -- so draining a delta reads each
+changed bit once instead of rescanning every flip since the last
+update.
+
 The counters themselves never leave the proxy; peers receive only the bit
 array (or bit-flip records).
 """
@@ -16,7 +25,7 @@ from __future__ import annotations
 
 import struct
 from time import perf_counter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
 from repro.core.bloom import BloomFilter, _OP_BUCKETS
@@ -69,6 +78,13 @@ DEFAULT_COUNTER_WIDTH = 4
 class CountingBloomFilter:
     """A Bloom filter with per-bit saturating counters supporting deletion.
 
+    :attr:`filter` is the plain filter peers are shipped; its bit array is
+    :attr:`counters`' nonzero flags, so every insert and evict moves a
+    counter and its public bit together and never touches the bit array
+    directly.  Flips awaiting the next delta are held coalesced, one
+    entry per changed bit, while :attr:`pending_flip_count` still counts
+    every flip recorded.
+
     Parameters
     ----------
     num_bits:
@@ -81,7 +97,7 @@ class CountingBloomFilter:
     """
 
     __slots__ = (
-        "filter", "counters", "_pending_flips", "_keys_added", "_obs"
+        "filter", "counters", "_pending", "_records", "_keys_added", "_obs"
     )
 
     def __init__(
@@ -92,11 +108,16 @@ class CountingBloomFilter:
     ) -> None:
         self.filter = BloomFilter(num_bits, hash_family=hash_family)
         self.counters = CounterArray(num_bits, width=counter_width)
+        # The public bits are the counters' nonzero flags: one store,
+        # written in the same pass that moves a counter.
+        self.filter.bits = self.counters.bits
         self._obs = _bind_instruments()
-        #: Bit flips since the last :meth:`drain_flips`, in occurrence
-        #: order.  Later flips of the same bit supersede earlier ones;
-        #: :meth:`drain_flips` coalesces them.
-        self._pending_flips: List[Tuple[int, bool]] = []
+        #: Bit index -> the value of its first flip since the last
+        #: :meth:`drain_flips`, in first-flip order; the bit's current
+        #: value says whether that flip still stands.
+        self._pending: Dict[int, bool] = {}
+        #: Flips recorded since the last drain, before coalescing.
+        self._records = 0
         self._keys_added = 0
 
     @classmethod
@@ -144,18 +165,17 @@ class CountingBloomFilter:
     def add_at(self, positions: Sequence[int]) -> None:
         """Insert one key by its precomputed bit *positions*.
 
-        The positions MUST come from this filter's own hash family and
-        geometry (e.g. :meth:`MD5HashFamily.hashes_from_digest` over a
-        digest stored at cache-insert time); anything else desynchronizes
-        the filter from its peers' wire-spec positions.
+        One pass over the positions (:meth:`CounterArray.add_at`): each
+        counter moves, a counter leaving zero sets its public bit, and
+        that flip is recorded for the next delta.  The positions MUST
+        come from this filter's own hash family and geometry (e.g.
+        :meth:`MD5HashFamily.hashes_from_digest` over a digest stored at
+        cache-insert time); anything else desynchronizes the filter from
+        its peers' wire-spec positions.
         """
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        raised = self.counters.increment_many(positions)
-        if raised:
-            self.filter.bits.set_many(raised)
-            for pos in raised:
-                self._pending_flips.append((pos, True))
+        self._records += self.counters.add_at(positions, self._pending)
         self._keys_added += 1
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
@@ -172,35 +192,35 @@ class CountingBloomFilter:
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
         positions_of = self.filter.positions
-        increment_many = self.counters.increment_many
-        record = self._pending_flips.append
-        raised_bits: List[int] = []
+        add_at = self.counters.add_at
+        pending = self._pending
+        records = 0
         for key in keys:
-            raised = increment_many(positions_of(key))
-            raised_bits += raised
-            for pos in raised:
-                record((pos, True))
-        self.filter.bits.set_many(raised_bits)
+            records += add_at(positions_of(key), pending)
+        self._records += records
         self._keys_added += len(keys)
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
             obs.inserts.inc(len(keys))
 
     def remove(self, key: Key) -> None:
-        """Delete *key*, recording any 1 -> 0 bit flips for the next delta.
+        """Delete *key*, recording any 1 -> 0 bit flips for the next delta."""
+        self.remove_at(self.filter.positions(key))
 
-        Removing a key that was never added raises
-        :class:`~repro.errors.SummaryStateError`
-        (counter underflow) and leaves counters, bits and pending flips
-        untouched rather than silently corrupting the filter.
+    def remove_at(self, positions: Sequence[int]) -> None:
+        """Delete one key by its precomputed bit *positions*.
+
+        The mirror of :meth:`add_at`, in one pass
+        (:meth:`CounterArray.remove_at`).  Removing a key that was never
+        added raises :class:`~repro.errors.SummaryStateError` (counter
+        underflow) and an out-of-range position
+        :class:`~repro.errors.BitIndexError`; either way counters, bits,
+        popcount and pending flips are left as they were rather than
+        silently corrupting the filter.
         """
         obs = self._obs
         start = perf_counter() if obs is not None else 0.0
-        cleared = self.counters.decrement_many(self.filter.positions(key))
-        if cleared:
-            self.filter.bits.set_many(cleared, False)
-            for pos in cleared:
-                self._pending_flips.append((pos, False))
+        self._records += self.counters.remove_at(positions, self._pending)
         self._keys_added -= 1
         if obs is not None:
             obs.op_seconds.observe(perf_counter() - start)
@@ -215,38 +235,31 @@ class CountingBloomFilter:
 
     @property
     def pending_flip_count(self) -> int:
-        """Number of uncoalesced bit-flip records awaiting the next delta."""
-        return len(self._pending_flips)
+        """Number of *uncoalesced* bit-flip records awaiting the next delta.
+
+        Every 0 <-> 1 transition since the last drain counts, including
+        ones that later cancel out: this is what
+        :class:`~repro.summaries.PacketFillUpdatePolicy` fills a packet
+        with.
+        """
+        return self._records
 
     def peek_flips(self) -> List[Tuple[int, bool]]:
         """Return the coalesced pending flips without clearing them.
 
-        Multiple flips of the same bit collapse to the latest value, and
-        flips that restore a bit to its last-shipped state cancel out --
-        exactly what a delta update message should carry.
+        Records come in the order each bit first flipped since the last
+        drain.  A bit that flipped several times is shipped with its
+        current value, and one back at its last-shipped state (the
+        opposite of its first flip) is not shipped at all -- exactly what
+        a delta update message should carry.
         """
-        final_value = {}
-        first_value = {}
-        order = []
-        for index, value in self._pending_flips:
-            if index not in final_value:
-                order.append(index)
-                first_value[index] = value
-            final_value[index] = value
-        coalesced = []
-        for index in order:
-            # The bit's pre-delta (last shipped) state is the opposite of
-            # the first flip recorded for it; if the final value equals
-            # that state, the net change is zero and nothing is shipped.
-            shipped_state = not first_value[index]
-            if final_value[index] != shipped_state:
-                coalesced.append((index, final_value[index]))
-        return coalesced
+        return self.filter.bits.holding(self._pending.items())
 
     def drain_flips(self) -> List[Tuple[int, bool]]:
         """Return the coalesced pending flips and clear the pending list."""
         flips = self.peek_flips()
-        self._pending_flips.clear()
+        self._pending.clear()
+        self._records = 0
         return flips
 
     def snapshot(self) -> BloomFilter:
@@ -337,7 +350,6 @@ class CountingBloomFilter:
                 f"expected {expected}"
             )
         filt.counters.load_bytes(payload)
-        filt.filter.bits.set_many(filt.counters.nonzero_indices())
         filt._keys_added = keys_added
         return filt
 

@@ -36,8 +36,8 @@ MUTATOR_METHODS = (
     "write_many",
     "flip",
     "reset",
-    "increment_many",
-    "decrement_many",
+    "add_at",
+    "remove_at",
     "load_from",
     "load_bytes",
     "apply_flips",
@@ -45,7 +45,7 @@ MUTATOR_METHODS = (
 
 #: Private storage internals of BitArray / CounterArray; touching these
 #: anywhere outside core/ is always a violation.
-PRIVATE_STORAGE_ATTRIBUTES = ("_buf", "_popcount")
+PRIVATE_STORAGE_ATTRIBUTES = ("_buf", "_flags")
 
 #: Private internals of HashRing / Placement; touching these anywhere
 #: outside ``repro/placement`` is always a violation (membership

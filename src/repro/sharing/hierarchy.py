@@ -114,6 +114,8 @@ def simulate_hierarchy(
     key_cache: dict = {}
     shipped = PeerSummaries.of([c.node.local for c in children])
     key_of = shipped.key_of
+    filter_bits = [getattr(c.node.local, "num_bits", None) for c in children]
+    lookups = [c.cache.entries.get for c in children]
 
     for req in trace:
         g = group_of(req.client_id, num_children)
@@ -138,10 +140,8 @@ def simulate_hierarchy(
                     QUERY_MESSAGE_BYTES * len(candidates)
                 )
                 for j in candidates:
-                    if (
-                        children[j].cache.probe(req.url, req.version)
-                        == "hit"
-                    ):
+                    entry = lookups[j](req.url)
+                    if entry is not None and entry.version == req.version:
                         result.sibling_hits += 1
                         children[j].cache.touch(req.url)
                         served = True
@@ -172,6 +172,8 @@ def simulate_hierarchy(
                 continue  # no update delay: no message to count
             fanout = num_children - 1
             result.sibling_update_messages += fanout
-            result.sibling_update_bytes += _delta_bytes(delta) * fanout
+            result.sibling_update_bytes += (
+                _delta_bytes(delta, filter_bits[g]) * fanout
+            )
 
     return result

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import List, Optional
+from typing import Optional
 
 from repro.cache import WebCache
 from repro.errors import ConfigurationError
@@ -243,6 +243,9 @@ def simulate_summary_sharing(
     key_of = shipped.key_of
     # What a whole-filter update would carry, per proxy (Bloom only).
     filter_bits = [getattr(p.node.local, "num_bits", None) for p in proxies]
+    # Peer directories, read in place: asking a peer is one lookup and
+    # one version compare.
+    lookups = [p.cache.entries.get for p in proxies]
 
     # Replay in chunks: group ids for a whole chunk are derived in one
     # sweep, and the per-request protocol logic below is untouched, so
@@ -274,6 +277,8 @@ def simulate_summary_sharing(
                 candidates.append(low.bit_length() - 1)
                 mask ^= low
 
+            url = req.url
+            version = req.version
             fresh = None
             stale_seen = False
             if candidates:
@@ -282,32 +287,34 @@ def simulate_summary_sharing(
                 msgs.query_bytes += QUERY_MESSAGE_BYTES * len(candidates)
                 msgs.reply_bytes += QUERY_MESSAGE_BYTES * len(candidates)
                 for j in candidates:
-                    outcome = proxies[j].cache.probe(req.url, req.version)
-                    if outcome == "hit":
-                        fresh = j
-                        break
-                    if outcome == "stale":
+                    entry = lookups[j](url)
+                    if entry is not None:
+                        if entry.version == version:
+                            fresh = j
+                            break
                         stale_seen = True
             if fresh is not None:
                 result.remote_hits += 1
                 result.bytes_hit += req.size
-                proxies[fresh].cache.touch(req.url)
+                proxies[fresh].cache.touch(url)
             else:
                 if stale_seen:
                     result.remote_stale_hits += 1
                 elif candidates:
                     result.false_hits += 1
-                # No fresh copy among the queried peers (none queried
-                # when *candidates* is empty): a fresh copy anywhere
-                # else is one the summaries failed to reveal.
-                if _oracle_fresh_elsewhere(
-                    proxies, g, candidates, req.url, req.version
-                ):
-                    result.false_misses += 1
+                # No queried peer holds a fresh copy, and the requester
+                # holds none at all (``get`` dropped a stale one): a
+                # fresh copy anywhere is one the summaries failed to
+                # reveal.
+                for lookup in lookups:
+                    entry = lookup(url)
+                    if entry is not None and entry.version == version:
+                        result.false_misses += 1
+                        break
 
             # Fetch (from peer or origin) and cache locally, then check the
             # update trigger -- insertion may have pushed us past threshold.
-            me.cache.put(req.url, req.size, version=req.version)
+            me.cache.put(url, req.size, version=version)
             if live or me.node.due_for_update(
                 cfg.update_policy, req.timestamp, len(me.cache)
             ):
@@ -334,23 +341,6 @@ def simulate_summary_sharing(
     return result
 
 
-def _oracle_fresh_elsewhere(
-    proxies: List[_ProxyState],
-    requester: int,
-    already_queried,
-    url: str,
-    version: int,
-) -> bool:
-    """True if a *non-queried* peer holds a fresh copy (a false miss)."""
-    queried = set(already_queried)
-    for j, peer in enumerate(proxies):
-        if j == requester or j in queried:
-            continue
-        if peer.cache.probe(url, version) == "hit":
-            return True
-    return False
-
-
 def simulate_icp(
     trace: TraceLike,
     num_proxies: int,
@@ -373,6 +363,7 @@ def simulate_icp(
     )
     msgs = result.messages
     sim_start = perf_counter()
+    lookups = [cache.entries.get for cache in caches]
 
     for chunk in grouped_chunks(trace, num_proxies):
         for g, req in chunk:
@@ -391,15 +382,17 @@ def simulate_icp(
             msgs.query_bytes += QUERY_MESSAGE_BYTES * fanout
             msgs.reply_bytes += QUERY_MESSAGE_BYTES * fanout
 
+            # Every peer answers; the requester's own directory has no
+            # copy left to find (``get`` dropped a stale one).  Past the
+            # first fresh copy nothing changes the outcome.
             fresh = None
             stale_seen = False
-            for j, peer in enumerate(caches):
-                if j == g:
-                    continue
-                outcome = peer.probe(req.url, req.version)
-                if outcome == "hit" and fresh is None:
-                    fresh = j
-                elif outcome == "stale":
+            for j, lookup in enumerate(lookups):
+                entry = lookup(req.url)
+                if entry is not None:
+                    if entry.version == req.version:
+                        fresh = j
+                        break
                     stale_seen = True
             if fresh is not None:
                 result.remote_hits += 1

@@ -178,6 +178,22 @@ class TestBitArray:
         )
 
 
+def count_in(counters, indices):
+    """Count a key in; the indices whose counter went 0 -> 1, in order."""
+    flips = {}
+    raised = counters.add_at(indices, flips)
+    assert raised == len(flips) and all(flips.values())
+    return list(flips)
+
+
+def count_out(counters, indices):
+    """Count a key out; the indices whose counter went 1 -> 0, in order."""
+    flips = {}
+    cleared = counters.remove_at(indices, flips)
+    assert cleared == len(flips) and not any(flips.values())
+    return list(flips)
+
+
 class TestCounterArray:
     def test_starts_zero(self):
         counters = CounterArray(10)
@@ -185,26 +201,26 @@ class TestCounterArray:
 
     def test_increment_and_decrement(self):
         counters = CounterArray(10)
-        assert counters.increment_many([3]) == [3]  # went 0 -> 1
-        assert counters.increment_many([3]) == []
+        assert count_in(counters, [3]) == [3]  # went 0 -> 1
+        assert count_in(counters, [3]) == []
         assert counters.get(3) == 2
-        assert counters.decrement_many([3]) == []
-        assert counters.decrement_many([3]) == [3]  # went 1 -> 0
+        assert count_out(counters, [3]) == []
+        assert count_out(counters, [3]) == [3]  # went 1 -> 0
         assert counters.get(3) == 0
 
     def test_underflow_raises(self):
         counters = CounterArray(4)
         with pytest.raises(ValueError):
-            counters.decrement_many([0])
+            count_out(counters, [0])
 
     def test_saturation_sticks_at_max(self):
         counters = CounterArray(4, width=2)  # max value 3
         for _ in range(5):
-            counters.increment_many([1])
+            count_in(counters, [1])
         assert counters.get(1) == 3
         assert counters.saturation_events == 2
         # The paper's rule: a saturated counter is never decremented.
-        assert counters.decrement_many([1]) == []
+        assert count_out(counters, [1]) == []
         assert counters.get(1) == 3
 
     @pytest.mark.parametrize("width", [1, 2, 4, 8])
@@ -213,35 +229,35 @@ class TestCounterArray:
         top = counters.max_value
         assert top == (1 << width) - 1
         for _ in range(top):
-            counters.increment_many([7])
+            count_in(counters, [7])
         assert counters.get(7) == top
 
     def test_neighbours_do_not_interfere(self):
         # Two 4-bit counters share a byte; mutating one must not leak.
         counters = CounterArray(10, width=4)
-        counters.increment_many([4, 5, 5])
+        count_in(counters, [4, 5, 5])
         assert counters.get(4) == 1
         assert counters.get(5) == 2
-        counters.decrement_many([5])
+        count_out(counters, [5])
         assert counters.get(4) == 1
 
     def test_nonzero_indices(self):
         counters = CounterArray(16)
-        counters.increment_many([2, 9])
+        count_in(counters, [2, 9])
         assert counters.nonzero_indices() == [2, 9]
 
     def test_duplicate_index_counts_twice_but_reports_once(self):
         # Two of a key's hash functions may land on one position.
         counters = CounterArray(8)
-        assert counters.increment_many([5, 5, 2]) == [5, 2]
+        assert count_in(counters, [5, 5, 2]) == [5, 2]
         assert counters.get(5) == 2
-        assert counters.decrement_many([5, 5, 2]) == [5, 2]
+        assert count_out(counters, [5, 5, 2]) == [5, 2]
         assert counters.nonzero_indices() == []
 
     def test_bad_increment_moves_no_counter(self):
         counters = CounterArray(8)
         with pytest.raises(IndexError):
-            counters.increment_many([1, 2, 8])
+            count_in(counters, [1, 2, 8])
         assert counters.nonzero_indices() == []
 
     @pytest.mark.parametrize("bad", [[1, 2, 3], [1, 2, 2], [1, 2, 8]])
@@ -249,11 +265,16 @@ class TestCounterArray:
         # 3 was never counted, 2 only once, 8 is out of range: the
         # counters before the offending index must be put back.
         counters = CounterArray(8)
-        counters.increment_many([1, 1, 2])
+        flips = {6: False}
+        counters.add_at([1, 1, 2], flips)
         before = counters.to_bytes()
+        bits = counters.bits.copy()
+        recorded = dict(flips)
         with pytest.raises((ValueError, IndexError)):
-            counters.decrement_many(bad)
+            counters.remove_at(bad, flips)
         assert counters.to_bytes() == before
+        assert counters.bits == bits
+        assert list(flips.items()) == list(recorded.items())
 
     def test_load_from(self):
         counters = CounterArray(4, width=4)
@@ -293,7 +314,7 @@ class TestCounterArray:
     )
     @settings(max_examples=60, deadline=None)
     def test_matches_reference_counter_model(self, ops):
-        """``increment_many`` / ``decrement_many`` against the scalar
+        """``add_at`` / ``remove_at`` against the scalar
         rules applied one index at a time, for every width, with
         duplicate indices inside a batch and counters at the ceiling."""
         for width in CounterArray.SUPPORTED_WIDTHS:
@@ -315,7 +336,7 @@ class TestCounterArray:
                     reference[index] += 1
                     if reference[index] == 1:
                         raised.append(index)
-                assert counters.increment_many(batch) == raised
+                assert count_in(counters, batch) == raised
                 continue
             trial = list(reference)
             cleared = []
@@ -330,9 +351,12 @@ class TestCounterArray:
                     cleared.append(index)
             if trial is None:
                 with pytest.raises(ValueError):
-                    counters.decrement_many(batch)
+                    count_out(counters, batch)
             else:
-                assert counters.decrement_many(batch) == cleared
+                assert count_out(counters, batch) == cleared
                 reference = trial
         assert [counters.get(i) for i in range(12)] == reference
         assert counters.saturation_events == saturated
+        assert counters.nonzero_indices() == [
+            i for i, value in enumerate(reference) if value
+        ]

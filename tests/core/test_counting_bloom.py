@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counting_bloom import CountingBloomFilter
-from repro.errors import ConfigurationError
+from repro.errors import BitIndexError, ConfigurationError, SummaryStateError
+from repro.summaries import PacketFillUpdatePolicy, SummaryConfig, SummaryNode
 
 
 class TestAddRemove:
@@ -314,3 +315,175 @@ class TestBatchOperations:
         via_positions.add_at(positions)
         assert via_positions.snapshot() == direct.snapshot()
         assert via_positions.keys_added == direct.keys_added
+
+
+def reference_peek_flips(records):
+    """The coalescing rule over an uncoalesced flip log, kept as the
+    reference the incremental pending dict must match record for record:
+    order of first occurrence, latest value, and nothing for a bit back
+    at its last-shipped state."""
+    final_value = {}
+    first_value = {}
+    order = []
+    for index, value in records:
+        if index not in final_value:
+            order.append(index)
+            first_value[index] = value
+        final_value[index] = value
+    return [
+        (index, final_value[index])
+        for index in order
+        if final_value[index] != (not first_value[index])
+    ]
+
+
+class ReferenceCountingFilter:
+    """Scalar saturating counters plus an uncoalesced flip log."""
+
+    def __init__(self, num_bits, width):
+        self.counts = [0] * num_bits
+        self.top = (1 << width) - 1
+        self.log = []
+        self.saturated = 0
+
+    def add_at(self, positions):
+        for index in positions:
+            if self.counts[index] == self.top:
+                self.saturated += 1
+                continue
+            self.counts[index] += 1
+            if self.counts[index] == 1:
+                self.log.append((index, True))
+
+    def remove_at(self, positions):
+        """False (and nothing changed) when a counter would underflow."""
+        trial = list(self.counts)
+        cleared = []
+        for index in positions:
+            if trial[index] == self.top:
+                continue
+            if trial[index] == 0:
+                return False
+            trial[index] -= 1
+            if trial[index] == 0:
+                cleared.append((index, False))
+        self.counts = trial
+        self.log += cleared
+        return True
+
+    def drain(self):
+        flips = reference_peek_flips(self.log)
+        self.log = []
+        return flips
+
+
+NUM_BITS = 10
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "remove", "drain"]),
+        st.lists(st.integers(0, NUM_BITS - 1), min_size=1, max_size=4),
+    ),
+    max_size=120,
+)
+
+
+class TestSinglePassWritePath:
+    @given(st.sampled_from([1, 2, 4, 8]), operations)
+    @settings(max_examples=120, deadline=None)
+    def test_matches_reference_flip_log(self, width, ops):
+        """Random add/remove/drain sequences on a tiny filter (duplicate
+        positions, saturating counters, underflowing removes): the
+        drained records equal the old rescanning algorithm's, in order,
+        and ``pending_flip_count`` is the uncoalesced log length."""
+        cbf = CountingBloomFilter(NUM_BITS, counter_width=width)
+        ref = ReferenceCountingFilter(NUM_BITS, width)
+        for op, positions in ops:
+            if op == "add":
+                cbf.add_at(positions)
+                ref.add_at(positions)
+            elif op == "remove":
+                if ref.remove_at(positions):
+                    cbf.remove_at(positions)
+                else:
+                    with pytest.raises(SummaryStateError):
+                        cbf.remove_at(positions)
+            else:
+                assert cbf.drain_flips() == ref.drain()
+            assert cbf.pending_flip_count == len(ref.log)
+            assert cbf.peek_flips() == reference_peek_flips(ref.log)
+            assert [cbf.counters.get(i) for i in range(NUM_BITS)] == ref.counts
+            assert cbf.filter.bits.popcount == sum(1 for c in ref.counts if c)
+        assert cbf.counters.saturation_events == ref.saturated
+        assert cbf.drain_flips() == ref.drain()
+
+    def test_pending_count_is_uncoalesced(self):
+        cbf = CountingBloomFilter(1 << 16)
+        cbf.add("http://a.com/x")
+        cbf.remove("http://a.com/x")
+        assert cbf.peek_flips() == []
+        assert cbf.pending_flip_count == 2 * len(
+            set(cbf.filter.positions("http://a.com/x"))
+        )
+
+    def test_packet_fill_policy_fires_at_the_same_insert(self):
+        # Churn through a small directory: evictions cancel earlier
+        # flips, so only the uncoalesced count reaches the packet size
+        # at the insert it did before flips were coalesced on the fly.
+        cfg = SummaryConfig(kind="bloom", load_factor=4, counter_width=2)
+        node = SummaryNode(cfg, 64 * 1024, doc_size=2048)
+        policy = PacketFillUpdatePolicy(records=40)
+        cbf = node.local.counting_filter
+        ref = ReferenceCountingFilter(cbf.num_bits, 2)
+        held = []
+        fired = []
+        for i in range(400):
+            url = f"http://churn.example/{i % 90}"
+            if url in held:
+                continue
+            node.on_insert(url)
+            ref.add_at(cbf.filter.positions(url))
+            held.append(url)
+            if len(held) > 20:
+                evicted = held.pop(0)
+                node.on_evict(evicted)
+                ref.remove_at(cbf.filter.positions(evicted))
+            due = node.due_for_update(policy, float(i), len(held))
+            assert due == (len(ref.log) >= policy.records)
+            if due:
+                fired.append(i)
+                assert node.publish(float(i)).flips == ref.drain()
+        assert len(fired) > 3
+
+    def test_failed_remove_at_leaves_everything(self):
+        cbf = CountingBloomFilter(16, counter_width=2)
+        cbf.add_at([1, 2, 2, 5])
+        cbf.drain_flips()
+        cbf.add_at([3, 7])
+        cbf.remove_at([7])
+
+        def state():
+            return (
+                cbf.counters.to_bytes(),
+                cbf.snapshot().to_bytes(),
+                cbf.filter.bits.popcount,
+                cbf.peek_flips(),
+                cbf.pending_flip_count,
+                cbf.keys_added,
+            )
+
+        before = state()
+        cases = [
+            ([1, 2, 16, 5], BitIndexError),  # bad index midway
+            ([1, 2, 9], SummaryStateError),  # a zero counter
+            ([1, 1, 5], SummaryStateError),  # a duplicate counted once
+            ([2, 3, 3], SummaryStateError),  # ... after a 1 -> 0 move
+        ]
+        for positions, error in cases:
+            with pytest.raises(error):
+                cbf.remove_at(positions)
+            assert state() == before
+        # The pending dict was put back exactly: a later flip of bit 3
+        # still coalesces against its first record.
+        cbf.remove_at([3])
+        assert cbf.peek_flips() == []

@@ -525,7 +525,7 @@ class TestSC004Encapsulation:
             "src/repro/simulation/mod.py",
             """\
             def poke(counters):
-                counters.increment_many([3])
+                counters.add_at([3], {})
             """,
         )
         assert project.rule_counts(select="SC004") == {"SC004": 1}

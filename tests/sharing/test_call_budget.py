@@ -4,16 +4,19 @@ Timing on a shared host cannot resolve a few per cent; call counts do
 not move with the host at all.  This replays a fixed 5 000-record
 ``dec`` trace through the sharing simulator under cProfile and bounds
 how many Python-level calls per record land in the Bloom/bit-array
-primitives (``repro/core/`` without the hashing modules) and in
-``repro/summaries/``.
+primitives (``repro/core/`` without the hashing modules), in
+``repro/summaries/`` and in the document caches (``repro/cache/``).
 
 Before peers were probed all at once the same replay made 56 calls per
 record into the primitives and 15 into the summaries (one
-``contains_key`` per peer per miss, a six-call chain per counter touch);
-now it makes about 6 of each.  A change that puts a per-peer or per-bit
-call back on the miss path breaks the bounds at once.  A short replay is
-mostly cold start -- small caches publish on nearly every insert -- so
-these figures sit *above* the steady state ``bench/`` reports.
+``contains_key`` per peer per miss, a six-call chain per counter touch).
+One-pass counter updates and reading peer directories in place then
+took the primitives from 6.09 to 5.52 and the caches from 11.25 to 6.07
+(a ``probe`` and an ``is_fresh_for`` per peer asked are gone).  A change
+that puts a per-peer or per-bit call back on the miss path breaks the
+bounds at once.  A short replay is mostly cold start -- small caches
+publish on nearly every insert -- so these figures sit *above* the
+steady state ``bench/`` reports.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from repro.traces.workloads import make_workload
 
 RECORDS = 5_000
 #: Calls per record allowed into each layer.
-BUDGET = {"core.bloom": 10.0, "summaries": 6.0}
+BUDGET = {"core.bloom": 6.3, "summaries": 6.0, "cache": 7.0}
 
 
 def layer_of(filename: str) -> str:

@@ -6,6 +6,9 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sharing.hierarchy import simulate_hierarchy
+from repro.sharing.messages import whole_filter_update_bytes
+from repro.sharing.summary_sharing import SummarySharingConfig
+from repro.summaries import SummaryConfig, SummaryNode, ThresholdUpdatePolicy
 from repro.traces.model import Request, Trace
 
 
@@ -113,3 +116,32 @@ class TestInvariants:
                 child_capacity=1000,
                 parent_capacity=1000,
             )
+
+
+class TestUpdateEncoding:
+    def test_sibling_updates_never_cost_more_than_the_whole_array(
+        self, small_trace
+    ):
+        # Small filters and a lazy threshold: most deltas carry more flip
+        # records than the whole bit array has bytes, so the paper's
+        # "whichever is smaller" rule must pick the array.
+        config = SummarySharingConfig(
+            summary=SummaryConfig(kind="bloom", load_factor=16),
+            update_policy=ThresholdUpdatePolicy(0.5),
+            expected_doc_size=2048,
+        )
+        child_capacity = 64 * 1024
+        r = simulate_hierarchy(
+            small_trace,
+            num_children=4,
+            child_capacity=child_capacity,
+            parent_capacity=400_000,
+            summary_config=config,
+        )
+        num_bits = SummaryNode(
+            config.summary, child_capacity, doc_size=config.expected_doc_size
+        ).local.num_bits
+        assert r.sibling_update_messages > 0
+        assert r.sibling_update_bytes <= (
+            r.sibling_update_messages * whole_filter_update_bytes(num_bits)
+        )

@@ -71,9 +71,9 @@ class TestRaiseSites:
     def test_counter_underflow(self):
         counters = CounterArray(4)
         with pytest.raises(SummaryStateError):
-            counters.decrement_many([0])
+            counters.remove_at([0], {})
         with pytest.raises(ValueError):  # old-vocabulary callers
-            counters.decrement_many([0])
+            counters.remove_at([0], {})
 
     def test_counting_bloom_remove_never_added(self):
         cbf = CountingBloomFilter(64, hash_family=MD5HashFamily())
@@ -115,6 +115,6 @@ class TestRaiseSites:
         with pytest.raises(ReproError):
             BitArray(8).get(99)
         with pytest.raises(ReproError):
-            CounterArray(4).decrement_many([0])
+            CounterArray(4).remove_at([0], {})
         with pytest.raises(ReproError):
             LRUPolicy().victim()
