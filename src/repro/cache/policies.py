@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from abc import ABC, abstractmethod
 from collections import OrderedDict
-from typing import Dict
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import CacheStateError, ConfigurationError
 
@@ -49,13 +49,24 @@ class ReplacementPolicy(ABC):
 
 
 class LRUPolicy(ReplacementPolicy):
-    """Evict the least recently used key (the paper's default)."""
+    """Evict the least recently used key (the paper's default).
+
+    An insert, a hit and a removal cost one C call each: every instance
+    binds :meth:`on_insert`, :meth:`on_access` and :meth:`on_remove` to
+    its ``OrderedDict``'s own ``__setitem__`` (the size rides along as
+    the unused value), ``move_to_end`` and ``__delitem__``, so none adds
+    a Python frame.  An unknown key raises ``KeyError``, as the methods
+    below do.
+    """
 
     def __init__(self) -> None:
-        self._order: "OrderedDict[str, None]" = OrderedDict()
+        self._order: "OrderedDict[str, int]" = OrderedDict()
+        self.on_insert = self._order.__setitem__  # type: ignore[method-assign]
+        self.on_access = self._order.move_to_end  # type: ignore[method-assign]
+        self.on_remove = self._order.__delitem__  # type: ignore[method-assign]
 
     def on_insert(self, key: str, size: int) -> None:
-        self._order[key] = None
+        self._order[key] = size
 
     def on_access(self, key: str) -> None:
         self._order.move_to_end(key)
@@ -96,45 +107,76 @@ class FIFOPolicy(ReplacementPolicy):
         return len(self._order)
 
 
-class LFUPolicy(ReplacementPolicy):
-    """Evict the least frequently used key; LRU among ties.
+#: Slack below which a heap policy's heap is never rebuilt.
+_HEAP_FLOOR = 64
 
-    Implemented with a lazy heap of ``(frequency, sequence, key)``
-    entries: stale heap entries are skipped at :meth:`victim` time.
+#: A heap entry: ``(rank, sequence, key)``.
+_Entry = Tuple[Any, int, str]
+
+
+class _HeapPolicy(ReplacementPolicy):
+    """A policy evicting the key of least rank, kept in a lazy heap.
+
+    Each tracked key has one *current* entry ``(rank, sequence, key)``.
+    Re-ranking a key pushes a new entry and leaves the old one in the
+    heap, skipped when it surfaces; an entry is live only while it is
+    its key's current one, so an entry left behind by a removed key
+    never comes back if the key is admitted again.  Sequence numbers
+    are unique: no two entries compare equal, and ties in rank break by
+    push order.
+
+    A policy that re-ranks on every hit would grow the heap by one
+    entry per hit, so once it holds more than twice the tracked keys
+    (plus :data:`_HEAP_FLOOR`) it is rebuilt from the current entries.
+    Those pop in the same order as before, so no victim changes.
     """
 
     def __init__(self) -> None:
-        self._freq: Dict[str, int] = {}
-        self._heap: list = []
+        self._current: Dict[str, _Entry] = {}
+        self._heap: List[_Entry] = []
         self._seq = 0
 
-    def _push(self, key: str) -> None:
+    def _push(self, key: str, rank: Any) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (self._freq[key], self._seq, key))
+        self._current[key] = entry = (rank, self._seq, key)
+        heap = self._heap
+        heapq.heappush(heap, entry)
+        if len(heap) > 2 * len(self._current) + _HEAP_FLOOR:
+            heap[:] = self._current.values()
+            heapq.heapify(heap)
 
-    def on_insert(self, key: str, size: int) -> None:
-        self._freq[key] = 1
-        self._push(key)
-
-    def on_access(self, key: str) -> None:
-        self._freq[key] += 1
-        self._push(key)
+    def _least(self) -> _Entry:
+        """The live entry of least rank, dropping stale ones above it."""
+        heap = self._heap
+        current = self._current
+        while heap:
+            entry = heap[0]
+            if current.get(entry[2]) is entry:
+                return entry
+            heapq.heappop(heap)
+        raise CacheStateError(f"victim() on empty {type(self).__name__}")
 
     def on_remove(self, key: str) -> None:
-        del self._freq[key]
+        del self._current[key]
 
     def victim(self) -> str:
-        while self._heap:
-            freq, _, key = self._heap[0]
-            current = self._freq.get(key)
-            if current is None or current != freq:
-                heapq.heappop(self._heap)  # stale entry
-                continue
-            return key
-        raise CacheStateError("victim() on empty LFU policy")
+        return self._least()[2]
 
     def __len__(self) -> int:
-        return len(self._freq)
+        return len(self._current)
+
+
+class LFUPolicy(_HeapPolicy):
+    """Evict the least frequently used key; LRU among ties.
+
+    A key's rank is its use count: 1 at insert, one more per hit.
+    """
+
+    def on_insert(self, key: str, size: int) -> None:
+        self._push(key, 1)
+
+    def on_access(self, key: str) -> None:
+        self._push(key, self._current[key][0] + 1)
 
 
 class SizePolicy(ReplacementPolicy):
@@ -170,7 +212,7 @@ class SizePolicy(ReplacementPolicy):
         return len(self._size)
 
 
-class GDSFPolicy(ReplacementPolicy):
+class GDSFPolicy(_HeapPolicy):
     """Greedy-Dual-Size-Frequency: evict min of ``L + freq / size``.
 
     The inflation term ``L`` (the priority of the last victim) ages out
@@ -178,48 +220,33 @@ class GDSFPolicy(ReplacementPolicy):
     """
 
     def __init__(self) -> None:
-        self._priority: Dict[str, float] = {}
+        super().__init__()
         self._freq: Dict[str, int] = {}
         self._size: Dict[str, int] = {}
-        self._heap: list = []  # (priority, seq, key), lazy deletion
-        self._seq = 0
         self._inflation = 0.0
 
-    def _score(self, key: str) -> float:
-        return self._inflation + self._freq[key] / max(1, self._size[key])
-
-    def _push(self, key: str) -> None:
-        self._priority[key] = self._score(key)
-        self._seq += 1
-        heapq.heappush(self._heap, (self._priority[key], self._seq, key))
+    def _push_score(self, key: str) -> None:
+        score = self._inflation + self._freq[key] / max(1, self._size[key])
+        self._push(key, score)
 
     def on_insert(self, key: str, size: int) -> None:
         self._freq[key] = 1
         self._size[key] = size
-        self._push(key)
+        self._push_score(key)
 
     def on_access(self, key: str) -> None:
         self._freq[key] += 1
-        self._push(key)
+        self._push_score(key)
 
     def on_remove(self, key: str) -> None:
         del self._freq[key]
         del self._size[key]
-        del self._priority[key]
+        super().on_remove(key)
 
     def victim(self) -> str:
-        while self._heap:
-            priority, _, key = self._heap[0]
-            current = self._priority.get(key)
-            if current is None or current != priority:
-                heapq.heappop(self._heap)
-                continue
-            self._inflation = priority
-            return key
-        raise CacheStateError("victim() on empty GDSF policy")
-
-    def __len__(self) -> int:
-        return len(self._freq)
+        priority, _, key = self._least()
+        self._inflation = priority
+        return key
 
 
 _POLICIES = {

@@ -41,16 +41,6 @@ class CacheStats:
             return 0.0
         return self.bytes_hit / self.bytes_requested
 
-    def record_lookup(self, hit: bool, stale: bool, size: int) -> None:
-        """Record one lookup outcome."""
-        self.requests += 1
-        self.bytes_requested += size
-        if hit:
-            self.hits += 1
-            self.bytes_hit += size
-        elif stale:
-            self.stale_hits += 1
-
     def record_policy_eviction(self, policy: str, count: int = 1) -> None:
         """Attribute *count* evictions to the named replacement policy."""
         self._by_policy[policy] = self._by_policy.get(policy, 0) + count

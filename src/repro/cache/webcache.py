@@ -150,16 +150,19 @@ class WebCache:
         Returns the fresh entry on a hit, ``None`` on a miss.
         """
         entry = self._entries.get(url)
-        if entry is None:
-            self.stats.record_lookup(hit=False, stale=False, size=size)
-            return None
-        if not entry.is_fresh_for(version):
-            self.stats.record_lookup(hit=False, stale=True, size=size)
+        stats = self.stats
+        stats.requests += 1
+        if entry is not None and entry.version == version:
+            self._policy.on_access(url)
+            stats.hits += 1
+            stats.bytes_requested += entry.size
+            stats.bytes_hit += entry.size
+            return entry
+        stats.bytes_requested += size
+        if entry is not None:
+            stats.stale_hits += 1
             self.remove(url)
-            return None
-        self._policy.on_access(url)
-        self.stats.record_lookup(hit=True, stale=False, size=entry.size)
-        return entry
+        return None
 
     def probe(self, url: str, version: int = 0) -> str:
         """Classify a remote lookup: ``"hit"``, ``"stale"``, or ``"miss"``.
@@ -198,17 +201,18 @@ class WebCache:
             existing.version = version
             self._used += size
             self._policy.on_access(url)
+        else:
+            entry = CacheEntry(url=url, size=size, version=version)
+            if self.store_digests:
+                entry.digest = md5_digest(url)
+            self._entries[url] = entry
+            self._used += size
+            self._policy.on_insert(url, size)
+            if self._on_insert is not None:
+                self._on_insert(url)
+        if self._used > self.capacity_bytes:
             return self._evict_until_fits(protect=url)
-
-        entry = CacheEntry(url=url, size=size, version=version)
-        if self.store_digests:
-            entry.digest = md5_digest(url)
-        self._entries[url] = entry
-        self._used += size
-        self._policy.on_insert(url, size)
-        if self._on_insert is not None:
-            self._on_insert(url)
-        return self._evict_until_fits(protect=url)
+        return []
 
     def touch(self, url: str) -> bool:
         """Mark *url* most recently used without a lookup.
@@ -256,9 +260,10 @@ class WebCache:
                 self._policy.on_access(victim)
                 victim = fallback
             self.remove(victim)
-            self.stats.evictions += 1
-            self.stats.record_policy_eviction(self._policy_name)
             evicted.append(victim)
+        if evicted:
+            self.stats.evictions += len(evicted)
+            self.stats.record_policy_eviction(self._policy_name, len(evicted))
         return evicted
 
     def clear(self) -> None:

@@ -32,10 +32,9 @@ from repro.sharing.messages import QUERY_MESSAGE_BYTES
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
     _delta_bytes,
-    _ProxyState,
+    _summary_proxies,
 )
 from repro.summaries import (
-    PeerSummaries,
     SummaryConfig,
     ThresholdUpdatePolicy,
     slots_of,
@@ -99,9 +98,11 @@ def simulate_hierarchy(
         summary=SummaryConfig(kind="bloom", load_factor=16),
         update_policy=ThresholdUpdatePolicy(0.01),
     )
-    children = [
-        _ProxyState(child_capacity, cfg) for _ in range(num_children)
-    ]
+    # Without sibling sharing nothing probes, so the children's key memo
+    # is filled by their first inserts.
+    children, shipped, key_cache = _summary_proxies(
+        [child_capacity] * num_children, cfg
+    )
     parent = WebCache(parent_capacity)
     result = HierarchyResult(
         trace_name=getattr(trace, "name", "stream"),
@@ -111,9 +112,6 @@ def simulate_hierarchy(
         isinstance(cfg.update_policy, ThresholdUpdatePolicy)
         and cfg.update_policy.live
     )
-    key_cache: dict = {}
-    shipped = PeerSummaries.of([c.node.local for c in children])
-    key_of = shipped.key_of
     filter_bits = [getattr(c.node.local, "num_bits", None) for c in children]
     lookups = [c.cache.entries.get for c in children]
 
@@ -129,11 +127,7 @@ def simulate_hierarchy(
 
         served = False
         if sibling_sharing and num_children > 1:
-            key = key_cache.get(req.url)
-            if key is None:
-                key = key_of(req.url)
-                key_cache[req.url] = key
-            candidates = slots_of(shipped.probe(key) & ~(1 << g))
+            candidates = slots_of(shipped.probe(key_cache[req.url]) & ~(1 << g))
             if candidates:
                 result.sibling_query_messages += len(candidates)
                 result.sibling_query_bytes += (

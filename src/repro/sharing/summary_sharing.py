@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache import WebCache
 from repro.errors import ConfigurationError
@@ -82,26 +82,89 @@ class SummarySharingConfig:
         return f"{self.summary.label()}/{self.update_policy.label()}"
 
 
+class _KeyMemo(dict):
+    """A run's url -> summary key memo, filled on first use by *key_of*."""
+
+    __slots__ = ("key_of",)
+
+    def __init__(self, key_of: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.key_of = key_of
+
+    def __missing__(self, url: str) -> Any:
+        key = self[url] = self.key_of(url)
+        return key
+
+
 class _ProxyState:
     """Per-proxy simulation state: a cache wired to a summary node.
 
     All summary plumbing (the local summary, update bookkeeping) lives
     in :class:`repro.summaries.SummaryNode`; this class only pairs it
-    with the document cache driving its callbacks.
+    with the document cache driving its callbacks.  The callbacks hand
+    the node each URL's summary key from *keys*, the run's memo for
+    this proxy's key space, so no insert or evict re-derives it.
     """
 
     __slots__ = ("cache", "node")
 
-    def __init__(self, capacity: int, config: SummarySharingConfig) -> None:
-        self.node = SummaryNode(
-            config.summary, capacity, doc_size=config.expected_doc_size
-        )
+    def __init__(
+        self,
+        node: SummaryNode,
+        capacity: int,
+        policy: str,
+        keys: Dict[str, Any],
+    ) -> None:
+        self.node = node
+        insert = node.insert
+        evict = node.evict
+
+        def on_insert(url: str) -> None:
+            insert(keys[url])
+
+        def on_evict(url: str) -> None:
+            evict(keys[url])
+
         self.cache = WebCache(
-            capacity,
-            policy=config.policy,
-            on_insert=self.node.on_insert,
-            on_evict=self.node.on_evict,
+            capacity, policy=policy, on_insert=on_insert, on_evict=on_evict
         )
+
+
+def _summary_proxies(
+    capacities: List[int], config: SummarySharingConfig
+) -> Tuple[List[_ProxyState], PeerSummaries, _KeyMemo]:
+    """One run's proxies, their shipped summaries, and its probe-key memo.
+
+    A URL's summary key (MD5 digest / server name / bit positions) is
+    the same whichever proxy asks, so each key space -- a Bloom filter
+    geometry; the digest sets have one -- gets one memo for the run: a
+    dict filled on first use, so a hit is one subscript.  With one
+    geometry the probe key *is* every proxy's key and that memo is also
+    the probe memo, so carrying keys into insert and evict adds no
+    memory.  With unequal capacities the probe key lists the URL's
+    positions in every geometry and gets a memo of its own.  The
+    derivation underneath flows through the process-wide
+    HashPositionCache (repro.core.position_cache), which survives
+    across runs: in a multi-cell grid over one trace, later cells
+    warm-start instead of re-hashing every URL.
+    """
+    nodes = [
+        SummaryNode(config.summary, size, doc_size=config.expected_doc_size)
+        for size in capacities
+    ]
+    shipped = PeerSummaries.of([node.local for node in nodes])
+    memos: Dict[Any, _KeyMemo] = {}
+    proxies = []
+    for node, size in zip(nodes, capacities):
+        space = getattr(node.local, "num_bits", None)
+        if space not in memos:
+            memos[space] = _KeyMemo(node.local.key_of)
+        proxies.append(_ProxyState(node, size, config.policy, memos[space]))
+    if len(memos) == 1:
+        (probe_keys,) = memos.values()
+    else:
+        probe_keys = _KeyMemo(shipped.key_of)
+    return proxies, shipped, probe_keys
 
 
 def _publish_metrics(
@@ -215,7 +278,7 @@ def simulate_summary_sharing(
     """
     cfg = config or SummarySharingConfig()
     capacities = resolve_capacities(num_proxies, capacity_per_proxy)
-    proxies = [_ProxyState(size, cfg) for size in capacities]
+    proxies, shipped, key_cache = _summary_proxies(capacities, cfg)
     live = (
         isinstance(cfg.update_policy, ThresholdUpdatePolicy)
         and cfg.update_policy.live
@@ -229,18 +292,6 @@ def simulate_summary_sharing(
     msgs = result.messages
     update_drains = 0
     sim_start = perf_counter()
-    # The probe key (MD5 digest / server name / bit positions) of a URL
-    # is the same whichever proxy asks: derive it once per URL per run
-    # via this plain dict, the cheapest possible lookup on the hot path.
-    # The derivation underneath additionally flows through the
-    # process-wide HashPositionCache (repro.core.position_cache), which
-    # survives across runs -- so in a multi-cell grid over one trace,
-    # later cells warm-start instead of re-hashing every URL, and
-    # disabling that cache gives an honest recompute-everything baseline
-    # for benchmarks.
-    key_cache: dict = {}
-    shipped = PeerSummaries.of([p.node.local for p in proxies])
-    key_of = shipped.key_of
     # What a whole-filter update would carry, per proxy (Bloom only).
     filter_bits = [getattr(p.node.local, "num_bits", None) for p in proxies]
     # Peer directories, read in place: asking a peer is one lookup and
@@ -264,11 +315,7 @@ def simulate_summary_sharing(
 
             # Probe the peers' shipped summaries and query the
             # promising ones, in peer order.
-            key = key_cache.get(req.url)
-            if key is None:
-                key = key_of(req.url)
-                key_cache[req.url] = key
-            mask = shipped.probe(key) & ~(1 << g)
+            mask = shipped.probe(key_cache[req.url]) & ~(1 << g)
             # slots_of(mask), spelled out: a call per miss is the one
             # thing this loop can still save.
             candidates = []

@@ -163,15 +163,36 @@ class RemoteSummary(ABC):
 
 
 class LocalSummary(ABC):
-    """The summary a proxy maintains for its own cache."""
+    """The summary a proxy maintains for its own cache.
+
+    Insert and evict work on the *summary key* (:meth:`key_of`): each
+    representation writes them once, as :meth:`add_key` /
+    :meth:`remove_key`, and the URL forms derive the key and delegate.
+    A caller that already holds the key -- the simulators, which derive
+    it once per URL per run for the probe -- skips the derivation.
+    """
 
     @abstractmethod
+    def add_key(self, key: Any) -> None:
+        """Record that the document filed under *key* entered the cache."""
+
+    @abstractmethod
+    def remove_key(self, key: Any) -> None:
+        """Record that the document filed under *key* left the cache.
+
+        Removing a key the summary does not hold raises
+        :class:`~repro.errors.SummaryStateError` (or, for a Bloom
+        position out of range, :class:`~repro.errors.BitIndexError`)
+        before anything changes.
+        """
+
     def add(self, url: str) -> None:
         """Record that *url* entered the cache."""
+        self.add_key(self.key_of(url))
 
-    @abstractmethod
     def remove(self, url: str) -> None:
         """Record that *url* left the cache."""
+        self.remove_key(self.key_of(url))
 
     @abstractmethod
     def may_contain(self, url: str) -> bool:
@@ -182,9 +203,10 @@ class LocalSummary(ABC):
         """The key this summary files *url* under: its MD5 digest, its
         server name, or its bit positions in this filter's geometry.
 
-        Deriving it is the expensive half of a probe, so
+        Deriving it is the expensive half of a probe or an update, so
         :class:`~repro.summaries.peers.PeerSummaries` takes it once per
-        URL and answers for every peer from it.
+        URL and answers for every peer from it, and the simulators hand
+        the same key to :meth:`add_key` / :meth:`remove_key`.
         """
 
     @abstractmethod
@@ -343,14 +365,26 @@ class SummaryNode:
         self.new_since_update = 0
         self.last_update_time = 0.0
 
-    def on_insert(self, url: str) -> None:
-        """Cache-insert hook: update the local summary and counters."""
-        self.local.add(url)
+    def insert(self, key: Any) -> None:
+        """A document filed under summary *key* entered the cache.
+
+        *key* is ``self.local.key_of(url)``; a caller that already holds
+        it (the simulators' per-run memo) passes it straight in.
+        """
+        self.local.add_key(key)
         self.new_since_update += 1
 
+    def evict(self, key: Any) -> None:
+        """A document filed under summary *key* left the cache."""
+        self.local.remove_key(key)
+
+    def on_insert(self, url: str) -> None:
+        """Cache-insert hook for callers holding only the URL."""
+        self.insert(self.local.key_of(url))
+
     def on_evict(self, url: str) -> None:
-        """Cache-evict hook: update the local summary."""
-        self.local.remove(url)
+        """Cache-evict hook for callers holding only the URL."""
+        self.evict(self.local.key_of(url))
 
     def due_for_update(
         self, policy: UpdatePolicy, now: float, cached_documents: int

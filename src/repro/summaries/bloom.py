@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.core.bloom import BloomFilter
 from repro.core.counting_bloom import CountingBloomFilter
@@ -91,11 +91,11 @@ class BloomSummary(LocalSummary):
         """The hash family announced in DIRUPDATE/DIGEST headers."""
         return self._cbf.hash_family
 
-    def add(self, url: str) -> None:
-        self._cbf.add(url)
+    def add_key(self, key: Sequence[int]) -> None:
+        self._cbf.add_at(key)
 
-    def remove(self, url: str) -> None:
-        self._cbf.remove(url)
+    def remove_key(self, key: Sequence[int]) -> None:
+        self._cbf.remove_at(key)
 
     def may_contain(self, url: str) -> bool:
         return self._cbf.may_contain(url)

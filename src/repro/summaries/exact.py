@@ -27,8 +27,7 @@ class ExactDirectorySummary(LocalSummary):
         self._pending_added: Set[bytes] = set()
         self._pending_removed: Set[bytes] = set()
 
-    def add(self, url: str) -> None:
-        digest = md5_digest(url)
+    def add_key(self, digest: bytes) -> None:
         if digest in self._digests:
             return
         self._digests.add(digest)
@@ -37,10 +36,11 @@ class ExactDirectorySummary(LocalSummary):
         else:
             self._pending_added.add(digest)
 
-    def remove(self, url: str) -> None:
-        digest = md5_digest(url)
+    def remove_key(self, digest: bytes) -> None:
         if digest not in self._digests:
-            raise SummaryStateError(f"remove of URL not in directory: {url!r}")
+            raise SummaryStateError(
+                f"remove of a digest not in the directory: {digest.hex()}"
+            )
         self._digests.discard(digest)
         if digest in self._pending_added:
             self._pending_added.discard(digest)

@@ -32,8 +32,7 @@ class ServerNameSummary(LocalSummary):
         self._pending_added: Set[str] = set()
         self._pending_removed: Set[str] = set()
 
-    def add(self, url: str) -> None:
-        name = server_of(url)
+    def add_key(self, name: str) -> None:
         count = self._refcounts.get(name, 0)
         self._refcounts[name] = count + 1
         if count == 0:
@@ -42,11 +41,10 @@ class ServerNameSummary(LocalSummary):
             else:
                 self._pending_added.add(name)
 
-    def remove(self, url: str) -> None:
-        name = server_of(url)
+    def remove_key(self, name: str) -> None:
         count = self._refcounts.get(name, 0)
         if count == 0:
-            raise SummaryStateError(f"remove of URL with unknown server: {url!r}")
+            raise SummaryStateError(f"remove of unknown server: {name!r}")
         if count == 1:
             del self._refcounts[name]
             if name in self._pending_added:

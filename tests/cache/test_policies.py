@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cache.policies import (
+    _HEAP_FLOOR,
     FIFOPolicy,
     GDSFPolicy,
     LFUPolicy,
@@ -68,6 +69,38 @@ class TestLFU:
     def test_victim_on_empty_raises(self):
         with pytest.raises(KeyError):
             LFUPolicy().victim()
+
+    def test_readmitted_key_does_not_inherit_its_old_entry(self):
+        # "a" leaves as the victim and is fetched again before the next
+        # eviction.  Matching heap entries on use count alone revived
+        # its old (1, seq) entry, so "a" was its own next victim.
+        policy = LFUPolicy()
+        policy.on_insert("a", 1)
+        policy.on_insert("b", 1)
+        assert policy.victim() == "a"
+        policy.on_remove("a")
+        policy.on_insert("a", 1)
+        assert policy.victim() == "b"
+
+
+@pytest.mark.parametrize("cls", [LFUPolicy, GDSFPolicy])
+def test_heap_stays_bounded_under_hits(cls):
+    """A hit re-ranks its key and pushes a heap entry; the heap is
+    rebuilt from the live keys before stale entries pile up (100 keys
+    and 100,000 hits used to leave 100,100 entries)."""
+    policy = cls()
+    keys = [f"k{i}" for i in range(100)]
+    for key in keys:
+        policy.on_insert(key, 1000)
+    for i in range(100_000):
+        policy.on_access(keys[(i * 7) % 100])
+        assert len(policy._heap) <= 2 * len(policy) + _HEAP_FLOOR
+    assert len(policy) == 100
+    drained = []
+    while len(policy):
+        drained.append(policy.victim())
+        policy.on_remove(drained[-1])
+    assert sorted(drained) == sorted(keys)
 
 
 class TestSize:

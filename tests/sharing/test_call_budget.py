@@ -2,19 +2,37 @@
 
 Timing on a shared host cannot resolve a few per cent; call counts do
 not move with the host at all.  This replays a fixed 5 000-record
-``dec`` trace through the sharing simulator under cProfile and bounds
-how many Python-level calls per record land in the Bloom/bit-array
-primitives (``repro/core/`` without the hashing modules), in
-``repro/summaries/`` and in the document caches (``repro/cache/``).
+``dec`` trace through the sharing simulator under cProfile, once with
+Bloom summaries and once with exact directories, and bounds how many
+Python-level calls per record land in the Bloom/bit-array primitives
+(``repro/core/`` without the hashing modules), in the hashing modules,
+in ``repro/summaries/`` and in the document caches (``repro/cache/``).
+Each replay starts from an empty hash-position cache, so the counts do
+not depend on which tests ran before.
 
-Before peers were probed all at once the same replay made 56 calls per
+Before peers were probed all at once the Bloom replay made 56 calls per
 record into the primitives and 15 into the summaries (one
 ``contains_key`` per peer per miss, a six-call chain per counter touch).
 One-pass counter updates and reading peer directories in place then
 took the primitives from 6.09 to 5.52 and the caches from 11.25 to 6.07
-(a ``probe`` and an ``is_fresh_for`` per peer asked are gone).  A change
-that puts a per-peer or per-bit call back on the miss path breaks the
-bounds at once.  A short replay is mostly cold start -- small caches
+(a ``probe`` and an ``is_fresh_for`` per peer asked are gone).  Carrying
+each URL's summary key into insert and evict, and a direct
+``WebCache`` request path, then took, per record (the first figure is
+the code before that change, measured the way this test measures):
+
+===============  ===============  =================
+layer            Bloom            exact directory
+===============  ===============  =================
+``cache``        6.07 -> 2.65     6.07 -> 2.65
+``core.bloom``   5.97 -> 3.98     0 -> 0
+``core.hashing`` 6.40 -> 4.40     4.05 -> 2.05
+``summaries``    5.86 -> 5.87     5.85 -> 5.85
+===============  ===============  =================
+
+The bounds below sit about 15 % above those figures (``summaries``
+keeps its earlier 6.0).  A change that puts a per-peer or per-bit call
+back on the miss path, or re-derives a key on insert or evict, breaks
+them at once.  A short replay is mostly cold start -- small caches
 publish on nearly every insert -- so these figures sit *above* the
 steady state ``bench/`` reports.
 """
@@ -24,6 +42,7 @@ from __future__ import annotations
 import cProfile
 from collections import Counter
 
+from repro.core.position_cache import HashPositionCache, position_cache
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
     simulate_summary_sharing,
@@ -32,8 +51,21 @@ from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.traces.workloads import make_workload
 
 RECORDS = 5_000
-#: Calls per record allowed into each layer.
-BUDGET = {"core.bloom": 6.3, "summaries": 6.0, "cache": 7.0}
+#: Calls per record allowed into each layer; 0 means none at all.
+BUDGETS = {
+    "bloom": {
+        "cache": 3.0,
+        "core.bloom": 4.6,
+        "core.hashing": 5.0,
+        "summaries": 6.0,
+    },
+    "exact-directory": {
+        "cache": 3.0,
+        "core.bloom": 0.0,
+        "core.hashing": 2.4,
+        "summaries": 6.0,
+    },
+}
 
 
 def layer_of(filename: str) -> str:
@@ -51,28 +83,41 @@ def layer_of(filename: str) -> str:
 
 
 def test_calls_per_record_stay_within_budget():
+    check_budget("bloom")
+
+
+def test_exact_directory_calls_stay_within_budget():
+    check_budget("exact-directory")
+
+
+def check_budget(kind: str) -> None:
     trace, proxies = make_workload("dec", scale=RECORDS / 60_000, seed=1)
     assert len(trace) == RECORDS and proxies == 16
     config = SummarySharingConfig(
-        summary=SummaryConfig(kind="bloom", load_factor=8),
+        summary=SummaryConfig(kind=kind, load_factor=8),
         update_policy=ThresholdUpdatePolicy(0.01),
         expected_doc_size=2048,
     )
     profile = cProfile.Profile()
-    profile.enable()
-    result = simulate_summary_sharing(trace, proxies, 256 * 1024, config)
-    profile.disable()
+    with position_cache(HashPositionCache()):
+        profile.enable()
+        result = simulate_summary_sharing(trace, proxies, 256 * 1024, config)
+        profile.disable()
 
     calls: Counter = Counter()
     for entry in profile.getstats():
         if not isinstance(entry.code, str):  # built-ins have no file
             calls[layer_of(entry.code.co_filename)] += entry.callcount
-    per_record = {layer: calls[layer] / RECORDS for layer in BUDGET}
+    budget = BUDGETS[kind]
+    per_record = {layer: calls[layer] / RECORDS for layer in budget}
 
     # The replay did the work the budget is about: misses that probe
     # peers, inserts and evictions that move counters, updates shipped.
     assert result.requests == RECORDS
-    assert result.remote_hits > 1_000 and result.false_hits > 100
+    assert result.remote_hits > 1_000
     assert result.messages.update_messages > 0
-    for layer, budget in BUDGET.items():
-        assert 0 < per_record[layer] <= budget, (layer, per_record)
+    if kind == "bloom":
+        assert result.false_hits > 100
+    for layer, allowed in budget.items():
+        assert per_record[layer] <= allowed, (layer, per_record)
+        assert (per_record[layer] > 0) == (allowed > 0), (layer, per_record)
