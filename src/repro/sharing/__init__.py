@@ -8,6 +8,12 @@ This subpackage reproduces the paper's simulation studies:
 - :mod:`repro.sharing.summary_sharing` -- the summary cache simulator of
   Section V, parameterized by update policy and summary representation
   (Figs. 2, 5, 6, 7, 8; Table III), plus the ICP message baseline;
+- :mod:`repro.sharing.hierarchy` -- the Section VIII parent/child
+  hierarchy;
+- :mod:`repro.sharing.carp` and :mod:`repro.sharing.directory_server`
+  -- the CARP and central-directory baselines of the related work;
+- :mod:`repro.sharing.engine` -- the one replay loop all of the above
+  are settings of;
 - :mod:`repro.sharing.messages` -- the paper's message-size accounting
   (Section V-D);
 - :mod:`repro.sharing.results` -- result records shared by all

@@ -29,11 +29,11 @@ This simulator measures what the paper's argument needs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
-from repro.cache import WebCache
 from repro.placement.ring import carp_owner
-from repro.traces.partition import TraceLike, group_of
+from repro.sharing.engine import _replay
+from repro.traces.partition import TraceLike
 
 __all__ = ["CarpResult", "simulate_carp"]
 
@@ -78,35 +78,19 @@ def simulate_carp(
     policy: str = "lru",
 ) -> CarpResult:
     """Run CARP over *trace*: every URL lives only at its hash owner."""
-    caches = [
-        WebCache(capacity_per_proxy, policy=policy)
-        for _ in range(num_proxies)
-    ]
-    result = CarpResult(
-        trace_name=getattr(trace, "name", "stream"),
-        num_proxies=num_proxies,
-        per_proxy_requests=[0] * num_proxies,
+    tally, caches, rerouted = _replay(
+        trace,
+        "carp",
+        [capacity_per_proxy] * num_proxies,
+        policy=policy,
+        route=lambda url: carp_owner(url, num_proxies),
     )
-    owner_cache: Dict[str, int] = {}
-
-    for req in trace:
-        local = group_of(req.client_id, num_proxies)
-        owner = owner_cache.get(req.url)
-        if owner is None:
-            owner = carp_owner(req.url, num_proxies)
-            owner_cache[req.url] = owner
-        result.requests += 1
-        result.per_proxy_requests[owner] += 1
-        if owner == local:
-            result.local_routed += 1
-        else:
-            result.remote_routed += 1
-
-        cache = caches[owner]
-        entry = cache.get(req.url, version=req.version, size=req.size)
-        if entry is not None:
-            result.hits += 1
-        else:
-            cache.put(req.url, req.size, version=req.version)
-
-    return result
+    return CarpResult(
+        trace_name=tally.trace_name,
+        num_proxies=num_proxies,
+        requests=tally.requests,
+        hits=tally.local_hits,
+        local_routed=tally.requests - rerouted,
+        remote_routed=rerouted,
+        per_proxy_requests=[cache.stats.requests for cache in caches],
+    )

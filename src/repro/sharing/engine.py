@@ -1,0 +1,393 @@
+"""The one replay loop behind every cache-sharing simulator.
+
+Sections III-V compare no sharing, simple sharing, single-copy sharing,
+a global cache, ICP and summary cache; the related work adds CARP and a
+central directory server, and Section VIII a parent cache.  They differ
+only in who a proxy asks on a miss and what each exchange costs, so
+:func:`_replay` replays them all, reading a scheme along four axes
+(``docs/simulators.md`` tabulates each simulator's settings):
+
+- **route** -- the client's own proxy serves a request, or the proxy a
+  *route* function names (CARP's hash owner); a global cache is one
+  pooled cache serving every client.
+- **ask** -- who is asked on a local miss, as a bitmask read in peer
+  order: nobody, every peer as an oracle, the peers whose shipped
+  summaries say "maybe", or the holders an exact central directory
+  lists; then, if given, a *parent* cache.
+- **store** -- whether the requester also caches a remote hit.
+- **messages** -- what the exchanges cost (:mod:`repro.sharing.messages`).
+
+Every scheme choice is hoisted into a local before the loop, which makes
+no per-request or per-miss strategy call: the summary path keeps the
+shape it had as a loop of its own.
+"""
+
+from __future__ import annotations
+
+from functools import partial
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+
+from repro.cache import WebCache
+from repro.obs.registry import get_registry
+from repro.sharing.messages import (
+    QUERY_MESSAGE_BYTES,
+    bloom_update_bytes,
+    digest_update_bytes,
+    whole_filter_update_bytes,
+)
+from repro.sharing.results import MessageCounts, SharingResult
+from repro.summaries import BitFlipDelta, PeerSummaries, SummaryNode
+from repro.traces.partition import TraceLike, grouped_chunks
+
+if TYPE_CHECKING:
+    from repro.sharing.summary_sharing import SummarySharingConfig
+
+
+class _KeyMemo(dict):
+    """A run's url -> key memo, filled on first use by *key_of*."""
+
+    __slots__ = ("key_of",)
+
+    def __init__(self, key_of: Callable[[str], Any]) -> None:
+        super().__init__()
+        self.key_of = key_of
+
+    def __missing__(self, url: str) -> Any:
+        key = self[url] = self.key_of(url)
+        return key
+
+
+def _feed(
+    update: Callable[[Any], None], keys: Dict[str, Any], url: str
+) -> None:
+    """Cache hook: hand *update* the summary key *keys* holds for *url*."""
+    update(keys[url])
+
+
+def _summary_proxies(
+    capacities: List[int], config: SummarySharingConfig
+) -> Tuple[List[WebCache], List[SummaryNode], PeerSummaries, _KeyMemo]:
+    """One run's caches, summary nodes, shipped summaries and probe-key memo.
+
+    A URL's summary key (MD5 digest / server name / bit positions) is
+    the same whichever proxy asks, so each key space -- a Bloom filter
+    geometry; the digest sets have one -- gets one memo for the run: a
+    dict filled on first use, so a hit is one subscript.  With one
+    geometry the probe key *is* every proxy's key and that memo is also
+    the probe memo, so carrying keys into insert and evict adds no
+    memory.  With unequal capacities the probe key lists the URL's
+    positions in every geometry and gets a memo of its own.  The
+    derivation underneath flows through the process-wide
+    HashPositionCache (repro.core.position_cache), which survives
+    across runs: in a multi-cell grid over one trace, later cells
+    warm-start instead of re-hashing every URL.
+    """
+    nodes = [
+        SummaryNode(config.summary, size, doc_size=config.expected_doc_size)
+        for size in capacities
+    ]
+    shipped = PeerSummaries.of([node.local for node in nodes])
+    memos: Dict[Any, _KeyMemo] = {}
+    caches = []
+    for node, size in zip(nodes, capacities):
+        space = getattr(node.local, "num_bits", None)
+        if space not in memos:
+            memos[space] = _KeyMemo(node.local.key_of)
+        keys = memos[space]
+        caches.append(
+            WebCache(
+                size,
+                policy=config.policy,
+                on_insert=partial(_feed, node.insert, keys),
+                on_evict=partial(_feed, node.evict, keys),
+            )
+        )
+    if len(memos) == 1:
+        (probe_keys,) = memos.values()
+    else:
+        probe_keys = _KeyMemo(shipped.key_of)
+    return caches, nodes, shipped, probe_keys
+
+
+def _notify(
+    directory: Dict[str, int], msgs: MessageCounts, bit: int, url: str
+) -> None:
+    """Cache hook: tell the central *directory* that *url* entered or left.
+
+    *directory* maps a URL to the bitmask of proxies holding it, so the
+    server's answer is read like a summary probe, in ascending peer
+    order.  A cache inserts only a URL it lacks and evicts only one it
+    holds, so flipping the cache's *bit* serves both hooks.  Each
+    notification is sized as an exact-directory update of one change.
+    """
+    directory[url] = directory.get(url, 0) ^ bit
+    msgs.update_messages += 1
+    msgs.update_bytes += digest_update_bytes(1)
+
+
+def _delta_bytes(delta, num_bits) -> int:
+    """Wire size of one update carrying *delta*.
+
+    The digest sets ship one record per change.  For Bloom summaries the
+    sender picks the cheaper encoding between the flip-record delta and
+    its whole *num_bits* bit array ("the proxy can either specify which
+    bits in the bit array are flipped, or send the whole array,
+    whichever is smaller").
+    """
+    if isinstance(delta, BitFlipDelta):
+        return min(
+            bloom_update_bytes(delta.change_count),
+            whole_filter_update_bytes(num_bits),
+        )
+    return digest_update_bytes(delta.change_count)
+
+
+def _publish_metrics(
+    result: SharingResult, update_drains: int, elapsed: float
+) -> None:
+    """Publish one finished run to the default registry, by scheme.
+
+    The replay loop counts into the :class:`~repro.sharing.results.
+    SharingResult` alone; nothing can scrape a synchronous replay
+    mid-run, so the Figs. 6-8 series (false hits, messages, bytes) are
+    written from it once here and always agree with it.  Under the
+    default null registry every call below is a no-op.
+    """
+    registry = get_registry()
+    labels = {"scheme": result.scheme}
+    msgs = result.messages
+
+    def counter(name: str, help: str, value: int) -> None:
+        registry.counter(name, help, labels=labels).inc(value)
+
+    counter("sharing_requests_total", "requests simulated", result.requests)
+    counter(
+        "sharing_local_hits_total",
+        "fresh hits in the local cache",
+        result.local_hits,
+    )
+    counter(
+        "sharing_remote_hits_total",
+        "fresh hits served by a peer",
+        result.remote_hits,
+    )
+    counter(
+        "sharing_false_hits_total",
+        "query rounds where no queried peer held the document (Fig. 6)",
+        result.false_hits,
+    )
+    counter(
+        "sharing_false_misses_total",
+        "fresh peer copies the summaries failed to reveal",
+        result.false_misses,
+    )
+    counter(
+        "sharing_query_messages_total",
+        "ICP queries sent (Fig. 7)",
+        msgs.query_messages,
+    )
+    counter(
+        "sharing_query_bytes_total",
+        "ICP query bytes sent (Fig. 8)",
+        msgs.query_bytes,
+    )
+    counter(
+        "sharing_update_drains_total",
+        "summary deltas drained and published",
+        update_drains,
+    )
+    counter(
+        "sharing_update_messages_total",
+        "summary update messages shipped (Fig. 7)",
+        msgs.update_messages,
+    )
+    counter(
+        "sharing_update_bytes_total",
+        "summary update bytes shipped (Fig. 8)",
+        msgs.update_bytes,
+    )
+    registry.histogram(
+        "sharing_simulation_seconds",
+        "wall time of one sharing simulation",
+        labels=labels,
+    ).observe(elapsed)
+
+
+def _replay(
+    trace: TraceLike,
+    scheme: str,
+    capacities: List[int],
+    *,
+    policy: str = "lru",
+    route: Optional[Callable[[str], int]] = None,
+    ask: str = "none",
+    parent: Optional[WebCache] = None,
+    caches_remote_hits: bool = True,
+    messages: str = "none",
+    summary: Optional[SummarySharingConfig] = None,
+    metrics: bool = False,
+) -> Tuple[SharingResult, List[WebCache], int]:
+    """Replay *trace* through one scheme; see the module docstring.
+
+    Proxy *i* has cache ``capacities[i]`` and serves the clients whose id
+    modulo the proxy count is *i*.  *ask* is ``"none"``, ``"all"``,
+    ``"summaries"`` (of the *summary* configuration) or ``"directory"``;
+    *messages* is ``"none"``, ``"icp"`` (a query and reply per peer
+    asked), ``"summary"`` (the same, plus the update policy's publishes)
+    or ``"directory"`` (a server round per miss, a notification per
+    insert and evict).  *metrics* publishes the run to the registry.
+
+    Returns the :class:`SharingResult`, the proxies' caches, and how many
+    requests *route* sent away from their client's own proxy.
+    """
+    groups = len(capacities)
+    result = SharingResult(
+        scheme=scheme,
+        trace_name=getattr(trace, "name", "stream"),
+        num_proxies=groups,
+    )
+    msgs = result.messages
+    nodes: List[SummaryNode] = []
+    directory: Optional[Dict[str, int]] = None
+    probe = update_policy = None
+    if ask == "summaries":
+        assert summary is not None
+        caches, nodes, shipped, keys = _summary_proxies(capacities, summary)
+        probe = shipped.probe
+        if messages == "summary":
+            update_policy = summary.update_policy
+    elif ask == "directory":
+        directory = {}
+        caches = []
+        for slot, size in enumerate(capacities):
+            hook = partial(_notify, directory, msgs, 1 << slot)
+            caches.append(
+                WebCache(size, policy=policy, on_insert=hook, on_evict=hook)
+            )
+    else:
+        caches = [WebCache(size, policy=policy) for size in capacities]
+    owners = _KeyMemo(route) if route is not None else None
+    everyone = (1 << groups) - 1 if ask == "all" else 0
+    per_peer = messages in ("icp", "summary")  # a query + reply per peer asked
+    live = getattr(update_policy, "live", False)  # threshold 0: no delay
+    fanout = groups - 1
+    filter_bits = [getattr(node.local, "num_bits", None) for node in nodes]
+    # Peer directories, read in place: asking a peer is one lookup and
+    # one version compare.
+    lookups = [cache.entries.get for cache in caches]
+    rerouted = 0
+    update_drains = 0
+    sim_start = perf_counter()
+
+    # Replay in chunks, each chunk's group ids derived in one sweep.
+    for chunk in grouped_chunks(trace, groups):
+        for g, req in chunk:
+            url = req.url
+            if owners is not None:
+                owner = owners[url]
+                if owner != g:
+                    rerouted += 1
+                g = owner
+            cache = caches[g]
+            result.requests += 1
+            result.bytes_requested += req.size
+
+            entry = cache.get(url, req.version, req.size)
+            if entry is not None:
+                result.local_hits += 1
+                result.bytes_hit += entry.size
+                continue
+
+            # Who is asked, as a peer bitmask; never the requester.
+            if probe is not None:
+                mask = probe(keys[url])
+            elif directory is not None:
+                mask = directory.get(url, 0)
+            else:
+                mask = everyone
+            mask &= ~(1 << g)
+            # slots_of(mask), spelled out: a call per miss is the one
+            # thing this loop can still save.
+            candidates = []
+            while mask:
+                low = mask & -mask
+                candidates.append(low.bit_length() - 1)
+                mask ^= low
+
+            version = req.version
+            fresh = None
+            stale_seen = False
+            if candidates:
+                if per_peer:
+                    asked = len(candidates)
+                    msgs.query_messages += asked
+                    msgs.reply_messages += asked
+                    msgs.query_bytes += QUERY_MESSAGE_BYTES * asked
+                    msgs.reply_bytes += QUERY_MESSAGE_BYTES * asked
+                for j in candidates:
+                    entry = lookups[j](url)
+                    if entry is not None:
+                        if entry.version == version:
+                            fresh = j
+                            break
+                        stale_seen = True
+            if fresh is not None:
+                result.remote_hits += 1
+                result.bytes_hit += req.size
+                caches[fresh].touch(url)  # serving peer refreshes recency
+                if not caches_remote_hits:
+                    continue  # the single copy stays at the peer
+            else:
+                if stale_seen:
+                    result.remote_stale_hits += 1
+                elif candidates and probe is not None:
+                    result.false_hits += 1
+                if probe is not None:
+                    # Only a summary can hide a peer's copy: a fresh one
+                    # anywhere is one the summaries failed to reveal.
+                    for lookup in lookups:
+                        entry = lookup(url)
+                        if entry is not None and entry.version == version:
+                            result.false_misses += 1
+                            break
+                if parent is not None:
+                    # The parent serves from its cache, or fetches from
+                    # the origin on the child's behalf and keeps a copy.
+                    if parent.get(url, version, req.size) is None:
+                        parent.put(url, req.size, version=version)
+
+            # Cache what was fetched (from a peer, the parent or the
+            # origin); the insert may have made an update due.
+            cache.put(url, req.size, version=version)
+            if update_policy is not None and (
+                live
+                or nodes[g].due_for_update(
+                    update_policy, req.timestamp, len(cache)
+                )
+            ):
+                delta = nodes[g].publish(req.timestamp)
+                shipped.apply_delta(g, delta)
+                if live:
+                    continue  # no update delay: no message to count
+                update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
+                msgs.update_messages += fanout
+                msgs.update_bytes += update_bytes
+                update_drains += 1
+
+    if messages == "directory":
+        # One query to the server and one reply back per local miss.
+        misses = result.requests - result.local_hits
+        msgs.query_messages = msgs.reply_messages = misses
+        msgs.query_bytes = msgs.reply_bytes = QUERY_MESSAGE_BYTES * misses
+    result.cache_capacity_bytes = sum(capacities) // groups
+    result.local_stale_hits = sum(c.stats.stale_hits for c in caches)
+    # Memory per proxy: one remote copy per peer, plus this proxy's own
+    # local structure (counters included for Bloom summaries).
+    if nodes:
+        remote = nodes[0].local.remote_size_bytes()
+        local = nodes[0].local.size_bytes()
+        result.summary_memory_bytes = remote * fanout + local
+    if metrics:
+        _publish_metrics(result, update_drains, perf_counter() - sim_start)
+    return result, caches, rerouted

@@ -28,18 +28,10 @@ from typing import Optional
 
 from repro.cache import WebCache
 from repro.errors import ConfigurationError
-from repro.sharing.messages import QUERY_MESSAGE_BYTES
-from repro.sharing.summary_sharing import (
-    SummarySharingConfig,
-    _delta_bytes,
-    _summary_proxies,
-)
-from repro.summaries import (
-    SummaryConfig,
-    ThresholdUpdatePolicy,
-    slots_of,
-)
-from repro.traces.partition import TraceLike, group_of
+from repro.sharing.engine import _replay
+from repro.sharing.summary_sharing import SummarySharingConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+from repro.traces.partition import TraceLike
 
 
 @dataclass
@@ -98,76 +90,28 @@ def simulate_hierarchy(
         summary=SummaryConfig(kind="bloom", load_factor=16),
         update_policy=ThresholdUpdatePolicy(0.01),
     )
-    # Without sibling sharing nothing probes, so the children's key memo
-    # is filled by their first inserts.
-    children, shipped, key_cache = _summary_proxies(
-        [child_capacity] * num_children, cfg
-    )
     parent = WebCache(parent_capacity)
-    result = HierarchyResult(
-        trace_name=getattr(trace, "name", "stream"),
+    tally = _replay(
+        trace,
+        "hierarchy",
+        [child_capacity] * num_children,
+        policy=cfg.policy,
+        ask="summaries" if sibling_sharing else "none",
+        parent=parent,
+        messages="summary" if sibling_sharing else "none",
+        summary=cfg,
+    )[0]
+    return HierarchyResult(
+        trace_name=tally.trace_name,
         num_children=num_children,
+        requests=tally.requests,
+        child_hits=tally.local_hits,
+        sibling_hits=tally.remote_hits,
+        parent_hits=parent.stats.hits,
+        origin_fetches=parent.stats.requests - parent.stats.hits,
+        sibling_query_messages=tally.messages.query_messages,
+        sibling_update_messages=tally.messages.update_messages,
+        sibling_query_bytes=tally.messages.query_bytes,
+        sibling_update_bytes=tally.messages.update_bytes,
+        parent_requests=parent.stats.requests,
     )
-    live = (
-        isinstance(cfg.update_policy, ThresholdUpdatePolicy)
-        and cfg.update_policy.live
-    )
-    filter_bits = [getattr(c.node.local, "num_bits", None) for c in children]
-    lookups = [c.cache.entries.get for c in children]
-
-    for req in trace:
-        g = group_of(req.client_id, num_children)
-        me = children[g]
-        result.requests += 1
-
-        entry = me.cache.get(req.url, version=req.version, size=req.size)
-        if entry is not None:
-            result.child_hits += 1
-            continue
-
-        served = False
-        if sibling_sharing and num_children > 1:
-            candidates = slots_of(shipped.probe(key_cache[req.url]) & ~(1 << g))
-            if candidates:
-                result.sibling_query_messages += len(candidates)
-                result.sibling_query_bytes += (
-                    QUERY_MESSAGE_BYTES * len(candidates)
-                )
-                for j in candidates:
-                    entry = lookups[j](req.url)
-                    if entry is not None and entry.version == req.version:
-                        result.sibling_hits += 1
-                        children[j].cache.touch(req.url)
-                        served = True
-                        break
-
-        if not served:
-            # Ask the parent: it serves from cache or fetches upstream.
-            result.parent_requests += 1
-            parent_entry = parent.get(
-                req.url, version=req.version, size=req.size
-            )
-            if parent_entry is not None:
-                result.parent_hits += 1
-            else:
-                result.origin_fetches += 1
-                parent.put(req.url, req.size, version=req.version)
-
-        me.cache.put(req.url, req.size, version=req.version)
-        if sibling_sharing and (
-            live
-            or me.node.due_for_update(
-                cfg.update_policy, req.timestamp, len(me.cache)
-            )
-        ):
-            delta = me.node.publish(req.timestamp)
-            shipped.apply_delta(g, delta)
-            if live:
-                continue  # no update delay: no message to count
-            fanout = num_children - 1
-            result.sibling_update_messages += fanout
-            result.sibling_update_bytes += (
-                _delta_bytes(delta, filter_bits[g]) * fanout
-            )
-
-    return result

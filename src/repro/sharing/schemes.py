@@ -13,13 +13,13 @@ message overhead is the subject of Sections IV-V).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
-from repro.cache import WebCache
 from repro.errors import ConfigurationError
 from repro.placement.policy import CooperationPolicy
+from repro.sharing.engine import _replay
 from repro.sharing.results import SharingResult
-from repro.traces.partition import TraceLike, grouped_chunks
+from repro.traces.partition import TraceLike
 
 #: Per-proxy capacity: one size for all, or one size per proxy (the
 #: paper's prescription under load imbalance is "to allocate cache size
@@ -44,15 +44,6 @@ def resolve_capacities(
     return sizes
 
 
-def _make_caches(
-    num_proxies: int, capacity_per_proxy: Capacity, policy: str
-) -> List[WebCache]:
-    return [
-        WebCache(size, policy=policy)
-        for size in resolve_capacities(num_proxies, capacity_per_proxy)
-    ]
-
-
 def simulate_no_sharing(
     trace: TraceLike,
     num_proxies: int,
@@ -60,80 +51,8 @@ def simulate_no_sharing(
     policy: str = "lru",
 ) -> SharingResult:
     """Each proxy serves only its own clients; misses go to the origin."""
-    caches = _make_caches(num_proxies, capacity_per_proxy, policy)
-    result = SharingResult(
-        scheme="no-sharing",
-        trace_name=getattr(trace, "name", "stream"),
-        num_proxies=num_proxies,
-        cache_capacity_bytes=sum(c.capacity_bytes for c in caches)
-        // num_proxies,
-    )
-    # Chunked replay: group ids for a whole chunk are derived in one
-    # sweep (see repro.traces.partition.grouped_chunks); per-request
-    # logic is unchanged, so results match the per-request loop exactly.
-    for chunk in grouped_chunks(trace, num_proxies):
-        for g, req in chunk:
-            cache = caches[g]
-            result.requests += 1
-            result.bytes_requested += req.size
-            entry = cache.get(req.url, version=req.version, size=req.size)
-            if entry is not None:
-                result.local_hits += 1
-                result.bytes_hit += entry.size
-                continue
-            cache.put(req.url, req.size, version=req.version)
-    result.local_stale_hits = sum(c.stats.stale_hits for c in caches)
-    return result
-
-
-def _simulate_discovery_sharing(
-    trace: TraceLike,
-    num_proxies: int,
-    capacity_per_proxy: Capacity,
-    policy: str,
-    cooperation: CooperationPolicy,
-    scheme: str,
-) -> SharingResult:
-    """Shared replay loop for the discovery-based sharing schemes.
-
-    The only difference between simple sharing and single-copy sharing
-    is the storage rule after a remote hit, and that rule is exactly
-    :attr:`repro.placement.policy.CooperationPolicy.caches_remote_hits`:
-    the requester either stores the fetched document locally (simple
-    sharing / summary cache) or leaves the single copy at the serving
-    peer, which merely refreshes its recency.
-    """
-    caches = _make_caches(num_proxies, capacity_per_proxy, policy)
-    result = SharingResult(
-        scheme=scheme,
-        trace_name=getattr(trace, "name", "stream"),
-        num_proxies=num_proxies,
-        cache_capacity_bytes=sum(c.capacity_bytes for c in caches)
-        // num_proxies,
-    )
-    caches_remote_hits = cooperation.caches_remote_hits
-    for chunk in grouped_chunks(trace, num_proxies):
-        for g, req in chunk:
-            cache = caches[g]
-            result.requests += 1
-            result.bytes_requested += req.size
-            entry = cache.get(req.url, version=req.version, size=req.size)
-            if entry is not None:
-                result.local_hits += 1
-                result.bytes_hit += entry.size
-                continue
-            holder = _find_fresh_peer(caches, g, req.url, req.version)
-            if holder is not None:
-                result.remote_hits += 1
-                result.bytes_hit += req.size
-                caches[holder].touch(req.url)  # serving peer refreshes recency
-                if not caches_remote_hits:
-                    continue  # not cached locally -- that is the point
-            elif _any_stale_peer(caches, g, req.url, req.version):
-                result.remote_stale_hits += 1
-            cache.put(req.url, req.size, version=req.version)
-    result.local_stale_hits = sum(c.stats.stale_hits for c in caches)
-    return result
+    capacities = resolve_capacities(num_proxies, capacity_per_proxy)
+    return _replay(trace, "no-sharing", capacities, policy=policy)[0]
 
 
 def simulate_simple_sharing(
@@ -147,14 +66,10 @@ def simulate_simple_sharing(
     "Once a proxy fetches a document from another proxy, it caches the
     document locally.  Proxies do not coordinate cache replacements."
     """
-    return _simulate_discovery_sharing(
-        trace,
-        num_proxies,
-        capacity_per_proxy,
-        policy,
-        CooperationPolicy.SUMMARY,
-        scheme="simple-sharing",
-    )
+    capacities = resolve_capacities(num_proxies, capacity_per_proxy)
+    return _replay(
+        trace, "simple-sharing", capacities, policy=policy, ask="all"
+    )[0]
 
 
 def simulate_single_copy_sharing(
@@ -169,14 +84,15 @@ def simulate_single_copy_sharing(
     Rather, the other proxy marks the document as most-recently-accessed,
     and increases its caching priority."
     """
-    return _simulate_discovery_sharing(
+    capacities = resolve_capacities(num_proxies, capacity_per_proxy)
+    return _replay(
         trace,
-        num_proxies,
-        capacity_per_proxy,
-        policy,
-        CooperationPolicy.SINGLE_COPY,
-        scheme="single-copy",
-    )
+        "single-copy",
+        capacities,
+        policy=policy,
+        ask="all",
+        caches_remote_hits=CooperationPolicy.SINGLE_COPY.caches_remote_hits,
+    )[0]
 
 
 def simulate_global_cache(
@@ -198,46 +114,10 @@ def simulate_global_cache(
         )
     total = sum(resolve_capacities(num_proxies, capacity_per_proxy))
     pooled = max(1, int(total * capacity_scale))
-    cache = WebCache(pooled, policy=policy)
     label = "global" if capacity_scale == 1.0 else f"global-{capacity_scale:g}x"
-    result = SharingResult(
-        scheme=label,
-        trace_name=getattr(trace, "name", "stream"),
-        num_proxies=num_proxies,
-        cache_capacity_bytes=pooled // num_proxies,
-    )
-    for req in trace:
-        result.requests += 1
-        result.bytes_requested += req.size
-        entry = cache.get(req.url, version=req.version, size=req.size)
-        if entry is not None:
-            result.local_hits += 1
-            result.bytes_hit += entry.size
-            continue
-        cache.put(req.url, req.size, version=req.version)
-    result.local_stale_hits = cache.stats.stale_hits
+    # No sharing over one group that holds the pooled capacity, reported
+    # per proxy of the cooperating array.
+    result = _replay(trace, label, [pooled], policy=policy)[0]
+    result.num_proxies = num_proxies
+    result.cache_capacity_bytes = pooled // num_proxies
     return result
-
-
-def _find_fresh_peer(
-    caches: List[WebCache], requester: int, url: str, version: int
-) -> Optional[int]:
-    """Index of a peer holding a fresh copy, or ``None``."""
-    for i, cache in enumerate(caches):
-        if i == requester:
-            continue
-        if cache.probe(url, version) == "hit":
-            return i
-    return None
-
-
-def _any_stale_peer(
-    caches: List[WebCache], requester: int, url: str, version: int
-) -> bool:
-    """True if some peer holds a stale copy of *url*."""
-    for i, cache in enumerate(caches):
-        if i == requester:
-            continue
-        if cache.probe(url, version) == "stale":
-            return True
-    return False

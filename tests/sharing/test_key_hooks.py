@@ -1,6 +1,6 @@
 """The simulators' key-carrying cache hooks against the URL hooks.
 
-The sharing and hierarchy simulators wire each proxy's cache to
+The replay loop wires each summary-sharing proxy's cache to
 :meth:`SummaryNode.insert` / :meth:`SummaryNode.evict` through the run's
 url -> summary key memo, so no insert or evict re-derives a key.  Any
 request sequence must leave each summary exactly as the URL-deriving
@@ -15,10 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache import WebCache
-from repro.sharing.summary_sharing import (
-    SummarySharingConfig,
-    _summary_proxies,
-)
+from repro.sharing.engine import _summary_proxies
+from repro.sharing.summary_sharing import SummarySharingConfig
 from repro.summaries import BloomSummary, SummaryConfig, SummaryNode
 from repro.summaries.servername import ServerNameSummary
 
@@ -77,12 +75,12 @@ def test_memo_fed_hooks_match_url_hooks(ops):
         config = SummarySharingConfig(
             summary=SummaryConfig(kind=kind), expected_doc_size=2 * KiB
         )
-        proxies, _, probe_keys = _summary_proxies(capacities, config)
+        caches, wired, _, probe_keys = _summary_proxies(capacities, config)
         nodes = [
             SummaryNode(config.summary, size, doc_size=config.expected_doc_size)
             for size in capacities
         ]
-        caches = [
+        plain = [
             WebCache(size, on_insert=node.on_insert, on_evict=node.on_evict)
             for node, size in zip(nodes, capacities)
         ]
@@ -92,16 +90,16 @@ def test_memo_fed_hooks_match_url_hooks(ops):
                 continue
             if op[0] == "put":
                 _, g, url, size, version = op
-                got = proxies[g].cache.put(url, size, version=version)
-                assert got == caches[g].put(url, size, version=version)
+                got = caches[g].put(url, size, version=version)
+                assert got == plain[g].put(url, size, version=version)
             else:
                 _, g, url, version = op
-                got = proxies[g].cache.get(url, version=version)
-                want = caches[g].get(url, version=version)
+                got = caches[g].get(url, version=version)
+                want = plain[g].get(url, version=version)
                 assert (got is None) == (want is None)
-            assert _state(proxies[g].node) == _state(nodes[g]), (kind, step)
+            assert _state(wired[g]) == _state(nodes[g]), (kind, step)
             if step % 17 == 16:
-                assert _delta(proxies[g].node) == _delta(nodes[g])
-        for proxy, node in zip(proxies, nodes):
-            assert _state(proxy.node) == _state(node)
-            assert _delta(proxy.node) == _delta(node)
+                assert _delta(wired[g]) == _delta(nodes[g])
+        for got_node, node in zip(wired, nodes):
+            assert _state(got_node) == _state(node)
+            assert _delta(got_node) == _delta(node)

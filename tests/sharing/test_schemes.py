@@ -11,7 +11,12 @@ from repro.sharing.schemes import (
     simulate_simple_sharing,
     simulate_single_copy_sharing,
 )
+from repro.sharing.summary_sharing import simulate_icp
 from repro.traces.model import Request, Trace
+from repro.traces.workloads import make_workload
+
+KiB = 1024
+WORKLOAD_SLICES = ("dec", "upisa", "questnet")
 
 
 class TestTinyTraceByHand:
@@ -186,3 +191,32 @@ class TestPerProxyCapacities:
     def test_nonpositive_capacity_rejected(self, tiny_trace):
         with pytest.raises(ConfigurationError):
             simulate_no_sharing(tiny_trace, 2, [100, 0])
+
+
+@pytest.fixture(scope="module")
+def workload_slices():
+    return {
+        name: make_workload(name, scale=0.05, seed=1)
+        for name in WORKLOAD_SLICES
+    }
+
+
+@pytest.mark.parametrize("capacity", [64 * KiB, 256 * KiB])
+@pytest.mark.parametrize("workload", WORKLOAD_SLICES)
+def test_folded_schemes_equal_their_base(workload_slices, workload, capacity):
+    """The equivalences one replay loop for every scheme rests on.
+
+    ICP is simple sharing that also prices its queries; a global cache
+    is no sharing over one group that holds the pooled capacity.
+    """
+    trace, n = workload_slices[workload]
+    unpriced = {"scheme": "", "messages": None}
+    icp = simulate_icp(trace, n, capacity)
+    simple = simulate_simple_sharing(trace, n, capacity)
+    assert icp.messages.query_messages > 0
+    assert {**vars(icp), **unpriced} == {**vars(simple), **unpriced}
+
+    unsized = {"scheme": "", "num_proxies": 0, "cache_capacity_bytes": 0}
+    pooled = simulate_global_cache(trace, n, capacity)
+    alone = simulate_no_sharing(trace, 1, n * capacity)
+    assert {**vars(pooled), **unsized} == {**vars(alone), **unsized}
