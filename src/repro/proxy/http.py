@@ -11,9 +11,10 @@ data plane needs (GETs only, ``Content-Length``-framed bodies):
   the reader consumes one head at a time, so a client may write several
   requests back to back and the kernel/stream buffers bound the
   read-ahead.
-- **Streamed, bounded body I/O.**  Bodies are written as
+- **Streamed, bounded body I/O.**  A response's head travels in the
+  same write as its first body chunk, and later chunks are
   :class:`memoryview` slices over the cached ``bytes`` object
-  (:func:`stream_body`), draining only when the transport's write
+  (:func:`send_response`), draining only when the transport's write
   buffer exceeds the caller's in-flight ceiling; bodies are read in
   bounded chunks into a preallocated buffer (:func:`read_body`), never
   through an unbounded ``reader.read()``/``readexactly()`` (lint rule
@@ -60,7 +61,7 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Default chunk for streamed body reads and writes.
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
-#: Default in-flight write ceiling before ``stream_body`` awaits
+#: Default in-flight write ceiling before ``send_response`` awaits
 #: ``drain()`` (mirrors ``ProxyConfig.max_inflight_bytes``).
 DEFAULT_MAX_INFLIGHT = 256 * 1024
 
@@ -259,63 +260,47 @@ def write_request(
     writer.write("\r\n".join(head).encode("latin-1"))
 
 
-def response_head(
-    status: int,
-    body_length: int,
-    headers: Optional[Dict[str, str]] = None,
-    keep_alive: bool = False,
-) -> bytes:
-    """Serialized head for a *status* response framing *body_length*."""
-    reason = _REASONS.get(status, "Unknown")
-    head = [
-        f"HTTP/1.1 {status} {reason}",
-        f"Content-Length: {body_length}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    for name, value in (headers or {}).items():
-        head.append(f"{name}: {value}")
-    head.append("\r\n")
-    return "\r\n".join(head).encode("latin-1")
-
-
-def write_response(
+async def send_response(
     writer: asyncio.StreamWriter,
     status: int,
     body: bytes = b"",
     headers: Optional[Dict[str, str]] = None,
     keep_alive: bool = False,
-) -> None:
-    """Serialize one whole response onto *writer* (caller drains).
-
-    For large bodies prefer :func:`stream_body` after writing
-    :func:`response_head`, which bounds the write buffer.
-    """
-    writer.write(response_head(status, len(body), headers, keep_alive) + body)
-
-
-async def stream_body(
-    writer: asyncio.StreamWriter,
-    body: bytes,
     chunk_size: int = DEFAULT_CHUNK_BYTES,
     max_inflight: int = DEFAULT_MAX_INFLIGHT,
 ) -> int:
-    """Stream *body* as zero-copy memoryview slices with backpressure.
+    """Write one whole response onto *writer* (caller drains).
 
-    Writes *chunk_size* slices of the cached ``bytes`` object (no
-    copies on the Python side) and awaits ``drain()`` whenever the
-    transport reports more than *max_inflight* unsent bytes, so one
-    slow client cannot balloon the proxy's write buffers.  Returns the
-    number of backpressure waits taken (the
+    The first ``write`` carries the head and the first *chunk_size*
+    body bytes, so a body that fits in one chunk leaves in one
+    ``send``.  Later chunks are zero-copy memoryview slices of the
+    cached ``bytes`` object.  After every write the transport's unsent
+    bytes are checked, and ``drain()`` is awaited when they exceed
+    *max_inflight*, so one slow client cannot balloon the proxy's write
+    buffers.  Returns the number of backpressure waits taken (the
     ``proxy_backpressure_waits_total`` increment).
     """
+    lines = [
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
+        f"Content-Length: {len(body)}",
+        f"Connection: {'keep-alive' if keep_alive else 'close'}",
+    ]
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    lines.append("\r\n")
+    writer.write("\r\n".join(lines).encode("latin-1") + body[:chunk_size])
     waits = 0
-    view = memoryview(body)
     transport = writer.transport
-    for offset in range(0, len(view), chunk_size):
-        writer.write(view[offset : offset + chunk_size])
-        if transport.get_write_buffer_size() > max_inflight:
-            waits += 1
-            await writer.drain()
+    if transport.get_write_buffer_size() > max_inflight:
+        waits += 1
+        await writer.drain()
+    if len(body) > chunk_size:
+        view = memoryview(body)
+        for offset in range(chunk_size, len(view), chunk_size):
+            writer.write(view[offset : offset + chunk_size])
+            if transport.get_write_buffer_size() > max_inflight:
+                waits += 1
+                await writer.drain()
     return waits
 
 

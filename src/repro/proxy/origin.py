@@ -16,13 +16,7 @@ from typing import Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.obs.spans import TRACE_HEADER
-from repro.proxy.http import (
-    read_request,
-    response_head,
-    stream_body,
-    synth_body,
-    write_response,
-)
+from repro.proxy.http import read_request, send_response, synth_body
 
 
 @dataclass
@@ -116,7 +110,7 @@ class OriginServer:
                     request = await read_request(reader)
                 except ProtocolError:
                     self.stats.errors += 1
-                    write_response(writer, 400, keep_alive=False)
+                    await send_response(writer, 400)
                     await writer.drain()
                     break
                 if request is None:
@@ -134,10 +128,7 @@ class OriginServer:
                     # Echo the proxy's trace context so the fetch span
                     # can be matched to this served request.
                     headers[TRACE_HEADER] = trace
-                writer.write(
-                    response_head(200, len(body), headers, keep_alive)
-                )
-                await stream_body(writer, body)
+                await send_response(writer, 200, body, headers, keep_alive)
                 await writer.drain()
                 if not keep_alive:
                     break

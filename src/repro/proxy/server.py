@@ -91,10 +91,8 @@ from repro.proxy.http import (
     HttpResponse,
     read_request,
     read_response,
-    response_head,
-    stream_body,
+    send_response,
     write_request,
-    write_response,
 )
 from repro.proxy.metrics import ProxyMetrics, ProxyStats
 from repro.proxy.pool import ConnectionPool
@@ -165,6 +163,50 @@ class _PendingQuery:
         self.outstanding = outstanding
         #: The round's ``icp.round`` span; replies land as its events.
         self.span = span
+
+
+def _expire(future: "asyncio.Future[Optional[Tuple[str, int]]]") -> None:
+    """End an ICP round that is still open with ``asyncio.TimeoutError``."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+class _IdleDeadline:
+    """One client connection's idle reaper: one timer, not one per request.
+
+    The request loop sets :attr:`since` to the loop time when it starts
+    awaiting a request head and clears it once the head is parsed.  The
+    timer reaps the connection when a head has been awaited for
+    *timeout* seconds: it cancels the handler task, so nothing is
+    written back.  Otherwise it re-arms at the open read's deadline, or
+    one *timeout* ahead when no read is open.  A *timeout* of 0 arms
+    nothing.
+    """
+
+    __slots__ = ("since", "_timeout", "_loop", "_task", "_timer")
+
+    def __init__(self, timeout: float) -> None:
+        #: Loop time the open head read began; ``None`` while serving.
+        self.since: Optional[float] = None
+        self._timeout = timeout
+        self._loop = asyncio.get_running_loop()
+        self._task = asyncio.current_task()
+        self._timer = (
+            self._loop.call_later(timeout, self._fire) if timeout else None
+        )
+
+    def _fire(self) -> None:
+        now = self._loop.time()
+        deadline = (now if self.since is None else self.since) + self._timeout
+        if deadline > now:
+            self._timer = self._loop.call_at(deadline, self._fire)
+        elif self._task is not None:
+            self._task.cancel()
+
+    def cancel(self) -> None:
+        """Disarm the timer (the connection is closing)."""
+        if self._timer is not None:
+            self._timer.cancel()
 
 
 class SummaryCacheProxy:
@@ -774,11 +816,18 @@ class SummaryCacheProxy:
         on ``Connection: close``, clean client EOF, the idle timeout,
         or a framing error (answered with a final 400).
 
+        The idle timeout is one :class:`_IdleDeadline` per connection:
+        the loop stamps when it starts awaiting a head, and a head
+        awaited for ``idle_timeout`` seconds (0: never) reaps the
+        connection with no response.  A request costs no task and no
+        timer of its own.
+
         Handlers only decide ``(status, body, headers)``; the response
-        is written here.  The body travels as memoryview slices over
-        the cached object -- no per-response copy -- and ``drain()`` is
-        awaited whenever more than ``max_inflight_bytes`` sit unsent, so
-        a slow client bounds its own buffer instead of the proxy's heap.
+        is written here, head and first body chunk in one write.  Later
+        chunks travel as memoryview slices over the cached object -- no
+        per-response copy -- and ``drain()`` is awaited whenever more
+        than ``max_inflight_bytes`` sit unsent, so a slow client bounds
+        its own buffer instead of the proxy's heap.
         """
         self._m.connections_open.inc()
         self._client_writers.add(writer)
@@ -786,22 +835,20 @@ class SummaryCacheProxy:
             high=self.config.max_inflight_bytes
         )
         served = 0
+        loop = asyncio.get_running_loop()
+        idle = _IdleDeadline(self.config.idle_timeout)
         try:
             while True:
+                idle.since = loop.time()
                 try:
-                    # idle_timeout 0 disables the reaper (None: no limit).
-                    request = await asyncio.wait_for(
-                        read_request(reader),
-                        timeout=self.config.idle_timeout or None,
-                    )
-                except asyncio.TimeoutError:
-                    break  # idle (or glacially slow) connection reaped
+                    request = await read_request(reader)
                 except ProtocolError:
-                    write_response(writer, 400, keep_alive=False)
+                    await send_response(writer, 400)
                     await writer.drain()
                     break
                 if request is None:
                     break  # client finished its keep-alive conversation
+                idle.since = None
                 served += 1
                 keep_alive = request.keep_alive
                 if (
@@ -830,14 +877,14 @@ class SummaryCacheProxy:
                         request
                     )
                 status, body, headers = response
-                writer.write(
-                    response_head(status, len(body), headers, keep_alive)
-                )
-                waits = await stream_body(
+                waits = await send_response(
                     writer,
+                    status,
                     body,
-                    chunk_size=self.config.stream_chunk_bytes,
-                    max_inflight=self.config.max_inflight_bytes,
+                    headers,
+                    keep_alive,
+                    self.config.stream_chunk_bytes,
+                    self.config.max_inflight_bytes,
                 )
                 if waits:
                     self._m.backpressure_waits.inc(waits)
@@ -845,8 +892,9 @@ class SummaryCacheProxy:
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.CancelledError):
-            pass
+            pass  # includes the idle reaper's cancel
         finally:
+            idle.cancel()
             self._m.connections_open.dec()
             self._client_writers.discard(writer)
             writer.close()
@@ -1266,10 +1314,11 @@ class SummaryCacheProxy:
                     encoded, state.address.icp_addr, self._m.icp_queries_sent
                 )
             round_start = perf_counter()
+            timer = asyncio.get_running_loop().call_later(
+                self.config.icp_timeout, _expire, pending.future
+            )
             try:
-                winner_addr = await asyncio.wait_for(
-                    pending.future, timeout=self.config.icp_timeout
-                )
+                winner_addr = await pending.future
             except asyncio.TimeoutError:
                 winner_addr = None
                 self._m.icp_timeouts.inc()
@@ -1284,6 +1333,7 @@ class SummaryCacheProxy:
                     format_id(round_span.trace_id),
                 )
             finally:
+                timer.cancel()
                 self._pending.pop(reqnum, None)
                 self._m.phase_seconds["icp_round"].observe(
                     perf_counter() - round_start

@@ -14,21 +14,46 @@ from repro.proxy.http import (
     read_body,
     read_request,
     read_response,
-    stream_body,
+    send_response,
     synth_body,
     write_request,
-    write_response,
 )
 
 
-class _Writer:
-    """A StreamWriter stand-in that accumulates bytes."""
+class _FakeTransport:
+    """Reports a configurable write-buffer size."""
 
-    def __init__(self) -> None:
-        self.data = b""
+    def __init__(self, sizes):
+        self._sizes = list(sizes)
+
+    def get_write_buffer_size(self):
+        return self._sizes.pop(0) if self._sizes else 0
+
+
+class _Writer:
+    """A StreamWriter stand-in that records each write."""
+
+    def __init__(self, buffer_sizes=()) -> None:
+        self.writes = []
+        self.transport = _FakeTransport(buffer_sizes)
+        self.drains = 0
+
+    @property
+    def data(self) -> bytes:
+        return b"".join(self.writes)
 
     def write(self, data) -> None:
-        self.data += bytes(data)  # accepts bytes and memoryview slices
+        self.writes.append(bytes(data))  # bytes and memoryview slices
+
+    async def drain(self):
+        self.drains += 1
+
+
+def render(status, body=b"", headers=None) -> bytes:
+    """The bytes ``send_response`` writes for one response."""
+    writer = _Writer()
+    asyncio.run(send_response(writer, status, body, headers))
+    return writer.data
 
 
 async def _parse(parser, data: bytes):
@@ -78,27 +103,20 @@ class TestRequests:
 
 class TestResponses:
     def test_write_read_roundtrip(self):
-        writer = _Writer()
-        write_response(
-            writer, 200, b"hello", headers={"X-Cache": "HIT"}
-        )
-        response = parse_response(writer.data)
+        data = render(200, b"hello", headers={"X-Cache": "HIT"})
+        response = parse_response(data)
         assert response.status == 200
         assert response.body == b"hello"
         assert response.header("x-cache") == "HIT"
         assert response.header("content-length") == "5"
 
     def test_empty_body(self):
-        writer = _Writer()
-        write_response(writer, 504)
-        response = parse_response(writer.data)
+        response = parse_response(render(504))
         assert response.status == 504
         assert response.body == b""
 
     def test_unknown_status_gets_reason(self):
-        writer = _Writer()
-        write_response(writer, 418)
-        assert b"418 Unknown" in writer.data
+        assert b"418 Unknown" in render(418)
 
     def test_rejects_bad_status_line(self):
         with pytest.raises(ProtocolError, match="status"):
@@ -201,47 +219,56 @@ class TestKeepAliveSemantics:
         assert b"Connection: close\r\n" in writer.data
 
 
-class _FakeTransport:
-    """Reports a configurable write-buffer size."""
-
-    def __init__(self, sizes):
-        self._sizes = list(sizes)
-
-    def get_write_buffer_size(self):
-        return self._sizes.pop(0) if self._sizes else 0
-
-
-class _StreamWriterStub(_Writer):
-    def __init__(self, buffer_sizes=()):
-        super().__init__()
-        self.transport = _FakeTransport(buffer_sizes)
-        self.drains = 0
-
-    async def drain(self):
-        self.drains += 1
-
-
 class TestStreamBody:
+    """``send_response``'s write pattern: head and first chunk together,
+    the rest in bounded slices under backpressure."""
+
+    @staticmethod
+    def send(body, chunk_size, buffer_sizes=()):
+        writer = _Writer(buffer_sizes)
+        waits = asyncio.run(
+            send_response(
+                writer, 200, body, keep_alive=True, chunk_size=chunk_size
+            )
+        )
+        head, sep, sent = writer.data.partition(b"\r\n\r\n")
+        assert sep and head.startswith(b"HTTP/1.1 200 OK")
+        return writer, waits, sent
+
     def test_streams_all_bytes_without_backpressure(self):
-        writer = _StreamWriterStub()
         body = synth_body("s", 200_000)
-        waits = asyncio.run(stream_body(writer, body, chunk_size=4096))
-        assert writer.data == body
+        writer, waits, sent = self.send(body, chunk_size=4096)
+        assert sent == body
+        assert len(writer.writes) == 49  # ceil(200_000 / 4096)
         assert waits == 0
         assert writer.drains == 0
 
     def test_drains_when_buffer_exceeds_ceiling(self):
-        # Buffer reports over-ceiling on the first two chunks.
-        writer = _StreamWriterStub(buffer_sizes=[300_000, 300_000, 0])
+        # Buffer reports over-ceiling after the first two writes.
         body = synth_body("s", 3 * 4096)
-        waits = asyncio.run(
-            stream_body(
-                writer, body, chunk_size=4096, max_inflight=256 * 1024
-            )
+        writer, waits, sent = self.send(
+            body, chunk_size=4096, buffer_sizes=[300_000, 300_000, 0]
         )
-        assert writer.data == body
+        assert sent == body
         assert waits == 2
         assert writer.drains == 2
+
+    def test_small_body_is_one_write_with_the_head(self):
+        body = synth_body("s", 1024)
+        writer, _, sent = self.send(body, chunk_size=64 * 1024)
+        assert len(writer.writes) == 1
+        assert writer.writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        assert sent == body
+
+    def test_large_body_head_rides_the_first_chunk(self):
+        body = synth_body("s", 200 * 1024)
+        writer, _, sent = self.send(body, chunk_size=64 * 1024)
+        assert len(writer.writes) == 4  # 64 + 64 + 64 + 8 KiB
+        first = writer.writes[0]
+        assert first.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert first.endswith(body[: 64 * 1024])
+        assert [len(w) for w in writer.writes[1:]] == [65536, 65536, 8192]
+        assert sent == body
 
 
 class TestSynthBody:

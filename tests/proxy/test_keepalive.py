@@ -2,7 +2,8 @@
 
 Covers the request loop in ``SummaryCacheProxy._handle_http``: multiple
 requests on one connection, pipelining order, ``Connection: close``
-fallback, idle-timeout reaping, mid-stream client disconnects,
+fallback, idle-timeout reaping (one deadline per connection, re-armed
+by each request), mid-stream client disconnects,
 per-connection request caps, upstream connection pooling, and
 bit-identical cache behaviour of pooled versus unpooled upstream
 fetches.
@@ -152,6 +153,126 @@ class TestKeepAliveLoop:
         response, trailing = run(scenario())
         assert response.keep_alive
         assert trailing == b""
+
+    def test_stalled_head_is_reaped_without_a_response(self):
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=0.1)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                loop = asyncio.get_running_loop()
+                reader, writer = await _connect(cluster)
+                # Half a head: the request line and one header, never
+                # the blank line that ends it.
+                writer.write(b"GET http://stall.com/x HTTP/1.1\r\nX-Size: 64\r\n")
+                await writer.drain()
+                started = loop.time()
+                answer = await asyncio.wait_for(reader.read(1024), timeout=2.0)
+                waited = loop.time() - started
+                writer.close()
+                registry = cluster.proxies[0].registry
+                for _ in range(100):
+                    if registry.value("proxy_connections_open") == 0:
+                        break
+                    await asyncio.sleep(0.01)
+                return answer, waited, registry.value("proxy_connections_open")
+
+        answer, waited, open_conns = run(scenario())
+        assert answer == b""  # closed, and nothing written back
+        assert waited >= 0.09
+        assert open_conns == 0
+
+    def test_idle_clock_restarts_with_every_request(self):
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=0.1)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                reader, writer = await _connect(cluster)
+                responses = []
+                # 6 x 0.04 s = 0.24 s on one connection, more than twice
+                # the timeout; no single gap reaches it.
+                for i in range(6):
+                    write_request(
+                        writer, f"http://gap.com/d{i}", {"X-Size": "64"},
+                        keep_alive=True,
+                    )
+                    await writer.drain()
+                    responses.append(await read_response(reader))
+                    await asyncio.sleep(0.04)
+                writer.close()
+                return responses, cluster.proxies[0].stats
+
+        responses, stats = run(scenario())
+        assert [r.status for r in responses] == [200] * 6
+        assert all(r.keep_alive for r in responses)
+        assert stats.http_requests == 6
+
+    def test_zero_idle_timeout_never_reaps(self):
+        async def scenario():
+            config = replace(BASE_CONFIG, idle_timeout=0)
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
+            ) as cluster:
+                reader, writer = await _connect(cluster)
+                statuses = []
+                for i in range(2):
+                    write_request(
+                        writer, f"http://zero.com/d{i}", {"X-Size": "64"},
+                        keep_alive=True,
+                    )
+                    await writer.drain()
+                    statuses.append((await read_response(reader)).status)
+                    await asyncio.sleep(0.3)
+                open_conns = cluster.proxies[0].registry.value(
+                    "proxy_connections_open"
+                )
+                writer.close()
+                return statuses, open_conns
+
+        statuses, open_conns = run(scenario())
+        assert statuses == [200, 200]
+        assert open_conns == 1
+
+    def test_stop_with_idle_connection_leaves_no_task_or_timer(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at
+
+            def recording_call_at(when, callback, *args, **kwargs):
+                handle = call_at(when, callback, *args, **kwargs)
+                timers.append(handle)
+                return handle
+
+            loop.call_at = recording_call_at
+            cluster = ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
+            )
+            await cluster.start()
+            reader, writer = await _connect(cluster)
+            write_request(
+                writer, "http://stop.com/x", {"X-Size": "64"}, keep_alive=True
+            )
+            await writer.drain()
+            await read_response(reader)
+            await cluster.stop()  # the connection sits idle, mid-read
+            me = asyncio.current_task()
+            for _ in range(100):
+                if not asyncio.all_tasks() - {me}:
+                    break
+                await asyncio.sleep(0)
+            writer.close()
+            del loop.call_at
+            pending = [
+                h for h in timers
+                if not h.cancelled() and h.when() > loop.time()
+            ]
+            return asyncio.all_tasks() - {me}, pending
+
+        tasks, timers = run(scenario())
+        assert tasks == set()
+        assert timers == []
 
     def test_max_requests_per_connection_forces_close(self):
         async def scenario():

@@ -136,6 +136,24 @@ class TestQueryRound:
 
         assert asyncio.run(scenario()) == winner
 
+    def test_silent_peers_time_the_round_out(self):
+        async def scenario():
+            proxy = SummaryCacheProxy(
+                replace(BASE, mode=ProxyMode.ICP, icp_timeout=0.02), ORIGIN
+            )
+            proxy._udp = _FakeTransport()
+            peer = peer_state("a", 1001)
+            proxy._peers = {peer.address.icp_addr: peer}
+            holder = await proxy._query_peers(self.URL, [peer])
+            return proxy, holder
+
+        proxy, holder = asyncio.run(scenario())
+        assert holder is None
+        assert proxy.registry.value("proxy_icp_timeouts_total") == 1
+        assert proxy._pending == {}
+        (round_span,) = proxy.spans.spans(name="icp.round")
+        assert round_span.events[-1]["kind"] == "icp.timeout"
+
 
 class TestUpstreamGet:
     """``_upstream_get`` over a stubbed ``_fetch``: one verdict table."""
