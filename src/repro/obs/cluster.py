@@ -51,6 +51,9 @@ class ProxySnapshot:
     trace_enabled: bool = True
     trace_ring_dropped: int = 0
     trace_ring_capacity: int = 0
+    #: The summary every lookup decision used: ``representation`` and,
+    #: for Bloom summaries, ``num_bits``/``num_hashes``/``load_factor``.
+    summary: Dict[str, Any] = field(default_factory=dict)
 
     def metric(self, name: str, labels: str = "") -> float:
         """One sample value, 0.0 when the proxy never emitted it."""
@@ -100,15 +103,6 @@ class FalseHitAttribution:
             "fetch_failures": self.fetch_failures,
             "rounds": self.rounds,
         }
-
-
-def _representation_of(snapshot: ProxySnapshot) -> str:
-    """The summary representation a proxy's labelled counters carry."""
-    for labels in snapshot.metrics.get("proxy_dirupdates_sent_total", {}):
-        head, sep, tail = labels.partition('="')
-        if head == "representation" and sep:
-            return tail.rstrip('"')
-    return "unknown"
 
 
 @dataclass
@@ -163,7 +157,9 @@ class ClusterSnapshot:
             out.append(
                 FalseHitAttribution(
                     proxy=name,
-                    representation=_representation_of(snap),
+                    representation=snap.summary.get(
+                        "representation", "unknown"
+                    ),
                     measured_ratio=(
                         false_hits / rounds if rounds else 0.0
                     ),
@@ -193,6 +189,7 @@ class ClusterSnapshot:
                     "trace_enabled": snap.trace_enabled,
                     "trace_ring_dropped": snap.trace_ring_dropped,
                     "trace_ring_capacity": snap.trace_ring_capacity,
+                    "summary": snap.summary,
                     "metrics": snap.metrics,
                     "spans": snap.spans,
                 }
@@ -242,6 +239,7 @@ async def scrape_proxy(host: str, port: int) -> ProxySnapshot:
         trace_enabled=bool(trace_doc["enabled"]),
         trace_ring_dropped=int(trace_doc["dropped"]),
         trace_ring_capacity=int(trace_doc["capacity"]),
+        summary=dict(trace_doc["summary"]),
     )
 
 
@@ -309,12 +307,21 @@ def render_cluster(snapshot: ClusterSnapshot) -> str:
     return "\n".join(lines)
 
 
+#: Span attributes :func:`render_trace` prints verbatim, in order.
+_DETAIL_KEYS = ("url", "source", "outcome", "candidates", "peer", "hit")
+
+#: Request phases a root span times: ``<phase>_s`` seconds, plus the
+#: upstream's verdict under ``<phase>`` for the two fetches.
+_PHASES = ("icp_round", "peer_fetch", "origin_fetch")
+
+
 def render_trace(spans: List[Dict[str, Any]]) -> str:
     """One reassembled trace as an indented span tree.
 
     Spans whose parent is not retained anywhere (client-originated
     roots, ring-evicted parents) print at top level.  Children sort by
-    start time.
+    start time.  A root span's phase attributes print as
+    ``<phase>=<ms>ms``, with the fetch verdict in parentheses.
     """
     if not spans:
         return "(no spans)"
@@ -334,11 +341,14 @@ def render_trace(spans: List[Dict[str, Any]]) -> str:
             duration = span["duration"]
             took = f"{duration * 1e3:.2f}ms" if duration is not None else "live"
             attrs = span["attributes"]
-            detail = " ".join(
-                f"{key}={attrs[key]}"
-                for key in ("url", "outcome", "source", "hit", "peer")
-                if key in attrs
-            )
+            fields = [f"{k}={attrs[k]}" for k in _DETAIL_KEYS if k in attrs]
+            fields += [
+                f"{phase}={attrs[phase + '_s'] * 1e3:.2f}ms"
+                + (f"({attrs[phase]})" if phase in attrs else "")
+                for phase in _PHASES
+                if phase + "_s" in attrs
+            ]
+            detail = " ".join(fields)
             lines.append(
                 f"{'  ' * (depth + 1)}{span['name']} "
                 f"[{span['proxy']}] {took}"

@@ -14,14 +14,15 @@ each proxy's span ring.
 Context travels two ways:
 
 - **HTTP hops** carry an ``X-SC-Trace: <trace:08x>-<span:08x>`` request
-  header (:data:`TRACE_HEADER`, :class:`TraceContext`) -- client to
-  proxy, proxy to peer, proxy to origin -- and proxies echo the header
-  on responses so callers learn the trace id they joined;
+  header (:data:`TRACE_HEADER`, read by :func:`parse_context` and
+  written by :func:`format_context`) -- client to proxy, proxy to peer,
+  proxy to origin -- and proxies echo the header on responses so
+  callers learn the trace id they joined;
 - **SC-ICP datagrams** carry the trace id in the ICP header's Options
-  field and the parent span id in Option Data on ``ICP_OP_QUERY`` (see
-  ``docs/wire-protocol.md`` section 1), so a query round on a remote
-  peer joins the originating request's trace without touching payload
-  formats.
+  field and the requester's root span id in Option Data on
+  ``ICP_OP_QUERY`` (see ``docs/wire-protocol.md`` section 1), so a
+  query on a remote peer joins the originating request's trace without
+  touching payload formats.
 
 Everything is dependency-free and single-threaded, like the registry.
 Ids are 32-bit and non-zero; id 0 means "no context" on every carrier.
@@ -31,10 +32,11 @@ from __future__ import annotations
 
 import asyncio
 import os
+import re
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -44,9 +46,38 @@ TRACE_HEADER = "X-SC-Trace"
 _ID_MASK = 0xFFFFFFFF
 
 
+#: The ``X-SC-Trace`` grammar: exactly 8 hex digits, ``-``, 8 hex
+#: digits, with surrounding whitespace tolerated.
+_CONTEXT = re.compile(r"\s*([0-9a-fA-F]{8})-([0-9a-fA-F]{8})\s*")
+
+
 def format_id(value: int) -> str:
     """A 32-bit id as the 8-hex-digit form used on the wire and in JSON."""
     return f"{value & _ID_MASK:08x}"
+
+
+def format_context(trace_id: int, span_id: int) -> str:
+    """Serialized ``X-SC-Trace`` value: ``tttttttt-ssssssss``."""
+    return f"{trace_id & _ID_MASK:08x}-{span_id & _ID_MASK:08x}"
+
+
+def parse_context(value: str) -> Optional[Tuple[int, int]]:
+    """Parse an ``X-SC-Trace`` value into ``(trace_id, span_id)``.
+
+    The one parser every carrier of the header shares.  Only the
+    documented grammar is accepted: ``int(x, 16)`` alone would also take
+    a ``0x`` prefix, a sign, underscores or non-ASCII digits.  Absent,
+    malformed or zero-trace context is ``None`` -- never an error:
+    tracing is best-effort and a proxy must serve requests from clients
+    that do not speak it.
+    """
+    match = _CONTEXT.fullmatch(value)
+    if match is None:
+        return None
+    trace_id = int(match[1], 16)
+    if trace_id == 0:
+        return None
+    return trace_id, int(match[2], 16)
 
 
 @dataclass(frozen=True)
@@ -62,26 +93,14 @@ class TraceContext:
 
     def header_value(self) -> str:
         """Serialized ``X-SC-Trace`` value: ``tttttttt-ssssssss``."""
-        return f"{format_id(self.trace_id)}-{format_id(self.span_id)}"
+        return format_context(self.trace_id, self.span_id)
 
     @classmethod
     def parse(cls, value: str) -> Optional["TraceContext"]:
-        """Parse a header value; ``None`` for absent/malformed context.
-
-        Malformed context is never an error: tracing is best-effort and
-        a proxy must serve requests from clients that do not speak it.
-        """
-        head, sep, tail = value.strip().partition("-")
-        if not sep or len(head) != 8 or len(tail) != 8:
-            return None
-        try:
-            trace_id = int(head, 16)
-            span_id = int(tail, 16)
-        except ValueError:
-            return None
-        if trace_id == 0:
-            return None
-        return cls(trace_id=trace_id, span_id=span_id)
+        """Parse a header value; ``None`` for absent/malformed context
+        (see :func:`parse_context`)."""
+        pair = parse_context(value)
+        return None if pair is None else cls(*pair)
 
 
 class _IdGenerator:
@@ -110,9 +129,9 @@ class Span:
 
     A span is *live* between :class:`SpanRing.start_span` and
     :meth:`end`; ``duration`` is ``None`` while live.  ``attributes``
-    carry the decision record (e.g. which summary representation and
-    geometry produced a lookup verdict); ``events`` are timestamped
-    point-in-time marks within the span (the old trace-ring kinds).
+    carry the decision record (e.g. how a miss resolved and how long
+    each phase took); ``events`` are timestamped point-in-time marks
+    within the span (e.g. each ICP reply).
     """
 
     __slots__ = (
@@ -139,9 +158,9 @@ class Span:
         self.attributes = attributes
         self.events: List[Dict[str, object]] = []
 
-    def context(self) -> TraceContext:
-        """The context to propagate to children of this span."""
-        return TraceContext(trace_id=self.trace_id, span_id=self.span_id)
+    def header_value(self) -> str:
+        """The ``X-SC-Trace`` value naming this span as the parent."""
+        return format_context(self.trace_id, self.span_id)
 
     def set(self, **attributes: object) -> "Span":
         """Merge *attributes* into the span's attribute record."""
@@ -270,7 +289,7 @@ class SpanRing:
             parent_id=parent_id,
             name=name,
             start=time.time(),
-            attributes=dict(attributes),
+            attributes=attributes,  # a fresh dict per call already
         )
         self._spans.append(span)
         return span

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError, ProxyError
-from repro.obs.spans import TRACE_HEADER, TraceContext, format_id
+from repro.obs.spans import (
+    TRACE_HEADER,
+    TraceContext,
+    format_id,
+    parse_context,
+)
 from repro.proxy.http import HttpResponse, read_response, write_request
 from repro.traces.model import Request
 
@@ -157,9 +162,9 @@ class ClientDriver:
             raise ProtocolError(
                 f"proxy returned {response.status} for {url!r}"
             )
-        echoed = TraceContext.parse(response.header(TRACE_HEADER, ""))
+        echoed = parse_context(response.header(TRACE_HEADER, ""))
         if echoed is not None:
-            self.last_trace = format_id(echoed.trace_id)
+            self.last_trace = format_id(echoed[0])
         elif ctx is not None:
             self.last_trace = format_id(ctx.trace_id)
         self.report.bytes_received += len(response.body)

@@ -66,8 +66,8 @@ from repro.obs.spans import (
     TRACE_HEADER,
     Span,
     SpanRing,
-    TraceContext,
     format_id,
+    parse_context,
 )
 from repro.errors import ProtocolError, ProxyError, SummaryMismatchError
 from repro.protocol.update import DigestAssembler
@@ -161,7 +161,7 @@ class _PendingQuery:
             asyncio.get_event_loop().create_future()
         )
         self.outstanding = outstanding
-        #: The round's ``icp.round`` span; replies land as its events.
+        #: The requester's root span; replies land as its events.
         self.span = span
 
 
@@ -543,24 +543,6 @@ class SummaryCacheProxy:
             local.num_bits, len(self._cache), local.config.num_hashes
         )
 
-    def _summary_attributes(self) -> Dict[str, object]:
-        """The summary representation/geometry a lookup decision used.
-
-        Recorded on every completed ``summary.lookup`` span so a false
-        hit in a fused cluster trace is attributable to the exact
-        filter configuration that produced it.
-        """
-        attrs: Dict[str, object] = {
-            "representation": self.config.summary.kind,
-            "predicted_fp_rate": self._predicted_fp_rate(),
-        }
-        local = self._node.local
-        if isinstance(local, BloomSummary):
-            attrs["num_bits"] = local.num_bits
-            attrs["num_hashes"] = local.config.num_hashes
-            attrs["load_factor"] = self.config.summary.load_factor
-        return attrs
-
     # ------------------------------------------------------------------
     # Cache bookkeeping
     # ------------------------------------------------------------------
@@ -933,7 +915,8 @@ class SummaryCacheProxy:
     def _serve_trace(self, request: HttpRequest) -> _Response:
         """Serve the span ring as JSON (the cluster aggregator's feed).
 
-        ``GET /trace`` returns every retained span, oldest first;
+        ``GET /trace`` returns every retained span, oldest first, plus
+        the ``summary`` representation and (Bloom) live geometry;
         ``GET /trace?trace=<8-hex-id>`` filters to one trace.
         """
         query = request.url.partition("?")[2]
@@ -943,11 +926,24 @@ class SummaryCacheProxy:
             if key == "trace" and sep:
                 wanted = value.lower()
                 spans = [s for s in spans if s["trace_id"] == wanted]
+        # The summary configuration every lookup decision used, once
+        # per scrape rather than on every miss's span.
+        summary: Dict[str, object] = {
+            "representation": self.config.summary.kind
+        }
+        local = self._node.local
+        if isinstance(local, BloomSummary):
+            summary.update(
+                num_bits=local.num_bits,
+                num_hashes=local.config.num_hashes,
+                load_factor=self.config.summary.load_factor,
+            )
         payload = {
             "name": self.config.name,
             "enabled": self.spans.enabled,
             "capacity": self.spans.capacity,
             "dropped": self.spans.dropped,
+            "summary": summary,
             "spans": spans,
         }
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -956,14 +952,15 @@ class SummaryCacheProxy:
     def _serve_peer(self, request: HttpRequest) -> _Response:
         """Serve a proxy-to-proxy fetch: cache or 504, never recurse."""
         body = self._lookup_local(request.url)
-        ctx = TraceContext.parse(request.header(TRACE_HEADER))
+        ctx = parse_context(request.header(TRACE_HEADER))
         if ctx is not None:
-            # The fetching proxy put its peer.fetch context on the
+            # The fetching proxy put its root span's context on the
             # request, so this side's verdict joins the same trace.
+            trace_id, parent_id = ctx
             self.spans.start_span(
                 "peer.serve",
-                trace_id=ctx.trace_id,
-                parent_id=ctx.span_id,
+                trace_id=trace_id,
+                parent_id=parent_id,
                 proxy=self.config.name,
                 url=request.url,
                 hit=body is not None,
@@ -1036,13 +1033,12 @@ class SummaryCacheProxy:
 
             self._m.bytes_served.inc(len(body))
             self._m.phase_seconds["total"].observe(perf_counter() - start)
-            root.add_event("http.served", source=source, bytes=len(body))
-            root.set(source=source, bytes=len(body)).end()
+            root.set(source=source, bytes=len(body))
         headers = {"X-Cache": source}
         if root.trace_id:
             # Echo the trace context so the client learns which trace
             # its request joined (the load driver records it).
-            headers[TRACE_HEADER] = root.context().header_value()
+            headers[TRACE_HEADER] = root.header_value()
         return 200, body, headers
 
     def _request_span(
@@ -1055,11 +1051,13 @@ class SummaryCacheProxy:
         disabled this is the null span, whose zero trace id suppresses
         every propagation site downstream.)
         """
-        ctx = TraceContext.parse(request.header(TRACE_HEADER))
+        trace_id, parent_id = parse_context(
+            request.header(TRACE_HEADER)
+        ) or (None, 0)
         span = self.spans.start_span(
             name,
-            trace_id=ctx.trace_id if ctx is not None else None,
-            parent_id=ctx.span_id if ctx is not None else 0,
+            trace_id=trace_id,
+            parent_id=parent_id,
             proxy=self.config.name,
             url=request.url,
             **attrs,
@@ -1084,14 +1082,15 @@ class SummaryCacheProxy:
         return body
 
     async def _miss_path(
-        self, url: str, size_hint: str, parent: Span = NULL_SPAN
+        self, url: str, size_hint: str, root: Span = NULL_SPAN
     ) -> Tuple[bytes, str]:
         """Resolve a local miss via peers (per mode) then the origin.
 
-        The ``summary.lookup`` span records the attribution trail: which
-        summary representation and geometry produced the peer-candidate
-        decision, and how the round resolved (``remote_hit``,
-        ``false_hit``, ``fetch_failed``, or ``no_candidates``).
+        The request's root span records the attribution trail: how many
+        peers the summaries named (``candidates``) and how the round
+        resolved (``outcome``: ``remote_hit``, ``false_hit``,
+        ``fetch_failed``, or ``no_candidates``); the round and the
+        fetches add their own phase attributes.
 
         Under owner-routing cooperation (``carp``) there is no
         discovery at all: the miss forwards deterministically to the
@@ -1103,66 +1102,50 @@ class SummaryCacheProxy:
             # the membership writes SC007 sees here are freshness-
             # checked inside the callee.
             return await self._owner_path(  # sc-lint: disable=SC007
-                url, size_hint, parent
+                url, size_hint, root
             )
         candidates = self._candidate_peers(url)
-        attrs = self._summary_attributes() if self.spans.enabled else {}
-        with self.spans.start_span(
-            "summary.lookup",
-            trace_id=parent.trace_id or None,
-            parent_id=parent.span_id,
-            proxy=self.config.name,
-            url=url,
-            candidates=len(candidates),
-            **attrs,
-        ) as lookup:
-            holder = None
-            if candidates:
-                holder = await self._query_peers(url, candidates, lookup)
-            if holder is not None:
-                # A peer that no longer holds the document answers 504:
-                # any verdict but "ok" falls to the origin.
-                verdict, body, _ = await self._upstream_get(
-                    "peer.fetch",
-                    holder,
-                    url,
-                    {"X-Only-If-Cached": "1"},
-                    size_hint,
-                    lookup,
-                )
-                lookup.set(peer=holder.address.name)
-                if verdict == "ok":
-                    self._m.remote_hits.inc()
-                    lookup.set(outcome="remote_hit").end()
-                    # Single-copy cooperation leaves the document at the
-                    # serving peer (whose copy the fetch just touched);
-                    # summary cooperation caches it locally.
-                    if self._placement.policy.caches_remote_hits:
-                        # Duplicate store of an identical body by
-                        # concurrent misses is benign (idempotent GETs,
-                        # no single-flight by design).
-                        self._store(url, body)  # sc-lint: disable=SC007
-                    return body, "REMOTE-HIT"
-                self._m.remote_fetch_failures.inc()
-                outcome = "fetch_failed"
-            elif candidates:
-                # False-hit resolution: the summaries (or the query
-                # round) promised a copy nobody actually held.
-                self._m.false_query_rounds.inc()
-                outcome = "false_hit"
-            else:
-                outcome = "no_candidates"
-            lookup.set(outcome=outcome).end()
+        holder = None
+        if candidates:
+            holder = await self._query_peers(url, candidates, root)
+        if holder is not None:
+            # A peer that no longer holds the document answers 504: any
+            # verdict but "ok" falls to the origin.
+            verdict, body, _ = await self._upstream_get(
+                holder, url, {"X-Only-If-Cached": "1"}, size_hint, root
+            )
+            if verdict == "ok":
+                self._m.remote_hits.inc()
+                root.set(candidates=len(candidates), outcome="remote_hit")
+                # Single-copy cooperation leaves the document at the
+                # serving peer (whose copy the fetch just touched);
+                # summary cooperation caches it locally.
+                if self._placement.policy.caches_remote_hits:
+                    # Duplicate store of an identical body by concurrent
+                    # misses is benign (idempotent GETs, no single-flight
+                    # by design).
+                    self._store(url, body)  # sc-lint: disable=SC007
+                return body, "REMOTE-HIT"
+            self._m.remote_fetch_failures.inc()
+            outcome = "fetch_failed"
+        elif candidates:
+            # False-hit resolution: the summaries (or the query round)
+            # promised a copy nobody actually held.
+            self._m.false_query_rounds.inc()
+            outcome = "false_hit"
+        else:
+            outcome = "no_candidates"
+        root.set(candidates=len(candidates), outcome=outcome)
 
         # Benign duplicate store under concurrent same-URL misses (see
         # the remote-hit branch above).
         body = await self._origin_path(  # sc-lint: disable=SC007
-            url, size_hint, parent
+            url, size_hint, root
         )
         return body, "MISS"
 
     async def _owner_path(
-        self, url: str, size_hint: str, parent: Span = NULL_SPAN
+        self, url: str, size_hint: str, root: Span = NULL_SPAN
     ) -> Tuple[bytes, str]:
         """Resolve a miss by forwarding to the URL's placement owner.
 
@@ -1191,12 +1174,11 @@ class SummaryCacheProxy:
             if owner is not None and owner.alive:
                 self._m.peer_forwards.inc()
                 verdict, body, owner_source = await self._upstream_get(
-                    "peer.forward",
                     owner,
                     url,
                     {FORWARD_HEADER: self.config.name},
                     size_hint,
-                    parent,
+                    root,
                 )
             if verdict == "ok":
                 source = (
@@ -1229,14 +1211,14 @@ class SummaryCacheProxy:
         # Stored only if this proxy belongs to the replica set -- the
         # degraded path (owner up but erroring) serves the client from
         # the origin without creating an off-placement duplicate.
-        body = await self._origin_path(url, size_hint, parent, placed=digest)
+        body = await self._origin_path(url, size_hint, root, placed=digest)
         return body, "MISS"
 
     async def _origin_path(
         self,
         url: str,
         size_hint: str,
-        parent: Span = NULL_SPAN,
+        span: Span = NULL_SPAN,
         placed: Optional[bytes] = None,
     ) -> bytes:
         """The one tail every unresolved miss ends in: origin, then store.
@@ -1250,7 +1232,7 @@ class SummaryCacheProxy:
         """
         self._m.origin_fetches.inc()
         verdict, body, _ = await self._upstream_get(
-            "origin.fetch", None, url, {}, size_hint, parent
+            None, url, {}, size_hint, span
         )
         if verdict != "ok":
             raise ProxyError(f"origin fetch failed ({verdict}) for {url!r}")
@@ -1277,129 +1259,114 @@ class SummaryCacheProxy:
         self,
         url: str,
         candidates: List[_PeerState],
-        parent: Span = NULL_SPAN,
+        root: Span = NULL_SPAN,
     ) -> Optional[_PeerState]:
         """Send ICP queries; return the first peer replying HIT.
 
-        The round's ``icp.round`` span is what the queried peers join:
-        its ids travel in the query datagram's Options/Option Data
-        fields, and each reply lands as an ``icp.reply`` event on it.
+        The queried peers join the request's trace: the root span's ids
+        travel in the query datagram's Options/Option Data fields, each
+        reply lands as an ``icp.reply`` event on it, and the round's
+        wall time as its ``icp_round_s`` attribute.
         """
         if self._udp is None:
             return None
         self._request_counter += 1
         reqnum = self._request_counter & 0xFFFFFFFF
-        outstanding = {s.address.icp_addr for s in candidates}
-        with self.spans.start_span(
-            "icp.round",
-            trace_id=parent.trace_id or None,
-            parent_id=parent.span_id,
-            proxy=self.config.name,
+        pending = _PendingQuery(
+            {s.address.icp_addr for s in candidates}, root
+        )
+        self._pending[reqnum] = pending
+        encoded = IcpQuery(
             url=url,
-            peers=len(candidates),
-            reqnum=reqnum,
-        ) as round_span:
-            pending = _PendingQuery(outstanding, round_span)
-            self._pending[reqnum] = pending
-            query = IcpQuery(
-                url=url,
-                request_number=reqnum,
-                trace_id=round_span.trace_id,
-                parent_span=round_span.span_id,
+            request_number=reqnum,
+            trace_id=root.trace_id,
+            parent_span=root.span_id,
+        ).encode()
+        for state in candidates:
+            self._send(
+                encoded, state.address.icp_addr, self._m.icp_queries_sent
             )
-            encoded = query.encode()
-            round_span.add_event("icp.query.sent", peers=len(candidates))
-            for state in candidates:
-                self._send(
-                    encoded, state.address.icp_addr, self._m.icp_queries_sent
-                )
-            round_start = perf_counter()
-            timer = asyncio.get_running_loop().call_later(
-                self.config.icp_timeout, _expire, pending.future
+        round_start = perf_counter()
+        timer = asyncio.get_running_loop().call_later(
+            self.config.icp_timeout, _expire, pending.future
+        )
+        try:
+            winner_addr = await pending.future
+        except asyncio.TimeoutError:
+            winner_addr = None
+            self._m.icp_timeouts.inc()
+            root.add_event("icp.timeout", waited=self.config.icp_timeout)
+            logger.warning(
+                "proxy=%s icp query timeout url=%s peers=%d trace=%s",
+                self.config.name,
+                url,
+                len(candidates),
+                format_id(root.trace_id),
             )
-            try:
-                winner_addr = await pending.future
-            except asyncio.TimeoutError:
-                winner_addr = None
-                self._m.icp_timeouts.inc()
-                round_span.add_event(
-                    "icp.timeout", waited=self.config.icp_timeout
-                )
-                logger.warning(
-                    "proxy=%s icp query timeout url=%s peers=%d trace=%s",
-                    self.config.name,
-                    url,
-                    len(candidates),
-                    format_id(round_span.trace_id),
-                )
-            finally:
-                timer.cancel()
-                self._pending.pop(reqnum, None)
-                self._m.phase_seconds["icp_round"].observe(
-                    perf_counter() - round_start
-                )
-            round_span.set(hit=winner_addr is not None).end()
-            return self._peers.get(winner_addr) if winner_addr else None
+        finally:
+            timer.cancel()
+            self._pending.pop(reqnum, None)
+            elapsed = perf_counter() - round_start
+            self._m.phase_seconds["icp_round"].observe(elapsed)
+            root.set(icp_round_s=elapsed)
+        return self._peers.get(winner_addr) if winner_addr else None
 
     async def _upstream_get(
         self,
-        span_name: str,
         peer: Optional[_PeerState],
         url: str,
         headers: Dict[str, str],
         size_hint: str,
-        parent: Span = NULL_SPAN,
+        span: Span = NULL_SPAN,
     ) -> Tuple[str, bytes, str]:
-        """One traced, timed GET to *peer* (``None``: the origin).
+        """One timed GET to *peer* (``None``: the origin).
 
         *headers* is the caller's marker (``X-Only-If-Cached``,
-        ``X-SC-Forward`` or nothing); size hint and trace context are
-        added here.  Returns ``(verdict, body, source)``: ``"ok"`` with
-        the 200 body and the upstream's ``X-Cache`` value (empty when it
-        sent none), ``"error"`` when it answered anything else,
-        ``"gone"`` when it could not be reached at all.
+        ``X-SC-Forward`` or nothing); size hint and *span*'s trace
+        context are added here.  Returns ``(verdict, body, source)``:
+        ``"ok"`` with the 200 body and the upstream's ``X-Cache`` value
+        (empty when it sent none), ``"error"`` when it answered anything
+        else, ``"gone"`` when it could not be reached at all.  The
+        verdict and the fetch's wall time land on *span* as
+        ``peer_fetch``/``peer_fetch_s`` (with ``peer`` and
+        ``peer_source``) or ``origin_fetch``/``origin_fetch_s``.
         """
         if peer is None:
             host, port = self.origin_address
             phase = "origin_fetch"
-            attrs: Dict[str, object] = {}
         else:
             host, port = peer.address.host, peer.address.http_port
             phase = "peer_fetch"
-            attrs = {"peer": peer.address.name}
         if size_hint:
             headers["X-Size"] = size_hint
+        if span.trace_id:
+            headers[TRACE_HEADER] = span.header_value()
+        response: Optional[HttpResponse]
         start = perf_counter()
         try:
-            with self.spans.start_span(
-                span_name,
-                trace_id=parent.trace_id or None,
-                parent_id=parent.span_id,
-                proxy=self.config.name,
-                url=url,
-                **attrs,
-            ) as span:
-                if span.trace_id:
-                    headers[TRACE_HEADER] = span.context().header_value()
-                try:
-                    response = await self._fetch(
-                        host, port, url, headers, span
-                    )
-                except (ConnectionError, ProtocolError, OSError):
-                    span.end(status="error")
-                    return "gone", b"", ""
-                if response.status != 200:
-                    span.set(status_code=response.status).end(
-                        status="error"
-                    )
-                    return "error", b"", ""
-                source = response.header("x-cache").upper()
-                span.set(bytes=len(response.body))
-                if source:
-                    span.set(source=source)
-                return "ok", response.body, source
+            response = await self._fetch(host, port, url, headers)
+        except (ConnectionError, ProtocolError, OSError):
+            response = None
         finally:
-            self._m.phase_seconds[phase].observe(perf_counter() - start)
+            elapsed = perf_counter() - start
+            self._m.phase_seconds[phase].observe(elapsed)
+        if response is None:
+            verdict, body, source = "gone", b"", ""
+        elif response.status != 200:
+            verdict, body, source = "error", b"", ""
+        else:
+            verdict, body = "ok", response.body
+            source = response.header("x-cache").upper()
+        if peer is None:
+            span.set(origin_fetch=verdict, origin_fetch_s=elapsed)
+        else:
+            span.set(
+                peer=peer.address.name,
+                peer_fetch=verdict,
+                peer_fetch_s=elapsed,
+                peer_source=source,
+            )
+        return verdict, body, source
 
     async def _fetch(
         self,
@@ -1407,7 +1374,6 @@ class SummaryCacheProxy:
         port: int,
         url: str,
         headers: Dict[str, str],
-        span: Span = NULL_SPAN,
     ) -> HttpResponse:
         """One upstream GET over a pooled keep-alive connection.
 
@@ -1419,11 +1385,6 @@ class SummaryCacheProxy:
         """
         while True:
             conn = await self._pool.acquire(host, port)
-            span.add_event(
-                "pool.acquire",
-                upstream=f"{host}:{port}",
-                reused=conn.was_reused,
-            )
             try:
                 write_request(conn.writer, url, headers, keep_alive=True)
                 await conn.writer.drain()

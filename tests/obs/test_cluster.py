@@ -59,16 +59,27 @@ def make_snapshot() -> ClusterSnapshot:
             "proxy_dirupdates_sent_total": {'representation="bloom"': 4.0},
         },
         spans=[
-            span("aaaa0001", "00000001", "http.request", 1.0, url="/d"),
             span(
                 "aaaa0001",
-                "00000002",
-                "summary.lookup",
-                2.0,
-                parent_id="00000001",
+                "00000001",
+                "http.request",
+                1.0,
+                url="/d",
+                source="REMOTE-HIT",
                 outcome="remote_hit",
+                candidates=1,
+                peer="proxy1",
+                icp_round_s=0.0004,
+                peer_fetch="ok",
+                peer_fetch_s=0.0012,
             ),
         ],
+        summary={
+            "representation": "bloom",
+            "num_bits": 8192,
+            "num_hashes": 4,
+            "load_factor": 8,
+        },
     )
     b = ProxySnapshot(
         name="proxy1",
@@ -83,8 +94,16 @@ def make_snapshot() -> ClusterSnapshot:
                 "aaaa0001",
                 "00000003",
                 "icp.query",
+                1.25,
+                parent_id="00000001",
+                hit=True,
+            ),
+            span(
+                "aaaa0001",
+                "00000006",
+                "peer.serve",
                 1.5,
-                parent_id="00000002",
+                parent_id="00000001",
                 hit=True,
             ),
             span("bbbb0001", "00000004", "http.request", 3.0),
@@ -105,10 +124,10 @@ class TestClusterSnapshot:
         assert [s["proxy"] for s in spans] == [
             "proxy0",
             "proxy1",
-            "proxy0",
+            "proxy1",
             "proxy1",
         ]
-        assert [s["start"] for s in spans] == [1.0, 1.5, 2.0, 3.0]
+        assert [s["start"] for s in spans] == [1.0, 1.25, 1.5, 3.0]
 
     def test_traces_reassemble_across_proxies(self):
         snapshot = make_snapshot()
@@ -119,7 +138,7 @@ class TestClusterSnapshot:
         assert [s["name"] for s in cross] == [
             "http.request",
             "icp.query",
-            "summary.lookup",
+            "peer.serve",
         ]
         # Lookup is case-insensitive on the hex id.
         assert snapshot.trace("AAAA0001") == cross
@@ -142,6 +161,8 @@ class TestClusterSnapshot:
         doc = make_snapshot().as_dict()
         assert doc["cross_proxy_traces"] == 1
         assert doc["traces"] == {"aaaa0001": 3, "bbbb0001": 1}
+        assert doc["proxies"]["proxy0"]["summary"]["num_bits"] == 8192
+        assert doc["proxies"]["proxy1"]["summary"] == {}
         assert doc["totals"]["proxy_http_requests_total"] == 14.0
         assert doc["proxies"]["proxy0"]["spans"]
         assert doc["false_hit_attribution"][0]["proxy"] == "proxy0"
@@ -159,10 +180,16 @@ class TestRendering:
         text = render_trace(snapshot.trace("aaaa0001"))
         lines = text.splitlines()
         assert lines[0] == "trace aaaa0001"
+        # One span per request on the requester: the children are the
+        # holder's, hung directly under the root.
         assert lines[1].startswith("  http.request [proxy0]")
-        assert lines[2].startswith("    summary.lookup [proxy0]")
-        assert "outcome=remote_hit" in lines[2]
-        assert lines[3].startswith("      icp.query [proxy1]")
+        assert lines[1].endswith(
+            " url=/d source=REMOTE-HIT outcome=remote_hit candidates=1"
+            " peer=proxy1 icp_round=0.40ms peer_fetch=1.20ms(ok)"
+        )
+        assert lines[2].startswith("    icp.query [proxy1]")
+        assert lines[3].startswith("    peer.serve [proxy1]")
+        assert len(lines) == 4
 
     def test_render_trace_orphans_surface_at_top_level(self):
         orphan = span(

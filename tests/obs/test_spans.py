@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.obs.spans import (
@@ -11,8 +13,12 @@ from repro.obs.spans import (
     NullSpanRing,
     SpanRing,
     TraceContext,
+    format_context,
     format_id,
+    parse_context,
 )
+
+IDS = st.integers(min_value=0, max_value=0xFFFFFFFF)
 
 
 class TestFormatId:
@@ -51,6 +57,46 @@ class TestTraceContext:
         assert TraceContext.parse(value) is None
 
 
+class TestParseContext:
+    """The one ``X-SC-Trace`` parser the proxy and the client share."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            # 8 + 8 characters that int(x, 16) accepts but that are not
+            # 8 + 8 hex digits.
+            "0x00abcd-00000001",  # 0x prefix
+            "+1234567-00000001",  # sign
+            "1_2_3_45-0000_001",  # digit separators
+            "deadbeef-+0000001",  # sign in the span id
+        ],
+    )
+    def test_rejects_what_int_accepts(self, value):
+        assert parse_context(value) is None
+        assert TraceContext.parse(value) is None
+
+    def test_rejects_non_ascii_digits(self):
+        assert parse_context("\u0661" * 8 + "-00000001") is None
+
+    def test_zero_trace_is_no_context(self):
+        assert parse_context("00000000-00000042") is None
+
+    def test_accepts_either_case_and_surrounding_space(self):
+        assert parse_context(" DEADBEEF-0000002a ") == (0xDEADBEEF, 0x2A)
+
+    @given(trace_id=IDS.filter(bool), span_id=IDS)
+    def test_round_trip(self, trace_id, span_id):
+        value = format_context(trace_id, span_id)
+        assert parse_context(value) == (trace_id, span_id)
+
+    def test_span_writes_its_own_context(self):
+        span = SpanRing(capacity=4).start_span("op")
+        assert parse_context(span.header_value()) == (
+            span.trace_id,
+            span.span_id,
+        )
+
+
 class TestSpanRing:
     def test_capacity_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -71,6 +117,15 @@ class TestSpanRing:
         assert span.duration is None
         assert span.attributes == {"url": "u"}
         assert ring.spans() == [span]
+
+    def test_spans_never_share_attributes(self):
+        ring = SpanRing(capacity=8)
+        attrs = {"url": "u"}
+        first = ring.start_span("a", **attrs)
+        second = ring.start_span("b", **attrs)
+        first.set(extra=1)
+        assert second.attributes == {"url": "u"}
+        assert attrs == {"url": "u"}
 
     def test_continue_trace_and_parenting(self):
         ring = SpanRing(capacity=8)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
+from repro.proxy.http import HttpRequest
 
 
 def run(coro):
@@ -41,9 +42,7 @@ class TestCancelledFetch:
             ) as cluster:
                 proxy = cluster.proxies[0]
                 task = asyncio.create_task(
-                    proxy._upstream_get(
-                        "origin.fetch", None, "http://slow.com/d", {}, ""
-                    )
+                    proxy._upstream_get(None, "http://slow.com/d", {}, "")
                 )
                 # Let the task acquire a connection and start awaiting
                 # the origin's (delayed) response.
@@ -65,8 +64,10 @@ class TestCancelledFetch:
         assert idle == 0
 
     def test_span_ended_on_cancelled_origin_fetch(self):
-        # The origin.fetch span is opened before the await that the
-        # cancellation lands on; the with-protocol must still end it.
+        # A client request cancelled while its miss awaits the origin:
+        # the root span is opened before that await, and the
+        # with-protocol must still end it; the pooled origin connection
+        # must go back through the pool.
         async def scenario():
             async with ProxyCluster(
                 num_proxies=1,
@@ -75,19 +76,27 @@ class TestCancelledFetch:
                 origin_delay=5.0,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                task = asyncio.create_task(
-                    proxy._origin_path("http://slow.com/d", "128")
+                request = HttpRequest(
+                    "http://slow.com/d", {"x-size": "128"}
                 )
+                task = asyncio.create_task(proxy._serve_client(request))
                 for _ in range(20):
                     await asyncio.sleep(0)
+                assert proxy._pool.stats.created == 1
                 task.cancel()
                 try:
                     await task
                 except asyncio.CancelledError:
                     pass
-                return proxy.spans.spans(name="origin.fetch")
+                return (
+                    proxy.spans.spans(),
+                    proxy._pool.stats,
+                    proxy._pool.total_idle,
+                )
 
-        spans = run(scenario())
-        assert len(spans) == 1
+        spans, stats, idle = run(scenario())
+        assert [span.name for span in spans] == ["http.request"]
         assert spans[0].duration is not None
         assert spans[0].status == "cancelled"
+        assert stats.discarded == 1
+        assert idle == 0

@@ -1,16 +1,23 @@
-"""The hit path's event-loop budget, in counts rather than time.
+"""The request path's budgets, in counts rather than time.
 
 A local hit on a keep-alive connection must cost the event loop no task
 and no timer of its own: the idle timeout is one deadline per
 connection, not an ``asyncio.wait_for`` per request (which made one
 task and one timer per request on Python 3.10/3.11, and one timer on
-3.12).  Counts resolve what timing cannot, so this gate runs in tier 1.
+3.12).  A served request must also write one span, its root, with the
+miss path's phases as attributes, and allocate no trace-context object.
+Counts resolve what timing cannot, so these gates run in tier 1.
 """
 
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
+import pytest
+
+from repro.obs import spans as spans_module
+from repro.obs.spans import TRACE_HEADER
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, write_request
@@ -20,6 +27,9 @@ BASE_CONFIG = ProxyConfig(
     expected_doc_size=1024,
 )
 
+#: Client-sent trace context, so the proxy's header parse is exercised.
+CONTEXT = "cafecafe-00000001"
+
 URLS = [f"http://budget.com/d{i}" for i in range(10)]
 HITS = 300
 #: A constant per connection (the idle reaper may re-arm once), never
@@ -27,10 +37,26 @@ HITS = 300
 PER_CONNECTION = 2
 
 
-async def _get(reader, writer, url):
-    write_request(writer, url, {"X-Size": "1024"}, keep_alive=True)
+async def _get(reader, writer, url, headers=None):
+    write_request(
+        writer, url, {"X-Size": "1024", **(headers or {})}, keep_alive=True
+    )
     await writer.drain()
     return await read_response(reader)
+
+
+@pytest.fixture
+def contexts_built(monkeypatch):
+    """Count ``TraceContext`` constructions for the test's duration."""
+    built = []
+    init = spans_module.TraceContext.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(spans_module.TraceContext, "__init__", counting_init)
+    return built
 
 
 def test_local_hits_make_no_task_and_no_timer():
@@ -74,3 +100,113 @@ def test_local_hits_make_no_task_and_no_timer():
     assert hits == HITS
     assert counts["tasks"] <= PER_CONNECTION, counts
     assert counts["timers"] <= PER_CONNECTION, counts
+
+
+def test_local_hits_write_one_span_each_and_no_context(contexts_built):
+    async def scenario():
+        async with ProxyCluster(
+            num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
+        ) as cluster:
+            proxy = cluster.proxies[0]
+            reader, writer = await asyncio.open_connection(
+                proxy.config.host, proxy.http_port
+            )
+            for url in URLS:  # warm: every later request is a local hit
+                assert (await _get(reader, writer, url)).status == 200
+            spans_before = len(proxy.spans)
+            contexts_built.clear()
+            for i in range(HITS):
+                response = await _get(
+                    reader,
+                    writer,
+                    URLS[i % len(URLS)],
+                    {TRACE_HEADER: CONTEXT},
+                )
+                assert response.header("x-cache") == "HIT"
+                assert response.header(TRACE_HEADER).startswith("cafecafe-")
+            writer.close()
+            return proxy.spans.spans()[spans_before:], len(contexts_built)
+
+    new_spans, contexts = asyncio.run(scenario())
+    assert len(new_spans) == HITS
+    assert {span.name for span in new_spans} == {"http.request"}
+    assert contexts == 0
+
+
+async def _wait_until_advertised(seeker, holder, url):
+    """Poll until *seeker*'s copy of *holder*'s summary has *url*."""
+    target = holder.address().icp_addr
+    for _ in range(400):
+        summary = seeker.peer_summary(target)
+        if summary is not None and summary.may_contain(url):
+            return
+        await asyncio.sleep(0.01)
+    pytest.fail(f"{url} never appeared in the propagated summary")
+
+
+def _request_spans(ring, since):
+    """Spans started after index *since*, summary traffic aside."""
+    return [
+        span
+        for span in ring.spans()[since:]
+        if not span.name.startswith("dirupdate.")
+    ]
+
+
+def test_remote_hit_writes_one_span_on_the_requester(contexts_built):
+    url = "http://budget.com/shared"
+
+    async def scenario():
+        async with ProxyCluster(
+            num_proxies=2,
+            mode=ProxyMode.SC_ICP,
+            # Every insert is advertised at once, so the warmed
+            # document reaches the requester's copy of the summary.
+            base_config=replace(BASE_CONFIG, update_threshold=0.0),
+        ) as cluster:
+            requester, holder = cluster.proxies
+            reader, writer = await asyncio.open_connection(
+                holder.config.host, holder.http_port
+            )
+            assert (await _get(reader, writer, url)).status == 200
+            writer.close()
+            await _wait_until_advertised(requester, holder, url)
+            before = len(requester.spans), len(holder.spans)
+            contexts_built.clear()
+
+            reader, writer = await asyncio.open_connection(
+                requester.config.host, requester.http_port
+            )
+            response = await _get(
+                reader, writer, url, {TRACE_HEADER: CONTEXT}
+            )
+            writer.close()
+            # The holder's icp.query is written when its reply leaves,
+            # before the requester can finish; nothing is in flight.
+            return (
+                response,
+                _request_spans(requester.spans, before[0]),
+                _request_spans(holder.spans, before[1]),
+                len(contexts_built),
+            )
+
+    response, on_requester, on_holder, contexts = asyncio.run(scenario())
+    assert response.header("x-cache") == "REMOTE-HIT"
+    (root,) = on_requester
+    assert root.name == "http.request"
+    assert sorted(span.name for span in on_holder) == [
+        "icp.query",
+        "peer.serve",
+    ]
+    assert {span.trace_id for span in on_requester + on_holder} == {
+        0xCAFECAFE
+    }
+    assert {span.parent_id for span in on_holder} == {root.span_id}
+    attrs = root.attributes
+    assert attrs["candidates"] == 1
+    assert attrs["outcome"] == "remote_hit"
+    assert attrs["peer"] == "proxy1"
+    assert attrs["icp_round_s"] > 0.0
+    assert attrs["peer_fetch_s"] > 0.0
+    assert [event["kind"] for event in root.events] == ["icp.reply"]
+    assert contexts == 0

@@ -144,37 +144,45 @@ class TestQueryRound:
             proxy._udp = _FakeTransport()
             peer = peer_state("a", 1001)
             proxy._peers = {peer.address.icp_addr: peer}
-            holder = await proxy._query_peers(self.URL, [peer])
-            return proxy, holder
+            root = proxy.spans.start_span("http.request")
+            holder = await proxy._query_peers(self.URL, [peer], root)
+            return proxy, holder, root
 
-        proxy, holder = asyncio.run(scenario())
+        proxy, holder, root = asyncio.run(scenario())
         assert holder is None
         assert proxy.registry.value("proxy_icp_timeouts_total") == 1
         assert proxy._pending == {}
-        (round_span,) = proxy.spans.spans(name="icp.round")
-        assert round_span.events[-1]["kind"] == "icp.timeout"
+        # The round writes no span of its own: the timeout and the
+        # round's wall time land on the request's root span.
+        assert proxy.spans.spans() == [root]
+        assert root.events[-1]["kind"] == "icp.timeout"
+        assert root.attributes["icp_round_s"] >= 0.02
+        (query,) = [decode_message(data) for data, _ in proxy._udp.sent]
+        assert (query.trace_id, query.parent_span) == (
+            root.trace_id,
+            root.span_id,
+        )
 
 
 class TestUpstreamGet:
     """``_upstream_get`` over a stubbed ``_fetch``: one verdict table."""
 
     @pytest.mark.parametrize(
-        "outcome, expected, span_status",
+        "outcome, expected",
         [
             (
                 HttpResponse(200, {"x-cache": "hit"}, b"body"),
                 ("ok", b"body", "HIT"),
-                "ok",
             ),
-            (HttpResponse(504), ("error", b"", ""), "error"),
-            (ConnectionRefusedError(), ("gone", b"", ""), "error"),
+            (HttpResponse(504), ("error", b"", "")),
+            (ConnectionRefusedError(), ("gone", b"", "")),
         ],
     )
-    def test_verdicts(self, outcome, expected, span_status):
+    def test_verdicts(self, outcome, expected):
         proxy = make_proxy(ProxyMode.NO_ICP)
         seen = {}
 
-        async def fake_fetch(host, port, url, headers, span):
+        async def fake_fetch(host, port, url, headers):
             seen.update(host=host, port=port, headers=dict(headers))
             if isinstance(outcome, Exception):
                 raise outcome
@@ -182,19 +190,24 @@ class TestUpstreamGet:
 
         proxy._fetch = fake_fetch
         peer = peer_state("p1", 1001)
+        root = proxy.spans.start_span("http.request")
         result = asyncio.run(
             proxy._upstream_get(
-                "peer.fetch", peer, "http://a.com/x", {"X-Mark": "1"}, "64"
+                peer, "http://a.com/x", {"X-Mark": "1"}, "64", root
             )
         )
         assert result == expected
         assert (seen["host"], seen["port"]) == ("127.0.0.1", 1)
         assert seen["headers"]["X-Mark"] == "1"
         assert seen["headers"]["X-Size"] == "64"
-        (span,) = proxy.spans.spans(name="peer.fetch")
-        assert span.duration is not None
-        assert span.status == span_status
-        assert span.attributes["peer"] == "p1"
+        assert seen["headers"]["X-SC-Trace"] == root.header_value()
+        # The fetch writes no span of its own: its verdict, source and
+        # wall time land on the caller's span.
+        assert proxy.spans.spans() == [root]
+        assert root.attributes["peer"] == "p1"
+        assert root.attributes["peer_fetch"] == expected[0]
+        assert root.attributes["peer_source"] == expected[2]
+        assert root.attributes["peer_fetch_s"] >= 0.0
         phase = proxy.registry.get(
             "proxy_request_phase_seconds", {"phase": "peer_fetch"}
         )
