@@ -17,11 +17,7 @@ from repro.core.bfmath import (
     optimal_integer_num_hashes,
 )
 from repro.core.bloom import BloomFilter
-from repro.protocol import (
-    apply_dir_update,
-    build_dir_update_messages,
-    decode_message,
-)
+from repro.protocol import build_dir_update_messages, decode_message
 
 
 def main() -> None:
@@ -56,7 +52,7 @@ def main() -> None:
     )
     for message in messages:
         datagram = message.encode()  # bytes on the wire
-        apply_dir_update(peer_copy, decode_message(datagram))
+        peer_copy.apply_flips(decode_message(datagram).flips)
     print(
         "peer copy agrees with local filter:",
         peer_copy == summary.snapshot(),

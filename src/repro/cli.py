@@ -1001,7 +1001,8 @@ async def _loadgen(args: argparse.Namespace) -> int:
     """Measure req/s + latency of a live cluster under concurrent load.
 
     One run on a fresh in-process cluster: persistent client
-    connections, pooled origin/peer fetches.
+    connections, pooled origin/peer fetches.  Exits 1 when any client
+    request failed.
     """
     from repro.benchmarkkit.loadgen import (
         LoadGenConfig,
@@ -1036,7 +1037,7 @@ async def _loadgen(args: argparse.Namespace) -> int:
             origin=cluster.origin,
         )
     print(render_comparison([result]), flush=True)
-    return 0
+    return 1 if result.errors else 0
 
 
 async def _sanitize_run(args: argparse.Namespace) -> int:

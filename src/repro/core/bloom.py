@@ -1,11 +1,12 @@
 """The plain Bloom filter: the shipped form of a cache summary.
 
-A peer proxy holds one :class:`BloomFilter` per neighbour, rebuilt from
-``ICP_OP_DIRUPDATE`` messages.  Because a remote copy is only ever probed
-and patched (bits set or cleared by absolute index, per the loss-tolerant
-update design of Section VI-A), the plain filter carries no counters --
-those live only in the owning proxy's :class:`~repro.core.counting_bloom.
-CountingBloomFilter`.
+Its bits are what a proxy ships: ``ICP_OP_DIRUPDATE`` records set and
+clear them, a DIGEST carries them whole, and peers hold them sliced into
+a :class:`~repro.summaries.peers.PeerSummaries`.  Because a shipped copy
+is only ever probed and patched (bits set or cleared by absolute index,
+per the loss-tolerant update design of Section VI-A), the plain filter
+carries no counters -- those live only in the owning proxy's
+:class:`~repro.core.counting_bloom.CountingBloomFilter`.
 """
 
 from __future__ import annotations

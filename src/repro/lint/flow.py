@@ -56,6 +56,7 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset(
         "put", "publish", "rebuild", "on_insert", "on_evict",
         "add_member", "remove_member", "acquire", "release",
         "set_result", "set_exception", "cancel",
+        "apply_delta", "reset_slot", "drop_slot",
     }
 )
 

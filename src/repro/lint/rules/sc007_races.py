@@ -54,8 +54,8 @@ from repro.lint.framework import FileContext, Finding, Rule, register
 SHARED_FIELDS: Dict[str, FrozenSet[str]] = {
     "repro/proxy/server.py": frozenset(
         {
-            "_peers", "_peers_by_name", "_placement", "_pending",
-            "_bodies", "_cache", "_node",
+            "_peers", "_peers_by_name", "_peer_summaries", "_placement",
+            "_pending", "_bodies", "_cache", "_node",
         }
     ),
     "repro/proxy/pool.py": frozenset({"_idle", "_closed"}),

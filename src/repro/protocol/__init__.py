@@ -6,12 +6,11 @@
   bit-flip records, and an ``ICP_OP_DIGEST`` opcode for whole-filter
   transfers (the Squid cache-digest variant the paper mentions).
 - :mod:`repro.protocol.update` -- assembling flip lists into MTU-sized
-  update messages and applying received updates to a peer's filter copy.
+  update messages, and reassembling whole-filter digest transfers.
 """
 
 from repro.protocol.update import (
     DigestAssembler,
-    apply_dir_update,
     build_digest_messages,
     build_dir_update_messages,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "IcpMissNoFetch",
     "IcpQuery",
     "Opcode",
-    "apply_dir_update",
     "build_digest_messages",
     "build_dir_update_messages",
     "decode_message",

@@ -1,4 +1,4 @@
-"""Building and applying summary update messages.
+"""Building summary update messages and reassembling digests.
 
 The prototype "sends updates whenever there are enough changes to fill
 an IP packet" (Section VI-B): :func:`build_dir_update_messages` batches
@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.bloom import BloomFilter
 from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
-from repro.errors import ProtocolError, SummaryMismatchError
+from repro.errors import ProtocolError
 from repro.protocol.wire import (
     DIGEST_HEADER_SIZE,
     DIRUPDATE_HEADER_SIZE,
@@ -70,31 +70,6 @@ def build_dir_update_messages(
             )
         )
     return messages
-
-
-def apply_dir_update(target: BloomFilter, update: DirUpdate) -> int:
-    """Apply *update* to a peer-filter copy; return bits actually changed.
-
-    The receiver verifies the geometry announced in the header against
-    the filter it holds; a mismatch means the sender reconfigured (or
-    the copy was initialized against a different spec), which requires a
-    full resync rather than a patch, so it raises
-    :class:`~repro.errors.SummaryMismatchError`.
-    """
-    expected_num, expected_bits = target.hash_family.spec()
-    if (
-        update.function_num != expected_num
-        or update.function_bits != expected_bits
-        or update.bit_array_size != target.num_bits
-    ):
-        raise SummaryMismatchError(
-            "DIRUPDATE geometry mismatch: message specifies "
-            f"({update.function_num} fns x {update.function_bits} bits, "
-            f"{update.bit_array_size} array bits) but local copy is "
-            f"({expected_num} fns x {expected_bits} bits, "
-            f"{target.num_bits} array bits)"
-        )
-    return target.apply_flips(update.flips)
 
 
 def build_set_update_messages(

@@ -18,10 +18,11 @@ Cooperation modes (:class:`~repro.proxy.config.ProxyMode`):
     measured in Section IV.
 ``sc-icp``
     the paper's protocol: the proxy keeps a local summary of its own
-    directory and a remote-summary copy per peer (initialized by the
-    first DIRUPDATE received, per Section VI-B), probes the copies on a
-    miss, and queries only promising peers.  When the update policy
-    fires, the pending delta is drained into MTU-sized,
+    directory and a copy of every peer's, one slot each of a
+    :class:`~repro.summaries.PeerSummaries` store (a slot is initialized
+    by the first DIRUPDATE received, per Section VI-B).  A miss probes
+    every copy at once and queries only promising peers.  When the
+    update policy fires, the pending delta is drained into MTU-sized,
     representation-tagged DIRUPDATE messages and sent to every peer.
     With ``update_encoding="digest"`` the whole bit array is shipped in
     ICP_OP_DIGEST chunks instead (the Squid cache-digest variant,
@@ -82,10 +83,10 @@ from repro.protocol.wire import (
 )
 from repro.placement import Placement
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
-from repro.summaries import LocalSummary, RemoteSummary, SummaryNode
+from repro.summaries import LocalSummary, PeerSummaries, SummaryNode
 from repro.summaries import codec
-from repro.summaries.backend import SummaryDelta
-from repro.summaries.bloom import BloomRemote, BloomSummary
+from repro.summaries.backend import Geometry, SummaryDelta
+from repro.summaries.bloom import BloomSummary
 from repro.proxy.http import (
     HttpRequest,
     HttpResponse,
@@ -123,16 +124,12 @@ _Response = Tuple[int, bytes, Dict[str, str]]
 class _PeerState:
     """What a proxy knows about one neighbour."""
 
-    __slots__ = ("address", "summary", "alive", "assembler")
+    __slots__ = ("address", "slot", "assembler")
 
-    def __init__(self, address: PeerAddress) -> None:
+    def __init__(self, address: PeerAddress, slot: int) -> None:
         self.address = address
-        #: Remote summary copy (representation-tagged by the wire);
-        #: ``None`` until the first DIRUPDATE arrives ("The structure is
-        #: initialized when the first summary update message is received
-        #: from the neighbor").
-        self.summary: Optional[RemoteSummary] = None
-        self.alive = True
+        #: The neighbour's slot in the proxy's peer-summary store.
+        self.slot = slot
         #: Reassembles whole-filter transfers in digest mode.
         self.assembler = DigestAssembler()
 
@@ -280,6 +277,9 @@ class SummaryCacheProxy:
         )
         self._peers: Dict[Tuple[str, int], _PeerState] = {}
         self._peers_by_name: Dict[str, _PeerState] = {}
+        #: Every peer's summary copy, one slot per peer; a slot holds no
+        #: copy until the peer's first update arrives.
+        self._peer_summaries = PeerSummaries.empty(config.summary.kind)
         #: This proxy's view of cluster-wide object placement.  Always
         #: maintained (membership tracking is cheap); misses route by
         #: owner only when the cooperation policy says so.
@@ -428,10 +428,14 @@ class SummaryCacheProxy:
 
     def set_peers(self, peers: List[PeerAddress]) -> None:
         """Install the neighbour set (call after all proxies started)."""
-        self._peers = {peer.icp_addr: _PeerState(peer) for peer in peers}
+        self._peers = {
+            peer.icp_addr: _PeerState(peer, slot)
+            for slot, peer in enumerate(peers)
+        }
         self._peers_by_name = {
             state.address.name: state for state in self._peers.values()
         }
+        self._peer_summaries = PeerSummaries.empty(self.config.summary.kind)
         self._placement = self._new_placement(peer.name for peer in peers)
 
     def _new_placement(self, peer_names: Iterable[str] = ()) -> Placement:
@@ -459,7 +463,10 @@ class SummaryCacheProxy:
         """
         if peer.name in self._peers_by_name:
             return
-        state = _PeerState(peer)
+        # The lowest free slot, so masks stay as short as the peer table.
+        used = {s.slot for s in self._peers.values()}
+        slot = next(j for j in range(len(used) + 1) if j not in used)
+        state = _PeerState(peer, slot)
         self._peers[peer.icp_addr] = state
         self._peers_by_name[peer.name] = state
         self._rebalance("join", peer.name)
@@ -475,6 +482,7 @@ class SummaryCacheProxy:
         if state is None:
             return
         self._peers.pop(state.address.icp_addr, None)
+        self._peer_summaries.drop_slot(state.slot)
         self._rebalance(reason, name)
 
     def _rebalance(self, reason: str, member: str) -> None:
@@ -519,7 +527,7 @@ class SummaryCacheProxy:
         """Forget a peer's summary (Squid-style failure/recovery reinit)."""
         state = self._peers.get(icp_addr)
         if state is not None:
-            state.summary = None
+            self._peer_summaries.drop_slot(state.slot)
 
     # ------------------------------------------------------------------
     # Summary attribution
@@ -595,7 +603,7 @@ class SummaryCacheProxy:
             self._broadcast()  # a delta cannot describe the new geometry
 
     def _broadcast(self, delta: Optional[SummaryDelta] = None) -> int:
-        """Ship the summary to every live peer; returns the message count.
+        """Ship the summary to every peer; returns the message count.
 
         *delta* travels as DIRUPDATEs.  With none (the resync after a
         resize), or under ``update_encoding="digest"`` (Squid
@@ -611,10 +619,9 @@ class SummaryCacheProxy:
                 self._node.local, delta, mtu=self.config.mtu
             )
         encoded = [message.encode() for message in messages]
-        for peer_addr, state in self._peers.items():
-            if state.alive:
-                for data in encoded:
-                    self._send(data, peer_addr, self._m.dirupdates_sent)
+        for peer_addr in self._peers:
+            for data in encoded:
+                self._send(data, peer_addr, self._m.dirupdates_sent)
         return len(encoded)
 
     def _send(
@@ -644,7 +651,7 @@ class SummaryCacheProxy:
             records=delta.change_count,
             representation=self.config.summary.kind,
             encoding=self.config.update_encoding,
-            peers=sum(1 for s in self._peers.values() if s.alive),
+            peers=len(self._peers),
         )
         sent = self._broadcast(delta)
         drain_span.set(messages=sent).end()
@@ -674,10 +681,7 @@ class SummaryCacheProxy:
             state = self._peers.get(addr)
             if state is None:
                 return  # summary traffic from an unconfigured peer
-            if isinstance(message, DigestChunk):
-                self._handle_digest_chunk(message, state)
-            else:
-                self._handle_dir_update(message, state)
+            self._handle_summary(message, state)
 
     def _handle_query(
         self, query: IcpQuery, addr: Tuple[str, int]
@@ -727,59 +731,52 @@ class SummaryCacheProxy:
         if not pending.outstanding:
             pending.future.set_result(None)
 
-    def _handle_dir_update(
+    def _handle_summary(
         self,
-        update: Union[DirUpdate, SetDirUpdate],
+        message: Union[DirUpdate, SetDirUpdate, DigestChunk],
         state: _PeerState,
     ) -> None:
-        """Patch the sender's remote copy from a (Set)DirUpdate.
+        """Patch the sender's slot from a (Set)DirUpdate or a DIGEST.
 
-        A mismatched update -- wrong representation, or a Bloom delta
-        whose geometry disagrees with the copy (the peer resized and
-        this datagram predates the digest resync) -- is rejected
-        cleanly: the copy is left untouched and the peer's digest (or
+        DIGEST chunks are reassembled first, and the completed filter
+        replaces the copy.  A mismatched update -- another
+        representation than this proxy's, or a Bloom delta whose
+        geometry disagrees with the copy (the peer resized and this
+        datagram predates the digest resync) -- is rejected cleanly: the
+        copy is left untouched and the peer's digest (or
         pending-everything delta after a set rebuild) resynchronizes it.
         """
+        peer = state.address.name
         try:
-            state.summary, changed = codec.apply_update(
-                state.summary, update
-            )
+            if isinstance(message, DigestChunk):
+                whole = state.assembler.add(message)
+                if whole is None:
+                    return
+                codec.apply_digest(self._peer_summaries, state.slot, whole)
+                name, attrs = "digest.apply", {"bits": whole.num_bits}
+            else:
+                codec.apply_update(self._peer_summaries, state.slot, message)
+                name, attrs = "dirupdate.apply", {
+                    "records": message.change_count
+                }
         except SummaryMismatchError as exc:
             self._m.dirupdate_rejects.inc()
             self.spans.start_span(
                 "dirupdate.reject",
                 proxy=self.config.name,
-                peer=state.address.name,
+                peer=peer,
                 reason=str(exc),
             ).end(status="error")
             logger.debug(
                 "proxy=%s rejected dirupdate from peer=%s: %s",
                 self.config.name,
-                state.address.name,
+                peer,
                 exc,
             )
             return
         self.spans.start_span(
-            "dirupdate.apply",
-            proxy=self.config.name,
-            peer=state.address.name,
-            records=update.change_count,
-            changed=changed,
+            name, proxy=self.config.name, peer=peer, **attrs
         ).end()
-
-    def _handle_digest_chunk(
-        self, chunk: DigestChunk, state: _PeerState
-    ) -> None:
-        """Feed a whole-filter chunk to the peer's reassembler."""
-        completed = state.assembler.add(chunk)
-        if completed is not None:
-            state.summary = BloomRemote(completed)
-            self.spans.start_span(
-                "digest.apply",
-                proxy=self.config.name,
-                peer=state.address.name,
-                bits=completed.num_bits,
-            ).end()
 
     # ------------------------------------------------------------------
     # HTTP path
@@ -1171,7 +1168,7 @@ class SummaryCacheProxy:
                 break  # ours: fall through to the origin fetch + store
             owner = self._peers_by_name.get(replicas[0])
             verdict, body, owner_source = "gone", b"", ""
-            if owner is not None and owner.alive:
+            if owner is not None:
                 self._m.peer_forwards.inc()
                 verdict, body, owner_source = await self._upstream_get(
                     owner,
@@ -1243,17 +1240,18 @@ class SummaryCacheProxy:
         return body
 
     def _candidate_peers(self, url: str) -> List[_PeerState]:
-        """Which peers to query for *url*, per the cooperation mode."""
+        """Which peers to query for *url*, per the cooperation mode.
+
+        Under summary cooperation one probe asks every peer's copy at
+        once; the peers it names are queried in peer-table order.
+        """
         if self.config.mode is ProxyMode.NO_ICP or not self._peers:
             return []
-        alive = [s for s in self._peers.values() if s.alive]
         if self.config.mode is ProxyMode.ICP:
-            return alive
-        return [
-            s
-            for s in alive
-            if s.summary is not None and s.summary.may_contain(url)
-        ]
+            return list(self._peers.values())
+        summaries = self._peer_summaries
+        mask = summaries.probe(summaries.key_of(url))
+        return [s for s in self._peers.values() if mask >> s.slot & 1]
 
     async def _query_peers(
         self,
@@ -1423,9 +1421,10 @@ class SummaryCacheProxy:
         """This proxy's placement view (read-only use expected)."""
         return self._placement
 
-    def peer_summary(
-        self, icp_addr: Tuple[str, int]
-    ) -> Optional[RemoteSummary]:
-        """The current summary copy held for the peer at *icp_addr*."""
+    def peer_geometry(self, icp_addr: Tuple[str, int]) -> Optional[Geometry]:
+        """The geometry of the copy held for the peer at *icp_addr*
+        (``None``: no copy yet, or no such peer)."""
         state = self._peers.get(icp_addr)
-        return state.summary if state else None
+        if state is None:
+            return None
+        return self._peer_summaries.geometry(state.slot)

@@ -6,14 +6,14 @@ ship (Sections V-A, VI-B), and the codec that puts representation-tagged
 deltas on the wire (Section VI-A) -- so the Section V simulator, the
 wire protocol, and the live asyncio proxy all consume the same classes:
 
-- :mod:`repro.summaries.backend` -- the :class:`LocalSummary` /
-  :class:`RemoteSummary` ABCs, :class:`SummaryConfig`, delta types, the
-  :func:`make_local_summary` factory, and :class:`SummaryNode` (shared
-  update bookkeeping);
+- :mod:`repro.summaries.backend` -- the :class:`LocalSummary` ABC,
+  :class:`SummaryConfig`, delta types, the :func:`make_local_summary`
+  factory, and :class:`SummaryNode` (shared update bookkeeping);
 - :mod:`repro.summaries.exact`, :mod:`repro.summaries.servername`,
   :mod:`repro.summaries.bloom` -- one module per representation;
 - :mod:`repro.summaries.peers` -- :class:`PeerSummaries`, every peer's
-  shipped copy in one bit-sliced store, probed in one pass;
+  shipped copy in one bit-sliced store, probed in one pass (all three
+  engines);
 - :mod:`repro.summaries.policies` -- threshold / interval / packet-fill
   update policies;
 - :mod:`repro.summaries.codec` -- representation-tagged delta and
@@ -24,16 +24,14 @@ from repro.summaries.backend import (
     AVERAGE_DOCUMENT_SIZE,
     BitFlipDelta,
     DigestDelta,
-    DigestSetRemote,
     LocalSummary,
-    RemoteSummary,
     SummaryConfig,
     SummaryNode,
     expected_documents_for_cache,
     make_local_summary,
 )
-from repro.summaries.bloom import BloomRemote, BloomSummary
-from repro.summaries.exact import ExactDirectoryRemote, ExactDirectorySummary
+from repro.summaries.bloom import BloomSummary
+from repro.summaries.exact import ExactDirectorySummary
 from repro.summaries.peers import PeerSummaries, slots_of
 from repro.summaries.policies import (
     IntervalUpdatePolicy,
@@ -42,23 +40,18 @@ from repro.summaries.policies import (
     UpdatePolicy,
     parse_update_policy,
 )
-from repro.summaries.servername import ServerNameRemote, ServerNameSummary
+from repro.summaries.servername import ServerNameSummary
 
 __all__ = [
     "AVERAGE_DOCUMENT_SIZE",
     "BitFlipDelta",
-    "BloomRemote",
     "BloomSummary",
     "DigestDelta",
-    "DigestSetRemote",
-    "ExactDirectoryRemote",
     "ExactDirectorySummary",
     "IntervalUpdatePolicy",
     "LocalSummary",
     "PacketFillUpdatePolicy",
     "PeerSummaries",
-    "RemoteSummary",
-    "ServerNameRemote",
     "ServerNameSummary",
     "SummaryConfig",
     "SummaryNode",

@@ -1,23 +1,21 @@
 """The summary backend: ABCs, sizing, and shared update bookkeeping.
 
-A *summary* is the compact stand-in for a peer's cache directory.  Each
-representation comes in two halves:
-
-- a **local summary** (:class:`LocalSummary`), maintained by the cache's
-  owner as documents enter and leave, which can emit *deltas* (the
-  changes since the last shipped update); and
-- a **remote summary** (:class:`RemoteSummary`), the possibly stale copy
-  a peer holds, which can be probed and patched with deltas.
+A *summary* is the compact stand-in for a peer's cache directory.  The
+cache's owner keeps a **local summary** (:class:`LocalSummary`) of each
+representation, maintained as documents enter and leave, which emits
+*deltas* (the changes since the last shipped update).  The copies peers
+hold of it, patched with those deltas, live in one
+:class:`~repro.summaries.peers.PeerSummaries` store per proxy.
 
 Three representations are implemented, exactly the ones the paper
 evaluates (Section V):
 
 ==========================================  =====================================  =============================
-Representation                              Local state                            Shipped/remote state
+Representation                              Local state                            Shipped/peer state
 ==========================================  =====================================  =============================
-:class:`~repro.summaries.exact.ExactDirectorySummary`       set of 16-byte MD5 URL digests        same set (frozen)
-:class:`~repro.summaries.servername.ServerNameSummary`      refcounted set of server names        set of names (frozen)
-:class:`~repro.summaries.bloom.BloomSummary`                counting Bloom filter                 plain Bloom filter
+:class:`~repro.summaries.exact.ExactDirectorySummary`       set of 16-byte MD5 URL digests        same set
+:class:`~repro.summaries.servername.ServerNameSummary`      refcounted set of server names        set of names
+:class:`~repro.summaries.bloom.BloomSummary`                counting Bloom filter                 plain Bloom filter bits
 ==========================================  =====================================  =============================
 
 Every consumer -- the Section V simulator, the wire protocol codec, and
@@ -34,17 +32,15 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
     Union,
 )
 
-from repro.errors import ConfigurationError, SummaryMismatchError
+from repro.errors import ConfigurationError
 from repro.summaries.policies import UpdatePolicy
 
 #: A digest-set change record: a 16-byte MD5 digest (exact directory)
@@ -53,6 +49,11 @@ DigestKey = Union[bytes, str]
 
 #: Any delta a summary can emit: digest-set changes or bit flips.
 SummaryDelta = Union["DigestDelta", "BitFlipDelta"]
+
+#: The shape of a shipped copy.  For a Bloom summary it is what every
+#: DIRUPDATE and DIGEST header announces, ``(num_bits, (Function_Num,
+#: Function_Bits))``; digest-set copies have none, and theirs is ``()``.
+Geometry = Tuple[Any, ...]
 
 #: The paper's average-document-size divisor: "The average number of
 #: documents is calculated by dividing the cache size by 8 K (the average
@@ -136,32 +137,6 @@ class BitFlipDelta:
         return not self.flips
 
 
-class RemoteSummary(ABC):
-    """A peer's (possibly stale) view of another proxy's directory.
-
-    One copy per peer is what the live proxy holds (its peers resize
-    independently and arrive over the wire).  The simulators, whose
-    peers all share one configuration, hold the same copies bit-sliced
-    in one :class:`~repro.summaries.peers.PeerSummaries` instead.
-    """
-
-    @abstractmethod
-    def may_contain(self, url: str) -> bool:
-        """Probe the summary; a ``False`` is authoritative for this copy."""
-
-    @abstractmethod
-    def apply_delta(self, delta: SummaryDelta) -> None:
-        """Patch the copy with a received delta update.
-
-        Raises :class:`~repro.errors.SummaryMismatchError` when the
-        delta's type does not match the representation.
-        """
-
-    @abstractmethod
-    def size_bytes(self) -> int:
-        """DRAM footprint of this copy at the peer."""
-
-
 class LocalSummary(ABC):
     """The summary a proxy maintains for its own cache.
 
@@ -171,6 +146,14 @@ class LocalSummary(ABC):
     A caller that already holds the key -- the simulators, which derive
     it once per URL per run for the probe -- skips the derivation.
     """
+
+    #: The representation (a ``SummaryConfig.kind``).
+    kind: str
+
+    @property
+    def geometry(self) -> Geometry:
+        """The shape of the copies peers hold (``()`` unless Bloom)."""
+        return ()
 
     @abstractmethod
     def add_key(self, key: Any) -> None:
@@ -218,8 +201,9 @@ class LocalSummary(ABC):
         """How many change records the next delta would carry."""
 
     @abstractmethod
-    def export(self) -> RemoteSummary:
-        """Return a fresh remote copy reflecting the current directory."""
+    def export(self) -> SummaryDelta:
+        """The whole summary as one delta: what turns an empty copy of
+        :attr:`geometry` into a copy of the current directory."""
 
     @abstractmethod
     def size_bytes(self) -> int:
@@ -261,43 +245,6 @@ class LocalSummary(ABC):
     def fill_ratio(self) -> float:
         """Fraction of summary capacity in use (0.0 when not meaningful)."""
         return 0.0
-
-
-class DigestSetRemote(RemoteSummary):
-    """Remote half shared by the exact-directory and server-name forms."""
-
-    __slots__ = ("_digests", "_bytes_per_entry")
-
-    def __init__(
-        self, digests: Set[DigestKey], bytes_per_entry: int
-    ) -> None:
-        self._digests: Set[DigestKey] = set(digests)
-        self._bytes_per_entry = bytes_per_entry
-
-    def _key(self, url: str) -> DigestKey:
-        raise NotImplementedError
-
-    def may_contain(self, url: str) -> bool:
-        return self._key(url) in self._digests
-
-    def apply_delta(self, delta: SummaryDelta) -> None:
-        if not isinstance(delta, DigestDelta):
-            raise SummaryMismatchError(
-                f"digest-set summary cannot apply {type(delta).__name__}"
-            )
-        for digest in delta.removed:
-            self._digests.discard(digest)
-        for digest in delta.added:
-            self._digests.add(digest)
-
-    def size_bytes(self) -> int:
-        return len(self._digests) * self._bytes_per_entry
-
-    def __len__(self) -> int:
-        return len(self._digests)
-
-    def __iter__(self) -> Iterator[DigestKey]:
-        return iter(self._digests)
 
 
 def expected_documents_for_cache(

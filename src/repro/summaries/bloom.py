@@ -1,47 +1,18 @@
-"""The Bloom-filter summary: counting filter locally, plain copy remotely."""
+"""The Bloom-filter summary: counting filter locally, plain bits at the peers."""
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
-from repro.core.bloom import BloomFilter
 from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
-from repro.errors import ConfigurationError, SummaryMismatchError
+from repro.errors import ConfigurationError
 from repro.summaries.backend import (
     BitFlipDelta,
+    Geometry,
     LocalSummary,
-    RemoteSummary,
     SummaryConfig,
-    SummaryDelta,
 )
-
-
-class BloomRemote(RemoteSummary):
-    """Peer copy of a Bloom summary: a plain bit array plus hash spec."""
-
-    __slots__ = ("filter",)
-
-    def __init__(self, filt: BloomFilter) -> None:
-        self.filter = filt
-
-    @property
-    def num_bits(self) -> int:
-        """Bit array size of the copy (its wire geometry)."""
-        return self.filter.num_bits
-
-    def may_contain(self, url: str) -> bool:
-        return self.filter.may_contain(url)
-
-    def apply_delta(self, delta: SummaryDelta) -> None:
-        if not isinstance(delta, BitFlipDelta):
-            raise SummaryMismatchError(
-                f"bloom summary cannot apply {type(delta).__name__}"
-            )
-        self.filter.apply_flips(delta.flips)
-
-    def size_bytes(self) -> int:
-        return self.filter.size_bytes()
 
 
 class BloomSummary(LocalSummary):
@@ -56,6 +27,8 @@ class BloomSummary(LocalSummary):
     config:
         Load factor, hash count, and counter width.
     """
+
+    kind = "bloom"
 
     def __init__(
         self,
@@ -91,6 +64,10 @@ class BloomSummary(LocalSummary):
         """The hash family announced in DIRUPDATE/DIGEST headers."""
         return self._cbf.hash_family
 
+    @property
+    def geometry(self) -> Geometry:
+        return (self._cbf.num_bits, self._cbf.hash_family.spec())
+
     def add_key(self, key: Sequence[int]) -> None:
         self._cbf.add_at(key)
 
@@ -109,8 +86,9 @@ class BloomSummary(LocalSummary):
     def pending_change_count(self) -> int:
         return self._cbf.pending_flip_count
 
-    def export(self) -> BloomRemote:
-        return BloomRemote(self._cbf.snapshot())
+    def export(self) -> BitFlipDelta:
+        held = self._cbf.filter.bits.iter_set_bits()
+        return BitFlipDelta(flips=[(index, True) for index in held])
 
     def overloaded(self, num_documents: int, factor: float) -> bool:
         """Cache outran the geometry: documents exceed capacity x *factor*.

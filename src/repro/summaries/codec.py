@@ -9,22 +9,21 @@ payloads, so the proxy never dispatches on concrete summary types:
   datagrams for whatever representation the local summary uses;
 - :func:`whole_summary_messages` -- the whole-summary resync transfer
   (Bloom only: ``ICP_OP_DIGEST`` chunks);
-- :func:`apply_update` -- patch (or initialize) a peer's remote copy
-  from a received DIRUPDATE, rejecting updates that do not match the
-  copy's representation or geometry with
+- :func:`apply_update` / :func:`apply_digest` -- patch (or initialize)
+  a peer's slot of a :class:`~repro.summaries.peers.PeerSummaries` from
+  a received DIRUPDATE or a completed DIGEST, rejecting one that does
+  not match the store's representation or the copy's geometry with
   :class:`~repro.errors.SummaryMismatchError`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Union
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import MD5HashFamily
 from repro.errors import ConfigurationError, SummaryMismatchError
 from repro.protocol.update import (
     DEFAULT_MTU,
-    apply_dir_update,
     build_digest_messages,
     build_dir_update_messages,
     build_set_update_messages,
@@ -41,13 +40,14 @@ from repro.summaries.backend import (
     BitFlipDelta,
     DigestDelta,
     DigestKey,
+    Geometry,
     LocalSummary,
-    RemoteSummary,
     SummaryDelta,
 )
-from repro.summaries.bloom import BloomRemote, BloomSummary
-from repro.summaries.exact import ExactDirectoryRemote, ExactDirectorySummary
-from repro.summaries.servername import ServerNameRemote, ServerNameSummary
+from repro.summaries.bloom import BloomSummary
+from repro.summaries.exact import ExactDirectorySummary
+from repro.summaries.peers import PeerSummaries
+from repro.summaries.servername import ServerNameSummary
 
 #: SummaryConfig.kind <-> wire representation id.
 KIND_TO_REPRESENTATION: Dict[str, int] = {
@@ -162,72 +162,69 @@ def whole_summary_messages(
     )
 
 
-def empty_remote_for(update: UpdateMessage) -> RemoteSummary:
-    """A fresh, empty remote copy matching an update's representation.
-
-    Implements the paper's lazy initialization: "The structure is
-    initialized when the first summary update message is received from
-    the neighbor."
-    """
-    if isinstance(update, DirUpdate):
-        return BloomRemote(
-            BloomFilter(
-                update.bit_array_size,
-                hash_family=MD5HashFamily.from_spec(
-                    update.function_num, update.function_bits
-                ),
-            )
-        )
-    if isinstance(update, SetDirUpdate):
-        if update.representation == REPR_EXACT:
-            return ExactDirectoryRemote(set())
-        return ServerNameRemote(set())
-    raise ConfigurationError(
-        f"no remote summary for message type {type(update).__name__}"
-    )
-
-
 def apply_update(
-    existing: Optional[RemoteSummary], update: UpdateMessage
-) -> Tuple[RemoteSummary, int]:
-    """Patch a peer's remote copy with *update*; return ``(copy, changed)``.
+    store: PeerSummaries, slot: int, update: UpdateMessage
+) -> None:
+    """Patch *slot*'s copy in *store* with a received (Set)DirUpdate.
 
-    ``existing`` is ``None`` before the first update from a peer; the
-    copy is then initialized from the message itself.  An update whose
-    representation (or, for Bloom, filter geometry and hash spec) does
-    not match the existing copy raises
-    :class:`~repro.errors.SummaryMismatchError` -- the copy is left
-    untouched and the peer needs a whole-summary resynchronization.
+    A slot with no copy yet is first given an empty one of the geometry
+    the update announces.  An update of another representation than the
+    store's, or a Bloom delta whose geometry differs from the copy's
+    (the peer resized and this datagram predates the digest resync),
+    raises :class:`~repro.errors.SummaryMismatchError` before anything
+    changes: the peer needs a whole-summary resynchronization.
     """
+    delta: SummaryDelta
     if isinstance(update, DirUpdate):
-        if existing is None:
-            existing = empty_remote_for(update)
-        elif not isinstance(existing, BloomRemote):
-            raise SummaryMismatchError(
-                "Bloom DIRUPDATE for a peer whose copy is "
-                f"{type(existing).__name__}"
-            )
-        changed = apply_dir_update(existing.filter, update)
-        return existing, changed
-    if isinstance(update, SetDirUpdate):
-        expected = (
-            ExactDirectoryRemote
-            if update.representation == REPR_EXACT
-            else ServerNameRemote
+        kind = "bloom"
+        geometry: Geometry = (
+            update.bit_array_size,
+            (update.function_num, update.function_bits),
         )
-        if existing is None:
-            existing = empty_remote_for(update)
-        elif type(existing) is not expected:
-            raise SummaryMismatchError(
-                f"{representation_kind(update.representation)} DIRUPDATE "
-                f"for a peer whose copy is {type(existing).__name__}"
-            )
+        delta = BitFlipDelta(flips=list(update.flips))
+    elif isinstance(update, SetDirUpdate):
+        kind, geometry = representation_kind(update.representation), ()
         delta = DigestDelta(
             added=_decode_records(update.representation, update.added),
             removed=_decode_records(update.representation, update.removed),
         )
-        existing.apply_delta(delta)
-        return existing, delta.change_count
-    raise ConfigurationError(
-        f"cannot apply message type {type(update).__name__}"
-    )
+    else:
+        raise ConfigurationError(
+            f"cannot apply message type {type(update).__name__}"
+        )
+    _prepare(store, slot, kind, geometry, reset=False)
+    store.apply_delta(slot, delta)
+
+
+def apply_digest(store: PeerSummaries, slot: int, whole: BloomFilter) -> None:
+    """Replace *slot*'s copy in *store* with a completed DIGEST transfer."""
+    geometry = (whole.num_bits, whole.hash_family.spec())
+    _prepare(store, slot, "bloom", geometry, reset=True)
+    held = whole.bits.iter_set_bits()
+    store.apply_delta(slot, BitFlipDelta(flips=[(i, True) for i in held]))
+
+
+def _prepare(
+    store: PeerSummaries,
+    slot: int,
+    kind: str,
+    geometry: Geometry,
+    reset: bool,
+) -> None:
+    """Check an incoming summary against *slot*'s copy; reset the slot
+    to *geometry* when *reset* is set or it holds no copy yet."""
+    if kind != store.kind:
+        raise SummaryMismatchError(
+            f"{kind} summary for a store of {store.kind} copies"
+        )
+    held = store.geometry(slot)
+    if reset or held is None:
+        try:
+            store.reset_slot(slot, geometry)
+        except ConfigurationError as exc:
+            raise SummaryMismatchError(f"unusable geometry: {exc}") from exc
+    elif held != geometry:
+        raise SummaryMismatchError(
+            f"geometry mismatch: message specifies {geometry} "
+            f"(bits, (functions, function bits)) but the copy is {held}"
+        )

@@ -6,21 +6,13 @@ from typing import Iterable, Mapping, Optional, Set
 
 from repro.core.hashing import md5_digest
 from repro.errors import SummaryStateError
-from repro.summaries.backend import DigestDelta, DigestSetRemote, LocalSummary
-
-
-class ExactDirectoryRemote(DigestSetRemote):
-    """Peer copy of an exact directory: a set of MD5 URL digests."""
-
-    def __init__(self, digests: Set[bytes]) -> None:
-        super().__init__(digests, bytes_per_entry=16)
-
-    def _key(self, url: str) -> bytes:
-        return md5_digest(url)
+from repro.summaries.backend import DigestDelta, LocalSummary
 
 
 class ExactDirectorySummary(LocalSummary):
     """Local exact directory: every cached URL's 16-byte MD5 signature."""
+
+    kind = "exact-directory"
 
     def __init__(self) -> None:
         self._digests: Set[bytes] = set()
@@ -65,8 +57,8 @@ class ExactDirectorySummary(LocalSummary):
     def pending_change_count(self) -> int:
         return len(self._pending_added) + len(self._pending_removed)
 
-    def export(self) -> ExactDirectoryRemote:
-        return ExactDirectoryRemote(self._digests)
+    def export(self) -> DigestDelta:
+        return DigestDelta(added=sorted(self._digests))
 
     def rebuild(
         self,

@@ -2,10 +2,9 @@
 
 On a local miss a proxy asks "which peers might hold this?" of every
 neighbour's summary copy.  Asking N copies one by one is N probes of k
-bits each; the simulators' N copies all share one configuration, so
-:class:`PeerSummaries` stores them *sliced the other way* and answers
-for all N at once with a **peer bitmask** (bit *j* set: slot *j*'s
-copy says "maybe"):
+bits each; :class:`PeerSummaries` stores them *sliced the other way*
+and answers for all N at once with a **peer bitmask** (bit *j* set:
+slot *j*'s copy says "maybe"):
 
 - Bloom summaries: one Python ``int`` *column* per filter position,
   whose bit *j* is peer *j*'s bit at that position.  A probe is the AND
@@ -16,35 +15,35 @@ copy says "maybe"):
 
 A :data:`~repro.summaries.backend.SummaryDelta` applies to one slot as
 single-bit edits (Section VI-A's absolute set/clear records flip one bit
-of one column), so the delta types, their byte accounting and the wire
-format are exactly those of the per-peer
-:class:`~repro.summaries.backend.RemoteSummary` copies the live proxy
-keeps -- and applying a delta twice changes nothing.
-
+of one column), so applying a delta twice changes nothing.
 ``docs/summaries.md`` works a three-peer example through.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (
-    BitIndexError,
-    ConfigurationError,
-    SummaryMismatchError,
-)
+from repro.core.hashing import MD5HashFamily, md5_digest
+from repro.errors import BitIndexError, ConfigurationError, SummaryMismatchError
 from repro.summaries.backend import (
     BitFlipDelta,
     DigestDelta,
     DigestKey,
-    DigestSetRemote,
+    Geometry,
     LocalSummary,
     SummaryDelta,
 )
-from repro.summaries.bloom import BloomSummary
+from repro.urlutil import server_of
 
 __all__ = ["PeerSummaries", "slots_of"]
+
+#: The probe key of a URL in each digest-set representation.
+_SET_KEY_OF: Dict[str, Callable[[str], DigestKey]] = {
+    "exact-directory": md5_digest,
+    "server-name": server_of,
+}
 
 
 def slots_of(mask: int) -> List[int]:
@@ -58,103 +57,155 @@ def slots_of(mask: int) -> List[int]:
 
 
 class PeerSummaries(ABC):
-    """The copies peers hold of N proxies' summaries, probed together.
+    """The copies a proxy holds of its peers' summaries, probed together.
 
-    Slot *j* is the copy of proxy *j*'s summary that its peers
-    currently hold; it changes only through :meth:`apply_delta`.  Build
-    one with :meth:`of`.
+    Slot *j* is one peer's copy.  It holds none, and answers "no", until
+    :meth:`reset_slot` gives it an empty one ("The structure is
+    initialized when the first summary update message is received from
+    the neighbor"); it then changes only through :meth:`apply_delta`,
+    until another :meth:`reset_slot` (a resize) clears it or
+    :meth:`drop_slot` discards it.  Build an empty store with
+    :meth:`empty`, or one whose slots start as local summaries with
+    :meth:`of`.
     """
 
-    __slots__ = ("key_of",)
+    __slots__ = ("key_of", "probe")
 
-    #: Derive the probe key of a URL, valid for every slot.  A plain
-    #: attribute, not a method: wherever one summary's own ``key_of``
-    #: will do, it *is* that bound method, and the hot path pays one
-    #: call per derivation, not two.
+    #: Derive the probe key of a URL, valid for every slot.  ``key_of``
+    #: and ``probe`` are plain attributes, not methods: with one Bloom
+    #: geometry ``key_of`` *is* that geometry's position function, and
+    #: the hot path pays one call per derivation or probe, not two.  A
+    #: change in the set of geometries rebinds both, so a caller holding
+    #: them across :meth:`reset_slot` or :meth:`drop_slot` must re-read.
     key_of: Callable[[str], Any]
+    #: The mask of slots whose copy may hold a key.
+    probe: Callable[[Any], int]
+    #: The representation every copy is of (a ``SummaryConfig.kind``).
+    kind: str
+
+    @staticmethod
+    def empty(kind: str) -> "PeerSummaries":
+        """A store of *kind* copies in which no slot holds one yet."""
+        if kind == "bloom":
+            return _BloomColumns()
+        if kind in _SET_KEY_OF:
+            return _KeyMasks(kind)
+        raise ConfigurationError(f"unknown summary kind {kind!r}")
 
     @staticmethod
     def of(summaries: Sequence[LocalSummary]) -> "PeerSummaries":
-        """A store whose slot *j* starts as ``summaries[j].export()``.
+        """A store whose slot *j* starts as ``summaries[j]`` ships whole:
+        reset to its geometry, then patched with its ``export()``.
 
         All summaries must be of one representation.  Bloom summaries
         may differ in geometry (caches of different sizes).
         """
         if not summaries:
             raise ConfigurationError("PeerSummaries needs at least one summary")
-        kinds = {type(summary) for summary in summaries}
+        kinds = {summary.kind for summary in summaries}
         if len(kinds) > 1:
             raise ConfigurationError(
                 "PeerSummaries cannot mix representations: "
-                + ", ".join(sorted(kind.__name__ for kind in kinds))
+                + ", ".join(sorted(kinds))
             )
-        blooms = [s for s in summaries if isinstance(s, BloomSummary)]
-        return _BloomColumns(blooms) if blooms else _KeyMasks(summaries)
+        store = PeerSummaries.empty(kinds.pop())
+        for slot, summary in enumerate(summaries):
+            store.reset_slot(slot, summary.geometry)
+            store.apply_delta(slot, summary.export())
+        return store
 
     @abstractmethod
-    def probe(self, key: Any) -> int:
-        """The mask of slots whose copy may hold *key*."""
+    def geometry(self, slot: int) -> Optional[Geometry]:
+        """The geometry of *slot*'s copy; ``None`` while it holds none."""
+
+    @abstractmethod
+    def reset_slot(self, slot: int, geometry: Geometry) -> None:
+        """Give *slot* an empty copy of *geometry*, discarding any it held.
+
+        Raises :class:`~repro.errors.ConfigurationError`, with nothing
+        changed, for a geometry the representation cannot hold.
+        """
+
+    @abstractmethod
+    def drop_slot(self, slot: int) -> None:
+        """Discard *slot*'s copy: it answers "no" until reset again."""
 
     @abstractmethod
     def apply_delta(self, slot: int, delta: SummaryDelta) -> None:
-        """Patch slot *slot*'s copy with a delivered delta.
+        """Patch *slot*'s copy with a delivered delta.
 
         Raises :class:`~repro.errors.SummaryMismatchError` when the
-        delta's type does not match the representation.
+        delta's type does not match the representation, or the slot
+        holds no copy.
         """
 
 
-class _BloomColumns(PeerSummaries):
-    """Bit-sliced Bloom copies: one column of peer bits per position.
+class _Group:
+    """The Bloom copies of one geometry: a column of peer bits per position."""
 
-    Filters of one geometry form a *group* sharing a run of columns;
-    the key of a URL lists its positions in every group.  In a group's
-    columns the bits of peers outside the group are held at 1, so they
-    pass through its ANDs untouched and a probe stays one AND chain
-    however many geometries there are (one, unless capacities differ).
+    __slots__ = ("geometry", "columns", "members", "positions")
+
+    def __init__(self, geometry: Geometry) -> None:
+        num_bits, (num_functions, function_bits) = geometry
+        if num_bits < 1:
+            raise ConfigurationError(f"num_bits must be >= 1, got {num_bits}")
+        family = MD5HashFamily.from_spec(num_functions, function_bits)
+        self.geometry = geometry
+        #: Bit *j* of ``columns[p]`` is member *j*'s bit *p*; a slot
+        #: outside the group has 0 in every column.
+        self.columns = [0] * num_bits
+        self.members = 0
+        #: A URL's positions in this geometry: the key of its columns.
+        self.positions = partial(family.hashes, table_size=num_bits)
+
+
+class _BloomColumns(PeerSummaries):
+    """Bit-sliced Bloom copies, grouped by geometry.
+
+    Copies of one geometry form a group with its own columns.  With one
+    group -- every peer configured alike, the usual case -- a URL's key
+    is its positions and a probe is one AND chain.  With several (caches
+    of different sizes, or a peer caught between a resize and its
+    digest resync) the key holds the URL's positions in each group, in
+    the order the groups formed, and a probe ORs the groups' chains.
+    A group no slot uses any more is dropped with its columns.
     """
 
-    __slots__ = ("_columns", "_everyone", "_groups", "_offsets", "_sizes")
+    __slots__ = ("_columns", "_everyone", "_groups", "_homes")
 
-    def __init__(self, summaries: Sequence[BloomSummary]) -> None:
-        self._everyone = (1 << len(summaries)) - 1
-        members: Dict[Tuple[int, Tuple[int, int]], List[int]] = {}
-        for slot, summary in enumerate(summaries):
-            geometry = (summary.num_bits, summary.hash_family.spec())
-            members.setdefault(geometry, []).append(slot)
+    kind = "bloom"
+
+    def __init__(self) -> None:
+        self._groups: Dict[Geometry, _Group] = {}
+        #: The group of every slot that holds a copy.
+        self._homes: Dict[int, _Group] = {}
+        #: The slots that hold a copy.
+        self._everyone = 0
+        #: The only group's columns (empty unless there is one group).
         self._columns: List[int] = []
-        #: ``(first column, a member to derive positions with)`` per group.
-        self._groups: List[Tuple[int, BloomSummary]] = []
-        #: Per slot: its group's first column, and its filter's size.
-        self._offsets = [0] * len(summaries)
-        self._sizes = [summary.num_bits for summary in summaries]
-        for (num_bits, _), slots in members.items():
-            offset = len(self._columns)
-            self._groups.append((offset, summaries[slots[0]]))
-            outside = self._everyone
-            for slot in slots:
-                outside ^= 1 << slot
-                self._offsets[slot] = offset
-            self._columns += [outside] * num_bits
-        # One geometry: the positions themselves, which the position
-        # cache already holds -- no second tuple per URL.
-        self.key_of = (
-            summaries[0].key_of if len(self._groups) == 1 else self._key_of
-        )
-        for slot, summary in enumerate(summaries):
-            held = summary.export().filter.bits.iter_set_bits()
-            self.apply_delta(
-                slot, BitFlipDelta(flips=[(index, True) for index in held])
-            )
+        self._rebind()
 
-    def _key_of(self, url: str) -> Tuple[int, ...]:
-        key: List[int] = []
-        for offset, summary in self._groups:
-            for position in summary.key_of(url):
-                key.append(offset + position)
-        return tuple(key)
+    def _rebind(self) -> None:
+        """Drop unused groups; pick the key and probe for those left."""
+        self._groups = {
+            geometry: group
+            for geometry, group in self._groups.items()
+            if group.members
+        }
+        if len(self._groups) == 1:
+            (group,) = self._groups.values()
+            self._columns = group.columns
+            self.key_of = group.positions
+            self.probe = self._probe_one
+        else:
+            self._columns = []
+            self.key_of = self._key_of
+            self.probe = self._probe_groups
 
-    def probe(self, key: Sequence[int]) -> int:
+    def _key_of(self, url: str) -> Tuple[Tuple[int, ...], ...]:
+        return tuple([group.positions(url) for group in self._groups.values()])
+
+    def _probe_one(self, key: Sequence[int]) -> int:
         columns = self._columns
         mask = self._everyone
         for column in key:
@@ -163,14 +214,61 @@ class _BloomColumns(PeerSummaries):
                 return 0
         return mask
 
+    def _probe_groups(self, key: Sequence[Sequence[int]]) -> int:
+        found = 0
+        for group, positions in zip(self._groups.values(), key):
+            columns = group.columns
+            mask = group.members
+            for position in positions:
+                mask &= columns[position]
+                if not mask:
+                    break
+            found |= mask
+        return found
+
+    def geometry(self, slot: int) -> Optional[Geometry]:
+        group = self._homes.get(slot)
+        return None if group is None else group.geometry
+
+    def reset_slot(self, slot: int, geometry: Geometry) -> None:
+        # Built before the slot leaves its group: a geometry the hash
+        # family rejects changes nothing.
+        group = self._groups.get(geometry) or _Group(geometry)
+        self._leave(slot)
+        self._groups[geometry] = group
+        bit = 1 << slot
+        group.members |= bit
+        self._homes[slot] = group
+        self._everyone |= bit
+        self._rebind()
+
+    def drop_slot(self, slot: int) -> None:
+        self._leave(slot)
+        self._everyone &= ~(1 << slot)
+        self._rebind()
+
+    def _leave(self, slot: int) -> None:
+        """Take *slot*'s bits out of its group's columns."""
+        group = self._homes.pop(slot, None)
+        if group is None:
+            return
+        keep = ~(1 << slot)
+        group.members &= keep
+        if group.members:
+            group.columns = [column & keep for column in group.columns]
+        else:
+            group.columns = [0] * len(group.columns)
+
     def apply_delta(self, slot: int, delta: SummaryDelta) -> None:
         if not isinstance(delta, BitFlipDelta):
             raise SummaryMismatchError(
                 f"bloom summaries cannot apply {type(delta).__name__}"
             )
-        columns = self._columns
-        offset = self._offsets[slot]
-        size = self._sizes[slot]
+        group = self._homes.get(slot)
+        if group is None:
+            raise SummaryMismatchError(f"slot {slot} holds no copy")
+        columns = group.columns
+        size = len(columns)
         bit = 1 << slot
         for index, value in delta.flips:
             if not 0 <= index < size:
@@ -178,35 +276,57 @@ class _BloomColumns(PeerSummaries):
                     f"bit index {index} out of range [0, {size})"
                 )
             if value:
-                columns[offset + index] |= bit
+                columns[index] |= bit
             else:
-                columns[offset + index] &= ~bit
+                columns[index] &= ~bit
 
 
 class _KeyMasks(PeerSummaries):
     """Digest-set copies (exact directory, server names): key -> peers."""
 
-    __slots__ = ("_masks",)
+    __slots__ = ("kind", "_everyone", "_masks")
 
-    def __init__(self, summaries: Sequence[LocalSummary]) -> None:
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.key_of = _SET_KEY_OF[kind]
+        self.probe = self._probe
         self._masks: Dict[DigestKey, int] = {}
-        self.key_of = summaries[0].key_of
-        for slot, summary in enumerate(summaries):
-            copy = summary.export()
-            if not isinstance(copy, DigestSetRemote):
-                raise ConfigurationError(
-                    f"no shared store for {type(summary).__name__} copies"
-                )
-            self.apply_delta(slot, DigestDelta(added=list(copy)))
+        #: The slots that hold a copy.
+        self._everyone = 0
 
-    def probe(self, key: DigestKey) -> int:
+    def _probe(self, key: DigestKey) -> int:
         return self._masks.get(key, 0)
+
+    def geometry(self, slot: int) -> Optional[Geometry]:
+        return () if self._everyone >> slot & 1 else None
+
+    def reset_slot(self, slot: int, geometry: Geometry) -> None:
+        if geometry != ():
+            raise ConfigurationError(
+                f"{self.kind} copies have no geometry, got {geometry!r}"
+            )
+        self._clear(slot)
+        self._everyone |= 1 << slot
+
+    def drop_slot(self, slot: int) -> None:
+        self._clear(slot)
+        self._everyone &= ~(1 << slot)
+
+    def _clear(self, slot: int) -> None:
+        keep = ~(1 << slot)
+        self._masks = {
+            key: rest
+            for key, mask in self._masks.items()
+            if (rest := mask & keep)
+        }
 
     def apply_delta(self, slot: int, delta: SummaryDelta) -> None:
         if not isinstance(delta, DigestDelta):
             raise SummaryMismatchError(
                 f"digest-set summaries cannot apply {type(delta).__name__}"
             )
+        if not self._everyone >> slot & 1:
+            raise SummaryMismatchError(f"slot {slot} holds no copy")
         masks = self._masks
         bit = 1 << slot
         for key in delta.removed:

@@ -5,27 +5,19 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Set
 
 from repro.errors import SummaryStateError
-from repro.summaries.backend import DigestDelta, DigestSetRemote, LocalSummary
+from repro.summaries.backend import DigestDelta, LocalSummary
 from repro.urlutil import server_of
 
 
-class ServerNameRemote(DigestSetRemote):
-    """Peer copy of a server-name summary: a set of host names.
+class ServerNameSummary(LocalSummary):
+    """Local server-name summary: refcounted host names of cached URLs.
 
-    The paper sizes each entry at 16 bytes for the message-byte estimate;
-    we use the same figure for the stored form so Table III is
+    The paper sizes each entry at 16 bytes for the message-byte
+    estimate; the stored form uses the same figure, so Table III is
     regenerated with the paper's own assumptions.
     """
 
-    def __init__(self, names: Set[str]) -> None:
-        super().__init__(names, bytes_per_entry=16)
-
-    def _key(self, url: str) -> str:
-        return server_of(url)
-
-
-class ServerNameSummary(LocalSummary):
-    """Local server-name summary: refcounted host names of cached URLs."""
+    kind = "server-name"
 
     def __init__(self) -> None:
         self._refcounts: Dict[str, int] = {}
@@ -72,8 +64,8 @@ class ServerNameSummary(LocalSummary):
     def pending_change_count(self) -> int:
         return len(self._pending_added) + len(self._pending_removed)
 
-    def export(self) -> ServerNameRemote:
-        return ServerNameRemote(set(self._refcounts))
+    def export(self) -> DigestDelta:
+        return DigestDelta(added=sorted(self._refcounts))
 
     def rebuild(
         self,

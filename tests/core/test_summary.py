@@ -21,6 +21,11 @@ from repro.errors import ConfigurationError
 URLS = [f"http://server{i // 3}.com/doc{i}" for i in range(30)]
 
 
+def holds(copies, url):
+    """Does slot 0 of *copies* say *url* may be present?"""
+    return bool(copies.probe(copies.key_of(url)) & 1)
+
+
 def make_all_summaries():
     return [
         ExactDirectorySummary(),
@@ -79,17 +84,17 @@ class TestCommonBehaviour:
 
     @pytest.mark.parametrize("summary", make_all_summaries())
     def test_remote_copy_converges_via_deltas(self, summary):
-        remote = summary.export()
+        remote = PeerSummaries.of([summary])
         for url in URLS[:15]:
             summary.add(url)
-        remote.apply_delta(summary.drain_delta())
+        remote.apply_delta(0, summary.drain_delta())
         for url in URLS[:15]:
-            assert remote.may_contain(url)
+            assert holds(remote, url)
         for url in URLS[:5]:
             summary.remove(url)
-        remote.apply_delta(summary.drain_delta())
+        remote.apply_delta(0, summary.drain_delta())
         for url in URLS[5:15]:
-            assert remote.may_contain(url)
+            assert holds(remote, url)
 
     @pytest.mark.parametrize("summary", make_all_summaries())
     def test_remove_unknown_raises(self, summary):
@@ -125,7 +130,7 @@ class TestExactDirectory:
             summary.add(url)
         assert summary.size_bytes() == 30 * 16
         assert summary.remote_size_bytes() == 30 * 16
-        assert summary.export().size_bytes() == 30 * 16
+        assert summary.export().change_count == 30
 
 
 class TestServerName:
@@ -236,7 +241,7 @@ def test_delta_sync_property(ops, kind):
     """For any op sequence and any representation, a remote copy kept in
     sync via deltas answers exactly like a fresh export."""
     summary = make_local_summary(SummaryConfig(kind=kind), 512 * 1024)
-    remote = summary.export()
+    remote = PeerSummaries.of([summary])
     live = {}
     for url, is_add in ops:
         if is_add:
@@ -246,7 +251,7 @@ def test_delta_sync_property(ops, kind):
         elif live.get(url, 0) == 1:
             summary.remove(url)
             live[url] = 0
-    remote.apply_delta(summary.drain_delta())
-    fresh = summary.export()
+    remote.apply_delta(0, summary.drain_delta())
+    fresh = PeerSummaries.of([summary])
     for url in URLS:
-        assert remote.may_contain(url) == fresh.may_contain(url)
+        assert holds(remote, url) == holds(fresh, url)

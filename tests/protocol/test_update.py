@@ -12,11 +12,11 @@ from repro.core.hashing import MD5HashFamily
 from repro.errors import ProtocolError
 from repro.protocol.update import (
     DigestAssembler,
-    apply_dir_update,
     build_digest_messages,
     build_dir_update_messages,
 )
 from repro.protocol.wire import decode_message
+from repro.summaries import PeerSummaries, codec
 
 
 def filled_filter(num_keys: int = 300) -> CountingBloomFilter:
@@ -55,7 +55,7 @@ class TestDirUpdateBatching:
         )
         peer = BloomFilter(cbf.num_bits, hash_family=cbf.hash_family)
         for m in messages:
-            apply_dir_update(peer, decode_message(m.encode()))
+            peer.apply_flips(decode_message(m.encode()).flips)
         assert peer == cbf.snapshot()
 
     def test_replay_and_reorder_are_harmless(self):
@@ -69,7 +69,7 @@ class TestDirUpdateBatching:
         shuffled = list(messages) * 2
         random.Random(3).shuffle(shuffled)
         for m in shuffled:
-            apply_dir_update(peer, m)
+            peer.apply_flips(m.flips)
         assert peer == cbf.snapshot()
 
     def test_loss_affects_only_lost_bits(self):
@@ -84,7 +84,7 @@ class TestDirUpdateBatching:
         lost = messages[1]
         for m in messages:
             if m is not lost:
-                apply_dir_update(peer, m)
+                peer.apply_flips(m.flips)
         expected = cbf.snapshot()
         lost_indices = {idx for idx, _v in lost.flips}
         for i in range(cbf.num_bits):
@@ -110,25 +110,26 @@ class TestDirUpdateBatching:
 
 
 class TestApplyGeometryCheck:
-    def test_bit_count_mismatch(self):
+    """The receiver checks each header against the copy it holds."""
+
+    @staticmethod
+    def assert_mismatch(num_bits: int, family: MD5HashFamily) -> None:
         cbf = filled_filter(20)
         messages = build_dir_update_messages(
             cbf.drain_flips(), cbf.hash_family, cbf.num_bits
         )
-        wrong = BloomFilter(cbf.num_bits * 2, hash_family=cbf.hash_family)
+        store = PeerSummaries.empty("bloom")
+        store.reset_slot(0, (num_bits, family.spec()))
         with pytest.raises(ProtocolError, match="geometry"):
-            apply_dir_update(wrong, messages[0])
+            codec.apply_update(store, 0, messages[0])
+
+    def test_bit_count_mismatch(self):
+        cbf = filled_filter(20)
+        self.assert_mismatch(cbf.num_bits * 2, cbf.hash_family)
 
     def test_hash_spec_mismatch(self):
         cbf = filled_filter(20)
-        messages = build_dir_update_messages(
-            cbf.drain_flips(), cbf.hash_family, cbf.num_bits
-        )
-        wrong = BloomFilter(
-            cbf.num_bits, hash_family=MD5HashFamily(num_functions=5)
-        )
-        with pytest.raises(ProtocolError, match="geometry"):
-            apply_dir_update(wrong, messages[0])
+        self.assert_mismatch(cbf.num_bits, MD5HashFamily(num_functions=5))
 
 
 class TestDigestTransfer:

@@ -13,6 +13,7 @@ from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, synth_body, write_request
 from repro.traces.model import Request, Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from tests.proxy.conftest import copy_holds
 
 
 def run(coro):
@@ -208,14 +209,12 @@ class TestSummaryPropagation:
                 # Give datagrams a beat to land.
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
-                peer_view = proxy1.peer_summary(
-                    (proxy0.config.host, proxy0.icp_port)
-                )
-                return urls, peer_view
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                assert proxy1.peer_geometry(addr0) is not None
+                hits = sum(copy_holds(proxy1, addr0, u) for u in urls)
+                return urls, hits
 
-        urls, peer_view = run(scenario())
-        assert peer_view is not None
-        hits = sum(peer_view.may_contain(u) for u in urls)
+        urls, hits = run(scenario())
         # The threshold delays the tail, but most inserted URLs must
         # already be visible at the peer.
         assert hits > len(urls) * 0.5
@@ -234,10 +233,13 @@ class TestSummaryPropagation:
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
                 addr = (proxy0.config.host, proxy0.icp_port)
+                assert proxy1.peer_geometry(addr) is not None
                 proxy1.reset_peer(addr)
-                return proxy1.peer_summary(addr)
+                return proxy1.peer_geometry(addr), proxy1._candidate_peers(
+                    "http://p.com/d0"
+                )
 
-        assert run(scenario()) is None
+        assert run(scenario()) == (None, [])
 
 
 class TestClientDriver:
@@ -310,17 +312,15 @@ class TestDigestEncoding:
                     await d0.fetch(url, size=512)
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
-                view = proxy1.peer_summary(
-                    (proxy0.config.host, proxy0.icp_port)
-                )
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                assert proxy1.peer_geometry(addr0) is not None
+                hits = sum(copy_holds(proxy1, addr0, u) for u in urls)
                 # Proxy 1 can now take remote hits via the digest view.
                 d1 = cluster.driver_for(1)
                 await d1.fetch(urls[0], size=512)
-                return urls, view, proxy1.stats
+                return urls, hits, proxy1.stats
 
-        urls, view, stats = run(scenario())
-        assert view is not None
-        hits = sum(view.may_contain(u) for u in urls)
+        urls, hits, stats = run(scenario())
         assert hits > len(urls) * 0.5
         assert stats.remote_hits == 1
 
@@ -392,18 +392,16 @@ class TestSummaryResize:
                     await d0.fetch(url, size=512)
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
-                view = proxy1.peer_summary(
-                    (proxy0.config.host, proxy0.icp_port)
-                )
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                geometry = proxy1.peer_geometry(addr0)
+                coverage = sum(copy_holds(proxy1, addr0, u) for u in urls)
                 d1 = cluster.driver_for(1)
                 await d1.fetch(urls[3], size=512)
-                return proxy0, proxy1, view, urls
+                return proxy0, proxy1, geometry, coverage, urls
 
-        proxy0, proxy1, view, urls = run(scenario())
+        proxy0, proxy1, geometry, coverage, urls = run(scenario())
         assert proxy0.stats.summary_resizes >= 1
-        assert view is not None
-        assert view.num_bits == proxy0.summary.num_bits
-        coverage = sum(view.may_contain(u) for u in urls)
+        assert geometry == proxy0.summary.geometry
         assert coverage > len(urls) * 0.9
         assert proxy1.stats.remote_hits == 1
 

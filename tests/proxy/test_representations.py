@@ -1,8 +1,8 @@
 """Live-cluster tests of the unified summary backend.
 
 The prototype must run every Section V representation end to end:
-representation-tagged DIRUPDATEs install remote copies at the peers,
-and remote hits resolve through those copies.  The resize tests cover
+representation-tagged DIRUPDATEs initialize the peers' copies, and
+remote hits resolve through them.  The resize tests cover
 the whole-filter resync path and the clean rejection of stale
 old-geometry deltas (the proxy never guesses at a peer's geometry).
 """
@@ -16,16 +16,15 @@ import pytest
 
 from repro.protocol.wire import DirUpdate
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
-from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
-from repro.summaries.bloom import BloomRemote
-from repro.summaries.exact import ExactDirectoryRemote
-from repro.summaries.servername import ServerNameRemote
-
-REMOTE_TYPES = {
-    "bloom": BloomRemote,
-    "exact-directory": ExactDirectoryRemote,
-    "server-name": ServerNameRemote,
-}
+from repro.proxy.config import PeerAddress
+from repro.proxy.server import SummaryCacheProxy
+from repro.summaries import (
+    SummaryConfig,
+    SummaryNode,
+    ThresholdUpdatePolicy,
+    codec,
+)
+from tests.proxy.conftest import copy_holds
 
 
 def run(coro):
@@ -47,9 +46,9 @@ class TestRepresentationsEndToEnd:
         "kind", ["bloom", "exact-directory", "server-name"]
     )
     def test_remote_hits_resolve_through_peer_summaries(self, kind):
-        """Each representation's DIRUPDATEs must install a remote copy
-        of the right type and steer the requester to the peer that
-        holds the document."""
+        """Each representation's DIRUPDATEs must initialize a copy of
+        the right shape and steer the requester to the peer that holds
+        the document."""
 
         async def scenario():
             async with ProxyCluster(
@@ -66,17 +65,16 @@ class TestRepresentationsEndToEnd:
                     await d0.fetch(url, size=512)
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
-                view = proxy1.peer_summary(
-                    (proxy0.config.host, proxy0.icp_port)
-                )
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                geometry = proxy1.peer_geometry(addr0)
+                coverage = sum(copy_holds(proxy1, addr0, u) for u in urls)
                 d1 = cluster.driver_for(1)
                 body = await d1.fetch(urls[5], size=512)
-                return proxy0, proxy1, view, urls, body
+                return proxy0, proxy1, geometry, coverage, urls, body
 
-        proxy0, proxy1, view, urls, body = run(scenario())
+        proxy0, proxy1, geometry, coverage, urls, body = run(scenario())
         assert proxy0.stats.dirupdates_sent > 0
-        assert isinstance(view, REMOTE_TYPES[kind])
-        coverage = sum(view.may_contain(u) for u in urls)
+        assert geometry == proxy0.summary.geometry
         assert coverage > len(urls) * 0.9
         assert proxy1.stats.remote_hits == 1
         assert len(body) == 512
@@ -101,21 +99,61 @@ class TestRepresentationsEndToEnd:
                     await d0.fetch(url, size=4096)
                 await asyncio.sleep(0.1)
                 proxy0, proxy1 = cluster.proxies
-                view = proxy1.peer_summary(
-                    (proxy0.config.host, proxy0.icp_port)
-                )
-                return proxy0, view, urls
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                assert proxy1.peer_geometry(addr0) == ()
+                held = {u for u in urls if copy_holds(proxy1, addr0, u)}
+                return proxy0, held, urls
 
-        proxy0, view, urls = run(scenario())
+        proxy0, held, urls = run(scenario())
         assert proxy0.cache.stats.evictions > 0
-        assert view is not None
-        # The remote copy mirrors the live directory: old evicted
+        # The peer's copy mirrors the live directory: old evicted
         # entries are gone from the exact copy (server names may
         # legitimately linger only while another doc shares them,
         # which these URLs never do).
-        held = {u for u in urls if view.may_contain(u)}
         cached = {u for u in urls if u in proxy0.cache}
         assert held == cached
+
+
+class TestMixedRepresentations:
+    """A peer whose updates carry another representation than this
+    proxy's is rejected and counted; its slot never gets a copy."""
+
+    @pytest.mark.parametrize(
+        "mine, theirs",
+        [
+            ("bloom", "exact-directory"),
+            ("exact-directory", "server-name"),
+            ("server-name", "bloom"),
+            ("exact-directory", "bloom"),
+        ],
+    )
+    def test_foreign_representation_is_rejected(self, mine, theirs):
+        url = "http://mixed.net/doc"
+        proxy = SummaryCacheProxy(
+            config_for(mine, mode=ProxyMode.SC_ICP), ("127.0.0.1", 9)
+        )
+        peer = PeerAddress("p1", "127.0.0.1", http_port=1, icp_port=1001)
+        proxy.set_peers([peer])
+        node = SummaryNode(SummaryConfig(kind=theirs), 1 << 20)
+        node.on_insert(url)
+        messages = codec.delta_messages(node.local, node.publish(0.0))
+        rejects = len(messages)
+        if theirs == "bloom":
+            # A whole-filter DIGEST (one chunk at this size) too.
+            messages += codec.whole_summary_messages(node.local)
+            rejects += 1
+        for message in messages:
+            proxy._on_datagram(message.encode(), peer.icp_addr)
+        assert proxy.stats.dirupdate_rejects == rejects > 0
+        assert proxy.peer_geometry(peer.icp_addr) is None
+        assert proxy._candidate_peers(url) == []
+        reasons = [
+            span.attributes["reason"]
+            for span in proxy.spans.spans()
+            if span.name == "dirupdate.reject"
+        ]
+        assert len(reasons) == rejects
+        assert all(f"store of {mine} copies" in r for r in reasons)
 
 
 class TestLiveThreshold:
@@ -172,8 +210,11 @@ class TestResizeResync:
                 proxy0, proxy1, proxy2 = cluster.proxies
                 addr0 = (proxy0.config.host, proxy0.icp_port)
                 views = [
-                    proxy1.peer_summary(addr0),
-                    proxy2.peer_summary(addr0),
+                    (
+                        peer.peer_geometry(addr0),
+                        sum(copy_holds(peer, addr0, u) for u in urls),
+                    )
+                    for peer in (proxy1, proxy2)
                 ]
 
                 # Inject a stale delta with the pre-resize geometry, as
@@ -188,6 +229,12 @@ class TestResizeResync:
                 )
                 rejects_before = proxy1.stats.dirupdate_rejects
                 proxy1._on_datagram(stale.encode(), addr0)
+                views.append(
+                    (
+                        proxy1.peer_geometry(addr0),
+                        sum(copy_holds(proxy1, addr0, u) for u in urls),
+                    )
+                )
 
                 d1 = cluster.driver_for(1)
                 await d1.fetch(urls[7], size=512)
@@ -216,14 +263,13 @@ class TestResizeResync:
 
         # Every peer converged on the post-resize geometry with no
         # stale view: remote probes answer for the current directory.
-        for view in views:
-            assert view is not None
-            assert view.num_bits == proxy0.summary.num_bits
-            coverage = sum(view.may_contain(u) for u in urls)
+        # (The last view is proxy 1's again, after the stale delta.)
+        for geometry, coverage in views:
+            assert geometry == proxy0.summary.geometry
             assert coverage > len(urls) * 0.9
 
         # The stale old-geometry delta was rejected cleanly: counted,
         # copy untouched, proxy still serving.
         assert proxy1.stats.dirupdate_rejects == rejects_before + 1
-        assert views[0].num_bits == proxy0.summary.num_bits
+        assert views[2] == views[0]
         assert proxy1.stats.remote_hits == 1

@@ -21,6 +21,7 @@ from repro.obs.spans import TRACE_HEADER
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, write_request
+from tests.proxy.conftest import copy_holds
 
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
@@ -137,8 +138,7 @@ async def _wait_until_advertised(seeker, holder, url):
     """Poll until *seeker*'s copy of *holder*'s summary has *url*."""
     target = holder.address().icp_addr
     for _ in range(400):
-        summary = seeker.peer_summary(target)
-        if summary is not None and summary.may_contain(url):
+        if copy_holds(seeker, target, url):
             return
         await asyncio.sleep(0.01)
     pytest.fail(f"{url} never appeared in the propagated summary")

@@ -7,9 +7,8 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.bloom import BloomFilter
-from repro.protocol.wire import IcpHit, IcpMiss, decode_message
-from repro.summaries import SummaryConfig
+from repro.protocol.wire import DirUpdate, IcpHit, IcpMiss, decode_message
+from repro.summaries import SummaryConfig, SummaryNode, codec
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
 from repro.proxy.http import HttpResponse
 from repro.proxy.server import SummaryCacheProxy, _PeerState
@@ -26,48 +25,70 @@ def make_proxy(mode: ProxyMode) -> SummaryCacheProxy:
     return SummaryCacheProxy(replace(BASE, mode=mode), ORIGIN)
 
 
+def peer_address(name: str, port: int) -> PeerAddress:
+    return PeerAddress(name=name, host="127.0.0.1", http_port=1, icp_port=port)
+
+
 def peer_state(name: str, port: int) -> _PeerState:
-    return _PeerState(
-        PeerAddress(name=name, host="127.0.0.1", http_port=1, icp_port=port)
-    )
+    return _PeerState(peer_address(name, port), slot=0)
+
+
+def send_summary(proxy, sender: PeerAddress, urls) -> None:
+    """Deliver, as datagrams from *sender*, a Bloom summary of *urls*."""
+    node = SummaryNode(BASE.summary, 1 << 20)
+    for url in urls:
+        node.on_insert(url)
+    num, bits = node.local.hash_family.spec()
+    # An empty summary still travels: one DIRUPDATE with no records.
+    messages = codec.delta_messages(node.local, node.publish(0.0)) or [
+        DirUpdate(num, bits, node.local.num_bits)
+    ]
+    for message in messages:
+        proxy._on_datagram(message.encode(), sender.icp_addr)
+
+
+def candidate_names(proxy, url="http://a.com/x"):
+    return [state.address.name for state in proxy._candidate_peers(url)]
 
 
 class TestCandidatePeers:
     def test_no_icp_mode_queries_nobody(self):
         proxy = make_proxy(ProxyMode.NO_ICP)
-        proxy._peers = {("127.0.0.1", 1001): peer_state("p1", 1001)}
+        proxy.set_peers([peer_address("p1", 1001)])
         assert proxy._candidate_peers("http://a.com/x") == []
 
     def test_icp_mode_queries_all_alive_peers(self):
+        """A peer retired with ``remove_peer`` is never queried."""
         proxy = make_proxy(ProxyMode.ICP)
-        alive = peer_state("p1", 1001)
-        dead = peer_state("p2", 1002)
-        dead.alive = False
-        proxy._peers = {
-            alive.address.icp_addr: alive,
-            dead.address.icp_addr: dead,
-        }
-        candidates = proxy._candidate_peers("http://a.com/x")
-        assert candidates == [alive]
+        proxy.set_peers([peer_address("p1", 1001), peer_address("p2", 1002)])
+        assert candidate_names(proxy) == ["p1", "p2"]
+        proxy.remove_peer("p2")
+        assert candidate_names(proxy) == ["p1"]
 
     def test_sc_icp_skips_peers_without_summaries(self):
         proxy = make_proxy(ProxyMode.SC_ICP)
-        uninitialized = peer_state("p1", 1001)
-        proxy._peers = {uninitialized.address.icp_addr: uninitialized}
+        proxy.set_peers([peer_address("p1", 1001)])
         assert proxy._candidate_peers("http://a.com/x") == []
 
     def test_sc_icp_queries_only_positive_summaries(self):
         proxy = make_proxy(ProxyMode.SC_ICP)
-        knows = peer_state("p1", 1001)
-        knows.summary = BloomFilter(8192)
-        knows.summary.add("http://a.com/x")
-        blank = peer_state("p2", 1002)
-        blank.summary = BloomFilter(8192)
-        proxy._peers = {
-            knows.address.icp_addr: knows,
-            blank.address.icp_addr: blank,
-        }
-        assert proxy._candidate_peers("http://a.com/x") == [knows]
+        knows, blank = peer_address("p1", 1001), peer_address("p2", 1002)
+        proxy.set_peers([blank, knows])
+        send_summary(proxy, knows, ["http://a.com/x"])
+        send_summary(proxy, blank, [])
+        assert candidate_names(proxy) == ["p1"]
+        assert proxy.peer_geometry(blank.icp_addr) is not None
+
+    def test_candidates_follow_peer_order_across_joins(self):
+        proxy = make_proxy(ProxyMode.SC_ICP)
+        a, b, c = (peer_address(n, 1001 + i) for i, n in enumerate("abc"))
+        proxy.set_peers([a, b])
+        proxy.remove_peer("a")
+        proxy.add_peer(c)
+        proxy.add_peer(a)
+        for sender in (a, b, c):
+            send_summary(proxy, sender, ["http://a.com/x"])
+        assert candidate_names(proxy) == ["b", "c", "a"]
         assert proxy._candidate_peers("http://other.com/y") == []
 
 
@@ -258,11 +279,13 @@ class TestSummaryMaintenance:
 
     def test_reset_peer(self):
         proxy = make_proxy(ProxyMode.SC_ICP)
-        state = peer_state("p1", 1001)
-        state.summary = BloomFilter(64)
-        proxy._peers = {state.address.icp_addr: state}
-        proxy.reset_peer(state.address.icp_addr)
-        assert proxy.peer_summary(state.address.icp_addr) is None
+        peer = peer_address("p1", 1001)
+        proxy.set_peers([peer])
+        send_summary(proxy, peer, ["http://a.com/x"])
+        assert candidate_names(proxy) == ["p1"]
+        proxy.reset_peer(peer.icp_addr)
+        assert proxy.peer_geometry(peer.icp_addr) is None
+        assert candidate_names(proxy) == []
 
     def test_reset_unknown_peer_is_noop(self):
         proxy = make_proxy(ProxyMode.SC_ICP)

@@ -18,6 +18,7 @@ from repro.summaries import SummaryConfig
 from repro.obs.spans import TRACE_HEADER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, write_request
+from tests.proxy.conftest import copy_holds
 
 
 def run(coro):
@@ -37,8 +38,7 @@ async def _wait_until_advertised(cluster, holder_index, seeker_index, url):
     """Poll until the seeker's copy of the holder's summary has *url*."""
     target = cluster.proxies[holder_index].address().icp_addr
     for _ in range(400):
-        summary = cluster.proxies[seeker_index].peer_summary(target)
-        if summary is not None and summary.may_contain(url):
+        if copy_holds(cluster.proxies[seeker_index], target, url):
             return
         await asyncio.sleep(0.01)
     pytest.fail(f"{url} never appeared in the propagated summary")

@@ -59,7 +59,7 @@ def _state(node: SummaryNode):
     elif isinstance(local, ServerNameSummary):
         held = sorted(local._refcounts.items())
     else:
-        held = sorted(local.export())
+        held = list(local.export().added)
     return node.new_since_update, held, local.pending_change_count()
 
 

@@ -17,12 +17,14 @@ from repro.protocol.wire import (
     DirUpdate,
     SetDirUpdate,
 )
-from repro.summaries import SummaryConfig, SummaryNode, codec
-from repro.summaries.bloom import BloomRemote, BloomSummary
-from repro.summaries.exact import ExactDirectoryRemote, ExactDirectorySummary
-from repro.summaries.servername import ServerNameRemote, ServerNameSummary
+from repro.protocol.update import DigestAssembler
+from repro.summaries import PeerSummaries, SummaryConfig, SummaryNode, codec
+from repro.summaries.bloom import BloomSummary
+from repro.summaries.exact import ExactDirectorySummary
+from repro.summaries.servername import ServerNameSummary
 
 URLS = [f"http://c{i % 5}.codec.net/doc{i}" for i in range(25)]
+ALL_KINDS = ("bloom", "exact-directory", "server-name")
 
 
 def node_for(kind: str) -> SummaryNode:
@@ -89,62 +91,66 @@ class TestDeltaMessages:
             )
 
 
+def replay(kind: str, messages, store=None):
+    """Apply *messages* to slot 0 of *store* (a fresh *kind* store)."""
+    store = store or PeerSummaries.empty(kind)
+    for message in messages:
+        codec.apply_update(store, 0, message)
+    return store
+
+
+def holds(store, url: str, slot: int = 0) -> bool:
+    return bool(store.probe(store.key_of(url)) >> slot & 1)
+
+
 class TestApplyUpdate:
-    @pytest.mark.parametrize(
-        "kind, remote_type",
-        [
-            ("bloom", BloomRemote),
-            ("exact-directory", ExactDirectoryRemote),
-            ("server-name", ServerNameRemote),
-        ],
-    )
-    def test_lazy_init_and_sync(self, kind, remote_type):
-        """A peer starting from None converges on the sender's summary
-        by replaying its update stream."""
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_lazy_init_and_sync(self, kind):
+        """A slot with no copy converges on the sender's summary by
+        replaying its update stream."""
         node = node_for(kind)
-        remote = None
+        store = PeerSummaries.empty(kind)
+        assert store.geometry(0) is None
+        assert not holds(store, URLS[0])
         for batch in (URLS[:10], URLS[10:]):
             for url in batch:
                 node.on_insert(url)
-            for message in messages_for(node):
-                remote, changed = codec.apply_update(remote, message)
-                assert changed > 0
-        assert isinstance(remote, remote_type)
-        assert all(remote.may_contain(u) for u in URLS)
+            replay(kind, messages_for(node), store)
+        assert store.geometry(0) == node.local.geometry
+        assert all(holds(store, u) for u in URLS)
 
     def test_removals_replay(self):
         node = node_for("exact-directory")
         for url in URLS:
             node.on_insert(url)
-        remote = None
-        for message in messages_for(node):
-            remote, _ = codec.apply_update(remote, message)
+        store = replay("exact-directory", messages_for(node))
         node.on_evict(URLS[3])
-        for message in messages_for(node, now=2.0):
-            remote, _ = codec.apply_update(remote, message)
-        assert not remote.may_contain(URLS[3])
-        assert remote.may_contain(URLS[4])
+        replay("exact-directory", messages_for(node, now=2.0), store)
+        assert not holds(store, URLS[3])
+        assert holds(store, URLS[4])
+
+    @staticmethod
+    def assert_rejected_untouched(sender: str, receiver: str) -> None:
+        node = node_for(sender)
+        node.on_insert(URLS[0])
+        message = messages_for(node)[0]
+        store = PeerSummaries.empty(receiver)
+        with pytest.raises(SummaryMismatchError):
+            codec.apply_update(store, 0, message)
+        assert store.geometry(0) is None
 
     def test_bloom_delta_onto_set_copy_mismatch(self):
-        bloom_node = node_for("bloom")
-        bloom_node.on_insert(URLS[0])
-        message = messages_for(bloom_node)[0]
-        set_copy = ExactDirectoryRemote(set())
-        with pytest.raises(SummaryMismatchError):
-            codec.apply_update(set_copy, message)
+        self.assert_rejected_untouched("bloom", "exact-directory")
+        self.assert_rejected_untouched("exact-directory", "bloom")
 
     def test_set_delta_onto_wrong_set_copy_mismatch(self):
-        name_node = node_for("server-name")
-        name_node.on_insert(URLS[0])
-        message = messages_for(name_node)[0]
-        with pytest.raises(SummaryMismatchError):
-            codec.apply_update(ExactDirectoryRemote(set()), message)
+        self.assert_rejected_untouched("server-name", "exact-directory")
 
     def test_bloom_geometry_change_mismatch(self):
         node = node_for("bloom")
         node.on_insert(URLS[0])
         message = messages_for(node)[0]
-        remote, _ = codec.apply_update(None, message)
+        store = replay("bloom", [message])
         stale = DirUpdate(
             function_num=message.function_num,
             function_bits=message.function_bits,
@@ -152,32 +158,58 @@ class TestApplyUpdate:
             flips=((0, True),),
         )
         with pytest.raises(SummaryMismatchError):
-            codec.apply_update(remote, stale)
+            codec.apply_update(store, 0, stale)
+        assert store.geometry(0) == node.local.geometry
+        assert holds(store, URLS[0])
+
+    def test_unusable_hash_spec_is_a_mismatch(self):
+        """A header the hash family cannot honour (over 64 bits per
+        function) is rejected, not raised out of the datagram path."""
+        store = PeerSummaries.empty("bloom")
+        update = DirUpdate(
+            function_num=4, function_bits=65, bit_array_size=64
+        )
+        with pytest.raises(SummaryMismatchError):
+            codec.apply_update(store, 0, update)
+        assert store.geometry(0) is None
+
+    def test_digest_replaces_the_copy(self):
+        node = node_for("bloom")
+        for url in URLS[:5]:
+            node.on_insert(url)
+        store = replay("bloom", messages_for(node))
+        node.rebuild(URLS[5:], now=2.0)  # double the bits, new contents
+        assembler = DigestAssembler()
+        for chunk in codec.whole_summary_messages(node.local, mtu=1400):
+            whole = assembler.add(chunk)
+        codec.apply_digest(store, 0, whole)
+        assert store.geometry(0) == node.local.geometry
+        assert all(holds(store, u) for u in URLS[5:])
+        with pytest.raises(SummaryMismatchError):
+            codec.apply_digest(PeerSummaries.empty("server-name"), 0, whole)
 
     def test_mismatch_is_a_protocol_error(self):
         assert issubclass(SummaryMismatchError, ProtocolError)
 
 
 class TestLocalRemoteAgreement:
-    """The local summary and a remote copy built from its exports must
-    answer membership identically (up to Bloom false positives)."""
+    """A local summary and the peer copy its export seeds must answer
+    membership identically (Bloom included: the copy is the same bits)."""
+
+    @staticmethod
+    def assert_agrees(summary) -> None:
+        for url in URLS:
+            summary.add(url)
+        store = PeerSummaries.of([summary])
+        probes = URLS + ["http://other.net/x", "http://c0.codec.net/no"]
+        for url in probes:
+            assert holds(store, url) == summary.may_contain(url)
 
     @pytest.mark.parametrize(
         "summary_cls", [ExactDirectorySummary, ServerNameSummary]
     )
     def test_export_matches_local(self, summary_cls):
-        summary = summary_cls()
-        for url in URLS:
-            summary.add(url)
-        remote = summary.export()
-        probes = URLS + ["http://other.net/x", "http://c0.codec.net/no"]
-        for url in probes:
-            assert remote.may_contain(url) == summary.may_contain(url)
+        self.assert_agrees(summary_cls())
 
     def test_bloom_export_matches_local(self):
-        summary = BloomSummary(1000, config=SummaryConfig(kind="bloom"))
-        for url in URLS:
-            summary.add(url)
-        remote = BloomRemote(summary.export())
-        for url in URLS + ["http://other.net/x"]:
-            assert remote.may_contain(url) == summary.may_contain(url)
+        self.assert_agrees(BloomSummary(1000, SummaryConfig(kind="bloom")))

@@ -95,6 +95,21 @@ class TestCommands:
         assert "origin bytes" in out
         assert "peer fetches" in out
 
+    def test_loadgen_exits_1_when_clients_see_errors(self, capsys, monkeypatch):
+        from dataclasses import replace
+
+        from repro.benchmarkkit import loadgen
+
+        measured = loadgen.run_loadgen
+
+        async def with_errors(*args, **kwargs):
+            return replace(await measured(*args, **kwargs), errors=3)
+
+        monkeypatch.setattr(loadgen, "run_loadgen", with_errors)
+        argv = ["loadgen", "--proxies", "1", "--clients", "1", "--requests", "4"]
+        assert main(argv) == 1
+        assert "4 requests (3 errors)" in capsys.readouterr().out
+
     def test_gen_trace(self, tmp_path, capsys):
         out_path = tmp_path / "trace.jsonl"
         assert (
