@@ -11,6 +11,10 @@ byte count (reads to EOF into one buffer) and ``readexactly(n)`` with a
 non-constant length (a peer-controlled ``n`` becomes a peer-controlled
 allocation).  The proxy's framing layer reads bodies in bounded chunks
 (``repro.proxy.http.read_body``); new code must do the same.
+
+Last, it flags ``asyncio.wait_for``: not a stall, but a task and a
+timer per request where the proxy and its client driver keep one
+``repro.proxy.http.Deadline`` per connection.
 """
 
 from __future__ import annotations
@@ -40,6 +44,17 @@ BLOCKING_PREFIXES: Dict[str, str] = {
     "subprocess": "asyncio.create_subprocess_exec(...)",
     "socket": "the asyncio transport/protocol APIs",
     "requests": "asyncio.open_connection(...)",
+}
+
+
+#: Calls that do not block but cost the loop per call what the proxy
+#: pays once per connection, with the whole finding message.
+PER_CALL_COSTS: Dict[str, str] = {
+    "asyncio.wait_for": (
+        "asyncio.wait_for() inside async def costs a task (before "
+        "Python 3.12) and a timer per call; stamp one "
+        "repro.proxy.http.Deadline per connection instead"
+    ),
 }
 
 
@@ -152,6 +167,9 @@ class NoBlockingCallsInAsync(Rule):
             return
         name = resolve_call_name(call.func, imports)
         if name is None:
+            return
+        if name in PER_CALL_COSTS:
+            out.append(ctx.finding(self.id, call, PER_CALL_COSTS[name]))
             return
         hit: Tuple[str, str] = ("", "")
         if name in BLOCKING_CALLS:

@@ -39,6 +39,23 @@ SIZE_CONSTANT_ALIASES: Dict[str, str] = {
 }
 
 
+def _format_text(node: ast.AST) -> Optional[str]:
+    """A format's statically known text, else ``None``.
+
+    A string literal is known whole.  An f-string is known when it
+    starts with literal text: its computed fields can only be repeat
+    counts (``f"!{count}I"`` packs *count* records in one call), so
+    they read as ``1`` and the byte order stays checkable.
+    """
+    text = string_value(node)
+    if text is not None or not isinstance(node, ast.JoinedStr):
+        return text
+    parts = [string_value(value) for value in node.values]
+    if not parts or parts[0] is None:
+        return None
+    return "".join("1" if part is None else part for part in parts)
+
+
 def _expected_size_constant(struct_name: str) -> str:
     """``_DIRUPDATE_HEADER`` -> ``DIRUPDATE_HEADER_SIZE`` (and aliases)."""
     alias = SIZE_CONSTANT_ALIASES.get(struct_name)
@@ -94,7 +111,7 @@ class WireFormatByteOrder(Rule):
             fmt_node = node.args[0] if node.args else None
             if fmt_node is None:
                 continue
-            fmt = string_value(fmt_node)
+            fmt = _format_text(fmt_node)
             if fmt is None:
                 findings.append(
                     ctx.finding(

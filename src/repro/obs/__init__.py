@@ -49,7 +49,6 @@ from repro.obs.spans import (
     NullSpanRing,
     Span,
     SpanRing,
-    TraceContext,
     format_id,
 )
 
@@ -67,7 +66,6 @@ __all__ = [
     "Span",
     "SpanRing",
     "TRACE_HEADER",
-    "TraceContext",
     "format_id",
     "configure_logging",
     "disable",

@@ -35,7 +35,6 @@ import os
 import re
 import time
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -80,36 +79,15 @@ def parse_context(value: str) -> Optional[Tuple[int, int]]:
     return trace_id, int(match[2], 16)
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The propagated slice of a trace: ``(trace_id, span_id)``.
-
-    ``span_id`` is the id of the *sending* span -- the parent of
-    whatever span the receiver starts.
-    """
-
-    trace_id: int
-    span_id: int
-
-    def header_value(self) -> str:
-        """Serialized ``X-SC-Trace`` value: ``tttttttt-ssssssss``."""
-        return format_context(self.trace_id, self.span_id)
-
-    @classmethod
-    def parse(cls, value: str) -> Optional["TraceContext"]:
-        """Parse a header value; ``None`` for absent/malformed context
-        (see :func:`parse_context`)."""
-        pair = parse_context(value)
-        return None if pair is None else cls(*pair)
-
-
-class _IdGenerator:
+class IdGenerator:
     """Non-zero 32-bit ids: an ``os.urandom``-seeded counter.
 
     Seeding from the OS (not the global ``random`` module, which tests
-    reseed) makes ids from concurrently running proxies collide with
-    probability ~``n**2 / 2**32`` instead of always, so fused cluster
-    snapshots keep traces from different processes apart.
+    reseed) makes ids from concurrently running proxies and client
+    drivers collide with probability ~``n**2 / 2**32`` instead of
+    always, so fused cluster snapshots keep traces from different
+    processes apart.  One ``os.urandom`` call per generator, none per
+    id.
     """
 
     __slots__ = ("_next",)
@@ -118,6 +96,7 @@ class _IdGenerator:
         self._next = int.from_bytes(os.urandom(4), "big")
 
     def next_id(self) -> int:
+        """The next id in the sequence, skipping 0."""
         self._next = (self._next + 1) & _ID_MASK
         if self._next == 0:  # 0 means "no context" everywhere
             self._next = 1
@@ -258,7 +237,7 @@ class SpanRing:
         self._spans: Deque[Span] = deque(maxlen=capacity)
         self.dropped = 0
         self._on_drop = on_drop
-        self._ids = _IdGenerator()
+        self._ids = IdGenerator()
 
     @property
     def capacity(self) -> int:

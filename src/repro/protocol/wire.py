@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass, field
-from typing import List, Tuple, Union
+from typing import Tuple, Union
 
 from repro.errors import ProtocolError
 
@@ -66,6 +66,8 @@ DIGEST_HEADER_SIZE = 16
 
 #: Maximum representable bit index (31 bits: the MSB carries the value).
 MAX_BIT_INDEX = (1 << 31) - 1
+#: A flip record's MSB: the bit's new value is 1.
+_SET_BIT = 1 << 31
 
 #: DIRUPDATE representation ids (carried in the ICP Options field).
 #: 0 is the paper's Bloom bit-flip encoding -- the value legacy,
@@ -233,7 +235,7 @@ def encode_flip(index: int, value: bool) -> int:
         raise ProtocolError(
             f"bit index {index} exceeds the 31-bit record limit"
         )
-    return ((1 << 31) | index) if value else index
+    return (_SET_BIT | index) if value else index
 
 
 def decode_flip(record: int) -> Tuple[int, bool]:
@@ -272,7 +274,7 @@ class DirUpdate:
                 "2-billion-bit protocol limit"
             )
         for index, _value in self.flips:
-            if index >= self.bit_array_size:
+            if not 0 <= index < self.bit_array_size:
                 raise ProtocolError(
                     f"flip index {index} outside bit array of "
                     f"{self.bit_array_size} bits"
@@ -280,18 +282,18 @@ class DirUpdate:
 
     def encode(self) -> bytes:
         """Serialize to a wire datagram."""
-        payload = bytearray(
-            _DIRUPDATE_HEADER.pack(
-                self.function_num,
-                self.function_bits,
-                self.bit_array_size,
-                len(self.flips),
-            )
+        count = len(self.flips)
+        header = _DIRUPDATE_HEADER.pack(
+            self.function_num, self.function_bits, self.bit_array_size, count
         )
-        for index, value in self.flips:
-            payload += struct.pack("!I", encode_flip(index, value))
+        # __post_init__ holds every index in [0, bit_array_size), so
+        # each record is encode_flip's, packed in one call.
+        records = struct.pack(
+            f"!{count}I",
+            *[i | _SET_BIT if value else i for i, value in self.flips],
+        )
         return _encode(
-            Opcode.DIRUPDATE, self.request_number, self.sender, bytes(payload)
+            Opcode.DIRUPDATE, self.request_number, self.sender, header + records
         )
 
     def wire_size(self) -> int:
@@ -563,15 +565,15 @@ def decode_message(data: bytes) -> IcpMessage:
                 f"DIRUPDATE announces {count} records but carries "
                 f"{len(records)} payload bytes"
             )
-        flips: List[Tuple[int, bool]] = []
-        for i in range(count):
-            (record,) = struct.unpack_from("!I", records, 4 * i)
-            flips.append(decode_flip(record))
+        flips = tuple(
+            (record & MAX_BIT_INDEX, record > MAX_BIT_INDEX)
+            for record in struct.unpack(f"!{count}I", records)
+        )
         return DirUpdate(
             function_num=fnum,
             function_bits=fbits,
             bit_array_size=asize,
-            flips=tuple(flips),
+            flips=flips,
             request_number=request_number,
             sender=sender,
         )

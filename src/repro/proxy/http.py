@@ -11,6 +11,10 @@ data plane needs (GETs only, ``Content-Length``-framed bodies):
   the reader consumes one head at a time, so a client may write several
   requests back to back and the kernel/stream buffers bound the
   read-ahead.
+- **One deadline per connection.**  The server's idle timeout and the
+  client driver's request timeout are each one :class:`Deadline`
+  timer per connection, stamped at every wait, never an
+  ``asyncio.wait_for`` per request (lint rule SC001 flags one).
 - **Streamed, bounded body I/O.**  A response's head travels in the
   same write as its first body chunk, and later chunks are
   :class:`memoryview` slices over the cached ``bytes`` object
@@ -73,6 +77,53 @@ _REASONS = {
     502: "Bad Gateway",
     504: "Gateway Timeout",
 }
+
+
+class Deadline:
+    """One timer bounding a sequence of waits, not one timer per wait.
+
+    The owner sets :attr:`since` to the loop time when a bounded wait
+    begins and clears it when the wait ends.  The timer checks the
+    stamp: a wait open for *timeout* seconds sets :attr:`expired` and
+    cancels :attr:`task`.  Otherwise it re-arms at the open wait's
+    deadline, or one *timeout* ahead when no wait is open.  A *timeout*
+    of 0 arms nothing.
+
+    The server's request loop keeps one per connection to reap idle
+    clients; a :class:`~repro.proxy.client.ClientDriver` keeps one to
+    bound each fetch.  Either way a request costs a few attribute
+    stores instead of the task and timer of an ``asyncio.wait_for``.
+    """
+
+    __slots__ = ("since", "task", "expired", "loop", "_timeout", "_timer")
+
+    def __init__(self, timeout: float) -> None:
+        #: Loop time the open wait began; ``None`` while none is open.
+        self.since: Optional[float] = None
+        #: The task an expired wait cancels (the one that created it,
+        #: unless the owner rebinds it).
+        self.task = asyncio.current_task()
+        #: Set once the timer has cancelled :attr:`task`.
+        self.expired = False
+        self.loop = asyncio.get_running_loop()
+        self._timeout = timeout
+        self._timer = (
+            self.loop.call_later(timeout, self._fire) if timeout else None
+        )
+
+    def _fire(self) -> None:
+        now = self.loop.time()
+        deadline = (now if self.since is None else self.since) + self._timeout
+        if deadline > now:
+            self._timer = self.loop.call_at(deadline, self._fire)
+        elif self.task is not None:
+            self.expired = True
+            self.task.cancel()
+
+    def cancel(self) -> None:
+        """Disarm the timer (its owner is closing)."""
+        if self._timer is not None:
+            self._timer.cancel()
 
 
 def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:

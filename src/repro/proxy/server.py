@@ -88,6 +88,7 @@ from repro.summaries import codec
 from repro.summaries.backend import Geometry, SummaryDelta
 from repro.summaries.bloom import BloomSummary
 from repro.proxy.http import (
+    Deadline,
     HttpRequest,
     HttpResponse,
     read_request,
@@ -166,44 +167,6 @@ def _expire(future: "asyncio.Future[Optional[Tuple[str, int]]]") -> None:
     """End an ICP round that is still open with ``asyncio.TimeoutError``."""
     if not future.done():
         future.set_exception(asyncio.TimeoutError())
-
-
-class _IdleDeadline:
-    """One client connection's idle reaper: one timer, not one per request.
-
-    The request loop sets :attr:`since` to the loop time when it starts
-    awaiting a request head and clears it once the head is parsed.  The
-    timer reaps the connection when a head has been awaited for
-    *timeout* seconds: it cancels the handler task, so nothing is
-    written back.  Otherwise it re-arms at the open read's deadline, or
-    one *timeout* ahead when no read is open.  A *timeout* of 0 arms
-    nothing.
-    """
-
-    __slots__ = ("since", "_timeout", "_loop", "_task", "_timer")
-
-    def __init__(self, timeout: float) -> None:
-        #: Loop time the open head read began; ``None`` while serving.
-        self.since: Optional[float] = None
-        self._timeout = timeout
-        self._loop = asyncio.get_running_loop()
-        self._task = asyncio.current_task()
-        self._timer = (
-            self._loop.call_later(timeout, self._fire) if timeout else None
-        )
-
-    def _fire(self) -> None:
-        now = self._loop.time()
-        deadline = (now if self.since is None else self.since) + self._timeout
-        if deadline > now:
-            self._timer = self._loop.call_at(deadline, self._fire)
-        elif self._task is not None:
-            self._task.cancel()
-
-    def cancel(self) -> None:
-        """Disarm the timer (the connection is closing)."""
-        if self._timer is not None:
-            self._timer.cancel()
 
 
 class SummaryCacheProxy:
@@ -795,9 +758,9 @@ class SummaryCacheProxy:
         on ``Connection: close``, clean client EOF, the idle timeout,
         or a framing error (answered with a final 400).
 
-        The idle timeout is one :class:`_IdleDeadline` per connection:
-        the loop stamps when it starts awaiting a head, and a head
-        awaited for ``idle_timeout`` seconds (0: never) reaps the
+        The idle timeout is one :class:`~repro.proxy.http.Deadline` per
+        connection: the loop stamps when it starts awaiting a head, and
+        a head awaited for ``idle_timeout`` seconds (0: never) reaps the
         connection with no response.  A request costs no task and no
         timer of its own.
 
@@ -815,7 +778,7 @@ class SummaryCacheProxy:
         )
         served = 0
         loop = asyncio.get_running_loop()
-        idle = _IdleDeadline(self.config.idle_timeout)
+        idle = Deadline(self.config.idle_timeout)
         try:
             while True:
                 idle.since = loop.time()

@@ -196,6 +196,51 @@ class TestSC001Blocking:
         )
         assert project.lint(select="SC001") == []
 
+    def test_wait_for_in_async_def_flagged(
+        self, project: LintProject
+    ) -> None:
+        project.write(
+            "src/repro/proxy/mod.py",
+            """\
+            from asyncio import wait_for
+
+            async def handler(reader):
+                return await wait_for(reader.read(4096), timeout=5.0)
+            """,
+        )
+        findings = project.lint(select="SC001")
+        assert len(findings) == 1
+        assert "wait_for" in findings[0].message
+        assert "Deadline" in findings[0].message
+
+    def test_deadline_stamp_and_sync_wait_for_not_flagged(
+        self, project: LintProject
+    ) -> None:
+        # The shared deadline is two attribute stores per request; a
+        # module-level sync def that merely builds a wait_for coroutine
+        # is outside async scope.
+        project.write(
+            "src/repro/proxy/mod.py",
+            """\
+            import asyncio
+
+            from repro.proxy.http import Deadline
+
+            async def handler(reader):
+                deadline = Deadline(5.0)
+                deadline.since = asyncio.get_running_loop().time()
+                try:
+                    return await reader.read(4096)
+                finally:
+                    deadline.since = None
+                    deadline.cancel()
+
+            def bounded(awaitable):
+                return asyncio.wait_for(awaitable, timeout=5.0)
+            """,
+        )
+        assert project.lint(select="SC001") == []
+
 
 class TestSC002Wire:
     def test_host_order_format_flagged(self, project: LintProject) -> None:
@@ -225,6 +270,29 @@ class TestSC002Wire:
         findings = project.lint(select="SC002")
         assert len(findings) == 1
         assert "statically verifiable" in findings[0].message
+
+    def test_counted_fstring_format(self, project: LintProject) -> None:
+        # A computed repeat count after a literal "!" keeps the byte
+        # order static; a computed lead does not.
+        project.write(
+            "src/repro/protocol/mod.py",
+            """\
+            import struct
+
+            def encode(values):
+                return struct.pack(f"!{len(values)}I", *values)
+
+            def decode(data, count):
+                return struct.unpack(f"<{count}I", data)
+
+            def anything(fmt, data):
+                return struct.unpack(f"{fmt}I", data)
+            """,
+        )
+        findings = project.lint(select="SC002")
+        assert [f.line for f in findings] == [7, 10]
+        assert "network byte order" in findings[0].message
+        assert "statically verifiable" in findings[1].message
 
     def test_size_constant_mismatch(self, project: LintProject) -> None:
         project.write(

@@ -7,11 +7,17 @@ other exception -- and well-formed messages must round-trip exactly.
 
 from __future__ import annotations
 
+import struct
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
+from repro.protocol.update import DEFAULT_MTU
 from repro.protocol.wire import (
+    DIRUPDATE_HEADER_SIZE,
+    ICP_HEADER_SIZE,
+    MAX_BIT_INDEX,
     DirUpdate,
     IcpQuery,
     decode_flip,
@@ -67,6 +73,44 @@ def test_dirupdate_roundtrip(flips, function_num, function_bits):
         flips=tuple(flips),
     )
     assert decode_message(update.encode()) == update
+
+
+#: Records in one MTU-sized DIRUPDATE: (1400 - 20 - 12) / 4.
+MTU_RECORDS = (DEFAULT_MTU - ICP_HEADER_SIZE - DIRUPDATE_HEADER_SIZE) // 4
+
+bit_indices = st.one_of(
+    st.integers(0, MAX_BIT_INDEX),
+    st.integers(MAX_BIT_INDEX - 64, MAX_BIT_INDEX),
+    st.integers(0, 64),
+)
+
+
+@given(
+    st.lists(
+        st.tuples(bit_indices, st.booleans()),
+        min_size=0,
+        max_size=MTU_RECORDS,
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_dirupdate_roundtrip_up_to_mtu(flips):
+    """The one-call record codec round-trips every count up to a full
+    MTU, including indices at the 31-bit edge, and writes the bytes the
+    record-at-a-time encoding did."""
+    update = DirUpdate(
+        function_num=4,
+        function_bits=32,
+        bit_array_size=MAX_BIT_INDEX + 1,
+        flips=tuple(flips),
+        request_number=7,
+    )
+    wire = update.encode()
+    records = b"".join(
+        struct.pack("!I", encode_flip(index, value)) for index, value in flips
+    )
+    assert wire[ICP_HEADER_SIZE + DIRUPDATE_HEADER_SIZE :] == records
+    assert len(wire) == update.wire_size() <= DEFAULT_MTU
+    assert decode_message(wire) == update
 
 
 @given(st.integers(0, (1 << 31) - 1), st.booleans())

@@ -146,6 +146,15 @@ class TestValidation:
                 flips=((100, True),),
             )
 
+    def test_dirupdate_negative_flip_index(self):
+        with pytest.raises(ProtocolError, match="outside"):
+            DirUpdate(
+                function_num=4,
+                function_bits=32,
+                bit_array_size=100,
+                flips=((-1, True),),
+            )
+
     def test_dirupdate_size_limit(self):
         # "The design limits the hash table size to be less than
         # 2 billion."
