@@ -7,6 +7,9 @@
   transfers (the Squid cache-digest variant the paper mentions).
 - :mod:`repro.protocol.update` -- assembling flip lists into MTU-sized
   update messages, and reassembling whole-filter digest transfers.
+- :mod:`repro.protocol.core` -- a proxy's per-request decisions
+  (candidates, outcome, keeps, summaries), shared by the DES and the live
+  proxy.
 """
 
 from repro.protocol.update import (

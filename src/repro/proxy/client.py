@@ -13,7 +13,7 @@ import asyncio
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ProtocolError, ProxyError
 from repro.obs.spans import (
@@ -280,7 +280,7 @@ class ClientDriver:
         except (ConnectionError, asyncio.CancelledError, OSError):
             pass
 
-    async def replay(self, requests: Sequence[Request]) -> ReplayReport:
+    async def replay(self, requests: Iterable[Request]) -> ReplayReport:
         """Replay *requests* back-to-back; returns the accumulated report."""
         try:
             for req in requests:
@@ -291,7 +291,7 @@ class ClientDriver:
 
 
 async def replay_concurrently(
-    assignments: Sequence[Tuple["ClientDriver", Sequence[Request]]],
+    assignments: Sequence[Tuple["ClientDriver", Iterable[Request]]],
 ) -> ReplayReport:
     """Run several drivers' replays concurrently and merge their reports.
 

@@ -22,8 +22,8 @@ from repro.proxy.metrics import ProxyStats
 from repro.proxy.origin import OriginServer
 from repro.proxy.server import SummaryCacheProxy
 from repro.summaries import SummaryConfig, UpdatePolicy
-from repro.traces.model import Request, Trace
-from repro.traces.partition import group_of
+from repro.traces.model import Trace
+from repro.traces.partition import client_streams
 
 
 @dataclass
@@ -187,50 +187,21 @@ class ProxyCluster:
     ) -> ClusterResult:
         """Replay *trace* through the cluster.
 
-        ``assignment`` selects the paper's two replay modes:
-
-        - ``"client-bound"`` (experiment 3): a trace client's requests
-          all go to the proxy its id maps to, preserving the
-          client/proxy binding but not cross-client order;
-        - ``"round-robin"`` (experiment 4): requests are dealt to
-          proxies in trace order, preserving global order but not the
-          binding.
-
-        Each proxy's share is further dealt to ``clients_per_proxy``
-        serial drivers that run concurrently (the benchmark's
-        no-think-time client processes).
+        :func:`~repro.traces.partition.client_streams` deals it as the
+        DES does: ``"client-bound"`` (experiment 3) keeps each trace
+        client's binding to a proxy, ``"round-robin"`` (experiment 4)
+        keeps global order, and each proxy's share goes to
+        ``clients_per_proxy`` serial drivers that run concurrently (the
+        benchmark's no-think-time client processes).
         """
-        per_proxy: List[List[Request]] = [[] for _ in range(self.num_proxies)]
-        if assignment == "client-bound":
-            for req in trace:
-                per_proxy[group_of(req.client_id, self.num_proxies)].append(
-                    req
+        report = await replay_concurrently(
+            [
+                (self.driver_for(index), requests)
+                for index, requests in client_streams(
+                    trace, self.num_proxies, clients_per_proxy, assignment
                 )
-        elif assignment == "round-robin":
-            for i, req in enumerate(trace):
-                per_proxy[i % self.num_proxies].append(req)
-        else:
-            raise ConfigurationError(
-                f"unknown assignment {assignment!r}; expected "
-                "'client-bound' or 'round-robin'"
-            )
-
-        assignments = []
-        for proxy_index, requests in enumerate(per_proxy):
-            if not requests:
-                continue
-            # Deal the proxy's stream to serial drivers round-robin so
-            # each driver preserves its own request order.
-            shares: List[List[Request]] = [
-                [] for _ in range(clients_per_proxy)
             ]
-            for i, req in enumerate(requests):
-                shares[i % clients_per_proxy].append(req)
-            for share in shares:
-                if share:
-                    assignments.append((self.driver_for(proxy_index), share))
-
-        report = await replay_concurrently(assignments)
+        )
         return ClusterResult(
             client_report=report,
             proxy_stats=[proxy.stats for proxy in self.proxies],

@@ -8,6 +8,7 @@ from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.placement import CooperationPolicy
+from repro.protocol.core import Scheme
 from repro.summaries import (
     SummaryConfig,
     ThresholdUpdatePolicy,
@@ -25,6 +26,20 @@ class ProxyMode(str, enum.Enum):
     #: Summary cache enhanced ICP: query only peers whose Bloom summary
     #: predicts a hit; disseminate DIRUPDATE messages.
     SC_ICP = "sc-icp"
+
+
+def scheme_for(
+    mode: ProxyMode,
+    cooperation: CooperationPolicy = CooperationPolicy.SUMMARY,
+) -> Scheme:
+    """The protocol decisions of a *mode* proxy under *cooperation*: the
+    one place the live proxy and the DES derive them.  Owner routing
+    (``carp``) asks nobody and publishes no summary, in every mode."""
+    ask = {ProxyMode.ICP: "all", ProxyMode.SC_ICP: "summaries"}.get(mode, "none")
+    return Scheme(
+        "none" if cooperation.routes_by_owner else ask,
+        caches_remote_hits=cooperation.caches_remote_hits,
+    )
 
 
 @dataclass(frozen=True)

@@ -59,7 +59,8 @@ class ProxyMetrics:
         )
         self.false_query_rounds = c(
             "proxy_icp_false_hits_total",
-            "query rounds where no queried peer held the document",
+            "summary-directed query rounds where no queried peer held "
+            "the document",
         )
         self.origin_fetches = c(
             "proxy_origin_fetches_total", "documents fetched from the origin"

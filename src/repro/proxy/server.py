@@ -71,6 +71,7 @@ from repro.obs.spans import (
     parse_context,
 )
 from repro.errors import ProtocolError, ProxyError, SummaryMismatchError
+from repro.protocol.core import FALSE_HIT
 from repro.protocol.update import DigestAssembler
 from repro.protocol.wire import (
     DigestChunk,
@@ -82,7 +83,7 @@ from repro.protocol.wire import (
     decode_message,
 )
 from repro.placement import Placement
-from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
+from repro.proxy.config import PeerAddress, ProxyConfig, scheme_for
 from repro.summaries import LocalSummary, PeerSummaries, SummaryNode
 from repro.summaries import codec
 from repro.summaries.backend import Geometry, SummaryDelta
@@ -213,6 +214,8 @@ class SummaryCacheProxy:
         else:
             self.spans = NULL_SPAN_RING
         self._bodies: Dict[str, bytes] = {}
+        #: Which protocol decisions this proxy makes.
+        self._scheme = scheme_for(config.mode, config.cooperation)
         #: The local summary plus its update bookkeeping (the peers
         #: hold the remote copies).
         self._node = SummaryNode(
@@ -525,13 +528,16 @@ class SummaryCacheProxy:
         self._node.on_evict(url)
         self._bodies.pop(url, None)
 
-    def _store(self, url: str, body: bytes) -> None:
-        """Admit a fetched document and maybe broadcast an update."""
+    def _store(self, url: str, body: bytes, remote: bool = False) -> None:
+        """Admit a fetched document (*remote*: a peer served it) and
+        maybe broadcast an update."""
+        if not self._scheme.keeps(remote):
+            return  # the single copy stays at the serving peer
         self._bodies[url] = body
         self._cache.put(url, len(body))
         if url not in self._cache:
             self._bodies.pop(url, None)  # rejected (too large)
-        if self.config.mode is ProxyMode.SC_ICP:
+        if self._scheme.summaries:
             self._maybe_resize_summary()
             self._maybe_broadcast_update()
 
@@ -1044,13 +1050,14 @@ class SummaryCacheProxy:
     async def _miss_path(
         self, url: str, size_hint: str, root: Span = NULL_SPAN
     ) -> Tuple[bytes, str]:
-        """Resolve a local miss via peers (per mode) then the origin.
+        """Resolve a local miss via peers (per the scheme) then the origin.
 
         The request's root span records the attribution trail: how many
-        peers the summaries named (``candidates``) and how the round
-        resolved (``outcome``: ``remote_hit``, ``false_hit``,
-        ``fetch_failed``, or ``no_candidates``); the round and the
-        fetches add their own phase attributes.
+        peers were asked (``candidates``) and how the round resolved
+        (``outcome``: the core's ``remote_hit``, ``false_hit``,
+        ``no_holder`` or ``no_candidates``, or ``fetch_failed`` when the
+        holder could not serve); the round and the fetches add their own
+        phase attributes.
 
         Under owner-routing cooperation (``carp``) there is no
         discovery at all: the miss forwards deterministically to the
@@ -1068,6 +1075,7 @@ class SummaryCacheProxy:
         holder = None
         if candidates:
             holder = await self._query_peers(url, candidates, root)
+        outcome = self._scheme.outcome(len(candidates), holder is not None)
         if holder is not None:
             # A peer that no longer holds the document answers 504: any
             # verdict but "ok" falls to the origin.
@@ -1076,32 +1084,18 @@ class SummaryCacheProxy:
             )
             if verdict == "ok":
                 self._m.remote_hits.inc()
-                root.set(candidates=len(candidates), outcome="remote_hit")
-                # Single-copy cooperation leaves the document at the
-                # serving peer (whose copy the fetch just touched);
-                # summary cooperation caches it locally.
-                if self._placement.policy.caches_remote_hits:
-                    # Duplicate store of an identical body by concurrent
-                    # misses is benign (idempotent GETs, no single-flight
-                    # by design).
-                    self._store(url, body)  # sc-lint: disable=SC007
+                root.set(candidates=len(candidates), outcome=outcome)
+                # The scheme decides whether a copy stays here too
+                # (single-copy cooperation leaves it at the serving
+                # peer, whose copy the fetch just touched).
+                self._store(url, body, remote=True)
                 return body, "REMOTE-HIT"
             self._m.remote_fetch_failures.inc()
             outcome = "fetch_failed"
-        elif candidates:
-            # False-hit resolution: the summaries (or the query round)
-            # promised a copy nobody actually held.
+        elif outcome == FALSE_HIT:
             self._m.false_query_rounds.inc()
-            outcome = "false_hit"
-        else:
-            outcome = "no_candidates"
         root.set(candidates=len(candidates), outcome=outcome)
-
-        # Benign duplicate store under concurrent same-URL misses (see
-        # the remote-hit branch above).
-        body = await self._origin_path(  # sc-lint: disable=SC007
-            url, size_hint, root
-        )
+        body = await self._origin_path(url, size_hint, root)
         return body, "MISS"
 
     async def _owner_path(
@@ -1146,9 +1140,7 @@ class SummaryCacheProxy:
                 )
                 if source == "REMOTE-HIT":
                     self._m.remote_hits.inc()
-                if self._placement.policy.caches_remote_hits:
-                    self._store(url, body)
-                return body, source
+                return body, source  # the owner keeps the single copy
             self._m.peer_forward_failures.inc()
             if verdict == "error":
                 break  # owner is up but erroring: go to the origin
@@ -1203,18 +1195,15 @@ class SummaryCacheProxy:
         return body
 
     def _candidate_peers(self, url: str) -> List[_PeerState]:
-        """Which peers to query for *url*, per the cooperation mode.
+        """The peers the scheme asks about *url*, in peer-table order.
 
         Under summary cooperation one probe asks every peer's copy at
-        once; the peers it names are queried in peer-table order.
+        once.
         """
-        if self.config.mode is ProxyMode.NO_ICP or not self._peers:
-            return []
-        if self.config.mode is ProxyMode.ICP:
-            return list(self._peers.values())
-        summaries = self._peer_summaries
-        mask = summaries.probe(summaries.key_of(url))
-        return [s for s in self._peers.values() if mask >> s.slot & 1]
+        peers = self._peers.values()
+        everyone = sum(1 << state.slot for state in peers)
+        mask = self._scheme.candidates(url, self._peer_summaries, everyone)
+        return [s for s in peers if mask >> s.slot & 1]
 
     async def _query_peers(
         self,

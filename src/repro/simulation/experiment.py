@@ -14,9 +14,8 @@ hits do occur, so the experiment also shows SC-ICP's latency benefit.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.errors import ConfigurationError
 from repro.proxy.config import ProxyMode
 from repro.benchmarkkit.wisconsin import WisconsinConfig, generate_client_streams
 from repro.simulation.costs import CostModel
@@ -29,8 +28,8 @@ from repro.simulation.nodes import (
     SimProxyConfig,
     connect,
 )
-from repro.traces.model import Request, Trace
-from repro.traces.partition import group_of
+from repro.traces.model import Trace
+from repro.traces.partition import client_streams
 
 
 @dataclass
@@ -208,9 +207,10 @@ def run_replay_experiment(
 ) -> ExperimentResult:
     """The Table IV/V experiment: replay *trace* under *assignment*.
 
-    ``assignment="client-bound"`` preserves each trace client's binding
-    to a proxy (experiment 3); ``"round-robin"`` deals requests to
-    proxies in global order (experiment 4).
+    ``assignment`` deals the trace as the live cluster does
+    (:func:`~repro.traces.partition.client_streams`): ``"client-bound"``
+    keeps each trace client's binding to a proxy (experiment 3),
+    ``"round-robin"`` keeps global order (experiment 4).
     """
     engine = Engine()
     costs = costs or CostModel()
@@ -220,31 +220,14 @@ def run_replay_experiment(
         engine, num_proxies, config, costs, network, origin_delay
     )
 
-    per_proxy: List[List[Request]] = [[] for _ in range(num_proxies)]
-    if assignment == "client-bound":
-        for req in trace:
-            per_proxy[group_of(req.client_id, num_proxies)].append(req)
-    elif assignment == "round-robin":
-        for i, req in enumerate(trace):
-            per_proxy[i % num_proxies].append(req)
-    else:
-        raise ConfigurationError(
-            f"unknown assignment {assignment!r}; expected "
-            "'client-bound' or 'round-robin'"
+    clients = [
+        SimClient(engine, proxies[index], requests, network)
+        for index, requests in client_streams(
+            trace, num_proxies, clients_per_proxy, assignment
         )
-
-    clients = []
-    for proxy_index, requests in enumerate(per_proxy):
-        shares: List[List[Request]] = [[] for _ in range(clients_per_proxy)]
-        for i, req in enumerate(requests):
-            shares[i % clients_per_proxy].append(req)
-        for share in shares:
-            if share:
-                client = SimClient(
-                    engine, proxies[proxy_index], share, network
-                )
-                clients.append(client)
-                client.start()
+    ]
+    for client in clients:
+        client.start()
 
     duration = engine.run()
     return _collect(mode, proxies, clients, duration)

@@ -1,7 +1,8 @@
 """Client, proxy, and origin processes of the simulated testbed.
 
-The simulated proxy runs the same protocol decision logic as the
-prototype (local cache -> peer summaries / queries -> origin) but in
+The simulated proxy makes the prototype's protocol decisions through
+the same core (:mod:`repro.protocol.core`: local cache -> peer
+summaries / queries -> origin, then store and publish) but in
 simulated time: every activity charges the proxy's FIFO CPU resource
 with the cost model's service time, every message crosses the network
 model's latency, and every packet increments netstat-style counters.
@@ -19,6 +20,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.cache import WebCache
 from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
+from repro.protocol.core import FALSE_HIT, NO_CANDIDATES, REMOTE_HIT, STALE
 from repro.summaries import (
     PacketFillUpdatePolicy,
     PeerSummaries,
@@ -27,7 +29,8 @@ from repro.summaries import (
     UpdatePolicy,
     slots_of,
 )
-from repro.proxy.config import ProxyMode
+from repro.summaries import codec
+from repro.proxy.config import ProxyMode, scheme_for
 from repro.simulation.costs import CostModel, CpuAccount
 from repro.simulation.engine import Engine, Resource
 from repro.simulation.network import NetworkModel, PacketCounters
@@ -36,9 +39,6 @@ from repro.traces.model import Request
 #: Wire size assumed for one ICP query/reply datagram (20-byte header
 #: plus a 50-byte average URL, the paper's Fig. 8 assumption).
 ICP_DATAGRAM_BYTES = 70
-
-#: DIRUPDATE capacity at the default MTU: (1400 - 32) / 4 records.
-DIRUPDATE_RECORDS_PER_MESSAGE = (1400 - 32) // 4
 
 #: Approximate HTTP request head size on the wire.
 HTTP_REQUEST_BYTES = 200
@@ -132,6 +132,8 @@ class SimProxy:
         self.cpu: Resource = engine.resource(f"cpu{index}")
         self.cpu_account = CpuAccount()
         self.counters = PacketCounters()
+        #: The protocol decisions, made as the live proxy makes them.
+        self.scheme = scheme_for(config.mode)
         #: The local summary plus its update bookkeeping.
         self.node = SummaryNode(
             config.summary,
@@ -145,11 +147,13 @@ class SimProxy:
             on_evict=self.node.on_evict,
         )
         #: Set by :func:`connect`: the other proxies, the whole cluster
-        #: in index order, and the summary copies the cluster's peers
-        #: currently hold (slot i is proxy i's; a delta is applied when
-        #: its DIRUPDATE dissemination completes).
+        #: in index order, the other proxies' slots as a mask, and the
+        #: summary copies the cluster's peers currently hold (slot i is
+        #: proxy i's; a delta is applied when its DIRUPDATE
+        #: dissemination completes).
         self.peers: List["SimProxy"] = []
         self.cluster: Sequence["SimProxy"]
+        self.everyone = 0
         self.peer_summaries: PeerSummaries
         # Outcome tallies.
         self.http_requests = 0
@@ -189,34 +193,35 @@ class SimProxy:
             self.bytes_served += entry.size
             return
 
-        served = False
-        if self.config.mode is not ProxyMode.NO_ICP and self.peers:
-            served = yield from self._try_peers(request)
-        if not served:
+        outcome = yield from self._ask_peers(request)
+        if outcome == STALE:
+            self.remote_stale_hits += 1
+        elif outcome == FALSE_HIT:
+            self.false_query_rounds += 1
+        if outcome != REMOTE_HIT:
             yield from self._fetch_origin(request)
 
+        if not self.scheme.keeps(outcome == REMOTE_HIT):
+            return
         self.cache.put(request.url, request.size, version=request.version)
-        if self.config.mode is ProxyMode.SC_ICP and self.node.due_for_update(
+        if self.scheme.summaries and self.node.due_for_update(
             self.config.update_policy, self.engine.now, len(self.cache)
         ):
             yield from self._broadcast_update()
 
-    def _candidates(self, request: Request) -> List["SimProxy"]:
-        if self.config.mode is ProxyMode.ICP:
-            return list(self.peers)
-        # SC-ICP: probe the peers' shipped summaries (one MD5 per URL).
-        self.cpu_account.charge(user=self.costs.md5_user)
-        shipped = self.peer_summaries
-        mask = shipped.probe(shipped.key_of(request.url))
-        return [
-            self.cluster[j] for j in slots_of(mask & ~(1 << self.index))
-        ]
-
-    def _try_peers(self, request: Request):
-        """Query candidate peers; fetch from the first fresh holder."""
-        candidates = self._candidates(request)
-        if not candidates:
-            return False
+    def _ask_peers(self, request: Request):
+        """Query the peers the scheme names; fetch from the first fresh
+        holder.  Returns how the round resolved."""
+        scheme = self.scheme
+        if scheme.summaries and self.peers:
+            # Probing the shipped summaries costs one MD5 of the URL.
+            self.cpu_account.charge(user=self.costs.md5_user)
+        asked = scheme.candidates(
+            request.url, self.peer_summaries, self.everyone
+        )
+        if not asked:
+            return NO_CANDIDATES
+        candidates = [self.cluster[j] for j in slots_of(asked)]
 
         costs = self.costs
         # Send one query per candidate (cost at sender, UDP counters).
@@ -227,10 +232,10 @@ class SimProxy:
         self.icp_queries_sent += len(candidates)
 
         reply_signals = []
-        outcomes: Dict[int, str] = {}
+        replies: Dict[int, str] = {}
         for peer in candidates:
             self.counters.count_udp(peer.counters)
-            outcomes[peer.index] = peer.cache.probe(
+            replies[peer.index] = peer.cache.probe(
                 request.url, request.version
             )
             # The peer processes the query and replies after the
@@ -256,14 +261,13 @@ class SimProxy:
         )
 
         holder = next(
-            (p for p in candidates if outcomes[p.index] == "hit"), None
+            (p for p in candidates if replies[p.index] == "hit"), None
+        )
+        outcome = scheme.outcome(
+            len(candidates), holder is not None, "stale" in replies.values()
         )
         if holder is None:
-            if any(o == "stale" for o in outcomes.values()):
-                self.remote_stale_hits += 1
-            elif self.config.mode is ProxyMode.SC_ICP:
-                self.false_query_rounds += 1
-            return False
+            return outcome
 
         # Fetch the document from the holder over TCP.
         yield self.network_delay(HTTP_REQUEST_BYTES)
@@ -282,7 +286,7 @@ class SimProxy:
         yield self.network_delay(HTTP_RESPONSE_HEAD_BYTES + request.size)
         self.remote_hits += 1
         self.bytes_served += request.size
-        return True
+        return outcome
 
     def _peer_reply(self, peer: "SimProxy", done) -> None:
         """Run the peer-side share of one query/reply exchange.
@@ -326,9 +330,10 @@ class SimProxy:
         delta = self.node.publish(self.engine.now)
         if delta.is_empty() or not self.peers:
             return
-        records = delta.change_count
-        num_messages = -(-records // DIRUPDATE_RECORDS_PER_MESSAGE)
-        message_bytes = 32 + 4 * min(records, DIRUPDATE_RECORDS_PER_MESSAGE)
+        # Priced as the live proxy sends it: the codec's datagrams.
+        messages = codec.delta_messages(self.node.local, delta)
+        num_messages = len(messages)
+        message_bytes = messages[0].wire_size()
         if self.config.dissemination == "hierarchy":
             yield from self._hierarchy_update(
                 delta, num_messages, message_bytes
@@ -468,9 +473,11 @@ def connect(proxies: Sequence[SimProxy]) -> None:
     cluster's shared :class:`~repro.summaries.PeerSummaries`.
     """
     shipped = PeerSummaries.of([proxy.node.local for proxy in proxies])
+    everyone = (1 << len(proxies)) - 1
     for proxy in proxies:
         proxy.peers = [p for p in proxies if p is not proxy]
         proxy.cluster = proxies
+        proxy.everyone = everyone & ~(1 << proxy.index)
         proxy.peer_summaries = shipped
 
 

@@ -24,24 +24,19 @@ from __future__ import annotations
 import resource
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Optional
 
 from repro.analysis.scalability import extrapolate
 from repro.errors import ConfigurationError
 from repro.proxy.config import ProxyMode
 from repro.simulation.costs import CostModel
 from repro.simulation.engine import Engine
+from repro.simulation.experiment import _build_cluster
 from repro.simulation.network import NetworkModel
-from repro.simulation.nodes import (
-    SimClient,
-    SimOrigin,
-    SimProxy,
-    SimProxyConfig,
-    connect,
-)
+from repro.simulation.nodes import SimClient, SimProxyConfig
 from repro.summaries import ThresholdUpdatePolicy
 from repro.traces.model import Request
-from repro.traces.partition import group_of
+from repro.traces.partition import client_streams
 
 #: Dissemination policies :func:`run_scale_experiment` accepts.
 DISSEMINATION_POLICIES = ("unicast", "hierarchy")
@@ -83,27 +78,6 @@ class ScaleResult:
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
-
-
-def _client_feed(
-    trace: Iterable[Request],
-    num_proxies: int,
-    group: int,
-    clients_per_proxy: int,
-    slot: int,
-) -> Iterator[Request]:
-    """Lazily yield group *group*'s requests dealt to client *slot*.
-
-    One full scan of *trace* per client; with an mmap reader a scan is a
-    sequential page-cache walk, so N proxies never hold N copies.
-    """
-    position = 0
-    for req in trace:
-        if group_of(req.client_id, num_proxies) != group:
-            continue
-        if position % clients_per_proxy == slot:
-            yield req
-        position += 1
 
 
 def run_scale_experiment(
@@ -148,28 +122,20 @@ def run_scale_experiment(
         dissemination_fanout=fanout,
     )
     engine = Engine()
-    costs = costs or CostModel()
     network = network or NetworkModel()
-    origin = SimOrigin(engine, delay=origin_delay)
-    proxies = [
-        SimProxy(engine, i, config, costs, network, origin)
-        for i in range(num_proxies)
+    _origin, proxies = _build_cluster(
+        engine, num_proxies, config, costs or CostModel(), network, origin_delay
+    )
+    # One lazy scan of *trace* per client: with an mmap reader a scan is
+    # a sequential page-cache walk, so N proxies never hold N copies.
+    clients = [
+        SimClient(engine, proxies[index], requests, network)
+        for index, requests in client_streams(
+            trace, num_proxies, clients_per_proxy, lazy=True
+        )
     ]
-    connect(proxies)
-
-    clients: List[SimClient] = []
-    for group in range(num_proxies):
-        for slot in range(clients_per_proxy):
-            client = SimClient(
-                engine,
-                proxies[group],
-                _client_feed(
-                    trace, num_proxies, group, clients_per_proxy, slot
-                ),
-                network,
-            )
-            clients.append(client)
-            client.start()
+    for client in clients:
+        client.start()
 
     wall_start = perf_counter()
     sim_duration = engine.run()

@@ -8,8 +8,9 @@ NLANR's 4 proxies are given by the traces themselves).
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.traces.model import Request, Trace
@@ -92,3 +93,70 @@ def grouped_chunks(
         if not chunk:
             return
         yield [(req.client_id % num_groups, req) for req in chunk]
+
+
+def client_streams(
+    trace: TraceLike,
+    num_proxies: int,
+    clients_per_proxy: int,
+    assignment: str = "client-bound",
+    *,
+    lazy: bool = False,
+) -> List[Tuple[int, Iterable[Request]]]:
+    """Deal *trace* to proxies, then to each proxy's serial clients.
+
+    ``"client-bound"`` (the paper's experiment 3) sends a trace client's
+    requests to the proxy :func:`group_of` names; ``"round-robin"``
+    (experiment 4) deals requests to proxies in trace order.  Each
+    proxy's share is dealt round-robin again to its clients, so every
+    client keeps trace order.  Returns one ``(proxy index, requests)``
+    pair per client, proxy by proxy, dealt in one pass into lists.  With
+    *lazy* each client's stream is instead its own scan of *trace*, for
+    a reader too large to hold: *trace* must then be re-iterable.
+    """
+    if assignment not in ("client-bound", "round-robin"):
+        raise ConfigurationError(
+            f"unknown assignment {assignment!r}; expected "
+            "'client-bound' or 'round-robin'"
+        )
+    if num_proxies < 1 or clients_per_proxy < 1:
+        raise ConfigurationError(
+            "dealing a trace needs >= 1 proxy and >= 1 client per proxy"
+        )
+    if lazy and iter(trace) is trace:
+        raise ConfigurationError(
+            "a lazy deal scans the trace once per client; a one-shot "
+            "iterator cannot be scanned twice"
+        )
+    deal = partial(
+        _deal, trace, num_proxies, clients_per_proxy, assignment == "client-bound"
+    )
+    clients = range(num_proxies * clients_per_proxy)
+    if lazy:
+        streams: List[Iterable[Request]] = [_scan(deal, c) for c in clients]
+    else:
+        streams = [[] for _ in clients]
+        for client, req in deal():
+            streams[client].append(req)
+    return [(c // clients_per_proxy, streams[c]) for c in clients]
+
+
+def _deal(
+    trace: TraceLike, num_proxies: int, clients_per_proxy: int, bound: bool
+) -> Iterator[Tuple[int, Request]]:
+    """Each request of *trace* with the client it is dealt to, numbered
+    proxy by proxy (see :func:`client_streams`)."""
+    dealt = [0] * num_proxies
+    for index, req in enumerate(trace):
+        proxy = (req.client_id if bound else index) % num_proxies
+        yield proxy * clients_per_proxy + dealt[proxy] % clients_per_proxy, req
+        dealt[proxy] += 1
+
+
+def _scan(
+    deal: Callable[[], Iterator[Tuple[int, Request]]], client: int
+) -> Iterator[Request]:
+    """Client *client*'s requests, from a fresh deal of the trace."""
+    for dealt_to, req in deal():
+        if dealt_to == client:
+            yield req

@@ -9,6 +9,7 @@ import pytest
 
 from repro.summaries import SummaryConfig
 from repro.errors import ConfigurationError
+from repro.protocol.core import NO_HOLDER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import read_response, synth_body, write_request
 from repro.traces.model import Request, Trace
@@ -78,6 +79,35 @@ class TestModes:
         # that reached the peer stage.
         queries = sum(s.icp_queries_sent for s in result.proxy_stats)
         assert queries % 2 == 0  # every query goes to exactly 2 peers
+
+    def test_plain_icp_rounds_are_no_holder_not_false_hits(self):
+        """Only a summary can promise a copy falsely: an ICP round that
+        finds no holder is the core's no-holder outcome."""
+
+        async def scenario():
+            async with ProxyCluster(
+                num_proxies=3,
+                mode=ProxyMode.ICP,
+                cache_capacity=512 * 1024,
+                base_config=BASE_CONFIG,
+            ) as cluster:
+                drivers = [cluster.driver_for(i) for i in range(3)]
+                for i in range(200):
+                    await drivers[i % 3].fetch(
+                        f"http://cold.com/d{i}", size=256
+                    )
+                return (
+                    sum(p.stats.false_query_rounds for p in cluster.proxies),
+                    [
+                        root.attributes.get("outcome")
+                        for p in cluster.proxies
+                        for root in p.spans.spans(name="http.request")
+                    ],
+                )
+
+        false_rounds, outcomes = run(scenario())
+        assert false_rounds == 0
+        assert outcomes == [NO_HOLDER] * 200
 
     def test_sc_icp_matches_icp_hit_ratio_with_less_udp(self):
         async def scenario(mode):

@@ -120,6 +120,31 @@ class TestCarpRouting:
         assert cooperation is CooperationPolicy.CARP
         assert members == ["proxy0", "proxy1"]
 
+    def test_no_summary_traffic_in_the_default_mode(self):
+        """Owner routing needs no discovery, so a carp cluster in
+        ProxyCluster's default sc-icp mode ships no DIRUPDATE or DIGEST
+        (both count in ``dirupdates_sent``) and sends no datagram."""
+
+        async def scenario():
+            async with ProxyCluster(
+                num_proxies=3,
+                cache_capacity=4 * 1024 * 1024,
+                base_config=BASE_CONFIG,
+                cooperation="carp",
+            ) as cluster:
+                drivers = [cluster.driver_for(i) for i in range(3)]
+                for i in range(200):
+                    await drivers[i % 3].fetch(
+                        f"http://carp.com/u{i}", size=512
+                    )
+                return [p.stats for p in cluster.proxies]
+
+        stats = run(scenario())
+        assert sum(s.http_requests for s in stats) == 200
+        assert sum(s.dirupdates_sent for s in stats) == 0
+        assert sum(s.summary_resizes for s in stats) == 0
+        assert sum(s.udp_sent for s in stats) == 0
+
 
 class TestSingleCopyDiscovery:
     def test_remote_hits_are_not_duplicated(self):

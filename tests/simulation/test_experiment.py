@@ -17,7 +17,13 @@ from repro.simulation.experiment import (
     run_replay_experiment,
 )
 from repro.simulation.nodes import SimProxyConfig
-from repro.summaries import ThresholdUpdatePolicy
+from repro.summaries import (
+    PacketFillUpdatePolicy,
+    SummaryConfig,
+    SummaryNode,
+    ThresholdUpdatePolicy,
+    codec,
+)
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
 SMALL = dict(clients_per_proxy=4, requests_per_client=50)
@@ -241,3 +247,34 @@ class TestReplayExperiment:
             run_replay_experiment(
                 replay_trace, ProxyMode.NO_ICP, assignment="zigzag"
             )
+
+
+class TestUpdatePricing:
+    def test_set_updates_cost_what_the_codec_sends(
+        self, replay_trace, monkeypatch
+    ):
+        """Every DIRUPDATE the DES counts is a datagram the codec builds
+        for a published delta: 90 exact-directory digests need two."""
+        messages = []
+        publish = SummaryNode.publish
+
+        def recording(node, now):
+            delta = publish(node, now)
+            if not delta.is_empty():
+                sent = codec.delta_messages(node.local, delta)
+                messages.append(len(sent))
+            return delta
+
+        monkeypatch.setattr(SummaryNode, "publish", recording)
+        result = run_replay_experiment(
+            replay_trace,
+            ProxyMode.SC_ICP,
+            clients_per_proxy=4,
+            proxy_config=SimProxyConfig(
+                summary=SummaryConfig(kind="exact-directory"),
+                update_policy=PacketFillUpdatePolicy(90),
+            ),
+        )
+        assert max(messages) > 1
+        # Unicast: every message goes to each of the three peers.
+        assert result.dirupdates_sent == 3 * sum(messages)

@@ -12,13 +12,17 @@ import asyncio
 
 import pytest
 
+import repro.proxy.cluster as cluster_module
+from repro.errors import ConfigurationError
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
+from repro.proxy.client import ReplayReport
 from repro.sharing import (
     SummarySharingConfig,
     simulate_simple_sharing,
     simulate_summary_sharing,
 )
+from repro.simulation import experiment
 from repro.simulation.experiment import run_replay_experiment
 from repro.simulation.nodes import SimProxyConfig
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
@@ -104,6 +108,63 @@ class TestSimulatorsAgree:
         )
         assert proto_remote > 0
         assert analytic.remote_hits > 0
+
+
+class TestEnginesDealAlike:
+    """The DES and the live cluster deal a trace through one function."""
+
+    @pytest.mark.parametrize("assignment", ["client-bound", "round-robin"])
+    def test_both_engines_receive_identical_client_streams(
+        self, workload, monkeypatch, assignment
+    ):
+        dealt = {}
+
+        class RecordingClient(experiment.SimClient):
+            def __init__(self, engine, proxy, requests, network):
+                requests = list(requests)
+                dealt.setdefault("des", []).append((proxy.index, requests))
+                super().__init__(engine, proxy, requests, network)
+
+        async def record(assignments):
+            dealt["live"] = [
+                (index, list(requests)) for index, requests in assignments
+            ]
+            return ReplayReport()
+
+        monkeypatch.setattr(experiment, "SimClient", RecordingClient)
+        monkeypatch.setattr(cluster_module, "replay_concurrently", record)
+        monkeypatch.setattr(
+            ProxyCluster, "driver_for", lambda self, index: index
+        )
+        trace = workload.head(300)
+        run_replay_experiment(
+            trace,
+            ProxyMode.NO_ICP,
+            num_proxies=3,
+            clients_per_proxy=2,
+            assignment=assignment,
+            origin_delay=0.0,
+        )
+        asyncio.run(
+            ProxyCluster(num_proxies=3).replay(
+                trace, assignment=assignment, clients_per_proxy=2
+            )
+        )
+        assert dealt["live"] == dealt["des"]
+        assert [index for index, _ in dealt["des"]] == [0, 0, 1, 1, 2, 2]
+        assert sum(len(r) for _, r in dealt["des"]) == len(trace)
+
+    def test_both_engines_reject_an_unknown_assignment(self, workload):
+        with pytest.raises(ConfigurationError):
+            run_replay_experiment(
+                workload, ProxyMode.NO_ICP, assignment="zigzag"
+            )
+        with pytest.raises(ConfigurationError):
+            asyncio.run(
+                ProxyCluster(num_proxies=2).replay(
+                    workload, assignment="zigzag"
+                )
+            )
 
 
 class TestPublicApi:
