@@ -25,8 +25,6 @@ import random
 from dataclasses import dataclass
 from typing import List
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.traces.model import Request
 
@@ -78,6 +76,8 @@ def generate_client_streams(config: WisconsinConfig) -> List[List[Request]]:
     the random number generators for the no-ICP and ICP experiments to
     ensure comparable results").
     """
+    import numpy as np
+
     rng = random.Random(config.seed)
     np_rng = np.random.default_rng(config.seed)
     scale = config.mean_size * (config.pareto_alpha - 1.0) / config.pareto_alpha

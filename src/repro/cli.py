@@ -58,16 +58,15 @@ import asyncio
 import sys
 from typing import Any, Callable, Coroutine, Dict, List, Optional, Tuple
 
-from repro import experiments
 from repro.analysis.tables import format_table
-from repro.lint.cli import add_lint_arguments
-from repro.lint.cli import run as run_lint_command
-from repro.obs.export import render_json, render_prometheus
 from repro.obs.logconfig import configure_logging
 from repro.placement import CooperationPolicy
-from repro.summaries import parse_update_policy
-from repro.traces.readers import write_jsonl
-from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
+from repro.summaries import (
+    SUMMARY_REPR_KINDS,
+    parse_update_policy,
+    summary_config_for_repr,
+)
+from repro.traces.workloads import WORKLOAD_PRESETS
 
 #: What every subcommand binds with ``set_defaults(handler=...)`` where
 #: its parser is built: parsed arguments in, process exit code out.
@@ -107,7 +106,7 @@ def _add_summary_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--summary-repr",
         default=None,
-        choices=sorted(experiments.SUMMARY_REPR_KINDS),
+        choices=sorted(SUMMARY_REPR_KINDS),
         help=(
             "summary representation: bloom, exact (MD5 directory), or "
             "server-name (default: bloom for serve, full sweep for sims)"
@@ -151,7 +150,13 @@ def _add_cooperation_args(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for shell-completion tools)."""
+    """Build the argument parser (exposed for shell-completion tools).
+
+    Handlers import what they run, so building the parser loads neither
+    the experiment stack nor numpy.
+    """
+    from repro.lint.cli import add_lint_arguments
+
     parser = argparse.ArgumentParser(
         prog="summary-cache",
         description=(
@@ -605,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run the sc-lint static-analysis suite (SC001..SC009)",
     )
-    p.set_defaults(handler=run_lint_command)
+    p.set_defaults(handler=_lint)
     add_lint_arguments(p)
 
     p = sub.add_parser(
@@ -663,9 +668,7 @@ def _summary_overrides(args: argparse.Namespace) -> Dict[str, Any]:
     """``representations()``/``metrics_snapshot()`` kwargs from CLI flags."""
     kwargs = {}
     if args.summary_repr is not None:
-        kwargs["representation"] = experiments.SUMMARY_REPR_KINDS[
-            args.summary_repr
-        ]
+        kwargs["representation"] = SUMMARY_REPR_KINDS[args.summary_repr]
     if args.update_policy is not None:
         kwargs["update_policy"] = parse_update_policy(args.update_policy)
     return kwargs
@@ -692,12 +695,16 @@ def _print_table(table: Tuple[Any, Any], title: str) -> int:
 
 
 def _table1(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.table1(scale=args.scale), "Table I: trace statistics"
     )
 
 
 def _fig1(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.fig1(args.workload, scale=args.scale),
         f"Fig. 1: hit ratios under sharing schemes ({args.workload})",
@@ -705,6 +712,8 @@ def _fig1(args: argparse.Namespace) -> int:
 
 
 def _table2(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.table2(
             target_hit_ratio=args.hit_ratio,
@@ -716,6 +725,8 @@ def _table2(args: argparse.Namespace) -> int:
 
 
 def _fig2(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.fig2(args.workload, scale=args.scale),
         f"Fig. 2: update delay impact ({args.workload})",
@@ -723,6 +734,8 @@ def _fig2(args: argparse.Namespace) -> int:
 
 
 def _table3(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.table3(scale=args.scale, jobs=args.jobs),
         "Table III: summary memory",
@@ -730,12 +743,16 @@ def _table3(args: argparse.Namespace) -> int:
 
 
 def _fig4(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.fig4(), "Fig. 4: false positive probability"
     )
 
 
 def _representations(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     results = experiments.representations(
         args.workload,
         scale=args.scale,
@@ -787,6 +804,8 @@ def _simulate(args: argparse.Namespace) -> int:
 
 
 def _table45(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     if args.command == "table4":
         assignment, label = "client-bound", "IV"
     else:
@@ -800,12 +819,16 @@ def _table45(args: argparse.Namespace) -> int:
 
 
 def _scalability(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.scalability(), "Section V-F: scalability extrapolation"
     )
 
 
 def _hierarchy(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.hierarchy(args.workload, scale=args.scale),
         f"Section VIII: hierarchy extension ({args.workload})",
@@ -813,6 +836,8 @@ def _hierarchy(args: argparse.Namespace) -> int:
 
 
 def _alternatives(args: argparse.Namespace) -> int:
+    from repro import experiments
+
     return _print_table(
         experiments.alternatives(args.workload, scale=args.scale),
         f"Related-work comparison ({args.workload})",
@@ -820,11 +845,12 @@ def _alternatives(args: argparse.Namespace) -> int:
 
 
 def _metrics(args: argparse.Namespace) -> int:
+    from repro import experiments
+    from repro.obs.export import render_json, render_prometheus
+
     overrides = {}
     if args.summary_repr is not None:
-        overrides["summary"] = experiments.summary_config_for_repr(
-            args.summary_repr
-        )
+        overrides["summary"] = summary_config_for_repr(args.summary_repr)
     if args.update_policy is not None:
         overrides["update_policy"] = parse_update_policy(args.update_policy)
     registry = experiments.metrics_snapshot(
@@ -840,7 +866,16 @@ def _metrics(args: argparse.Namespace) -> int:
     return 0
 
 
+def _lint(args: argparse.Namespace) -> int:
+    from repro.lint.cli import run
+
+    return run(args)
+
+
 def _gen_trace(args: argparse.Namespace) -> int:
+    from repro.traces.readers import write_jsonl
+    from repro.traces.workloads import make_workload
+
     trace, groups = make_workload(args.workload, scale=args.scale)
     write_jsonl(trace, args.out)
     print(
@@ -854,9 +889,7 @@ async def _serve(args: argparse.Namespace) -> int:
     from repro.proxy.cluster import ProxyCluster
     from repro.proxy.config import ProxyConfig, ProxyMode
 
-    summary = experiments.summary_config_for_repr(
-        args.summary_repr or "bloom"
-    )
+    summary = summary_config_for_repr(args.summary_repr or "bloom")
     policy = (
         parse_update_policy(args.update_policy)
         if args.update_policy

@@ -63,22 +63,6 @@ from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
 
 ALL_WORKLOADS: Tuple[str, ...] = tuple(WORKLOAD_PRESETS)
 
-#: CLI shorthand -> ``SummaryConfig.kind`` for ``--summary-repr`` flags.
-SUMMARY_REPR_KINDS: Dict[str, str] = {
-    "bloom": "bloom",
-    "exact": "exact-directory",
-    "server-name": "server-name",
-}
-
-
-def summary_config_for_repr(
-    name: str, load_factor: int = 8
-) -> SummaryConfig:
-    """The :class:`SummaryConfig` for a ``--summary-repr`` CLI value."""
-    return SummaryConfig(
-        kind=SUMMARY_REPR_KINDS[name], load_factor=load_factor
-    )
-
 #: Cache size as a fraction of the infinite cache size used by the
 #: paper's headline simulations ("assume a cache size that is 10% of the
 #: infinite cache size").

@@ -26,6 +26,7 @@ from repro.obs.spans import (
 from repro.proxy.http import (
     Deadline,
     HttpResponse,
+    bound_reads,
     read_response,
     write_request,
 )
@@ -232,6 +233,7 @@ class ClientDriver:
                 self._reader, self._writer = await asyncio.open_connection(
                     self.host, self.port
                 )
+                bound_reads(self._writer.transport)
                 self.connections_opened += 1
                 reused = False
             assert self._reader is not None

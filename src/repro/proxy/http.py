@@ -69,6 +69,13 @@ DEFAULT_CHUNK_BYTES = 64 * 1024
 #: ``drain()`` (mirrors ``ProxyConfig.max_inflight_bytes``).
 DEFAULT_MAX_INFLIGHT = 256 * 1024
 
+#: The most one socket read asks for.  asyncio's selector transports
+#: ask ``recv`` for 256 KiB, which glibc's malloc serves above its
+#: default 128 KiB mmap threshold: every read maps fresh pages, faults
+#: them in, and shrinks the mapping to the bytes received.  64 KiB comes
+#: from the heap, and no UDP datagram is larger.
+READ_BYTES = 64 * 1024
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -77,6 +84,15 @@ _REASONS = {
     502: "Bad Gateway",
     504: "Gateway Timeout",
 }
+
+
+def bound_reads(transport: asyncio.BaseTransport) -> None:
+    """Cap each socket read on *transport* at :data:`READ_BYTES`.
+
+    ``max_size`` is the read size of CPython's selector transports, an
+    attribute the public transport types do not declare.
+    """
+    setattr(transport, "max_size", READ_BYTES)
 
 
 class Deadline:

@@ -16,7 +16,12 @@ from typing import Optional, Tuple
 
 from repro.errors import ProtocolError
 from repro.obs.spans import TRACE_HEADER
-from repro.proxy.http import read_request, send_response, synth_body
+from repro.proxy.http import (
+    bound_reads,
+    read_request,
+    send_response,
+    synth_body,
+)
 
 
 @dataclass
@@ -104,6 +109,7 @@ class OriginServer:
         keep-alive and streams bodies with backpressure just like the
         proxies' client-facing loop.
         """
+        bound_reads(writer.transport)
         try:
             while True:
                 try:

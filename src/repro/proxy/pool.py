@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.proxy.http import bound_reads
+
 
 @dataclass
 class PoolStats:
@@ -121,6 +123,7 @@ class ConnectionPool:
             conn.close()
             self.stats.expired += 1
         reader, writer = await asyncio.open_connection(host, port)
+        bound_reads(writer.transport)
         self.stats.created += 1
         return PooledConnection(host, port, reader, writer)
 

@@ -92,6 +92,7 @@ from repro.proxy.http import (
     Deadline,
     HttpRequest,
     HttpResponse,
+    bound_reads,
     read_request,
     read_response,
     send_response,
@@ -343,6 +344,7 @@ class SummaryCacheProxy:
             lambda: _IcpProtocol(self),
             local_addr=(self.config.host, self.config.icp_port),
         )
+        bound_reads(self._udp)
         logger.info(
             "proxy=%s started mode=%s http_port=%d icp_port=%d",
             self.config.name,
@@ -779,6 +781,7 @@ class SummaryCacheProxy:
         """
         self._m.connections_open.inc()
         self._client_writers.add(writer)
+        bound_reads(writer.transport)
         writer.transport.set_write_buffer_limits(
             high=self.config.max_inflight_bytes
         )

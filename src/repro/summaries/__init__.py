@@ -7,8 +7,10 @@ deltas on the wire (Section VI-A) -- so the Section V simulator, the
 wire protocol, and the live asyncio proxy all consume the same classes:
 
 - :mod:`repro.summaries.backend` -- the :class:`LocalSummary` ABC,
-  :class:`SummaryConfig`, delta types, the :func:`make_local_summary`
-  factory, and :class:`SummaryNode` (shared update bookkeeping);
+  :class:`SummaryConfig` (and :func:`summary_config_for_repr`, its
+  ``--summary-repr`` CLI names), delta types, the
+  :func:`make_local_summary` factory, and :class:`SummaryNode` (shared
+  update bookkeeping);
 - :mod:`repro.summaries.exact`, :mod:`repro.summaries.servername`,
   :mod:`repro.summaries.bloom` -- one module per representation;
 - :mod:`repro.summaries.peers` -- :class:`PeerSummaries`, every peer's
@@ -22,6 +24,7 @@ wire protocol, and the live asyncio proxy all consume the same classes:
 
 from repro.summaries.backend import (
     AVERAGE_DOCUMENT_SIZE,
+    SUMMARY_REPR_KINDS,
     BitFlipDelta,
     DigestDelta,
     LocalSummary,
@@ -29,6 +32,7 @@ from repro.summaries.backend import (
     SummaryNode,
     expected_documents_for_cache,
     make_local_summary,
+    summary_config_for_repr,
 )
 from repro.summaries.bloom import BloomSummary
 from repro.summaries.exact import ExactDirectorySummary
@@ -44,6 +48,7 @@ from repro.summaries.servername import ServerNameSummary
 
 __all__ = [
     "AVERAGE_DOCUMENT_SIZE",
+    "SUMMARY_REPR_KINDS",
     "BitFlipDelta",
     "BloomSummary",
     "DigestDelta",
@@ -61,4 +66,5 @@ __all__ = [
     "make_local_summary",
     "parse_update_policy",
     "slots_of",
+    "summary_config_for_repr",
 ]

@@ -31,6 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Dict,
     Iterable,
     List,
     Mapping,
@@ -104,6 +105,23 @@ class SummaryConfig:
         if self.kind == "bloom":
             return f"bloom-{self.load_factor}"
         return self.kind
+
+
+#: CLI shorthand -> ``SummaryConfig.kind`` for ``--summary-repr`` flags.
+SUMMARY_REPR_KINDS: Dict[str, str] = {
+    "bloom": "bloom",
+    "exact": "exact-directory",
+    "server-name": "server-name",
+}
+
+
+def summary_config_for_repr(
+    name: str, load_factor: int = 8
+) -> SummaryConfig:
+    """The :class:`SummaryConfig` for a ``--summary-repr`` CLI value."""
+    return SummaryConfig(
+        kind=SUMMARY_REPR_KINDS[name], load_factor=load_factor
+    )
 
 
 @dataclass

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.traces.model import Trace
 from repro.traces.partition import group_of
@@ -30,6 +28,8 @@ def fit_zipf_alpha(trace: Trace, head_fraction: float = 0.5) -> float:
     bounded Zipf bends away from the power law, so fitting the head is
     standard practice).
     """
+    import numpy as np
+
     if not 0 < head_fraction <= 1:
         raise ConfigurationError(
             f"head_fraction must be in (0, 1], got {head_fraction}"
@@ -61,22 +61,30 @@ class SizeStats:
     p99: float
     max: int
     #: Hill estimator of the Pareto tail index over the top 5% of sizes
-    #: (alpha ~ 1.1 for the paper's benchmark distribution).
+    #: (alpha ~ 1.1 for the paper's benchmark distribution); ``nan``
+    #: when no size lies below the tail or the tail is flat.
     tail_index: float
 
 
 def size_statistics(trace: Trace, tail_fraction: float = 0.05) -> SizeStats:
     """Compute :class:`SizeStats` over the distinct documents of *trace*."""
+    import numpy as np
+
     sizes_by_url: Dict[str, int] = {}
     for req in trace:
         sizes_by_url[req.url] = req.size
     if not sizes_by_url:
         raise ConfigurationError("trace has no requests")
     sizes = np.sort(np.array(list(sizes_by_url.values()), dtype=np.float64))
+    # Hill over the k largest sizes, measured from X(k+1), the largest
+    # size outside the tail: a threshold taken from inside the tail adds
+    # a log 1 = 0 term and biases the estimate up by k / (k - 1).
     k = max(2, int(len(sizes) * tail_fraction))
-    tail = sizes[-k:]
-    threshold = tail[0] if tail[0] > 0 else 1.0
-    hill = 1.0 / max(1e-12, float(np.mean(np.log(tail / threshold))))
+    hill = float("nan")
+    if len(sizes) > k and sizes[-k - 1] > 0:
+        mean_log = float(np.mean(np.log(sizes[-k:] / sizes[-k - 1])))
+        if mean_log > 0:
+            hill = 1.0 / mean_log
     return SizeStats(
         count=len(sizes),
         mean=float(sizes.mean()),
@@ -155,6 +163,8 @@ def interreference_percentiles(
         last_seen[req.url] = index
     if not distances:
         return {p: float("nan") for p in percentiles}
+    import numpy as np
+
     array = np.array(distances, dtype=np.float64)
     return {
         p: float(np.percentile(array, p)) for p in percentiles

@@ -30,13 +30,14 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.errors import ConfigurationError
 from repro.traces.model import Request, Trace
 from repro.urlutil import make_url
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Requests per block of the streaming generator core: large enough to
 #: amortise the vectorised draws, small enough that a block of pending
@@ -136,6 +137,8 @@ def _server_boundaries(
     servers with mean ``docs_per_server`` (every server hosts at least
     one document).
     """
+    import numpy as np
+
     num_servers = max(1, num_documents // docs_per_server)
     ranks = np.arange(1, num_servers + 1, dtype=np.float64)
     weights = ranks ** (-alpha)
@@ -152,6 +155,8 @@ def _server_boundaries(
 
 def _zipf_cdf(n: int, alpha: float) -> np.ndarray:
     """CDF of a bounded Zipf(alpha) distribution over ranks 1..n."""
+    import numpy as np
+
     ranks = np.arange(1, n + 1, dtype=np.float64)
     weights = ranks ** (-alpha)
     cdf = np.cumsum(weights)
@@ -163,6 +168,8 @@ def _pareto_sizes(
     rng: np.random.Generator, count: int, alpha: float, mean: int, cap: int
 ) -> np.ndarray:
     """Draw *count* Pareto body sizes with the requested mean, capped."""
+    import numpy as np
+
     # Pareto(scale, alpha) has mean scale * alpha / (alpha - 1); invert
     # for the scale that yields the configured mean.
     scale = mean * (alpha - 1.0) / alpha
@@ -208,6 +215,8 @@ def _stream_at(state: dict, offset: int) -> np.random.Generator:
     blockwise draws equal slices of the single ``rng.random(n)`` call
     bit for bit (each uniform double consumes exactly one step).
     """
+    import numpy as np
+
     bits = np.random.PCG64()
     bits.state = state
     if offset:
@@ -229,6 +238,8 @@ def iter_requests(
     regardless of ``num_requests``, so a 10^8-request trace streams in
     bounded memory.
     """
+    import numpy as np
+
     if block_size < 1:
         raise ConfigurationError("block_size must be >= 1")
     np_rng = np.random.default_rng(config.seed)

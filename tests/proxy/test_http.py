@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 import asyncio
+import socket
 
 import pytest
 
 from repro.errors import ProtocolError
+from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
+    READ_BYTES,
     parse_content_length,
     read_body,
     read_request,
@@ -18,6 +21,7 @@ from repro.proxy.http import (
     synth_body,
     write_request,
 )
+from repro.summaries import SummaryConfig
 
 
 class _FakeTransport:
@@ -282,3 +286,51 @@ class TestSynthBody:
     def test_zero_and_negative(self):
         assert synth_body("u", 0) == b""
         assert synth_body("u", -5) == b""
+
+
+class TestBoundedReads:
+    """No socket read on the live path asks for more than READ_BYTES.
+
+    asyncio's selector transports ask ``recv`` for 256 KiB, a buffer
+    glibc maps fresh on every read; the proxies, origin, pool and
+    client drivers all cap it.
+    """
+
+    def test_every_read_in_a_cluster_is_bounded(self, monkeypatch):
+        asked = []
+        recv, recvfrom = socket.socket.recv, socket.socket.recvfrom
+
+        def counting_recv(sock, size, *args):
+            asked.append(size)
+            return recv(sock, size, *args)
+
+        def counting_recvfrom(sock, size, *args):
+            asked.append(size)
+            return recvfrom(sock, size, *args)
+
+        monkeypatch.setattr(socket.socket, "recv", counting_recv)
+        monkeypatch.setattr(socket.socket, "recvfrom", counting_recvfrom)
+
+        async def scenario():
+            config = ProxyConfig(
+                summary=SummaryConfig(kind="bloom", load_factor=8),
+                expected_doc_size=1024,
+                update_threshold=0.01,
+            )
+            async with ProxyCluster(
+                num_proxies=2, mode=ProxyMode.SC_ICP, base_config=config
+            ) as cluster:
+                wrong = 0
+                for index in (0, 1):
+                    driver = cluster.driver_for(index)
+                    for i in range(12):
+                        url, size = f"http://big.com/d{i}", 1000 + i * 20_000
+                        body = await driver.fetch(url, size=size)
+                        wrong += body != synth_body(url, size)
+                    await driver.close()
+                    await asyncio.sleep(0.05)  # let DIRUPDATEs land
+                return wrong, cluster.proxies[1].stats.remote_hits
+
+        wrong, remote_hits = asyncio.run(scenario())
+        assert wrong == 0 and remote_hits > 0
+        assert asked and max(asked) == READ_BYTES

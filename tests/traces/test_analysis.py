@@ -91,6 +91,29 @@ class TestSizeStats:
         # Hill estimator over a capped Pareto(1.1): expect ~1.0-1.6.
         assert 0.7 < stats.tail_index < 2.0
 
+    def test_hill_threshold_is_largest_size_outside_tail(self):
+        # k = 2: the tail is {800, 1600} and X(k+1) = 400, so the mean
+        # log excess is (log 2 + log 4) / 2 = 1.5 log 2.
+        trace = Trace(
+            requests=[
+                Request(float(i), 0, f"u{i}", size)
+                for i, size in enumerate([100, 200, 400, 800, 1600])
+            ]
+        )
+        assert size_statistics(trace).tail_index == pytest.approx(
+            1 / (1.5 * math.log(2))
+        )
+
+    def test_hill_undefined_without_size_below_tail(self):
+        trace = Trace(requests=[Request(0.0, 0, "u", 500)])
+        assert math.isnan(size_statistics(trace).tail_index)
+
+    def test_hill_undefined_for_flat_tail(self):
+        trace = Trace(
+            requests=[Request(float(i), 0, f"u{i}", 500) for i in range(50)]
+        )
+        assert math.isnan(size_statistics(trace).tail_index)
+
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigurationError):
             size_statistics(Trace())
