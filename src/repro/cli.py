@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "metrics",
-        help="replay one workload with instrumentation on and dump the registry",
+        help="replay one workload through summary sharing and ICP and "
+        "dump their metrics",
     )
     p.set_defaults(handler=_metrics)
     _add_workload_args(p)
@@ -848,16 +849,11 @@ def _metrics(args: argparse.Namespace) -> int:
     from repro import experiments
     from repro.obs.export import render_json, render_prometheus
 
-    overrides = {}
-    if args.summary_repr is not None:
-        overrides["summary"] = summary_config_for_repr(args.summary_repr)
-    if args.update_policy is not None:
-        overrides["update_policy"] = parse_update_policy(args.update_policy)
     registry = experiments.metrics_snapshot(
         args.workload,
         scale=args.scale,
         threshold=args.threshold,
-        **overrides,
+        **_summary_overrides(args),
     )
     if args.format == "json":
         print(render_json(registry, workload=args.workload))

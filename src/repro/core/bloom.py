@@ -11,53 +11,11 @@ carries no counters -- those live only in the owning proxy's
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Iterable, List, Optional, Tuple
 
 from repro.core.bitarray import BitArray
 from repro.core.hashing import Key, MD5HashFamily
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, get_registry
-
-#: Histogram bounds for single filter operations (sub-us .. 1 ms).
-_OP_BUCKETS = (1e-7, 5e-7, 1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 1e-3)
-
-
-class _BloomInstruments:
-    """Registry handles shared by every filter built while enabled."""
-
-    __slots__ = ("probes", "probe_positives", "inserts", "op_seconds")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.probes = registry.counter(
-            "bloom_probes_total", "membership probes against plain filters"
-        )
-        self.probe_positives = registry.counter(
-            "bloom_probe_positives_total",
-            "probes answering 'may be present'",
-        )
-        self.inserts = registry.counter(
-            "bloom_inserts_total", "keys inserted into plain filters"
-        )
-        self.op_seconds = registry.histogram(
-            "bloom_op_seconds",
-            "wall time of one probe or insert",
-            buckets=_OP_BUCKETS,
-        )
-
-
-def _bind_instruments() -> Optional[_BloomInstruments]:
-    """Instruments from the default registry; ``None`` when disabled.
-
-    Binding happens at filter construction, so the steady-state cost of
-    disabled metrics is a single ``is None`` test per operation -- the
-    tier-1 microbenchmark budget (<2%) allows nothing more.
-    """
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    return _BloomInstruments(registry)
-
 
 class BloomFilter:
     """A Bloom filter over a bit array of ``num_bits`` bits.
@@ -76,7 +34,7 @@ class BloomFilter:
     :mod:`repro.core.bfmath`.
     """
 
-    __slots__ = ("bits", "hash_family", "_obs")
+    __slots__ = ("bits", "hash_family")
 
     def __init__(
         self,
@@ -87,7 +45,6 @@ class BloomFilter:
             raise ConfigurationError(f"num_bits must be >= 1, got {num_bits}")
         self.bits = BitArray(num_bits)
         self.hash_family = hash_family or MD5HashFamily()
-        self._obs = _bind_instruments()
 
     @classmethod
     def for_capacity(
@@ -122,47 +79,24 @@ class BloomFilter:
 
     def add(self, key: Key) -> List[int]:
         """Insert *key*; return the indices of bits that flipped 0 -> 1."""
-        obs = self._obs
-        if obs is None:
-            return self.bits.set_many(self.positions(key))
-        start = perf_counter()
-        flipped = self.bits.set_many(self.positions(key))
-        obs.op_seconds.observe(perf_counter() - start)
-        obs.inserts.inc()
-        return flipped
+        return self.bits.set_many(self.positions(key))
 
     def add_many(self, keys: Iterable[Key]) -> List[int]:
         """Insert every key in one batch; return all bits flipped 0 -> 1.
 
         The batch form of :meth:`add`: every key's positions are set via
         a single :meth:`~repro.core.bitarray.BitArray.set_many` sweep, so
-        per-key popcount bookkeeping and instrument checks disappear from
-        the hot path.  Used by rebuild/resync and batched trace replay.
+        per-key popcount bookkeeping disappears from the hot path.  Used
+        by rebuild/resync and batched trace replay.
         """
-        keys = list(keys)
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
         positions = self.positions
-        flipped = self.bits.set_many(
+        return self.bits.set_many(
             pos for key in keys for pos in positions(key)
         )
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc(len(keys))
-        return flipped
 
     def may_contain(self, key: Key) -> bool:
         """Return ``False`` if *key* is definitely absent, ``True`` if it may be present."""
-        obs = self._obs
-        if obs is None:
-            return all(self.bits.get(pos) for pos in self.positions(key))
-        start = perf_counter()
-        result = all(self.bits.get(pos) for pos in self.positions(key))
-        obs.op_seconds.observe(perf_counter() - start)
-        obs.probes.inc()
-        if result:
-            obs.probe_positives.inc()
-        return result
+        return all(self.bits.get(pos) for pos in self.positions(key))
 
     def __contains__(self, key: Key) -> bool:
         return self.may_contain(key)

@@ -24,43 +24,13 @@ array (or bit-flip records).
 from __future__ import annotations
 
 import struct
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
-from repro.core.bloom import BloomFilter, _OP_BUCKETS
+from repro.core.bloom import BloomFilter
 from repro.core.hashing import Key, MD5HashFamily
 from repro.errors import ConfigurationError, ProtocolError
-from repro.obs.registry import MetricsRegistry, get_registry
 
-
-class _CountingInstruments:
-    """Registry handles shared by every counting filter while enabled."""
-
-    __slots__ = ("inserts", "deletes", "op_seconds")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.inserts = registry.counter(
-            "counting_bloom_inserts_total",
-            "keys inserted into counting filters",
-        )
-        self.deletes = registry.counter(
-            "counting_bloom_deletes_total",
-            "keys deleted from counting filters",
-        )
-        self.op_seconds = registry.histogram(
-            "counting_bloom_op_seconds",
-            "wall time of one insert or delete",
-            buckets=_OP_BUCKETS,
-        )
-
-
-def _bind_instruments() -> Optional[_CountingInstruments]:
-    """Instruments from the default registry; ``None`` when disabled."""
-    registry = get_registry()
-    if not registry.enabled:
-        return None
-    return _CountingInstruments(registry)
 
 #: Magic prefix of the serialized filter format.
 _MAGIC = b"SCBF"
@@ -97,7 +67,7 @@ class CountingBloomFilter:
     """
 
     __slots__ = (
-        "filter", "counters", "_pending", "_records", "_keys_added", "_obs"
+        "filter", "counters", "_pending", "_records", "_keys_added"
     )
 
     def __init__(
@@ -111,7 +81,6 @@ class CountingBloomFilter:
         # The public bits are the counters' nonzero flags: one store,
         # written in the same pass that moves a counter.
         self.filter.bits = self.counters.bits
-        self._obs = _bind_instruments()
         #: Bit index -> the value of its first flip since the last
         #: :meth:`drain_flips`, in first-flip order; the bit's current
         #: value says whether that flip still stands.
@@ -173,24 +142,16 @@ class CountingBloomFilter:
         cache-insert time); anything else desynchronizes the filter from
         its peers' wire-spec positions.
         """
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
         self._records += self.counters.add_at(positions, self._pending)
         self._keys_added += 1
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc()
 
     def add_many(self, keys: Iterable[Key]) -> None:
         """Insert every key in one batch (the rebuild/resync fast path).
 
         Equivalent to calling :meth:`add` per key -- same counters, same
-        bit flips, same pending-delta records -- but the instruments see
-        one operation.
+        bit flips, same pending-delta records.
         """
         keys = list(keys)
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
         positions_of = self.filter.positions
         add_at = self.counters.add_at
         pending = self._pending
@@ -199,9 +160,6 @@ class CountingBloomFilter:
             records += add_at(positions_of(key), pending)
         self._records += records
         self._keys_added += len(keys)
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.inserts.inc(len(keys))
 
     def remove(self, key: Key) -> None:
         """Delete *key*, recording any 1 -> 0 bit flips for the next delta."""
@@ -218,13 +176,8 @@ class CountingBloomFilter:
         popcount and pending flips are left as they were rather than
         silently corrupting the filter.
         """
-        obs = self._obs
-        start = perf_counter() if obs is not None else 0.0
         self._records += self.counters.remove_at(positions, self._pending)
         self._keys_added -= 1
-        if obs is not None:
-            obs.op_seconds.observe(perf_counter() - start)
-            obs.deletes.inc()
 
     def may_contain(self, key: Key) -> bool:
         """Membership probe against the local bit array."""

@@ -34,7 +34,6 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.errors import ConfigurationError, KeyTypeError
-from repro.obs.registry import MetricsRegistry, get_registry
 
 Key = Union[str, bytes]
 
@@ -100,26 +99,6 @@ class _Line:
         self.positions: Dict[Geometry, Tuple[int, ...]] = {}
 
 
-class _CacheInstruments:
-    """Registry handles bound once per cache while metrics are enabled."""
-
-    __slots__ = ("hits", "misses", "evictions")
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self.hits = registry.counter(
-            "hash_cache_hits_total",
-            "hash-position cache lookups answered from the memo",
-        )
-        self.misses = registry.counter(
-            "hash_cache_misses_total",
-            "hash-position cache lookups that computed MD5 products",
-        )
-        self.evictions = registry.counter(
-            "hash_cache_evictions_total",
-            "cache lines evicted by the LRU bound",
-        )
-
-
 class HashPositionCache:
     """LRU memo of MD5 digests and per-geometry bit positions.
 
@@ -129,14 +108,15 @@ class HashPositionCache:
         LRU bound on distinct keys.  Each key's digest and every
         geometry's positions live on one line and age out together.
 
-    The cache is single-threaded by design (matching the registry and
-    every simulator); worker processes of the parallel runner each hold
-    their own instance.
+    The cache owns its :attr:`hits`, :attr:`misses` and
+    :attr:`evictions` counts as plain attributes; :meth:`stats` reads
+    them.  It is single-threaded by design (matching every simulator);
+    worker processes of the parallel runner each hold their own
+    instance.
     """
 
     __slots__ = (
         "_lines", "_max_entries", "hits", "misses", "evictions",
-        "_obs", "_flushed_hits",
     )
 
     def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
@@ -149,23 +129,10 @@ class HashPositionCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        registry = get_registry()
-        self._obs: Optional[_CacheInstruments] = (
-            _CacheInstruments(registry) if registry.enabled else None
-        )
-        #: Hits already pushed to the registry counter.  The hit path is
-        #: the hottest loop in the simulator, so registry increments are
-        #: batched: deltas flush on every miss and on :meth:`stats`.
-        self._flushed_hits = 0
 
     # ------------------------------------------------------------------
     # Line management
     # ------------------------------------------------------------------
-
-    def _flush_hits(self) -> None:
-        if self._obs is not None and self.hits != self._flushed_hits:
-            self._obs.hits.inc(self.hits - self._flushed_hits)
-            self._flushed_hits = self.hits
 
     def _miss_line(self, key: Key) -> _Line:
         """Install a fresh line for *key*, counting the miss.
@@ -176,17 +143,12 @@ class HashPositionCache:
         costs memory, never correctness.
         """
         self.misses += 1
-        self._flush_hits()
-        if self._obs is not None:
-            self._obs.misses.inc()
         line = _Line()
         lines = self._lines
         lines[key] = line
         if len(lines) > self._max_entries:
             lines.popitem(last=False)
             self.evictions += 1
-            if self._obs is not None:
-                self._obs.evictions.inc()
         return line
 
     # ------------------------------------------------------------------
@@ -206,9 +168,6 @@ class HashPositionCache:
             # Line exists (positions were derived first) without a
             # digest: a miss for this product.
             self.misses += 1
-            self._flush_hits()
-            if self._obs is not None:
-                self._obs.misses.inc()
         else:
             line = self._miss_line(key)
         line.digest = hashlib.md5(_as_bytes(key)).digest()
@@ -261,9 +220,6 @@ class HashPositionCache:
                 lines.move_to_end(key)
                 return cached
             self.misses += 1
-            self._flush_hits()
-            if self._obs is not None:
-                self._obs.misses.inc()
         else:
             line = self._miss_line(key)
         stream = self._stream_for(
@@ -292,11 +248,7 @@ class HashPositionCache:
         self._lines.clear()
 
     def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counts and current size, as a plain dict.
-
-        Also flushes any batched hit increments to the metrics registry.
-        """
-        self._flush_hits()
+        """Hit/miss/eviction counts and current size, as a plain dict."""
         return {
             "hits": self.hits,
             "misses": self.misses,

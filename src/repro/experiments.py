@@ -30,10 +30,12 @@ longer runtime).
 
 from __future__ import annotations
 
+from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.scalability import extrapolate
 from repro.core.bfmath import example_table, fig4_series
+from repro.obs.registry import MetricsRegistry
 from repro.proxy.config import ProxyMode
 from repro.sharing.carp import simulate_carp
 from repro.sharing.directory_server import simulate_directory_server
@@ -670,39 +672,107 @@ def alternatives(
     return headers, rows
 
 
+def _publish_metrics(
+    registry: MetricsRegistry, result: SharingResult, elapsed: float
+) -> None:
+    """Write one finished run to *registry*, labelled by scheme.
+
+    The replay loop counts into the :class:`~repro.sharing.results.
+    SharingResult` alone, so the Figs. 6-8 series (false hits, messages,
+    bytes) are copied from it and always agree with it.  Every
+    non-live publish ships one message to each of the other proxies, so
+    the drain count is the update messages over that fan-out.
+    """
+    labels = {"scheme": result.scheme}
+    msgs = result.messages
+    fanout = result.num_proxies - 1
+
+    def counter(name: str, help: str, value: int) -> None:
+        registry.counter(name, help, labels=labels).inc(value)
+
+    counter("sharing_requests_total", "requests simulated", result.requests)
+    counter(
+        "sharing_local_hits_total",
+        "fresh hits in the local cache",
+        result.local_hits,
+    )
+    counter(
+        "sharing_remote_hits_total",
+        "fresh hits served by a peer",
+        result.remote_hits,
+    )
+    counter(
+        "sharing_false_hits_total",
+        "query rounds where no queried peer held the document (Fig. 6)",
+        result.false_hits,
+    )
+    counter(
+        "sharing_false_misses_total",
+        "fresh peer copies the summaries failed to reveal",
+        result.false_misses,
+    )
+    counter(
+        "sharing_query_messages_total",
+        "ICP queries sent (Fig. 7)",
+        msgs.query_messages,
+    )
+    counter(
+        "sharing_query_bytes_total",
+        "ICP query bytes sent (Fig. 8)",
+        msgs.query_bytes,
+    )
+    counter(
+        "sharing_update_drains_total",
+        "summary deltas drained and published",
+        msgs.update_messages // fanout if fanout else 0,
+    )
+    counter(
+        "sharing_update_messages_total",
+        "summary update messages shipped (Fig. 7)",
+        msgs.update_messages,
+    )
+    counter(
+        "sharing_update_bytes_total",
+        "summary update bytes shipped (Fig. 8)",
+        msgs.update_bytes,
+    )
+    registry.histogram(
+        "sharing_simulation_seconds",
+        "wall time of one sharing simulation",
+        labels=labels,
+    ).observe(elapsed)
+
+
 def metrics_snapshot(
     workload: str = "upisa",
     scale: float = 1.0,
     threshold: float = 0.01,
     cache_fraction: float = DEFAULT_CACHE_FRACTION,
-    summary: Optional[SummaryConfig] = None,
+    representation: Optional[str] = None,
     update_policy: Optional[UpdatePolicy] = None,
-):
-    """Run one sharing simulation + ICP under a fresh registry.
+) -> MetricsRegistry:
+    """Run one sharing simulation + ICP and return their metrics.
 
-    Backs ``summary-cache metrics``: installs a live
-    :class:`~repro.obs.registry.MetricsRegistry` as the process default,
-    replays one workload through ``simulate_summary_sharing`` (bloom
-    load factor 8, or whatever *summary*/*update_policy* select) and
-    ``simulate_icp``, and returns the populated registry.  The previous
-    default registry is always restored, so calling this never leaves
-    instrumentation enabled behind the caller's back.
+    Backs ``summary-cache metrics``: replays one workload through
+    ``simulate_summary_sharing`` (bloom load factor 8, or the
+    ``SummaryConfig.kind`` *representation* names; *update_policy*
+    replaces the threshold policy) and ``simulate_icp``, times each run,
+    and writes both results into a fresh
+    :class:`~repro.obs.registry.MetricsRegistry` it returns.
     """
-    from repro.obs.registry import MetricsRegistry, set_registry
-
     registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        trace, groups, capacity, doc_size, _stats = _workload_setup(
-            workload, scale, cache_fraction
-        )
-        cfg = SummarySharingConfig(
-            summary=summary or SummaryConfig(kind="bloom", load_factor=8),
-            update_policy=update_policy or ThresholdUpdatePolicy(threshold),
-            expected_doc_size=doc_size,
-        )
-        simulate_summary_sharing(trace, groups, capacity, cfg)
-        simulate_icp(trace, groups, capacity)
-    finally:
-        set_registry(previous)
+    trace, groups, capacity, doc_size, _stats = _workload_setup(
+        workload, scale, cache_fraction
+    )
+    cfg = SummarySharingConfig(
+        summary=SummaryConfig(kind=representation or "bloom", load_factor=8),
+        update_policy=update_policy or ThresholdUpdatePolicy(threshold),
+        expected_doc_size=doc_size,
+    )
+    start = perf_counter()
+    result = simulate_summary_sharing(trace, groups, capacity, cfg)
+    _publish_metrics(registry, result, perf_counter() - start)
+    start = perf_counter()
+    result = simulate_icp(trace, groups, capacity)
+    _publish_metrics(registry, result, perf_counter() - start)
     return registry

@@ -30,8 +30,6 @@ INSTRUMENT_METHODS: Dict[str, str] = {
     "counter": "counter",
     "gauge": "gauge",
     "histogram": "histogram",
-    "time_block": "histogram",
-    "timed": "histogram",
 }
 
 _SNAKE_RE = re.compile(r"^[a-z][a-z0-9]*(_[a-z0-9]+)*$")
@@ -233,7 +231,7 @@ class MetricNameConventions(Rule):
         Three idioms are recognised:
 
         - method calls: ``registry.counter("name", ...)``,
-          ``self.registry.histogram(...)``, ``get_registry().gauge(...)``;
+          ``self.registry.histogram(...)``, ``proxy.registry.gauge(...)``;
         - bound-method aliases: ``c = registry.counter`` then
           ``c("name", ...)``;
         - thin local wrappers literally named ``counter`` / ``gauge`` /

@@ -2,9 +2,9 @@
 
 The measurement layer the rest of the reproduction reports through:
 
-- :mod:`repro.obs.registry` -- counters, gauges, fixed-bucket
-  histograms, ``timed``/``time_block`` phase timing, and the
-  zero-cost-when-disabled default-registry switch;
+- :mod:`repro.obs.registry` -- counters, gauges and fixed-bucket
+  histograms, held by a :class:`MetricsRegistry` that one owner builds
+  (a proxy, or one ``summary-cache metrics`` run);
 - :mod:`repro.obs.spans` -- request-scoped distributed tracing: spans,
   the per-proxy span ring behind ``GET /trace``, and the
   ``X-SC-Trace``/ICP-Options context propagation model;
@@ -32,16 +32,10 @@ from repro.obs.export import (
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
-    disable,
-    enable,
-    get_registry,
-    set_registry,
 )
 from repro.obs.spans import (
     NULL_SPAN_RING,
@@ -58,9 +52,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "NULL_SPAN_RING",
-    "NullRegistry",
     "NullSpanRing",
     "PROMETHEUS_CONTENT_TYPE",
     "Span",
@@ -68,12 +60,8 @@ __all__ = [
     "TRACE_HEADER",
     "format_id",
     "configure_logging",
-    "disable",
-    "enable",
     "get_logger",
-    "get_registry",
     "parse_prometheus",
     "render_json",
     "render_prometheus",
-    "set_registry",
 ]

@@ -1,46 +1,36 @@
 """A dependency-free metrics registry: counters, gauges, histograms.
 
-The registry is the single measurement surface for the whole
-reproduction: the trace-driven simulators, the discrete-event kernel,
-the asyncio proxy prototype, and the core filter structures all report
-through it, so every Table/Figure number is a registry read instead of
-one-off bookkeeping.
+Every registry has an owner.  Each live proxy builds one
+:class:`MetricsRegistry` and serves it at ``GET /metrics``;
+:func:`repro.experiments.metrics_snapshot` builds one per
+``summary-cache metrics`` run and writes each sharing simulation's
+:class:`~repro.sharing.results.SharingResult` into it.  No registry is
+process-wide, so a structure that is not handed one measures nothing.
 
-Design constraints (in priority order):
+Design constraints:
 
-1. **Zero cost when disabled.**  The module-level default registry is a
-   :data:`NULL_REGISTRY`; instrumented hot paths bind their instruments
-   at construction time and skip measurement entirely (a single ``is
-   None`` check) when the default registry was the null one.  The
-   tier-1 microbenchmarks must not move.
-2. **No dependencies.**  Plain dicts, lists and ``bisect``; rendering
+1. **No dependencies.**  Plain dicts, lists and ``bisect``; rendering
    to Prometheus text / JSON lives in :mod:`repro.obs.export`.
-3. **Single-threaded.**  Everything here runs on one asyncio loop or
+2. **Single-threaded.**  Everything here runs on one asyncio loop or
    one simulator thread; instruments use unlocked ``+=``.
 
 Usage::
 
-    from repro import obs
+    from repro.obs import MetricsRegistry
 
-    registry = obs.enable()              # install a live default registry
+    registry = MetricsRegistry()
     requests = registry.counter("http_requests_total", "client requests")
     requests.inc()
-    with registry.time_block("startup_seconds"):
-        boot()
     print(registry.snapshot())
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from functools import wraps
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -48,7 +38,6 @@ from typing import (
     Type,
     TypeVar,
     Union,
-    cast,
 )
 
 from repro.errors import ConfigurationError
@@ -60,7 +49,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 Instrument = Union["Counter", "Gauge", "Histogram"]
 
 _I = TypeVar("_I", "Counter", "Gauge", "Histogram")
-_F = TypeVar("_F", bound=Callable[..., Any])
 
 #: Default histogram bounds for wall-clock phase timings, in seconds.
 #: Spans sub-microsecond filter probes up to multi-second experiment
@@ -255,54 +243,15 @@ class Histogram:
         )
 
 
-class _NullInstrument:
-    """Shared no-op instrument handed out by the null registry."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    help = ""
-    labels: Dict[str, str] = {}
-
-    def inc(self, amount: float = 1) -> None:  # noqa: ARG002 - no-op
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def set_function(self, fn: Callable[[], float]) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def current(self) -> float:
-        return 0.0
-
-    def reset(self) -> None:
-        pass
-
-    def sample(self) -> Dict[str, Any]:
-        return {}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class MetricsRegistry:
     """Get-or-create home for every instrument.
 
     Instruments are keyed by ``(name, sorted label items)``; asking for
-    an existing key returns the same object, so independent components
-    naturally aggregate into shared series (e.g. every
-    :class:`~repro.core.bloom.BloomFilter` increments one
-    ``bloom_probes_total``).
+    an existing key returns the same object, so components reporting
+    through one registry aggregate into shared series (e.g. every
+    connection of a proxy increments one
+    ``proxy_http_requests_total``).
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], Instrument] = {}
@@ -351,49 +300,6 @@ class MetricsRegistry:
         return self._get_or_create(
             Histogram, name, help, labels, buckets=buckets
         )
-
-    # -- timing helpers ------------------------------------------------
-
-    @contextmanager
-    def time_block(
-        self,
-        name: str,
-        labels: LabelSpec = None,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> Iterator[None]:
-        """Context manager observing the block's wall time into *name*."""
-        hist = self.histogram(
-            name, help="phase wall time (seconds)", labels=labels,
-            buckets=buckets,
-        )
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            hist.observe(time.perf_counter() - start)
-
-    def timed(
-        self, name: str, labels: LabelSpec = None
-    ) -> Callable[[_F], _F]:
-        """Decorator timing every call of the wrapped function."""
-
-        def decorate(fn: _F) -> _F:
-            hist = self.histogram(
-                name, help=f"wall time of {fn.__name__} (seconds)",
-                labels=labels,
-            )
-
-            @wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                start = time.perf_counter()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    hist.observe(time.perf_counter() - start)
-
-            return cast(_F, wrapper)
-
-        return decorate
 
     # -- inspection ----------------------------------------------------
 
@@ -454,92 +360,3 @@ class MetricsRegistry:
                     f"metric {name!r} is a {metric.kind}; read it via get()"
                 )
         return acc if found else default
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: every instrument is a shared no-op.
-
-    Instrumented constructors check :attr:`enabled` and skip binding
-    instruments entirely, so steady-state hot paths pay one attribute
-    test and nothing else.
-    """
-
-    enabled = False
-
-    def counter(
-        self, name: str, help: str = "", labels: LabelSpec = None
-    ) -> Counter:
-        return cast(Counter, NULL_INSTRUMENT)
-
-    def gauge(
-        self, name: str, help: str = "", labels: LabelSpec = None
-    ) -> Gauge:
-        return cast(Gauge, NULL_INSTRUMENT)
-
-    def histogram(
-        self,
-        name: str,
-        help: str = "",
-        labels: LabelSpec = None,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> Histogram:
-        return cast(Histogram, NULL_INSTRUMENT)
-
-    @contextmanager
-    def time_block(
-        self,
-        name: str,
-        labels: LabelSpec = None,
-        buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
-    ) -> Iterator[None]:
-        yield
-
-    def timed(
-        self, name: str, labels: LabelSpec = None
-    ) -> Callable[[_F], _F]:
-        def decorate(fn: _F) -> _F:
-            return fn
-
-        return decorate
-
-
-#: The process-wide disabled registry (the default).
-NULL_REGISTRY = NullRegistry()
-
-_default_registry: MetricsRegistry = NULL_REGISTRY
-
-
-def get_registry() -> MetricsRegistry:
-    """The current default registry (the null registry unless enabled)."""
-    return _default_registry
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install *registry* as the default; returns the previous one."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Install (and return) a live default registry.
-
-    Structures bind instruments when constructed, so enable metrics
-    *before* building the proxies/simulators you want measured.
-    """
-    global _default_registry
-    if registry is None:
-        registry = (
-            _default_registry
-            if _default_registry.enabled
-            else MetricsRegistry()
-        )
-    _default_registry = registry
-    return registry
-
-
-def disable() -> None:
-    """Restore the zero-cost null registry as the default."""
-    global _default_registry
-    _default_registry = NULL_REGISTRY

@@ -220,7 +220,7 @@ class SpanRing:
     tally.
     """
 
-    #: Mirrors ``MetricsRegistry.enabled``: callers skip propagation
+    #: ``False`` only on :class:`NullSpanRing`: callers skip propagation
     #: work entirely when the ring is the null one.
     enabled = True
 

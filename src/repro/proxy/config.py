@@ -104,12 +104,6 @@ class ProxyConfig:
     #: Requests served on one client connection before the proxy forces
     #: ``Connection: close`` (bounded pipelining).  0 means unlimited.
     max_requests_per_connection: int = 0
-    #: In-flight write-buffer ceiling per connection: the streaming
-    #: body path awaits ``drain()`` once the transport buffers more
-    #: than this many unsent bytes.
-    max_inflight_bytes: int = 256 * 1024
-    #: Chunk size for streamed body reads/writes.
-    stream_chunk_bytes: int = 64 * 1024
     #: Idle pooled connections kept per (host, port) for origin and
     #: peer fetches.  0 disables pooling (a fresh connection per fetch,
     #: the pre-keep-alive behaviour).
@@ -163,10 +157,6 @@ class ProxyConfig:
             raise ConfigurationError(
                 "max_requests_per_connection must be >= 0"
             )
-        if self.max_inflight_bytes < 1:
-            raise ConfigurationError("max_inflight_bytes must be >= 1")
-        if self.stream_chunk_bytes < 1:
-            raise ConfigurationError("stream_chunk_bytes must be >= 1")
         if self.pool_size < 0:
             raise ConfigurationError("pool_size must be >= 0")
         if self.pool_idle_timeout < 0:

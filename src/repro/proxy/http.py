@@ -65,8 +65,9 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Default chunk for streamed body reads and writes.
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
-#: Default in-flight write ceiling before ``send_response`` awaits
-#: ``drain()`` (mirrors ``ProxyConfig.max_inflight_bytes``).
+#: In-flight write ceiling before ``send_response`` awaits ``drain()``;
+#: the server also installs it as each client transport's high-water
+#: mark.
 DEFAULT_MAX_INFLIGHT = 256 * 1024
 
 #: The most one socket read asks for.  asyncio's selector transports

@@ -89,6 +89,7 @@ from repro.summaries import codec
 from repro.summaries.backend import Geometry, SummaryDelta
 from repro.summaries.bloom import BloomSummary
 from repro.proxy.http import (
+    DEFAULT_MAX_INFLIGHT,
     Deadline,
     HttpRequest,
     HttpResponse,
@@ -776,15 +777,13 @@ class SummaryCacheProxy:
         is written here, head and first body chunk in one write.  Later
         chunks travel as memoryview slices over the cached object -- no
         per-response copy -- and ``drain()`` is awaited whenever more
-        than ``max_inflight_bytes`` sit unsent, so a slow client bounds
-        its own buffer instead of the proxy's heap.
+        than ``DEFAULT_MAX_INFLIGHT`` bytes sit unsent, so a slow client
+        bounds its own buffer instead of the proxy's heap.
         """
         self._m.connections_open.inc()
         self._client_writers.add(writer)
         bound_reads(writer.transport)
-        writer.transport.set_write_buffer_limits(
-            high=self.config.max_inflight_bytes
-        )
+        writer.transport.set_write_buffer_limits(high=DEFAULT_MAX_INFLIGHT)
         served = 0
         loop = asyncio.get_running_loop()
         idle = Deadline(self.config.idle_timeout)
@@ -829,13 +828,7 @@ class SummaryCacheProxy:
                     )
                 status, body, headers = response
                 waits = await send_response(
-                    writer,
-                    status,
-                    body,
-                    headers,
-                    keep_alive,
-                    self.config.stream_chunk_bytes,
-                    self.config.max_inflight_bytes,
+                    writer, status, body, headers, keep_alive
                 )
                 if waits:
                     self._m.backpressure_waits.inc(waits)

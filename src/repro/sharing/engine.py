@@ -25,11 +25,9 @@ shape it had as a loop of its own.
 from __future__ import annotations
 
 from functools import partial
-from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cache import WebCache
-from repro.obs.registry import get_registry
 from repro.sharing.messages import (
     QUERY_MESSAGE_BYTES,
     bloom_update_bytes,
@@ -143,77 +141,6 @@ def _delta_bytes(delta, num_bits) -> int:
     return digest_update_bytes(delta.change_count)
 
 
-def _publish_metrics(
-    result: SharingResult, update_drains: int, elapsed: float
-) -> None:
-    """Publish one finished run to the default registry, by scheme.
-
-    The replay loop counts into the :class:`~repro.sharing.results.
-    SharingResult` alone; nothing can scrape a synchronous replay
-    mid-run, so the Figs. 6-8 series (false hits, messages, bytes) are
-    written from it once here and always agree with it.  Under the
-    default null registry every call below is a no-op.
-    """
-    registry = get_registry()
-    labels = {"scheme": result.scheme}
-    msgs = result.messages
-
-    def counter(name: str, help: str, value: int) -> None:
-        registry.counter(name, help, labels=labels).inc(value)
-
-    counter("sharing_requests_total", "requests simulated", result.requests)
-    counter(
-        "sharing_local_hits_total",
-        "fresh hits in the local cache",
-        result.local_hits,
-    )
-    counter(
-        "sharing_remote_hits_total",
-        "fresh hits served by a peer",
-        result.remote_hits,
-    )
-    counter(
-        "sharing_false_hits_total",
-        "query rounds where no queried peer held the document (Fig. 6)",
-        result.false_hits,
-    )
-    counter(
-        "sharing_false_misses_total",
-        "fresh peer copies the summaries failed to reveal",
-        result.false_misses,
-    )
-    counter(
-        "sharing_query_messages_total",
-        "ICP queries sent (Fig. 7)",
-        msgs.query_messages,
-    )
-    counter(
-        "sharing_query_bytes_total",
-        "ICP query bytes sent (Fig. 8)",
-        msgs.query_bytes,
-    )
-    counter(
-        "sharing_update_drains_total",
-        "summary deltas drained and published",
-        update_drains,
-    )
-    counter(
-        "sharing_update_messages_total",
-        "summary update messages shipped (Fig. 7)",
-        msgs.update_messages,
-    )
-    counter(
-        "sharing_update_bytes_total",
-        "summary update bytes shipped (Fig. 8)",
-        msgs.update_bytes,
-    )
-    registry.histogram(
-        "sharing_simulation_seconds",
-        "wall time of one sharing simulation",
-        labels=labels,
-    ).observe(elapsed)
-
-
 def _replay(
     trace: TraceLike,
     scheme: str,
@@ -226,7 +153,6 @@ def _replay(
     caches_remote_hits: bool = True,
     messages: str = "none",
     summary: Optional[SummarySharingConfig] = None,
-    metrics: bool = False,
 ) -> Tuple[SharingResult, List[WebCache], int]:
     """Replay *trace* through one scheme; see the module docstring.
 
@@ -236,7 +162,7 @@ def _replay(
     *messages* is ``"none"``, ``"icp"`` (a query and reply per peer
     asked), ``"summary"`` (the same, plus the update policy's publishes)
     or ``"directory"`` (a server round per miss, a notification per
-    insert and evict).  *metrics* publishes the run to the registry.
+    insert and evict).
 
     Returns the :class:`SharingResult`, the proxies' caches, and how many
     requests *route* sent away from their client's own proxy.
@@ -277,8 +203,6 @@ def _replay(
     # one version compare.
     lookups = [cache.entries.get for cache in caches]
     rerouted = 0
-    update_drains = 0
-    sim_start = perf_counter()
 
     # Replay in chunks, each chunk's group ids derived in one sweep.
     for chunk in grouped_chunks(trace, groups):
@@ -373,7 +297,6 @@ def _replay(
                 update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
                 msgs.update_messages += fanout
                 msgs.update_bytes += update_bytes
-                update_drains += 1
 
     if messages == "directory":
         # One query to the server and one reply back per local miss.
@@ -388,6 +311,4 @@ def _replay(
         remote = nodes[0].local.remote_size_bytes()
         local = nodes[0].local.size_bytes()
         result.summary_memory_bytes = remote * fanout + local
-    if metrics:
-        _publish_metrics(result, update_drains, perf_counter() - sim_start)
     return result, caches, rerouted

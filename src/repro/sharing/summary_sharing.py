@@ -96,7 +96,6 @@ def simulate_summary_sharing(
         ask="summaries",
         messages="summary",
         summary=cfg,
-        metrics=True,
     )[0]
 
 
@@ -119,5 +118,4 @@ def simulate_icp(
         policy=policy,
         ask="all",
         messages="icp",
-        metrics=True,
     )[0]

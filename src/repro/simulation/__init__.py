@@ -33,7 +33,6 @@ from repro.simulation.experiment import (
 from repro.simulation.network import NetworkModel, PacketCounters
 from repro.simulation.parallel import (
     ExperimentCell,
-    default_jobs,
     fig5_grid,
     pack_grid_traces,
     run_cell,
@@ -57,7 +56,6 @@ __all__ = [
     "Resource",
     "ScaleResult",
     "Signal",
-    "default_jobs",
     "fig5_grid",
     "pack_grid_traces",
     "peak_rss_bytes",

@@ -21,34 +21,12 @@ order.
 from __future__ import annotations
 
 import heapq
-import logging
 from collections import deque
-from time import perf_counter
 from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.obs.registry import get_registry
-
-logger = logging.getLogger(__name__)
 
 Process = Generator[Any, Any, None]
-
-
-class _EngineInstruments:
-    """Registry handles bound by engines built while metrics are enabled."""
-
-    __slots__ = ("events", "queue_depth", "run_seconds")
-
-    def __init__(self, registry) -> None:
-        self.events = registry.counter(
-            "sim_events_total", "DES events dispatched"
-        )
-        self.queue_depth = registry.gauge(
-            "sim_queue_depth", "pending events on the DES heap"
-        )
-        self.run_seconds = registry.histogram(
-            "sim_run_seconds", "wall time of one Engine.run call"
-        )
 
 
 class Signal:
@@ -152,10 +130,6 @@ class Engine:
         self._heap: List[Tuple[float, int, Callable, tuple]] = []
         self._now = 0.0
         self._seq = 0
-        registry = get_registry()
-        self._obs = (
-            _EngineInstruments(registry) if registry.enabled else None
-        )
 
     @property
     def now(self) -> float:
@@ -205,35 +179,12 @@ class Engine:
 
         Returns the final simulated time.
         """
-        obs = self._obs
-        if obs is None:
-            while self._heap:
-                time, _seq, callback, args = self._heap[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._heap)
-                self._now = time
-                callback(*args)
-            return self._now
-
-        start = perf_counter()
-        events = 0
-        try:
-            while self._heap:
-                time, _seq, callback, args = self._heap[0]
-                if until is not None and time > until:
-                    self._now = until
-                    return self._now
-                heapq.heappop(self._heap)
-                self._now = time
-                callback(*args)
-                events += 1
-                obs.queue_depth.set(len(self._heap))
-            return self._now
-        finally:
-            obs.events.inc(events)
-            obs.run_seconds.observe(perf_counter() - start)
-            logger.debug(
-                "engine.run finished events=%d sim_time=%.6f", events, self._now
-            )
+        while self._heap:
+            time, _seq, callback, args = self._heap[0]
+            if until is not None and time > until:
+                self._now = until
+                return self._now
+            heapq.heappop(self._heap)
+            self._now = time
+            callback(*args)
+        return self._now

@@ -9,8 +9,8 @@ parallel.
 
 :class:`ExperimentCell` names one cell; :func:`run_cell` executes it;
 :func:`run_cells` runs a batch either serially (``jobs <= 1``) or on a
-``multiprocessing`` pool, streaming results back as workers finish
-(``imap_unordered``) and reassembling them in input order.  Because
+``multiprocessing`` pool, one cell per dispatch, returning results in
+input order.  Because
 trace generation and replay are deterministic, a parallel run is
 bit-exact with a serial run of the same cells -- the equivalence tests
 assert exactly that.
@@ -27,11 +27,9 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from time import perf_counter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.registry import get_registry
 from repro.sharing.results import SharingResult
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
@@ -45,18 +43,11 @@ from repro.traces.workloads import make_workload, pack_workload
 
 __all__ = [
     "ExperimentCell",
-    "default_jobs",
     "fig5_grid",
     "pack_grid_traces",
     "run_cell",
     "run_cells",
 ]
-
-#: Cells handed to a worker per pool dispatch.  One cell takes long
-#: enough (hundreds of milliseconds and up) that fine-grained dispatch
-#: overhead is negligible; 1 keeps the stream responsive and the load
-#: balanced when cell durations vary.
-DEFAULT_CHUNKSIZE = 1
 
 #: Summary kinds a cell may name, plus the ICP baseline.
 _CELL_KINDS = ("exact-directory", "server-name", "bloom", "icp")
@@ -202,86 +193,25 @@ def pack_grid_traces(
     return packed
 
 
-def _run_indexed(
-    indexed: Tuple[int, ExperimentCell],
-) -> Tuple[int, SharingResult, float]:
-    """Pool task: run one cell, reporting its index and wall time."""
-    index, cell = indexed
-    start = perf_counter()
-    result = run_cell(cell)
-    return index, result, perf_counter() - start
-
-
-def default_jobs() -> int:
-    """Worker count matching the CPUs this process may use."""
-    return multiprocessing.cpu_count()
-
-
-class _RunnerInstruments:
-    """Registry handles for the experiment runner (parent process)."""
-
-    __slots__ = ("cells", "cell_seconds")
-
-    def __init__(self, registry) -> None:
-        self.cells = registry.counter(
-            "parallel_cells_total",
-            "experiment cells completed by the runner",
-        )
-        self.cell_seconds = registry.histogram(
-            "parallel_cell_seconds",
-            "wall time of one experiment cell",
-            buckets=(0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0),
-        )
-
-
 def run_cells(
-    cells: Sequence[ExperimentCell],
-    jobs: int = 1,
-    chunksize: int = DEFAULT_CHUNKSIZE,
+    cells: Sequence[ExperimentCell], jobs: int = 1
 ) -> List[SharingResult]:
     """Run *cells*, serially or on *jobs* worker processes.
 
     Results come back in the order of *cells* regardless of completion
     order.  ``jobs <= 1`` runs in-process with no pool (the exact code
     path a worker executes, so serial and parallel runs differ only in
-    scheduling); ``jobs`` above the cell count is clamped.  Per-cell
-    wall times feed the ``parallel_cell_seconds`` histogram in the
-    parent's registry -- worker processes have their own registries,
-    which die with them.
+    scheduling); ``jobs`` above the cell count is clamped.
     """
     cells = list(cells)
-    if chunksize < 1:
-        raise ConfigurationError(f"chunksize must be >= 1, got {chunksize}")
-    registry = get_registry()
-    obs = _RunnerInstruments(registry) if registry.enabled else None
-    results: List[Optional[SharingResult]] = [None] * len(cells)
-    if not cells:
-        return []
     jobs = min(jobs, len(cells))
     if jobs <= 1:
-        for index, cell in enumerate(cells):
-            start = perf_counter()
-            results[index] = run_cell(cell)
-            if obs is not None:
-                obs.cells.inc()
-                obs.cell_seconds.observe(perf_counter() - start)
-        return results  # type: ignore[return-value]
+        return [run_cell(cell) for cell in cells]
     with multiprocessing.Pool(processes=jobs) as pool:
-        # imap_unordered streams each cell's result back the moment its
-        # worker finishes -- no barrier at the end of the grid.
-        for index, result, seconds in pool.imap_unordered(
-            _run_indexed, enumerate(cells), chunksize=chunksize
-        ):
-            results[index] = result
-            if obs is not None:
-                obs.cells.inc()
-                obs.cell_seconds.observe(seconds)
-    missing = [i for i, r in enumerate(results) if r is None]
-    if missing:
-        raise ConfigurationError(
-            f"pool returned no result for cells {missing}"
-        )
-    return results  # type: ignore[return-value]
+        # imap hands out one cell per dispatch (cells run hundreds of
+        # milliseconds and up, so the load stays balanced) and yields
+        # results in input order.
+        return list(pool.imap(run_cell, cells))
 
 
 def fig5_grid(

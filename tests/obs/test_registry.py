@@ -10,15 +10,7 @@ from repro.obs.export import (
     render_json,
     render_prometheus,
 )
-from repro.obs.registry import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-    disable,
-    enable,
-    get_registry,
-    set_registry,
-)
+from repro.obs.registry import MetricsRegistry
 
 
 class TestCounter:
@@ -129,59 +121,6 @@ class TestSnapshotReset:
         registry.counter("s_total", labels={"scheme": "b"}).inc(3)
         assert registry.total("s_total") == 5
         assert registry.total("missing", default=-1) == -1
-
-
-class TestTiming:
-    def test_time_block_observes(self):
-        registry = MetricsRegistry()
-        with registry.time_block("phase_seconds"):
-            pass
-        hist = registry.get("phase_seconds")
-        assert hist.count == 1
-        assert hist.sum >= 0
-
-    def test_timed_decorator(self):
-        registry = MetricsRegistry()
-
-        @registry.timed("fn_seconds")
-        def add(a, b):
-            return a + b
-
-        assert add(1, 2) == 3
-        assert registry.get("fn_seconds").count == 1
-
-
-class TestNullRegistry:
-    def test_disabled_and_noop(self):
-        null = NullRegistry()
-        assert not null.enabled
-        c = null.counter("x_total")
-        c.inc(5)
-        g = null.gauge("g")
-        g.set(3)
-        h = null.histogram("h")
-        h.observe(1.0)
-        assert c.current() == 0
-        with null.time_block("t"):
-            pass
-
-        @null.timed("u")
-        def fn():
-            return 1
-
-        assert fn() == 1
-
-    def test_default_registry_switching(self):
-        assert get_registry() is NULL_REGISTRY
-        try:
-            live = enable()
-            assert live.enabled
-            assert get_registry() is live
-            previous = set_registry(NULL_REGISTRY)
-            assert previous is live
-        finally:
-            disable()
-        assert get_registry() is NULL_REGISTRY
 
 
 class TestPrometheusExposition:

@@ -10,7 +10,6 @@ from repro.summaries import (
     ThresholdUpdatePolicy,
 )
 from repro.errors import ConfigurationError
-from repro.obs.registry import MetricsRegistry, set_registry
 from repro.sharing.schemes import simulate_simple_sharing
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
@@ -333,49 +332,3 @@ class TestEconomicalUpdateEncoding:
             # Filter sized for capacity/doc_size documents at lf 8.
             num_bits = (CAPACITY // 2048) * 8
             assert per_update <= whole_filter_update_bytes(num_bits)
-
-
-class TestRegistrySeries:
-    """The ``sharing_*`` series are the returned result, field for field."""
-
-    @pytest.fixture
-    def registry(self):
-        live = MetricsRegistry()
-        previous = set_registry(live)
-        yield live
-        set_registry(previous)
-
-    @pytest.mark.parametrize(
-        "simulate",
-        [
-            lambda trace: run(
-                trace, summary=SummaryConfig(kind="bloom", load_factor=8)
-            ),
-            lambda trace: simulate_icp(trace, GROUPS, CAPACITY),
-        ],
-        ids=["summary", "icp"],
-    )
-    def test_series_equal_result(self, small_trace, registry, simulate):
-        result = simulate(small_trace)
-        msgs = result.messages
-        assert msgs.query_messages > 0
-        expected = {
-            "sharing_requests_total": result.requests,
-            "sharing_local_hits_total": result.local_hits,
-            "sharing_remote_hits_total": result.remote_hits,
-            "sharing_false_hits_total": result.false_hits,
-            "sharing_false_misses_total": result.false_misses,
-            "sharing_query_messages_total": msgs.query_messages,
-            "sharing_query_bytes_total": msgs.query_bytes,
-            # One drain ships one update message to each of n-1 peers.
-            "sharing_update_drains_total": (
-                msgs.update_messages // (GROUPS - 1)
-            ),
-            "sharing_update_messages_total": msgs.update_messages,
-            "sharing_update_bytes_total": msgs.update_bytes,
-        }
-        labels = {"scheme": result.scheme}
-        for name, value in expected.items():
-            assert registry.get(name, labels) is not None, name
-            assert registry.value(name, labels) == value, name
-        assert registry.get("sharing_simulation_seconds", labels).count == 1

@@ -87,10 +87,6 @@ class TestRunCells:
     def test_empty(self):
         assert run_cells([], jobs=4) == []
 
-    def test_rejects_bad_chunksize(self):
-        with pytest.raises(ConfigurationError):
-            run_cells([ExperimentCell(workload="nlanr")], chunksize=0)
-
     def test_parallel_matches_serial_bit_for_bit(self):
         """The headline guarantee: jobs=N is bit-exact with jobs=1.
 

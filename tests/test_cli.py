@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.traces.readers import read_jsonl
+
+CATALOGUE = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
 
 
 class TestParser:
@@ -164,10 +172,92 @@ class TestScaledTableCommands:
         assert "bloom-16" in out
 
 
+class TestMetricsCommand:
+    """``summary-cache metrics`` writes each run's result, nothing else."""
+
+    @pytest.fixture(scope="class")
+    def series(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(
+                [
+                    "metrics", "--workload", "upisa", "--scale", "0.05",
+                    "--format", "json",
+                ]
+            ) == 0
+        return json.loads(out.getvalue())["metrics"]
+
+    @pytest.fixture(scope="class")
+    def direct(self):
+        from repro.experiments import DEFAULT_CACHE_FRACTION
+        from repro.sharing.summary_sharing import (
+            SummarySharingConfig,
+            simulate_icp,
+            simulate_summary_sharing,
+        )
+        from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+        from repro.traces.stats import compute_stats, mean_cacheable_size
+        from repro.traces.workloads import make_workload
+
+        trace, groups = make_workload("upisa", scale=0.05)
+        capacity = int(
+            compute_stats(trace).infinite_cache_bytes
+            * DEFAULT_CACHE_FRACTION
+            / groups
+        )
+        cfg = SummarySharingConfig(
+            summary=SummaryConfig(kind="bloom", load_factor=8),
+            update_policy=ThresholdUpdatePolicy(0.01),
+            expected_doc_size=mean_cacheable_size(trace),
+        )
+        return {
+            "summary": simulate_summary_sharing(trace, groups, capacity, cfg),
+            "icp": simulate_icp(trace, groups, capacity),
+        }
+
+    @pytest.mark.parametrize("scheme", ["summary", "icp"])
+    def test_series_equal_direct_run(self, series, direct, scheme):
+        result = direct[scheme]
+        msgs = result.messages
+        expected = {
+            "sharing_requests_total": result.requests,
+            "sharing_local_hits_total": result.local_hits,
+            "sharing_remote_hits_total": result.remote_hits,
+            "sharing_false_hits_total": result.false_hits,
+            "sharing_false_misses_total": result.false_misses,
+            "sharing_query_messages_total": msgs.query_messages,
+            "sharing_query_bytes_total": msgs.query_bytes,
+            # One drain ships one update message to each of n-1 peers.
+            "sharing_update_drains_total": (
+                msgs.update_messages // (result.num_proxies - 1)
+            ),
+            "sharing_update_messages_total": msgs.update_messages,
+            "sharing_update_bytes_total": msgs.update_bytes,
+        }
+        labels = {"scheme": result.scheme}
+        got = {
+            s["name"]: s["value"]
+            for s in series
+            if s["labels"] == labels and s["kind"] == "counter"
+        }
+        assert got == expected
+        (timing,) = [
+            s for s in series
+            if s["name"] == "sharing_simulation_seconds"
+            and s["labels"] == labels
+        ]
+        assert timing["count"] == 1
+        assert msgs.query_messages > 0
+
+    def test_series_are_the_catalogued_sharing_rows(self, series):
+        rows = re.findall(
+            r"^\|\s*`(sharing_[a-z_]+)`\s*\|", CATALOGUE.read_text(), re.M
+        )
+        assert {s["name"] for s in series} == set(rows)
+
+
 class TestObsCommands:
     def test_obs_cluster_booted(self, tmp_path, capsys):
-        import json
-
         out_path = tmp_path / "snapshot.json"
         assert (
             main(
