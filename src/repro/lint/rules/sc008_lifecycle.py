@@ -24,7 +24,10 @@ shapes: ``name.end(...)`` / ``name.close()`` (chained forms too),
 manager owns cleanup from then on), or ownership escape (``return
 name`` / passing ``name`` to a constructor).  Acquiring directly into
 a ``with`` block (``with ring.start_span(...) as s:``) never trips the
-rule -- that is the recommended fix.
+rule -- that is the recommended fix.  A span with no ``await`` inside
+it is not started at all: it is written finished, as one
+``ring.record(...)`` call, which holds nothing open and is never
+tracked.
 """
 
 from __future__ import annotations
@@ -199,5 +202,11 @@ class ResourceLifecycleLeaks(Rule):
             f"{'.end()' if kind == _SPAN else 'release/close'}; "
             "acquire it with a with-statement (e.g. 'with "
             "ring.start_span(...) as span:') or protect the window "
-            "with try/finally",
+            "with try/finally"
+            + (
+                "; a span with no await inside it is one "
+                "ring.record(...) call"
+                if kind == _SPAN
+                else ""
+            ),
         )

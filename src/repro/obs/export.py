@@ -19,7 +19,7 @@ import re
 from typing import Dict, List, Optional
 
 from repro.errors import ProtocolError
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 
 #: Content type of the text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -79,15 +79,10 @@ def render_prometheus(registry: MetricsRegistry) -> str:
                 f"{metric.name}_sum{base} {_format_value(metric.sum)}"
             )
             lines.append(f"{metric.name}_count{base} {metric.count}")
-        elif isinstance(metric, Gauge):
+        else:
             labels = _format_labels(metric.labels)
             lines.append(
                 f"{metric.name}{labels} {_format_value(metric.current())}"
-            )
-        elif isinstance(metric, Counter):
-            labels = _format_labels(metric.labels)
-            lines.append(
-                f"{metric.name}{labels} {_format_value(metric.value)}"
             )
     return "\n".join(lines) + "\n"
 

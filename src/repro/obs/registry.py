@@ -66,17 +66,23 @@ def _label_key(labels: LabelSpec) -> LabelKey:
 
 
 class Counter:
-    """A monotonically increasing count."""
+    """A monotonically increasing count.
+
+    :meth:`set_function` hands the count to its owner: a structure that
+    already keeps the tally (the span ring's drop count) is read at
+    scrape time instead of paying an ``inc`` on its hot path.
+    """
 
     kind = "counter"
 
-    __slots__ = ("name", "help", "labels", "value")
+    __slots__ = ("name", "help", "labels", "value", "_fn")
 
     def __init__(self, name: str, help: str = "", labels: LabelSpec = None) -> None:
         self.name = name
         self.help = help
         self.labels: Dict[str, str] = dict(labels or {})
         self.value: float = 0
+        self._fn: Optional[Callable[[], float]] = None
 
     def inc(self, amount: float = 1) -> None:
         """Add *amount* (must be >= 0) to the counter."""
@@ -86,8 +92,19 @@ class Counter:
             )
         self.value += amount
 
+    def set_function(self, fn: Callable[[], float]) -> None:
+        """Read the count from *fn* (its owner's tally) instead of ``inc``."""
+        self._fn = fn
+
+    def current(self) -> float:
+        """The count right now (evaluates the callback if set)."""
+        if self._fn is not None:
+            return self._fn()
+        return self.value
+
     def reset(self) -> None:
-        """Zero the counter (registry reset; not part of normal use)."""
+        """Zero the counter (registry reset; not part of normal use).
+        A callback counter is unaffected."""
         self.value = 0
 
     def sample(self) -> Dict[str, Any]:
@@ -96,11 +113,11 @@ class Counter:
             "name": self.name,
             "kind": self.kind,
             "labels": dict(self.labels),
-            "value": self.value,
+            "value": self.current(),
         }
 
     def __repr__(self) -> str:
-        return f"Counter({self.name}{self.labels or ''}={self.value})"
+        return f"Counter({self.name}{self.labels or ''}={self.current()})"
 
 
 class Gauge:
@@ -335,10 +352,8 @@ class MetricsRegistry:
         metric = self.get(name, labels)
         if metric is None:
             return default
-        if isinstance(metric, Gauge):
+        if isinstance(metric, (Counter, Gauge)):
             return metric.current()
-        if isinstance(metric, Counter):
-            return metric.value
         raise ConfigurationError(
             f"metric {name!r} is a {metric.kind}; read it via get()"
         )
@@ -351,10 +366,8 @@ class MetricsRegistry:
             if metric_name != name:
                 continue
             found = True
-            if isinstance(metric, Gauge):
+            if isinstance(metric, (Counter, Gauge)):
                 acc += metric.current()
-            elif isinstance(metric, Counter):
-                acc += metric.value
             else:
                 raise ConfigurationError(
                     f"metric {name!r} is a {metric.kind}; read it via get()"

@@ -1,15 +1,15 @@
 """Request-scoped distributed tracing: spans and context propagation.
 
-This module models a request as a **trace**: a tree of :class:`Span`
-records sharing one 32-bit trace id, with parent/child links, wall-time
-extents, and typed attributes.  The point is the *cross-proxy* view the
-paper's accounting needs (false hits, remote hits, and inter-proxy
-message overhead are all relations between events on different
-machines): a client request on proxy A, the SC-ICP query round it
-triggers, the ``ICP_OP_QUERY`` handled on peer B, and the peer fetch
-that follows all carry the same trace id, so the cluster aggregator
-(:mod:`repro.obs.cluster`) can reassemble the full causal chain from
-each proxy's span ring.
+This module models a request as a **trace**: a tree of spans sharing
+one 32-bit trace id, with parent/child links, wall-clock start times,
+``perf_counter`` durations, and typed attributes.  The point is the
+*cross-proxy* view the paper's accounting needs (false hits, remote
+hits, and inter-proxy message overhead are all relations between
+events on different machines): a client request on proxy A, the
+SC-ICP query round it triggers, the ``ICP_OP_QUERY`` handled on peer
+B, and the peer fetch that follows all carry the same trace id, so the
+cluster aggregator (:mod:`repro.obs.cluster`) can reassemble the full
+causal chain from each proxy's span ring.
 
 Context travels two ways:
 
@@ -35,7 +35,18 @@ import os
 import re
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from itertools import islice
+from typing import (
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 
@@ -50,14 +61,24 @@ _ID_MASK = 0xFFFFFFFF
 _CONTEXT = re.compile(r"\s*([0-9a-fA-F]{8})-([0-9a-fA-F]{8})\s*")
 
 
+#: One id in that form, either case.
+_ID = re.compile(r"[0-9a-fA-F]{8}")
+
+
 def format_id(value: int) -> str:
     """A 32-bit id as the 8-hex-digit form used on the wire and in JSON."""
     return f"{value & _ID_MASK:08x}"
 
 
+def parse_id(value: str) -> Optional[int]:
+    """An 8-hex-digit id (either case) back to its integer; else ``None``."""
+    return int(value, 16) if _ID.fullmatch(value) else None
+
+
 def format_context(trace_id: int, span_id: int) -> str:
     """Serialized ``X-SC-Trace`` value: ``tttttttt-ssssssss``."""
-    return f"{trace_id & _ID_MASK:08x}-{span_id & _ID_MASK:08x}"
+    # %-formatting: the cheapest formatter for this per-response string.
+    return "%08x-%08x" % (trace_id & _ID_MASK, span_id & _ID_MASK)
 
 
 def parse_context(value: str) -> Optional[Tuple[int, int]]:
@@ -106,16 +127,24 @@ class IdGenerator:
 class Span:
     """One named, timed operation within a trace.
 
-    A span is *live* between :class:`SpanRing.start_span` and
-    :meth:`end`; ``duration`` is ``None`` while live.  ``attributes``
-    carry the decision record (e.g. how a miss resolved and how long
-    each phase took); ``events`` are timestamped point-in-time marks
-    within the span (e.g. each ICP reply).
+    A ``Span`` object is the *builder* for a span that lives across an
+    ``await``: it is *live* between :class:`SpanRing.start_span` and
+    :meth:`end`, and ``duration`` is ``None`` while live.  A span with
+    no ``await`` inside it is written finished, as a record, by
+    :meth:`SpanRing.record`; reading the ring turns records back into
+    ``Span`` objects.  ``attributes`` carry the decision record (e.g.
+    how a miss resolved and how long each phase took); ``events`` are
+    timestamped point-in-time marks within the span (e.g. each ICP
+    reply).
+
+    ``start`` is wall time, so spans from different proxies order on
+    one clock; ``duration`` is a ``perf_counter`` delta, so a wall-clock
+    step mid-span cannot make it negative.
     """
 
     __slots__ = (
         "trace_id", "span_id", "parent_id", "name", "start",
-        "duration", "status", "attributes", "events",
+        "duration", "status", "attributes", "events", "_t0",
     )
 
     def __init__(
@@ -136,6 +165,7 @@ class Span:
         self.status = "unset"
         self.attributes = attributes
         self.events: List[Dict[str, object]] = []
+        self._t0 = time.perf_counter()
 
     def header_value(self) -> str:
         """The ``X-SC-Trace`` value naming this span as the parent."""
@@ -156,7 +186,7 @@ class Span:
     def end(self, status: str = "ok") -> "Span":
         """Close the span, fixing its duration and final status."""
         if self.duration is None:
-            self.duration = time.time() - self.start
+            self.duration = time.perf_counter() - self._t0
             self.status = status
         return self
 
@@ -210,14 +240,40 @@ class Span:
         )
 
 
+#: A finished span as :meth:`SpanRing.record` writes it: one flat tuple
+#: ``(trace_id, span_id, parent_id, name, start, duration, status, key,
+#: value, key, value, ...)``.  Every field is an atomic value, so the
+#: cyclic GC untracks the record on its first pass over it.
+Record = Tuple[Any, ...]
+
+
+def _as_span(entry: Union[Span, Record]) -> Span:
+    """A ring entry as a :class:`Span`: a builder as is, a record rebuilt."""
+    if isinstance(entry, Span):
+        return entry
+    span = Span(
+        entry[0], entry[1], entry[2], entry[3], entry[4],
+        dict(zip(entry[7::2], entry[8::2])),
+    )
+    span.duration = entry[5]
+    span.status = entry[6]
+    return span
+
+
 class SpanRing:
     """A bounded buffer of the most recent spans, oldest first.
 
-    Spans enter the ring when *started*, so live spans are visible to a
-    scrape; a full ring drops its oldest span and reports the drop via
-    the optional ``on_drop`` hook (the proxy wires this to its
-    ``trace_ring_dropped_total`` counter) as well as the :attr:`dropped`
-    tally.
+    An entry is either a finished span written by :meth:`record` -- one
+    flat :data:`Record` tuple, no :class:`Span` object -- or a live
+    builder from :meth:`start_span`, which enters when *started* so a
+    scrape sees it while it is live.  :meth:`spans`, :meth:`trace` and
+    :meth:`as_dicts` turn records back into spans when read.
+
+    A full ring drops its oldest entry.  :attr:`dropped` is derived from
+    the number of entries ever written, so a drop costs no callback; the
+    proxy reads it into its ``trace_ring_dropped_total`` counter at
+    scrape time.  The optional ``on_drop`` hook is still called once per
+    drop.
     """
 
     #: ``False`` only on :class:`NullSpanRing`: callers skip propagation
@@ -234,8 +290,8 @@ class SpanRing:
                 f"capacity must be >= 1, got {capacity}"
             )
         self._capacity = capacity
-        self._spans: Deque[Span] = deque(maxlen=capacity)
-        self.dropped = 0
+        self._entries: Deque[Union[Span, Record]] = deque(maxlen=capacity)
+        self._written = 0
         self._on_drop = on_drop
         self._ids = IdGenerator()
 
@@ -244,9 +300,45 @@ class SpanRing:
         """Maximum number of retained spans."""
         return self._capacity
 
+    @property
+    def dropped(self) -> int:
+        """Spans dropped from the full ring since the last :meth:`clear`."""
+        return self._written - len(self._entries)
+
     def new_trace_id(self) -> int:
         """A fresh non-zero 32-bit trace id."""
         return self._ids.next_id()
+
+    def record(
+        self,
+        name: str,
+        trace_id: int,
+        parent_id: int,
+        start: float,
+        duration: float,
+        attributes: Tuple[object, ...],
+        status: str = "ok",
+    ) -> int:
+        """Write one finished span; return its span id.
+
+        The shape for a span with no ``await`` inside it: the caller
+        timed it (*start* wall time, *duration* a ``perf_counter``
+        delta) and passes its *attributes* as a flat ``(key, value,
+        ...)`` tuple of atomic values, which become the record's tail.
+        A zero *trace_id* starts a fresh trace.
+        """
+        span_id = self._ids.next_id()
+        if self._on_drop is not None and len(self._entries) == self._capacity:
+            self._on_drop()
+        self._entries.append(
+            (
+                trace_id or self._ids.next_id(), span_id, parent_id,
+                name, start, duration, status,
+            )
+            + attributes
+        )
+        self._written += 1
+        return span_id
 
     def start_span(
         self,
@@ -255,11 +347,7 @@ class SpanRing:
         parent_id: int = 0,
         **attributes: object,
     ) -> Span:
-        """Open a span; a fresh trace id is allocated when none given."""
-        if len(self._spans) == self._capacity:
-            self.dropped += 1
-            if self._on_drop is not None:
-                self._on_drop()
+        """Open a live span; a fresh trace id is allocated when none given."""
         span = Span(
             trace_id=(
                 trace_id if trace_id else self.new_trace_id()
@@ -270,22 +358,36 @@ class SpanRing:
             start=time.time(),
             attributes=attributes,  # a fresh dict per call already
         )
-        self._spans.append(span)
+        if self._on_drop is not None and len(self._entries) == self._capacity:
+            self._on_drop()
+        self._entries.append(span)
+        self._written += 1
         return span
 
     def spans(
         self,
         trace_id: Optional[int] = None,
         name: Optional[str] = None,
+        last: Optional[int] = None,
     ) -> List[Span]:
-        """Retained spans, oldest first, optionally filtered."""
+        """Retained spans, oldest first, optionally filtered.
+
+        *last* keeps only the newest *last* entries; the filters then
+        apply to those.  Only the entries returned become spans.
+        """
+        entries: Iterable[Union[Span, Record]] = self._entries
+        if last is not None:
+            entries = islice(entries, max(len(self._entries) - last, 0), None)
         out = []
-        for span in self._spans:
-            if trace_id is not None and span.trace_id != trace_id:
-                continue
-            if name is not None and span.name != name:
-                continue
-            out.append(span)
+        for entry in entries:
+            if isinstance(entry, Span):
+                entry_trace, entry_name = entry.trace_id, entry.name
+            else:
+                entry_trace, entry_name = entry[0], entry[3]
+            if (trace_id is None or entry_trace == trace_id) and (
+                name is None or entry_name == name
+            ):
+                out.append(_as_span(entry))
         return out
 
     def trace(self, trace_id: int) -> List[Span]:
@@ -294,19 +396,24 @@ class SpanRing:
 
     def clear(self) -> None:
         """Discard all spans and reset the drop tally."""
-        self._spans.clear()
-        self.dropped = 0
+        self._entries.clear()
+        self._written = 0
 
-    def as_dicts(self) -> List[Dict[str, Any]]:
-        """JSON-ready list of all retained spans."""
-        return [span.as_dict() for span in self._spans]
+    def as_dicts(
+        self, trace_id: Optional[int] = None, last: Optional[int] = None
+    ) -> List[Dict[str, Any]]:
+        """JSON-ready list of the retained spans :meth:`spans` selects."""
+        return [
+            span.as_dict()
+            for span in self.spans(trace_id=trace_id, last=last)
+        ]
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._entries)
 
     def __repr__(self) -> str:
         return (
-            f"SpanRing(spans={len(self._spans)}/{self._capacity}, "
+            f"SpanRing(spans={len(self._entries)}/{self._capacity}, "
             f"dropped={self.dropped})"
         )
 
@@ -362,6 +469,18 @@ class NullSpanRing(SpanRing):
         **attributes: object,
     ) -> Span:
         return NULL_SPAN
+
+    def record(
+        self,
+        name: str,
+        trace_id: int,
+        parent_id: int,
+        start: float,
+        duration: float,
+        attributes: Tuple[object, ...],
+        status: str = "ok",
+    ) -> int:
+        return 0
 
 
 #: The process-shared disabled ring.

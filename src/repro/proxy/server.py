@@ -39,7 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-from time import perf_counter
+from time import perf_counter, time
 from typing import (
     Dict,
     Iterable,
@@ -60,6 +60,7 @@ from repro.obs.export import (
     render_json,
     render_prometheus,
 )
+from repro.obs import spans as tracing
 from repro.obs.registry import Counter, MetricsRegistry
 from repro.obs.spans import (
     NULL_SPAN,
@@ -69,6 +70,7 @@ from repro.obs.spans import (
     SpanRing,
     format_id,
     parse_context,
+    parse_id,
 )
 from repro.errors import ProtocolError, ProxyError, SummaryMismatchError
 from repro.protocol.core import FALSE_HIT
@@ -206,13 +208,12 @@ class SummaryCacheProxy:
         #: the shared null ring when tracing is disabled (no spans
         #: retained, no trace context on any wire).
         if config.trace_enabled:
-            dropped = self.registry.counter(
+            ring = SpanRing(capacity=config.trace_capacity)
+            self.registry.counter(
                 "trace_ring_dropped_total",
                 "spans dropped from a full trace ring",
-            )
-            self.spans = SpanRing(
-                capacity=config.trace_capacity, on_drop=dropped.inc
-            )
+            ).set_function(lambda: ring.dropped)
+            self.spans = ring
         else:
             self.spans = NULL_SPAN_RING
         self._bodies: Dict[str, bytes] = {}
@@ -462,12 +463,7 @@ class SummaryCacheProxy:
         removed (which also clears their summary bits and bodies via
         the eviction callback).
         """
-        span = self.spans.start_span(
-            "placement.rebalance",
-            proxy=self.config.name,
-            member=member,
-            reason=reason,
-        )
+        wall, start = time(), perf_counter()
         items = list(self._cache.digests().items())
         if reason == "join":
             displaced = self._placement.add_member(member, items)
@@ -478,10 +474,14 @@ class SummaryCacheProxy:
         self._m.placement_rebalances.inc()
         if displaced:
             self._m.placement_entries_invalidated.inc(len(displaced))
-        span.set(
-            members=len(self._placement.members),
-            invalidated=len(displaced),
-        ).end()
+        self.spans.record(
+            "placement.rebalance", 0, 0, wall, perf_counter() - start,
+            (
+                "proxy", self.config.name, "member", member,
+                "reason", reason, "members", len(self._placement.members),
+                "invalidated", len(displaced),
+            ),
+        )
         logger.info(
             "proxy=%s placement rebalance reason=%s member=%s "
             "members=%d invalidated=%d",
@@ -617,16 +617,17 @@ class SummaryCacheProxy:
         delta = self._node.publish(now)
         if delta.is_empty() or not self._peers or self._udp is None:
             return
-        drain_span = self.spans.start_span(
-            "dirupdate.drain",
-            proxy=self.config.name,
-            records=delta.change_count,
-            representation=self.config.summary.kind,
-            encoding=self.config.update_encoding,
-            peers=len(self._peers),
-        )
+        wall, start = time(), perf_counter()
         sent = self._broadcast(delta)
-        drain_span.set(messages=sent).end()
+        self.spans.record(
+            "dirupdate.drain", 0, 0, wall, perf_counter() - start,
+            (
+                "proxy", self.config.name, "records", delta.change_count,
+                "representation", self.config.summary.kind,
+                "encoding", self.config.update_encoding,
+                "peers", len(self._peers), "messages", sent,
+            ),
+        )
         logger.debug(
             "proxy=%s dirupdate drained records=%d messages=%d",
             self.config.name,
@@ -659,20 +660,18 @@ class SummaryCacheProxy:
         self, query: IcpQuery, addr: Tuple[str, int]
     ) -> None:
         self._m.icp_queries_received.inc()
+        wall, start = time(), perf_counter()
         hit = query.url in self._cache
         if query.trace_id:
             # The datagram carried trace context (Options/Option Data),
             # so this peer's verdict joins the originating request's
             # trace -- the cross-process link the cluster aggregator
             # reassembles.
-            self.spans.start_span(
-                "icp.query",
-                trace_id=query.trace_id,
-                parent_id=query.parent_span,
-                proxy=self.config.name,
-                url=query.url,
-                hit=hit,
-            ).end()
+            self.spans.record(
+                "icp.query", query.trace_id, query.parent_span,
+                wall, perf_counter() - start,
+                ("proxy", self.config.name, "url", query.url, "hit", hit),
+            )
         reply = (IcpHit if hit else IcpMiss)(
             url=query.url, request_number=query.request_number
         )
@@ -719,26 +718,26 @@ class SummaryCacheProxy:
         pending-everything delta after a set rebuild) resynchronizes it.
         """
         peer = state.address.name
+        wall, start = time(), perf_counter()
         try:
             if isinstance(message, DigestChunk):
                 whole = state.assembler.add(message)
                 if whole is None:
                     return
                 codec.apply_digest(self._peer_summaries, state.slot, whole)
-                name, attrs = "digest.apply", {"bits": whole.num_bits}
+                name, attrs = "digest.apply", ("bits", whole.num_bits)
             else:
                 codec.apply_update(self._peer_summaries, state.slot, message)
-                name, attrs = "dirupdate.apply", {
-                    "records": message.change_count
-                }
+                name, attrs = "dirupdate.apply", (
+                    "records", message.change_count
+                )
         except SummaryMismatchError as exc:
             self._m.dirupdate_rejects.inc()
-            self.spans.start_span(
-                "dirupdate.reject",
-                proxy=self.config.name,
-                peer=peer,
-                reason=str(exc),
-            ).end(status="error")
+            self.spans.record(
+                "dirupdate.reject", 0, 0, wall, perf_counter() - start,
+                ("proxy", self.config.name, "peer", peer, "reason", str(exc)),
+                status="error",
+            )
             logger.debug(
                 "proxy=%s rejected dirupdate from peer=%s: %s",
                 self.config.name,
@@ -746,9 +745,10 @@ class SummaryCacheProxy:
                 exc,
             )
             return
-        self.spans.start_span(
-            name, proxy=self.config.name, peer=peer, **attrs
-        ).end()
+        self.spans.record(
+            name, 0, 0, wall, perf_counter() - start,
+            ("proxy", self.config.name, "peer", peer, *attrs),
+        )
 
     # ------------------------------------------------------------------
     # HTTP path
@@ -865,7 +865,7 @@ class SummaryCacheProxy:
                 self.registry,
                 name=self.config.name,
                 mode=self.config.mode.value,
-                spans=self.spans.as_dicts()[-64:],
+                spans=self.spans.as_dicts(last=64),
                 trace_ring_dropped=self.spans.dropped,
             )
             content_type = "application/json"
@@ -882,12 +882,17 @@ class SummaryCacheProxy:
         ``GET /trace?trace=<8-hex-id>`` filters to one trace.
         """
         query = request.url.partition("?")[2]
-        spans = self.spans.as_dicts()
+        wanted: Optional[int] = None
         for part in query.split("&"):
             key, sep, value = part.partition("=")
             if key == "trace" and sep:
-                wanted = value.lower()
-                spans = [s for s in spans if s["trace_id"] == wanted]
+                trace_id = parse_id(value)
+                # No span carries a malformed id, and two different
+                # ids select nothing; -1 matches no trace.
+                if trace_id is None or wanted not in (None, trace_id):
+                    trace_id = -1
+                wanted = trace_id
+        spans = self.spans.as_dicts(trace_id=wanted)
         # The summary configuration every lookup decision used, once
         # per scrape rather than on every miss's span.
         summary: Dict[str, object] = {
@@ -913,20 +918,21 @@ class SummaryCacheProxy:
 
     def _serve_peer(self, request: HttpRequest) -> _Response:
         """Serve a proxy-to-proxy fetch: cache or 504, never recurse."""
+        wall, start = time(), perf_counter()
         body = self._lookup_local(request.url)
         ctx = parse_context(request.header(TRACE_HEADER))
         if ctx is not None:
             # The fetching proxy put its root span's context on the
             # request, so this side's verdict joins the same trace.
             trace_id, parent_id = ctx
-            self.spans.start_span(
-                "peer.serve",
-                trace_id=trace_id,
-                parent_id=parent_id,
-                proxy=self.config.name,
-                url=request.url,
-                hit=body is not None,
-            ).end()
+            self.spans.record(
+                "peer.serve", trace_id, parent_id,
+                wall, perf_counter() - start,
+                (
+                    "proxy", self.config.name, "url", request.url,
+                    "hit", body is not None,
+                ),
+            )
         if body is None:
             return 504, b"", {"X-Cache": "MISS"}
         self._m.peer_served_requests.inc()
@@ -944,12 +950,16 @@ class SummaryCacheProxy:
         see it.
         """
         url = request.url
+        trace_id, parent_id = self._join_trace(request)
         # The with-statement ends the span on *every* exit -- including
         # a client disconnect cancelling this handler mid-await -- so a
         # dropped peer request never strands a live span in the ring.
-        with self._request_span(
+        with self.spans.start_span(
             "peer.serve",
-            request,
+            trace_id=trace_id,
+            parent_id=parent_id,
+            proxy=self.config.name,
+            url=url,
             requester=request.header("x-sc-forward"),
             forwarded=True,
         ) as span:
@@ -974,64 +984,77 @@ class SummaryCacheProxy:
         return 200, body, {"X-Cache": source, OWNER_HEADER: self.config.name}
 
     async def _serve_client(self, request: HttpRequest) -> _Response:
+        """Serve a client request: a local hit, or the miss path.
+
+        A hit has no ``await``, so its root span is written finished,
+        as one record; a miss's root is a live span that the miss path
+        fills in across its awaits.  Either way the root's duration and
+        ``proxy_request_phase_seconds{phase="total"}`` are the same
+        ``perf_counter`` delta.
+        """
         self._m.http_requests.inc()
         url = request.url
-        size_hint = request.header("x-size")
-        with self._request_span("http.request", request) as root:
-            start = perf_counter()
-
-            body = self._lookup_local(url)
-            source = "HIT"
-            if body is None:
+        trace_id, parent_id = self._join_trace(request)
+        wall, start = time(), perf_counter()
+        body = self._lookup_local(url)
+        if body is None:
+            with self.spans.start_span(
+                "http.request",
+                trace_id=trace_id,
+                parent_id=parent_id,
+                proxy=self.config.name,
+                url=url,
+            ) as root:
                 # Two tasks missing on the same URL race to fetch and
                 # store; the duplicate store of an identical body is
                 # benign for idempotent GETs (see _serve_forward), so
                 # the miss is deliberately not single-flighted.
                 body, source = await self._miss_path(  # sc-lint: disable=SC007
-                    url, size_hint, root
+                    url, request.header("x-size"), root
                 )
-            else:
-                self._m.local_hits.inc()
-
+                self._m.bytes_served.inc(len(body))
+                self._m.phase_seconds["total"].observe(perf_counter() - start)
+                root.set(source=source, bytes=len(body))
+            span_id = root.span_id
+        else:
+            source = "HIT"
+            self._m.local_hits.inc()
             self._m.bytes_served.inc(len(body))
-            self._m.phase_seconds["total"].observe(perf_counter() - start)
-            root.set(source=source, bytes=len(body))
+            elapsed = perf_counter() - start
+            self._m.phase_seconds["total"].observe(elapsed)
+            span_id = self.spans.record(
+                "http.request", trace_id, parent_id, wall, elapsed,
+                (
+                    "proxy", self.config.name, "url", url,
+                    "source", source, "bytes", len(body),
+                ),
+            )
         headers = {"X-Cache": source}
-        if root.trace_id:
+        if trace_id:
             # Echo the trace context so the client learns which trace
             # its request joined (the load driver records it).
-            headers[TRACE_HEADER] = root.header_value()
+            headers[TRACE_HEADER] = tracing.format_context(trace_id, span_id)
         return 200, body, headers
 
-    def _request_span(
-        self, name: str, request: HttpRequest, **attrs: object
-    ) -> Span:
-        """Open the root span of one served request.
+    def _join_trace(self, request: HttpRequest) -> Tuple[int, int]:
+        """The ``(trace_id, parent_id)`` of one served request's root.
 
         Continues the sender's ``X-SC-Trace`` context when the request
-        carried one and starts a fresh trace otherwise.  (With tracing
-        disabled this is the null span, whose zero trace id suppresses
-        every propagation site downstream.)
+        carried one and starts a fresh trace otherwise.  With tracing
+        disabled both are 0, which suppresses every propagation site
+        downstream.  Also opens the request's sanitizer scope.
         """
-        trace_id, parent_id = parse_context(
-            request.header(TRACE_HEADER)
-        ) or (None, 0)
-        span = self.spans.start_span(
-            name,
-            trace_id=trace_id,
-            parent_id=parent_id,
-            proxy=self.config.name,
-            url=request.url,
-            **attrs,
-        )
+        trace_id = parent_id = 0
+        if self.spans.enabled:
+            trace_id, parent_id = parse_context(
+                request.header(TRACE_HEADER)
+            ) or (self.spans.new_trace_id(), 0)
         if self._san is not None:
             # New logical scope (read markers from the previous request
             # on this keep-alive task are not ours), plus trace
             # attribution for any violation we cause.
-            self._san.begin_request(
-                format_id(span.trace_id) if span.trace_id else ""
-            )
-        return span
+            self._san.begin_request(format_id(trace_id) if trace_id else "")
+        return trace_id, parent_id
 
     def _lookup_local(self, url: str) -> Optional[bytes]:
         entry = self._cache.get(url)

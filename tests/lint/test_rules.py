@@ -1109,6 +1109,29 @@ class TestSC008Lifecycle:
         assert "span 'span' can leak" in findings[0].message
         assert "cancellation" in findings[0].message
 
+    def test_record_alone_is_safe_and_start_span_still_fires(
+        self, project: LintProject
+    ) -> None:
+        project.write(
+            "src/repro/proxy/mod.py",
+            """\
+            async def handler(self, url):
+                self.spans.record("lookup", 0, 0, 0.0, 0.0, ("url", url))
+                span = self.spans.start_span("fetch")
+                body = await self._fetch(url)
+                span.end("ok")
+                return body
+
+            async def finished(self, url):
+                self.spans.record("fetch", 0, 0, 0.0, 0.0, ("url", url))
+                return await self._fetch(url)
+            """,
+        )
+        findings = project.lint(select="SC008")
+        assert len(findings) == 1
+        assert "span 'span' can leak" in findings[0].message
+        assert "ring.record(...)" in findings[0].message
+
     def test_span_in_with_statement_is_safe(
         self, project: LintProject
     ) -> None:

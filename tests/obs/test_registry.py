@@ -39,6 +39,22 @@ class TestCounter:
         with pytest.raises(ConfigurationError):
             registry.gauge("thing")
 
+    def test_set_function_is_read_by_every_reader(self):
+        registry = MetricsRegistry()
+        tally = [3]
+        registry.counter("owned_total", "kept by its owner").set_function(
+            lambda: tally[0]
+        )
+        tally[0] = 7
+        assert registry.value("owned_total") == 7
+        assert registry.total("owned_total") == 7
+        assert registry.snapshot()[0]["value"] == 7
+        text = render_prometheus(registry)
+        assert "# TYPE owned_total counter" in text
+        assert parse_prometheus(text)["owned_total"][""] == 7
+        registry.reset()  # the owner's tally is not the registry's
+        assert registry.value("owned_total") == 7
+
 
 class TestGauge:
     def test_set_inc_dec(self):

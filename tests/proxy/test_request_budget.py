@@ -13,6 +13,8 @@ Counts resolve what timing cannot, so these gates run in tier 1.
 from __future__ import annotations
 
 import asyncio
+import gc
+import sys
 from dataclasses import replace
 
 import pytest
@@ -216,3 +218,75 @@ def test_remote_hit_writes_one_span_on_the_requester(contexts_built):
     assert attrs["peer_fetch_s"] > 0.0
     assert [event["kind"] for event in root.events] == ["icp.reply"]
     assert contexts == 2  # on the fetch to the holder, and the echo
+
+
+#: A ring the hits below overflow many times.
+SMALL_RING = 64
+
+
+def test_local_hits_build_no_span_and_leave_untracked_records(monkeypatch):
+    """A hit has no ``await``, so its root is written finished: no
+    ``Span`` object, no drop callback when the ring is full, and a
+    record the cyclic GC stops tracking."""
+    built = []
+    init = spans_module.Span.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    # Every Python call the ring makes while writing a span: a drop
+    # callback would show up here.
+    from_ring = []
+
+    def profile(frame, event, arg):
+        caller = frame.f_back
+        if (
+            event == "call"
+            and caller is not None
+            and caller.f_code.co_filename == spans_module.__file__
+            and caller.f_code.co_name in ("record", "start_span")
+        ):
+            from_ring.append(frame.f_code.co_name)
+
+    async def scenario():
+        async with ProxyCluster(
+            num_proxies=1,
+            mode=ProxyMode.NO_ICP,
+            base_config=replace(BASE_CONFIG, trace_capacity=SMALL_RING),
+        ) as cluster:
+            proxy = cluster.proxies[0]
+            reader, writer = await asyncio.open_connection(
+                proxy.config.host, proxy.http_port
+            )
+            for url in URLS:  # warm: every later request is a local hit
+                assert (await _get(reader, writer, url)).status == 200
+            monkeypatch.setattr(spans_module.Span, "__init__", counting_init)
+            sys.setprofile(profile)
+            try:
+                for i in range(HITS):
+                    response = await _get(
+                        reader,
+                        writer,
+                        URLS[i % len(URLS)],
+                        {TRACE_HEADER: CONTEXT},
+                    )
+                    assert response.header("x-cache") == "HIT"
+            finally:
+                sys.setprofile(None)
+                monkeypatch.undo()
+            writer.close()
+            gc.collect()
+            tracked = [e for e in proxy.spans._entries if gc.is_tracked(e)]
+            return proxy, tracked
+
+    proxy, tracked = asyncio.run(scenario())
+    assert built == []
+    assert set(from_ring) == {"next_id"}
+    assert len(proxy.spans) == SMALL_RING
+    assert proxy.spans.dropped == len(URLS) + HITS - SMALL_RING
+    assert (
+        proxy.registry.value("trace_ring_dropped_total")
+        == proxy.spans.dropped
+    )
+    assert tracked == []
