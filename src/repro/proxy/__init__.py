@@ -20,8 +20,10 @@ The HTTP spoken is a keep-alive streaming subset of HTTP/1.1 (GET
 only, ``Content-Length``-framed, pipelined requests answered in
 order, memoryview body streaming with write backpressure) -- enough to
 push the data plane to benchmark scale without reimplementing an RFC
-7230 stack.  See :mod:`repro.proxy.http` and
-``docs/wire-protocol.md``.
+7230 stack.  Proxies and the origin serve it through one
+:class:`~repro.proxy.http.HttpConnection` per accepted socket, which
+reads heads in place and answers a local hit inside its read callback.
+See :mod:`repro.proxy.http` and ``docs/wire-protocol.md``.
 """
 
 from repro.proxy.client import ClientDriver, ReplayReport

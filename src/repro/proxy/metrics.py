@@ -140,7 +140,7 @@ class ProxyMetrics:
         )
         self.backpressure_waits = c(
             "proxy_backpressure_waits_total",
-            "drain() waits taken because a client write buffer exceeded "
+            "write pauses taken because a client's unsent bytes exceeded "
             "the in-flight ceiling",
         )
         self.phase_seconds = {

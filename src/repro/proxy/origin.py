@@ -12,14 +12,15 @@ from __future__ import annotations
 import asyncio
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Awaitable, Optional, Tuple, Union
 
 from repro.errors import ProtocolError
 from repro.obs.spans import TRACE_HEADER
 from repro.proxy.http import (
-    bound_reads,
-    read_request,
-    send_response,
+    MAX_BODY_BYTES,
+    HttpConnection,
+    HttpRequest,
+    Response,
     synth_body,
 )
 
@@ -78,8 +79,10 @@ class OriginServer:
 
     async def start(self) -> None:
         """Bind and start serving."""
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self._requested_port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: HttpConnection(self._serve, on_error=self._count_error),
+            self.host,
+            self._requested_port,
         )
 
     async def stop(self) -> None:
@@ -89,60 +92,62 @@ class OriginServer:
             await self._server.wait_closed()
             self._server = None
 
+    def _count_error(self) -> None:
+        self.stats.errors += 1
+
     def _body_size(self, url: str, header_size: str) -> int:
+        """The body size a request asks for.
+
+        ``X-Size`` comes from the client through the proxy, so a size
+        above :data:`~repro.proxy.http.MAX_BODY_BYTES` is refused with a
+        :class:`ProtocolError` before any body is built.
+        """
         if header_size:
             try:
-                return max(0, int(header_size))
+                size = max(0, int(header_size))
             except ValueError:
                 return 0
+            if size > MAX_BODY_BYTES:
+                raise ProtocolError(
+                    f"X-Size {size} exceeds limit {MAX_BODY_BYTES}"
+                )
+            return size
         if self.default_size is not None:
             return self.default_size
         digest = hashlib.md5(url.encode("utf-8")).digest()
         return 256 + int.from_bytes(digest[:2], "big") % (16384 - 256)
 
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve a keep-alive request loop on one connection.
+    def _serve(
+        self, request: HttpRequest
+    ) -> Union[Response, Awaitable[Response]]:
+        """Answer one request: at once, or after :attr:`delay`.
 
         Proxies pool their origin connections, so the origin honors
         keep-alive and streams bodies with backpressure just like the
-        proxies' client-facing loop.
+        proxies' client-facing connections.  An ``X-Size`` above the
+        body limit is answered ``400`` and counted in ``errors``.
         """
-        bound_reads(writer.transport)
         try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except ProtocolError:
-                    self.stats.errors += 1
-                    await send_response(writer, 400)
-                    await writer.drain()
-                    break
-                if request is None:
-                    break  # client done with the connection
-                if self.delay > 0:
-                    await asyncio.sleep(self.delay)
-                size = self._body_size(request.url, request.header("x-size"))
-                body = synth_body(request.url, size)
-                self.stats.requests += 1
-                self.stats.bytes_served += len(body)
-                keep_alive = request.keep_alive
-                headers = {"X-Origin": "1"}
-                trace = request.header(TRACE_HEADER)
-                if trace:
-                    # Echo the proxy's trace context so the fetch span
-                    # can be matched to this served request.
-                    headers[TRACE_HEADER] = trace
-                await send_response(writer, 200, body, headers, keep_alive)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+            size = self._body_size(request.url, request.header("x-size"))
+        except ProtocolError:
+            self._count_error()
+            return 400, b"", {}
+        if self.delay > 0:
+            return self._delayed(request, size)
+        return self._reply(request, size)
+
+    async def _delayed(self, request: HttpRequest, size: int) -> Response:
+        await asyncio.sleep(self.delay)
+        return self._reply(request, size)
+
+    def _reply(self, request: HttpRequest, size: int) -> Response:
+        body = synth_body(request.url, size)
+        self.stats.requests += 1
+        self.stats.bytes_served += len(body)
+        headers = {"X-Origin": "1"}
+        trace = request.header(TRACE_HEADER)
+        if trace:
+            # Echo the proxy's trace context so the fetch span can be
+            # matched to this served request.
+            headers[TRACE_HEADER] = trace
+        return 200, body, headers

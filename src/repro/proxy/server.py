@@ -41,6 +41,7 @@ import json
 import logging
 from time import perf_counter, time
 from typing import (
+    Awaitable,
     Dict,
     Iterable,
     List,
@@ -91,14 +92,12 @@ from repro.summaries import codec
 from repro.summaries.backend import Geometry, SummaryDelta
 from repro.summaries.bloom import BloomSummary
 from repro.proxy.http import (
-    DEFAULT_MAX_INFLIGHT,
-    Deadline,
+    HttpConnection,
     HttpRequest,
     HttpResponse,
+    Response,
     bound_reads,
-    read_request,
     read_response,
-    send_response,
     write_request,
 )
 from repro.proxy.metrics import ProxyMetrics, ProxyStats
@@ -122,9 +121,6 @@ FORWARD_HEADER = "X-SC-Forward"
 
 #: Response header naming the proxy that answered a forwarded fetch.
 OWNER_HEADER = "X-SC-Owner"
-
-#: What a request handler decides: ``(status, body, headers)``.
-_Response = Tuple[int, bytes, Dict[str, str]]
 
 
 class _PeerState:
@@ -281,17 +277,18 @@ class SummaryCacheProxy:
             )
         self._pending: Dict[int, _PendingQuery] = {}
         self._request_counter = 0
-        #: Open client-side connections, aborted on :meth:`stop` so a
-        #: stopped proxy actually disappears (keep-alive handler loops
+        #: Open client-side connections, closed on :meth:`stop` so a
+        #: stopped proxy actually disappears (keep-alive connections
         #: would otherwise keep serving peers that pooled a connection
         #: before the listening socket closed).
-        self._client_writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[HttpConnection] = set()
         self._http_server: Optional[asyncio.AbstractServer] = None
         self._udp: Optional[asyncio.DatagramTransport] = None
         # Scrape-time gauges: evaluated when /metrics renders, free
         # between scrapes.  cache_hits/requests mirror CacheStats so a
         # scrape can be cross-checked against the in-process counters.
         g = self.registry.gauge
+        self._m.connections_open.set_function(lambda: len(self._connections))
         g("proxy_cache_entries", "documents cached").set_function(
             lambda: len(self._cache)
         )
@@ -338,9 +335,17 @@ class SummaryCacheProxy:
 
     async def start(self) -> None:
         """Bind the HTTP and ICP endpoints."""
-        loop = asyncio.get_event_loop()
-        self._http_server = await asyncio.start_server(
-            self._handle_http, self.config.host, self.config.http_port
+        loop = asyncio.get_running_loop()
+        self._http_server = await loop.create_server(
+            lambda: HttpConnection(
+                self._serve_http,
+                idle_timeout=self.config.idle_timeout,
+                max_requests=self.config.max_requests_per_connection,
+                connections=self._connections,
+                on_wait=self._m.backpressure_waits.inc,
+            ),
+            self.config.host,
+            self.config.http_port,
         )
         self._udp, _protocol = await loop.create_datagram_endpoint(
             lambda: _IcpProtocol(self),
@@ -359,9 +364,9 @@ class SummaryCacheProxy:
         """Shut both endpoints down."""
         if self._http_server is not None:
             self._http_server.close()
-            for writer in list(self._client_writers):
-                writer.transport.abort()
-            self._client_writers.clear()
+            for connection in list(self._connections):
+                connection.close()
+            self._connections.clear()
             await self._http_server.wait_closed()
             self._http_server = None
         if self._udp is not None:
@@ -754,100 +759,29 @@ class SummaryCacheProxy:
     # HTTP path
     # ------------------------------------------------------------------
 
-    async def _handle_http(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve one client connection's request loop (keep-alive).
+    def _serve_http(
+        self, request: HttpRequest
+    ) -> Union[Response, Awaitable[Response]]:
+        """Route one request read by an :class:`HttpConnection`.
 
-        Requests are read and answered strictly in order, so a
-        pipelining client gets its responses in request order; the
-        read-ahead is bounded by the stream buffers, and
-        ``max_requests_per_connection`` (when set) forces a
-        ``Connection: close`` after that many responses.  The loop ends
-        on ``Connection: close``, clean client EOF, the idle timeout,
-        or a framing error (answered with a final 400).
-
-        The idle timeout is one :class:`~repro.proxy.http.Deadline` per
-        connection: the loop stamps when it starts awaiting a head, and
-        a head awaited for ``idle_timeout`` seconds (0: never) reaps the
-        connection with no response.  A request costs no task and no
-        timer of its own.
-
-        Handlers only decide ``(status, body, headers)``; the response
-        is written here, head and first body chunk in one write.  Later
-        chunks travel as memoryview slices over the cached object -- no
-        per-response copy -- and ``drain()`` is awaited whenever more
-        than ``DEFAULT_MAX_INFLIGHT`` bytes sit unsent, so a slow client
-        bounds its own buffer instead of the proxy's heap.
+        ``/metrics``, ``/trace``, an ``X-Only-If-Cached`` peer fetch and
+        a client's local hit are answered at once, inside the
+        connection's read callback; a forwarded fetch and a client's
+        miss return the awaitable the connection runs as a task.
         """
-        self._m.connections_open.inc()
-        self._client_writers.add(writer)
-        bound_reads(writer.transport)
-        writer.transport.set_write_buffer_limits(high=DEFAULT_MAX_INFLIGHT)
-        served = 0
-        loop = asyncio.get_running_loop()
-        idle = Deadline(self.config.idle_timeout)
-        try:
-            while True:
-                idle.since = loop.time()
-                try:
-                    request = await read_request(reader)
-                except ProtocolError:
-                    await send_response(writer, 400)
-                    await writer.drain()
-                    break
-                if request is None:
-                    break  # client finished its keep-alive conversation
-                idle.since = None
-                served += 1
-                keep_alive = request.keep_alive
-                if (
-                    self.config.max_requests_per_connection > 0
-                    and served >= self.config.max_requests_per_connection
-                ):
-                    keep_alive = False
-                # SC007 pairs reads in one dispatched handler with
-                # writes in the *next* iteration's handler; each
-                # iteration is an independent request that is supposed
-                # to see the then-current state, so the cross-request
-                # "window" is serial request handling, not a race.
-                path = request.url.partition("?")[0]
-                if path == "/metrics":
-                    response = self._serve_metrics(request)
-                elif path == "/trace":
-                    response = self._serve_trace(request)
-                elif request.header("x-only-if-cached"):
-                    response = self._serve_peer(request)
-                elif request.header("x-sc-forward"):
-                    response = await self._serve_forward(  # sc-lint: disable=SC007
-                        request
-                    )
-                else:
-                    response = await self._serve_client(  # sc-lint: disable=SC007
-                        request
-                    )
-                status, body, headers = response
-                waits = await send_response(
-                    writer, status, body, headers, keep_alive
-                )
-                if waits:
-                    self._m.backpressure_waits.inc(waits)
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass  # includes the idle reaper's cancel
-        finally:
-            idle.cancel()
-            self._m.connections_open.dec()
-            self._client_writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+        path = request.url.partition("?")[0]
+        if path == "/metrics":
+            return self._serve_metrics(request)
+        if path == "/trace":
+            return self._serve_trace(request)
+        # Parsed header names are lower case.
+        if request.headers.get("x-only-if-cached"):
+            return self._serve_peer(request)
+        if request.headers.get("x-sc-forward"):
+            return self._serve_forward(request)
+        return self._serve_client(request)
 
-    def _serve_metrics(self, request: HttpRequest) -> _Response:
+    def _serve_metrics(self, request: HttpRequest) -> Response:
         """Serve the registry: Prometheus text, or JSON on request.
 
         ``GET /metrics`` returns the text exposition format;
@@ -874,7 +808,7 @@ class SummaryCacheProxy:
             content_type = PROMETHEUS_CONTENT_TYPE
         return 200, text.encode("utf-8"), {"Content-Type": content_type}
 
-    def _serve_trace(self, request: HttpRequest) -> _Response:
+    def _serve_trace(self, request: HttpRequest) -> Response:
         """Serve the span ring as JSON (the cluster aggregator's feed).
 
         ``GET /trace`` returns every retained span, oldest first, plus
@@ -916,7 +850,7 @@ class SummaryCacheProxy:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
         return 200, body, {"Content-Type": "application/json"}
 
-    def _serve_peer(self, request: HttpRequest) -> _Response:
+    def _serve_peer(self, request: HttpRequest) -> Response:
         """Serve a proxy-to-proxy fetch: cache or 504, never recurse."""
         wall, start = time(), perf_counter()
         body = self._lookup_local(request.url)
@@ -938,7 +872,7 @@ class SummaryCacheProxy:
         self._m.peer_served_requests.inc()
         return 200, body, {"X-Cache": "HIT"}
 
-    async def _serve_forward(self, request: HttpRequest) -> _Response:
+    async def _serve_forward(self, request: HttpRequest) -> Response:
         """Serve a placement-routed peer fetch (the owner side).
 
         The requester marked the request with ``X-SC-Forward``, so this
@@ -983,13 +917,15 @@ class SummaryCacheProxy:
             span.set(source=source, bytes=len(body)).end()
         return 200, body, {"X-Cache": source, OWNER_HEADER: self.config.name}
 
-    async def _serve_client(self, request: HttpRequest) -> _Response:
-        """Serve a client request: a local hit, or the miss path.
+    def _serve_client(
+        self, request: HttpRequest
+    ) -> Union[Response, Awaitable[Response]]:
+        """Serve a client request: a local hit now, or the miss path.
 
-        A hit has no ``await``, so its root span is written finished,
-        as one record; a miss's root is a live span that the miss path
-        fills in across its awaits.  Either way the root's duration and
-        ``proxy_request_phase_seconds{phase="total"}`` are the same
+        A hit has no ``await``, so it is answered at once and its root
+        span is written finished, as one record.  A miss returns
+        :meth:`_serve_miss` to await.  Either way the root's duration
+        and ``proxy_request_phase_seconds{phase="total"}`` are the same
         ``perf_counter`` delta.
         """
         self._m.http_requests.inc()
@@ -998,43 +934,65 @@ class SummaryCacheProxy:
         wall, start = time(), perf_counter()
         body = self._lookup_local(url)
         if body is None:
-            with self.spans.start_span(
-                "http.request",
-                trace_id=trace_id,
-                parent_id=parent_id,
-                proxy=self.config.name,
-                url=url,
-            ) as root:
-                # Two tasks missing on the same URL race to fetch and
-                # store; the duplicate store of an identical body is
-                # benign for idempotent GETs (see _serve_forward), so
-                # the miss is deliberately not single-flighted.
-                body, source = await self._miss_path(  # sc-lint: disable=SC007
-                    url, request.header("x-size"), root
-                )
-                self._m.bytes_served.inc(len(body))
-                self._m.phase_seconds["total"].observe(perf_counter() - start)
-                root.set(source=source, bytes=len(body))
-            span_id = root.span_id
-        else:
-            source = "HIT"
-            self._m.local_hits.inc()
-            self._m.bytes_served.inc(len(body))
-            elapsed = perf_counter() - start
-            self._m.phase_seconds["total"].observe(elapsed)
-            span_id = self.spans.record(
-                "http.request", trace_id, parent_id, wall, elapsed,
-                (
-                    "proxy", self.config.name, "url", url,
-                    "source", source, "bytes", len(body),
-                ),
+            return self._serve_miss(
+                url, request.header("x-size"), trace_id, parent_id, start
             )
-        headers = {"X-Cache": source}
+        self._m.local_hits.inc()
+        self._m.bytes_served.inc(len(body))
+        elapsed = perf_counter() - start
+        self._m.phase_seconds["total"].observe(elapsed)
+        span_id = self.spans.record(
+            "http.request", trace_id, parent_id, wall, elapsed,
+            (
+                "proxy", self.config.name, "url", url,
+                "source", "HIT", "bytes", len(body),
+            ),
+        )
+        headers = {"X-Cache": "HIT"}
         if trace_id:
             # Echo the trace context so the client learns which trace
             # its request joined (the load driver records it).
             headers[TRACE_HEADER] = tracing.format_context(trace_id, span_id)
         return 200, body, headers
+
+    async def _serve_miss(
+        self,
+        url: str,
+        size_hint: str,
+        trace_id: int,
+        parent_id: int,
+        start: float,
+    ) -> Response:
+        """Resolve a client's local miss under a live root span.
+
+        The miss path fills the root in across its awaits.  When the
+        origin cannot serve, the client gets a ``502`` marked
+        ``X-Cache: MISS`` and the root ends with ``status="error"``; the
+        connection stays usable.
+        """
+        with self.spans.start_span(
+            "http.request",
+            trace_id=trace_id,
+            parent_id=parent_id,
+            proxy=self.config.name,
+            url=url,
+        ) as root:
+            status = 200
+            try:
+                body, source = await self._miss_path(url, size_hint, root)
+            except ProxyError:
+                status, body, source = 502, b"", "MISS"
+                root.set(source=source).end(status="error")
+            else:
+                self._m.bytes_served.inc(len(body))
+                self._m.phase_seconds["total"].observe(perf_counter() - start)
+                root.set(source=source, bytes=len(body))
+        headers = {"X-Cache": source}
+        if trace_id:
+            headers[TRACE_HEADER] = tracing.format_context(
+                trace_id, root.span_id
+            )
+        return status, body, headers
 
     def _join_trace(self, request: HttpRequest) -> Tuple[int, int]:
         """The ``(trace_id, parent_id)`` of one served request's root.

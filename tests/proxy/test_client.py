@@ -21,7 +21,7 @@ import pytest
 from repro.errors import ProxyError
 from repro.obs.spans import TRACE_HEADER, format_context, parse_context
 from repro.proxy import ClientDriver, ProxyCluster, ProxyConfig, ProxyMode
-from repro.proxy.http import Deadline, read_request, send_response
+from repro.proxy.http import Deadline, HttpConnection
 from repro.summaries import SummaryConfig
 
 BASE_CONFIG = ProxyConfig(
@@ -44,7 +44,7 @@ async def stub_proxy(silent_connections=0, echo=""):
     """A scripted proxy on an ephemeral port.
 
     The first *silent_connections* connections read one request and
-    never answer; later ones answer every request ``200`` with a fixed
+    answer it only as the stub shuts down; later ones answer every request ``200`` with a fixed
     body, echoing *echo* as ``X-SC-Trace`` when given.  Yields
     ``(port, seen)``: ``seen["requests"]`` lists every request read,
     and ``seen["arrived"]`` is set when a silent connection has read
@@ -53,30 +53,28 @@ async def stub_proxy(silent_connections=0, echo=""):
     seen = {"connections": 0, "requests": [], "arrived": asyncio.Event()}
     release = asyncio.Event()
 
-    async def handle(reader, writer):
+    async def answer_on_release():
+        await release.wait()
+        return 200, BODY, {}
+
+    def connection():
         seen["connections"] += 1
         silent = seen["connections"] <= silent_connections
-        try:
-            while True:
-                request = await read_request(reader)
-                if request is None:
-                    break
-                seen["requests"].append(request)
-                if silent:
-                    seen["arrived"].set()
-                    await release.wait()
-                    break
-                headers = {"X-Cache": "HIT"}
-                if echo:
-                    headers[TRACE_HEADER] = echo
-                await send_response(writer, 200, BODY, headers, True)
-                await writer.drain()
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
 
-    server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        def serve(request):
+            seen["requests"].append(request)
+            if silent:
+                seen["arrived"].set()
+                return answer_on_release()
+            headers = {"X-Cache": "HIT"}
+            if echo:
+                headers[TRACE_HEADER] = echo
+            return 200, BODY, headers
+
+        return HttpConnection(serve)
+
+    loop = asyncio.get_running_loop()
+    server = await loop.create_server(connection, "127.0.0.1", 0)
     try:
         yield server.sockets[0].getsockname()[1], seen
     finally:

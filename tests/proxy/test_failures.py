@@ -13,7 +13,7 @@ import asyncio
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.config import PeerAddress
-from repro.proxy.http import synth_body
+from repro.proxy.http import read_response, synth_body, write_request
 
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
@@ -125,3 +125,43 @@ class TestDeadPeers:
                 return body
 
         assert run(scenario()) == synth_body("http://ok.com/x", 128)
+
+
+class TestDeadOrigin:
+    def test_failed_origin_fetch_answers_502_and_keeps_the_connection(self):
+        """A client miss the origin cannot serve gets a 502, not a
+        dropped connection, and the next request on the same
+        keep-alive connection is served."""
+
+        async def scenario():
+            async with ProxyCluster(
+                num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
+            ) as cluster:
+                proxy = cluster.proxies[0]
+                reader, writer = await asyncio.open_connection(
+                    proxy.config.host, proxy.http_port
+                )
+                await cluster.origin.stop()
+                write_request(
+                    writer,
+                    "http://gone.com/new",
+                    {"X-Size": "64", "X-SC-Trace": "cafecafe-00000001"},
+                    keep_alive=True,
+                )
+                await writer.drain()
+                failed = await read_response(reader)
+                write_request(writer, "/metrics", keep_alive=True)
+                await writer.drain()
+                metrics = await read_response(reader)
+                writer.close()
+                return failed, metrics, proxy.spans.spans()
+
+        failed, metrics, spans = run(scenario())
+        assert failed.status == 502
+        assert failed.header("x-cache") == "MISS"
+        assert failed.keep_alive
+        assert failed.header("x-sc-trace").startswith("cafecafe-")
+        assert metrics.status == 200
+        (root,) = [s for s in spans if s.name == "http.request"]
+        assert root.status == "error"
+        assert root.attributes["origin_fetch"] == "gone"

@@ -13,67 +13,66 @@ from repro.proxy.http import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     READ_BYTES,
+    HttpConnection,
     parse_content_length,
+    parse_request,
     read_body,
-    read_request,
     read_response,
-    send_response,
     synth_body,
     write_request,
 )
 from repro.summaries import SummaryConfig
+from tests.proxy.conftest import FakeTransport
 
-
-class _FakeTransport:
-    """Reports a configurable write-buffer size."""
-
-    def __init__(self, sizes):
-        self._sizes = list(sizes)
-
-    def get_write_buffer_size(self):
-        return self._sizes.pop(0) if self._sizes else 0
+#: One request asking the connection to close after its answer.
+CLOSING_GET = b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n"
 
 
 class _Writer:
     """A StreamWriter stand-in that records each write."""
 
-    def __init__(self, buffer_sizes=()) -> None:
+    def __init__(self) -> None:
         self.writes = []
-        self.transport = _FakeTransport(buffer_sizes)
-        self.drains = 0
 
     @property
     def data(self) -> bytes:
         return b"".join(self.writes)
 
     def write(self, data) -> None:
-        self.writes.append(bytes(data))  # bytes and memoryview slices
+        self.writes.append(bytes(data))
 
-    async def drain(self):
-        self.drains += 1
+
+def serve(answer, data=CLOSING_GET, **transport_options):
+    """Feed *data* to a connection answering every request *answer*;
+    returns ``(transport, waits)``, *waits* the pauses it counted."""
+    waits = []
+
+    async def scenario():
+        connection = HttpConnection(
+            lambda request: answer, on_wait=lambda: waits.append(1)
+        )
+        transport = FakeTransport(connection, **transport_options)
+        transport.feed(data)
+        return transport
+
+    return asyncio.run(scenario()), len(waits)
 
 
 def render(status, body=b"", headers=None) -> bytes:
-    """The bytes ``send_response`` writes for one response."""
-    writer = _Writer()
-    asyncio.run(send_response(writer, status, body, headers))
-    return writer.data
-
-
-async def _parse(parser, data: bytes):
-    # The StreamReader must be created inside the running loop.
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return await parser(reader)
-
-
-def parse_request(data: bytes):
-    return asyncio.run(_parse(read_request, data))
+    """The bytes a connection writes for one response."""
+    transport, _ = serve((status, body, headers or {}), takes=True)
+    return transport.data
 
 
 def parse_response(data: bytes):
-    return asyncio.run(_parse(read_response, data))
+    async def scenario():
+        # The StreamReader must be created inside the running loop.
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await read_response(reader)
+
+    return asyncio.run(scenario())
 
 
 class TestRequests:
@@ -209,10 +208,17 @@ class TestKeepAliveSemantics:
         )
         assert request.keep_alive
 
-    def test_clean_eof_returns_none(self):
+    def test_clean_eof_closes_without_an_answer(self):
         # An empty stream is a finished keep-alive conversation, not an
         # error.
-        assert parse_request(b"") is None
+        async def scenario():
+            transport = FakeTransport(HttpConnection(lambda request: None))
+            transport.protocol.eof_received()
+            return transport
+
+        transport = asyncio.run(scenario())
+        assert transport.closed
+        assert transport.writes == []
 
     def test_write_request_emits_connection_header(self):
         writer = _Writer()
@@ -224,54 +230,64 @@ class TestKeepAliveSemantics:
 
 
 class TestStreamBody:
-    """``send_response``'s write pattern: head and first chunk together,
-    the rest in bounded slices under backpressure."""
+    """A connection's write pattern: head and first chunk together, the
+    rest in bounded slices under backpressure."""
 
     @staticmethod
-    def send(body, chunk_size, buffer_sizes=()):
-        writer = _Writer(buffer_sizes)
-        waits = asyncio.run(
-            send_response(
-                writer, 200, body, keep_alive=True, chunk_size=chunk_size
-            )
+    def send(body, **transport_options):
+        transport, waits = serve(
+            (200, body, {}), b"GET /x HTTP/1.1\r\n\r\n", **transport_options
         )
-        head, sep, sent = writer.data.partition(b"\r\n\r\n")
+        head, sep, sent = transport.data.partition(b"\r\n\r\n")
         assert sep and head.startswith(b"HTTP/1.1 200 OK")
-        return writer, waits, sent
+        return transport, waits, sent
 
     def test_streams_all_bytes_without_backpressure(self):
-        body = synth_body("s", 200_000)
-        writer, waits, sent = self.send(body, chunk_size=4096)
+        body = synth_body("s", 3_200_000)
+        transport, waits, sent = self.send(body, takes=True)
         assert sent == body
-        assert len(writer.writes) == 49  # ceil(200_000 / 4096)
+        assert len(transport.writes) == 49  # ceil(3_200_000 / 65536)
         assert waits == 0
-        assert writer.drains == 0
+        assert transport.resumes == 0
 
     def test_drains_when_buffer_exceeds_ceiling(self):
-        # Buffer reports over-ceiling after the first two writes.
-        body = synth_body("s", 3 * 4096)
-        writer, waits, sent = self.send(
-            body, chunk_size=4096, buffer_sizes=[300_000, 300_000, 0]
-        )
+        # The first two writes take the buffer over the ceiling; the
+        # peer reads after each, and the third fits.
+        body = synth_body("s", 2 * 65536 + 500)
+
+        async def scenario():
+            waits = []
+            connection = HttpConnection(
+                lambda request: (200, body, {}),
+                on_wait=lambda: waits.append(1),
+            )
+            transport = FakeTransport(connection, high=1000)
+            transport.feed(b"GET /x HTTP/1.1\r\n\r\n")
+            while transport.paused:
+                transport.take()
+            return transport, len(waits)
+
+        transport, waits = asyncio.run(scenario())
+        sent = transport.data.partition(b"\r\n\r\n")[2]
         assert sent == body
         assert waits == 2
-        assert writer.drains == 2
+        assert transport.resumes == 2
 
     def test_small_body_is_one_write_with_the_head(self):
         body = synth_body("s", 1024)
-        writer, _, sent = self.send(body, chunk_size=64 * 1024)
-        assert len(writer.writes) == 1
-        assert writer.writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
+        transport, _, sent = self.send(body, takes=True)
+        assert len(transport.writes) == 1
+        assert transport.writes[0].startswith(b"HTTP/1.1 200 OK\r\n")
         assert sent == body
 
     def test_large_body_head_rides_the_first_chunk(self):
         body = synth_body("s", 200 * 1024)
-        writer, _, sent = self.send(body, chunk_size=64 * 1024)
-        assert len(writer.writes) == 4  # 64 + 64 + 64 + 8 KiB
-        first = writer.writes[0]
+        transport, _, sent = self.send(body, takes=True)
+        assert len(transport.writes) == 4  # 64 + 64 + 64 + 8 KiB
+        first = transport.writes[0]
         assert first.startswith(b"HTTP/1.1 200 OK\r\n")
         assert first.endswith(body[: 64 * 1024])
-        assert [len(w) for w in writer.writes[1:]] == [65536, 65536, 8192]
+        assert [len(w) for w in transport.writes[1:]] == [65536, 65536, 8192]
         assert sent == body
 
 

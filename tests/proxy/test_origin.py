@@ -8,7 +8,12 @@ import time
 import pytest
 
 from repro.errors import ProtocolError
-from repro.proxy.http import read_response, synth_body, write_request
+from repro.proxy.http import (
+    MAX_BODY_BYTES,
+    read_response,
+    synth_body,
+    write_request,
+)
 from repro.proxy.origin import OriginServer
 
 
@@ -137,3 +142,24 @@ class TestOriginServer:
         response = run(scenario())
         assert response.status == 200
         assert response.body == b""
+
+    def test_x_size_above_the_body_limit_gets_400(self):
+        # X-Size reaches the origin from the client, through the proxy:
+        # a size past the body limit is refused before a body is built.
+        async def scenario():
+            origin = OriginServer()
+            await origin.start()
+            try:
+                return await fetch(
+                    origin,
+                    "http://a.com/huge",
+                    {"X-Size": str(MAX_BODY_BYTES + 1)},
+                ), origin.stats
+            finally:
+                await origin.stop()
+
+        response, stats = run(scenario())
+        assert response.status == 400
+        assert response.body == b""
+        assert stats.errors == 1
+        assert (stats.requests, stats.bytes_served) == (0, 0)
