@@ -9,8 +9,10 @@ concurrent HTTP request and ICP round behind it.
 The rule also flags unbounded stream reads — ``reader.read()`` with no
 byte count (reads to EOF into one buffer) and ``readexactly(n)`` with a
 non-constant length (a peer-controlled ``n`` becomes a peer-controlled
-allocation).  The proxy's framing layer reads bodies in bounded chunks
-(``repro.proxy.http.read_body``); new code must do the same.
+allocation).  The proxy's framing layer reads no stream: a response
+body's buffer is allocated only after its ``Content-Length`` has passed
+``repro.proxy.http.MAX_BODY_BYTES`` (``repro.proxy.http.HttpClient``);
+new code must bound a peer-supplied size the same way.
 
 Last, it flags ``asyncio.wait_for``: not a stall, but a task and a
 timer per request where the proxy and its client driver keep one
@@ -106,8 +108,8 @@ def _unbounded_read_message(call: ast.Call) -> str:
         return ""
     return (
         ".readexactly() with a non-constant length inside async def "
-        "turns a peer-supplied size into an allocation; read in "
-        "bounded chunks instead (see repro.proxy.http.read_body)"
+        "turns a peer-supplied size into an allocation; read into a "
+        "bounded buffer instead (see repro.proxy.http.HttpClient)"
     )
 
 

@@ -10,8 +10,9 @@ The prototype runs real sockets on localhost:
   and three cooperation modes (``no-icp``, ``icp``, ``sc-icp``);
 - :mod:`repro.proxy.client` -- a trace-replaying client driver with a
   persistent keep-alive connection per driver;
-- :mod:`repro.proxy.pool` -- health-checked connection pooling for
-  origin and peer fetches;
+- :mod:`repro.proxy.pool` -- health-checked connection pooling, and
+  the one request/response exchange that the proxy's origin and peer
+  fetches and the client driver share;
 - :mod:`repro.proxy.cluster` -- one-call construction of an
   origin + N proxies + clients experiment, used by the prototype
   benchmarks (Tables II, IV, V analogues) and the examples.
@@ -22,8 +23,11 @@ order, memoryview body streaming with write backpressure) -- enough to
 push the data plane to benchmark scale without reimplementing an RFC
 7230 stack.  Proxies and the origin serve it through one
 :class:`~repro.proxy.http.HttpConnection` per accepted socket, which
-reads heads in place and answers a local hit inside its read callback.
-See :mod:`repro.proxy.http` and ``docs/wire-protocol.md``.
+reads heads in place and answers a local hit inside its read callback;
+every client side (the driver, and a proxy's fetches from peers and the
+origin) reads responses through its twin,
+:class:`~repro.proxy.http.HttpClient`.  See :mod:`repro.proxy.http` and
+``docs/wire-protocol.md``.
 """
 
 from repro.proxy.client import ClientDriver, ReplayReport
@@ -31,7 +35,7 @@ from repro.proxy.cluster import ClusterResult, ProxyCluster
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
 from repro.proxy.metrics import ProxyStats
 from repro.proxy.origin import OriginServer
-from repro.proxy.pool import ConnectionPool, PooledConnection, PoolStats
+from repro.proxy.pool import ConnectionPool, PoolStats
 from repro.proxy.server import SummaryCacheProxy
 
 __all__ = [
@@ -40,7 +44,6 @@ __all__ = [
     "ConnectionPool",
     "OriginServer",
     "PeerAddress",
-    "PooledConnection",
     "PoolStats",
     "ProxyCluster",
     "ProxyConfig",

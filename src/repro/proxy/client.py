@@ -5,6 +5,11 @@ The paper's replay experiments bind clients to proxies two ways
 ("client processes on the same workstation connect to the same proxy
 server"), experiment 4 round-robins requests across clients.  The
 cluster harness implements both assignments on top of this driver.
+
+A driver speaks the same HTTP client as the proxy's own upstream
+fetches: one :class:`~repro.proxy.http.HttpClient` connection, held by
+a :class:`~repro.proxy.pool.ConnectionPool` of one and exchanged
+through :meth:`~repro.proxy.pool.ConnectionPool.get`.
 """
 
 from __future__ import annotations
@@ -23,13 +28,8 @@ from repro.obs.spans import (
     format_id,
     parse_context,
 )
-from repro.proxy.http import (
-    Deadline,
-    HttpResponse,
-    bound_reads,
-    read_response,
-    write_request,
-)
+from repro.proxy.http import Deadline
+from repro.proxy.pool import ConnectionPool
 from repro.traces.model import Request
 
 logger = logging.getLogger(__name__)
@@ -79,9 +79,10 @@ class ReplayReport:
 class ClientDriver:
     """Issues GET requests sequentially (no think time) to one proxy.
 
-    The driver holds one persistent connection to the proxy and rides
-    it across requests, reconnecting transparently (at most once per
-    request) if the proxy closed it between exchanges.
+    The driver holds one persistent connection to the proxy, parked in
+    a one-connection :class:`~repro.proxy.pool.ConnectionPool` between
+    requests, and rides it across requests; the pool reconnects
+    transparently if the proxy closed it between exchanges.
 
     A request costs the event loop no task and no timer of its own.
     The timeout is one :class:`~repro.proxy.http.Deadline` per driver,
@@ -124,17 +125,19 @@ class ClientDriver:
         self.timeout = timeout
         self.send_trace = send_trace
         self.report = ReplayReport()
-        #: Connections opened over the driver's lifetime (1 for an
-        #: undisturbed session).
-        self.connections_opened = 0
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
+        self._pool = ConnectionPool(max_idle_per_host=1, idle_timeout=0)
         self._deadline: Optional[Deadline] = None
         self._ids = IdGenerator()
         #: The last completed request's trace id as sent (0: none) and
         #: the ``X-SC-Trace`` value the proxy echoed, still unparsed.
         self._sent_trace = 0
         self._echoed_trace = ""
+
+    @property
+    def connections_opened(self) -> int:
+        """Connections opened over the driver's lifetime (1 for an
+        undisturbed run)."""
+        return self._pool.stats.created
 
     @property
     def peer(self) -> str:
@@ -175,9 +178,9 @@ class ClientDriver:
         deadline.task = asyncio.current_task()
         deadline.since = deadline.loop.time()
         try:
-            response = await self._request(url, headers)
+            response = await self._pool.get(self.host, self.port, url, headers)
         except asyncio.CancelledError:
-            self._abandon()  # the connection is mid-exchange; drop it
+            self._disarm()  # the pool dropped the connection
             if not deadline.expired or _cancelled_again(deadline.task):
                 raise  # cancelled from outside, not by the deadline
             self.report.requests += 1
@@ -220,67 +223,17 @@ class ClientDriver:
         )
         return response.body
 
-    async def _request(
-        self, url: str, headers: Dict[str, str]
-    ) -> HttpResponse:
-        """One request/response round trip on the persistent connection."""
-        # A proxy may close the connection between requests (idle
-        # timeout, per-connection request cap), so one transparent
-        # reconnect per request is allowed.
-        for attempt in (0, 1):
-            reused = self._writer is not None
-            if self._writer is None or self._writer.is_closing():
-                self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
-                )
-                bound_reads(self._writer.transport)
-                self.connections_opened += 1
-                reused = False
-            assert self._reader is not None
-            try:
-                write_request(self._writer, url, headers, keep_alive=True)
-                await self._writer.drain()
-                response = await read_response(self._reader)
-            except (ConnectionError, ProtocolError, OSError):
-                self._hang_up()
-                if reused and attempt == 0:
-                    continue
-                raise
-            if not response.keep_alive:
-                self._hang_up()
-            return response
-        raise ProxyError(
-            f"proxy {self.peer} closed the connection twice for {url!r}"
-        )  # pragma: no cover - loop returns or raises above
-
-    def _hang_up(self) -> None:
-        """Close the persistent connection; the next request reconnects.
-
-        Nothing is awaited, so a hang-up inside a fetch adds no
-        cancellation point the deadline could be swallowed at.
-        """
-        writer, self._reader, self._writer = self._writer, None, None
-        if writer is not None:
-            writer.close()
-
-    def _abandon(self) -> None:
-        """Disarm the deadline and drop the connection, without waiting."""
+    def _disarm(self) -> None:
+        """Disarm the deadline (the next fetch re-arms it)."""
         if self._deadline is not None:
             self._deadline.cancel()
             self._deadline = None
-        self._hang_up()
 
     async def close(self) -> None:
         """Drop the persistent connection and disarm the deadline (the
         next fetch reconnects and re-arms it)."""
-        writer = self._writer
-        self._abandon()
-        if writer is None:
-            return
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, asyncio.CancelledError, OSError):
-            pass
+        self._disarm()
+        await self._pool.clear()
 
     async def replay(self, requests: Iterable[Request]) -> ReplayReport:
         """Replay *requests* back-to-back; returns the accumulated report."""

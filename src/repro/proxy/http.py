@@ -2,7 +2,8 @@
 
 The proxies, the origin server, and the client drivers share this
 module.  It implements the keep-alive streaming subset the benchmark
-data plane needs (GETs only, ``Content-Length``-framed bodies):
+data plane needs (GETs only, ``Content-Length``-framed bodies), with
+one framing in both directions:
 
 - **Heads read in place.**  Servers (proxies and the origin) accept
   connections through :class:`HttpConnection`, an
@@ -12,6 +13,12 @@ data plane needs (GETs only, ``Content-Length``-framed bodies):
   An answer that needs no ``await`` (a proxy's local hit, say) is
   written from inside the read callback, with no task and no stream
   object; only an answer that must wait becomes a task.
+- **Responses read the same way.**  Every client connection (a
+  proxy's fetch from a peer or the origin, and the load generator's
+  driver) is an :class:`HttpClient`, the twin of
+  :class:`HttpConnection` over the same head scan: a response head is
+  parsed in place by :func:`parse_response`, and its body is read
+  straight into one buffer sized from ``Content-Length``.
 - **Persistent connections.**  Requests and responses carry explicit
   ``Connection`` headers; a connection serves requests until one side
   sends ``Connection: close``, the idle timeout fires, or the stream
@@ -27,15 +34,17 @@ data plane needs (GETs only, ``Content-Length``-framed bodies):
   same write as its first body chunk, and later chunks are
   :class:`memoryview` slices over the cached ``bytes`` object, written
   while the transport stays below its high-water mark
-  (:data:`DEFAULT_MAX_INFLIGHT`) and resumed when it drains; clients
-  read bodies in bounded chunks into a preallocated buffer
-  (:func:`read_body`), never through an unbounded
-  ``reader.read()``/``readexactly()`` (lint rule SC001 enforces this for
-  the whole proxy package).
-- **Strict framing validation.**  Negative, non-numeric, or oversized
-  ``Content-Length`` values and oversized heads raise
-  :class:`~repro.errors.ProtocolError`, which the servers answer with
-  a clean ``400`` -- never a traceback.
+  (:data:`DEFAULT_MAX_INFLIGHT`) and resumed when it drains; a client
+  allocates a body's buffer only after its ``Content-Length`` has
+  passed :data:`MAX_BODY_BYTES`, and no stream object reads anything
+  (lint rule SC001 flags an unbounded stream read in the whole proxy
+  package).
+- **Strict framing validation.**  A ``Content-Length`` that is not
+  ASCII digits or is too large, two that differ, a request with a
+  body, a status code that is not three digits, and an oversized head
+  raise :class:`~repro.errors.ProtocolError`.  Servers answer it with
+  a clean ``400`` -- never a traceback -- and a client fails the
+  waiting request and closes the connection.
 
 Extension headers (unchanged from the HTTP/1.0 prototype):
 
@@ -60,15 +69,19 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from collections import deque
 from dataclasses import dataclass, field
 from typing import (
     Awaitable,
     Callable,
+    Deque,
     Dict,
     Iterable,
+    List,
     Optional,
     Set,
     Tuple,
+    TypeVar,
     Union,
     cast,
 )
@@ -82,21 +95,22 @@ MAX_HEAD_BYTES = 16 * 1024
 
 #: Upper bound on a ``Content-Length`` a proxy will accept from a peer
 #: or origin (well above ``max_object_size``; a hard sanity ceiling so a
-#: corrupt header cannot make ``read_body`` allocate gigabytes).
+#: corrupt header cannot make a client allocate gigabytes).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
-#: Default chunk for streamed body reads and writes.
+#: The chunk a server writes a response body in.
 DEFAULT_CHUNK_BYTES = 64 * 1024
 
 #: Each server transport's high-water mark: a response stops writing
 #: body chunks while more than this sits unsent.
 DEFAULT_MAX_INFLIGHT = 256 * 1024
 
-#: The most one socket read asks for.  asyncio's selector transports
-#: ask ``recv`` for 256 KiB, which glibc's malloc serves above its
-#: default 128 KiB mmap threshold: every read maps fresh pages, faults
-#: them in, and shrinks the mapping to the bytes received.  64 KiB comes
-#: from the heap, and no UDP datagram is larger.
+#: The most one datagram read asks for.  asyncio's selector transports
+#: ask for 256 KiB, which glibc's malloc serves above its default
+#: 128 KiB mmap threshold: every read maps fresh pages, faults them in,
+#: and shrinks the mapping to the bytes received.  64 KiB comes from the
+#: heap, and no UDP datagram is larger.  (TCP reads go into each
+#: connection's own buffer and allocate nothing.)
 READ_BYTES = 64 * 1024
 
 _REASONS = {
@@ -110,7 +124,8 @@ _REASONS = {
 
 
 def bound_reads(transport: asyncio.BaseTransport) -> None:
-    """Cap each socket read on *transport* at :data:`READ_BYTES`.
+    """Cap each socket read on *transport* (the ICP endpoint) at
+    :data:`READ_BYTES`.
 
     ``max_size`` is the read size of CPython's selector transports, an
     attribute the public transport types do not declare.
@@ -177,22 +192,11 @@ class Deadline:
             self._timer.cancel()
 
 
-def _wants_keep_alive(version: str, headers: Dict[str, str]) -> bool:
-    """HTTP/1.1 keep-alive semantics: persistent unless ``close``;
-    HTTP/1.0 only with an explicit ``Connection: keep-alive``."""
-    connection = headers.get("connection", "").lower()
-    if version == "HTTP/1.1":
-        return connection != "close"
-    return connection == "keep-alive"
+class _Message:
+    """What a parsed request and a parsed response share."""
 
-
-@dataclass
-class HttpRequest:
-    """A parsed GET request."""
-
-    url: str
-    headers: Dict[str, str] = field(default_factory=dict)
-    version: str = "HTTP/1.1"
+    headers: Dict[str, str]
+    version: str
 
     def header(self, name: str, default: str = "") -> str:
         """Case-insensitive header lookup."""
@@ -200,12 +204,26 @@ class HttpRequest:
 
     @property
     def keep_alive(self) -> bool:
-        """Whether the client asked for a persistent connection."""
-        return _wants_keep_alive(self.version, self.headers)
+        """Whether the sender keeps the connection open.  HTTP/1.1 is
+        persistent unless ``close``; HTTP/1.0 only with an explicit
+        ``Connection: keep-alive``."""
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.1":
+            return connection != "close"
+        return connection == "keep-alive"
 
 
 @dataclass
-class HttpResponse:
+class HttpRequest(_Message):
+    """A parsed GET request."""
+
+    url: str
+    headers: Dict[str, str] = field(default_factory=dict)
+    version: str = "HTTP/1.1"
+
+
+@dataclass
+class HttpResponse(_Message):
     """A parsed response."""
 
     status: int
@@ -213,24 +231,15 @@ class HttpResponse:
     body: bytes = b""
     version: str = "HTTP/1.1"
 
-    def header(self, name: str, default: str = "") -> str:
-        """Case-insensitive header lookup."""
-        return self.headers.get(name.lower(), default)
 
-    @property
-    def keep_alive(self) -> bool:
-        """Whether the server will keep the connection open."""
-        return _wants_keep_alive(self.version, self.headers)
-
-
-async def _read_head(reader: asyncio.StreamReader) -> bytes:
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.LimitOverrunError as exc:
-        raise ProtocolError("HTTP head exceeds stream limit") from exc
+def _head_lines(head: Union[bytes, memoryview]) -> List[str]:
+    """A head's lines, without the blank line that must end it."""
     if len(head) > MAX_HEAD_BYTES:
         raise ProtocolError("HTTP head exceeds size limit")
-    return head
+    text = str(head, "latin-1")
+    if not text.endswith("\r\n\r\n"):
+        raise ProtocolError("incomplete HTTP head")
+    return text[:-4].split("\r\n")
 
 
 def _parse_headers(lines: Iterable[str]) -> Dict[str, str]:
@@ -241,7 +250,10 @@ def _parse_headers(lines: Iterable[str]) -> Dict[str, str]:
         name, sep, value = line.partition(":")
         if not sep:
             raise ProtocolError(f"malformed header line {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise ProtocolError("conflicting Content-Length headers")
+        headers[name] = value
     return headers
 
 
@@ -250,17 +262,15 @@ def parse_content_length(
 ) -> int:
     """Validated body length from *headers* (0 when absent).
 
-    Rejects non-numeric, negative, and absurdly large values with a
-    :class:`ProtocolError` so servers answer ``400`` instead of letting
-    ``int()``/``readexactly`` raise through the connection handler.
+    Accepts ASCII digits only, so ``+5``, ``1_0`` and ``-1`` (all of
+    which ``int()`` takes) are rejected with a :class:`ProtocolError`,
+    as is a value above *limit*.
     """
     text = headers.get("content-length", "0")
-    try:
-        length = int(text)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed Content-Length {text!r}") from exc
-    if length < 0:
-        raise ProtocolError(f"negative Content-Length {text!r}")
+    if not (text.isdigit() and text.isascii()):
+        kind = "negative" if text.startswith("-") else "malformed"
+        raise ProtocolError(f"{kind} Content-Length {text!r}")
+    length = int(text)
     if length > limit:
         raise ProtocolError(
             f"Content-Length {length} exceeds limit {limit}"
@@ -268,95 +278,64 @@ def parse_content_length(
     return length
 
 
-async def read_body(
-    reader: asyncio.StreamReader,
-    length: int,
-    chunk_size: int = DEFAULT_CHUNK_BYTES,
-) -> bytes:
-    """Read exactly *length* body bytes in bounded chunks.
-
-    Fills a preallocated buffer through a memoryview so no chunk is
-    copied twice, and never asks the reader for more than *chunk_size*
-    bytes at a time.
-    """
-    if length <= 0:
-        return b""
-    buf = bytearray(length)
-    view = memoryview(buf)
-    offset = 0
-    while offset < length:
-        chunk = await reader.read(min(chunk_size, length - offset))
-        if not chunk:
-            raise ProtocolError(
-                f"connection closed mid-body ({offset}/{length} bytes)"
-            )
-        view[offset : offset + len(chunk)] = chunk
-        offset += len(chunk)
-    return bytes(buf)
-
-
 def parse_request(head: Union[bytes, memoryview]) -> HttpRequest:
     """Parse one GET request head, through its blank line.
 
     Raises :class:`ProtocolError` on anything else: a head longer than
     :data:`MAX_HEAD_BYTES`, one without its closing blank line, another
-    method, or a malformed request or header line.
+    method, a malformed request or header line, or a request with a
+    body (a non-zero ``Content-Length`` or any ``Transfer-Encoding``),
+    whose bytes would otherwise be read as the next request.
     """
-    if len(head) > MAX_HEAD_BYTES:
-        raise ProtocolError("HTTP head exceeds size limit")
-    text = str(head, "latin-1")
-    if not text.endswith("\r\n\r\n"):
-        raise ProtocolError("incomplete HTTP head")
-    lines = text[:-4].split("\r\n")
+    lines = _head_lines(head)
     parts = lines[0].split(" ")
     if len(parts) != 3 or parts[0] != "GET":
         raise ProtocolError(f"unsupported request line {lines[0]!r}")
-    return HttpRequest(
-        url=parts[1], headers=_parse_headers(lines[1:]), version=parts[2]
-    )
+    headers = _parse_headers(lines[1:])
+    if "transfer-encoding" in headers or parse_content_length(headers):
+        raise ProtocolError("request bodies are not supported")
+    return HttpRequest(url=parts[1], headers=headers, version=parts[2])
 
 
-async def read_response(reader: asyncio.StreamReader) -> HttpResponse:
-    """Read and parse one Content-Length-framed response."""
-    try:
-        head = await _read_head(reader)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError("connection closed mid-response") from exc
-    lines = head.decode("latin-1").split("\r\n")
+def parse_response(head: Union[bytes, memoryview]) -> HttpResponse:
+    """Parse one response head, through its blank line; the body is
+    left empty, for the caller to frame with :func:`parse_content_length`.
+
+    Raises :class:`ProtocolError` on a head longer than
+    :data:`MAX_HEAD_BYTES`, one without its closing blank line, a status
+    line other than ``HTTP/<version> <three digits> [reason]``, a
+    malformed header line, or a ``Transfer-Encoding``.
+    """
+    lines = _head_lines(head)
     parts = lines[0].split(" ", 2)
     if len(parts) < 2 or not parts[0].startswith("HTTP/"):
         raise ProtocolError(f"malformed status line {lines[0]!r}")
-    try:
-        status = int(parts[1])
-    except ValueError as exc:
-        raise ProtocolError(f"malformed status code {parts[1]!r}") from exc
+    code = parts[1]
+    if len(code) != 3 or not (code.isdigit() and code.isascii()):
+        raise ProtocolError(f"malformed status code {code!r}")
     headers = _parse_headers(lines[1:])
-    length = parse_content_length(headers)
-    body = await read_body(reader, length)
-    return HttpResponse(
-        status=status, headers=headers, body=body, version=parts[0]
-    )
+    if "transfer-encoding" in headers:
+        raise ProtocolError("Transfer-Encoding is not supported")
+    return HttpResponse(int(code), headers, version=parts[0])
 
 
-def write_request(
-    writer: asyncio.StreamWriter,
+def render_request(
     url: str,
     headers: Optional[Dict[str, str]] = None,
-    keep_alive: bool = False,
-) -> None:
-    """Serialize one GET request onto *writer* (caller drains).
+    keep_alive: bool = True,
+) -> bytes:
+    """The bytes of one GET request.
 
-    Always emits an explicit ``Connection`` header so HTTP/1.0-era
+    Always carries an explicit ``Connection`` header, so HTTP/1.0-era
     readers and the connection pool agree on the connection's fate.
     """
-    head = [
-        f"GET {url} HTTP/1.1",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
+    head = (
+        f"GET {url} HTTP/1.1\r\n"
+        f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
+    )
     for name, value in (headers or {}).items():
-        head.append(f"{name}: {value}")
-    head.append("\r\n")
-    writer.write("\r\n".join(head).encode("latin-1"))
+        head += f"{name}: {value}\r\n"
+    return (head + "\r\n").encode("latin-1")
 
 
 #: The final answer to a framing error.
@@ -374,7 +353,64 @@ Response = Tuple[int, bytes, Dict[str, str]]
 Handler = Callable[[HttpRequest], Union[Response, Awaitable[Response]]]
 
 
-class HttpConnection(asyncio.BufferedProtocol):
+#: A parsed head: what :meth:`_HeadReader._take_head`'s parser returns.
+_Head = TypeVar("_Head", HttpRequest, HttpResponse)
+
+
+class _HeadReader(asyncio.BufferedProtocol):
+    """Heads read in place: the half both directions share.
+
+    The socket reads into one preallocated buffer of
+    :data:`MAX_HEAD_BYTES`.  :meth:`_take_head` finds a head's blank
+    line there (it may straddle two reads), parses the head, and moves
+    the bytes after it (a body, or the next pipelined message) to the
+    front of the buffer.
+    """
+
+    def __init__(self) -> None:
+        self._buf = bytearray(MAX_HEAD_BYTES)
+        self._view = memoryview(self._buf)
+        #: Bytes of :attr:`_buf` holding unparsed input.
+        self._used = 0
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view[self._used :] if self._used else self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # The blank line may straddle the previous read.
+        start = self._used - 3 if self._used > 3 else 0
+        self._used += nbytes
+        self._received(start)
+
+    def _received(self, start: int) -> None:
+        """New bytes are in the buffer; a head's blank line cannot
+        begin before *start*."""
+        raise NotImplementedError
+
+    def _take_head(
+        self, parse: Callable[[memoryview], _Head], start: int = 0
+    ) -> Optional[_Head]:
+        """The buffer's first head, parsed by *parse* and consumed;
+        ``None`` while it is incomplete.  Raises :class:`ProtocolError`
+        from *parse*, or when an unfinished head fills the buffer."""
+        end = self._buf.find(b"\r\n\r\n", start, self._used)
+        if end < 0:
+            if self._used == len(self._buf):
+                raise ProtocolError("HTTP head exceeds size limit")
+            return None
+        head = parse(self._view[: end + 4])
+        self._consume(end + 4)
+        return head
+
+    def _consume(self, nbytes: int) -> None:
+        """Drop the buffer's first *nbytes*."""
+        rest = self._used - nbytes
+        if rest:
+            self._view[:rest] = self._view[nbytes : self._used]
+        self._used = rest
+
+
+class HttpConnection(_HeadReader):
     """One accepted keep-alive connection, served in place.
 
     The socket reads into one preallocated buffer of
@@ -420,10 +456,7 @@ class HttpConnection(asyncio.BufferedProtocol):
         self._connections = connections
         self._on_wait = on_wait
         self._on_error = on_error
-        self._buf = bytearray(MAX_HEAD_BYTES)
-        self._view = memoryview(self._buf)
-        #: Bytes of :attr:`_buf` holding unparsed input.
-        self._used = 0
+        super().__init__()
         self._served = 0
         #: Set while an answer is pending: a task computing it, body
         #: chunks still to write, or a transport over its high-water
@@ -449,13 +482,7 @@ class HttpConnection(asyncio.BufferedProtocol):
         self._idle = Deadline(self._idle_timeout, self._transport.close)
         self._idle.since = self._idle.loop.time()
 
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view[self._used :] if self._used else self._view
-
-    def buffer_updated(self, nbytes: int) -> None:
-        # The blank line may straddle the previous read.
-        start = self._used - 3 if self._used > 3 else 0
-        self._used += nbytes
+    def _received(self, start: int) -> None:
         if not self._waiting:
             self._serve_heads(start)
         elif self._used == len(self._buf):
@@ -494,27 +521,20 @@ class HttpConnection(asyncio.BufferedProtocol):
 
     def _serve_heads(self, start: int = 0) -> None:
         """Answer every buffered head that can be answered now."""
-        buf = self._buf
         while True:
-            end = buf.find(b"\r\n\r\n", start, self._used)
-            if end < 0:
-                break
-            end += 4
             try:
-                request = parse_request(self._view[:end])
-            except ProtocolError:
+                request = self._take_head(parse_request, start)
+            except ProtocolError:  # malformed, or larger than the buffer
                 self._fail()
                 return
-            rest = self._used - end
-            if rest:
-                self._view[:rest] = self._view[end : self._used]
-            self._used = rest
+            if request is None:
+                break
             start = 0
             self._idle.since = None
             self._served += 1
-            keep_alive = _wants_keep_alive(
-                request.version, request.headers
-            ) and not (0 < self._max_requests <= self._served)
+            keep_alive = request.keep_alive and not (
+                0 < self._max_requests <= self._served
+            )
             answer = self._serve(request)
             if not isinstance(answer, tuple):
                 self._waiting = True
@@ -524,9 +544,7 @@ class HttpConnection(asyncio.BufferedProtocol):
                 return
             if not self._respond(answer, keep_alive):
                 return
-        if self._used == len(buf):
-            self._fail()  # the head outgrew the buffer
-        elif self._eof:
+        if self._eof:
             if self._used:
                 self._fail()  # the stream ended mid-head
             else:
@@ -611,6 +629,153 @@ class HttpConnection(asyncio.BufferedProtocol):
         self._waiting, self._keep_alive = True, False
         self._transport.write(_BAD_REQUEST)
         self._transport.close()
+
+
+class HttpClient(_HeadReader):
+    """One client connection: the twin of :class:`HttpConnection`.
+
+    :meth:`send` writes a request, and :meth:`response` hands out the
+    futures of the responses in request order, so requests may be
+    pipelined.  Each response head is parsed in place
+    (:func:`parse_response`).  A body that arrived with its head is
+    sliced from the buffer; a longer one is read straight into one
+    buffer of its ``Content-Length``, which is checked against
+    :data:`MAX_BODY_BYTES` before that buffer is allocated.
+
+    A malformed head, a response nobody asked for, or the end of the
+    stream mid-response fails every waiting request with
+    :class:`ProtocolError` and closes the connection.  Sending on a
+    closed connection raises the reason it closed
+    (:class:`ConnectionError` after a clean end of stream).
+    :func:`open_http` opens one.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._loop = asyncio.get_running_loop()
+        #: Sent requests not yet answered, oldest first.
+        self._waiters: Deque["asyncio.Future[HttpResponse]"] = deque()
+        #: The same futures, until :meth:`response` hands each out.
+        self._unclaimed: Deque["asyncio.Future[HttpResponse]"] = deque()
+        #: A response whose head is read and whose body is arriving in
+        #: :attr:`_body`, :attr:`_filled` bytes so far.
+        self._partial: Optional[HttpResponse] = None
+        self._body = memoryview(b"")
+        self._filled = 0
+        #: Why the connection is unusable, once it is.
+        self._lost: Optional[Exception] = None
+        #: Resolved when the connection is lost.
+        self.closed: "asyncio.Future[None]" = self._loop.create_future()
+        #: ``perf_counter`` time of the last release into a pool.
+        self.idle_since = 0.0
+
+    @property
+    def usable(self) -> bool:
+        """Whether a request sent now can be answered."""
+        return self._lost is None and not self._transport.is_closing()
+
+    def send(self, request: bytes) -> None:
+        """Write one request (:func:`render_request`); its response is
+        the next :meth:`response`.  Raises the reason the connection
+        closed when it has."""
+        if not self.usable:
+            raise self._lost or ConnectionError("connection closed")
+        waiter = self._loop.create_future()
+        self._waiters.append(waiter)
+        self._unclaimed.append(waiter)
+        self._transport.write(request)
+
+    def response(self) -> "asyncio.Future[HttpResponse]":
+        """The next response not yet handed out, in request order."""
+        return self._unclaimed.popleft()
+
+    def close(self) -> None:
+        """Close the connection; a pending request fails."""
+        self._transport.close()
+
+    # -- asyncio callbacks ---------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = cast(asyncio.Transport, transport)
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        if self._partial is not None:
+            return self._body[self._filled :]
+        return super().get_buffer(sizehint)
+
+    def buffer_updated(self, nbytes: int) -> None:
+        if self._partial is None:
+            super().buffer_updated(nbytes)
+            return
+        self._filled += nbytes
+        if self._filled == len(self._body):
+            response, self._partial = self._partial, None
+            response.body = bytes(self._body)
+            self._body = memoryview(b"")
+            self._deliver(response)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._partial is not None:
+            exc = ProtocolError(
+                "connection closed mid-body "
+                f"({self._filled}/{len(self._body)} bytes)"
+            )
+        elif self._waiters:
+            exc = exc or ProtocolError("connection closed mid-response")
+        self._fail(exc or ConnectionError("connection closed"))
+        if not self.closed.done():
+            self.closed.set_result(None)
+
+    # -- responses -----------------------------------------------------
+
+    def _received(self, start: int) -> None:
+        while self._used:
+            if not self._waiters:
+                self._fail(ProtocolError("unsolicited response"))
+                return
+            try:
+                response = self._take_head(parse_response, start)
+                if response is None:
+                    return
+                length = parse_content_length(response.headers)
+            except ProtocolError as exc:
+                self._fail(exc)
+                return
+            start = 0
+            if length > self._used:  # read the rest in place
+                self._body = memoryview(bytearray(length))
+                self._body[: self._used] = self._view[: self._used]
+                self._partial, self._filled, self._used = (
+                    response, self._used, 0
+                )
+                return
+            if length:
+                response.body = bytes(self._view[:length])
+                self._consume(length)
+            self._deliver(response)
+
+    def _deliver(self, response: HttpResponse) -> None:
+        waiter = self._waiters.popleft()
+        if not waiter.done():  # its caller may have been cancelled
+            waiter.set_result(response)
+
+    def _fail(self, exc: Exception) -> None:
+        """Fail every waiting request with *exc*, and close."""
+        if self._lost is None:
+            self._lost = exc
+        self._partial, self._body = None, memoryview(b"")
+        while self._waiters:
+            waiter = self._waiters.popleft()
+            if not waiter.done():
+                waiter.set_exception(exc)
+        self._transport.abort()
+
+
+async def open_http(host: str, port: int) -> HttpClient:
+    """A new :class:`HttpClient` connected to *host*:*port*."""
+    loop = asyncio.get_running_loop()
+    _, client = await loop.create_connection(HttpClient, host, port)
+    return client
 
 
 def synth_body(url: str, size: int) -> bytes:

@@ -1,32 +1,38 @@
-"""Keep-alive connection pooling for origin and peer fetches.
+"""Keep-alive connection pooling, and the one GET exchange.
 
 A miss used to cost a fresh TCP connection to the origin (or the
 holding peer) every time; under load the connect/teardown dominates the
 fetch.  :class:`ConnectionPool` keeps bounded per-``(host, port)`` idle
-lists of keep-alive connections and hands them back out after a health
-check, so sequential misses to the same upstream ride one socket.
+lists of keep-alive :class:`~repro.proxy.http.HttpClient` connections
+and hands them back out after a health check, so sequential misses to
+the same upstream ride one socket.
 
-The pool is deliberately transport-dumb: it opens, stores, and closes
-``(StreamReader, StreamWriter)`` pairs and leaves all HTTP framing to
-the caller.  The caller decides after each exchange whether the
-connection is still reusable (the response said ``keep-alive`` and the
-body was fully consumed) and either :meth:`~ConnectionPool.release`\\ s
-it back or discards it.
+:meth:`ConnectionPool.get` is the only place in the package that
+exchanges a request for a response: the proxy's peer and origin
+fetches call it, and so does
+:class:`~repro.proxy.client.ClientDriver`, through a pool of one
+connection.  After each exchange the connection goes back to the idle
+list when the response said ``keep-alive``, and is closed otherwise.
 
 Reuse is *checked, not guaranteed*: an idle upstream may close its end
-between exchanges, so callers retry a failed exchange once on a fresh
-connection before reporting an error (see
-``SummaryCacheProxy._fetch``).
+between exchanges, so an exchange that fails on a reused connection is
+retried on the next one, and finally on a fresh socket, before the
+error reaches the caller.
 """
 
 from __future__ import annotations
 
-import asyncio
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.proxy.http import bound_reads
+from repro.errors import ProtocolError
+from repro.proxy.http import (
+    HttpClient,
+    HttpResponse,
+    open_http,
+    render_request,
+)
 
 
 @dataclass
@@ -39,36 +45,6 @@ class PoolStats:
     expired: int = 0
 
 
-@dataclass
-class PooledConnection:
-    """One reusable upstream connection."""
-
-    host: str
-    port: int
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    #: ``perf_counter`` timestamp of the last release into the pool.
-    idle_since: float = 0.0
-    #: Number of exchanges served beyond the first.
-    reuses: int = 0
-    #: True when this acquire was served from the idle list (callers
-    #: use it to decide whether a failure warrants a fresh-socket retry).
-    was_reused: bool = field(default=False, compare=False)
-
-    def healthy(self, idle_timeout: float) -> bool:
-        """Whether the idle connection is still fit to hand out."""
-        if self.writer.is_closing() or self.reader.at_eof():
-            return False
-        if idle_timeout > 0:
-            return (perf_counter() - self.idle_since) <= idle_timeout
-        return True
-
-    def close(self) -> None:
-        """Abort the transport (idle teardown needs no graceful close)."""
-        if not self.writer.is_closing():
-            self.writer.close()
-
-
 class ConnectionPool:
     """Bounded idle-connection pool keyed by ``(host, port)``.
 
@@ -76,10 +52,11 @@ class ConnectionPool:
     ----------
     max_idle_per_host:
         Idle connections kept per upstream; 0 disables pooling entirely
-        (every acquire opens and every release closes).
+        (every exchange opens a connection and closes it after).
     idle_timeout:
-        Seconds an idle connection stays eligible; stale entries are
-        closed lazily on the next acquire against that upstream.
+        Seconds an idle connection stays eligible (0: no limit); stale
+        entries are closed lazily on the next exchange with that
+        upstream.
     on_reuse:
         Optional zero-argument hook (the proxy wires it to its
         ``proxy_connections_reused_total`` counter).
@@ -94,74 +71,99 @@ class ConnectionPool:
         self.max_idle_per_host = max_idle_per_host
         self.idle_timeout = idle_timeout
         self.stats = PoolStats()
-        self._idle: Dict[Tuple[str, int], List[PooledConnection]] = {}
+        self._idle: Dict[Tuple[str, int], List[HttpClient]] = {}
         self._on_reuse = on_reuse
         self._closed = False
-
-    def idle_count(self, host: str, port: int) -> int:
-        """Idle connections currently parked for one upstream."""
-        return len(self._idle.get((host, port), ()))
 
     @property
     def total_idle(self) -> int:
         """Idle connections across all upstreams."""
         return sum(len(conns) for conns in self._idle.values())
 
-    async def acquire(self, host: str, port: int) -> PooledConnection:
-        """A healthy pooled connection, or a freshly opened one."""
-        key = (host, port)
-        idle = self._idle.get(key)
+    async def get(
+        self, host: str, port: int, url: str, headers: Dict[str, str]
+    ) -> HttpResponse:
+        """GET *url* from *host*:*port* over a pooled connection.
+
+        An exchange that fails on a reused connection moves on to the
+        next idle one, then to a fresh socket; each stale connection is
+        consumed from the idle list, so the loop ends with a fresh
+        socket whose failure (:class:`ConnectionError`,
+        :class:`ProtocolError` or :class:`OSError`) is genuine and
+        propagates.  A cancelled exchange is half-finished: its
+        connection is discarded through the pool's books, never
+        stranded between the two.
+        """
+        # The list stays in the pool for good (clear() empties it in
+        # place), so holding it across the awaits below is safe.
+        idle = self._idle.setdefault((host, port), [])
+        while True:
+            client = self._reuse(idle)
+            reused = client is not None
+            if client is None:
+                client = await open_http(host, port)
+                self.stats.created += 1
+            try:
+                client.send(render_request(url, headers))
+                response = await client.response()
+            except (ConnectionError, ProtocolError, OSError):
+                self._discard(client)
+                if reused:
+                    continue  # stale pooled connection; try the next one
+                raise
+            except BaseException:
+                self._discard(client)
+                raise
+            self._release(idle, client, response.keep_alive)
+            return response
+
+    def _reuse(self, idle: List[HttpClient]) -> Optional[HttpClient]:
+        """The newest healthy connection in *idle*; stale ones close."""
         while idle:
-            conn = idle.pop()
-            if conn.healthy(self.idle_timeout):
-                conn.reuses += 1
-                conn.was_reused = True
+            client = idle.pop()
+            if client.usable and (
+                self.idle_timeout <= 0
+                or perf_counter() - client.idle_since <= self.idle_timeout
+            ):
                 self.stats.reused += 1
                 if self._on_reuse is not None:
                     self._on_reuse()
-                return conn
-            conn.close()
+                return client
+            client.close()
             self.stats.expired += 1
-        reader, writer = await asyncio.open_connection(host, port)
-        bound_reads(writer.transport)
-        self.stats.created += 1
-        return PooledConnection(host, port, reader, writer)
+        return None
 
-    def release(self, conn: PooledConnection, reusable: bool = True) -> None:
-        """Return *conn* to the pool, or close it if not *reusable*."""
+    def _release(
+        self, idle: List[HttpClient], client: HttpClient, reusable: bool
+    ) -> None:
+        """Park *client* in *idle*, or close it if it cannot be reused."""
         if (
             not reusable
             or self._closed
-            or self.max_idle_per_host <= 0
-            or conn.writer.is_closing()
-            or conn.reader.at_eof()
+            or not client.usable
+            or len(idle) >= self.max_idle_per_host
         ):
-            conn.close()
-            self.stats.discarded += 1
+            self._discard(client)
             return
-        idle = self._idle.setdefault((conn.host, conn.port), [])
-        if len(idle) >= self.max_idle_per_host:
-            conn.close()
-            self.stats.discarded += 1
-            return
-        conn.idle_since = perf_counter()
-        conn.was_reused = False
-        idle.append(conn)
+        client.idle_since = perf_counter()
+        idle.append(client)
+
+    def _discard(self, client: HttpClient) -> None:
+        client.close()
+        self.stats.discarded += 1
+
+    async def clear(self) -> None:
+        """Close every idle connection; later exchanges open new ones."""
+        clients: List[HttpClient] = []
+        for idle in self._idle.values():
+            clients += idle
+            idle.clear()
+        for client in clients:
+            client.close()
+        for client in clients:
+            await client.closed
 
     async def close(self) -> None:
         """Close every idle connection and refuse further parking."""
         self._closed = True
-        for conns in self._idle.values():
-            for conn in conns:
-                conn.close()
-        waiters = [
-            conn.writer.wait_closed()
-            for conns in self._idle.values()
-            for conn in conns
-        ]
-        self._idle.clear()
-        for waiter in waiters:
-            try:
-                await waiter
-            except (ConnectionError, asyncio.CancelledError):
-                pass
+        await self.clear()

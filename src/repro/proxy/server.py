@@ -97,8 +97,6 @@ from repro.proxy.http import (
     HttpResponse,
     Response,
     bound_reads,
-    read_response,
-    write_request,
 )
 from repro.proxy.metrics import ProxyMetrics, ProxyStats
 from repro.proxy.pool import ConnectionPool
@@ -1271,7 +1269,7 @@ class SummaryCacheProxy:
         response: Optional[HttpResponse]
         start = perf_counter()
         try:
-            response = await self._fetch(host, port, url, headers)
+            response = await self._pool.get(host, port, url, headers)
         except (ConnectionError, ProtocolError, OSError):
             response = None
         finally:
@@ -1294,42 +1292,6 @@ class SummaryCacheProxy:
                 peer_source=source,
             )
         return verdict, body, source
-
-    async def _fetch(
-        self,
-        host: str,
-        port: int,
-        url: str,
-        headers: Dict[str, str],
-    ) -> HttpResponse:
-        """One upstream GET over a pooled keep-alive connection.
-
-        A pooled connection may have been closed by the upstream while
-        idle, so an exchange that fails on a *reused* connection is
-        retried on the next one; each stale connection is consumed from
-        the idle list, so the loop terminates with a fresh socket whose
-        failure is genuine and propagates.
-        """
-        while True:
-            conn = await self._pool.acquire(host, port)
-            try:
-                write_request(conn.writer, url, headers, keep_alive=True)
-                await conn.writer.drain()
-                response = await read_response(conn.reader)
-            except (ConnectionError, ProtocolError, OSError):
-                self._pool.release(conn, reusable=False)
-                if not conn.was_reused:
-                    raise
-                continue  # stale pooled connection; try the next one
-            except BaseException:
-                # Cancellation (or any other non-I/O exception) lands
-                # between acquire and release: the exchange is
-                # half-finished, so the socket must not be reused --
-                # but it must go back through release() or it leaks.
-                self._pool.release(conn, reusable=False)
-                raise
-            self._pool.release(conn, reusable=response.keep_alive)
-            return response
 
     # ------------------------------------------------------------------
     # Introspection used by tests and benchmarks

@@ -17,25 +17,22 @@ Recording granularity is deliberate:
   check-then-act participants.
 - ``ConnectionPool``: the pool serialises its own state between
   awaits, so the guard records nothing -- its value is the extra
-  :meth:`~repro.sanitizer.core.Sanitizer.perturb` yield point at
-  ``acquire``, exactly where a cancellation or slow connect changes
-  the schedule.
+  :meth:`~repro.sanitizer.core.Sanitizer.perturb` yield point
+  (``pool.acquire``) just before each exchange, exactly where a
+  cancellation or slow connect changes the schedule.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, List, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Tuple
 
 from repro.sanitizer.core import Sanitizer
 
 if TYPE_CHECKING:  # imported for annotations only: repro.proxy imports
     # this package back, so runtime imports here would be circular.
     from repro.placement.live import Placement
-    from repro.proxy.pool import (
-        ConnectionPool,
-        PooledConnection,
-        PoolStats,
-    )
+    from repro.proxy.http import HttpResponse
+    from repro.proxy.pool import ConnectionPool
     from repro.summaries.backend import SummaryNode
 
 
@@ -147,7 +144,8 @@ class GuardedPlacement:
 
 
 class GuardedConnectionPool:
-    """A :class:`ConnectionPool` with a perturbation point at acquire."""
+    """A :class:`ConnectionPool` with a perturbation point before each
+    exchange."""
 
     __slots__ = ("_inner", "_san", "_key")
 
@@ -161,25 +159,11 @@ class GuardedConnectionPool:
     def __getattr__(self, attr: str) -> Any:
         return getattr(self._inner, attr)
 
-    @property
-    def stats(self) -> PoolStats:
-        return self._inner.stats
-
-    @property
-    def total_idle(self) -> int:
-        return self._inner.total_idle
-
-    async def acquire(self, host: str, port: int) -> PooledConnection:
+    async def get(
+        self, host: str, port: int, url: str, headers: Dict[str, str]
+    ) -> HttpResponse:
         # The extra yield lands exactly where a slow connect or a
         # cancellation would: between the caller's routing decision and
         # the exchange.
         await self._san.perturb("pool.acquire")
-        return await self._inner.acquire(host, port)
-
-    def release(
-        self, conn: PooledConnection, reusable: bool = True
-    ) -> None:
-        self._inner.release(conn, reusable=reusable)
-
-    async def close(self) -> None:
-        await self._inner.close()
+        return await self._inner.get(host, port, url, headers)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 from typing import List, Optional, Tuple
 
+from repro.proxy.http import HttpClient
+
 
 def copy_holds(seeker, holder: Tuple[str, int], url: str) -> bool:
     """Does *seeker*'s copy of the summary of the peer at ICP address
@@ -13,6 +15,13 @@ def copy_holds(seeker, holder: Tuple[str, int], url: str) -> bool:
         state.address.icp_addr == holder
         for state in seeker._candidate_peers(url)
     )
+
+
+async def trailing(client: HttpClient) -> bytes:
+    """What the server sent after the last response *client* read,
+    once the server has closed the connection."""
+    await client.closed
+    return bytes(client._view[: client._used])
 
 
 class FakeTransport(asyncio.Transport):

@@ -221,3 +221,19 @@ def test_last_trace_is_the_echo_and_send_trace_false_sends_none():
     # No echo: the driver falls back to the context it sent.
     (sent_unechoed,) = quiet
     assert unechoed.last_trace == sent_unechoed.header(TRACE_HEADER)[:8]
+
+
+def test_close_leaves_the_driver_usable():
+    async def scenario():
+        async with stub_proxy() as (port, seen):
+            driver = ClientDriver("127.0.0.1", port, timeout=30)
+            first = await driver.fetch("http://client.com/a")
+            await driver.close()
+            second = await driver.fetch("http://client.com/b")
+            await driver.close()
+            return first, second, driver
+
+    first, second, driver = asyncio.run(scenario())
+    assert first == second == BODY
+    assert driver.connections_opened == 2
+    assert (driver.report.requests, driver.report.errors) == (2, 0)

@@ -11,7 +11,7 @@ from repro.summaries import SummaryConfig
 from repro.errors import ConfigurationError
 from repro.protocol.core import NO_HOLDER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
-from repro.proxy.http import read_response, synth_body, write_request
+from repro.proxy.http import open_http, render_request, synth_body
 from repro.traces.model import Request, Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 from tests.proxy.conftest import copy_holds
@@ -207,17 +207,16 @@ class TestDataIntegrity:
                 base_config=BASE_CONFIG,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
+                client = await open_http(proxy.config.host, proxy.http_port)
+                client.send(
+                    render_request(
+                        "http://nowhere.com/x",
+                        {"X-Only-If-Cached": "1"},
+                        keep_alive=False,
+                    )
                 )
-                write_request(
-                    writer,
-                    "http://nowhere.com/x",
-                    {"X-Only-If-Cached": "1"},
-                )
-                await writer.drain()
-                response = await read_response(reader)
-                writer.close()
+                response = await client.response()
+                client.close()
                 return response
 
         assert run(scenario()).status == 504
@@ -373,13 +372,12 @@ class TestStatsEndpoint:
                 await driver.fetch("http://s.com/a", size=256)
                 await driver.fetch("http://s.com/a", size=256)
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
+                client = await open_http(proxy.config.host, proxy.http_port)
+                client.send(
+                    render_request("/metrics?format=json", keep_alive=False)
                 )
-                write_request(writer, "/metrics?format=json")
-                await writer.drain()
-                response = await read_response(reader)
-                writer.close()
+                response = await client.response()
+                client.close()
                 return response
 
         response = run(scenario())

@@ -13,7 +13,7 @@ import asyncio
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.config import PeerAddress
-from repro.proxy.http import read_response, synth_body, write_request
+from repro.proxy.http import open_http, render_request, synth_body
 
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
@@ -138,22 +138,19 @@ class TestDeadOrigin:
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
-                )
+                client = await open_http(proxy.config.host, proxy.http_port)
                 await cluster.origin.stop()
-                write_request(
-                    writer,
-                    "http://gone.com/new",
-                    {"X-Size": "64", "X-SC-Trace": "cafecafe-00000001"},
-                    keep_alive=True,
+                client.send(
+                    render_request(
+                        "http://gone.com/new",
+                        {"X-Size": "64", "X-SC-Trace": "cafecafe-00000001"},
+                        keep_alive=True,
+                    )
                 )
-                await writer.drain()
-                failed = await read_response(reader)
-                write_request(writer, "/metrics", keep_alive=True)
-                await writer.drain()
-                metrics = await read_response(reader)
-                writer.close()
+                failed = await client.response()
+                client.send(render_request("/metrics", keep_alive=True))
+                metrics = await client.response()
+                client.close()
                 return failed, metrics, proxy.spans.spans()
 
         failed, metrics, spans = run(scenario())

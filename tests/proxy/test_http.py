@@ -13,33 +13,18 @@ from repro.proxy.http import (
     MAX_BODY_BYTES,
     MAX_HEAD_BYTES,
     READ_BYTES,
+    HttpClient,
     HttpConnection,
     parse_content_length,
     parse_request,
-    read_body,
-    read_response,
+    render_request,
     synth_body,
-    write_request,
 )
 from repro.summaries import SummaryConfig
 from tests.proxy.conftest import FakeTransport
 
 #: One request asking the connection to close after its answer.
 CLOSING_GET = b"GET /x HTTP/1.1\r\nConnection: close\r\n\r\n"
-
-
-class _Writer:
-    """A StreamWriter stand-in that records each write."""
-
-    def __init__(self) -> None:
-        self.writes = []
-
-    @property
-    def data(self) -> bytes:
-        return b"".join(self.writes)
-
-    def write(self, data) -> None:
-        self.writes.append(bytes(data))
 
 
 def serve(answer, data=CLOSING_GET, **transport_options):
@@ -64,26 +49,29 @@ def render(status, body=b"", headers=None) -> bytes:
     return transport.data
 
 
-def parse_response(data: bytes):
+def read(data: bytes):
+    """The response a client reads from *data*, then the end of stream,
+    after sending one request."""
+
     async def scenario():
-        # The StreamReader must be created inside the running loop.
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        reader.feed_eof()
-        return await read_response(reader)
+        client = HttpClient()
+        transport = FakeTransport(client, takes=True)
+        client.send(render_request("/x"))
+        transport.feed(data)
+        transport.close()
+        return await client.response()
 
     return asyncio.run(scenario())
 
 
 class TestRequests:
     def test_write_read_roundtrip(self):
-        writer = _Writer()
-        write_request(
-            writer,
-            "http://a.com/x",
-            headers={"X-Size": "123", "X-Only-If-Cached": "1"},
+        request = parse_request(
+            render_request(
+                "http://a.com/x",
+                headers={"X-Size": "123", "X-Only-If-Cached": "1"},
+            )
         )
-        request = parse_request(writer.data)
         assert request.url == "http://a.com/x"
         assert request.header("x-size") == "123"
         assert request.header("X-ONLY-IF-CACHED") == "1"
@@ -107,14 +95,14 @@ class TestRequests:
 class TestResponses:
     def test_write_read_roundtrip(self):
         data = render(200, b"hello", headers={"X-Cache": "HIT"})
-        response = parse_response(data)
+        response = read(data)
         assert response.status == 200
         assert response.body == b"hello"
         assert response.header("x-cache") == "HIT"
         assert response.header("content-length") == "5"
 
     def test_empty_body(self):
-        response = parse_response(render(504))
+        response = read(render(504))
         assert response.status == 504
         assert response.body == b""
 
@@ -123,16 +111,16 @@ class TestResponses:
 
     def test_rejects_bad_status_line(self):
         with pytest.raises(ProtocolError, match="status"):
-            parse_response(b"NOPE\r\n\r\n")
+            read(b"NOPE\r\n\r\n")
 
     def test_rejects_bad_content_length(self):
         data = b"HTTP/1.0 200 OK\r\nContent-Length: x\r\n\r\n"
         with pytest.raises(ProtocolError, match="Content-Length"):
-            parse_response(data)
+            read(data)
 
     def test_rejects_non_numeric_status(self):
         with pytest.raises(ProtocolError):
-            parse_response(b"HTTP/1.0 abc OK\r\n\r\n")
+            read(b"HTTP/1.0 abc OK\r\n\r\n")
 
 
 class TestFramingValidation:
@@ -143,7 +131,7 @@ class TestFramingValidation:
             parse_content_length({"content-length": "-5"})
 
     def test_non_numeric_content_length_rejected(self):
-        for bad in ("x", "1e3", "0x10", " ", "+-1"):
+        for bad in ("x", "1e3", "0x10", " ", "+-1", "1_0", "+5"):
             with pytest.raises(ProtocolError, match="Content-Length"):
                 parse_content_length({"content-length": bad})
 
@@ -159,7 +147,7 @@ class TestFramingValidation:
     def test_response_with_negative_length_rejected(self):
         data = b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n"
         with pytest.raises(ProtocolError, match="negative"):
-            parse_response(data)
+            read(data)
 
     def test_oversized_head_rejected(self):
         # Above MAX_HEAD_BYTES but below the 64 KiB stream limit, so
@@ -172,19 +160,36 @@ class TestFramingValidation:
     def test_body_truncation_rejected(self):
         data = b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\nshort"
         with pytest.raises(ProtocolError, match="mid-body"):
-            parse_response(data)
+            read(data)
 
-    def test_read_body_chunked_reassembly(self):
-        async def scenario():
-            reader = asyncio.StreamReader()
-            payload = synth_body("u", 10_000)
-            reader.feed_data(payload)
-            reader.feed_eof()
-            body = await read_body(reader, len(payload), chunk_size=512)
-            return payload, body
+    def test_request_with_differing_content_lengths_rejected(self):
+        data = (
+            b"GET /x HTTP/1.1\r\nContent-Length: 0\r\n"
+            b"Content-Length: 5\r\n\r\n"
+        )
+        with pytest.raises(ProtocolError, match="Content-Length"):
+            parse_request(data)
 
-        payload, body = asyncio.run(scenario())
-        assert body == payload
+    def test_response_with_differing_content_lengths_rejected(self):
+        data = (
+            b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n"
+            b"Content-Length: 50\r\n\r\nhello"
+        )
+        with pytest.raises(ProtocolError, match="Content-Length"):
+            read(data)
+
+    def test_request_with_a_body_rejected(self):
+        for header in ("Content-Length: 3", "Transfer-Encoding: chunked"):
+            head = f"GET /x HTTP/1.1\r\n{header}\r\n\r\n".encode()
+            with pytest.raises(ProtocolError, match="bodies"):
+                parse_request(head)
+        empty = b"GET /x HTTP/1.1\r\nContent-Length: 0\r\n\r\n"
+        assert parse_request(empty).url == "/x"
+
+    def test_status_code_must_be_three_digits(self):
+        for code in (b"20", b"2000", b"+20", b"2_0"):
+            with pytest.raises(ProtocolError, match="status code"):
+                read(b"HTTP/1.1 " + code + b" OK\r\n\r\n")
 
 
 class TestKeepAliveSemantics:
@@ -220,13 +225,13 @@ class TestKeepAliveSemantics:
         assert transport.closed
         assert transport.writes == []
 
-    def test_write_request_emits_connection_header(self):
-        writer = _Writer()
-        write_request(writer, "/x", keep_alive=True)
-        assert b"Connection: keep-alive\r\n" in writer.data
-        writer = _Writer()
-        write_request(writer, "/x", keep_alive=False)
-        assert b"Connection: close\r\n" in writer.data
+    def test_render_request_emits_connection_header(self):
+        assert b"Connection: keep-alive\r\n" in render_request(
+            "/x", keep_alive=True
+        )
+        assert b"Connection: close\r\n" in render_request(
+            "/x", keep_alive=False
+        )
 
 
 class TestStreamBody:
@@ -308,8 +313,9 @@ class TestBoundedReads:
     """No socket read on the live path asks for more than READ_BYTES.
 
     asyncio's selector transports ask ``recv`` for 256 KiB, a buffer
-    glibc maps fresh on every read; the proxies, origin, pool and
-    client drivers all cap it.
+    glibc maps fresh on every read.  Every TCP connection reads into
+    its own buffer (``recv_into``), and the ICP endpoint caps its
+    datagram reads.
     """
 
     def test_every_read_in_a_cluster_is_bounded(self, monkeypatch):

@@ -1,7 +1,8 @@
 """Keep-alive semantics of the proxy data plane.
 
-Covers the request loop in ``SummaryCacheProxy._handle_http``: multiple
-requests on one connection, pipelining order, ``Connection: close``
+Covers the proxy's client connections (one
+:class:`~repro.proxy.http.HttpConnection` each): multiple requests on
+one connection, pipelining order, ``Connection: close``
 fallback, idle-timeout reaping (one deadline per connection, re-armed
 by each request), mid-stream client disconnects,
 per-connection request caps, upstream connection pooling, and
@@ -17,7 +18,8 @@ from dataclasses import replace
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.client import ClientDriver
-from repro.proxy.http import read_response, synth_body, write_request
+from repro.proxy.http import open_http, render_request, synth_body
+from tests.proxy.conftest import trailing
 
 
 def run(coro):
@@ -33,7 +35,7 @@ BASE_CONFIG = ProxyConfig(
 
 async def _connect(cluster, proxy_index=0):
     proxy = cluster.proxies[proxy_index]
-    return await asyncio.open_connection(proxy.config.host, proxy.http_port)
+    return await open_http(proxy.config.host, proxy.http_port)
 
 
 class TestKeepAliveLoop:
@@ -42,18 +44,18 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 responses = []
                 for i in range(3):
-                    write_request(
-                        writer,
-                        f"http://ka.com/d{i}",
-                        {"X-Size": "128"},
-                        keep_alive=True,
+                    client.send(
+                        render_request(
+                            f"http://ka.com/d{i}",
+                            {"X-Size": "128"},
+                            keep_alive=True,
+                        )
                     )
-                    await writer.drain()
-                    responses.append(await read_response(reader))
-                writer.close()
+                    responses.append(await client.response())
+                client.close()
                 return responses, cluster.proxies[0].stats
 
         responses, stats = run(scenario())
@@ -66,21 +68,19 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 urls = [f"http://pipe.com/d{i}" for i in range(5)]
                 # Write every request before reading any response.
                 for i, url in enumerate(urls):
-                    write_request(
-                        writer,
-                        url,
-                        {"X-Size": str(200 + i)},
-                        keep_alive=True,
+                    client.send(
+                        render_request(
+                            url,
+                            {"X-Size": str(200 + i)},
+                            keep_alive=True,
+                        )
                     )
-                await writer.drain()
-                bodies = [
-                    (await read_response(reader)).body for _ in urls
-                ]
-                writer.close()
+                bodies = [(await client.response()).body for _ in urls]
+                client.close()
                 return urls, bodies
 
         urls, bodies = run(scenario())
@@ -95,42 +95,39 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
-                write_request(
-                    writer, "http://cl.com/x", {"X-Size": "64"},
-                    keep_alive=False,
+                client = await _connect(cluster)
+                client.send(
+                    render_request(
+                        "http://cl.com/x", {"X-Size": "64"}, keep_alive=False
+                    )
                 )
-                await writer.drain()
-                response = await read_response(reader)
+                response = await client.response()
                 # The proxy must close its side after a close response.
-                trailing = await reader.read(1)
-                writer.close()
-                return response, trailing
+                rest = await trailing(client)
+                return response, rest
 
-        response, trailing = run(scenario())
+        response, rest = run(scenario())
         assert response.status == 200
         assert not response.keep_alive
-        assert trailing == b""
+        assert rest == b""
 
     def test_http10_defaults_to_close(self):
         async def scenario():
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
-                writer.write(
+                client = await _connect(cluster)
+                client.send(
                     b"GET http://old.com/x HTTP/1.0\r\nX-Size: 64\r\n\r\n"
                 )
-                await writer.drain()
-                response = await read_response(reader)
-                trailing = await reader.read(1)
-                writer.close()
-                return response, trailing
+                response = await client.response()
+                rest = await trailing(client)
+                return response, rest
 
-        response, trailing = run(scenario())
+        response, rest = run(scenario())
         assert response.status == 200
         assert not response.keep_alive
-        assert trailing == b""
+        assert rest == b""
 
     def test_idle_timeout_closes_connection(self):
         async def scenario():
@@ -138,21 +135,20 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
             ) as cluster:
-                reader, writer = await _connect(cluster)
-                write_request(
-                    writer, "http://idle.com/x", {"X-Size": "64"},
-                    keep_alive=True,
+                client = await _connect(cluster)
+                client.send(
+                    render_request(
+                        "http://idle.com/x", {"X-Size": "64"}, keep_alive=True
+                    )
                 )
-                await writer.drain()
-                response = await read_response(reader)
+                response = await client.response()
                 # Sit idle past the timeout; the proxy reaps us.
-                trailing = await asyncio.wait_for(reader.read(1), timeout=2.0)
-                writer.close()
-                return response, trailing
+                rest = await asyncio.wait_for(trailing(client), timeout=2.0)
+                return response, rest
 
-        response, trailing = run(scenario())
+        response, rest = run(scenario())
         assert response.keep_alive
-        assert trailing == b""
+        assert rest == b""
 
     def test_stalled_head_is_reaped_without_a_response(self):
         async def scenario():
@@ -161,15 +157,16 @@ class TestKeepAliveLoop:
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
             ) as cluster:
                 loop = asyncio.get_running_loop()
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 # Half a head: the request line and one header, never
-                # the blank line that ends it.
-                writer.write(b"GET http://stall.com/x HTTP/1.1\r\nX-Size: 64\r\n")
-                await writer.drain()
+                # the blank line that ends it.  Written past send(): no
+                # response is awaited.
+                client._transport.write(
+                    b"GET http://stall.com/x HTTP/1.1\r\nX-Size: 64\r\n"
+                )
                 started = loop.time()
-                answer = await asyncio.wait_for(reader.read(1024), timeout=2.0)
+                answer = await asyncio.wait_for(trailing(client), timeout=2.0)
                 waited = loop.time() - started
-                writer.close()
                 registry = cluster.proxies[0].registry
                 for _ in range(100):
                     if registry.value("proxy_connections_open") == 0:
@@ -188,19 +185,21 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
             ) as cluster:
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 responses = []
                 # 6 x 0.04 s = 0.24 s on one connection, more than twice
                 # the timeout; no single gap reaches it.
                 for i in range(6):
-                    write_request(
-                        writer, f"http://gap.com/d{i}", {"X-Size": "64"},
-                        keep_alive=True,
+                    client.send(
+                        render_request(
+                            f"http://gap.com/d{i}",
+                            {"X-Size": "64"},
+                            keep_alive=True,
+                        )
                     )
-                    await writer.drain()
-                    responses.append(await read_response(reader))
+                    responses.append(await client.response())
                     await asyncio.sleep(0.04)
-                writer.close()
+                client.close()
                 return responses, cluster.proxies[0].stats
 
         responses, stats = run(scenario())
@@ -214,20 +213,22 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
             ) as cluster:
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 statuses = []
                 for i in range(2):
-                    write_request(
-                        writer, f"http://zero.com/d{i}", {"X-Size": "64"},
-                        keep_alive=True,
+                    client.send(
+                        render_request(
+                            f"http://zero.com/d{i}",
+                            {"X-Size": "64"},
+                            keep_alive=True,
+                        )
                     )
-                    await writer.drain()
-                    statuses.append((await read_response(reader)).status)
+                    statuses.append((await client.response()).status)
                     await asyncio.sleep(0.3)
                 open_conns = cluster.proxies[0].registry.value(
                     "proxy_connections_open"
                 )
-                writer.close()
+                client.close()
                 return statuses, open_conns
 
         statuses, open_conns = run(scenario())
@@ -250,19 +251,20 @@ class TestKeepAliveLoop:
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             )
             await cluster.start()
-            reader, writer = await _connect(cluster)
-            write_request(
-                writer, "http://stop.com/x", {"X-Size": "64"}, keep_alive=True
+            client = await _connect(cluster)
+            client.send(
+                render_request(
+                    "http://stop.com/x", {"X-Size": "64"}, keep_alive=True
+                )
             )
-            await writer.drain()
-            await read_response(reader)
+            await client.response()
             await cluster.stop()  # the connection sits idle, mid-read
             me = asyncio.current_task()
             for _ in range(100):
                 if not asyncio.all_tasks() - {me}:
                     break
                 await asyncio.sleep(0)
-            writer.close()
+            client.close()
             del loop.call_at
             pending = [
                 h for h in timers
@@ -280,18 +282,18 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=config
             ) as cluster:
-                reader, writer = await _connect(cluster)
+                client = await _connect(cluster)
                 responses = []
                 for i in range(2):
-                    write_request(
-                        writer,
-                        f"http://cap.com/d{i}",
-                        {"X-Size": "64"},
-                        keep_alive=True,
+                    client.send(
+                        render_request(
+                            f"http://cap.com/d{i}",
+                            {"X-Size": "64"},
+                            keep_alive=True,
+                        )
                     )
-                    await writer.drain()
-                    responses.append(await read_response(reader))
-                writer.close()
+                    responses.append(await client.response())
+                client.close()
                 return responses
 
         responses = run(scenario())
@@ -303,20 +305,18 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                # Ask for a large body, then vanish without reading it.
-                reader, writer = await _connect(cluster)
-                write_request(
-                    writer,
-                    "http://gone.com/big",
-                    {"X-Size": str(4 * 1024 * 1024)},
-                    keep_alive=True,
+                # Ask for a large body, then vanish without reading it
+                # (written past send(): no response is awaited).
+                client = await _connect(cluster)
+                client._transport.write(
+                    render_request(
+                        "http://gone.com/big",
+                        {"X-Size": str(4 * 1024 * 1024)},
+                        keep_alive=True,
+                    )
                 )
-                await writer.drain()
-                writer.close()
-                try:
-                    await writer.wait_closed()
-                except (ConnectionError, OSError):
-                    pass
+                client.close()
+                await client.closed
                 # The proxy must still serve subsequent clients.
                 driver = cluster.driver_for(0)
                 body = await driver.fetch("http://gone.com/after", size=256)
@@ -341,34 +341,30 @@ class TestKeepAliveLoop:
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
-                writer.write(b"BLARGH\r\n\r\n")
-                await writer.drain()
-                response = await read_response(reader)
-                trailing = await reader.read(1)
-                writer.close()
-                return response, trailing
+                client = await _connect(cluster)
+                client.send(b"BLARGH\r\n\r\n")
+                response = await client.response()
+                rest = await trailing(client)
+                return response, rest
 
-        response, trailing = run(scenario())
+        response, rest = run(scenario())
         assert response.status == 400
         assert not response.keep_alive
-        assert trailing == b""
+        assert rest == b""
 
     def test_oversized_head_gets_400_not_traceback(self):
         async def scenario():
             async with ProxyCluster(
                 num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
             ) as cluster:
-                reader, writer = await _connect(cluster)
-                # 20 KiB of padding blows the 16 KiB head cap but stays
-                # under the 64 KiB stream limit.
-                writer.write(
+                client = await _connect(cluster)
+                # 20 KiB of padding blows the 16 KiB head cap.
+                client.send(
                     b"GET http://big.com/x HTTP/1.1\r\n"
                     + b"X-Padding: " + b"a" * (20 * 1024) + b"\r\n\r\n"
                 )
-                await writer.drain()
-                response = await read_response(reader)
-                writer.close()
+                response = await client.response()
+                client.close()
                 return response
 
         assert run(scenario()).status == 400
@@ -456,9 +452,9 @@ class TestUpstreamPooling:
                 # Kill the pooled origin connection behind the pool's
                 # back: the next fetch must fall back to a fresh socket.
                 proxy = cluster.proxies[0]
-                for conns in proxy._pool._idle.values():
-                    for conn in conns:
-                        conn.writer.transport.abort()
+                for clients in proxy._pool._idle.values():
+                    for client in clients:
+                        client._transport.abort()
                 await asyncio.sleep(0.05)
                 body = await driver.fetch("http://st.com/d1", size=128)
                 await driver.close()

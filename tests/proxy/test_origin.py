@@ -10,9 +10,9 @@ import pytest
 from repro.errors import ProtocolError
 from repro.proxy.http import (
     MAX_BODY_BYTES,
-    read_response,
+    open_http,
+    render_request,
     synth_body,
-    write_request,
 )
 from repro.proxy.origin import OriginServer
 
@@ -22,13 +22,12 @@ def run(coro):
 
 
 async def fetch(origin: OriginServer, url: str, headers=None):
-    reader, writer = await asyncio.open_connection(*origin.address)
+    client = await open_http(*origin.address)
     try:
-        write_request(writer, url, headers or {})
-        await writer.drain()
-        return await read_response(reader)
+        client.send(render_request(url, headers or {}, keep_alive=False))
+        return await client.response()
     finally:
-        writer.close()
+        client.close()
 
 
 class TestOriginServer:
@@ -93,13 +92,10 @@ class TestOriginServer:
             origin = OriginServer()
             await origin.start()
             try:
-                reader, writer = await asyncio.open_connection(
-                    *origin.address
-                )
-                writer.write(b"BOGUS\r\n\r\n")
-                await writer.drain()
-                response = await read_response(reader)
-                writer.close()
+                client = await open_http(*origin.address)
+                client.send(b"BOGUS\r\n\r\n")
+                response = await client.response()
+                client.close()
                 return response, origin.stats.errors
             finally:
                 await origin.stop()

@@ -23,7 +23,7 @@ from repro.obs import spans as spans_module
 from repro.obs.spans import TRACE_HEADER
 from repro.summaries import SummaryConfig
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
-from repro.proxy.http import read_response, write_request
+from repro.proxy.http import open_http, render_request
 from tests.proxy.conftest import copy_holds
 
 BASE_CONFIG = ProxyConfig(
@@ -41,12 +41,13 @@ HITS = 300
 PER_CONNECTION = 2
 
 
-async def _get(reader, writer, url, headers=None):
-    write_request(
-        writer, url, {"X-Size": "1024", **(headers or {})}, keep_alive=True
+async def _get(client, url, headers=None):
+    client.send(
+        render_request(
+            url, {"X-Size": "1024", **(headers or {})}, keep_alive=True
+        )
     )
-    await writer.drain()
-    return await read_response(reader)
+    return await client.response()
 
 
 @pytest.fixture
@@ -74,11 +75,9 @@ def test_local_hits_make_no_task_and_no_timer():
             num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
         ) as cluster:
             proxy = cluster.proxies[0]
-            reader, writer = await asyncio.open_connection(
-                proxy.config.host, proxy.http_port
-            )
+            client = await open_http(proxy.config.host, proxy.http_port)
             for url in URLS:  # warm: every later request is a local hit
-                assert (await _get(reader, writer, url)).status == 200
+                assert (await _get(client, url)).status == 200
             hits_before = proxy.stats.local_hits
 
             loop = asyncio.get_running_loop()
@@ -97,12 +96,12 @@ def test_local_hits_make_no_task_and_no_timer():
             loop.set_task_factory(counting_factory)
             try:
                 for i in range(HITS):
-                    response = await _get(reader, writer, URLS[i % len(URLS)])
+                    response = await _get(client, URLS[i % len(URLS)])
                     assert response.header("x-cache") == "HIT"
             finally:
                 loop.set_task_factory(None)
                 del loop.call_at
-            writer.close()
+            client.close()
             return counts, proxy.stats.local_hits - hits_before
 
     counts, hits = asyncio.run(scenario())
@@ -117,23 +116,20 @@ def test_local_hits_write_one_span_each_and_no_context(contexts_built):
             num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
         ) as cluster:
             proxy = cluster.proxies[0]
-            reader, writer = await asyncio.open_connection(
-                proxy.config.host, proxy.http_port
-            )
+            client = await open_http(proxy.config.host, proxy.http_port)
             for url in URLS:  # warm: every later request is a local hit
-                assert (await _get(reader, writer, url)).status == 200
+                assert (await _get(client, url)).status == 200
             spans_before = len(proxy.spans)
             contexts_built.clear()
             for i in range(HITS):
                 response = await _get(
-                    reader,
-                    writer,
+                    client,
                     URLS[i % len(URLS)],
                     {TRACE_HEADER: CONTEXT},
                 )
                 assert response.header("x-cache") == "HIT"
                 assert response.header(TRACE_HEADER).startswith("cafecafe-")
-            writer.close()
+            client.close()
             return proxy.spans.spans()[spans_before:], len(contexts_built)
 
     new_spans, contexts = asyncio.run(scenario())
@@ -173,22 +169,20 @@ def test_remote_hit_writes_one_span_on_the_requester(contexts_built):
             base_config=replace(BASE_CONFIG, update_threshold=0.0),
         ) as cluster:
             requester, holder = cluster.proxies
-            reader, writer = await asyncio.open_connection(
-                holder.config.host, holder.http_port
-            )
-            assert (await _get(reader, writer, url)).status == 200
-            writer.close()
+            client = await open_http(holder.config.host, holder.http_port)
+            assert (await _get(client, url)).status == 200
+            client.close()
             await _wait_until_advertised(requester, holder, url)
             before = len(requester.spans), len(holder.spans)
             contexts_built.clear()
 
-            reader, writer = await asyncio.open_connection(
+            client = await open_http(
                 requester.config.host, requester.http_port
             )
             response = await _get(
-                reader, writer, url, {TRACE_HEADER: CONTEXT}
+                client, url, {TRACE_HEADER: CONTEXT}
             )
-            writer.close()
+            client.close()
             # The holder's icp.query is written when its reply leaves,
             # before the requester can finish; nothing is in flight.
             return (
@@ -256,18 +250,15 @@ def test_local_hits_build_no_span_and_leave_untracked_records(monkeypatch):
             base_config=replace(BASE_CONFIG, trace_capacity=SMALL_RING),
         ) as cluster:
             proxy = cluster.proxies[0]
-            reader, writer = await asyncio.open_connection(
-                proxy.config.host, proxy.http_port
-            )
+            client = await open_http(proxy.config.host, proxy.http_port)
             for url in URLS:  # warm: every later request is a local hit
-                assert (await _get(reader, writer, url)).status == 200
+                assert (await _get(client, url)).status == 200
             monkeypatch.setattr(spans_module.Span, "__init__", counting_init)
             sys.setprofile(profile)
             try:
                 for i in range(HITS):
                     response = await _get(
-                        reader,
-                        writer,
+                        client,
                         URLS[i % len(URLS)],
                         {TRACE_HEADER: CONTEXT},
                     )
@@ -275,7 +266,7 @@ def test_local_hits_build_no_span_and_leave_untracked_records(monkeypatch):
             finally:
                 sys.setprofile(None)
                 monkeypatch.undo()
-            writer.close()
+            client.close()
             gc.collect()
             tracked = [e for e in proxy.spans._entries if gc.is_tracked(e)]
             return proxy, tracked

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -186,7 +187,7 @@ class TestQueryRound:
 
 
 class TestUpstreamGet:
-    """``_upstream_get`` over a stubbed ``_fetch``: one verdict table."""
+    """``_upstream_get`` over a stubbed ``pool.get``: one verdict table."""
 
     @pytest.mark.parametrize(
         "outcome, expected",
@@ -203,13 +204,13 @@ class TestUpstreamGet:
         proxy = make_proxy(ProxyMode.NO_ICP)
         seen = {}
 
-        async def fake_fetch(host, port, url, headers):
+        async def fake_get(host, port, url, headers):
             seen.update(host=host, port=port, headers=dict(headers))
             if isinstance(outcome, Exception):
                 raise outcome
             return outcome
 
-        proxy._fetch = fake_fetch
+        proxy._pool = SimpleNamespace(get=fake_get)
         peer = peer_state("p1", 1001)
         root = proxy.spans.start_span("http.request")
         result = asyncio.run(

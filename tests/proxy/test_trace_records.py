@@ -21,6 +21,7 @@ from repro.obs.spans import TRACE_HEADER, format_id
 from repro.proxy import ProxyCluster, ProxyMode
 from repro.proxy.origin import OriginServer
 from repro.proxy.server import SummaryCacheProxy
+from repro.proxy.http import open_http
 from repro.sanitizer import Sanitizer
 from tests.proxy.test_request_budget import (
     BASE_CONFIG,
@@ -52,32 +53,30 @@ def test_scrapes_build_only_the_spans_they_return(dicts_built):
             num_proxies=1, mode=ProxyMode.NO_ICP, base_config=BASE_CONFIG
         ) as cluster:
             proxy = cluster.proxies[0]
-            reader, writer = await asyncio.open_connection(
-                proxy.config.host, proxy.http_port
-            )
-            await _get(reader, writer, "http://scrape.com/doc")
+            client = await open_http(proxy.config.host, proxy.http_port)
+            await _get(client, "http://scrape.com/doc")
             # Overflow the ring with hits, one of them in a known trace.
             for i in range(proxy.spans.capacity + 10):
                 headers = {TRACE_HEADER: CONTEXT} if i == 100 else {}
-                await _get(reader, writer, "http://scrape.com/doc", headers)
+                await _get(client, "http://scrape.com/doc", headers)
             expected_recent = proxy.spans.as_dicts()[-64:]
             expected_trace = [
                 d for d in proxy.spans.as_dicts() if d["trace_id"] == TRACE
             ]
             dicts_built.clear()
             metrics = json.loads(
-                (await _get(reader, writer, "/metrics?format=json")).body
+                (await _get(client, "/metrics?format=json")).body
             )
             on_metrics = len(dicts_built)
             dicts_built.clear()
             traced = json.loads(
-                (await _get(reader, writer, f"/trace?trace={TRACE}")).body
+                (await _get(client, f"/trace?trace={TRACE}")).body
             )
             on_trace = len(dicts_built)
             bad = json.loads(
-                (await _get(reader, writer, "/trace?trace=0xcafeca")).body
+                (await _get(client, "/trace?trace=0xcafeca")).body
             )
-            writer.close()
+            client.close()
             return (
                 metrics, traced, bad, expected_recent, expected_trace,
                 on_metrics, on_trace,
@@ -106,19 +105,17 @@ def test_remote_hit_reassembles_from_two_real_rings():
             base_config=replace(BASE_CONFIG, update_threshold=0.0),
         ) as cluster:
             requester, holder = cluster.proxies
-            reader, writer = await asyncio.open_connection(
-                holder.config.host, holder.http_port
-            )
-            assert (await _get(reader, writer, url)).status == 200
-            writer.close()
+            client = await open_http(holder.config.host, holder.http_port)
+            assert (await _get(client, url)).status == 200
+            client.close()
             await _wait_until_advertised(requester, holder, url)
-            reader, writer = await asyncio.open_connection(
+            client = await open_http(
                 requester.config.host, requester.http_port
             )
             response = await _get(
-                reader, writer, url, {TRACE_HEADER: CONTEXT}
+                client, url, {TRACE_HEADER: CONTEXT}
             )
-            writer.close()
+            client.close()
             return response, await cluster.snapshot()
 
     response, snapshot = asyncio.run(scenario())
@@ -170,12 +167,10 @@ def test_local_hit_keeps_its_sanitizer_attribution():
         )
         await proxy.start()
         try:
-            reader, writer = await asyncio.open_connection(
-                proxy.config.host, proxy.http_port
-            )
-            miss = await _get(reader, writer, url)
-            hit = await _get(reader, writer, url, {TRACE_HEADER: CONTEXT})
-            writer.close()
+            client = await open_http(proxy.config.host, proxy.http_port)
+            miss = await _get(client, url)
+            hit = await _get(client, url, {TRACE_HEADER: CONTEXT})
+            client.close()
             return miss, hit, proxy.spans.spans(name="http.request")
         finally:
             await proxy.stop()

@@ -17,7 +17,7 @@ import pytest
 from repro.summaries import SummaryConfig
 from repro.obs.spans import TRACE_HEADER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
-from repro.proxy.http import read_response, write_request
+from repro.proxy.http import open_http, render_request
 from tests.proxy.conftest import copy_holds
 
 
@@ -126,20 +126,19 @@ class TestHeaderEcho:
                 base_config=BASE_CONFIG,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
-                )
+                client = await open_http(proxy.config.host, proxy.http_port)
                 try:
-                    write_request(
-                        writer,
-                        "/docs/echo?size=512",
-                        headers={TRACE_HEADER: "cafecafe-00000001"},
+                    client.send(
+                        render_request(
+                            "/docs/echo?size=512",
+                            headers={TRACE_HEADER: "cafecafe-00000001"},
+                            keep_alive=False,
+                        )
                     )
-                    await writer.drain()
-                    response = await read_response(reader)
+                    response = await client.response()
                 finally:
-                    writer.close()
-                    await writer.wait_closed()
+                    client.close()
+                    await client.closed
                 spans = proxy.spans.trace(0xCAFECAFE)
                 return response, [s.name for s in spans]
 
@@ -160,16 +159,15 @@ class TestHeaderEcho:
                 base_config=BASE_CONFIG,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
-                )
+                client = await open_http(proxy.config.host, proxy.http_port)
                 try:
-                    write_request(writer, "/docs/fresh?size=512")
-                    await writer.drain()
-                    response = await read_response(reader)
+                    client.send(
+                        render_request("/docs/fresh?size=512", keep_alive=False)
+                    )
+                    response = await client.response()
                 finally:
-                    writer.close()
-                    await writer.wait_closed()
+                    client.close()
+                    await client.closed
                 return response, proxy.spans.spans(name="http.request")
 
         response, roots = run(scenario())
@@ -196,20 +194,19 @@ class TestTracingDisabled:
                 base_config=config,
             ) as cluster:
                 proxy = cluster.proxies[0]
-                reader, writer = await asyncio.open_connection(
-                    proxy.config.host, proxy.http_port
-                )
+                client = await open_http(proxy.config.host, proxy.http_port)
                 try:
-                    write_request(
-                        writer,
-                        "/docs/dark?size=512",
-                        headers={TRACE_HEADER: "cafecafe-00000001"},
+                    client.send(
+                        render_request(
+                            "/docs/dark?size=512",
+                            headers={TRACE_HEADER: "cafecafe-00000001"},
+                            keep_alive=False,
+                        )
                     )
-                    await writer.drain()
-                    response = await read_response(reader)
+                    response = await client.response()
                 finally:
-                    writer.close()
-                    await writer.wait_closed()
+                    client.close()
+                    await client.closed
                 snapshot = await cluster.snapshot()
                 return response, snapshot
 
