@@ -4,7 +4,9 @@ Section VI: "the proxy can either specify which bits in the bit array
 are flipped, or send the whole array, whichever is smaller"; Squid's
 cache digests ship the whole array.  This ablation measures real
 encoded wire bytes for both encodings across update batch sizes and
-locates the crossover.
+locates the crossover, next to the pick of
+:func:`repro.summaries.codec.ships_whole`, the rule all three engines
+apply.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from repro.protocol.update import (
     build_digest_messages,
     build_dir_update_messages,
 )
+from repro.summaries.codec import ships_whole
 
 from benchmarks._shared import write_result
 
@@ -49,11 +52,13 @@ def test_ablation_update_encoding(benchmark):
     rows = []
     for batch, (flips, delta_bytes, digest_bytes) in results.items():
         winner = "delta" if delta_bytes < digest_bytes else "whole-filter"
-        rows.append((batch, flips, delta_bytes, digest_bytes, winner))
+        pick = "whole-filter" if ships_whole(flips, NUM_BITS) else "delta"
+        rows.append((batch, flips, delta_bytes, digest_bytes, winner, pick))
 
-    # Small batches favour deltas; huge batches favour the digest.
-    assert rows[0][4] == "delta"
-    assert rows[-1][4] == "whole-filter"
+    # Small batches favour deltas; huge batches favour the digest; the
+    # rule picks the measured winner at both ends.
+    assert rows[0][4] == rows[0][5] == "delta"
+    assert rows[-1][4] == rows[-1][5] == "whole-filter"
     # The digest's cost is constant (plus chunk headers) regardless of
     # batch size.
     digest_sizes = [row[3] for row in rows]
@@ -68,6 +73,7 @@ def test_ablation_update_encoding(benchmark):
                 "delta-bytes",
                 "whole-filter-bytes",
                 "smaller",
+                "rule picks",
             ),
             rows,
             title=(

@@ -40,7 +40,6 @@ def config_for(kind: str) -> ProxyConfig:
     return ProxyConfig(
         summary=SummaryConfig(kind=kind, load_factor=8),
         expected_doc_size=2048,
-        update_threshold=0.01,
     )
 
 

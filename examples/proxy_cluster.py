@@ -15,7 +15,7 @@ import asyncio
 import time
 
 from repro.analysis.tables import format_table
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
@@ -24,7 +24,7 @@ async def run_mode(mode: ProxyMode, trace, cache_capacity: int):
     config = ProxyConfig(
         summary=SummaryConfig(kind="bloom", load_factor=8),
         expected_doc_size=2048,
-        update_threshold=0.01,
+        update_policy=ThresholdUpdatePolicy(0.01),
     )
     started = time.perf_counter()
     async with ProxyCluster(

@@ -885,25 +885,23 @@ async def _serve(args: argparse.Namespace) -> int:
     from repro.proxy.cluster import ProxyCluster
     from repro.proxy.config import ProxyConfig, ProxyMode
 
-    summary = summary_config_for_repr(args.summary_repr or "bloom")
-    policy = (
-        parse_update_policy(args.update_policy)
-        if args.update_policy
-        else None
+    policy: Dict[str, Any] = {}
+    if args.update_policy:
+        policy["update_policy"] = parse_update_policy(args.update_policy)
+    config = ProxyConfig(
+        summary=summary_config_for_repr(args.summary_repr or "bloom"),
+        trace_capacity=args.trace_capacity,
+        trace_enabled=not args.no_trace,
+        cooperation=args.cooperation,
+        replication=args.replication,
+        **policy,
     )
     async with ProxyCluster(
         num_proxies=args.proxies,
         mode=ProxyMode(args.mode),
         cache_capacity=int(args.cache_mb * 1024 * 1024),
         origin_delay=args.origin_delay,
-        base_config=ProxyConfig(
-            trace_capacity=args.trace_capacity,
-            trace_enabled=not args.no_trace,
-        ),
-        summary=summary,
-        update_policy=policy,
-        cooperation=args.cooperation,
-        replication=args.replication,
+        base_config=config,
     ) as cluster:
         print(
             f"origin http://{cluster.origin.address[0]}:"
@@ -991,7 +989,6 @@ async def _obs_cluster(args: argparse.Namespace) -> int:
             base_config=ProxyConfig(
                 summary=SummaryConfig(kind="bloom", load_factor=8),
                 expected_doc_size=1024,
-                update_threshold=0.01,
             ),
         ) as cluster:
             await run_loadgen(
@@ -1039,7 +1036,7 @@ async def _loadgen(args: argparse.Namespace) -> int:
         run_loadgen,
     )
     from repro.proxy.cluster import ProxyCluster
-    from repro.proxy.config import ProxyMode
+    from repro.proxy.config import ProxyConfig, ProxyMode
 
     config = LoadGenConfig(
         clients=args.clients,
@@ -1055,8 +1052,9 @@ async def _loadgen(args: argparse.Namespace) -> int:
         mode=ProxyMode(args.mode),
         cache_capacity=int(args.cache_mb * 1024 * 1024),
         origin_delay=args.origin_delay,
-        cooperation=args.cooperation,
-        replication=args.replication,
+        base_config=ProxyConfig(
+            cooperation=args.cooperation, replication=args.replication
+        ),
     ) as cluster:
         result = await run_loadgen(
             cluster.targets(),
@@ -1102,9 +1100,9 @@ async def _sanitize_run(args: argparse.Namespace) -> int:
     async with ProxyCluster(
         num_proxies=args.proxies,
         mode=ProxyMode(args.mode),
-        base_config=ProxyConfig(),
-        cooperation=args.cooperation,
-        replication=args.replication,
+        base_config=ProxyConfig(
+            cooperation=args.cooperation, replication=args.replication
+        ),
     ) as cluster:
         targets = [
             (proxy.config.host, proxy.http_port)

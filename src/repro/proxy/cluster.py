@@ -15,13 +15,11 @@ if TYPE_CHECKING:  # circular at runtime: obs.cluster drives the client
     from repro.obs.cluster import ClusterSnapshot
 
 from repro.errors import ConfigurationError
-from repro.placement import CooperationPolicy
 from repro.proxy.client import ClientDriver, ReplayReport, replay_concurrently
 from repro.proxy.config import ProxyConfig, ProxyMode
 from repro.proxy.metrics import ProxyStats
 from repro.proxy.origin import OriginServer
 from repro.proxy.server import SummaryCacheProxy
-from repro.summaries import SummaryConfig, UpdatePolicy
 from repro.traces.model import Trace
 from repro.traces.partition import client_streams
 
@@ -59,6 +57,10 @@ class ProxyCluster:
 
         async with ProxyCluster(num_proxies=4, mode=ProxyMode.SC_ICP) as cluster:
             result = await cluster.replay(trace)
+
+    Every proxy is *base_config* (summary, update policy, cooperation
+    and the rest) with *mode*, *cache_capacity*, its own name and
+    OS-picked ports put over it.
     """
 
     def __init__(
@@ -68,32 +70,17 @@ class ProxyCluster:
         cache_capacity: int = 4 * 1024 * 1024,
         origin_delay: float = 0.0,
         base_config: Optional[ProxyConfig] = None,
-        summary: Optional[SummaryConfig] = None,
-        update_policy: Optional[UpdatePolicy] = None,
-        cooperation: Optional[CooperationPolicy] = None,
-        replication: Optional[int] = None,
     ) -> None:
         if num_proxies < 1:
             raise ConfigurationError("num_proxies must be >= 1")
         self.num_proxies = num_proxies
         self.mode = mode
-        template = base_config or ProxyConfig()
-        overrides: dict = {}
-        if summary is not None:
-            overrides["summary"] = summary
-        if update_policy is not None:
-            overrides["update_policy"] = update_policy
-        if cooperation is not None:
-            overrides["cooperation"] = CooperationPolicy.parse(cooperation)
-        if replication is not None:
-            overrides["replication"] = replication
         self._template = replace(
-            template,
+            base_config or ProxyConfig(),
             mode=mode,
             cache_capacity=cache_capacity,
             http_port=0,
             icp_port=0,
-            **overrides,
         )
         self._configs = [
             replace(self._template, name=f"proxy{i}")

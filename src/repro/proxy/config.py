@@ -76,34 +76,18 @@ class ProxyConfig:
     summary: SummaryConfig = field(default_factory=SummaryConfig)
     #: Average document size used to size the Bloom filter.
     expected_doc_size: int = 8 * 1024
-    #: Ship a summary update when this fraction of cached documents is
-    #: new (the paper's recommended 1%-10% range).  0 means no delay:
-    #: an update ships after every insert (the live line of Fig. 2).
-    update_threshold: float = 0.01
-    #: Full update policy; overrides ``update_threshold`` when set
-    #: (interval and packet-fill policies have no threshold shorthand).
-    update_policy: Optional[UpdatePolicy] = None
+    #: When a summary update ships.  The default ships once 1 % of the
+    #: cached documents are new (the paper's recommended 1 %-10 %
+    #: range); ``ThresholdUpdatePolicy(0)`` ships after every insert
+    #: (the live line of Fig. 2).  Whether it travels as flips or as the
+    #: whole array is not a setting: :func:`repro.summaries.codec.
+    #: ships_whole` picks the smaller.
+    update_policy: UpdatePolicy = ThresholdUpdatePolicy(0.01)
     #: Seconds to wait for ICP replies before falling back to the origin.
     icp_timeout: float = 0.5
-    #: UDP payload budget for DIRUPDATE batching.
-    mtu: int = 1400
-    #: How summary updates are shipped: ``"delta"`` sends
-    #: ICP_OP_DIRUPDATE bit-flip batches (the paper's SC-ICP design);
-    #: ``"digest"`` sends the whole bit array in ICP_OP_DIGEST chunks
-    #: (the Squid cache-digest variant, "more economical" when the
-    #: delay threshold is large).
-    update_encoding: str = "delta"
-    #: Rebuild the filter at double the bits once the cache holds this
-    #: many times the expected document count ("proxies can lower or
-    #: raise it depending on their memory and network traffic
-    #: concerns").  0 disables auto-resizing.
-    resize_threshold: float = 2.0
     #: Seconds a keep-alive client connection may sit idle between
     #: requests before the proxy closes it.  0 disables the timeout.
     idle_timeout: float = 30.0
-    #: Requests served on one client connection before the proxy forces
-    #: ``Connection: close`` (bounded pipelining).  0 means unlimited.
-    max_requests_per_connection: int = 0
     #: Idle pooled connections kept per (host, port) for origin and
     #: peer fetches.  0 disables pooling (a fresh connection per fetch,
     #: the pre-keep-alive behaviour).
@@ -138,40 +122,13 @@ class ProxyConfig:
             raise ConfigurationError("replication must be >= 1")
         if self.cache_capacity < 1:
             raise ConfigurationError("cache_capacity must be >= 1")
-        if not 0.0 <= self.update_threshold <= 1.0:
-            raise ConfigurationError(
-                "update_threshold must be in [0, 1]"
-            )
         if self.icp_timeout <= 0:
             raise ConfigurationError("icp_timeout must be > 0")
-        if self.resize_threshold < 0:
-            raise ConfigurationError("resize_threshold must be >= 0")
-        if self.update_encoding not in ("delta", "digest"):
-            raise ConfigurationError(
-                f"update_encoding must be 'delta' or 'digest', "
-                f"got {self.update_encoding!r}"
-            )
         if self.idle_timeout < 0:
             raise ConfigurationError("idle_timeout must be >= 0")
-        if self.max_requests_per_connection < 0:
-            raise ConfigurationError(
-                "max_requests_per_connection must be >= 0"
-            )
         if self.pool_size < 0:
             raise ConfigurationError("pool_size must be >= 0")
         if self.pool_idle_timeout < 0:
             raise ConfigurationError("pool_idle_timeout must be >= 0")
         if self.trace_capacity < 1:
             raise ConfigurationError("trace_capacity must be >= 1")
-        if self.update_encoding == "digest" and self.summary.kind != "bloom":
-            raise ConfigurationError(
-                "update_encoding='digest' ships whole bit arrays "
-                "(ICP_OP_DIGEST) and requires a Bloom summary; "
-                f"summary kind is {self.summary.kind!r}"
-            )
-
-    def effective_update_policy(self) -> UpdatePolicy:
-        """The policy governing update shipping for this proxy."""
-        if self.update_policy is not None:
-            return self.update_policy
-        return ThresholdUpdatePolicy(self.update_threshold)

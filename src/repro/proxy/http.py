@@ -431,8 +431,7 @@ class HttpConnection(_HeadReader):
     calls *on_wait*.  No head is parsed while a pause is open.
 
     The connection ends after a response that says ``Connection:
-    close`` (the request asked, or it is the *max_requests*-th; 0: no
-    cap), at the client's end of stream once every buffered request is
+    close`` (the request asked), at the client's end of stream once every buffered request is
     answered, after a final ``400`` on a framing error or a head larger
     than the buffer (*on_error* is called first), or when the client
     has been idle for *idle_timeout* seconds (0: never), reaped by one
@@ -445,19 +444,16 @@ class HttpConnection(_HeadReader):
         self,
         serve: Handler,
         idle_timeout: float = 0.0,
-        max_requests: int = 0,
         connections: Optional[Set["HttpConnection"]] = None,
         on_wait: Optional[Callable[[], object]] = None,
         on_error: Optional[Callable[[], object]] = None,
     ) -> None:
         self._serve = serve
         self._idle_timeout = idle_timeout
-        self._max_requests = max_requests
         self._connections = connections
         self._on_wait = on_wait
         self._on_error = on_error
         super().__init__()
-        self._served = 0
         #: Set while an answer is pending: a task computing it, body
         #: chunks still to write, or a transport over its high-water
         #: mark.  No head is parsed meanwhile.
@@ -531,18 +527,14 @@ class HttpConnection(_HeadReader):
                 break
             start = 0
             self._idle.since = None
-            self._served += 1
-            keep_alive = request.keep_alive and not (
-                0 < self._max_requests <= self._served
-            )
             answer = self._serve(request)
             if not isinstance(answer, tuple):
                 self._waiting = True
                 self._task = self._idle.loop.create_task(
-                    self._answer_later(answer, keep_alive)
+                    self._answer_later(answer, request.keep_alive)
                 )
                 return
-            if not self._respond(answer, keep_alive):
+            if not self._respond(answer, request.keep_alive):
                 return
         if self._eof:
             if self._used:

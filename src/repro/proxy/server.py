@@ -23,10 +23,11 @@ Cooperation modes (:class:`~repro.proxy.config.ProxyMode`):
     by the first DIRUPDATE received, per Section VI-B).  A miss probes
     every copy at once and queries only promising peers.  When the
     update policy fires, the pending delta is drained into MTU-sized,
-    representation-tagged DIRUPDATE messages and sent to every peer.
-    With ``update_encoding="digest"`` the whole bit array is shipped in
-    ICP_OP_DIGEST chunks instead (the Squid cache-digest variant,
-    Bloom summaries only).
+    representation-tagged DIRUPDATE messages and sent to every peer,
+    unless its flips outweigh the whole bit array: then the array goes
+    in ICP_OP_DIGEST chunks (Bloom summaries only), as it does after a
+    resize.  :func:`repro.summaries.codec.ships_whole` makes that
+    choice for the DES and the sharing simulator too.
 
 The summary representation -- Bloom filter, exact MD5 directory, or
 server-name list -- is selected purely by ``ProxyConfig.summary``; all
@@ -46,7 +47,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
     Union,
@@ -119,6 +119,10 @@ FORWARD_HEADER = "X-SC-Forward"
 
 #: Response header naming the proxy that answered a forwarded fetch.
 OWNER_HEADER = "X-SC-Owner"
+
+#: A Bloom summary is rebuilt at double the bits once the cache holds
+#: this many times the documents it was sized for.
+RESIZE_FACTOR = 2.0
 
 
 class _PeerState:
@@ -220,7 +224,6 @@ class SummaryCacheProxy:
             config.cache_capacity,
             doc_size=config.expected_doc_size,
         )
-        self._update_policy = config.effective_update_policy()
         self._cache = WebCache(
             config.cache_capacity,
             max_object_size=config.max_object_size,
@@ -338,7 +341,6 @@ class SummaryCacheProxy:
             lambda: HttpConnection(
                 self._serve_http,
                 idle_timeout=self.config.idle_timeout,
-                max_requests=self.config.max_requests_per_connection,
                 connections=self._connections,
                 on_wait=self._m.backpressure_waits.inc,
             ),
@@ -559,10 +561,7 @@ class SummaryCacheProxy:
         describe a geometry change).  Set representations never report
         themselves overloaded, so this is a no-op for them.
         """
-        threshold = self.config.resize_threshold
-        if threshold <= 0:
-            return
-        if not self._node.local.overloaded(len(self._cache), threshold):
+        if not self._node.local.overloaded(len(self._cache), RESIZE_FACTOR):
             return
         self._node.rebuild(
             self._cache.urls(), perf_counter(), digests=self._cache.digests()
@@ -577,27 +576,31 @@ class SummaryCacheProxy:
         if self._peers:
             self._broadcast()  # a delta cannot describe the new geometry
 
-    def _broadcast(self, delta: Optional[SummaryDelta] = None) -> int:
-        """Ship the summary to every peer; returns the message count.
+    def _broadcast(self, delta: Optional[SummaryDelta] = None) -> None:
+        """Ship the summary to every peer and record a
+        ``dirupdate.drain`` span naming the encoding sent.
 
-        *delta* travels as DIRUPDATEs.  With none (the resync after a
-        resize), or under ``update_encoding="digest"`` (Squid
-        cache-digest style), the whole bit array goes instead.
+        *delta* travels as the codec picks (DIRUPDATE flips, or DIGEST
+        chunks when the whole array is smaller); with none (the resync
+        after a resize) the whole array goes.
         """
-        messages: Sequence[Union[DirUpdate, SetDirUpdate, DigestChunk]]
-        if delta is None or self.config.update_encoding == "digest":
-            messages = codec.whole_summary_messages(
-                self._node.local, mtu=self.config.mtu
-            )
-        else:
-            messages = codec.delta_messages(
-                self._node.local, delta, mtu=self.config.mtu
-            )
+        wall, start = time(), perf_counter()
+        messages = codec.update_messages(self._node.local, delta)
         encoded = [message.encode() for message in messages]
         for peer_addr in self._peers:
             for data in encoded:
                 self._send(data, peer_addr, self._m.dirupdates_sent)
-        return len(encoded)
+        self.spans.record(
+            "dirupdate.drain", 0, 0, wall, perf_counter() - start,
+            (
+                "proxy", self.config.name,
+                "records", 0 if delta is None else delta.change_count,
+                "representation", self.config.summary.kind,
+                "encoding",
+                "digest" if isinstance(messages[0], DigestChunk) else "delta",
+                "peers", len(self._peers), "messages", len(encoded),
+            ),
+        )
 
     def _send(
         self, data: bytes, addr: Tuple[str, int], kind: Counter
@@ -614,29 +617,13 @@ class SummaryCacheProxy:
     def _maybe_broadcast_update(self) -> None:
         now = perf_counter()
         if not self._node.due_for_update(
-            self._update_policy, now, len(self._cache)
+            self.config.update_policy, now, len(self._cache)
         ):
             return
         delta = self._node.publish(now)
         if delta.is_empty() or not self._peers or self._udp is None:
             return
-        wall, start = time(), perf_counter()
-        sent = self._broadcast(delta)
-        self.spans.record(
-            "dirupdate.drain", 0, 0, wall, perf_counter() - start,
-            (
-                "proxy", self.config.name, "records", delta.change_count,
-                "representation", self.config.summary.kind,
-                "encoding", self.config.update_encoding,
-                "peers", len(self._peers), "messages", sent,
-            ),
-        )
-        logger.debug(
-            "proxy=%s dirupdate drained records=%d messages=%d",
-            self.config.name,
-            delta.change_count,
-            sent,
-        )
+        self._broadcast(delta)
 
     # ------------------------------------------------------------------
     # ICP datagram path
@@ -1151,10 +1138,11 @@ class SummaryCacheProxy:
         """The one tail every unresolved miss ends in: origin, then store.
 
         The client path, the owner-routed path and the owner side of a
-        forward all finish here (the single home for single-flighting
-        misses later).  *placed* is the URL's digest when the caller
-        routed by owner: the body is then stored only if this proxy is
-        in the replica set once the fetch has returned.  Raises
+        forward all finish here: count the fetch, get the body from the
+        origin through the pool, and store it.  Concurrent misses for
+        one URL each fetch it.  *placed* is the URL's digest when the
+        caller routed by owner: the body is then stored only if this
+        proxy is in the replica set once the fetch has returned.  Raises
         :class:`~repro.errors.ProxyError` when the origin cannot serve.
         """
         self._m.origin_fetches.inc()

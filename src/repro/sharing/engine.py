@@ -36,6 +36,7 @@ from repro.sharing.messages import (
 )
 from repro.sharing.results import MessageCounts, SharingResult
 from repro.summaries import BitFlipDelta, PeerSummaries, SummaryNode
+from repro.summaries.codec import ships_whole
 from repro.traces.partition import TraceLike, grouped_chunks
 
 if TYPE_CHECKING:
@@ -127,18 +128,16 @@ def _notify(
 def _delta_bytes(delta, num_bits) -> int:
     """Wire size of one update carrying *delta*.
 
-    The digest sets ship one record per change.  For Bloom summaries the
-    sender picks the cheaper encoding between the flip-record delta and
-    its whole *num_bits* bit array ("the proxy can either specify which
-    bits in the bit array are flipped, or send the whole array,
-    whichever is smaller").
+    The digest sets ship one record per change.  A Bloom delta ships
+    its flip records or the whole *num_bits* bit array, as
+    :func:`~repro.summaries.codec.ships_whole` picks for every engine.
     """
-    if isinstance(delta, BitFlipDelta):
-        return min(
-            bloom_update_bytes(delta.change_count),
-            whole_filter_update_bytes(num_bits),
-        )
-    return digest_update_bytes(delta.change_count)
+    if not isinstance(delta, BitFlipDelta):
+        return digest_update_bytes(delta.change_count)
+    flips = len(delta.flips)
+    if ships_whole(flips, num_bits):
+        return whole_filter_update_bytes(num_bits)
+    return bloom_update_bytes(flips)
 
 
 def _replay(

@@ -330,8 +330,9 @@ class SimProxy:
         delta = self.node.publish(self.engine.now)
         if delta.is_empty() or not self.peers:
             return
-        # Priced as the live proxy sends it: the codec's datagrams.
-        messages = codec.delta_messages(self.node.local, delta)
+        # Priced as the live proxy sends it: the codec's datagrams,
+        # flip records or the whole array, whichever is smaller.
+        messages = codec.update_messages(self.node.local, delta)
         num_messages = len(messages)
         message_bytes = messages[0].wire_size()
         if self.config.dissemination == "hierarchy":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
 )
 
 SMALL = LoadGenConfig(
@@ -127,8 +127,7 @@ class TestOriginAccounting:
                 num_proxies=2,
                 mode=ProxyMode.NO_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=replace(BASE_CONFIG, cooperation="carp"),
             ) as cluster:
                 targets = [
                     (p.config.host, p.http_port) for p in cluster.proxies

@@ -223,7 +223,6 @@ class TestScrape:
                 base_config=ProxyConfig(
                     summary=SummaryConfig(kind="bloom", load_factor=8),
                     expected_doc_size=1024,
-                    update_threshold=0.01,
                 ),
             ) as cluster:
                 await cluster.replay(trace, assignment="round-robin")

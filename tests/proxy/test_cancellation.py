@@ -24,7 +24,6 @@ def run(coro):
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
 )
 
 

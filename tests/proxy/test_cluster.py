@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.errors import ConfigurationError
 from repro.protocol.core import NO_HOLDER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
@@ -41,7 +41,6 @@ def mini_trace(n: int = 300, clients: int = 8, docs: int = 100) -> Trace:
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
 )
 
 
@@ -307,15 +306,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             run(scenario())
 
-    def test_digest_encoding_requires_bloom_summary(self):
-        # Whole-filter digests (ICP_OP_DIGEST) are a Bloom-only wire
-        # form; set representations must stick with delta updates.
-        with pytest.raises(ConfigurationError):
-            ProxyConfig(
-                summary=SummaryConfig(kind="exact-directory"),
-                update_encoding="digest",
-            )
-
     def test_non_bloom_summaries_accepted(self):
         for kind in ("exact-directory", "server-name"):
             config = ProxyConfig(summary=SummaryConfig(kind=kind))
@@ -324,15 +314,19 @@ class TestValidation:
 
 class TestDigestEncoding:
     def test_digest_updates_install_peer_summaries(self):
-        """The cache-digest variant (whole-filter ICP_OP_DIGEST chunks)
-        propagates summaries just like DIRUPDATE deltas."""
+        """An update whose flips outweigh the bit array travels as
+        whole-filter ICP_OP_DIGEST chunks and propagates summaries just
+        like DIRUPDATE deltas.  A small cache means a small filter, and a
+        50 % threshold batches enough inserts to cross over."""
 
         async def scenario():
-            config = replace(BASE_CONFIG, update_encoding="digest")
+            config = replace(
+                BASE_CONFIG, update_policy=ThresholdUpdatePolicy(0.5)
+            )
             async with ProxyCluster(
                 num_proxies=2,
                 mode=ProxyMode.SC_ICP,
-                cache_capacity=512 * 1024,
+                cache_capacity=64 * 1024,
                 base_config=config,
             ) as cluster:
                 d0 = cluster.driver_for(0)
@@ -347,15 +341,12 @@ class TestDigestEncoding:
                 # Proxy 1 can now take remote hits via the digest view.
                 d1 = cluster.driver_for(1)
                 await d1.fetch(urls[0], size=512)
-                return urls, hits, proxy1.stats
+                return urls, hits, proxy1
 
-        urls, hits, stats = run(scenario())
+        urls, hits, proxy1 = run(scenario())
         assert hits > len(urls) * 0.5
-        assert stats.remote_hits == 1
-
-    def test_bad_encoding_rejected(self):
-        with pytest.raises(ConfigurationError):
-            replace(BASE_CONFIG, update_encoding="carrier-pigeon")
+        assert proxy1.stats.remote_hits == 1
+        assert proxy1.spans.spans(name="digest.apply")
 
 
 class TestStatsEndpoint:
@@ -406,7 +397,7 @@ class TestSummaryResize:
             config = replace(
                 BASE_CONFIG,
                 expected_doc_size=32 * 1024,  # drastically undersized
-                update_threshold=0.05,
+                update_policy=ThresholdUpdatePolicy(0.05),
             )
             async with ProxyCluster(
                 num_proxies=2,
@@ -429,27 +420,13 @@ class TestSummaryResize:
 
         proxy0, proxy1, geometry, coverage, urls = run(scenario())
         assert proxy0.stats.summary_resizes >= 1
+        # The resync after a resize (a drain of no delta records) is
+        # recorded too, with the encoding it was sent in.
+        assert any(
+            span.attributes["encoding"] == "digest"
+            and span.attributes["records"] == 0
+            for span in proxy0.spans.spans(name="dirupdate.drain")
+        )
         assert geometry == proxy0.summary.geometry
         assert coverage > len(urls) * 0.9
         assert proxy1.stats.remote_hits == 1
-
-    def test_resize_disabled(self):
-        async def scenario():
-            config = replace(
-                BASE_CONFIG,
-                expected_doc_size=32 * 1024,
-                resize_threshold=0.0,
-            )
-            async with ProxyCluster(
-                num_proxies=1,
-                mode=ProxyMode.SC_ICP,
-                cache_capacity=2 * 2**20,
-                base_config=config,
-            ) as cluster:
-                d0 = cluster.driver_for(0)
-                for i in range(150):
-                    await d0.fetch(f"http://nr.com/d{i}", size=512)
-                return cluster.proxies[0].stats
-
-        stats = run(scenario())
-        assert stats.summary_resizes == 0

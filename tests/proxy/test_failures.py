@@ -18,7 +18,6 @@ from repro.proxy.http import open_http, render_request, synth_body
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
     icp_timeout=0.15,
 )
 

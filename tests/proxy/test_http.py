@@ -337,7 +337,6 @@ class TestBoundedReads:
             config = ProxyConfig(
                 summary=SummaryConfig(kind="bloom", load_factor=8),
                 expected_doc_size=1024,
-                update_threshold=0.01,
             )
             async with ProxyCluster(
                 num_proxies=2, mode=ProxyMode.SC_ICP, base_config=config

@@ -34,7 +34,6 @@ def mini_trace(n: int = 300, clients: int = 8, docs: int = 100):
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
 )
 
 

@@ -9,6 +9,7 @@ and failover when a peer dies mid-replay without saying goodbye.
 from __future__ import annotations
 
 import asyncio
+from dataclasses import replace
 
 from repro.core.hashing import md5_digest
 from repro.summaries import SummaryConfig
@@ -18,8 +19,8 @@ from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 BASE_CONFIG = ProxyConfig(
     summary=SummaryConfig(kind="bloom", load_factor=8),
     expected_doc_size=1024,
-    update_threshold=0.01,
 )
+CARP_CONFIG = replace(BASE_CONFIG, cooperation="carp")
 
 
 def run(coro):
@@ -40,8 +41,7 @@ class TestCarpRouting:
                 num_proxies=3,
                 mode=ProxyMode.NO_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=CARP_CONFIG,
             ) as cluster:
                 urls = [f"http://carp.com/d{i}" for i in range(24)]
                 drivers = [cluster.driver_for(i) for i in range(3)]
@@ -107,8 +107,9 @@ class TestCarpRouting:
             async with ProxyCluster(
                 num_proxies=2,
                 mode=ProxyMode.NO_ICP,
-                base_config=BASE_CONFIG,
-                cooperation=CooperationPolicy.CARP,
+                base_config=replace(
+                    BASE_CONFIG, cooperation=CooperationPolicy.CARP
+                ),
             ) as cluster:
                 proxy = cluster.proxies[0]
                 return (
@@ -129,8 +130,7 @@ class TestCarpRouting:
             async with ProxyCluster(
                 num_proxies=3,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=CARP_CONFIG,
             ) as cluster:
                 drivers = [cluster.driver_for(i) for i in range(3)]
                 for i in range(200):
@@ -156,8 +156,7 @@ class TestSingleCopyDiscovery:
                 num_proxies=2,
                 mode=ProxyMode.SC_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation=cooperation,
+                base_config=replace(BASE_CONFIG, cooperation=cooperation),
             ) as cluster:
                 d0 = cluster.driver_for(0)
                 d1 = cluster.driver_for(1)
@@ -190,8 +189,7 @@ class TestMembershipChange:
                 num_proxies=2,
                 mode=ProxyMode.NO_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=CARP_CONFIG,
             ) as cluster:
                 d0 = cluster.driver_for(0)
                 urls = [f"http://join.com/d{i}" for i in range(30)]
@@ -254,8 +252,7 @@ class TestMembershipChange:
                 num_proxies=3,
                 mode=ProxyMode.NO_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=CARP_CONFIG,
             ) as cluster:
                 d0 = cluster.driver_for(0)
                 for i in range(30):
@@ -287,8 +284,7 @@ class TestFailover:
                 num_proxies=3,
                 mode=ProxyMode.NO_ICP,
                 cache_capacity=4 * 1024 * 1024,
-                base_config=BASE_CONFIG,
-                cooperation="carp",
+                base_config=CARP_CONFIG,
             ) as cluster:
                 d0 = cluster.driver_for(0)
                 urls = [f"http://kill.com/d{i}" for i in range(36)]

@@ -10,7 +10,6 @@ old-geometry deltas (the proxy never guesses at a peer's geometry).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
@@ -35,7 +34,6 @@ def config_for(kind: str, **overrides) -> ProxyConfig:
     kwargs = {
         "summary": SummaryConfig(kind=kind, load_factor=8),
         "expected_doc_size": 1024,
-        "update_threshold": 0.01,
     }
     kwargs.update(overrides)
     return ProxyConfig(**kwargs)
@@ -86,7 +84,9 @@ class TestRepresentationsEndToEnd:
         remote copy tracks the true directory, not its union."""
 
         async def scenario():
-            config = config_for(kind, update_threshold=0.0)
+            config = config_for(
+                kind, update_policy=ThresholdUpdatePolicy(0.0)
+            )
             async with ProxyCluster(
                 num_proxies=2,
                 mode=ProxyMode.SC_ICP,
@@ -158,11 +158,13 @@ class TestMixedRepresentations:
 
 class TestLiveThreshold:
     def test_zero_threshold_ships_update_per_insert(self):
-        """update_threshold=0 is the paper's no-delay line: every
+        """ThresholdUpdatePolicy(0) is the paper's no-delay line: every
         insert is announced immediately."""
 
         async def scenario():
-            config = config_for("bloom", update_threshold=0.0)
+            config = config_for(
+                "bloom", update_policy=ThresholdUpdatePolicy(0.0)
+            )
             async with ProxyCluster(
                 num_proxies=2,
                 mode=ProxyMode.SC_ICP,
@@ -194,7 +196,7 @@ class TestResizeResync:
             config = config_for(
                 "bloom",
                 expected_doc_size=32 * 1024,  # drastically undersized
-                update_threshold=0.05,
+                update_policy=ThresholdUpdatePolicy(0.05),
             )
             async with ProxyCluster(
                 num_proxies=3,

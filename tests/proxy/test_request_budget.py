@@ -21,7 +21,7 @@ import pytest
 
 from repro.obs import spans as spans_module
 from repro.obs.spans import TRACE_HEADER
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import open_http, render_request
 from tests.proxy.conftest import copy_holds
@@ -166,7 +166,9 @@ def test_remote_hit_writes_one_span_on_the_requester(contexts_built):
             mode=ProxyMode.SC_ICP,
             # Every insert is advertised at once, so the warmed
             # document reaches the requester's copy of the summary.
-            base_config=replace(BASE_CONFIG, update_threshold=0.0),
+            base_config=replace(
+                BASE_CONFIG, update_policy=ThresholdUpdatePolicy(0.0)
+            ),
         ) as cluster:
             requester, holder = cluster.proxies
             client = await open_http(holder.config.host, holder.http_port)

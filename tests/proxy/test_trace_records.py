@@ -23,6 +23,7 @@ from repro.proxy.origin import OriginServer
 from repro.proxy.server import SummaryCacheProxy
 from repro.proxy.http import open_http
 from repro.sanitizer import Sanitizer
+from repro.summaries import ThresholdUpdatePolicy
 from tests.proxy.test_request_budget import (
     BASE_CONFIG,
     CONTEXT,
@@ -102,7 +103,9 @@ def test_remote_hit_reassembles_from_two_real_rings():
         async with ProxyCluster(
             num_proxies=2,
             mode=ProxyMode.SC_ICP,
-            base_config=replace(BASE_CONFIG, update_threshold=0.0),
+            base_config=replace(
+                BASE_CONFIG, update_policy=ThresholdUpdatePolicy(0.0)
+            ),
         ) as cluster:
             requester, holder = cluster.proxies
             client = await open_http(holder.config.host, holder.http_port)

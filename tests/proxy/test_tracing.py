@@ -14,7 +14,7 @@ import asyncio
 
 import pytest
 
-from repro.summaries import SummaryConfig
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.obs.spans import TRACE_HEADER
 from repro.proxy import ProxyCluster, ProxyConfig, ProxyMode
 from repro.proxy.http import open_http, render_request
@@ -30,7 +30,7 @@ BASE_CONFIG = ProxyConfig(
     expected_doc_size=1024,
     # Ship a DIRUPDATE after every insert so the warmed document is
     # advertised to peers without waiting out a threshold.
-    update_threshold=0.0,
+    update_policy=ThresholdUpdatePolicy(0.0),
 )
 
 
@@ -182,7 +182,7 @@ class TestTracingDisabled:
         config = ProxyConfig(
             summary=SummaryConfig(kind="bloom", load_factor=8),
             expected_doc_size=1024,
-            update_threshold=0.0,
+            update_policy=ThresholdUpdatePolicy(0.0),
             trace_enabled=False,
         )
 
@@ -224,7 +224,6 @@ class TestRingCapacity:
         config = ProxyConfig(
             summary=SummaryConfig(kind="bloom", load_factor=8),
             expected_doc_size=1024,
-            update_threshold=0.01,
             trace_capacity=4,
         )
 

@@ -151,7 +151,6 @@ def test_sc_icp_cluster_serves_without_numpy():
                 base_config=ProxyConfig(
                     summary=SummaryConfig(kind="bloom", load_factor=8),
                     expected_doc_size=1024,
-                    update_threshold=0.01,
                 ),
             ) as cluster:
                 urls = [f"http://nonp.com/d{i}" for i in range(25)]

@@ -84,7 +84,7 @@ class TestSimulatorsAgree:
             base = ProxyConfig(
                 summary=SummaryConfig(kind="bloom", load_factor=8),
                 expected_doc_size=1536,
-                update_threshold=0.02,
+                update_policy=ThresholdUpdatePolicy(0.02),
             )
             async with ProxyCluster(
                 num_proxies=NUM_PROXIES,
