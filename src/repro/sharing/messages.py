@@ -15,6 +15,8 @@ benchmark harness can print the assumptions next to the results.
 
 from __future__ import annotations
 
+from repro.protocol.wire import FLIP_RECORD_BYTES
+
 #: Query/reply message size: 20-byte header + 50-byte average URL.
 QUERY_MESSAGE_BYTES = 20 + 50
 
@@ -29,9 +31,8 @@ DIGEST_CHANGE_BYTES = 16
 #: Number_of_Updates extension header of Section VI-A).
 BLOOM_UPDATE_HEADER_BYTES = 32
 
-#: Bytes per bit-flip record (a 32-bit integer: MSB = new value, low 31
-#: bits = bit index).
-BLOOM_FLIP_BYTES = 4
+#: Bytes per bit-flip record: the DIRUPDATE record the live proxy sends.
+BLOOM_FLIP_BYTES = FLIP_RECORD_BYTES
 
 
 def digest_update_bytes(change_count: int) -> int:

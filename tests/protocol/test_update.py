@@ -171,6 +171,20 @@ class TestDigestTransfer:
         result = assembler.add(small_chunks[0])
         assert result == small.snapshot()
 
+    def test_lost_chunk_never_completes_from_the_next_snapshot(self):
+        cbf = filled_filter(500)
+        older = build_digest_messages(cbf, mtu=256)
+        for i in range(500, 560):  # same geometry, other bits
+            cbf.add(f"http://later.com/doc{i}")
+        newer = build_digest_messages(cbf, mtu=256)
+        assert older[0].request_number != newer[0].request_number
+        assembler = DigestAssembler()
+        # The older transfer lost its first chunk; the newer one arrives
+        # whole and is the only filter completed.
+        results = [assembler.add(c) for c in older[1:] + newer]
+        completed = [r for r in results if r is not None]
+        assert completed == [cbf.snapshot()]
+
     def test_assembler_resets_after_completion(self):
         cbf = filled_filter(100)
         chunks = build_digest_messages(cbf, mtu=4096)
