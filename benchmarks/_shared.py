@@ -24,9 +24,6 @@ from repro.sharing.results import SharingResult
 #: Workload scale for all trace-driven benchmarks.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "2"))
 
-#: The paper's update threshold for the representation sweep.
-SWEEP_THRESHOLD = float(os.environ.get("REPRO_BENCH_THRESHOLD", "0.01"))
-
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
@@ -42,11 +39,10 @@ def write_result(name: str, text: str) -> None:
 def representation_sweep(workload: str) -> Dict[str, SharingResult]:
     """The Section V-D sweep for one workload, computed once per run.
 
-    Figs. 5-8 and Table III all read from this sweep.
+    Figs. 5-8 and Table III all read from this sweep, run at the
+    paper's 1% update threshold.
     """
-    return experiments.representations(
-        workload, scale=SCALE, threshold=SWEEP_THRESHOLD
-    )
+    return experiments.representations(workload, scale=SCALE)
 
 
 def sweep_table(

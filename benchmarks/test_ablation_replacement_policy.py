@@ -7,9 +7,9 @@ ablation reruns the Fig. 1 simple-sharing point under five policies.
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.analysis.tables import format_table
 from repro.sharing.schemes import simulate_no_sharing, simulate_simple_sharing
-from repro.traces.stats import compute_stats
 from repro.traces.workloads import make_workload
 
 from benchmarks._shared import SCALE, write_result
@@ -19,8 +19,7 @@ POLICIES = ("lru", "fifo", "lfu", "size", "gdsf")
 
 def test_ablation_replacement_policy(benchmark):
     trace, groups = make_workload("dec", scale=min(SCALE, 1.0))
-    stats = compute_stats(trace)
-    capacity = max(1, int(stats.infinite_cache_bytes * 0.10 / groups))
+    capacity, _doc_size = experiments.cache_sizes(trace, groups)
 
     def sweep():
         results = {}

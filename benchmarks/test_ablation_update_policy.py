@@ -8,6 +8,7 @@ checks they produce comparable hit ratios and false-miss ratios.
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.analysis.tables import format_table
 from repro.summaries import (
     IntervalUpdatePolicy,
@@ -19,7 +20,6 @@ from repro.sharing.summary_sharing import (
     SummarySharingConfig,
     simulate_summary_sharing,
 )
-from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import make_workload
 
 from benchmarks._shared import SCALE, write_result
@@ -27,9 +27,7 @@ from benchmarks._shared import SCALE, write_result
 
 def test_ablation_update_policy(benchmark):
     trace, groups = make_workload("ucb", scale=SCALE)
-    stats = compute_stats(trace)
-    capacity = max(1, int(stats.infinite_cache_bytes * 0.10 / groups))
-    doc_size = mean_cacheable_size(trace)
+    capacity, doc_size = experiments.cache_sizes(trace, groups)
 
     def run(policy):
         cfg = SummarySharingConfig(

@@ -12,48 +12,21 @@ discusses (Sections I and VIII related work).
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.analysis.tables import format_table
-from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
-from repro.sharing.carp import simulate_carp
-from repro.sharing.directory_server import simulate_directory_server
-from repro.sharing.summary_sharing import (
-    SummarySharingConfig,
-    simulate_icp,
-    simulate_summary_sharing,
-)
-from repro.traces.stats import compute_stats, mean_cacheable_size
-from repro.traces.workloads import make_workload
 
-from benchmarks._shared import SCALE, SWEEP_THRESHOLD, write_result
+from benchmarks._shared import SCALE, write_result
 
 
 def test_comparison_alternatives(benchmark):
-    trace, groups = make_workload("ucb", scale=SCALE)
-    stats = compute_stats(trace)
-    capacity = max(1, int(stats.infinite_cache_bytes * 0.10 / groups))
-    doc_size = mean_cacheable_size(trace)
-
-    def sweep():
-        icp = simulate_icp(trace, groups, capacity)
-        carp = simulate_carp(trace, groups, capacity)
-        dserver, load = simulate_directory_server(
-            trace, groups, capacity
-        )
-        bloom = simulate_summary_sharing(
-            trace,
-            groups,
-            capacity,
-            SummarySharingConfig(
-                summary=SummaryConfig(kind="bloom", load_factor=16),
-                update_policy=ThresholdUpdatePolicy(SWEEP_THRESHOLD),
-                expected_doc_size=doc_size,
-            ),
-        )
-        return icp, carp, dserver, load, bloom
-
-    icp, carp, dserver, load, bloom = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
+    result = benchmark.pedantic(
+        experiments.alternatives,
+        args=("ucb",),
+        kwargs={"scale": SCALE},
+        rounds=1,
+        iterations=1,
     )
+    icp, carp, dserver, load, bloom = result
 
     # The qualitative claims:
     # 1. All schemes find comparable aggregate hit ratios.
@@ -74,50 +47,15 @@ def test_comparison_alternatives(benchmark):
     # 4. Summary cache beats ICP on interproxy messages.
     assert bloom.messages_per_request < icp.messages_per_request
 
-    rows = [
-        (
-            "icp",
-            f"{icp.total_hit_ratio:.3f}",
-            f"{icp.messages_per_request:.3f}",
-            "0%",
-            "-",
-        ),
-        (
-            "carp",
-            f"{carp.hit_ratio:.3f}",
-            "0.000",
-            f"{carp.remote_routing_ratio:.0%}",
-            "-",
-        ),
-        (
-            "directory-server",
-            f"{dserver.total_hit_ratio:.3f}",
-            f"{dserver.messages_per_request:.3f}",
-            "0%",
-            f"{load.per_request(dserver.requests):.2f}",
-        ),
-        (
-            "summary-cache (bloom-16)",
-            f"{bloom.total_hit_ratio:.3f}",
-            f"{bloom.messages_per_request:.3f}",
-            "0%",
-            "-",
-        ),
-    ]
+    headers, rows = experiments.alternative_rows(result)
     write_result(
         "comparison_alternatives",
         format_table(
-            (
-                "protocol",
-                "hit-ratio",
-                "interproxy msgs/req",
-                "wide-area routed",
-                "central-server msgs/req",
-            ),
+            headers,
             rows,
             title=(
                 "Comparison: summary cache vs alternative protocols "
-                f"(ucb, {groups} proxies)"
+                f"(ucb, {icp.num_proxies} proxies)"
             ),
         ),
     )

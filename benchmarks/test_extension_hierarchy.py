@@ -7,38 +7,20 @@ the parent, with and without the protocol.
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.analysis.tables import format_table
-from repro.sharing.hierarchy import simulate_hierarchy
-from repro.traces.stats import compute_stats
-from repro.traces.workloads import make_workload
 
 from benchmarks._shared import SCALE, write_result
 
 
 def test_extension_hierarchy(benchmark):
-    trace, groups = make_workload("questnet", scale=min(SCALE, 1.0))
-    stats = compute_stats(trace)
-    child_capacity = max(
-        1, int(stats.infinite_cache_bytes * 0.05 / groups)
+    results = benchmark.pedantic(
+        experiments.hierarchy,
+        args=("questnet",),
+        kwargs={"scale": min(SCALE, 1.0)},
+        rounds=1,
+        iterations=1,
     )
-    parent_capacity = max(1, int(stats.infinite_cache_bytes * 0.20))
-
-    def sweep():
-        return {
-            label: simulate_hierarchy(
-                trace,
-                num_children=groups,
-                child_capacity=child_capacity,
-                parent_capacity=parent_capacity,
-                sibling_sharing=sibling,
-            )
-            for label, sibling in (
-                ("hierarchy only", False),
-                ("hierarchy + SC-ICP siblings", True),
-            )
-        }
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     plain = results["hierarchy only"]
     with_siblings = results["hierarchy + SC-ICP siblings"]
@@ -50,33 +32,15 @@ def test_extension_hierarchy(benchmark):
         with_siblings.total_hit_ratio > plain.total_hit_ratio - 0.05
     )
 
-    rows = []
-    for label, r in results.items():
-        rows.append(
-            (
-                label,
-                f"{r.child_hit_ratio:.3f}",
-                f"{r.sibling_hits / r.requests:.3f}",
-                f"{r.parent_requests / r.requests:.3f}",
-                f"{r.total_hit_ratio:.3f}",
-                f"{r.origin_traffic_ratio:.3f}",
-            )
-        )
+    headers, rows = experiments.hierarchy_rows(results)
     write_result(
         "extension_hierarchy",
         format_table(
-            (
-                "configuration",
-                "child-HR",
-                "sibling-HR",
-                "parent-load",
-                "total-HR",
-                "origin-traffic",
-            ),
+            headers,
             rows,
             title=(
-                f"Extension: Questnet-style hierarchy, {groups} children "
-                "(Section VIII)"
+                f"Extension: Questnet-style hierarchy, {plain.num_children} "
+                "children (Section VIII)"
             ),
         ),
     )

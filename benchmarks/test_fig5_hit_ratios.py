@@ -8,17 +8,15 @@ throughput.
 from __future__ import annotations
 
 from repro import experiments
-from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+from repro.summaries import SummaryConfig
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
     simulate_summary_sharing,
 )
-from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import make_workload
 
 from benchmarks._shared import (
     SCALE,
-    SWEEP_THRESHOLD,
     representation_sweep,
     sweep_table,
     write_result,
@@ -29,12 +27,10 @@ BLOOM_KEYS = ("bloom-8", "bloom-16", "bloom-32")
 
 def test_fig5_hit_ratios(benchmark):
     trace, groups = make_workload("upisa", scale=min(SCALE, 1.0))
-    stats = compute_stats(trace)
-    capacity = max(1, int(stats.infinite_cache_bytes * 0.10 / groups))
+    capacity, doc_size = experiments.cache_sizes(trace, groups)
     config = SummarySharingConfig(
         summary=SummaryConfig(kind="bloom", load_factor=16),
-        update_policy=ThresholdUpdatePolicy(SWEEP_THRESHOLD),
-        expected_doc_size=mean_cacheable_size(trace),
+        expected_doc_size=doc_size,
     )
     benchmark.pedantic(
         simulate_summary_sharing,

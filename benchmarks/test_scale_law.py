@@ -10,6 +10,7 @@ grows monotonically, bridging the laptop-scale tables to the paper's.
 
 from __future__ import annotations
 
+from repro import experiments
 from repro.analysis.tables import format_table
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.sharing.summary_sharing import (
@@ -17,7 +18,6 @@ from repro.sharing.summary_sharing import (
     simulate_icp,
     simulate_summary_sharing,
 )
-from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import make_workload
 
 from benchmarks._shared import write_result
@@ -27,9 +27,7 @@ SCALES = (1.0, 2.0, 4.0)
 
 def measure(scale: float):
     trace, groups = make_workload("dec", scale=scale)
-    stats = compute_stats(trace)
-    capacity = max(1, int(stats.infinite_cache_bytes * 0.10 / groups))
-    doc_size = mean_cacheable_size(trace)
+    capacity, doc_size = experiments.cache_sizes(trace, groups)
     docs_per_cache = capacity // doc_size
     icp = simulate_icp(trace, groups, capacity)
     bloom = simulate_summary_sharing(

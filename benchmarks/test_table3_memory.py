@@ -13,22 +13,14 @@ from benchmarks._shared import representation_sweep, write_result
 
 def test_table3_memory(benchmark):
     def build():
-        rows = []
-        for workload in experiments.ALL_WORKLOADS:
-            results = representation_sweep(workload)
-            rows.append(
-                (workload,)
-                + tuple(
-                    f"{results[cfg.label()].summary_memory_ratio * 100:.2f}%"
-                    for cfg in experiments.REPRESENTATIONS
-                )
-            )
-        return rows
+        return experiments.table3_rows(
+            {
+                workload: representation_sweep(workload)
+                for workload in experiments.ALL_WORKLOADS
+            }
+        )
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
-    headers = ("trace",) + tuple(
-        cfg.label() for cfg in experiments.REPRESENTATIONS
-    )
+    headers, rows = benchmark.pedantic(build, rounds=1, iterations=1)
 
     for row in rows:
         exact, server, b8, b16, b32 = (

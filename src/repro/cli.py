@@ -831,7 +831,9 @@ def _hierarchy(args: argparse.Namespace) -> int:
     from repro import experiments
 
     return _print_table(
-        experiments.hierarchy(args.workload, scale=args.scale),
+        experiments.hierarchy_rows(
+            experiments.hierarchy(args.workload, scale=args.scale)
+        ),
         f"Section VIII: hierarchy extension ({args.workload})",
     )
 
@@ -840,7 +842,9 @@ def _alternatives(args: argparse.Namespace) -> int:
     from repro import experiments
 
     return _print_table(
-        experiments.alternatives(args.workload, scale=args.scale),
+        experiments.alternative_rows(
+            experiments.alternatives(args.workload, scale=args.scale)
+        ),
         f"Related-work comparison ({args.workload})",
     )
 

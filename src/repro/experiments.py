@@ -1,8 +1,14 @@
 """Experiment runners regenerating every table and figure in the paper.
 
-Each function returns ``(headers, rows)`` ready for
-:func:`repro.analysis.tables.format_table`; the CLI prints them and the
-benchmark harness asserts on their shape.  The mapping to the paper:
+This module is the one place a configuration becomes a table's
+numbers.  A runner returns either ``(headers, rows)`` ready for
+:func:`repro.analysis.tables.format_table` or, where a benchmark asserts
+on the numbers, typed results plus a renderer that turns them into
+those rows (:func:`representations` / :func:`representation_rows`,
+:func:`table3_rows`, :func:`hierarchy` / :func:`hierarchy_rows`,
+:func:`alternatives` / :func:`alternative_rows`).  The CLI prints the
+rows; ``benchmarks/`` asserts on the runners' results and writes the
+same rows.  The mapping to the paper:
 
 ==================  ====================================================
 Function            Paper artefact
@@ -30,16 +36,20 @@ longer runtime).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from time import perf_counter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.scalability import extrapolate
 from repro.core.bfmath import example_table, fig4_series
 from repro.obs.registry import MetricsRegistry
 from repro.proxy.config import ProxyMode
-from repro.sharing.carp import simulate_carp
-from repro.sharing.directory_server import simulate_directory_server
-from repro.sharing.hierarchy import simulate_hierarchy
+from repro.sharing.carp import CarpResult, simulate_carp
+from repro.sharing.directory_server import (
+    DirectoryServerLoad,
+    simulate_directory_server,
+)
+from repro.sharing.hierarchy import HierarchyResult, simulate_hierarchy
 from repro.sharing.results import SharingResult
 from repro.sharing.schemes import (
     simulate_global_cache,
@@ -57,9 +67,9 @@ from repro.simulation.experiment import (
     run_overhead_experiment,
     run_replay_experiment,
 )
-from repro.simulation.parallel import ExperimentCell, run_cells
+from repro.simulation.parallel import fig5_grid, run_cells
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy, UpdatePolicy
-from repro.traces.model import Trace
+from repro.traces.partition import TraceLike
 from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
 
@@ -74,15 +84,23 @@ Headers = Sequence[str]
 Rows = List[Sequence[object]]
 
 
-def _workload_setup(name: str, scale: float, cache_fraction: float):
-    """Generate a workload and derive per-proxy capacity and doc size."""
-    trace, groups = make_workload(name, scale=scale)
+def cache_sizes(
+    trace: TraceLike,
+    groups: int,
+    cache_fraction: float = DEFAULT_CACHE_FRACTION,
+) -> Tuple[int, int]:
+    """Per-proxy capacity and expected document size for *trace*.
+
+    The paper's sizing rule: *groups* proxies split *cache_fraction* of
+    the trace's infinite cache size evenly, and a Bloom summary expects
+    that capacity over the mean cacheable document size.  Every runner,
+    every simulation cell and the benchmarks size their caches here.
+    """
     stats = compute_stats(trace)
     capacity = max(
         1, int(stats.infinite_cache_bytes * cache_fraction / groups)
     )
-    doc_size = mean_cacheable_size(trace)
-    return trace, groups, capacity, doc_size, stats
+    return capacity, mean_cacheable_size(trace)
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +154,6 @@ def fig1(
     Includes the paper's fifth series, a global cache 10% smaller.
     """
     trace, groups = make_workload(workload, scale=scale)
-    stats = compute_stats(trace)
     headers = (
         "cache%",
         "no-sharing",
@@ -147,9 +164,7 @@ def fig1(
     )
     rows: Rows = []
     for fraction in cache_fractions:
-        capacity = max(
-            1, int(stats.infinite_cache_bytes * fraction / groups)
-        )
+        capacity, _doc_size = cache_sizes(trace, groups, fraction)
         results = [
             simulate_no_sharing(trace, groups, capacity),
             simulate_simple_sharing(trace, groups, capacity),
@@ -234,7 +249,6 @@ def fig2(
     workload: str,
     scale: float = 1.0,
     thresholds: Sequence[float] = (0.0, 0.001, 0.01, 0.02, 0.05, 0.10),
-    cache_fraction: float = DEFAULT_CACHE_FRACTION,
 ) -> Tuple[Headers, Rows]:
     """Impact of summary update delays (Fig. 2).
 
@@ -242,9 +256,8 @@ def fig2(
     ("assume that the summary is a copy of the cache directory").
     Threshold 0 is the figure's no-delay top line.
     """
-    trace, groups, capacity, doc_size, _stats = _workload_setup(
-        workload, scale, cache_fraction
-    )
+    trace, groups = make_workload(workload, scale=scale)
+    capacity, doc_size = cache_sizes(trace, groups)
     headers = (
         "threshold",
         "total-HR",
@@ -287,49 +300,10 @@ REPRESENTATIONS: Tuple[SummaryConfig, ...] = (
 )
 
 
-def _representation_cells(
-    workload: str,
-    sweep: Sequence[SummaryConfig],
-    scale: float,
-    threshold: float,
-    cache_fraction: float,
-    include_icp: bool,
-) -> List[Tuple[str, ExperimentCell]]:
-    """(label, cell) pairs mirroring one :func:`representations` sweep."""
-    pairs = [
-        (
-            c.label(),
-            ExperimentCell(
-                workload=workload,
-                kind=c.kind,
-                load_factor=c.load_factor,
-                threshold=threshold,
-                scale=scale,
-                cache_fraction=cache_fraction,
-            ),
-        )
-        for c in sweep
-    ]
-    if include_icp:
-        pairs.append(
-            (
-                "icp",
-                ExperimentCell(
-                    workload=workload,
-                    kind="icp",
-                    scale=scale,
-                    cache_fraction=cache_fraction,
-                ),
-            )
-        )
-    return pairs
-
-
 def representations(
     workload: str,
     scale: float = 1.0,
     threshold: float = 0.01,
-    cache_fraction: float = DEFAULT_CACHE_FRACTION,
     include_icp: bool = True,
     representation: Optional[str] = None,
     update_policy: Optional[UpdatePolicy] = None,
@@ -340,44 +314,22 @@ def representations(
     Returns results keyed by representation label (plus ``"icp"``),
     carrying everything Figs. 5-8 and Table III report.
     ``representation`` narrows the sweep to one ``SummaryConfig.kind``;
-    ``update_policy`` replaces the default threshold policy.  ``jobs``
-    above 1 fans the per-representation cells across worker processes
-    (:mod:`repro.simulation.parallel`); results are bit-exact with the
-    serial run.  A custom ``update_policy`` cannot be described by an
-    :class:`~repro.simulation.parallel.ExperimentCell`, so it forces the
-    serial path.
+    ``update_policy`` replaces the default threshold policy.  Each
+    representation is one :class:`~repro.simulation.parallel.
+    ExperimentCell` run by :func:`~repro.simulation.parallel.run_cells`:
+    ``jobs`` above 1 fans the cells across worker processes, and any
+    ``jobs`` gives bit-identical results.
     """
-    sweep: Sequence[SummaryConfig] = REPRESENTATIONS
-    if representation is not None:
-        sweep = tuple(
-            c for c in REPRESENTATIONS if c.kind == representation
-        )
-    if jobs > 1 and update_policy is None:
-        pairs = _representation_cells(
-            workload, sweep, scale, threshold, cache_fraction, include_icp
-        )
-        outcomes = run_cells([cell for _, cell in pairs], jobs=jobs)
-        return {
-            label: outcome
-            for (label, _), outcome in zip(pairs, outcomes)
-        }
-    trace, groups, capacity, doc_size, _stats = _workload_setup(
-        workload, scale, cache_fraction
-    )
     policy = update_policy or ThresholdUpdatePolicy(threshold)
-    results: Dict[str, SharingResult] = {}
-    for summary_config in sweep:
-        cfg = SummarySharingConfig(
-            summary=summary_config,
-            update_policy=policy,
-            expected_doc_size=doc_size,
-        )
-        results[summary_config.label()] = simulate_summary_sharing(
-            trace, groups, capacity, cfg
-        )
-    if include_icp:
-        results["icp"] = simulate_icp(trace, groups, capacity)
-    return results
+    cells = [
+        replace(cell, update_policy=policy)
+        for cell in fig5_grid([workload], include_icp=include_icp, scale=scale)
+        if representation in (None, cell.kind) or cell.kind == "icp"
+    ]
+    return {
+        cell.representation: result
+        for cell, result in zip(cells, run_cells(cells, jobs=jobs))
+    }
 
 
 def representation_rows(
@@ -417,39 +369,32 @@ def table3(
 ) -> Tuple[Headers, Rows]:
     """Summary memory as % of proxy cache size (Table III).
 
-    ``jobs`` above 1 fans the whole workloads-x-representations grid
-    across worker processes in one batch (rather than parallelising
-    within each workload), so the pool stays saturated.
+    The whole workloads-x-representations grid goes to
+    :func:`~repro.simulation.parallel.run_cells` in one batch, so with
+    ``jobs`` above 1 the pool stays saturated.
     """
-    headers = ("trace",) + tuple(c.label() for c in REPRESENTATIONS)
+    cells = fig5_grid(
+        workloads, thresholds=(threshold,), include_icp=False, scale=scale
+    )
     per_workload: Dict[str, Dict[str, SharingResult]] = {}
-    if jobs > 1:
-        pairs = [
-            (name, label, cell)
-            for name in workloads
-            for label, cell in _representation_cells(
-                name, REPRESENTATIONS, scale, threshold,
-                DEFAULT_CACHE_FRACTION, False,
-            )
-        ]
-        outcomes = run_cells([cell for _, _, cell in pairs], jobs=jobs)
-        for (name, label, _), outcome in zip(pairs, outcomes):
-            per_workload.setdefault(name, {})[label] = outcome
-    else:
-        for name in workloads:
-            per_workload[name] = representations(
-                name, scale=scale, threshold=threshold, include_icp=False
-            )
-    rows: Rows = []
-    for name in workloads:
-        results = per_workload[name]
-        rows.append(
-            (name,)
-            + tuple(
-                f"{results[c.label()].summary_memory_ratio * 100:.2f}%"
-                for c in REPRESENTATIONS
-            )
+    for cell, result in zip(cells, run_cells(cells, jobs=jobs)):
+        per_workload.setdefault(cell.workload, {})[cell.representation] = result
+    return table3_rows(per_workload)
+
+
+def table3_rows(
+    per_workload: Dict[str, Dict[str, SharingResult]],
+) -> Tuple[Headers, Rows]:
+    """Render one representation sweep per workload as Table III rows."""
+    headers = ("trace",) + tuple(c.label() for c in REPRESENTATIONS)
+    rows: Rows = [
+        (name,)
+        + tuple(
+            f"{results[c.label()].summary_memory_ratio * 100:.2f}%"
+            for c in REPRESENTATIONS
         )
+        for name, results in per_workload.items()
+    ]
     return headers, rows
 
 
@@ -562,20 +507,35 @@ def scalability(
 # ----------------------------------------------------------------------
 
 def hierarchy(
-    workload: str = "questnet",
-    scale: float = 1.0,
-    child_cache_fraction: float = 0.05,
-    parent_cache_fraction: float = 0.20,
-) -> Tuple[Headers, Rows]:
-    """Parent/child hierarchy with and without SC-ICP sibling sharing."""
+    workload: str = "questnet", scale: float = 1.0
+) -> Dict[str, HierarchyResult]:
+    """Parent/child hierarchy with and without SC-ICP sibling sharing.
+
+    The children split 5% of the infinite cache size and the one parent
+    holds 20%.  Results are keyed by configuration label.
+    """
     trace, groups = make_workload(workload, scale=scale)
-    stats = compute_stats(trace)
-    child_capacity = max(
-        1, int(stats.infinite_cache_bytes * child_cache_fraction / groups)
-    )
-    parent_capacity = max(
-        1, int(stats.infinite_cache_bytes * parent_cache_fraction)
-    )
+    child_capacity, _doc_size = cache_sizes(trace, groups, 0.05)
+    parent_capacity, _doc_size = cache_sizes(trace, 1, 0.20)
+    return {
+        label: simulate_hierarchy(
+            trace,
+            num_children=groups,
+            child_capacity=child_capacity,
+            parent_capacity=parent_capacity,
+            sibling_sharing=sibling,
+        )
+        for label, sibling in (
+            ("hierarchy only", False),
+            ("hierarchy + SC-ICP siblings", True),
+        )
+    }
+
+
+def hierarchy_rows(
+    results: Dict[str, HierarchyResult],
+) -> Tuple[Headers, Rows]:
+    """Render :func:`hierarchy`'s results as Section VIII rows."""
     headers = (
         "configuration",
         "child-HR",
@@ -584,41 +544,38 @@ def hierarchy(
         "total-HR",
         "origin-traffic",
     )
-    rows: Rows = []
-    for label, sibling in (
-        ("hierarchy only", False),
-        ("hierarchy + SC-ICP siblings", True),
-    ):
-        r = simulate_hierarchy(
-            trace,
-            num_children=groups,
-            child_capacity=child_capacity,
-            parent_capacity=parent_capacity,
-            sibling_sharing=sibling,
+    rows: Rows = [
+        (
+            label,
+            f"{r.child_hit_ratio:.3f}",
+            f"{r.sibling_hits / r.requests:.3f}",
+            f"{r.parent_requests / r.requests:.3f}",
+            f"{r.total_hit_ratio:.3f}",
+            f"{r.origin_traffic_ratio:.3f}",
         )
-        rows.append(
-            (
-                label,
-                f"{r.child_hit_ratio:.3f}",
-                f"{r.sibling_hits / r.requests:.3f}",
-                f"{r.parent_requests / r.requests:.3f}",
-                f"{r.total_hit_ratio:.3f}",
-                f"{r.origin_traffic_ratio:.3f}",
-            )
-        )
+        for label, r in results.items()
+    ]
     return headers, rows
+
+
+class Alternatives(NamedTuple):
+    """The related-work comparison on one workload."""
+
+    icp: SharingResult
+    carp: CarpResult
+    directory_server: SharingResult
+    directory_load: DirectoryServerLoad
+    bloom: SharingResult
 
 
 def alternatives(
     workload: str = "ucb",
     scale: float = 1.0,
     threshold: float = 0.01,
-    cache_fraction: float = DEFAULT_CACHE_FRACTION,
-) -> Tuple[Headers, Rows]:
+) -> Alternatives:
     """Summary cache vs ICP, CARP, and the central directory server."""
-    trace, groups, capacity, doc_size, _stats = _workload_setup(
-        workload, scale, cache_fraction
-    )
+    trace, groups = make_workload(workload, scale=scale)
+    capacity, doc_size = cache_sizes(trace, groups)
     icp = simulate_icp(trace, groups, capacity)
     carp = simulate_carp(trace, groups, capacity)
     dserver, load = simulate_directory_server(trace, groups, capacity)
@@ -632,6 +589,12 @@ def alternatives(
             expected_doc_size=doc_size,
         ),
     )
+    return Alternatives(icp, carp, dserver, load, bloom)
+
+
+def alternative_rows(result: Alternatives) -> Tuple[Headers, Rows]:
+    """Render :func:`alternatives`' results as one row per protocol."""
+    icp, carp, dserver, load, bloom = result
     headers = (
         "protocol",
         "hit-ratio",
@@ -747,7 +710,6 @@ def metrics_snapshot(
     workload: str = "upisa",
     scale: float = 1.0,
     threshold: float = 0.01,
-    cache_fraction: float = DEFAULT_CACHE_FRACTION,
     representation: Optional[str] = None,
     update_policy: Optional[UpdatePolicy] = None,
 ) -> MetricsRegistry:
@@ -761,9 +723,8 @@ def metrics_snapshot(
     :class:`~repro.obs.registry.MetricsRegistry` it returns.
     """
     registry = MetricsRegistry()
-    trace, groups, capacity, doc_size, _stats = _workload_setup(
-        workload, scale, cache_fraction
-    )
+    trace, groups = make_workload(workload, scale=scale)
+    capacity, doc_size = cache_sizes(trace, groups)
     cfg = SummarySharingConfig(
         summary=SummaryConfig(kind=representation or "bloom", load_factor=8),
         update_policy=update_policy or ThresholdUpdatePolicy(threshold),

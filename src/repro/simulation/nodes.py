@@ -31,14 +31,11 @@ from repro.summaries import (
 )
 from repro.summaries import codec
 from repro.proxy.config import ProxyMode, scheme_for
+from repro.sharing.messages import QUERY_MESSAGE_BYTES
 from repro.simulation.costs import CostModel, CpuAccount
 from repro.simulation.engine import Engine, Resource
 from repro.simulation.network import NetworkModel, PacketCounters
 from repro.traces.model import Request
-
-#: Wire size assumed for one ICP query/reply datagram (20-byte header
-#: plus a 50-byte average URL, the paper's Fig. 8 assumption).
-ICP_DATAGRAM_BYTES = 70
 
 #: Approximate HTTP request head size on the wire.
 HTTP_REQUEST_BYTES = 200
@@ -242,7 +239,7 @@ class SimProxy:
             # network latency each way plus its own CPU queueing.
             done = self.engine.signal()
             self.engine.call_later(
-                self.network.transfer_time(ICP_DATAGRAM_BYTES),
+                self.network.transfer_time(QUERY_MESSAGE_BYTES),
                 self._peer_reply,
                 peer,
                 done,
@@ -302,7 +299,7 @@ class SimProxy:
                 system=peer.costs.icp_system * 2,
             )
             peer.counters.count_udp(self.counters)
-            yield self.network_delay(ICP_DATAGRAM_BYTES)
+            yield self.network_delay(QUERY_MESSAGE_BYTES)
             done.fire()
 
         self.engine.spawn(process())

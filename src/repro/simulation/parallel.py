@@ -2,10 +2,10 @@
 
 A paper-style experiment sweep -- Figs. 5-8, Table III, the threshold
 sweep of Fig. 2 -- is a grid of *cells*: one trace replayed under one
-``(scheme, representation, load factor, threshold)`` configuration.
-Cells never share mutable state (each builds its own caches, summaries,
-and trace from a deterministic seed), so the grid is embarrassingly
-parallel.
+``(scheme, representation, load factor, update policy)`` configuration.
+Cells never share mutable state (each builds its own caches and
+summaries, over a trace generated from a deterministic seed), so the
+grid is embarrassingly parallel.
 
 :class:`ExperimentCell` names one cell; :func:`run_cell` executes it;
 :func:`run_cells` runs a batch either serially (``jobs <= 1``) or on a
@@ -13,7 +13,9 @@ parallel.
 input order.  Because
 trace generation and replay are deterministic, a parallel run is
 bit-exact with a serial run of the same cells -- the equivalence tests
-assert exactly that.
+assert exactly that.  A serial batch hands each cell the workload the
+previous cell generated when both name the same one, so a grid ordered
+by workload generates each workload once.
 
 Workers inherit the parent's interpreter state where the platform forks
 (Linux); on spawn platforms each worker imports the package fresh.
@@ -36,10 +38,9 @@ from repro.sharing.summary_sharing import (
     simulate_icp,
     simulate_summary_sharing,
 )
-from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
+from repro.summaries import SummaryConfig, ThresholdUpdatePolicy, UpdatePolicy
 from repro.traces.binary import BinaryTraceReader
-from repro.traces.stats import compute_stats, mean_cacheable_size
-from repro.traces.workloads import make_workload, pack_workload
+from repro.traces.workloads import make_workload, pack_workload, workload_config
 
 __all__ = [
     "ExperimentCell",
@@ -71,16 +72,12 @@ class ExperimentCell:
         ``"bloom"``) or ``"icp"`` for the message baseline.
     load_factor:
         Bloom bits per expected document (ignored by other kinds).
-    threshold:
-        Update-delay threshold (fraction of cached documents changed
-        before peers are updated); ignored by ``"icp"``.
+    update_policy:
+        When a proxy ships its summary changes (the paper's 1% threshold
+        by default); ignored by ``"icp"``.  Policies are frozen values,
+        so a cell pickles with its policy.
     scale:
         Workload scale factor (1.0 = the preset's laptop scale).
-    cache_fraction:
-        Per-proxy capacity as a fraction of the infinite cache size
-        (the paper's headline setting is 10%).
-    policy:
-        Cache replacement policy name.
     seed:
         Overrides the workload preset's generator seed; ``None`` keeps
         the preset's fixed seed.  Deterministic either way.
@@ -95,10 +92,8 @@ class ExperimentCell:
     workload: str
     kind: str = "bloom"
     load_factor: int = 8
-    threshold: float = 0.01
+    update_policy: UpdatePolicy = ThresholdUpdatePolicy()
     scale: float = 1.0
-    cache_fraction: float = 0.10
-    policy: str = "lru"
     seed: Optional[int] = None
     trace_path: Optional[str] = None
 
@@ -109,42 +104,77 @@ class ExperimentCell:
                 f"{_CELL_KINDS}"
             )
 
+    @property
+    def representation(self) -> str:
+        """The summary's figure-legend label (``bloom-16``, ``icp``...)."""
+        if self.kind == "bloom":
+            return f"bloom-{self.load_factor}"
+        return self.kind
+
     def label(self) -> str:
         """Short human-readable cell name for logs and benchmark rows."""
-        rep = (
-            f"bloom-{self.load_factor}" if self.kind == "bloom" else self.kind
+        policy = self.update_policy
+        trigger = (
+            f"t={policy.threshold:g}"
+            if isinstance(policy, ThresholdUpdatePolicy)
+            else policy.label()
         )
-        return f"{self.workload}/{rep}/t={self.threshold:g}"
+        return f"{self.workload}/{self.representation}/{trigger}"
+
+
+class _LastWorkload:
+    """A one-entry memo: the previous cell's workload, generated and sized."""
+
+    def __init__(self) -> None:
+        self._key: Optional[Tuple[str, float, Optional[int]]] = None
+        self._workload: tuple = ()
+
+    def get(self, cell: ExperimentCell) -> tuple:
+        """``(trace, groups, capacity, doc_size)`` for *cell*.
+
+        Only a cell naming another workload, scale or seed than the
+        previous one generates a trace.
+        """
+        from repro.experiments import cache_sizes
+
+        key = (cell.workload, cell.scale, cell.seed)
+        if key != self._key:
+            trace, groups = make_workload(
+                cell.workload, scale=cell.scale, seed=cell.seed
+            )
+            self._workload = (trace, groups) + cache_sizes(trace, groups)
+            self._key = key
+        return self._workload
 
 
 def run_cell(cell: ExperimentCell) -> SharingResult:
     """Execute one cell from scratch and return its result.
 
-    Top-level (hence picklable) and self-contained: builds the trace
-    (or mmaps the cell's packed file), sizes the per-proxy capacity
-    exactly as :func:`repro.experiments.representations` does, then
-    replays.
+    Top-level (hence picklable) and self-contained: the function a pool
+    worker runs.
     """
+    return _run_cell(cell, _LastWorkload())
+
+
+def _run_cell(cell: ExperimentCell, workloads: _LastWorkload) -> SharingResult:
+    """Replay *cell* over its trace: from *workloads*, or its packed file.
+
+    The caches are sized by :func:`repro.experiments.cache_sizes`.
+    """
+    from repro.experiments import cache_sizes
+
     reader = None
     try:
         if cell.trace_path is not None:
-            from repro.traces.workloads import workload_config
-
             _, groups = workload_config(
                 cell.workload, scale=cell.scale, seed=cell.seed
             )
-            reader = BinaryTraceReader(cell.trace_path)
-            trace = reader
+            trace = reader = BinaryTraceReader(cell.trace_path)
+            capacity, doc_size = cache_sizes(trace, groups)
         else:
-            trace, groups = make_workload(
-                cell.workload, scale=cell.scale, seed=cell.seed
-            )
-        stats = compute_stats(trace)
-        capacity = max(
-            1, int(stats.infinite_cache_bytes * cell.cache_fraction / groups)
-        )
+            trace, groups, capacity, doc_size = workloads.get(cell)
         if cell.kind == "icp":
-            return simulate_icp(trace, groups, capacity, policy=cell.policy)
+            return simulate_icp(trace, groups, capacity)
         summary = (
             SummaryConfig(kind="bloom", load_factor=cell.load_factor)
             if cell.kind == "bloom"
@@ -152,9 +182,8 @@ def run_cell(cell: ExperimentCell) -> SharingResult:
         )
         cfg = SummarySharingConfig(
             summary=summary,
-            update_policy=ThresholdUpdatePolicy(cell.threshold),
-            policy=cell.policy,
-            expected_doc_size=mean_cacheable_size(trace),
+            update_policy=cell.update_policy,
+            expected_doc_size=doc_size,
         )
         return simulate_summary_sharing(trace, groups, capacity, cfg)
     finally:
@@ -199,14 +228,16 @@ def run_cells(
     """Run *cells*, serially or on *jobs* worker processes.
 
     Results come back in the order of *cells* regardless of completion
-    order.  ``jobs <= 1`` runs in-process with no pool (the exact code
-    path a worker executes, so serial and parallel runs differ only in
-    scheduling); ``jobs`` above the cell count is clamped.
+    order.  ``jobs <= 1`` runs in-process with no pool (the code a
+    worker executes, with one workload memo across the batch, so cells
+    ordered by workload, as :func:`fig5_grid` orders them, generate
+    each workload once); ``jobs`` above the cell count is clamped.
     """
     cells = list(cells)
     jobs = min(jobs, len(cells))
     if jobs <= 1:
-        return [run_cell(cell) for cell in cells]
+        workloads = _LastWorkload()
+        return [_run_cell(cell, workloads) for cell in cells]
     with multiprocessing.Pool(processes=jobs) as pool:
         # imap hands out one cell per dispatch (cells run hundreds of
         # milliseconds and up, so the load stays balanced) and yields
@@ -218,56 +249,29 @@ def fig5_grid(
     workloads: Iterable[str],
     load_factors: Iterable[int] = (8, 16, 32),
     thresholds: Iterable[float] = (0.01,),
-    include_exact: bool = True,
-    include_server_name: bool = True,
     include_icp: bool = True,
     scale: float = 1.0,
-    cache_fraction: float = 0.10,
 ) -> List[ExperimentCell]:
-    """The Fig. 5-8 style grid: representations x workloads x thresholds.
+    """The Fig. 5-8 grid: representations x workloads x thresholds.
 
-    One cell per (workload, representation, threshold), plus one ICP
-    baseline cell per workload when *include_icp*.
+    Per workload and threshold: exact-directory, server-name, then one
+    Bloom cell per load factor -- the order of the figures' legends;
+    then one ICP baseline cell per workload when *include_icp*.
+    :func:`repro.experiments.representations` and
+    :func:`~repro.experiments.table3` run this grid too.
     """
     grid: List[ExperimentCell] = []
     for workload in workloads:
         for threshold in thresholds:
-            if include_exact:
-                grid.append(
-                    ExperimentCell(
-                        workload=workload,
-                        kind="exact-directory",
-                        threshold=threshold,
-                        scale=scale,
-                        cache_fraction=cache_fraction,
-                    )
-                )
-            if include_server_name:
-                grid.append(
-                    ExperimentCell(
-                        workload=workload,
-                        kind="server-name",
-                        threshold=threshold,
-                        scale=scale,
-                        cache_fraction=cache_fraction,
-                    )
-                )
-            for load_factor in load_factors:
-                grid.append(
-                    ExperimentCell(
-                        workload=workload,
-                        kind="bloom",
-                        load_factor=load_factor,
-                        threshold=threshold,
-                        scale=scale,
-                        cache_fraction=cache_fraction,
-                    )
-                )
+            policy = ThresholdUpdatePolicy(threshold)
+            grid += [
+                ExperimentCell(workload, kind, update_policy=policy, scale=scale)
+                for kind in ("exact-directory", "server-name")
+            ]
+            grid += [
+                ExperimentCell(workload, "bloom", load_factor, policy, scale)
+                for load_factor in load_factors
+            ]
         if include_icp:
-            grid.append(
-                ExperimentCell(
-                    workload=workload, kind="icp", scale=scale,
-                    cache_fraction=cache_fraction,
-                )
-            )
+            grid.append(ExperimentCell(workload, "icp", scale=scale))
     return grid

@@ -31,7 +31,7 @@ from repro.errors import ConfigurationError
 from repro.proxy.config import ProxyMode
 from repro.simulation.costs import CostModel
 from repro.simulation.engine import Engine
-from repro.simulation.experiment import _build_cluster
+from repro.simulation.experiment import _build_cluster, _collect
 from repro.simulation.network import NetworkModel
 from repro.simulation.nodes import SimClient, SimProxyConfig
 from repro.summaries import ThresholdUpdatePolicy
@@ -141,16 +141,16 @@ def run_scale_experiment(
     sim_duration = engine.run()
     wall_seconds = perf_counter() - wall_start
 
-    requests = sum(p.http_requests for p in proxies)
-    local_hits = sum(p.local_hits for p in proxies)
-    remote_hits = sum(p.remote_hits for p in proxies)
-    false_rounds = sum(p.false_query_rounds for p in proxies)
-    queries = sum(p.icp_queries_sent for p in proxies)
-    updates = sum(p.dirupdates_sent for p in proxies)
-    latencies = [lat for c in clients for lat in c.latencies]
-    miss_ratio = (
-        1.0 - (local_hits + remote_hits) / requests if requests else 1.0
+    # The Table II-V totals, without keep-alives: this run counts
+    # protocol datagrams only.  Queries sent and the busiest sender are
+    # this table's own.
+    totals = _collect(
+        ProxyMode.SC_ICP, proxies, clients, sim_duration, keepalive_interval=0
     )
+    requests = totals.requests
+    updates = totals.dirupdates_sent
+    queries = sum(p.icp_queries_sent for p in proxies)
+    miss_ratio = 1.0 - totals.hit_ratio
 
     predicted = {}
     if num_proxies >= 2 and requests:
@@ -191,12 +191,12 @@ def run_scale_experiment(
         dissemination=dissemination,
         fanout=fanout,
         requests=requests,
-        hit_ratio=(
-            (local_hits + remote_hits) / requests if requests else 0.0
-        ),
-        remote_hit_ratio=remote_hits / requests if requests else 0.0,
+        hit_ratio=totals.hit_ratio,
+        remote_hit_ratio=totals.remote_hit_ratio,
         miss_ratio=miss_ratio,
-        false_hit_ratio=false_rounds / requests if requests else 0.0,
+        false_hit_ratio=(
+            totals.false_query_rounds / requests if requests else 0.0
+        ),
         update_messages=updates,
         update_messages_per_request=(
             updates / requests if requests else 0.0
@@ -207,16 +207,14 @@ def run_scale_experiment(
         protocol_messages_per_request=(
             (queries + updates) / requests if requests else 0.0
         ),
-        udp_sent=sum(p.counters.udp_sent for p in proxies),
-        udp_received=sum(p.counters.udp_received for p in proxies),
+        udp_sent=totals.udp_sent,
+        udp_received=totals.udp_received,
         sender_max_dirupdates=max(
             (p.dirupdates_sent for p in proxies), default=0
         ),
         summary_memory_bytes=summary_memory,
         counter_memory_bytes=counter_memory,
-        mean_latency=(
-            sum(latencies) / len(latencies) if latencies else 0.0
-        ),
+        mean_latency=totals.mean_latency,
         sim_duration=sim_duration,
         wall_seconds=wall_seconds,
         peak_rss_bytes=peak_rss_bytes(),

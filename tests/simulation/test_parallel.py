@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro import experiments
 from repro.errors import ConfigurationError
+from repro.simulation import parallel
 from repro.simulation.parallel import (
     ExperimentCell,
     fig5_grid,
     run_cell,
     run_cells,
 )
+from repro.summaries import IntervalUpdatePolicy
 
 #: Small but non-trivial: ~3 cells over a scaled-down 4-proxy workload.
 SCALE = 0.2
@@ -57,6 +61,16 @@ class TestExperimentCell:
     def test_run_cell_deterministic(self):
         cell = ExperimentCell(workload="nlanr", kind="bloom", scale=SCALE)
         assert _signature(run_cell(cell)) == _signature(run_cell(cell))
+
+    def test_cell_carries_its_update_policy(self):
+        cell = ExperimentCell(
+            workload="nlanr",
+            scale=SCALE,
+            update_policy=IntervalUpdatePolicy(300),
+        )
+        assert pickle.loads(pickle.dumps(cell)) == cell
+        assert cell.label() == "nlanr/bloom-8/interval=300s"
+        assert run_cell(cell).scheme == "summary/bloom-8/interval=300s"
 
     def test_seed_override_changes_trace(self):
         base = ExperimentCell(workload="nlanr", kind="icp", scale=SCALE)
@@ -124,6 +138,36 @@ class TestExperimentsIntegration:
         for label in serial:
             assert _signature(serial[label]) == _signature(parallel[label])
 
+    def test_representations_jobs_matches_serial_under_a_custom_policy(
+        self,
+    ):
+        policy = IntervalUpdatePolicy(300)
+        serial = experiments.representations(
+            "nlanr", scale=SCALE, update_policy=policy
+        )
+        parallel_run = experiments.representations(
+            "nlanr", scale=SCALE, update_policy=policy, jobs=2
+        )
+        assert list(serial) == list(parallel_run)
+        for label in serial:
+            assert serial[label] == parallel_run[label]
+        assert serial["bloom-8"].scheme.endswith("/interval=300s")
+
+    def test_in_process_sweep_generates_the_workload_once(
+        self, monkeypatch
+    ):
+        calls = []
+        make_workload = parallel.make_workload
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return make_workload(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "make_workload", counting)
+        results = experiments.representations("nlanr", scale=SCALE)
+        assert len(results) == 6
+        assert calls == [("nlanr",)]
+
     def test_table3_jobs_matches_serial(self):
         serial = experiments.table3(workloads=("nlanr",), scale=SCALE)
         parallel = experiments.table3(
@@ -162,12 +206,7 @@ class TestPackOnceReplayMany:
     def test_packed_grid_matches_generated_grid(self, tmp_path):
         from repro.simulation.parallel import pack_grid_traces
 
-        cells = fig5_grid(
-            ["nlanr"],
-            load_factors=(8,),
-            include_server_name=False,
-            scale=SCALE,
-        )
+        cells = fig5_grid(["nlanr"], load_factors=(8,), scale=SCALE)
         direct = run_cells(cells, jobs=1)
         packed = run_cells(pack_grid_traces(cells, tmp_path), jobs=2)
         assert [_signature(r) for r in packed] == [

@@ -120,6 +120,51 @@ class TestRepresentations:
         assert headers[0] == "summary"
 
 
+class TestHierarchy:
+    def test_returns_one_result_per_configuration(self):
+        results = experiments.hierarchy("questnet", scale=0.1)
+        plain = results["hierarchy only"]
+        with_siblings = results["hierarchy + SC-ICP siblings"]
+        assert plain.sibling_hits == 0
+        assert with_siblings.parent_requests < plain.parent_requests
+        headers, rows = experiments.hierarchy_rows(results)
+        assert headers == (
+            "configuration",
+            "child-HR",
+            "sibling-HR",
+            "parent-load",
+            "total-HR",
+            "origin-traffic",
+        )
+        assert [row[0] for row in rows] == list(results)
+
+
+class TestAlternatives:
+    def test_returns_each_protocols_result(self):
+        result = experiments.alternatives("ucb", scale=0.1)
+        assert result.icp.scheme == "icp"
+        assert result.bloom.scheme.startswith("summary/bloom-16/")
+        assert result.carp.requests == result.icp.requests
+        assert result.directory_load.per_request(
+            result.directory_server.requests
+        ) > 0
+        headers, rows = experiments.alternative_rows(result)
+        assert headers == (
+            "protocol",
+            "hit-ratio",
+            "interproxy-msgs/req",
+            "wide-area-routed",
+            "central-msgs/req",
+        )
+        assert [row[0] for row in rows] == [
+            "icp",
+            "carp",
+            "directory-server",
+            "summary-cache (bloom-16)",
+        ]
+        assert rows[0][1] == f"{result.icp.total_hit_ratio:.3f}"
+
+
 class TestTable2:
     def test_rows_and_overheads(self):
         headers, rows = experiments.table2(
