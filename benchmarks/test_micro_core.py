@@ -3,7 +3,8 @@
 Unlike the experiment benchmarks (which regenerate the paper's tables
 with single-shot runs), these measure steady-state throughput of the
 primitives a deployed proxy exercises on every request: filter probes,
-inserts/deletes, MD5 hashing, and wire encode/decode.
+inserts/deletes, MD5 hashing, and wire encode/decode -- plus the trace
+layer every replay starts from: synthetic generation and a packed scan.
 """
 
 from __future__ import annotations
@@ -17,10 +18,23 @@ from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily, PolynomialHashFamily
 from repro.protocol.update import build_dir_update_messages
 from repro.protocol.wire import IcpQuery, decode_message
+from repro.traces import BinaryTraceReader, pack_trace
+from repro.traces.synthetic import SyntheticTraceConfig, iter_requests
 
 URLS = [f"http://server{i % 97}.example.net/path/{i}" for i in range(5000)]
 
 BITARRAY_BITS = 40_000
+
+#: A fixed 20k-request trace: dec-like popularity and sizes, with
+#: enough locality to exercise the recency draw.
+TRACE_CONFIG = SyntheticTraceConfig(
+    num_requests=20_000,
+    num_clients=200,
+    num_documents=10_000,
+    locality_probability=0.45,
+    mean_size=2 * 1024,
+    seed=7,
+)
 
 
 def test_micro_bloom_probe(benchmark):
@@ -151,3 +165,28 @@ def test_micro_dirupdate_build(benchmark):
 
     messages = benchmark(build)
     assert messages
+
+
+def test_micro_trace_generate(benchmark):
+    def generate():
+        count = 0
+        for _ in iter_requests(TRACE_CONFIG):
+            count += 1
+        return count
+
+    assert benchmark(generate) == TRACE_CONFIG.num_requests
+
+
+def test_micro_trace_scan(benchmark, tmp_path):
+    path = tmp_path / "micro.sctr"
+    pack_trace(iter_requests(TRACE_CONFIG), path, name="micro")
+
+    with BinaryTraceReader(path) as reader:
+
+        def scan():
+            count = 0
+            for _ in reader:
+                count += 1
+            return count
+
+        assert benchmark(scan) == TRACE_CONFIG.num_requests

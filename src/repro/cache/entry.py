@@ -6,9 +6,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheEntry:
     """A cached document.
+
+    Slotted: every insert, in all three engines, builds one.
 
     Attributes
     ----------

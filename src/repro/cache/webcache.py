@@ -8,8 +8,7 @@ document version validator.
 
 from __future__ import annotations
 
-from types import MappingProxyType
-from typing import Callable, Dict, List, Mapping, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from repro.cache.entry import CacheEntry
 from repro.cache.policies import ReplacementPolicy, make_policy
@@ -85,12 +84,11 @@ class WebCache:
             else type(self._policy).__name__.removesuffix("Policy").lower()
         )
         self._entries: Dict[str, CacheEntry] = {}
-        #: Read-only view of the directory, URL -> entry.  A simulator
-        #: reading a peer's copy through it does one lookup and compares
-        #: ``entry.version`` itself, leaving recency and statistics alone.
-        self.entries: Mapping[str, CacheEntry] = MappingProxyType(
-            self._entries
-        )
+        #: ``peek(url)``: the entry for *url*, or ``None``, without
+        #: touching recency or statistics.  It is the directory dict's
+        #: own ``get``, so a simulator reading a peer's copy pays one
+        #: dict read and compares ``entry.version`` itself.
+        self.peek: Callable[[str], Optional[CacheEntry]] = self._entries.get
         self._used = 0
         self._on_insert = on_insert
         self._on_evict = on_evict
@@ -111,10 +109,6 @@ class WebCache:
 
     def __contains__(self, url: str) -> bool:
         return url in self._entries
-
-    def peek(self, url: str) -> Optional[CacheEntry]:
-        """Return the entry for *url* without touching recency, or ``None``."""
-        return self._entries.get(url)
 
     def urls(self) -> List[str]:
         """Return the cached URLs (no particular order)."""

@@ -200,7 +200,7 @@ def _replay(
     filter_bits = [getattr(node.local, "num_bits", None) for node in nodes]
     # Peer directories, read in place: asking a peer is one lookup and
     # one version compare.
-    lookups = [cache.entries.get for cache in caches]
+    lookups = [cache.peek for cache in caches]
     rerouted = 0
 
     # Replay in chunks, each chunk's group ids derived in one sweep.

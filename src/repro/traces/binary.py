@@ -39,7 +39,16 @@ import mmap
 import struct
 from pathlib import Path
 from types import TracebackType
-from typing import Dict, Iterator, List, Optional, Sequence, Type, Union
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Type,
+    Union,
+)
 
 from repro.errors import TraceFormatError, TraceIndexError
 from repro.traces.model import Request, Trace
@@ -114,47 +123,64 @@ class BinaryTraceWriter:
 
     def append(self, request: Request) -> None:
         """Append one request record."""
-        url_id = self._url_ids.get(request.url)
-        if url_id is None:
-            try:
-                encoded = request.url.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise TraceFormatError(
-                    f"URL is not encodable as UTF-8: {exc}"
-                ) from exc
-            if len(encoded) > MAX_URL_BYTES:
-                raise TraceFormatError(
-                    f"URL is {len(encoded)} bytes; the string table's u16 "
-                    f"length prefix caps entries at {MAX_URL_BYTES}"
-                )
-            url_id = len(self._url_bytes)
-            if url_id > MAX_FIELD_VALUE:
-                raise TraceFormatError("string table exceeds 2^32 entries")
-            self._url_ids[request.url] = url_id
-            self._url_bytes.append(encoded)
-        try:
-            self._buffer += _TRACE_RECORD.pack(
-                request.timestamp,
-                request.client_id,
-                url_id,
-                request.size,
-                request.version,
-            )
-        except struct.error as exc:
-            raise TraceFormatError(
-                f"request field out of range for u32 record layout: "
-                f"client_id={request.client_id} size={request.size} "
-                f"version={request.version}: {exc}"
-            ) from exc
-        self._count += 1
-        if len(self._buffer) >= _WRITE_BUFFER_BYTES:
-            self._fh.write(self._buffer)
-            self._buffer.clear()
+        self.extend((request,))
 
-    def extend(self, requests) -> None:
-        """Append every request from an iterable."""
-        for request in requests:
-            self.append(request)
+    def extend(self, requests: Iterable[Request]) -> None:
+        """Append every request from an iterable.
+
+        One loop packs every record: a URL seen before costs one dict
+        read, a new one is checked (UTF-8, the u16 length prefix, the
+        u32 id space) and added to the string table.
+        """
+        url_ids = self._url_ids
+        buffer = self._buffer
+        pack = _TRACE_RECORD.pack
+        count = self._count
+        try:
+            for request in requests:
+                url = request.url
+                url_id = url_ids.get(url)
+                if url_id is None:
+                    url_id = url_ids[url] = self._new_url_id(url)
+                try:
+                    buffer += pack(
+                        request.timestamp,
+                        request.client_id,
+                        url_id,
+                        request.size,
+                        request.version,
+                    )
+                except struct.error as exc:
+                    raise TraceFormatError(
+                        f"request field out of range for u32 record layout: "
+                        f"client_id={request.client_id} size={request.size} "
+                        f"version={request.version}: {exc}"
+                    ) from exc
+                count += 1
+                if len(buffer) >= _WRITE_BUFFER_BYTES:
+                    self._fh.write(buffer)
+                    buffer.clear()
+        finally:
+            self._count = count
+
+    def _new_url_id(self, url: str) -> int:
+        """Add *url* to the string table and return its id."""
+        try:
+            encoded = url.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise TraceFormatError(
+                f"URL is not encodable as UTF-8: {exc}"
+            ) from exc
+        if len(encoded) > MAX_URL_BYTES:
+            raise TraceFormatError(
+                f"URL is {len(encoded)} bytes; the string table's u16 "
+                f"length prefix caps entries at {MAX_URL_BYTES}"
+            )
+        url_id = len(self._url_bytes)
+        if url_id > MAX_FIELD_VALUE:
+            raise TraceFormatError("string table exceeds 2^32 entries")
+        self._url_bytes.append(encoded)
+        return url_id
 
     def close(self) -> None:
         """Flush records, write the string table, back-patch the header."""
@@ -382,13 +408,7 @@ class BinaryTraceReader:
                 for ts, client_id, url_id, size, version in (
                     _TRACE_RECORD.iter_unpack(view)
                 ):
-                    yield Request(
-                        timestamp=ts,
-                        client_id=client_id,
-                        url=urls[url_id],
-                        size=size,
-                        version=version,
-                    )
+                    yield Request(ts, client_id, urls[url_id], size, version)
             finally:
                 view.release()
             pos = block_end
@@ -404,13 +424,7 @@ class BinaryTraceReader:
         ts, client_id, url_id, size, version = _TRACE_RECORD.unpack_from(
             self._mm, offset
         )
-        return Request(
-            timestamp=ts,
-            client_id=client_id,
-            url=self._urls[url_id],
-            size=size,
-            version=version,
-        )
+        return Request(ts, client_id, self._urls[url_id], size, version)
 
     def close(self) -> None:
         """Unmap the file; the reader is unusable afterwards."""

@@ -12,14 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, List, Sequence
+from typing import Iterable, Iterator, List, NamedTuple, Sequence
 
 from repro.urlutil import server_of
 
 
-@dataclass(frozen=True)
-class Request:
+class Request(NamedTuple):
     """One HTTP GET in a trace.
+
+    An immutable tuple of five fields: the generator, the ``.sctr``
+    reader and the log readers build one per record, and a tuple is
+    the cheapest record to build.  Being a tuple, it also compares
+    equal to a plain tuple of the same values.
 
     Attributes
     ----------

@@ -30,7 +30,8 @@ from __future__ import annotations
 import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Dict, Iterator, Optional
+from itertools import islice
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.traces.model import Request, Trace
@@ -177,33 +178,15 @@ def _pareto_sizes(
     return np.minimum(sizes, cap).astype(np.int64).clip(min=64)
 
 
-class _RecencyStack:
-    """A client's bounded LRU stack of recently referenced documents."""
+def _nth_newest(stack: "OrderedDict[int, None]", back: int) -> int:
+    """The entry *back* places behind the newest of a non-empty *stack*.
 
-    __slots__ = ("_stack", "_depth")
-
-    def __init__(self, depth: int) -> None:
-        self._stack: "OrderedDict[int, None]" = OrderedDict()
-        self._depth = depth
-
-    def push(self, doc_id: int) -> None:
-        if doc_id in self._stack:
-            self._stack.move_to_end(doc_id)
-        else:
-            self._stack[doc_id] = None
-            if len(self._stack) > self._depth:
-                self._stack.popitem(last=False)
-
-    def sample(self, rng: random.Random) -> Optional[int]:
-        """Pick a document with recency bias (recent = more likely)."""
-        if not self._stack:
-            return None
-        items = list(self._stack)  # oldest first
-        # Geometric preference for the most recent entries.
-        index = len(items) - 1 - min(
-            int(rng.expovariate(0.5)), len(items) - 1
-        )
-        return items[index]
+    A draw past the oldest entry returns the oldest.  The walk starts
+    from the newest end, so it costs O(back), not O(len(stack)): the
+    recency draw is geometric (mean about 1.5), while a stack holds up
+    to ``locality_stack_depth`` entries.
+    """
+    return next(islice(reversed(stack), min(back, len(stack) - 1), None))
 
 
 def _stream_at(state: dict, offset: int) -> np.random.Generator:
@@ -237,6 +220,14 @@ def iter_requests(
     drawn block by block.  Memory is O(clients + documents + block_size)
     regardless of ``num_requests``, so a 10^8-request trace streams in
     bounded memory.
+
+    The per-record loop reads Python objects only: each block's draws
+    are turned into lists once, and the per-document tables are read
+    through ``memoryview``s over their arrays (not lists, which would
+    hold a Python int per document).  Each document's URL is built on
+    its first request and reused.  The emitted records are
+    byte-identical for any *block_size*, which
+    ``tests/traces/test_trace_digests.py`` pins.
     """
     import numpy as np
 
@@ -296,72 +287,86 @@ def iter_requests(
         interarrival_stream,
     ) = (_stream_at(base_state, k * n) for k in range(6))
 
-    versions: Dict[int, int] = {}
-    stacks: Dict[int, _RecencyStack] = {}
-    last_rank: Dict[int, int] = {}
     rank_of_doc = np.empty(config.num_documents, dtype=np.int64)
     rank_of_doc[doc_ids] = np.arange(config.num_documents)
 
+    # A memoryview read yields a plain int at a fraction of a numpy
+    # scalar read's cost; a list of the table would be faster still but
+    # raises the high-water mark by megabytes at preset scale.
+    doc_id_of = memoryview(doc_ids)
+    rank_of = memoryview(rank_of_doc)
+    server_at_rank = memoryview(server_of_rank)
+    rank_bounds = memoryview(server_rank_bounds)
+    size_of = memoryview(sizes)
+    server_of_doc = memoryview(server_for_doc)
+    client_at_rank = memoryview(client_ids)
+    # One URL string per document, built on its first request.
+    urls: List[Optional[str]] = [None] * config.num_documents
+
+    locality_probability = config.locality_probability
+    server_locality = config.server_locality
+    mod_probability = config.mod_probability
+    depth = config.locality_stack_depth
+    mean_gap = 1.0 / config.request_rate
+    randrange = py_rng.randrange
+    expovariate = py_rng.expovariate
+
+    # Per-client state, indexed by client id (a permutation of
+    # ``range(num_clients)``): a bounded LRU stack of recent documents
+    # and the popularity rank of the last request.
+    stacks: List[Optional["OrderedDict[int, None]"]] = [None] * len(client_ids)
+    last_rank: List[Optional[int]] = [None] * len(client_ids)
+    versions: Dict[int, int] = {}
     timestamp = 0.0
     produced = 0
     while produced < n:
         m = min(block_size, n - produced)
-        doc_rank_draws = np.searchsorted(doc_cdf, doc_rank_stream.random(m))
-        client_rank_draws = np.searchsorted(
-            client_cdf, client_rank_stream.random(m)
-        )
-        locality_draws = locality_stream.random(m)
-        server_draws = server_stream.random(m)
-        mod_draws = mod_stream.random(m)
-        interarrivals = interarrival_stream.exponential(
-            1.0 / config.request_rate, size=m
-        )
-
-        for i in range(m):
+        for gap, client_rank, locality, same_site, doc_rank, modified in zip(
+            interarrival_stream.exponential(mean_gap, size=m).tolist(),
+            np.searchsorted(client_cdf, client_rank_stream.random(m)).tolist(),
+            locality_stream.random(m).tolist(),
+            server_stream.random(m).tolist(),
+            np.searchsorted(doc_cdf, doc_rank_stream.random(m)).tolist(),
+            mod_stream.random(m).tolist(),
+        ):
             # Running sum matches np.cumsum's sequential float64
             # accumulation bit for bit.
-            timestamp += float(interarrivals[i])
-            client = int(client_ids[client_rank_draws[i]])
-            stack = stacks.get(client)
+            timestamp += gap
+            client = client_at_rank[client_rank]
+            stack = stacks[client]
             if stack is None:
-                stack = _RecencyStack(config.locality_stack_depth)
-                stacks[client] = stack
+                stack = stacks[client] = OrderedDict()
 
-            doc = None
-            if locality_draws[i] < config.locality_probability:
-                doc = stack.sample(py_rng)
-            if doc is None:
-                prev_rank = last_rank.get(client)
-                if (
-                    prev_rank is not None
-                    and server_draws[i] < config.server_locality
-                ):
+            if stack and locality < locality_probability:
+                # A re-reference, geometrically biased to recent entries.
+                doc = _nth_newest(stack, int(expovariate(0.5)))
+            else:
+                prev_rank = last_rank[client]
+                if prev_rank is not None and same_site < server_locality:
                     # Stay on the same site: another page of the previous
                     # request's server (a rank range of its boundary table).
-                    server = int(server_of_rank[prev_rank])
-                    low = (
-                        int(server_rank_bounds[server - 1])
-                        if server > 0
-                        else 0
-                    )
-                    high = int(server_rank_bounds[server])
-                    rank = low + py_rng.randrange(max(1, high - low))
+                    server = server_at_rank[prev_rank]
+                    low = rank_bounds[server - 1] if server > 0 else 0
+                    rank = low + randrange(max(1, rank_bounds[server] - low))
                 else:
-                    rank = int(doc_rank_draws[i])
-                doc = int(doc_ids[rank])
-            last_rank[client] = int(rank_of_doc[doc])
-            stack.push(doc)
+                    rank = doc_rank
+                doc = doc_id_of[rank]
+            last_rank[client] = rank_of[doc]
+            if doc in stack:
+                stack.move_to_end(doc)
+            else:
+                stack[doc] = None
+                if len(stack) > depth:
+                    stack.popitem(last=False)
 
-            if mod_draws[i] < config.mod_probability:
+            if modified < mod_probability:
                 versions[doc] = versions.get(doc, 0) + 1
 
-            server = int(server_for_doc[doc])
+            url = urls[doc]
+            if url is None:
+                url = urls[doc] = make_url(server_of_doc[doc], doc)
             yield Request(
-                timestamp=timestamp,
-                client_id=client,
-                url=make_url(server, doc),
-                size=int(sizes[doc]),
-                version=versions.get(doc, 0),
+                timestamp, client, url, size_of[doc], versions.get(doc, 0)
             )
         produced += m
 

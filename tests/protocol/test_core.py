@@ -142,7 +142,7 @@ SCHEMES = {
 
 def directories(caches):
     return [
-        sorted((url, entry.version) for url, entry in cache.entries.items())
+        sorted((url, cache.peek(url).version) for url in cache.urls())
         for cache in caches
     ]
 

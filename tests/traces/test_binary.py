@@ -185,6 +185,16 @@ class TestWriterLimits:
                 str(tmp_path / "over.sctr"),
             )
 
+    def test_rejected_record_keeps_the_ones_before_it(self, tmp_path):
+        path = str(tmp_path / "partial.sctr")
+        good = Request(0.0, 1, "http://u/", 1, 0)
+        with BinaryTraceWriter(path, name="partial") as writer:
+            with pytest.raises(TraceFormatError):
+                writer.extend([good, Request(1.0, 2**32, "http://u/", 1, 0)])
+            assert writer.count == 1
+        with BinaryTraceReader(path) as reader:
+            assert list(reader) == [good]
+
     def test_writer_context_manager(self, tmp_path):
         path = str(tmp_path / "cm.sctr")
         with BinaryTraceWriter(path, name="cm") as writer:

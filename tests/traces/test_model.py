@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 from repro.traces.model import Request, Trace
 
 
@@ -10,7 +12,7 @@ class TestRequest:
         req = Request(0.0, 1, "http://www.Example.com:8080/a/b", 10)
         assert req.server == "www.example.com:8080"
 
-    def test_frozen_dataclass(self):
+    def test_immutable(self):
         req = Request(0.0, 1, "http://a.com/x", 10)
         try:
             req.size = 20  # type: ignore[misc]
@@ -18,6 +20,28 @@ class TestRequest:
             pass
         else:  # pragma: no cover
             raise AssertionError("Request should be immutable")
+
+    def test_equal_requests_hash_equal(self):
+        a = Request(1.5, 2, "http://a.com/x", 10, version=3)
+        b = Request(
+            timestamp=1.5, client_id=2, url="http://a.com/x", size=10, version=3
+        )
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Request(1.5, 2, "http://a.com/x", 10, version=4)
+        # A record is a tuple: it equals the plain tuple of its fields.
+        assert a == (1.5, 2, "http://a.com/x", 10, 3)
+
+    def test_version_defaults_to_zero(self):
+        assert Request(0.0, 1, "http://a.com/x", 10).version == 0
+
+    def test_pickle_round_trip(self):
+        req = Request(1.5, 2, "http://a.com/x", 10, version=3)
+        back = pickle.loads(pickle.dumps(req))
+        assert back == req
+        assert type(back) is Request
+        assert back.server == "a.com"
 
 
 class TestTrace:

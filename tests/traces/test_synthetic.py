@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.traces.stats import compute_stats
@@ -213,3 +215,24 @@ class TestStreamingCore:
         # different sequence).
         prefix = list(islice(iter_requests(BASE), 10))
         assert prefix == generate_trace(BASE).requests[:10]
+
+
+class TestRecencyWalk:
+    """The locality draw walks back from a client's newest document."""
+
+    @given(
+        docs=st.lists(
+            st.integers(min_value=0, max_value=10**6),
+            min_size=1,
+            max_size=64,
+            unique=True,
+        ),
+        back=st.integers(min_value=0, max_value=200),
+    )
+    def test_walk_matches_the_list_index(self, docs, back):
+        from repro.traces.synthetic import _nth_newest
+
+        stack = OrderedDict.fromkeys(docs)
+        items = list(stack)
+        expected = items[len(items) - 1 - min(back, len(items) - 1)]
+        assert _nth_newest(stack, back) == expected
