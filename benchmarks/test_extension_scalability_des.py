@@ -9,28 +9,23 @@ with a fixed per-proxy client population and measures each protocol's
 
 from __future__ import annotations
 
+from repro import experiments
+from repro.experiments import protocol_udp_per_request
 from repro.analysis.tables import format_table
 from repro.proxy.config import ProxyMode
-from repro.simulation.experiment import run_overhead_experiment
 
 from benchmarks._shared import write_result
 
 PROXY_COUNTS = (2, 4, 8)
-CLIENTS_PER_PROXY = 15
-REQUESTS_PER_CLIENT = 120
 
 
 def measure(num_proxies: int):
-    results = {}
-    for mode in (ProxyMode.NO_ICP, ProxyMode.ICP, ProxyMode.SC_ICP):
-        results[mode] = run_overhead_experiment(
-            mode,
-            num_proxies=num_proxies,
-            clients_per_proxy=CLIENTS_PER_PROXY,
-            requests_per_client=REQUESTS_PER_CLIENT,
-            target_hit_ratio=0.25,
-        )
-    return results
+    return experiments.table2(
+        target_hit_ratio=0.25,
+        clients_per_proxy=15,
+        requests_per_client=120,
+        num_proxies=num_proxies,
+    )
 
 
 def test_scalability_measured_in_des(benchmark):
@@ -40,7 +35,6 @@ def test_scalability_measured_in_des(benchmark):
         iterations=1,
     )
 
-    rows = []
     icp_udp_per_request = {}
     sc_udp_per_request = {}
     icp_cpu_overhead = {}
@@ -49,26 +43,10 @@ def test_scalability_measured_in_des(benchmark):
         base = results[ProxyMode.NO_ICP]
         icp = results[ProxyMode.ICP]
         sc = results[ProxyMode.SC_ICP]
-        # Protocol UDP per request, with the keep-alive baseline netted
-        # out so only query/update traffic remains.
-        base_udp = base.udp_sent + base.udp_received
-        icp_udp_per_request[n] = (
-            icp.udp_sent + icp.udp_received - base_udp
-        ) / icp.requests
-        sc_udp_per_request[n] = (
-            sc.udp_sent + sc.udp_received - base_udp
-        ) / sc.requests
+        icp_udp_per_request[n] = protocol_udp_per_request(icp, base)
+        sc_udp_per_request[n] = protocol_udp_per_request(sc, base)
         icp_cpu_overhead[n] = icp.overhead_vs(base)["user_cpu"]
         sc_cpu_overhead[n] = sc.overhead_vs(base)["user_cpu"]
-        rows.append(
-            (
-                n,
-                f"{icp_udp_per_request[n]:.2f}",
-                f"{sc_udp_per_request[n]:.2f}",
-                f"+{icp_cpu_overhead[n]:.1f}%",
-                f"+{sc_cpu_overhead[n]:.1f}%",
-            )
-        )
 
     # ICP's traffic per request grows ~linearly with N-1...
     growth = icp_udp_per_request[8] / icp_udp_per_request[2]
@@ -80,16 +58,11 @@ def test_scalability_measured_in_des(benchmark):
     assert icp_cpu_overhead[8] > icp_cpu_overhead[2] * 2
     assert sc_cpu_overhead[8] < 8
 
+    headers, rows = experiments.des_scaling_rows(all_results)
     write_result(
         "extension_scalability_des",
         format_table(
-            (
-                "proxies",
-                "icp udp/req",
-                "sc-icp udp/req",
-                "icp user-cpu overhead",
-                "sc-icp user-cpu overhead",
-            ),
+            headers,
             rows,
             title=(
                 "Scalability measured in the DES (Section V-F's claim): "

@@ -12,13 +12,14 @@ import pytest
 
 from repro import experiments
 from repro.analysis.tables import format_table
+from repro.proxy.config import ProxyMode
 
 from benchmarks._shared import write_result
 
 
 @pytest.mark.parametrize("hit_ratio", [0.25, 0.45])
 def test_table2_icp_overhead(benchmark, hit_ratio):
-    headers, rows = benchmark.pedantic(
+    results = benchmark.pedantic(
         experiments.table2,
         kwargs={
             "target_hit_ratio": hit_ratio,
@@ -28,30 +29,34 @@ def test_table2_icp_overhead(benchmark, hit_ratio):
         rounds=1,
         iterations=1,
     )
+    base = results[ProxyMode.NO_ICP]
+    icp = results[ProxyMode.ICP]
+    sc = results[ProxyMode.SC_ICP]
 
-    by_config = {row[0]: row for row in rows}
     # No remote hits: identical hit ratios in all three configurations.
     assert (
-        by_config["no-icp"][1]
-        == by_config["icp"][1]
-        == by_config["sc-icp"][1]
+        round(base.hit_ratio, 3)
+        == round(icp.hit_ratio, 3)
+        == round(sc.hit_ratio, 3)
     )
 
     # ICP's UDP factor lands in the paper's ballpark (73x-90x).
-    udp_factor = by_config["icp overhead"][5]
-    factor = float(udp_factor.rstrip("x"))
+    factor = round(experiments.udp_factor(icp, base))
     assert 40 < factor < 150
 
     # ICP inflates CPU and latency; SC-ICP stays near no-ICP.
-    icp_user = float(by_config["icp overhead"][3].strip("+%"))
-    sc_user = float(by_config["sc-icp overhead"][3].strip("+%"))
+    icp_overhead = icp.overhead_vs(base)
+    sc_overhead = sc.overhead_vs(base)
+    icp_user = round(icp_overhead["user_cpu"], 1)
+    sc_user = round(sc_overhead["user_cpu"], 1)
     assert icp_user > 10
     assert sc_user < icp_user / 2
-    icp_latency = float(by_config["icp overhead"][2].strip("+%"))
-    sc_latency = float(by_config["sc-icp overhead"][2].strip("+%"))
+    icp_latency = round(icp_overhead["latency"], 1)
+    sc_latency = round(sc_overhead["latency"], 1)
     assert icp_latency > 2
     assert sc_latency < icp_latency
 
+    headers, rows = experiments.table2_rows(results)
     write_result(
         f"table2_hit{int(hit_ratio * 100)}",
         format_table(

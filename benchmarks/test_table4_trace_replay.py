@@ -21,12 +21,12 @@ def run_replay(assignment: str):
     )
 
 
-def check_replay_rows(rows):
-    by_config = {row[0]: row for row in rows}
-    hr = {k: float(v[1]) for k, v in by_config.items()}
-    remote = {k: float(v[2]) for k, v in by_config.items()}
-    latency = {k: float(v[3]) for k, v in by_config.items()}
-    udp = {k: int(v[6]) for k, v in by_config.items()}
+def check_replay(results):
+    runs = results.values()
+    hr = {r.mode: round(r.hit_ratio, 3) for r in runs}
+    remote = {r.mode: round(r.remote_hit_ratio, 3) for r in runs}
+    latency = {r.mode: round(r.mean_latency, 3) for r in runs}
+    udp = {r.mode: r.udp_messages for r in runs}
 
     # Cooperation finds remote hits; no-ICP cannot.
     assert remote["no-icp"] == 0.0
@@ -45,10 +45,11 @@ def check_replay_rows(rows):
 
 
 def test_table4_trace_replay_client_bound(benchmark):
-    headers, rows = benchmark.pedantic(
+    results = benchmark.pedantic(
         run_replay, args=("client-bound",), rounds=1, iterations=1
     )
-    check_replay_rows(rows)
+    check_replay(results)
+    headers, rows = experiments.table45_rows(results)
     write_result(
         "table4_trace_replay",
         format_table(

@@ -575,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--policies",
         nargs="+",
-        default=None,
+        default=["unicast", "hierarchy"],
         choices=("unicast", "hierarchy"),
         help="dissemination policies to run (default: both)",
     )
@@ -716,10 +716,12 @@ def _table2(args: argparse.Namespace) -> int:
     from repro import experiments
 
     return _print_table(
-        experiments.table2(
-            target_hit_ratio=args.hit_ratio,
-            clients_per_proxy=args.clients_per_proxy,
-            requests_per_client=args.requests_per_client,
+        experiments.table2_rows(
+            experiments.table2(
+                target_hit_ratio=args.hit_ratio,
+                clients_per_proxy=args.clients_per_proxy,
+                requests_per_client=args.requests_per_client,
+            )
         ),
         f"Table II: ICP overhead (inherent hit ratio {args.hit_ratio:g})",
     )
@@ -812,8 +814,10 @@ def _table45(args: argparse.Namespace) -> int:
     else:
         assignment, label = "round-robin", "V"
     return _print_table(
-        experiments.table45(
-            assignment=assignment, workload=args.workload, scale=args.scale
+        experiments.table45_rows(
+            experiments.table45(
+                assignment=assignment, workload=args.workload, scale=args.scale
+            )
         ),
         f"Table {label}: trace replay ({assignment})",
     )
@@ -1149,7 +1153,8 @@ def _trace_pack(args: argparse.Namespace) -> int:
     rate = records / elapsed if elapsed > 0 else 0.0
     print(
         f"packed {records:,} requests ({groups} proxy groups) to "
-        f"{args.out} in {elapsed:.2f}s ({rate:,.0f} records/s)"
+        f"{args.out} in {elapsed:.2f}s ({rate:,.0f} records/s, "
+        "numpy import and generator set-up included)"
     )
     return 0
 
@@ -1256,111 +1261,51 @@ def _trace_verify(args: argparse.Namespace) -> int:
 
 def _dissemination(args: argparse.Namespace) -> int:
     """The measured Section V-F run, one cell per dissemination policy."""
-    import os
-    import shutil
-    import tempfile
+    from repro import experiments
 
-    from repro.simulation.scale import (
-        DISSEMINATION_POLICIES,
-        ScaleResult,
-        run_scale_experiment,
+    results = experiments.dissemination(
+        args.workload,
+        scale=args.scale,
+        seed=args.seed,
+        num_requests=args.requests,
+        num_proxies=args.proxies,
+        policies=args.policies,
+        fanout=args.fanout,
+        cache_capacity=int(args.cache_mb * 1024 * 1024),
+        threshold=args.threshold,
+        trace_path=args.trace,
     )
-    from repro.traces.binary import BinaryTraceReader
-    from repro.traces.workloads import pack_workload
-
-    policies = tuple(args.policies or DISSEMINATION_POLICIES)
-    tempdir = None
-    if args.trace is not None:
-        trace_path = args.trace
-    else:
-        tempdir = tempfile.mkdtemp(prefix="sctr-scale-")
-        trace_path = os.path.join(tempdir, f"{args.workload}.sctr")
-        records, _ = pack_workload(
-            args.workload,
-            trace_path,
-            scale=args.scale,
-            seed=args.seed,
-            num_requests=args.requests,
+    measured = next(iter(results.values()))
+    if args.trace is None:
+        # Every cell replays each packed record exactly once.
+        print(f"packed {measured.requests:,} requests for the run")
+    for policy, result in results.items():
+        print(
+            f"{policy}: {result.requests:,} requests, "
+            f"hit ratio {result.hit_ratio:.3f}, "
+            f"{result.update_messages:,} update messages "
+            f"(busiest sender {result.sender_max_dirupdates:,})"
         )
-        print(f"packed {records:,} requests for the run", flush=True)
-    cache_bytes = int(args.cache_mb * 1024 * 1024)
-    results: List[ScaleResult] = []
-    rows: List[tuple] = []
-    try:
-        with BinaryTraceReader(trace_path) as reader:
-            for policy in policies:
-                result = run_scale_experiment(
-                    reader,
-                    num_proxies=args.proxies,
-                    dissemination=policy,
-                    fanout=args.fanout,
-                    cache_capacity=cache_bytes,
-                    update_threshold=args.threshold,
-                )
-                results.append(result)
-                rows.append(
-                    (
-                        policy,
-                        f"{result.hit_ratio:.3f}",
-                        f"{result.false_hit_ratio:.4f}",
-                        f"{result.update_messages:,}",
-                        f"{result.update_messages_per_request:.3f}",
-                        f"{result.sender_max_dirupdates:,}",
-                        f"{result.peak_rss_bytes / (1 << 20):.0f}",
-                        f"{result.wall_seconds:.1f}",
-                    )
-                )
-                print(
-                    f"{policy}: {result.requests:,} requests, "
-                    f"hit ratio {result.hit_ratio:.3f}, "
-                    f"{result.update_messages:,} update messages "
-                    f"(busiest sender {result.sender_max_dirupdates:,})",
-                    flush=True,
-                )
-    finally:
-        if tempdir is not None:
-            shutil.rmtree(tempdir, ignore_errors=True)
-    headers = (
-        "policy",
-        "hit-ratio",
-        "false-hit",
-        "updates",
-        "upd/req",
-        "max-sender",
-        "RSS-MiB",
-        "wall-s",
+    _print_table(
+        experiments.dissemination_rows(results),
+        f"Section V-F measured: {args.proxies} proxies "
+        f"({args.workload}, threshold {args.threshold:g})",
     )
-    print(
-        format_table(
-            headers,
-            rows,
-            title=(
-                f"Section V-F measured: {args.proxies} proxies "
-                f"({args.workload}, threshold {args.threshold:g})"
-            ),
-        )
-    )
-    predicted = results[0].predicted if results else {}
-    if predicted:
-        measured = results[0]
+    predicted = measured.predicted
+    if predicted is not None:
         print(
             "extrapolation check (unadjusted Section V-F model at this "
             "geometry):"
         )
-        for key in (
-            "update_messages_per_request",
-            "protocol_messages_per_request",
+        for key, spec in (
+            ("update_messages_per_request", ".4f"),
+            ("protocol_messages_per_request", ".4f"),
+            ("summary_memory_bytes", ","),
         ):
-            if key in predicted:
-                print(
-                    f"  {key}: predicted {predicted[key]:.4f}, "
-                    f"measured {getattr(measured, key):.4f}"
-                )
-        print(
-            f"  summary_memory_bytes: predicted "
-            f"{predicted.get('summary_memory_bytes', 0):,}, measured "
-            f"{measured.summary_memory_bytes:,}"
-        )
+            print(
+                f"  {key}: predicted {getattr(predicted, key):{spec}}, "
+                f"measured {getattr(measured, key):{spec}}"
+            )
     return 0
 
 

@@ -4,18 +4,23 @@ This module is the one place a configuration becomes a table's
 numbers.  A runner returns either ``(headers, rows)`` ready for
 :func:`repro.analysis.tables.format_table` or, where a benchmark asserts
 on the numbers, typed results plus a renderer that turns them into
-those rows (:func:`representations` / :func:`representation_rows`,
-:func:`table3_rows`, :func:`hierarchy` / :func:`hierarchy_rows`,
-:func:`alternatives` / :func:`alternative_rows`).  The CLI prints the
-rows; ``benchmarks/`` asserts on the runners' results and writes the
-same rows.  The mapping to the paper:
+those rows (:func:`table2` / :func:`table2_rows`, :func:`table45` /
+:func:`table45_rows`, :func:`representations` /
+:func:`representation_rows`, :func:`table3_rows`, :func:`dissemination`
+/ :func:`dissemination_rows`, :func:`prototype` / :func:`prototype_rows`,
+:func:`hierarchy` / :func:`hierarchy_rows`, :func:`alternatives` /
+:func:`alternative_rows`).  The CLI prints the rows; ``benchmarks/``
+asserts on the runners' results and writes the same rows.  The mapping
+to the paper:
 
 ==================  ====================================================
 Function            Paper artefact
 ==================  ====================================================
 :func:`table1`      Table I   -- trace statistics
 :func:`fig1`        Fig. 1    -- hit ratio vs cache size, 4 schemes
-:func:`table2`      Table II  -- ICP/SC-ICP overhead, 4-proxy benchmark
+:func:`table2`      Table II  -- ICP/SC-ICP overhead, 4-proxy benchmark;
+                    at 2, 4 and 8 proxies (:func:`des_scaling_rows`),
+                    Section V-F's growth claim measured in the DES
 :func:`fig2`        Fig. 2    -- update-delay threshold sweep
 :func:`table3`      Table III -- summary memory as % of cache
 :func:`fig4`        Fig. 4    -- false-positive probability curves
@@ -24,6 +29,10 @@ Function            Paper artefact
                     memory), all from one simulation sweep
 :func:`table45`     Tables IV/V -- trace replay, both assignments
 :func:`scalability` Section V-F -- 100-proxy extrapolation
+:func:`dissemination`  Section V-F -- the 100-proxy cluster measured in
+                    the DES, one cell per dissemination policy
+:func:`prototype`   Section VII -- the asyncio prototype on localhost,
+                    every mode and every summary representation
 :func:`hierarchy`   Section VIII -- parent/child extension
 :func:`alternatives`  related work -- ICP vs CARP vs directory server
 ==================  ====================================================
@@ -36,14 +45,18 @@ longer runtime).
 
 from __future__ import annotations
 
+import asyncio
+import os
+import tempfile
 from dataclasses import replace
 from time import perf_counter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.scalability import extrapolate
 from repro.core.bfmath import example_table, fig4_series
 from repro.obs.registry import MetricsRegistry
-from repro.proxy.config import ProxyMode
+from repro.proxy.cluster import ClusterResult, ProxyCluster
+from repro.proxy.config import ProxyConfig, ProxyMode
 from repro.sharing.carp import CarpResult, simulate_carp
 from repro.sharing.directory_server import (
     DirectoryServerLoad,
@@ -68,10 +81,21 @@ from repro.simulation.experiment import (
     run_replay_experiment,
 )
 from repro.simulation.parallel import fig5_grid, run_cells
+from repro.simulation.scale import (
+    DISSEMINATION_POLICIES,
+    ScaleResult,
+    run_scale_experiment,
+)
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy, UpdatePolicy
+from repro.traces.binary import BinaryTraceReader
 from repro.traces.partition import TraceLike
 from repro.traces.stats import compute_stats, mean_cacheable_size
-from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
+from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.workloads import (
+    WORKLOAD_PRESETS,
+    make_workload,
+    pack_workload,
+)
 
 ALL_WORKLOADS: Tuple[str, ...] = tuple(WORKLOAD_PRESETS)
 
@@ -183,48 +207,49 @@ def fig1(
 # Table II
 # ----------------------------------------------------------------------
 
+_MODES = (ProxyMode.NO_ICP, ProxyMode.ICP, ProxyMode.SC_ICP)
+
+ModeResults = Dict[ProxyMode, ExperimentResult]
+
+
+def _three_modes(
+    run: Callable[..., ExperimentResult], **settings: object
+) -> ModeResults:
+    """Run one DES experiment in each mode, no-ICP first."""
+    return {mode: run(mode=mode, **settings) for mode in _MODES}
+
+
 def table2(
     target_hit_ratio: float = 0.25,
     clients_per_proxy: int = 30,
     requests_per_client: int = 200,
     num_proxies: int = 4,
-) -> Tuple[Headers, Rows]:
-    """ICP overhead benchmark (Table II) at one inherent hit ratio.
+) -> ModeResults:
+    """ICP overhead benchmark (Table II) at one inherent hit ratio."""
+    return _three_modes(
+        run_overhead_experiment,
+        num_proxies=num_proxies,
+        clients_per_proxy=clients_per_proxy,
+        requests_per_client=requests_per_client,
+        target_hit_ratio=target_hit_ratio,
+    )
+
+
+def udp_factor(result: ExperimentResult, baseline: ExperimentResult) -> float:
+    """*result*'s UDP datagrams as a multiple of *baseline*'s."""
+    return result.udp_messages / max(1, baseline.udp_messages)
+
+
+def table2_rows(results: ModeResults) -> Tuple[Headers, Rows]:
+    """Render :func:`table2`'s results as Table II rows.
 
     Rows: no-ICP, ICP, SC-ICP, then percentage-overhead rows vs no-ICP.
+    The benchmark's clients share no documents, so there is no
+    remote-HR column.
     """
-    results: Dict[ProxyMode, ExperimentResult] = {}
-    for mode in (ProxyMode.NO_ICP, ProxyMode.ICP, ProxyMode.SC_ICP):
-        results[mode] = run_overhead_experiment(
-            mode,
-            num_proxies=num_proxies,
-            clients_per_proxy=clients_per_proxy,
-            requests_per_client=requests_per_client,
-            target_hit_ratio=target_hit_ratio,
-        )
-    headers = (
-        "config",
-        "hit-ratio",
-        "latency(s)",
-        "user-cpu(s)",
-        "sys-cpu(s)",
-        "udp-msgs",
-        "total-pkts",
-    )
-    rows: Rows = []
+    headers, mode_rows = table45_rows(results)
+    rows: Rows = [(*row[:2], *row[3:]) for row in mode_rows]
     base = results[ProxyMode.NO_ICP]
-    for mode, r in results.items():
-        rows.append(
-            (
-                r.mode,
-                f"{r.hit_ratio:.3f}",
-                f"{r.mean_latency:.3f}",
-                f"{r.user_cpu:.1f}",
-                f"{r.system_cpu:.1f}",
-                r.udp_sent + r.udp_received,
-                r.total_packets,
-            )
-        )
     for mode in (ProxyMode.ICP, ProxyMode.SC_ICP):
         ov = results[mode].overhead_vs(base)
         rows.append(
@@ -234,8 +259,42 @@ def table2(
                 f"+{ov['latency']:.1f}%",
                 f"+{ov['user_cpu']:.1f}%",
                 f"+{ov['system_cpu']:.1f}%",
-                f"{(results[mode].udp_sent + results[mode].udp_received) / max(1, base.udp_sent + base.udp_received):.0f}x",
+                f"{udp_factor(results[mode], base):.0f}x",
                 f"+{ov['packets']:.1f}%",
+            )
+        )
+    return (*headers[:2], *headers[3:]), rows
+
+
+def protocol_udp_per_request(
+    result: ExperimentResult, baseline: ExperimentResult
+) -> float:
+    """Protocol UDP per request, with *baseline*'s keep-alives netted
+    out so only query/update traffic remains."""
+    return (result.udp_messages - baseline.udp_messages) / result.requests
+
+
+def des_scaling_rows(per_size: Dict[int, ModeResults]) -> Tuple[Headers, Rows]:
+    """Render :func:`table2` runs at several cluster sizes as per-request
+    protocol UDP and user-CPU overhead rows (Section V-F, measured)."""
+    headers = (
+        "proxies",
+        "icp udp/req",
+        "sc-icp udp/req",
+        "icp user-cpu overhead",
+        "sc-icp user-cpu overhead",
+    )
+    rows: Rows = []
+    for n, results in per_size.items():
+        base = results[ProxyMode.NO_ICP]
+        icp, sc = results[ProxyMode.ICP], results[ProxyMode.SC_ICP]
+        rows.append(
+            (
+                n,
+                f"{protocol_udp_per_request(icp, base):.2f}",
+                f"{protocol_udp_per_request(sc, base):.2f}",
+                f"+{icp.overhead_vs(base)['user_cpu']:.1f}%",
+                f"+{sc.overhead_vs(base)['user_cpu']:.1f}%",
             )
         )
     return headers, rows
@@ -425,7 +484,7 @@ def table45(
     num_requests: Optional[int] = 24_000,
     num_proxies: int = 4,
     clients_per_proxy: int = 20,
-) -> Tuple[Headers, Rows]:
+) -> ModeResults:
     """Trace replay through the simulated cluster (Tables IV/V).
 
     ``assignment`` selects experiment 3 (``client-bound``) or
@@ -434,15 +493,18 @@ def table45(
     trace, _groups = make_workload(workload, scale=scale)
     if num_requests is not None:
         trace = trace.head(num_requests)
-    results: Dict[ProxyMode, ExperimentResult] = {}
-    for mode in (ProxyMode.NO_ICP, ProxyMode.ICP, ProxyMode.SC_ICP):
-        results[mode] = run_replay_experiment(
-            trace,
-            mode,
-            num_proxies=num_proxies,
-            clients_per_proxy=clients_per_proxy,
-            assignment=assignment,
-        )
+    return _three_modes(
+        run_replay_experiment,
+        trace=trace,
+        num_proxies=num_proxies,
+        clients_per_proxy=clients_per_proxy,
+        assignment=assignment,
+    )
+
+
+def table45_rows(results: ModeResults) -> Tuple[Headers, Rows]:
+    """Render :func:`table45`'s results as Table IV or V rows, one per
+    mode (:func:`table2_rows` drops the remote-HR column)."""
     headers = (
         "config",
         "hit-ratio",
@@ -453,20 +515,19 @@ def table45(
         "udp-msgs",
         "total-pkts",
     )
-    rows: Rows = []
-    for r in results.values():
-        rows.append(
-            (
-                r.mode,
-                f"{r.hit_ratio:.3f}",
-                f"{r.remote_hit_ratio:.3f}",
-                f"{r.mean_latency:.3f}",
-                f"{r.user_cpu:.1f}",
-                f"{r.system_cpu:.1f}",
-                r.udp_sent + r.udp_received,
-                r.total_packets,
-            )
+    rows: Rows = [
+        (
+            r.mode,
+            f"{r.hit_ratio:.3f}",
+            f"{r.remote_hit_ratio:.3f}",
+            f"{r.mean_latency:.3f}",
+            f"{r.user_cpu:.1f}",
+            f"{r.system_cpu:.1f}",
+            r.udp_messages,
+            r.total_packets,
         )
+        for r in results.values()
+    ]
     return headers, rows
 
 
@@ -499,6 +560,150 @@ def scalability(
                 f"{est.protocol_messages_per_request:.4f}",
             )
         )
+    return headers, rows
+
+
+def dissemination(
+    workload: str = "upisa",
+    scale: float = 1.0,
+    seed: Optional[int] = None,
+    num_requests: Optional[int] = None,
+    num_proxies: int = 100,
+    policies: Sequence[str] = DISSEMINATION_POLICIES,
+    fanout: int = 4,
+    cache_capacity: int = 8 * 2**20,
+    threshold: float = 0.01,
+    trace_path: Optional[str] = None,
+) -> Dict[str, ScaleResult]:
+    """The measured Section V-F run, one DES cell per dissemination policy.
+
+    The workload is packed into a temporary ``.sctr`` file, or the
+    packed trace at *trace_path* is replayed instead, and every cell
+    streams it from one mmap-backed reader.  Each result carries the
+    Section V-F extrapolation at its own geometry as ``predicted``.
+    """
+    with tempfile.TemporaryDirectory(prefix="sctr-scale-") as tempdir:
+        if trace_path is None:
+            trace_path = os.path.join(tempdir, f"{workload}.sctr")
+            pack_workload(workload, trace_path, scale, seed, num_requests)
+        with BinaryTraceReader(trace_path) as reader:
+            return {
+                policy: run_scale_experiment(
+                    reader,
+                    num_proxies=num_proxies,
+                    dissemination=policy,
+                    fanout=fanout,
+                    cache_capacity=cache_capacity,
+                    update_threshold=threshold,
+                )
+                for policy in policies
+            }
+
+
+def dissemination_rows(
+    results: Dict[str, ScaleResult],
+) -> Tuple[Headers, Rows]:
+    """Render :func:`dissemination`'s results, one row per policy."""
+    headers = (
+        "policy",
+        "hit-ratio",
+        "false-hit",
+        "updates",
+        "upd/req",
+        "max-sender",
+        "RSS-MiB",
+        "wall-s",
+    )
+    rows: Rows = [
+        (
+            policy,
+            f"{r.hit_ratio:.3f}",
+            f"{r.false_hit_ratio:.4f}",
+            f"{r.update_messages:,}",
+            f"{r.update_messages_per_request:.3f}",
+            f"{r.sender_max_dirupdates:,}",
+            f"{r.peak_rss_bytes / (1 << 20):.0f}",
+            f"{r.wall_seconds:.1f}",
+        )
+        for policy, r in results.items()
+    ]
+    return headers, rows
+
+
+# ----------------------------------------------------------------------
+# Section VII: the asyncio prototype on localhost sockets
+# ----------------------------------------------------------------------
+
+#: Requests in the trace every prototype run replays.
+PROTOTYPE_REQUESTS = 2000
+
+
+def prototype() -> Dict[Tuple[ProxyMode, str], ClusterResult]:
+    """The live-socket counterpart of Tables II/IV/V and Section V.
+
+    Four proxies replay one synthetic trace over real localhost sockets
+    in every mode with Bloom summaries, then in SC-ICP with each other
+    summary representation.  Results are keyed by ``(mode, kind)``.
+    """
+    trace = generate_trace(
+        SyntheticTraceConfig(
+            name="prototype-bench",
+            num_requests=PROTOTYPE_REQUESTS,
+            num_clients=32,
+            num_documents=700,
+            mean_size=2048,
+            max_size=64 * 1024,
+            mod_probability=0.0,
+            seed=55,
+        )
+    )
+
+    async def replay(mode: ProxyMode, kind: str) -> ClusterResult:
+        async with ProxyCluster(
+            num_proxies=4,
+            mode=mode,
+            cache_capacity=2 * 2**20,
+            origin_delay=0.001,
+            base_config=ProxyConfig(
+                summary=SummaryConfig(kind=kind, load_factor=8),
+                expected_doc_size=2048,
+            ),
+        ) as cluster:
+            return await cluster.replay(trace, clients_per_proxy=4)
+
+    runs = [(mode, "bloom") for mode in _MODES] + [
+        (ProxyMode.SC_ICP, kind) for kind in ("exact-directory", "server-name")
+    ]
+    return {run: asyncio.run(replay(*run)) for run in runs}
+
+
+def prototype_rows(
+    results: Dict[str, ClusterResult],
+) -> Tuple[Headers, Rows]:
+    """Render labelled :func:`prototype` runs, one row each."""
+    headers = (
+        "mode",
+        "hit-ratio",
+        "remote-hits",
+        "udp-sent",
+        "queries",
+        "dir-updates",
+        "false-rounds",
+        "latency",
+    )
+    rows: Rows = [
+        (
+            label,
+            f"{r.total_hit_ratio:.3f}",
+            sum(s.remote_hits for s in r.proxy_stats),
+            r.udp_total,
+            sum(s.icp_queries_sent for s in r.proxy_stats),
+            sum(s.dirupdates_sent for s in r.proxy_stats),
+            sum(s.false_query_rounds for s in r.proxy_stats),
+            f"{r.client_report.mean_latency * 1000:.2f} ms",
+        )
+        for label, r in results.items()
+    ]
     return headers, rows
 
 

@@ -29,7 +29,7 @@ from repro.obs.export import (
     render_json,
     render_prometheus,
 )
-from repro.obs.logconfig import configure_logging, get_logger
+from repro.obs.logconfig import configure_logging
 from repro.obs.registry import (
     DEFAULT_TIME_BUCKETS,
     Counter,
@@ -60,7 +60,6 @@ __all__ = [
     "TRACE_HEADER",
     "format_id",
     "configure_logging",
-    "get_logger",
     "parse_prometheus",
     "render_json",
     "render_prometheus",

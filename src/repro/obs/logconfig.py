@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import logging
 from typing import Optional, TextIO
-from typing import Optional
 
 #: The root of the package's logger tree.
 ROOT_LOGGER = "repro"
@@ -53,12 +52,3 @@ def configure_logging(
     logger.addHandler(handler)
     logger.propagate = False
     return logger
-
-
-def get_logger(name: Optional[str] = None) -> logging.Logger:
-    """A logger under the package tree (``repro`` when *name* is None)."""
-    if name is None:
-        return logging.getLogger(ROOT_LOGGER)
-    if name.startswith(ROOT_LOGGER):
-        return logging.getLogger(name)
-    return logging.getLogger(f"{ROOT_LOGGER}.{name}")

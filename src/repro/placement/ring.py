@@ -164,10 +164,6 @@ class HashRing:
         """Owner of *key*, via the interned digest of the position cache."""
         return self.owner(md5_digest(key))
 
-    def replicas_of(self, key: Key) -> Tuple[str, ...]:
-        """Replica set of *key*, via the interned digest."""
-        return self.replicas(md5_digest(key))
-
     # ------------------------------------------------------------------
     # Membership (functional: new rings, never in-place mutation)
     # ------------------------------------------------------------------

@@ -126,11 +126,6 @@ class Sanitizer:
         """Call *listener* on every violation (metrics wiring)."""
         self._listeners.append(listener)
 
-    def set_trace(self, trace: str) -> None:
-        """Attribute the current task's accesses to *trace* (contextvar,
-        so it follows the request through its awaits)."""
-        _trace_ctx.set(trace)
-
     def begin_request(self, trace: str = "") -> None:
         """Open a fresh logical scope for the current task.
 

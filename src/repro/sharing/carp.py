@@ -62,14 +62,6 @@ class CarpResult:
             self.remote_routed / self.requests if self.requests else 0.0
         )
 
-    @property
-    def load_imbalance(self) -> float:
-        """Max over mean per-proxy request load (1.0 = perfectly even)."""
-        if not self.per_proxy_requests or not self.requests:
-            return 0.0
-        mean = self.requests / len(self.per_proxy_requests)
-        return max(self.per_proxy_requests) / mean if mean else 0.0
-
 
 def simulate_carp(
     trace: TraceLike,

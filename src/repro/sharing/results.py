@@ -38,18 +38,6 @@ class MessageCounts:
         """Query plus update bytes (Fig. 8's accounting)."""
         return self.query_bytes + self.update_bytes
 
-    @property
-    def total_messages_with_replies(self) -> int:
-        """All interproxy messages including replies (wire-level count)."""
-        return (
-            self.query_messages + self.reply_messages + self.update_messages
-        )
-
-    @property
-    def total_bytes_with_replies(self) -> int:
-        """All interproxy bytes including replies (wire-level count)."""
-        return self.query_bytes + self.reply_bytes + self.update_bytes
-
     def per_request(self, num_requests: int) -> float:
         """Messages per user HTTP request (Fig. 7's normalization)."""
         return self.total_messages / num_requests if num_requests else 0.0

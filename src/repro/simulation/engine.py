@@ -117,11 +117,6 @@ class Resource:
         done.fire()
         self._start_next()
 
-    @property
-    def queue_length(self) -> int:
-        """Jobs waiting (not including the one in service)."""
-        return len(self._queue)
-
 
 class Engine:
     """The event heap, clock, and process driver."""

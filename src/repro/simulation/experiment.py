@@ -52,9 +52,9 @@ class ExperimentResult:
     dirupdates_sent: int = 0
 
     @property
-    def total_cpu(self) -> float:
-        """User plus system CPU seconds across all proxies."""
-        return self.user_cpu + self.system_cpu
+    def udp_messages(self) -> int:
+        """UDP datagrams sent and received by all proxies."""
+        return self.udp_sent + self.udp_received
 
     @property
     def total_packets(self) -> int:
@@ -72,10 +72,6 @@ class ExperimentResult:
             return 100.0 * (ours - theirs) / theirs
 
         return {
-            "udp": pct(
-                self.udp_sent + self.udp_received,
-                baseline.udp_sent + baseline.udp_received,
-            ),
             "packets": pct(self.total_packets, baseline.total_packets),
             "user_cpu": pct(self.user_cpu, baseline.user_cpu),
             "system_cpu": pct(self.system_cpu, baseline.system_cpu),
@@ -87,11 +83,11 @@ def _build_cluster(
     engine: Engine,
     num_proxies: int,
     proxy_config: SimProxyConfig,
-    costs: CostModel,
     network: NetworkModel,
     origin_delay: float,
 ):
     origin = SimOrigin(engine, delay=origin_delay)
+    costs = CostModel()
     proxies = [
         SimProxy(engine, i, proxy_config, costs, network, origin)
         for i in range(num_proxies)
@@ -157,8 +153,6 @@ def run_overhead_experiment(
     requests_per_client: int = 200,
     target_hit_ratio: float = 0.25,
     origin_delay: float = 1.0,
-    costs: Optional[CostModel] = None,
-    network: Optional[NetworkModel] = None,
     proxy_config: Optional[SimProxyConfig] = None,
     seed: int = 1,
 ) -> ExperimentResult:
@@ -168,11 +162,10 @@ def run_overhead_experiment(
     :meth:`ExperimentResult.overhead_vs`.
     """
     engine = Engine()
-    costs = costs or CostModel()
-    network = network or NetworkModel()
+    network = NetworkModel()
     config = replace(proxy_config or SimProxyConfig(), mode=mode)
     origin, proxies = _build_cluster(
-        engine, num_proxies, config, costs, network, origin_delay
+        engine, num_proxies, config, network, origin_delay
     )
 
     streams = generate_client_streams(
@@ -201,8 +194,6 @@ def run_replay_experiment(
     clients_per_proxy: int = 20,
     assignment: str = "client-bound",
     origin_delay: float = 1.0,
-    costs: Optional[CostModel] = None,
-    network: Optional[NetworkModel] = None,
     proxy_config: Optional[SimProxyConfig] = None,
 ) -> ExperimentResult:
     """The Table IV/V experiment: replay *trace* under *assignment*.
@@ -213,11 +204,10 @@ def run_replay_experiment(
     ``"round-robin"`` keeps global order (experiment 4).
     """
     engine = Engine()
-    costs = costs or CostModel()
-    network = network or NetworkModel()
+    network = NetworkModel()
     config = replace(proxy_config or SimProxyConfig(), mode=mode)
     origin, proxies = _build_cluster(
-        engine, num_proxies, config, costs, network, origin_delay
+        engine, num_proxies, config, network, origin_delay
     )
 
     clients = [

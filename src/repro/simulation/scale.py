@@ -22,14 +22,13 @@ Two things make the run tractable:
 from __future__ import annotations
 
 import resource
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Optional
 
-from repro.analysis.scalability import extrapolate
+from repro.analysis.scalability import ScalabilityEstimate, extrapolate
 from repro.errors import ConfigurationError
 from repro.proxy.config import ProxyMode
-from repro.simulation.costs import CostModel
 from repro.simulation.engine import Engine
 from repro.simulation.experiment import _build_cluster, _collect
 from repro.simulation.network import NetworkModel
@@ -53,9 +52,6 @@ def peak_rss_bytes() -> int:
 class ScaleResult:
     """Measured vs predicted quantities of one Section V-F cell."""
 
-    num_proxies: int
-    dissemination: str
-    fanout: int
     requests: int
     hit_ratio: float
     remote_hit_ratio: float
@@ -74,10 +70,9 @@ class ScaleResult:
     sim_duration: float
     wall_seconds: float
     peak_rss_bytes: int
-    predicted: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return dict(self.__dict__)
+    #: The Section V-F extrapolation at this run's geometry (``None``
+    #: for a one-proxy or empty run).
+    predicted: Optional[ScalabilityEstimate] = None
 
 
 def run_scale_experiment(
@@ -85,13 +80,10 @@ def run_scale_experiment(
     num_proxies: int = 100,
     dissemination: str = "unicast",
     fanout: int = 4,
-    clients_per_proxy: int = 1,
     cache_capacity: int = 8 * 1024 * 1024,
     expected_doc_size: int = 8 * 1024,
     update_threshold: float = 0.01,
     origin_delay: float = 1.0,
-    costs: Optional[CostModel] = None,
-    network: Optional[NetworkModel] = None,
 ) -> ScaleResult:
     """Run the DES at *num_proxies* with the given dissemination policy.
 
@@ -103,11 +95,6 @@ def run_scale_experiment(
     geometry (cache size, page size, load factor, measured miss ratio)
     and attached as ``predicted``.
     """
-    if dissemination not in DISSEMINATION_POLICIES:
-        raise ConfigurationError(
-            f"dissemination must be one of {DISSEMINATION_POLICIES}, "
-            f"got {dissemination!r}"
-        )
     if iter(trace) is iter(trace):
         raise ConfigurationError(
             "run_scale_experiment needs a re-iterable trace (a Trace or "
@@ -122,16 +109,17 @@ def run_scale_experiment(
         dissemination_fanout=fanout,
     )
     engine = Engine()
-    network = network or NetworkModel()
+    network = NetworkModel()
     _origin, proxies = _build_cluster(
-        engine, num_proxies, config, costs or CostModel(), network, origin_delay
+        engine, num_proxies, config, network, origin_delay
     )
-    # One lazy scan of *trace* per client: with an mmap reader a scan is
-    # a sequential page-cache walk, so N proxies never hold N copies.
+    # One client per proxy, each a lazy scan of *trace*: with an mmap
+    # reader a scan is a sequential page-cache walk, so N proxies never
+    # hold N copies.
     clients = [
         SimClient(engine, proxies[index], requests, network)
         for index, requests in client_streams(
-            trace, num_proxies, clients_per_proxy, lazy=True
+            trace, num_proxies, clients_per_proxy=1, lazy=True
         )
     ]
     for client in clients:
@@ -152,9 +140,9 @@ def run_scale_experiment(
     queries = sum(p.icp_queries_sent for p in proxies)
     miss_ratio = 1.0 - totals.hit_ratio
 
-    predicted = {}
+    predicted = None
     if num_proxies >= 2 and requests:
-        estimate = extrapolate(
+        predicted = extrapolate(
             num_proxies=num_proxies,
             cache_bytes=cache_capacity,
             page_size=expected_doc_size,
@@ -164,32 +152,11 @@ def run_scale_experiment(
             counter_bits=config.summary.counter_width,
             miss_ratio=max(1e-9, min(1.0, miss_ratio)),
         )
-        predicted = {
-            "summary_memory_bytes": estimate.summary_memory_bytes,
-            "counter_memory_bytes": estimate.counter_memory_bytes,
-            "requests_between_updates": estimate.requests_between_updates,
-            "update_messages_per_request": (
-                estimate.update_messages_per_request
-            ),
-            "false_hit_queries_per_request": (
-                estimate.false_hit_queries_per_request
-            ),
-            "protocol_messages_per_request": (
-                estimate.protocol_messages_per_request
-            ),
-        }
 
     sample = proxies[0].node.local
-    summary_memory = (
-        sample.remote_size_bytes() * (num_proxies - 1)
-        if num_proxies > 1
-        else 0
-    )
+    summary_memory = sample.remote_size_bytes() * (num_proxies - 1)
     counter_memory = sample.size_bytes() - sample.remote_size_bytes()
     return ScaleResult(
-        num_proxies=num_proxies,
-        dissemination=dissemination,
-        fanout=fanout,
         requests=requests,
         hit_ratio=totals.hit_ratio,
         remote_hit_ratio=totals.remote_hit_ratio,

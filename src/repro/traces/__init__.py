@@ -25,8 +25,6 @@ from repro.traces.binary import (
     BinaryTraceWriter,
     TraceWindow,
     pack_trace,
-    read_binary,
-    write_binary,
 )
 
 from repro.traces.analysis import (
@@ -96,7 +94,6 @@ __all__ = [
     "pack_trace",
     "pack_workload",
     "partition_by_client",
-    "read_binary",
     "sample_requests",
     "sharing_potential",
     "size_statistics",
@@ -106,7 +103,6 @@ __all__ = [
     "read_squid_log",
     "split_by_group",
     "workload_config",
-    "write_binary",
     "write_csv",
     "write_jsonl",
     "write_squid_log",

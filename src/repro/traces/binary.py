@@ -515,14 +515,3 @@ class TraceWindow:
 
     def materialize(self) -> Trace:
         return Trace(requests=list(self), name=self.name)
-
-
-def read_binary(path: PathLike, name: str = "") -> Trace:
-    """Materialize a packed trace -- parity with :func:`read_jsonl`."""
-    with BinaryTraceReader(path, advise_window=None) as reader:
-        return Trace(requests=list(reader), name=name or reader.name)
-
-
-def write_binary(trace: Trace, path: PathLike) -> None:
-    """Pack *trace* -- parity with :func:`write_jsonl`."""
-    pack_trace(trace, path, name=trace.name)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, List, NamedTuple, Sequence
+from typing import Iterator, List, NamedTuple, Sequence
 
 from repro.urlutil import server_of
 
@@ -98,10 +98,3 @@ class Trace:
         """Return a trace of the first *n* requests (the paper replays
         the first 24,000 UPisa requests this way)."""
         return Trace(requests=self.requests[:n], name=f"{self.name}[:{n}]")
-
-    @classmethod
-    def from_requests(
-        cls, requests: Iterable[Request], name: str = "unnamed"
-    ) -> "Trace":
-        """Build a trace from any request iterable."""
-        return cls(requests=list(requests), name=name)

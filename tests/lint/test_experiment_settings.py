@@ -58,6 +58,19 @@ RUNNER_PARAMETERS = {
         "clients_per_proxy",
     ],
     experiments.scalability: ["proxy_counts"],
+    experiments.dissemination: [
+        "workload",
+        "scale",
+        "seed",
+        "num_requests",
+        "num_proxies",
+        "policies",
+        "fanout",
+        "cache_capacity",
+        "threshold",
+        "trace_path",
+    ],
+    experiments.prototype: [],
     experiments.hierarchy: ["workload", "scale"],
     experiments.alternatives: ["workload", "scale", "threshold"],
     experiments.metrics_snapshot: [

@@ -56,7 +56,7 @@ class TestHashRing:
     def test_replicas_owner_first_distinct_and_sized(self):
         ring = HashRing(["a", "b", "c", "d"], replication=3)
         for url in URLS[:100]:
-            reps = ring.replicas_of(url)
+            reps = ring.replicas(md5_digest(url))
             assert len(reps) == 3
             assert len(set(reps)) == 3
             assert reps[0] == ring.owner_of(url)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.sharing.carp import CarpResult, simulate_carp
+from repro.sharing.carp import simulate_carp
 from repro.placement import carp_owner
 from repro.sharing.directory_server import simulate_directory_server
 from repro.sharing.schemes import (
@@ -69,15 +69,6 @@ class TestCarpSimulation:
         assert carp.hit_ratio == pytest.approx(
             pooled.total_hit_ratio, abs=0.05
         )
-
-    def test_load_imbalance_metric(self):
-        r = CarpResult(
-            trace_name="t",
-            num_proxies=2,
-            requests=100,
-            per_proxy_requests=[75, 25],
-        )
-        assert r.load_imbalance == pytest.approx(1.5)
 
 
 class TestDirectoryServer:

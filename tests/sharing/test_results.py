@@ -20,8 +20,6 @@ class TestMessageCounts:
         # Fig. 7 counts queries + updates, not replies.
         assert msgs.total_messages == 15
         assert msgs.total_bytes == 900
-        assert msgs.total_messages_with_replies == 25
-        assert msgs.total_bytes_with_replies == 1600
 
     def test_per_request_normalization(self):
         msgs = MessageCounts(query_messages=30, update_messages=20)

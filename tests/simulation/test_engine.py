@@ -183,14 +183,6 @@ class TestResource:
         engine.run()
         assert done_at == [11.0]
 
-    def test_queue_length(self):
-        engine = Engine()
-        cpu = engine.resource()
-        cpu.serve(5.0)
-        cpu.serve(5.0)
-        cpu.serve(5.0)
-        assert cpu.queue_length == 2
-
     def test_negative_service_time_raises(self):
         engine = Engine()
         with pytest.raises(SimulationError):

@@ -89,19 +89,14 @@ class TestScaleRun:
 
     def test_prediction_attached(self, results):
         for result in results.values():
-            assert result.predicted["summary_memory_bytes"] > 0
-            assert result.predicted["update_messages_per_request"] > 0
+            assert result.predicted.summary_memory_bytes > 0
+            assert result.predicted.update_messages_per_request > 0
 
     def test_memory_accounting_positive(self, results):
         for result in results.values():
             assert result.summary_memory_bytes > 0
             assert result.counter_memory_bytes > 0
             assert result.peak_rss_bytes > 0
-
-    def test_to_dict_round_trips_fields(self, results):
-        payload = results["unicast"].to_dict()
-        assert payload["num_proxies"] == NUM_PROXIES
-        assert payload["dissemination"] == "unicast"
 
 
 class TestFeedShapes:

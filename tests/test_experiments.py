@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import experiments
+from repro.analysis.scalability import ScalabilityEstimate
 
 
 class TestTable1:
@@ -167,31 +168,53 @@ class TestAlternatives:
 
 class TestTable2:
     def test_rows_and_overheads(self):
-        headers, rows = experiments.table2(
+        results = experiments.table2(
             target_hit_ratio=0.25,
             clients_per_proxy=3,
             requests_per_client=40,
         )
-        configs = [row[0] for row in rows]
-        assert configs[:3] == ["no-icp", "icp", "sc-icp"]
-        assert "icp overhead" in configs[3]
+        modes = [r.mode for r in results.values()]
+        assert modes == ["no-icp", "icp", "sc-icp"]
+        _headers, rows = experiments.table2_rows(results)
+        assert "icp overhead" in rows[3][0]
         # All three modes show the same hit ratio (no remote hits).
-        assert rows[0][1] == rows[1][1] == rows[2][1]
+        no_icp, icp, sc = (round(r.hit_ratio, 3) for r in results.values())
+        assert no_icp == icp == sc
 
 
 class TestTable45:
     def test_client_bound_replay(self):
-        headers, rows = experiments.table45(
+        results = experiments.table45(
             assignment="client-bound",
             workload="upisa",
             scale=0.1,
             num_requests=1200,
             clients_per_proxy=4,
         )
-        assert [row[0] for row in rows] == ["no-icp", "icp", "sc-icp"]
+        modes = [r.mode for r in results.values()]
+        assert modes == ["no-icp", "icp", "sc-icp"]
         # ICP and SC-ICP find remote hits; no-ICP cannot.
-        assert float(rows[0][2]) == 0.0
-        assert float(rows[1][2]) > 0.0
+        no_icp, icp, _sc = results.values()
+        assert round(no_icp.remote_hit_ratio, 3) == 0.0
+        assert round(icp.remote_hit_ratio, 3) > 0.0
+
+
+class TestDissemination:
+    def test_cell_attaches_the_extrapolation(self):
+        results = experiments.dissemination(
+            "nlanr",
+            scale=0.1,
+            num_requests=800,
+            num_proxies=4,
+            policies=("unicast",),
+            cache_capacity=512 * 1024,
+        )
+        (result,) = results.values()
+        assert isinstance(result.predicted, ScalabilityEstimate)
+        assert result.predicted.num_proxies == 4
+        headers, rows = experiments.dissemination_rows(results)
+        assert headers[0] == "policy"
+        assert rows[0][0] == "unicast"
 
 
 class TestScalability:

@@ -17,8 +17,6 @@ from repro.traces.binary import (
     BinaryTraceWriter,
     TraceWindow,
     pack_trace,
-    read_binary,
-    write_binary,
 )
 from repro.traces.model import Request, Trace
 
@@ -52,11 +50,6 @@ class TestRoundTrip:
     def test_name_preserved(self, trace, packed):
         with BinaryTraceReader(packed) as reader:
             assert reader.name == "bin-test"
-
-    def test_read_write_binary_parity(self, trace, tmp_path):
-        path = tmp_path / "p.sctr"
-        write_binary(trace, path)
-        assert read_binary(path) == trace
 
     def test_empty_trace(self, tmp_path):
         path = str(tmp_path / "empty.sctr")

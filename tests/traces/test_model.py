@@ -67,12 +67,6 @@ class TestTrace:
         assert len(head) == 2
         assert head.name == "tiny[:2]"
 
-    def test_from_requests(self):
-        reqs = (Request(float(i), 0, f"u{i}", 1) for i in range(3))
-        trace = Trace.from_requests(reqs, name="gen")
-        assert len(trace) == 3
-        assert trace.name == "gen"
-
 
 class TestCachedAccessors:
     def test_clients_cached_and_stable(self, tiny_trace):
