@@ -11,12 +11,13 @@ Walks through the paper's core machinery:
 Run:  python examples/quickstart.py
 """
 
-from repro import CountingBloomFilter, WebCache
+from repro.cache.webcache import WebCache
 from repro.core.bfmath import (
     false_positive_probability,
     optimal_integer_num_hashes,
 )
 from repro.core.bloom import BloomFilter
+from repro.core.counting_bloom import CountingBloomFilter
 from repro.protocol import build_dir_update_messages, decode_message
 
 

@@ -26,7 +26,7 @@ The package is organized around the paper's structure:
 
 Quickstart::
 
-    from repro import CountingBloomFilter
+    from repro.core.counting_bloom import CountingBloomFilter
 
     summary = CountingBloomFilter.for_capacity(10_000, load_factor=8)
     summary.add("http://example.com/index.html")
@@ -34,53 +34,6 @@ Quickstart::
     summary.remove("http://example.com/index.html")
 """
 
-from repro.cache import CacheEntry, CacheStats, WebCache
-from repro.core import (
-    BitArray,
-    BloomFilter,
-    BloomSummary,
-    CounterArray,
-    CountingBloomFilter,
-    ExactDirectorySummary,
-    MD5HashFamily,
-    ServerNameSummary,
-    SummaryConfig,
-    false_positive_probability,
-    make_local_summary,
-    optimal_num_hashes,
-)
-from repro.errors import (
-    ConfigurationError,
-    ProtocolError,
-    ProxyError,
-    ReproError,
-    SimulationError,
-    TraceFormatError,
-)
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "BitArray",
-    "BloomFilter",
-    "BloomSummary",
-    "CacheEntry",
-    "CacheStats",
-    "ConfigurationError",
-    "CounterArray",
-    "CountingBloomFilter",
-    "ExactDirectorySummary",
-    "MD5HashFamily",
-    "ProtocolError",
-    "ProxyError",
-    "ReproError",
-    "ServerNameSummary",
-    "SimulationError",
-    "SummaryConfig",
-    "TraceFormatError",
-    "WebCache",
-    "__version__",
-    "false_positive_probability",
-    "make_local_summary",
-    "optimal_num_hashes",
-]
+__all__ = ["__version__"]

@@ -1,7 +1,2 @@
 """Analytic studies: the Section V-F scalability extrapolation and
 table-formatting helpers shared by the benchmark harness."""
-
-from repro.analysis.scalability import ScalabilityEstimate, extrapolate
-from repro.analysis.tables import format_table
-
-__all__ = ["ScalabilityEstimate", "extrapolate", "format_table"]

@@ -10,23 +10,3 @@ hit among proxies."  :mod:`repro.benchmarkkit.loadgen` replays those
 streams against a live cluster.  Performance claims are measured by
 ``bench/run.py``, not from here.
 """
-
-from repro.benchmarkkit.loadgen import (
-    LoadGenConfig,
-    LoadGenResult,
-    render_comparison,
-    run_loadgen,
-)
-from repro.benchmarkkit.wisconsin import (
-    WisconsinConfig,
-    generate_client_streams,
-)
-
-__all__ = [
-    "LoadGenConfig",
-    "LoadGenResult",
-    "WisconsinConfig",
-    "generate_client_streams",
-    "render_comparison",
-    "run_loadgen",
-]

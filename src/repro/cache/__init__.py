@@ -8,29 +8,6 @@ WebCache` implements exactly that, with the replacement policy pluggable
 algorithms may give different results".
 """
 
-from repro.cache.entry import CacheEntry
-from repro.cache.policies import (
-    FIFOPolicy,
-    GDSFPolicy,
-    LFUPolicy,
-    LRUPolicy,
-    ReplacementPolicy,
-    SizePolicy,
-    make_policy,
-)
-from repro.cache.stats import CacheStats
 from repro.cache.webcache import DEFAULT_MAX_OBJECT_SIZE, WebCache
 
-__all__ = [
-    "CacheEntry",
-    "CacheStats",
-    "DEFAULT_MAX_OBJECT_SIZE",
-    "FIFOPolicy",
-    "GDSFPolicy",
-    "LFUPolicy",
-    "LRUPolicy",
-    "ReplacementPolicy",
-    "SizePolicy",
-    "WebCache",
-    "make_policy",
-]
+__all__ = ["DEFAULT_MAX_OBJECT_SIZE", "WebCache"]

@@ -26,18 +26,15 @@ served.
 
 from repro.consistency.policies import (
     AdaptiveTTL,
-    ConsistencyPolicy,
     FixedTTL,
     NeverValidate,
     OracleConsistency,
     PollEveryTime,
 )
-from repro.consistency.simulate import ConsistencyResult, simulate_consistency
+from repro.consistency.simulate import simulate_consistency
 
 __all__ = [
     "AdaptiveTTL",
-    "ConsistencyPolicy",
-    "ConsistencyResult",
     "FixedTTL",
     "NeverValidate",
     "OracleConsistency",

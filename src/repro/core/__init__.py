@@ -19,57 +19,5 @@ This subpackage contains the paper's primary algorithmic contribution:
 
 The three summary representations compared in Section V
 (exact-directory, server-name, Bloom filter) are built on these
-structures in :mod:`repro.summaries`; their classes are importable
-from here as well.
+structures in :mod:`repro.summaries`.
 """
-
-from repro.core.bfmath import (
-    false_positive_probability,
-    false_positive_probability_exact,
-    min_false_positive_probability,
-    optimal_num_hashes,
-    counter_overflow_probability,
-)
-from repro.core.bitarray import BitArray, CounterArray
-from repro.core.bloom import BloomFilter
-from repro.core.counting_bloom import CountingBloomFilter
-from repro.core.hashing import MD5HashFamily, PolynomialHashFamily, md5_digest
-from repro.core.position_cache import (
-    HashPositionCache,
-    get_position_cache,
-    position_cache,
-    set_position_cache,
-)
-from repro.summaries import (
-    BloomSummary,
-    DigestDelta,
-    ExactDirectorySummary,
-    ServerNameSummary,
-    SummaryConfig,
-    make_local_summary,
-)
-
-__all__ = [
-    "BitArray",
-    "BloomFilter",
-    "BloomSummary",
-    "CounterArray",
-    "CountingBloomFilter",
-    "DigestDelta",
-    "ExactDirectorySummary",
-    "HashPositionCache",
-    "MD5HashFamily",
-    "PolynomialHashFamily",
-    "ServerNameSummary",
-    "SummaryConfig",
-    "counter_overflow_probability",
-    "false_positive_probability",
-    "false_positive_probability_exact",
-    "get_position_cache",
-    "make_local_summary",
-    "md5_digest",
-    "min_false_positive_probability",
-    "optimal_num_hashes",
-    "position_cache",
-    "set_position_cache",
-]

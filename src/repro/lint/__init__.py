@@ -19,32 +19,5 @@ See ``docs/static-analysis.md`` for the rule catalogue and the paper
 rationale behind each rule.
 """
 
-from repro.lint.framework import (
-    FileContext,
-    Finding,
-    LintConfig,
-    LintResult,
-    ProjectContext,
-    Rule,
-    all_rules,
-    register,
-    run_lint,
-)
-from repro.lint.reporters import render_json, render_text
-
 # Importing the rules package registers every built-in rule.
-from repro.lint import rules as _rules  # noqa: F401  (import for effect)
-
-__all__ = [
-    "FileContext",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "ProjectContext",
-    "Rule",
-    "all_rules",
-    "register",
-    "render_json",
-    "render_text",
-    "run_lint",
-]
+import repro.lint.rules  # noqa: F401  (import for effect)

@@ -5,24 +5,12 @@ registry; the catalogue (ids, scopes, rationale) is documented in
 ``docs/static-analysis.md``.
 """
 
-from repro.lint.rules.sc001_blocking import NoBlockingCallsInAsync
-from repro.lint.rules.sc002_wire import WireFormatByteOrder
-from repro.lint.rules.sc003_metrics import MetricNameConventions
-from repro.lint.rules.sc004_encapsulation import SummaryEncapsulation
-from repro.lint.rules.sc005_exceptions import ExceptionHygiene
-from repro.lint.rules.sc006_codec_sync import CodecDocSync
-from repro.lint.rules.sc007_races import InterleavedReadModifyWrite
-from repro.lint.rules.sc008_lifecycle import ResourceLifecycleLeaks
-from repro.lint.rules.sc009_locks import LockDiscipline
-
-__all__ = [
-    "NoBlockingCallsInAsync",
-    "WireFormatByteOrder",
-    "MetricNameConventions",
-    "SummaryEncapsulation",
-    "ExceptionHygiene",
-    "CodecDocSync",
-    "InterleavedReadModifyWrite",
-    "ResourceLifecycleLeaks",
-    "LockDiscipline",
-]
+import repro.lint.rules.sc001_blocking  # noqa: F401
+import repro.lint.rules.sc002_wire  # noqa: F401
+import repro.lint.rules.sc003_metrics  # noqa: F401
+import repro.lint.rules.sc004_encapsulation  # noqa: F401
+import repro.lint.rules.sc005_exceptions  # noqa: F401
+import repro.lint.rules.sc006_codec_sync  # noqa: F401
+import repro.lint.rules.sc007_races  # noqa: F401
+import repro.lint.rules.sc008_lifecycle  # noqa: F401
+import repro.lint.rules.sc009_locks  # noqa: F401

@@ -17,50 +17,5 @@ The measurement layer the rest of the reproduction reports through:
 - :mod:`repro.obs.logconfig` -- the shared structured-logging setup
   behind the CLI's ``--verbose`` flag.
 
-(:mod:`repro.obs.cluster` is not imported here: it drives the proxy
-client, and the proxy package imports this one.)
-
 See ``docs/observability.md`` for the metric and span schemas.
 """
-
-from repro.obs.export import (
-    PROMETHEUS_CONTENT_TYPE,
-    parse_prometheus,
-    render_json,
-    render_prometheus,
-)
-from repro.obs.logconfig import configure_logging
-from repro.obs.registry import (
-    DEFAULT_TIME_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.spans import (
-    NULL_SPAN_RING,
-    TRACE_HEADER,
-    NullSpanRing,
-    Span,
-    SpanRing,
-    format_id,
-)
-
-__all__ = [
-    "Counter",
-    "DEFAULT_TIME_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN_RING",
-    "NullSpanRing",
-    "PROMETHEUS_CONTENT_TYPE",
-    "Span",
-    "SpanRing",
-    "TRACE_HEADER",
-    "format_id",
-    "configure_logging",
-    "parse_prometheus",
-    "render_json",
-    "render_prometheus",
-]

@@ -12,36 +12,7 @@
   proxy.
 """
 
-from repro.protocol.update import (
-    DigestAssembler,
-    build_digest_messages,
-    build_dir_update_messages,
-)
-from repro.protocol.wire import (
-    ICP_HEADER_SIZE,
-    ICP_VERSION,
-    DigestChunk,
-    DirUpdate,
-    IcpHit,
-    IcpMiss,
-    IcpMissNoFetch,
-    IcpQuery,
-    Opcode,
-    decode_message,
-)
+from repro.protocol.update import build_dir_update_messages
+from repro.protocol.wire import decode_message
 
-__all__ = [
-    "DigestAssembler",
-    "DigestChunk",
-    "DirUpdate",
-    "ICP_HEADER_SIZE",
-    "ICP_VERSION",
-    "IcpHit",
-    "IcpMiss",
-    "IcpMissNoFetch",
-    "IcpQuery",
-    "Opcode",
-    "build_digest_messages",
-    "build_dir_update_messages",
-    "decode_message",
-]
+__all__ = ["build_dir_update_messages", "decode_message"]

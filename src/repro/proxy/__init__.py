@@ -30,25 +30,8 @@ origin) reads responses through its twin,
 ``docs/wire-protocol.md``.
 """
 
-from repro.proxy.client import ClientDriver, ReplayReport
-from repro.proxy.cluster import ClusterResult, ProxyCluster
-from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
-from repro.proxy.metrics import ProxyStats
-from repro.proxy.origin import OriginServer
-from repro.proxy.pool import ConnectionPool, PoolStats
-from repro.proxy.server import SummaryCacheProxy
+from repro.proxy.client import ClientDriver
+from repro.proxy.cluster import ProxyCluster
+from repro.proxy.config import ProxyConfig, ProxyMode
 
-__all__ = [
-    "ClientDriver",
-    "ClusterResult",
-    "ConnectionPool",
-    "OriginServer",
-    "PeerAddress",
-    "PoolStats",
-    "ProxyCluster",
-    "ProxyConfig",
-    "ProxyMode",
-    "ProxyStats",
-    "ReplayReport",
-    "SummaryCacheProxy",
-]
+__all__ = ["ClientDriver", "ProxyCluster", "ProxyConfig", "ProxyMode"]

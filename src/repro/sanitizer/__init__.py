@@ -28,14 +28,7 @@ call :meth:`Sanitizer.perturb`, which inserts a seeded
 for a fixed seed, so a failing schedule replays.
 """
 
-from repro.sanitizer.core import (
-    ENV_FLAG,
-    ENV_SEED,
-    Sanitizer,
-    Violation,
-    default_sanitizer,
-    sanitize_requested,
-)
+from repro.sanitizer.core import ENV_FLAG, ENV_SEED, Sanitizer, default_sanitizer
 from repro.sanitizer.guards import (
     GuardedConnectionPool,
     GuardedPlacement,
@@ -46,9 +39,7 @@ __all__ = [
     "ENV_FLAG",
     "ENV_SEED",
     "Sanitizer",
-    "Violation",
     "default_sanitizer",
-    "sanitize_requested",
     "GuardedConnectionPool",
     "GuardedPlacement",
     "GuardedSummaryNode",

@@ -20,18 +20,7 @@ This subpackage reproduces the paper's simulation studies:
   simulators.
 """
 
-from repro.sharing.carp import CarpResult, simulate_carp
-from repro.sharing.directory_server import (
-    DirectoryServerLoad,
-    simulate_directory_server,
-)
-from repro.sharing.hierarchy import HierarchyResult, simulate_hierarchy
-from repro.sharing.messages import (
-    QUERY_MESSAGE_BYTES,
-    bloom_update_bytes,
-    digest_update_bytes,
-)
-from repro.sharing.results import MessageCounts, SharingResult
+from repro.sharing.carp import simulate_carp
 from repro.sharing.schemes import (
     simulate_global_cache,
     simulate_no_sharing,
@@ -45,19 +34,9 @@ from repro.sharing.summary_sharing import (
 )
 
 __all__ = [
-    "CarpResult",
-    "DirectoryServerLoad",
-    "HierarchyResult",
-    "MessageCounts",
-    "QUERY_MESSAGE_BYTES",
-    "SharingResult",
     "SummarySharingConfig",
-    "bloom_update_bytes",
-    "digest_update_bytes",
     "simulate_carp",
-    "simulate_directory_server",
     "simulate_global_cache",
-    "simulate_hierarchy",
     "simulate_icp",
     "simulate_no_sharing",
     "simulate_simple_sharing",

@@ -22,46 +22,3 @@ simulation:
   100-proxy cluster in the DES with a streamed trace feed and the
   summary dissemination policy as an experimental axis.
 """
-
-from repro.simulation.costs import CostModel
-from repro.simulation.engine import Engine, Resource, Signal
-from repro.simulation.experiment import (
-    ExperimentResult,
-    run_overhead_experiment,
-    run_replay_experiment,
-)
-from repro.simulation.network import NetworkModel, PacketCounters
-from repro.simulation.parallel import (
-    ExperimentCell,
-    fig5_grid,
-    pack_grid_traces,
-    run_cell,
-    run_cells,
-)
-from repro.simulation.scale import (
-    DISSEMINATION_POLICIES,
-    ScaleResult,
-    peak_rss_bytes,
-    run_scale_experiment,
-)
-
-__all__ = [
-    "CostModel",
-    "DISSEMINATION_POLICIES",
-    "Engine",
-    "ExperimentCell",
-    "ExperimentResult",
-    "NetworkModel",
-    "PacketCounters",
-    "Resource",
-    "ScaleResult",
-    "Signal",
-    "fig5_grid",
-    "pack_grid_traces",
-    "peak_rss_bytes",
-    "run_cell",
-    "run_cells",
-    "run_overhead_experiment",
-    "run_replay_experiment",
-    "run_scale_experiment",
-]

@@ -54,20 +54,15 @@ class ScaleResult:
 
     requests: int
     hit_ratio: float
-    remote_hit_ratio: float
-    miss_ratio: float
     false_hit_ratio: float
     update_messages: int
     update_messages_per_request: float
-    query_messages_per_request: float
     protocol_messages_per_request: float
     udp_sent: int
     udp_received: int
     sender_max_dirupdates: int
     summary_memory_bytes: int
     counter_memory_bytes: int
-    mean_latency: float
-    sim_duration: float
     wall_seconds: float
     peak_rss_bytes: int
     #: The Section V-F extrapolation at this run's geometry (``None``
@@ -159,17 +154,12 @@ def run_scale_experiment(
     return ScaleResult(
         requests=requests,
         hit_ratio=totals.hit_ratio,
-        remote_hit_ratio=totals.remote_hit_ratio,
-        miss_ratio=miss_ratio,
         false_hit_ratio=(
             totals.false_query_rounds / requests if requests else 0.0
         ),
         update_messages=updates,
         update_messages_per_request=(
             updates / requests if requests else 0.0
-        ),
-        query_messages_per_request=(
-            queries / requests if requests else 0.0
         ),
         protocol_messages_per_request=(
             (queries + updates) / requests if requests else 0.0
@@ -181,8 +171,6 @@ def run_scale_experiment(
         ),
         summary_memory_bytes=summary_memory,
         counter_memory_bytes=counter_memory,
-        mean_latency=totals.mean_latency,
-        sim_duration=sim_duration,
         wall_seconds=wall_seconds,
         peak_rss_bytes=peak_rss_bytes(),
         predicted=predicted,

@@ -31,33 +31,6 @@ def group_of(client_id: int, num_groups: int) -> int:
     return client_id % num_groups
 
 
-def partition_by_client(trace: TraceLike, num_groups: int) -> List[Trace]:
-    """Split *trace* into per-group traces by clientid mod *num_groups*.
-
-    Request order (and thus timestamps) is preserved within each group.
-    """
-    name = getattr(trace, "name", "stream")
-    buckets: List[list] = [[] for _ in range(num_groups)]
-    for req in trace:
-        buckets[group_of(req.client_id, num_groups)].append(req)
-    return [
-        Trace(requests=bucket, name=f"{name}/g{gid}")
-        for gid, bucket in enumerate(buckets)
-    ]
-
-
-def split_by_group(trace: TraceLike, num_groups: int) -> List[tuple]:
-    """Return the merged stream annotated with group ids.
-
-    Yields ``(group_id, request)`` tuples in global timestamp order --
-    the form the sharing simulators consume, since cache sharing
-    interleaves all proxies' requests in time.
-    """
-    return [
-        (group_of(req.client_id, num_groups), req) for req in trace
-    ]
-
-
 def grouped_chunks(
     trace: TraceLike,
     num_groups: int,

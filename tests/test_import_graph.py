@@ -59,6 +59,32 @@ def test_importing_loads_no_numpy(module):
     assert loaded == {"numpy": False}
 
 
+def test_errors_loads_no_other_repro_module():
+    loaded = fresh(
+        """
+        import json, sys
+        import repro.errors
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "repro")))
+        """
+    )
+    assert loaded == ["repro", "repro.errors"]
+
+
+def test_binary_traces_load_no_cache_or_summary_stack():
+    loaded = fresh(
+        """
+        import json, sys
+        import repro.traces.binary
+        print(json.dumps(sorted(
+            m for m in sys.modules
+            if m.split(".")[:2] in (["repro", "summaries"], ["repro", "cache"])
+            or m == "repro.core.counting_bloom"
+        )))
+        """
+    )
+    assert loaded == []
+
+
 @needs_numpy
 @pytest.mark.parametrize(
     "imports, call, expected",

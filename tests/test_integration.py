@@ -165,32 +165,3 @@ class TestEnginesDealAlike:
                     workload, assignment="zigzag"
                 )
             )
-
-
-class TestPublicApi:
-    def test_top_level_all_resolves(self):
-        import repro
-
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
-
-    def test_subpackage_alls_resolve(self):
-        import importlib
-
-        for module_name in (
-            "repro.core",
-            "repro.cache",
-            "repro.traces",
-            "repro.sharing",
-            "repro.protocol",
-            "repro.proxy",
-            "repro.simulation",
-            "repro.benchmarkkit",
-            "repro.analysis",
-            "repro.obs",
-        ):
-            module = importlib.import_module(module_name)
-            for name in getattr(module, "__all__", ()):
-                assert getattr(module, name) is not None, (
-                    f"{module_name}.{name} missing"
-                )

@@ -5,12 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.traces.partition import (
-    client_streams,
-    group_of,
-    partition_by_client,
-    split_by_group,
-)
+from repro.traces.partition import client_streams, group_of
 
 
 class TestGroupOf:
@@ -23,44 +18,11 @@ class TestGroupOf:
             group_of(1, 0)
 
 
-class TestPartition:
-    def test_partition_counts_and_order(self, tiny_trace):
-        parts = partition_by_client(tiny_trace, 2)
-        assert len(parts) == 2
-        assert sum(len(p) for p in parts) == len(tiny_trace)
-        # Client 0's requests all land in group 0, in trace order.
-        assert [r.timestamp for r in parts[0]] == [0.0, 2.0, 4.0]
-        assert all(r.client_id % 2 == 0 for r in parts[0])
-
-    def test_partition_names(self, tiny_trace):
-        parts = partition_by_client(tiny_trace, 2)
-        assert parts[0].name == "tiny/g0"
-
-    def test_empty_groups_allowed(self, tiny_trace):
-        parts = partition_by_client(tiny_trace, 5)
-        assert len(parts) == 5
-        assert sum(len(p) for p in parts) == len(tiny_trace)
-
-
-class TestSplitByGroup:
-    def test_annotation_preserves_global_order(self, tiny_trace):
-        annotated = split_by_group(tiny_trace, 2)
-        assert [g for g, _r in annotated] == [0, 1, 0, 1, 0, 1]
-        assert [r.timestamp for _g, r in annotated] == [
-            0.0,
-            1.0,
-            2.0,
-            3.0,
-            4.0,
-            5.0,
-        ]
-
-
 class TestGroupedChunks:
     def test_flattened_chunks_equal_split_by_group(self, tiny_trace):
         from repro.traces.partition import grouped_chunks
 
-        expected = split_by_group(tiny_trace, 2)
+        expected = [(group_of(r.client_id, 2), r) for r in tiny_trace]
         for chunk_size in (1, 2, len(tiny_trace), len(tiny_trace) + 5):
             flattened = [
                 pair
@@ -107,19 +69,6 @@ class TestIterableInputs:
             for pair in chunk
         ]
         assert from_stream == from_trace
-
-    def test_partition_by_client_over_generator(self, tiny_trace):
-        expected = partition_by_client(tiny_trace, 2)
-        actual = partition_by_client(
-            (r for r in tiny_trace.requests), 2
-        )
-        for expected_part, actual_part in zip(expected, actual):
-            assert actual_part.requests == expected_part.requests
-
-    def test_split_by_group_over_generator(self, tiny_trace):
-        assert split_by_group(
-            (r for r in tiny_trace.requests), 2
-        ) == split_by_group(tiny_trace, 2)
 
 
 def dealt(streams):
