@@ -5,23 +5,23 @@ Before deploying summary cache, an operator wants to know whether the
 workload can benefit at all: how skewed is document popularity, how
 heavy is the size tail, how much do the user groups' working sets
 overlap, and how far apart are re-references.  This script runs the
-trace-characterization toolkit over a workload (a preset, or any trace
-file readable by ``repro.traces.readers``) and turns the measurements
-into configuration advice.
+trace-characterization toolkit over a workload (a preset, or a packed
+``.sctr`` trace file written by ``summary-cache trace pack``) and turns
+the measurements into configuration advice.
 
-Run:  python examples/workload_analysis.py [--workload dec] [--trace file.jsonl]
+Run:  python examples/workload_analysis.py [--workload dec] [--trace file.sctr]
 """
 
 import argparse
 
 from repro.analysis.tables import format_table
 from repro.traces import (
+    BinaryTraceReader,
     compute_stats,
     fit_zipf_alpha,
     group_overlap_matrix,
     interreference_percentiles,
     make_workload,
-    read_jsonl,
     sharing_potential,
     size_statistics,
 )
@@ -32,18 +32,21 @@ def main() -> None:
     parser.add_argument("--workload", default="dec")
     parser.add_argument("--scale", type=float, default=1.0)
     parser.add_argument(
-        "--trace", help="JSONL trace file (overrides --workload)"
+        "--trace", help="packed .sctr trace file (overrides --workload)"
     )
     parser.add_argument("--groups", type=int, default=None)
     args = parser.parse_args()
 
     if args.trace:
-        trace = read_jsonl(args.trace)
-        groups = args.groups or 4
+        with BinaryTraceReader(args.trace) as trace:
+            characterize(trace, args.groups or 4)
     else:
         trace, groups = make_workload(args.workload, scale=args.scale)
-        groups = args.groups or groups
+        characterize(trace, args.groups or groups)
 
+
+def characterize(trace, groups: int) -> None:
+    """Print *trace*'s measurements and the advice they lead to."""
     stats = compute_stats(trace)
     print(
         f"trace {trace.name!r}: {stats.num_requests} requests, "

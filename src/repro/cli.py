@@ -13,18 +13,16 @@ Every table and figure in the paper can be regenerated from the shell::
     summary-cache table4                             # client-bound replay
     summary-cache table5                             # round-robin replay
     summary-cache scalability
-    summary-cache gen-trace --workload dec --out dec.jsonl
 
-and packed binary traces can be written once and replayed many times
-in bounded memory, with the real 100-proxy Section V-F cluster run in
-the discrete-event simulator::
+and any workload preset can be packed into the one trace file, a
+binary ``.sctr`` replayed in bounded memory, with the real 100-proxy
+Section V-F cluster run in the discrete-event simulator::
 
     summary-cache trace pack --workload dec --requests 10000000 \\
         --out dec.sctr
     summary-cache trace info dec.sctr
     summary-cache trace verify dec.sctr --workload dec --proxies 16
     summary-cache dissemination --proxies 100 --policies unicast hierarchy
-    summary-cache simulate --workloads nlanr --jobs 4 --pack-dir /tmp/sctr
 
 and a live proxy cluster can be served on localhost with any summary
 representation and update policy::
@@ -245,16 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-icp", action="store_true",
         help="skip the per-workload ICP baseline cell",
-    )
-    p.add_argument(
-        "--pack-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "pack each distinct workload trace into DIR once and mmap "
-            "it from every cell (pack-once/replay-many); results are "
-            "bit-exact with the default regenerate-per-cell path"
-        ),
     )
     _add_jobs_arg(p)
 
@@ -485,11 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=64,
         help="distinct documents in the shared pool (default: 64)",
     )
-
-    p = sub.add_parser("gen-trace", help="write a synthetic trace to disk")
-    p.set_defaults(handler=_gen_trace)
-    _add_workload_args(p)
-    p.add_argument("--out", required=True, help="output JSONL path")
 
     p = sub.add_parser(
         "trace",
@@ -771,11 +754,7 @@ def _representations(args: argparse.Namespace) -> int:
 
 
 def _simulate(args: argparse.Namespace) -> int:
-    from repro.simulation.parallel import (
-        fig5_grid,
-        pack_grid_traces,
-        run_cells,
-    )
+    from repro.simulation.parallel import fig5_grid, run_cells
 
     cells = fig5_grid(
         args.workloads,
@@ -784,8 +763,6 @@ def _simulate(args: argparse.Namespace) -> int:
         include_icp=not args.no_icp,
         scale=args.scale,
     )
-    if args.pack_dir:
-        cells = pack_grid_traces(cells, args.pack_dir)
     results = run_cells(cells, jobs=args.jobs)
     headers = (
         "cell", "total-HR", "false-hit", "msgs/req", "bytes/req",
@@ -874,18 +851,6 @@ def _lint(args: argparse.Namespace) -> int:
     from repro.lint.cli import run
 
     return run(args)
-
-
-def _gen_trace(args: argparse.Namespace) -> int:
-    from repro.traces.readers import write_jsonl
-    from repro.traces.workloads import make_workload
-
-    trace, groups = make_workload(args.workload, scale=args.scale)
-    write_jsonl(trace, args.out)
-    print(
-        f"wrote {len(trace)} requests ({groups} proxy groups) to {args.out}"
-    )
-    return 0
 
 
 async def _serve(args: argparse.Namespace) -> int:

@@ -383,7 +383,8 @@ def representations(
     cells = [
         replace(cell, update_policy=policy)
         for cell in fig5_grid([workload], include_icp=include_icp, scale=scale)
-        if representation in (None, cell.kind) or cell.kind == "icp"
+        if cell.summary is None
+        or representation in (None, cell.summary.kind)
     ]
     return {
         cell.representation: result

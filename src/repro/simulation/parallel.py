@@ -2,7 +2,7 @@
 
 A paper-style experiment sweep -- Figs. 5-8, Table III, the threshold
 sweep of Fig. 2 -- is a grid of *cells*: one trace replayed under one
-``(scheme, representation, load factor, update policy)`` configuration.
+``(summary, update policy)`` configuration.
 Cells never share mutable state (each builds its own caches and
 summaries, over a trace generated from a deterministic seed), so the
 grid is embarrassingly parallel.
@@ -27,11 +27,9 @@ a worker warm-start their hash derivations.
 from __future__ import annotations
 
 import multiprocessing
-from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.errors import ConfigurationError
 from repro.sharing.results import SharingResult
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
@@ -39,19 +37,14 @@ from repro.sharing.summary_sharing import (
     simulate_summary_sharing,
 )
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy, UpdatePolicy
-from repro.traces.binary import BinaryTraceReader
-from repro.traces.workloads import make_workload, pack_workload, workload_config
+from repro.traces.workloads import make_workload
 
 __all__ = [
     "ExperimentCell",
     "fig5_grid",
-    "pack_grid_traces",
     "run_cell",
     "run_cells",
 ]
-
-#: Summary kinds a cell may name, plus the ICP baseline.
-_CELL_KINDS = ("exact-directory", "server-name", "bloom", "icp")
 
 
 @dataclass(frozen=True)
@@ -67,49 +60,26 @@ class ExperimentCell:
     ----------
     workload:
         A :data:`~repro.traces.workloads.WORKLOAD_PRESETS` name.
-    kind:
-        Summary representation (``"exact-directory"``, ``"server-name"``,
-        ``"bloom"``) or ``"icp"`` for the message baseline.
-    load_factor:
-        Bloom bits per expected document (ignored by other kinds).
+    summary:
+        The summary representation; ``None`` is the ICP message
+        baseline.
     update_policy:
         When a proxy ships its summary changes (the paper's 1% threshold
-        by default); ignored by ``"icp"``.  Policies are frozen values,
-        so a cell pickles with its policy.
+        by default); ignored by the ICP baseline.  Policies are frozen
+        values, so a cell pickles with its policy.
     scale:
         Workload scale factor (1.0 = the preset's laptop scale).
-    seed:
-        Overrides the workload preset's generator seed; ``None`` keeps
-        the preset's fixed seed.  Deterministic either way.
-    trace_path:
-        Optional path to a packed binary trace (``.sctr``).  When set,
-        the worker mmaps this file instead of regenerating the synthetic
-        trace -- the pack-once/replay-many path for grids where many
-        cells share one workload.  Replay is bit-exact with the
-        generated trace (same request stream), so results are unchanged.
     """
 
     workload: str
-    kind: str = "bloom"
-    load_factor: int = 8
+    summary: Optional[SummaryConfig] = SummaryConfig()
     update_policy: UpdatePolicy = ThresholdUpdatePolicy()
     scale: float = 1.0
-    seed: Optional[int] = None
-    trace_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _CELL_KINDS:
-            raise ConfigurationError(
-                f"unknown cell kind {self.kind!r}; expected one of "
-                f"{_CELL_KINDS}"
-            )
 
     @property
     def representation(self) -> str:
         """The summary's figure-legend label (``bloom-16``, ``icp``...)."""
-        if self.kind == "bloom":
-            return f"bloom-{self.load_factor}"
-        return self.kind
+        return "icp" if self.summary is None else self.summary.label()
 
     def label(self) -> str:
         """Short human-readable cell name for logs and benchmark rows."""
@@ -126,22 +96,20 @@ class _LastWorkload:
     """A one-entry memo: the previous cell's workload, generated and sized."""
 
     def __init__(self) -> None:
-        self._key: Optional[Tuple[str, float, Optional[int]]] = None
+        self._key: Optional[Tuple[str, float]] = None
         self._workload: tuple = ()
 
     def get(self, cell: ExperimentCell) -> tuple:
         """``(trace, groups, capacity, doc_size)`` for *cell*.
 
-        Only a cell naming another workload, scale or seed than the
-        previous one generates a trace.
+        Only a cell naming another workload or scale than the previous
+        one generates a trace.
         """
         from repro.experiments import cache_sizes
 
-        key = (cell.workload, cell.scale, cell.seed)
+        key = (cell.workload, cell.scale)
         if key != self._key:
-            trace, groups = make_workload(
-                cell.workload, scale=cell.scale, seed=cell.seed
-            )
+            trace, groups = make_workload(cell.workload, scale=cell.scale)
             self._workload = (trace, groups) + cache_sizes(trace, groups)
             self._key = key
         return self._workload
@@ -157,69 +125,19 @@ def run_cell(cell: ExperimentCell) -> SharingResult:
 
 
 def _run_cell(cell: ExperimentCell, workloads: _LastWorkload) -> SharingResult:
-    """Replay *cell* over its trace: from *workloads*, or its packed file.
+    """Replay *cell* over its workload's trace, taken from *workloads*.
 
     The caches are sized by :func:`repro.experiments.cache_sizes`.
     """
-    from repro.experiments import cache_sizes
-
-    reader = None
-    try:
-        if cell.trace_path is not None:
-            _, groups = workload_config(
-                cell.workload, scale=cell.scale, seed=cell.seed
-            )
-            trace = reader = BinaryTraceReader(cell.trace_path)
-            capacity, doc_size = cache_sizes(trace, groups)
-        else:
-            trace, groups, capacity, doc_size = workloads.get(cell)
-        if cell.kind == "icp":
-            return simulate_icp(trace, groups, capacity)
-        summary = (
-            SummaryConfig(kind="bloom", load_factor=cell.load_factor)
-            if cell.kind == "bloom"
-            else SummaryConfig(kind=cell.kind)
-        )
-        cfg = SummarySharingConfig(
-            summary=summary,
-            update_policy=cell.update_policy,
-            expected_doc_size=doc_size,
-        )
-        return simulate_summary_sharing(trace, groups, capacity, cfg)
-    finally:
-        if reader is not None:
-            reader.close()
-
-
-def pack_grid_traces(
-    cells: Sequence[ExperimentCell], directory
-) -> List[ExperimentCell]:
-    """Pack each distinct workload of *cells* once; point cells at it.
-
-    ``fig5_grid`` produces many cells per workload, and every worker
-    regenerated the identical synthetic trace from its seed.  This packs
-    one ``.sctr`` per distinct ``(workload, scale, seed)`` into
-    *directory* and returns the cells with ``trace_path`` set, so the
-    whole grid shares one on-disk trace per workload via the page cache.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    paths: Dict[Tuple[str, float, Optional[int]], str] = {}
-    packed: List[ExperimentCell] = []
-    for cell in cells:
-        key = (cell.workload.lower(), cell.scale, cell.seed)
-        path = paths.get(key)
-        if path is None:
-            stem = f"{key[0]}-s{cell.scale:g}"
-            if cell.seed is not None:
-                stem += f"-seed{cell.seed}"
-            path = str(directory / f"{stem}.sctr")
-            pack_workload(
-                cell.workload, path, scale=cell.scale, seed=cell.seed
-            )
-            paths[key] = path
-        packed.append(replace(cell, trace_path=path))
-    return packed
+    trace, groups, capacity, doc_size = workloads.get(cell)
+    if cell.summary is None:
+        return simulate_icp(trace, groups, capacity)
+    cfg = SummarySharingConfig(
+        summary=cell.summary,
+        update_policy=cell.update_policy,
+        expected_doc_size=doc_size,
+    )
+    return simulate_summary_sharing(trace, groups, capacity, cfg)
 
 
 def run_cells(
@@ -260,18 +178,21 @@ def fig5_grid(
     :func:`repro.experiments.representations` and
     :func:`~repro.experiments.table3` run this grid too.
     """
+    summaries = [
+        SummaryConfig(kind="exact-directory"),
+        SummaryConfig(kind="server-name"),
+    ] + [
+        SummaryConfig(kind="bloom", load_factor=load_factor)
+        for load_factor in load_factors
+    ]
     grid: List[ExperimentCell] = []
     for workload in workloads:
         for threshold in thresholds:
             policy = ThresholdUpdatePolicy(threshold)
             grid += [
-                ExperimentCell(workload, kind, update_policy=policy, scale=scale)
-                for kind in ("exact-directory", "server-name")
-            ]
-            grid += [
-                ExperimentCell(workload, "bloom", load_factor, policy, scale)
-                for load_factor in load_factors
+                ExperimentCell(workload, summary, policy, scale)
+                for summary in summaries
             ]
         if include_icp:
-            grid.append(ExperimentCell(workload, "icp", scale=scale))
+            grid.append(ExperimentCell(workload, None, scale=scale))
     return grid

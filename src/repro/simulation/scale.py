@@ -62,7 +62,6 @@ class ScaleResult:
     udp_received: int
     sender_max_dirupdates: int
     summary_memory_bytes: int
-    counter_memory_bytes: int
     wall_seconds: float
     peak_rss_bytes: int
     #: The Section V-F extrapolation at this run's geometry (``None``
@@ -150,7 +149,6 @@ def run_scale_experiment(
 
     sample = proxies[0].node.local
     summary_memory = sample.remote_size_bytes() * (num_proxies - 1)
-    counter_memory = sample.size_bytes() - sample.remote_size_bytes()
     return ScaleResult(
         requests=requests,
         hit_ratio=totals.hit_ratio,
@@ -170,7 +168,6 @@ def run_scale_experiment(
             (p.dirupdates_sent for p in proxies), default=0
         ),
         summary_memory_bytes=summary_memory,
-        counter_memory_bytes=counter_memory,
         wall_seconds=wall_seconds,
         peak_rss_bytes=peak_rss_bytes(),
         predicted=predicted,

@@ -65,14 +65,6 @@ REPRESENTATION_TO_KIND = {v: k for k, v in KIND_TO_REPRESENTATION.items()}
 UpdateMessage = Union[DirUpdate, SetDirUpdate]
 
 
-def representation_id(kind: str) -> int:
-    """The wire representation id for a ``SummaryConfig.kind``."""
-    try:
-        return KIND_TO_REPRESENTATION[kind]
-    except KeyError:
-        raise ConfigurationError(f"unknown summary kind {kind!r}") from None
-
-
 def representation_kind(rep_id: int) -> str:
     """The ``SummaryConfig.kind`` for a wire representation id."""
     try:

@@ -12,11 +12,11 @@ This subpackage provides:
   of Table I's traces at laptop scale;
 - :mod:`repro.traces.stats` -- Table I statistics (requests, clients,
   infinite cache size, maximum hit/byte-hit ratios);
-- :mod:`repro.traces.readers` -- load/save traces as JSONL, CSV, and
-  Squid access-log format;
-- :mod:`repro.traces.binary` -- the packed binary format: struct-packed
-  records plus a URL string table, written streaming and replayed
-  through an mmap-backed lazy reader in bounded memory;
+- :mod:`repro.traces.binary` -- the one trace file, packed ``.sctr``:
+  struct-packed records plus a URL string table, written streaming and
+  replayed through an mmap-backed lazy reader in bounded memory;
+- :mod:`repro.traces.readers` -- read and write Squid ``access.log``
+  files, the one foreign input;
 - :mod:`repro.traces.partition` -- clientid-mod-N proxy group assignment.
 """
 
@@ -29,7 +29,7 @@ from repro.traces.analysis import (
 )
 from repro.traces.binary import BinaryTraceReader, pack_trace
 from repro.traces.model import Request, Trace
-from repro.traces.readers import read_jsonl, read_squid_log, write_squid_log
+from repro.traces.readers import read_squid_log, write_squid_log
 from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 from repro.traces.workloads import make_workload, pack_workload
@@ -48,7 +48,6 @@ __all__ = [
     "mean_cacheable_size",
     "pack_trace",
     "pack_workload",
-    "read_jsonl",
     "read_squid_log",
     "sharing_potential",
     "size_statistics",

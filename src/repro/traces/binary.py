@@ -1,9 +1,10 @@
 """Binary mmap trace format: pack once, replay in bounded memory.
 
-The JSONL/CSV readers materialize a full ``List[Request]``, which caps
-traces at what fits in RAM (a 10^8-request trace is unrepresentable).
-This module defines the package's *streaming* trace container: a compact
-struct-packed file (``.sctr``) whose request records are fixed width, so
+This module defines the package's one trace file and its *streaming*
+container.  An in-memory :class:`~repro.traces.model.Trace` holds a full
+``List[Request]``, which caps traces at what fits in RAM (a
+10^8-request trace is unrepresentable).  A ``.sctr`` file is
+struct-packed and its request records are fixed width, so
 an ``mmap``-backed reader can yield :class:`Request` objects lazily,
 slice in O(1), and seek to any chunk without parsing what precedes it.
 
@@ -25,7 +26,7 @@ Each record is 24 bytes -- ``!dIIII``: timestamp (f64 seconds),
 client id (u32), URL id (u32, an index into the string table), body
 size (u32), and document version (u32).  URLs are deduplicated into the
 string table, so a trace's on-disk cost is ~24 bytes/request plus its
-*distinct* URL bytes -- versus ~120 bytes/request for JSONL.
+*distinct* URL bytes.
 
 Memory model: :class:`BinaryTraceWriter` holds only the URL-dedup dict
 (O(distinct URLs)); :class:`BinaryTraceReader` maps the file and decodes

@@ -21,7 +21,7 @@ class Request(NamedTuple):
     """One HTTP GET in a trace.
 
     An immutable tuple of five fields: the generator, the ``.sctr``
-    reader and the log readers build one per record, and a tuple is
+    reader and the Squid log reader build one per record, and a tuple is
     the cheapest record to build.  Being a tuple, it also compares
     equal to a plain tuple of the same values.
 

@@ -1,8 +1,8 @@
-"""Trace persistence: JSONL, CSV, and Squid access-log formats.
+"""Squid ``access.log`` reader and writer: the one foreign trace input.
 
-JSONL is the package's native round-trip format.  CSV is provided for
-spreadsheet analysis.  The Squid ``access.log`` reader/writer lets users
-feed real proxy logs into the simulators: the common native format is::
+The package's own trace file is the packed ``.sctr`` of
+:mod:`repro.traces.binary`.  This module lets users feed real proxy
+logs into the simulators; the common native format is::
 
     time.millis elapsed client action/code size method URL ident hier/from content-type
 
@@ -13,8 +13,7 @@ perfect freshness, matching a consistency-oblivious replay.
 
 from __future__ import annotations
 
-import csv
-import json
+import ipaddress
 from pathlib import Path
 from typing import Dict, Union
 
@@ -23,99 +22,23 @@ from repro.traces.model import Request, Trace
 
 PathLike = Union[str, Path]
 
-_FIELDS = ("timestamp", "client_id", "url", "size", "version")
-
-
-def write_jsonl(trace: Trace, path: PathLike) -> None:
-    """Write *trace* as one JSON object per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for req in trace:
-            record = {
-                "timestamp": req.timestamp,
-                "client_id": req.client_id,
-                "url": req.url,
-                "size": req.size,
-                "version": req.version,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")))
-            fh.write("\n")
-
-
-def read_jsonl(path: PathLike, name: str = "") -> Trace:
-    """Read a trace written by :func:`write_jsonl`."""
-    requests = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                requests.append(
-                    Request(
-                        timestamp=float(record["timestamp"]),
-                        client_id=int(record["client_id"]),
-                        url=str(record["url"]),
-                        size=int(record["size"]),
-                        version=int(record.get("version", 0)),
-                    )
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: bad JSONL record: {exc}"
-                ) from exc
-    return Trace(requests=requests, name=name or Path(path).stem)
-
-
-def write_csv(trace: Trace, path: PathLike) -> None:
-    """Write *trace* as CSV with a header row."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_FIELDS)
-        for req in trace:
-            writer.writerow(
-                (req.timestamp, req.client_id, req.url, req.size, req.version)
-            )
-
-
-def read_csv(path: PathLike, name: str = "") -> Trace:
-    """Read a trace written by :func:`write_csv`."""
-    requests = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(_FIELDS) - set(reader.fieldnames):
-            raise TraceFormatError(
-                f"{path}: CSV header must contain {_FIELDS}, "
-                f"got {reader.fieldnames}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                requests.append(
-                    Request(
-                        timestamp=float(row["timestamp"]),
-                        client_id=int(row["client_id"]),
-                        url=row["url"],
-                        size=int(row["size"]),
-                        version=int(row["version"]),
-                    )
-                )
-            except (ValueError, TypeError) as exc:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: bad CSV record: {exc}"
-                ) from exc
-    return Trace(requests=requests, name=name or Path(path).stem)
-
 
 def write_squid_log(trace: Trace, path: PathLike) -> None:
     """Write *trace* in Squid native ``access.log`` format.
 
-    Client ids are rendered as loopback-style addresses ``10.x.y.z`` so
-    the reader can map them back to integers.
+    Client id ``n`` is written as the IPv4 address whose integer value
+    is ``n``; an id of 2**32 or more has no address and raises
+    :class:`~repro.errors.TraceFormatError` (the ``.sctr`` client field
+    is a u32 too).
     """
     with open(path, "w", encoding="utf-8") as fh:
         for req in trace:
-            cid = req.client_id
-            addr = f"10.{(cid >> 16) & 0xFF}.{(cid >> 8) & 0xFF}.{cid & 0xFF}"
+            try:
+                addr = ipaddress.IPv4Address(req.client_id)
+            except ipaddress.AddressValueError as exc:
+                raise TraceFormatError(
+                    f"client id {req.client_id} has no IPv4 address"
+                ) from exc
             fh.write(
                 f"{req.timestamp:.3f}    120 {addr} TCP_MISS/200 "
                 f"{req.size} GET {req.url} - DIRECT/origin text/html\n"
@@ -125,8 +48,8 @@ def write_squid_log(trace: Trace, path: PathLike) -> None:
 def read_squid_log(path: PathLike, name: str = "") -> Trace:
     """Read a Squid native ``access.log`` into a trace.
 
-    Non-GET lines are skipped.  Client addresses are hashed to integer
-    ids (addresses written by :func:`write_squid_log` invert exactly).
+    Non-GET lines are skipped.  Each distinct client field (address or
+    host name) gets the next integer id in order of first appearance.
     """
     requests = []
     client_ids: Dict[str, int] = {}
@@ -145,27 +68,18 @@ def read_squid_log(path: PathLike, name: str = "") -> Trace:
                 continue
             try:
                 timestamp = float(parts[0])
-                addr = parts[2]
                 size = int(parts[4])
-                url = parts[6]
             except ValueError as exc:
                 raise TraceFormatError(
                     f"{path}:{lineno}: bad squid log field: {exc}"
                 ) from exc
-            octets = addr.split(".")
-            if len(octets) == 4 and all(o.isdigit() for o in octets):
-                client = (
-                    (int(octets[1]) << 16)
-                    | (int(octets[2]) << 8)
-                    | int(octets[3])
-                )
-            else:
-                client = client_ids.setdefault(addr, len(client_ids))
             requests.append(
                 Request(
                     timestamp=timestamp,
-                    client_id=client,
-                    url=url,
+                    client_id=client_ids.setdefault(
+                        parts[2], len(client_ids)
+                    ),
+                    url=parts[6],
                     size=size,
                     version=0,
                 )

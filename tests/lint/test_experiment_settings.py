@@ -19,12 +19,9 @@ from repro.simulation import parallel
 
 EXPERIMENT_CELL_FIELDS = [
     "workload",
-    "kind",
-    "load_factor",
+    "summary",
     "update_policy",
     "scale",
-    "seed",
-    "trace_path",
 ]
 
 RUNNER_PARAMETERS = {

@@ -15,7 +15,7 @@ from repro.simulation.parallel import (
     run_cell,
     run_cells,
 )
-from repro.summaries import IntervalUpdatePolicy
+from repro.summaries import IntervalUpdatePolicy, SummaryConfig
 
 #: Small but non-trivial: ~3 cells over a scaled-down 4-proxy workload.
 SCALE = 0.2
@@ -39,16 +39,19 @@ def _signature(result):
 class TestExperimentCell:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            ExperimentCell(workload="nlanr", kind="quantum")
+            ExperimentCell(
+                workload="nlanr", summary=SummaryConfig(kind="quantum")
+            )
 
     def test_labels(self):
         assert (
-            ExperimentCell(workload="nlanr", kind="bloom", load_factor=16)
-            .label()
+            ExperimentCell(
+                workload="nlanr", summary=SummaryConfig(load_factor=16)
+            ).label()
             == "nlanr/bloom-16/t=0.01"
         )
         assert (
-            ExperimentCell(workload="dec", kind="icp").label()
+            ExperimentCell(workload="dec", summary=None).label()
             == "dec/icp/t=0.01"
         )
 
@@ -59,7 +62,7 @@ class TestExperimentCell:
         assert hash(a) == hash(b)
 
     def test_run_cell_deterministic(self):
-        cell = ExperimentCell(workload="nlanr", kind="bloom", scale=SCALE)
+        cell = ExperimentCell(workload="nlanr", scale=SCALE)
         assert _signature(run_cell(cell)) == _signature(run_cell(cell))
 
     def test_cell_carries_its_update_policy(self):
@@ -72,13 +75,6 @@ class TestExperimentCell:
         assert cell.label() == "nlanr/bloom-8/interval=300s"
         assert run_cell(cell).scheme == "summary/bloom-8/interval=300s"
 
-    def test_seed_override_changes_trace(self):
-        base = ExperimentCell(workload="nlanr", kind="icp", scale=SCALE)
-        reseeded = ExperimentCell(
-            workload="nlanr", kind="icp", scale=SCALE, seed=2_024
-        )
-        assert _signature(run_cell(base)) != _signature(run_cell(reseeded))
-
 
 class TestFig5Grid:
     def test_shape(self):
@@ -87,14 +83,19 @@ class TestFig5Grid:
         )
         # Per workload: exact + server-name + 2 blooms + icp = 5.
         assert len(grid) == 10
-        kinds = {c.kind for c in grid}
-        assert kinds == {"exact-directory", "server-name", "bloom", "icp"}
+        assert {c.representation for c in grid} == {
+            "exact-directory",
+            "server-name",
+            "bloom-8",
+            "bloom-16",
+            "icp",
+        }
 
     def test_icp_once_per_workload_across_thresholds(self):
         grid = fig5_grid(
             ["nlanr"], load_factors=(8,), thresholds=(0.01, 0.1)
         )
-        assert sum(1 for c in grid if c.kind == "icp") == 1
+        assert sum(1 for c in grid if c.summary is None) == 1
 
 
 class TestRunCells:
@@ -118,8 +119,8 @@ class TestRunCells:
 
     def test_results_come_back_in_input_order(self):
         cells = [
-            ExperimentCell(workload="nlanr", kind="icp", scale=SCALE),
-            ExperimentCell(workload="nlanr", kind="bloom", scale=SCALE),
+            ExperimentCell(workload="nlanr", summary=None, scale=SCALE),
+            ExperimentCell(workload="nlanr", scale=SCALE),
         ]
         results = run_cells(cells, jobs=2)
         assert results[0].scheme == "icp"
@@ -175,40 +176,3 @@ class TestExperimentsIntegration:
         )
         assert serial == parallel
 
-
-class TestPackOnceReplayMany:
-    def test_trace_path_cell_matches_generated_cell(self, tmp_path):
-        from repro.traces.workloads import pack_workload
-
-        path = str(tmp_path / "nlanr.sctr")
-        pack_workload("nlanr", path, scale=SCALE)
-        generated = ExperimentCell(workload="nlanr", scale=SCALE)
-        packed = ExperimentCell(
-            workload="nlanr", scale=SCALE, trace_path=path
-        )
-        assert _signature(run_cell(packed)) == _signature(
-            run_cell(generated)
-        )
-
-    def test_pack_grid_traces_dedups_by_workload(self, tmp_path):
-        from repro.simulation.parallel import pack_grid_traces
-
-        cells = fig5_grid(
-            ["nlanr"], load_factors=(8, 16), scale=SCALE
-        )
-        packed = pack_grid_traces(cells, tmp_path)
-        assert len(packed) == len(cells)
-        paths = {cell.trace_path for cell in packed}
-        # Many cells, one workload -> exactly one packed file.
-        assert len(paths) == 1
-        assert list(tmp_path.glob("*.sctr"))
-
-    def test_packed_grid_matches_generated_grid(self, tmp_path):
-        from repro.simulation.parallel import pack_grid_traces
-
-        cells = fig5_grid(["nlanr"], load_factors=(8,), scale=SCALE)
-        direct = run_cells(cells, jobs=1)
-        packed = run_cells(pack_grid_traces(cells, tmp_path), jobs=2)
-        assert [_signature(r) for r in packed] == [
-            _signature(r) for r in direct
-        ]

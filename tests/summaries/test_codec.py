@@ -51,12 +51,8 @@ class TestRepresentationIds:
         ],
     )
     def test_kind_id_roundtrip(self, kind, rep):
-        assert codec.representation_id(kind) == rep
+        assert codec.KIND_TO_REPRESENTATION[kind] == rep
         assert codec.representation_kind(rep) == kind
-
-    def test_unknown_kind(self):
-        with pytest.raises(ConfigurationError):
-            codec.representation_id("merkle")
 
     def test_unknown_id(self):
         with pytest.raises(ConfigurationError):

@@ -26,7 +26,6 @@ from repro.protocol.wire import (
 )
 from repro.summaries.codec import (
     KIND_TO_REPRESENTATION,
-    representation_id,
     representation_kind,
 )
 
@@ -78,19 +77,9 @@ class TestUnknownRepresentationIds:
         with pytest.raises(ConfigurationError):
             representation_kind(rep_id)
 
-    @given(st.text(min_size=0, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_representation_id_rejects_unknown_kind(self, kind):
-        if kind in KIND_TO_REPRESENTATION:
-            assert representation_kind(representation_id(kind)) == kind
-        else:
-            with pytest.raises(ConfigurationError):
-                representation_id(kind)
-
     def test_mapping_round_trips_every_known_id(self):
         for kind, rep_id in KIND_TO_REPRESENTATION.items():
             assert representation_kind(rep_id) == kind
-            assert representation_id(kind) == rep_id
         assert KNOWN_IDS == {REPR_BLOOM, REPR_EXACT, REPR_SERVER_NAME}
 
     @given(_set_updates(), unknown_ids)

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
-from repro.traces.readers import read_jsonl
 
 CATALOGUE = Path(__file__).resolve().parents[1] / "docs" / "observability.md"
 
@@ -117,26 +116,6 @@ class TestCommands:
         argv = ["loadgen", "--proxies", "1", "--clients", "1", "--requests", "4"]
         assert main(argv) == 1
         assert "4 requests (3 errors)" in capsys.readouterr().out
-
-    def test_gen_trace(self, tmp_path, capsys):
-        out_path = tmp_path / "trace.jsonl"
-        assert (
-            main(
-                [
-                    "gen-trace",
-                    "--workload",
-                    "upisa",
-                    "--scale",
-                    "0.05",
-                    "--out",
-                    str(out_path),
-                ]
-            )
-            == 0
-        )
-        trace = read_jsonl(out_path)
-        assert len(trace) > 0
-        assert "wrote" in capsys.readouterr().out
 
 
 class TestExtensionCommands:

@@ -15,8 +15,11 @@ from repro.traces.analysis import (
     sharing_potential,
     size_statistics,
 )
+from repro.traces.binary import BinaryTraceReader
 from repro.traces.model import Request, Trace
+from repro.traces.stats import compute_stats, mean_cacheable_size
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
+from repro.traces.workloads import make_workload, pack_workload
 
 
 def zipf_only_config(alpha: float) -> SyntheticTraceConfig:
@@ -186,3 +189,44 @@ class TestInterreference:
             interreference_percentiles(near)[50]
             < interreference_percentiles(far)[50]
         )
+
+
+class TestPackedTraceInput:
+    """A packed ``.sctr`` file measures exactly as the trace it holds.
+
+    ``examples/workload_analysis.py --trace`` characterizes a packed
+    file through :class:`BinaryTraceReader`; every measurement must
+    equal the one over the in-memory trace of the same preset.
+    """
+
+    @pytest.fixture(scope="class")
+    def sources(self, tmp_path_factory):
+        trace, groups = make_workload("nlanr", scale=0.2)
+        path = tmp_path_factory.mktemp("packed") / "nlanr.sctr"
+        pack_workload("nlanr", path, scale=0.2)
+        with BinaryTraceReader(path) as reader:
+            yield trace, reader, groups
+
+    @pytest.mark.parametrize(
+        "measure",
+        [
+            pytest.param(lambda t, g: compute_stats(t), id="compute_stats"),
+            pytest.param(
+                lambda t, g: mean_cacheable_size(t), id="mean_cacheable_size"
+            ),
+            pytest.param(lambda t, g: fit_zipf_alpha(t), id="fit_zipf_alpha"),
+            pytest.param(
+                lambda t, g: size_statistics(t), id="size_statistics"
+            ),
+            pytest.param(
+                lambda t, g: interreference_percentiles(t),
+                id="interreference_percentiles",
+            ),
+            pytest.param(group_overlap_matrix, id="group_overlap_matrix"),
+            pytest.param(sharing_potential, id="sharing_potential"),
+        ],
+    )
+    def test_reader_measures_as_the_trace(self, sources, measure):
+        trace, reader, groups = sources
+        assert len(reader) == len(trace)
+        assert measure(reader, groups) == measure(trace, groups)

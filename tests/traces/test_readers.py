@@ -1,4 +1,4 @@
-"""Tests for trace persistence formats."""
+"""Tests for the Squid access-log reader and writer."""
 
 from __future__ import annotations
 
@@ -6,14 +6,13 @@ import pytest
 
 from repro.errors import TraceFormatError
 from repro.traces.model import Request, Trace
-from repro.traces.readers import (
-    read_csv,
-    read_jsonl,
-    read_squid_log,
-    write_csv,
-    write_jsonl,
-    write_squid_log,
-)
+from repro.traces.readers import read_squid_log, write_squid_log
+
+
+def _log_line(timestamp: float, client: str, url: str, size: object = 10) -> str:
+    return (
+        f"{timestamp} 5 {client} TCP_MISS/200 {size} GET {url} - DIRECT/o -\n"
+    )
 
 
 @pytest.fixture
@@ -27,55 +26,6 @@ def versioned_trace() -> Trace:
     )
 
 
-class TestJsonl:
-    def test_roundtrip(self, versioned_trace, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(versioned_trace, path)
-        loaded = read_jsonl(path, name="versioned")
-        assert loaded.requests == versioned_trace.requests
-        assert loaded.name == "versioned"
-
-    def test_name_defaults_to_stem(self, versioned_trace, tmp_path):
-        path = tmp_path / "mytrace.jsonl"
-        write_jsonl(versioned_trace, path)
-        assert read_jsonl(path).name == "mytrace"
-
-    def test_blank_lines_skipped(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text(
-            '{"timestamp": 1, "client_id": 2, "url": "u", "size": 3}\n\n'
-        )
-        assert len(read_jsonl(path)) == 1
-
-    def test_malformed_line_raises_with_location(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"timestamp": "not-a-dict"}\n')
-        with pytest.raises(TraceFormatError, match="bad.jsonl:1"):
-            read_jsonl(path)
-
-
-class TestCsv:
-    def test_roundtrip(self, versioned_trace, tmp_path):
-        path = tmp_path / "t.csv"
-        write_csv(versioned_trace, path)
-        loaded = read_csv(path)
-        assert loaded.requests == versioned_trace.requests
-
-    def test_missing_header_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("timestamp,url\n1.0,u\n")
-        with pytest.raises(TraceFormatError, match="header"):
-            read_csv(path)
-
-    def test_bad_field_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "timestamp,client_id,url,size,version\n1.0,x,u,10,0\n"
-        )
-        with pytest.raises(TraceFormatError, match="bad.csv:2"):
-            read_csv(path)
-
-
 class TestSquidLog:
     def test_roundtrip_preserves_core_fields(self, versioned_trace, tmp_path):
         path = tmp_path / "access.log"
@@ -87,8 +37,8 @@ class TestSquidLog:
         assert [r.size for r in loaded] == [
             r.size for r in versioned_trace
         ]
-        # Client ids written as 10.x.y.z invert exactly.
-        assert [r.client_id for r in loaded] == [3, 70000]
+        # Each distinct client gets the next id in first-appearance order.
+        assert [r.client_id for r in loaded] == [0, 1]
         # Versions are not representable in squid logs.
         assert all(r.version == 0 for r in loaded)
 
@@ -126,3 +76,74 @@ class TestSquidLog:
         )
         with pytest.raises(TraceFormatError):
             read_squid_log(path)
+
+    def test_malformed_line_raises_with_location(self, tmp_path):
+        path = tmp_path / "bad.log"
+        path.write_text(
+            _log_line(1.0, "10.0.0.1", "http://x.com/1")
+            + _log_line(2.0, "10.0.0.1", "http://x.com/2", size="big")
+        )
+        with pytest.raises(TraceFormatError, match="bad.log:2"):
+            read_squid_log(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "access.log"
+        path.write_text(
+            _log_line(1.0, "10.0.0.1", "http://x.com/1") + "\n   \n"
+        )
+        assert len(read_squid_log(path)) == 1
+
+    def test_name_defaults_to_stem(self, versioned_trace, tmp_path):
+        path = tmp_path / "mytrace.log"
+        write_squid_log(versioned_trace, path)
+        assert read_squid_log(path).name == "mytrace"
+        assert read_squid_log(path, name="other").name == "other"
+
+    def test_distinct_clients_get_distinct_ids(self, tmp_path):
+        # Addresses sharing their last three octets, and a host name
+        # next to addresses, are four different clients.
+        path = tmp_path / "access.log"
+        path.write_text(
+            "".join(
+                _log_line(float(i), client, f"http://x.com/{i}")
+                for i, client in enumerate(
+                    ["10.0.0.1", "192.0.0.1", "host-a", "10.0.0.0"]
+                )
+            )
+        )
+        assert [r.client_id for r in read_squid_log(path)] == [0, 1, 2, 3]
+
+    def test_ids_follow_first_appearance(self, tmp_path):
+        path = tmp_path / "access.log"
+        path.write_text(
+            "".join(
+                _log_line(float(i), client, f"http://x.com/{i}")
+                for i, client in enumerate(
+                    ["10.9.9.9", "host-b", "10.9.9.9", "10.0.0.7", "host-b"]
+                )
+            )
+        )
+        assert [r.client_id for r in read_squid_log(path)] == [0, 1, 0, 2, 1]
+
+    def test_writer_keeps_ids_above_24_bits_apart(self, tmp_path):
+        trace = Trace(
+            name="wide",
+            requests=[
+                Request(1.0, 0, "http://x.com/1", 10),
+                Request(2.0, 2**24, "http://x.com/2", 10),
+                Request(3.0, 2**32 - 1, "http://x.com/3", 10),
+            ],
+        )
+        path = tmp_path / "access.log"
+        write_squid_log(trace, path)
+        addresses = [line.split()[2] for line in path.read_text().splitlines()]
+        assert addresses == ["0.0.0.0", "1.0.0.0", "255.255.255.255"]
+        assert [r.client_id for r in read_squid_log(path)] == [0, 1, 2]
+
+    def test_writer_rejects_ids_beyond_u32(self, tmp_path):
+        trace = Trace(
+            name="too-wide",
+            requests=[Request(1.0, 2**32, "http://x.com/1", 10)],
+        )
+        with pytest.raises(TraceFormatError, match="4294967296"):
+            write_squid_log(trace, tmp_path / "access.log")
