@@ -45,7 +45,7 @@ def main() -> None:
     peer_copy = BloomFilter(summary.num_bits, hash_family=summary.hash_family)
     flips = summary.drain_flips()
     messages = build_dir_update_messages(
-        flips, summary.hash_family, summary.num_bits, mtu=1400
+        flips, summary.hash_family, summary.num_bits
     )
     print(
         f"{len(flips)} bit flips -> {len(messages)} UDP-sized "

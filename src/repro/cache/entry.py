@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 
 @dataclass(slots=True)
@@ -24,17 +23,15 @@ class CacheEntry:
         "if a request hits on a document whose last-modified time or size
         is changed, we count it as a cache miss" -- a version mismatch is
         exactly that condition.
-    digest:
-        The URL's 16-byte MD5 signature, stored at insert time when the
-        owning cache feeds a summary (``store_digests=True``), so
-        summary rebuild/resync paths reuse it instead of re-hashing the
-        whole directory.
+
+    An entry holds no URL digest: the process's
+    :class:`~repro.core.position_cache.HashPositionCache` is the one
+    place a URL's MD5 is kept.
     """
 
     url: str
     size: int
     version: int = 0
-    digest: Optional[bytes] = None
 
     def is_fresh_for(self, version: int) -> bool:
         """True if this copy matches the document's current *version*."""

@@ -13,7 +13,6 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.cache.entry import CacheEntry
 from repro.cache.policies import ReplacementPolicy, make_policy
 from repro.cache.stats import CacheStats
-from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
 
 #: The paper's admission rule: "documents larger than 250 KB are not cached."
@@ -39,14 +38,6 @@ class WebCache:
     on_insert / on_evict:
         Hooks called with the URL whenever a document enters or leaves
         the cache -- this is how a local summary tracks the directory.
-    store_digests:
-        When ``True``, each entry's 16-byte MD5 digest is computed once
-        at insert time and stored on the entry, so the exact-directory
-        summary and the Bloom rebuild paths never re-hash the directory
-        on resize/resync.  Off by default: the trace simulators never
-        resize, so paying an MD5 per insert would be pure overhead
-        there.  The live proxy (which does resize and resync) turns it
-        on; :meth:`digests` backfills lazily either way.
 
     Notes
     -----
@@ -62,7 +53,6 @@ class WebCache:
         policy: Union[str, ReplacementPolicy] = "lru",
         on_insert: Optional[KeyCallback] = None,
         on_evict: Optional[KeyCallback] = None,
-        store_digests: bool = False,
     ) -> None:
         if capacity_bytes < 1:
             raise ConfigurationError(
@@ -92,7 +82,6 @@ class WebCache:
         self._used = 0
         self._on_insert = on_insert
         self._on_evict = on_evict
-        self.store_digests = store_digests
         self.stats = CacheStats()
 
     # ------------------------------------------------------------------
@@ -113,21 +102,6 @@ class WebCache:
     def urls(self) -> List[str]:
         """Return the cached URLs (no particular order)."""
         return list(self._entries)
-
-    def digests(self) -> Dict[str, bytes]:
-        """URL -> stored MD5 digest for every entry.
-
-        Digests missing from an entry (inserted while ``store_digests``
-        was off) are computed and backfilled here, so the result always
-        covers the whole directory.  This is what the summary
-        rebuild/resync paths consume instead of re-hashing every URL.
-        """
-        table: Dict[str, bytes] = {}
-        for url, entry in self._entries.items():
-            if entry.digest is None:
-                entry.digest = md5_digest(url)
-            table[url] = entry.digest
-        return table
 
     # ------------------------------------------------------------------
     # The request path
@@ -196,10 +170,7 @@ class WebCache:
             self._used += size
             self._policy.on_access(url)
         else:
-            entry = CacheEntry(url=url, size=size, version=version)
-            if self.store_digests:
-                entry.digest = md5_digest(url)
-            self._entries[url] = entry
+            self._entries[url] = CacheEntry(url, size, version)
             self._used += size
             self._policy.on_insert(url, size)
             if self._on_insert is not None:

@@ -470,10 +470,6 @@ class CounterArray:
             f"counter {index} underflow: decrement of a zero counter"
         )
 
-    def nonzero_indices(self) -> List[int]:
-        """Return indices of all counters with nonzero value, ascending."""
-        return list(self.bits.iter_set_bits())
-
     def _sync_flags(self) -> None:
         """Recompute :attr:`bits` from the counters, in place."""
         flags = bytearray(len(self._flags))

@@ -101,17 +101,15 @@ class BloomFilter:
     def __contains__(self, key: Key) -> bool:
         return self.may_contain(key)
 
-    def set_bit(self, index: int, value: bool) -> bool:
-        """Apply one absolute bit-flip record from an update message."""
-        return self.bits.set(index, value)
-
     def apply_flips(self, flips: Iterable[Tuple[int, bool]]) -> int:
         """Apply ``(index, value)`` records; return how many bits changed.
 
         Records are absolute (set bit i to v), so replaying them is
-        idempotent and a lost earlier update cannot corrupt later ones --
-        the property the paper relies on to ship updates over unreliable
-        transport.
+        idempotent.  That is all they guarantee: a lost update leaves its
+        bits wrong until another record names them, and an update
+        delivered late overwrites newer records for the same bits.  A
+        DIRUPDATE carries no sequence number, so neither is detected
+        (ROADMAP item 12).
         """
         return self.bits.write_many(flips)
 

@@ -137,10 +137,9 @@ class CountingBloomFilter:
         One pass over the positions (:meth:`CounterArray.add_at`): each
         counter moves, a counter leaving zero sets its public bit, and
         that flip is recorded for the next delta.  The positions MUST
-        come from this filter's own hash family and geometry (e.g.
-        :meth:`MD5HashFamily.hashes_from_digest` over a digest stored at
-        cache-insert time); anything else desynchronizes the filter from
-        its peers' wire-spec positions.
+        come from this filter's own hash family and geometry (the
+        summary's ``key_of``); anything else desynchronizes the filter
+        from its peers' wire-spec positions.
         """
         self._records += self.counters.add_at(positions, self._pending)
         self._keys_added += 1

@@ -11,11 +11,10 @@ the keys the changed member wins or loses.
 Scores are derived from the URL's **interned MD5 digest** (the one
 :mod:`repro.core.position_cache` already memoizes for the summaries and
 the wire codec) rather than by re-hashing the URL string per member:
-the digest is sliced into a 64-bit key value via
-:meth:`~repro.core.hashing.MD5HashFamily.hashes_from_digest` -- the
-Section VI-A primitive -- and combined with each member's precomputed
-point by an integer mixer.  Deriving the owner of a URL therefore costs
-one (usually cached) MD5 plus ``len(members)`` multiplications, and a
+the digest's low 64 bits -- bits 0..63 of the Section VI-A stream --
+are the key value, combined with each member's precomputed point by an
+integer mixer.  Deriving the owner of a URL therefore costs one
+(usually memoized) MD5 plus ``len(members)`` multiplications, and a
 live proxy and the simulator agree bit-for-bit on every assignment.
 
 Replication generalizes ownership: the **replica set** of a key is the
@@ -28,18 +27,12 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Sequence, Tuple, Union
 
-from repro.core.hashing import MD5HashFamily, md5_digest
+from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
 
 Key = Union[str, bytes]
 
 _MASK64 = (1 << 64) - 1
-
-#: One 64-bit hash function over the 128-bit digest stream: the key
-#: value every member's score mixes in.  ``table_size=2**64`` makes the
-#: modulus a no-op, so the value is exactly digest bits 0..63.
-_KEY_FAMILY = MD5HashFamily(num_functions=1, function_bits=64)
-_KEY_TABLE = 1 << 64
 
 
 def _mix64(x: int) -> int:
@@ -61,8 +54,9 @@ def member_point(name: str) -> int:
 
 
 def key_value(digest: bytes) -> int:
-    """The 64-bit key value of an interned 16-byte MD5 *digest*."""
-    return _KEY_FAMILY.hashes_from_digest(digest, _KEY_TABLE)[0]
+    """The 64-bit key value of an interned 16-byte MD5 *digest*: bits
+    0..63 of its big-endian stream, the digest's last eight bytes."""
+    return int.from_bytes(digest[8:], "big")
 
 
 def rendezvous_score(point: int, value: int) -> int:

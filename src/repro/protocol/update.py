@@ -2,9 +2,10 @@
 
 The prototype "sends updates whenever there are enough changes to fill
 an IP packet" (Section VI-B): :func:`build_dir_update_messages` batches
-a flip list into MTU-sized ``DirUpdate`` messages.  Because records are
-absolute set/clear operations, message loss degrades a peer's copy
-gracefully instead of corrupting it, and replay is idempotent.
+a flip list into MTU-sized ``DirUpdate`` messages.  Records are
+absolute set/clear operations, so replaying one is idempotent; a lost
+or late update still leaves a peer's copy wrong until those bits are
+named again (``docs/wire-protocol.md`` §4.1).
 
 :func:`build_digest_messages` and :class:`DigestAssembler` implement the
 whole-filter alternative (Squid's cache digests), used when an update's
@@ -33,32 +34,30 @@ from repro.protocol.wire import (
     _set_record_size,
 )
 
-#: A conservative Ethernet-path MTU for UDP payload sizing.
-DEFAULT_MTU = 1400
+#: Every update datagram's byte budget: a conservative Ethernet-path MTU.
+MTU = 1400
+
+#: Flip records in one full DIRUPDATE: ``(1400 - 32) // 4`` = 342.
+FLIPS_PER_MESSAGE = (
+    MTU - ICP_HEADER_SIZE - DIRUPDATE_HEADER_SIZE
+) // FLIP_RECORD_BYTES
 
 
 def build_dir_update_messages(
     flips: Sequence[Tuple[int, bool]],
     hash_family: MD5HashFamily,
     bit_array_size: int,
-    mtu: int = DEFAULT_MTU,
 ) -> List[DirUpdate]:
-    """Batch *flips* into ``DirUpdate`` messages no larger than *mtu* bytes.
+    """Batch *flips* into ``DirUpdate`` messages of at most :data:`MTU`
+    bytes.
 
     Every message repeats the full hash-specification header so each is
-    independently verifiable (and the stream tolerates loss).
+    independently verifiable.
     """
-    overhead = ICP_HEADER_SIZE + DIRUPDATE_HEADER_SIZE
-    if mtu <= overhead + FLIP_RECORD_BYTES:
-        raise ProtocolError(
-            f"mtu of {mtu} bytes cannot carry any flip records "
-            f"(fixed overhead is {overhead} bytes)"
-        )
-    per_message = (mtu - overhead) // FLIP_RECORD_BYTES
     num, bits = hash_family.spec()
     messages = []
-    for start in range(0, len(flips), per_message):
-        batch = tuple(flips[start : start + per_message])
+    for start in range(0, len(flips), FLIPS_PER_MESSAGE):
+        batch = tuple(flips[start : start + FLIPS_PER_MESSAGE])
         messages.append(
             DirUpdate(
                 function_num=num,
@@ -74,19 +73,20 @@ def build_set_update_messages(
     representation: int,
     added: Sequence[bytes],
     removed: Sequence[bytes],
-    mtu: int = DEFAULT_MTU,
 ) -> List[SetDirUpdate]:
-    """Batch set-delta records into ``SetDirUpdate`` messages under *mtu*.
+    """Batch set-delta records into ``SetDirUpdate`` messages under
+    :data:`MTU`.
 
     The counterpart of :func:`build_dir_update_messages` for the
     exact-directory and server-name representations: *added* and
     *removed* are already-encoded records (16-byte digests, or UTF-8
     names), split greedily so each datagram stays within the byte
     budget.  Records keep their added/removed polarity across message
-    boundaries.
+    boundaries.  When no record fits the budget (a server name comes
+    from a client's URL), raises :class:`ProtocolError`.
     """
     overhead = ICP_HEADER_SIZE + SET_UPDATE_HEADER_SIZE
-    budget = mtu - overhead
+    budget = MTU - overhead
     tagged = [(record, True) for record in added] + [
         (record, False) for record in removed
     ]
@@ -94,7 +94,7 @@ def build_set_update_messages(
         smallest = min(_set_record_size(representation, r) for r, _ in tagged)
         if budget < smallest:
             raise ProtocolError(
-                f"mtu of {mtu} bytes cannot carry any set-delta records "
+                f"mtu of {MTU} bytes cannot carry any set-delta records "
                 f"(fixed overhead is {overhead} bytes)"
             )
     messages = []
@@ -125,17 +125,11 @@ def build_set_update_messages(
     return messages
 
 
-def build_digest_messages(
-    source: CountingBloomFilter, mtu: int = DEFAULT_MTU
-) -> List[DigestChunk]:
-    """Chunk a whole-filter snapshot into ``DigestChunk`` messages,
-    each stamped with the snapshot's CRC-32 (see :class:`DigestChunk`)."""
-    overhead = ICP_HEADER_SIZE + DIGEST_HEADER_SIZE
-    if mtu <= overhead:
-        raise ProtocolError(
-            f"mtu of {mtu} bytes cannot carry any digest payload"
-        )
-    per_chunk = mtu - overhead
+def build_digest_messages(source: CountingBloomFilter) -> List[DigestChunk]:
+    """Chunk a whole-filter snapshot into ``DigestChunk`` messages of at
+    most :data:`MTU` bytes, each stamped with the snapshot's CRC-32 (see
+    :class:`DigestChunk`)."""
+    per_chunk = MTU - ICP_HEADER_SIZE - DIGEST_HEADER_SIZE
     data = source.filter.to_bytes()
     snapshot = zlib.crc32(data)
     num, bits = source.hash_family.spec()

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import re
 from collections import deque
 from dataclasses import dataclass, field
 from typing import (
@@ -242,15 +243,24 @@ def _head_lines(head: Union[bytes, memoryview]) -> List[str]:
     return text[:-4].split("\r\n")
 
 
+#: One header field line (RFC 9112 §5): a field name that is an RFC 9110
+#: token, so no whitespace before the colon, then a value free of CR, LF
+#: and NUL.  A head is split on CRLF, so a bare CR or LF left inside a
+#: line would otherwise smuggle a second field past the parser.
+_FIELD_LINE = re.compile(
+    r"([!#$%&'*+\-.^_`|~0-9A-Za-z]+):([^\r\n\x00]*)"
+).fullmatch
+
+
 def _parse_headers(lines: Iterable[str]) -> Dict[str, str]:
     headers: Dict[str, str] = {}
     for line in lines:
         if not line:
             continue
-        name, sep, value = line.partition(":")
-        if not sep:
+        field = _FIELD_LINE(line)
+        if field is None:
             raise ProtocolError(f"malformed header line {line!r}")
-        name, value = name.strip().lower(), value.strip()
+        name, value = field[1].lower(), field[2].strip()
         if name == "content-length" and headers.get(name, value) != value:
             raise ProtocolError("conflicting Content-Length headers")
         headers[name] = value

@@ -229,9 +229,6 @@ class SummaryCacheProxy:
             max_object_size=config.max_object_size,
             on_insert=self._on_cache_insert,
             on_evict=self._on_cache_evict,
-            # The live proxy resizes and resyncs its summary, so digests
-            # stored at insert time spare a full directory re-hash then.
-            store_digests=True,
         )
         #: Keep-alive connections to origins and peers, reused across
         #: sequential misses (created/reused counts feed the
@@ -469,11 +466,11 @@ class SummaryCacheProxy:
         the eviction callback).
         """
         wall, start = time(), perf_counter()
-        items = list(self._cache.digests().items())
+        urls = self._cache.urls()
         if reason == "join":
-            displaced = self._placement.add_member(member, items)
+            displaced = self._placement.add_member(member, urls)
         else:
-            displaced = self._placement.remove_member(member, items)
+            displaced = self._placement.remove_member(member, urls)
         for url in displaced:
             self._cache.remove(url)
         self._m.placement_rebalances.inc()
@@ -563,9 +560,7 @@ class SummaryCacheProxy:
         """
         if not self._node.local.overloaded(len(self._cache), RESIZE_FACTOR):
             return
-        self._node.rebuild(
-            self._cache.urls(), perf_counter(), digests=self._cache.digests()
-        )
+        self._node.rebuild(self._cache.urls(), perf_counter())
         self._m.summary_resizes.inc()
         logger.info(
             "proxy=%s summary resized to %d bits (%d cached documents)",

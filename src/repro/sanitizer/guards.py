@@ -130,17 +130,13 @@ class GuardedPlacement:
 
     # -- recorded writes -----------------------------------------------
 
-    def add_member(
-        self, name: str, items: Iterable[Tuple[str, bytes]] = ()
-    ) -> List[str]:
+    def add_member(self, name: str, urls: Iterable[str] = ()) -> List[str]:
         self._san.record_write(self._key, "add_member")
-        return self._inner.add_member(name, items)
+        return self._inner.add_member(name, urls)
 
-    def remove_member(
-        self, name: str, items: Iterable[Tuple[str, bytes]] = ()
-    ) -> List[str]:
+    def remove_member(self, name: str, urls: Iterable[str] = ()) -> List[str]:
         self._san.record_write(self._key, "remove_member")
-        return self._inner.remove_member(name, items)
+        return self._inner.remove_member(name, urls)
 
 
 class GuardedConnectionPool:

@@ -34,8 +34,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
-    Optional,
     Sequence,
     Tuple,
     Union,
@@ -232,11 +230,7 @@ class LocalSummary(ABC):
         """DRAM footprint of the shipped representation at one peer."""
 
     @abstractmethod
-    def rebuild(
-        self,
-        urls: Iterable[str],
-        digests: Optional[Mapping[str, bytes]] = None,
-    ) -> None:
+    def rebuild(self, urls: Iterable[str]) -> None:
         """Reconstruct the summary from the live directory *urls*.
 
         For Bloom summaries this grows the filter geometry (the proxy's
@@ -244,11 +238,6 @@ class LocalSummary(ABC):
         summary transfer afterwards, so implementations discard any
         pending delta and, for set representations, mark the full
         directory as pending so the next delta carries everything.
-
-        *digests* optionally maps URLs to MD5 digests stored by the
-        cache at insert time (:meth:`repro.cache.WebCache.digests`);
-        digest-based representations then rebuild without re-hashing
-        the directory.  URLs absent from the mapping are hashed.
         """
 
     def overloaded(self, num_documents: int, factor: float) -> bool:
@@ -373,18 +362,12 @@ class SummaryNode:
         self.last_update_time = now
         return delta
 
-    def rebuild(
-        self,
-        urls: Iterable[str],
-        now: float,
-        digests: Optional[Mapping[str, bytes]] = None,
-    ) -> None:
+    def rebuild(self, urls: Iterable[str], now: float) -> None:
         """Rebuild the local summary from the live directory.
 
         Resets the update bookkeeping: after a rebuild, peers resync
-        from a whole-summary transfer, not a delta.  Pass the cache's
-        stored *digests* to skip re-hashing the directory.
+        from a whole-summary transfer, not a delta.
         """
-        self.local.rebuild(urls, digests=digests)
+        self.local.rebuild(urls)
         self.new_since_update = 0
         self.last_update_time = now

@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Union
 from repro.core.bloom import BloomFilter
 from repro.errors import ConfigurationError, SummaryMismatchError
 from repro.protocol.update import (
-    DEFAULT_MTU,
     build_digest_messages,
     build_dir_update_messages,
     build_set_update_messages,
@@ -118,7 +117,7 @@ def update_messages(
 
 
 def delta_messages(
-    summary: LocalSummary, delta: SummaryDelta, mtu: int = DEFAULT_MTU
+    summary: LocalSummary, delta: SummaryDelta
 ) -> List[UpdateMessage]:
     """Batch a drained *delta* into DIRUPDATE datagrams for *summary*."""
     if isinstance(summary, BloomSummary):
@@ -127,7 +126,7 @@ def delta_messages(
                 f"Bloom summary cannot ship a {type(delta).__name__}"
             )
         return build_dir_update_messages(
-            delta.flips, summary.hash_family, summary.num_bits, mtu=mtu
+            delta.flips, summary.hash_family, summary.num_bits
         )
     if isinstance(summary, ExactDirectorySummary):
         representation = REPR_EXACT
@@ -145,13 +144,10 @@ def delta_messages(
         representation,
         [_encode_record(r) for r in delta.added],
         [_encode_record(r) for r in delta.removed],
-        mtu=mtu,
     )
 
 
-def whole_summary_messages(
-    summary: LocalSummary, mtu: int = DEFAULT_MTU
-) -> List[DigestChunk]:
+def whole_summary_messages(summary: LocalSummary) -> List[DigestChunk]:
     """Whole-summary transfer (resync after a rebuild, or a delta larger
     than the array).
 
@@ -160,7 +156,7 @@ def whole_summary_messages(
     pending-everything delta after :meth:`LocalSummary.rebuild`.
     """
     if isinstance(summary, BloomSummary):
-        return build_digest_messages(summary.counting_filter, mtu=mtu)
+        return build_digest_messages(summary.counting_filter)
     raise ConfigurationError(
         "whole-summary digest transfers are defined for Bloom summaries "
         f"only, not {type(summary).__name__}"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Set
+from typing import Iterable, Set
 
 from repro.core.hashing import md5_digest
 from repro.errors import SummaryStateError
@@ -60,20 +60,8 @@ class ExactDirectorySummary(LocalSummary):
     def export(self) -> DigestDelta:
         return DigestDelta(added=sorted(self._digests))
 
-    def rebuild(
-        self,
-        urls: Iterable[str],
-        digests: Optional[Mapping[str, bytes]] = None,
-    ) -> None:
-        if digests is None:
-            self._digests = {md5_digest(url) for url in urls}
-        else:
-            # Digests stored at cache-insert time: no re-hashing.
-            get = digests.get
-            self._digests = {
-                stored if (stored := get(url)) is not None else md5_digest(url)
-                for url in urls
-            }
+    def rebuild(self, urls: Iterable[str]) -> None:
+        self._digests = {md5_digest(url) for url in urls}
         # Peers must receive the full directory next update.
         self._pending_added = set(self._digests)
         self._pending_removed = set()

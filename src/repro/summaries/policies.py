@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import ConfigurationError
+from repro.protocol.update import FLIPS_PER_MESSAGE
 
 
 @dataclass(frozen=True)
@@ -96,10 +97,10 @@ class PacketFillUpdatePolicy:
 
     The Squid prototype's behaviour: "sends updates whenever there are
     enough changes to fill an IP packet" (Section VI-B).  The default
-    of 342 records is an MTU-sized DIRUPDATE: (1400 - 32) / 4.
+    is the flip records of one MTU-sized DIRUPDATE, 342.
     """
 
-    records: int = (1400 - 32) // 4
+    records: int = FLIPS_PER_MESSAGE
 
     def __post_init__(self) -> None:
         if self.records < 1:

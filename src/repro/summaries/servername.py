@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Set
 
 from repro.errors import SummaryStateError
 from repro.summaries.backend import DigestDelta, LocalSummary
@@ -67,13 +67,7 @@ class ServerNameSummary(LocalSummary):
     def export(self) -> DigestDelta:
         return DigestDelta(added=sorted(self._refcounts))
 
-    def rebuild(
-        self,
-        urls: Iterable[str],
-        digests: Optional[Mapping[str, bytes]] = None,
-    ) -> None:
-        # *digests* is unused: server names derive from the URL text,
-        # not its MD5 signature.
+    def rebuild(self, urls: Iterable[str]) -> None:
         self._refcounts = {}
         for url in urls:
             name = server_of(url)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -245,37 +243,3 @@ def test_invariants_under_random_workload(ops):
     assert cache.used_bytes == sum(
         cache.peek(u).size for u in cache.urls()
     )
-
-
-class TestStoredDigests:
-    def test_off_by_default(self):
-        cache = WebCache(10_000)
-        cache.put("http://a.com/1", 100)
-        assert cache.peek("http://a.com/1").digest is None
-
-    def test_stored_at_insert_when_enabled(self):
-        cache = WebCache(10_000, store_digests=True)
-        cache.put("http://a.com/1", 100)
-        entry = cache.peek("http://a.com/1")
-        assert entry.digest == hashlib.md5(b"http://a.com/1").digest()
-
-    def test_digests_backfills_missing(self):
-        cache = WebCache(10_000)
-        cache.put("http://a.com/1", 100)
-        cache.put("http://b.com/2", 200)
-        table = cache.digests()
-        assert set(table) == {"http://a.com/1", "http://b.com/2"}
-        assert table["http://a.com/1"] == hashlib.md5(
-            b"http://a.com/1"
-        ).digest()
-        # Backfill persists on the entry.
-        assert cache.peek("http://a.com/1").digest is not None
-
-    def test_digests_covers_whole_directory_when_enabled(self):
-        cache = WebCache(10_000, store_digests=True)
-        for i in range(5):
-            cache.put(f"http://a.com/{i}", 100)
-        table = cache.digests()
-        assert len(table) == len(cache)
-        for url, digest in table.items():
-            assert digest == hashlib.md5(url.encode()).digest()

@@ -99,10 +99,11 @@ class TestBloomFilterUpdatesAndSerialization:
         assert filt.bits.popcount == sum(1 for _ in filt.bits.iter_set_bits())
 
     def test_set_bit(self):
+        # One absolute record goes straight to the filter's public bits.
         filt = BloomFilter(64)
-        assert filt.set_bit(5, True) is True
-        assert filt.set_bit(5, True) is False
-        assert filt.set_bit(5, False) is True
+        assert filt.bits.set(5, True) is True
+        assert filt.bits.set(5, True) is False
+        assert filt.bits.set(5, False) is True
 
     def test_reset(self):
         filt = BloomFilter(64)

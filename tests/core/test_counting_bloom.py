@@ -80,7 +80,7 @@ class TestAddRemove:
         assert sum(cbf.counters.get(p) for p in set(positions)) == 4
         assert sorted(cbf.peek_flips()) == [(p, True) for p in sorted(set(positions))]
         cbf.remove("k")
-        assert cbf.counters.nonzero_indices() == []
+        assert list(cbf.counters.bits.iter_set_bits()) == []
         assert cbf.fill_ratio() == 0.0
         assert cbf.drain_flips() == []
 

@@ -143,60 +143,3 @@ class TestPolynomialHashFamily:
     def test_empty_vs_nul_key_differ(self):
         family = PolynomialHashFamily()
         assert family.hashes("", 1 << 20) != family.hashes("\x00", 1 << 20)
-
-
-class TestHashesFromDigest:
-    def test_matches_hashes_for_default_family(self):
-        family = MD5HashFamily()  # 4 x 32 = exactly 128 stream bits
-        url = "http://www.example.com/page"
-        digest = hashlib.md5(url.encode()).digest()
-        assert family.hashes_from_digest(digest, 12_345) == family.hashes(
-            url, 12_345
-        )
-
-    def test_wide_family_falls_back_to_key(self):
-        family = MD5HashFamily(num_functions=4, function_bits=50)
-        url = "http://www.example.com/page"
-        digest = hashlib.md5(url.encode()).digest()
-        assert family.hashes_from_digest(
-            digest, 99_991, key=url
-        ) == family.hashes(url, 99_991)
-
-    def test_wide_family_without_key_rejected(self):
-        family = MD5HashFamily(num_functions=4, function_bits=50)
-        with pytest.raises(ConfigurationError):
-            family.hashes_from_digest(b"\x00" * 16, 99_991)
-
-    def test_rejects_bad_table_size(self):
-        with pytest.raises(ConfigurationError):
-            MD5HashFamily().hashes_from_digest(b"\x00" * 16, 0)
-
-
-class TestPolynomialSeed:
-    def test_default_seed_keeps_historical_points(self):
-        url = "http://a.com/b"
-        assert PolynomialHashFamily(4).hashes(
-            url, 10_007
-        ) == PolynomialHashFamily(4, seed=0).hashes(url, 10_007)
-
-    def test_same_seed_same_positions(self):
-        a = PolynomialHashFamily(4, seed=42)
-        b = PolynomialHashFamily(4, seed=42)
-        assert a.hashes("http://a.com/b", 10_007) == b.hashes(
-            "http://a.com/b", 10_007
-        )
-
-    def test_different_seeds_differ(self):
-        a = PolynomialHashFamily(4, seed=42)
-        b = PolynomialHashFamily(4, seed=43)
-        assert a.hashes("http://a.com/b", 1 << 30) != b.hashes(
-            "http://a.com/b", 1 << 30
-        )
-
-    def test_seed_allows_many_functions(self):
-        family = PolynomialHashFamily(20, seed=7)
-        positions = family.hashes("x", 1 << 20)
-        assert len(positions) == 20
-
-    def test_seed_in_repr(self):
-        assert "seed=9" in repr(PolynomialHashFamily(4, seed=9))

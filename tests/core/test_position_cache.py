@@ -11,9 +11,7 @@ from repro.core.position_cache import (
     HashPositionCache,
     get_position_cache,
     md5_stream,
-    position_cache,
     positions_from_stream,
-    set_position_cache,
 )
 from repro.errors import ConfigurationError, KeyTypeError
 
@@ -34,18 +32,6 @@ class TestDigestMemoization:
         cache = HashPositionCache()
         assert cache.digest(URL) == cache.digest(URL.encode())
 
-    def test_seed_digest_installs_without_hashing(self):
-        cache = HashPositionCache()
-        marker = hashlib.md5(URL.encode()).digest()
-        cache.seed_digest(URL, marker)
-        assert cache.digest(URL) is marker
-
-    def test_seed_digest_never_overwrites(self):
-        cache = HashPositionCache()
-        real = cache.digest(URL)
-        cache.seed_digest(URL, b"\x00" * 16)
-        assert cache.digest(URL) is real
-
     def test_hit_miss_counters(self):
         cache = HashPositionCache()
         cache.digest(URL)
@@ -61,15 +47,21 @@ class TestDigestMemoization:
             cache.digest(1234)  # type: ignore[arg-type]
 
 
+def reference(key: str, num: int, bits: int, size: int):
+    """Section VI-A's positions, computed with no memo."""
+    stream = md5_stream(key.encode(), num * bits)
+    return positions_from_stream(stream, num, bits, size)
+
+
 class TestGeometryKeying:
     def test_positions_match_uncached_family(self):
         """Wire-spec compatibility: cached positions == Section VI-A math."""
         family = MD5HashFamily(num_functions=4, function_bits=32)
+        assert family.hashes(URL, 12_345) == reference(URL, 4, 32, 12_345)
         cache = HashPositionCache()
-        with position_cache(None):
-            uncached = family.hashes(URL, 12_345)
-        cached = cache.positions(URL, 4, 32, 12_345)
-        assert cached == uncached
+        assert cache.positions(URL, 4, 32, 12_345) == reference(
+            URL, 4, 32, 12_345
+        )
 
     def test_distinct_geometries_distinct_entries(self):
         cache = HashPositionCache()
@@ -91,10 +83,11 @@ class TestGeometryKeying:
     def test_wide_family_matches_uncached(self):
         """Families needing > 128 stream bits use the extension rule."""
         family = MD5HashFamily(num_functions=4, function_bits=50)
+        assert family.hashes(URL, 99_991) == reference(URL, 4, 50, 99_991)
         cache = HashPositionCache()
-        with position_cache(None):
-            uncached = family.hashes(URL, 99_991)
-        assert cache.positions(URL, 4, 50, 99_991) == uncached
+        assert cache.positions(URL, 4, 50, 99_991) == reference(
+            URL, 4, 50, 99_991
+        )
 
     def test_positions_derived_from_stored_digest(self):
         """A <=128-bit geometry reuses the stored digest, bit for bit."""
@@ -151,37 +144,18 @@ class TestLruBound:
 
 class TestProcessDefault:
     def test_default_installed_at_import(self):
-        assert get_position_cache() is not None
-
-    def test_swap_and_restore(self):
-        original = get_position_cache()
-        mine = HashPositionCache()
-        try:
-            assert set_position_cache(mine) is original
-            assert get_position_cache() is mine
-        finally:
-            set_position_cache(original)
-
-    def test_context_manager_scopes_swap(self):
-        original = get_position_cache()
-        with position_cache(None):
-            assert get_position_cache() is None
-        assert get_position_cache() is original
+        memo = get_position_cache()
+        assert isinstance(memo, HashPositionCache)
+        lookups = memo.hits + memo.misses
+        assert md5_digest(URL) is md5_digest(URL)
+        assert memo.hits + memo.misses == lookups + 2
 
     def test_md5_digest_identical_with_and_without_cache(self):
-        with position_cache(HashPositionCache()):
-            cached = md5_digest(URL)
-        with position_cache(None):
-            uncached = md5_digest(URL)
-        assert cached == uncached
+        assert md5_digest(URL) == hashlib.md5(URL.encode()).digest()
 
     def test_family_hashes_identical_with_and_without_cache(self):
         family = MD5HashFamily()
-        with position_cache(HashPositionCache()):
-            cached = family.hashes(URL, 50_021)
-        with position_cache(None):
-            uncached = family.hashes(URL, 50_021)
-        assert cached == uncached
+        assert family.hashes(URL, 50_021) == reference(URL, 4, 32, 50_021)
 
 
 class TestStreamPrimitives:

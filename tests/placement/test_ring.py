@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core.hashing import md5_digest
+from repro.core.position_cache import positions_from_stream
 from repro.errors import ConfigurationError
 from repro.placement import (
     CooperationPolicy,
@@ -26,6 +29,16 @@ class TestPrimitives:
         assert p == member_point("proxy0")
         assert 0 <= p < 1 << 64
         assert member_point("proxy0") != member_point("proxy1")
+
+    def test_key_value_is_hash_position_zero_of_the_digest_stream(self):
+        # One 64-bit Section VI-A function over the digest, table 2**64.
+        rng = random.Random(7)
+        for _ in range(1_000):
+            digest = rng.randbytes(16)
+            stream = int.from_bytes(digest, "big")
+            assert key_value(digest) == positions_from_stream(
+                stream, 1, 64, 2**64
+            )[0]
 
     def test_key_value_comes_from_the_interned_digest(self):
         digest = md5_digest("http://a.com/1")
@@ -114,13 +127,12 @@ class TestHashRing:
 
 
 class TestPlacement:
-    def _items(self, placement: Placement, n: int = 200):
-        """(url, digest) pairs the holder owns under the current ring."""
-        pairs = [(u, md5_digest(u)) for u in URLS[:n]]
+    def _owned(self, placement: Placement, n: int = 200):
+        """The URLs the holder owns under the current ring."""
         return [
-            (u, d)
-            for u, d in pairs
-            if placement.owner(d) == placement.self_name
+            u
+            for u in URLS[:n]
+            if placement.owner(md5_digest(u)) == placement.self_name
         ]
 
     def test_self_is_always_a_member(self):
@@ -137,13 +149,13 @@ class TestPlacement:
 
     def test_join_reports_displaced_keys_and_leave_reports_none(self):
         p = Placement("a", ["b", "c"])
-        mine = self._items(p)
+        mine = self._owned(p)
         assert mine  # the fixture owns something
         displaced = p.add_member("d", mine)
         # Exactly the keys the newcomer now owns were displaced.
-        assert displaced == [u for u, d in mine if p.owner(d) == "d"]
+        assert displaced == [u for u in mine if p.owner(md5_digest(u)) == "d"]
         assert "d" in p.members
-        survivors_keys = self._items(p)
+        survivors_keys = self._owned(p)
         assert p.remove_member("b", survivors_keys) == []
         assert "b" not in p.members
 
@@ -156,11 +168,10 @@ class TestPlacement:
     def test_displaced_keys_helper_is_replica_aware(self):
         before = HashRing(["a", "b", "c"], replication=2)
         after = before.with_member("d")
-        items = [(u, md5_digest(u)) for u in URLS[:200]]
-        held = [(u, d) for u, d in items if "a" in before.replicas(d)]
+        held = [u for u in URLS[:200] if "a" in before.replicas(md5_digest(u))]
         displaced = displaced_keys(before, after, "a", held)
-        for url, digest in held:
-            expect = "a" not in after.replicas(digest)
+        for url in held:
+            expect = "a" not in after.replicas(md5_digest(url))
             assert (url in displaced) == expect
 
 

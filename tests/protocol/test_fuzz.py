@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.protocol.update import DEFAULT_MTU
+from repro.protocol.update import FLIPS_PER_MESSAGE, MTU
 from repro.protocol.wire import (
     DIRUPDATE_HEADER_SIZE,
     ICP_HEADER_SIZE,
@@ -75,9 +75,6 @@ def test_dirupdate_roundtrip(flips, function_num, function_bits):
     assert decode_message(update.encode()) == update
 
 
-#: Records in one MTU-sized DIRUPDATE: (1400 - 20 - 12) / 4.
-MTU_RECORDS = (DEFAULT_MTU - ICP_HEADER_SIZE - DIRUPDATE_HEADER_SIZE) // 4
-
 bit_indices = st.one_of(
     st.integers(0, MAX_BIT_INDEX),
     st.integers(MAX_BIT_INDEX - 64, MAX_BIT_INDEX),
@@ -89,7 +86,7 @@ bit_indices = st.one_of(
     st.lists(
         st.tuples(bit_indices, st.booleans()),
         min_size=0,
-        max_size=MTU_RECORDS,
+        max_size=FLIPS_PER_MESSAGE,
     )
 )
 @settings(max_examples=100, deadline=None)
@@ -109,7 +106,7 @@ def test_dirupdate_roundtrip_up_to_mtu(flips):
         struct.pack("!I", encode_flip(index, value)) for index, value in flips
     )
     assert wire[ICP_HEADER_SIZE + DIRUPDATE_HEADER_SIZE :] == records
-    assert len(wire) == update.wire_size() <= DEFAULT_MTU
+    assert len(wire) == update.wire_size() <= MTU
     assert decode_message(wire) == update
 
 

@@ -17,9 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolError
-from repro.protocol.update import build_set_update_messages
+from repro.protocol.update import MTU, build_set_update_messages
 from repro.protocol.wire import (
-    EXACT_RECORD_BYTES,
     ICP_HEADER_SIZE,
     REPR_BLOOM,
     REPR_EXACT,
@@ -147,13 +146,10 @@ class TestBatching:
     def test_messages_respect_mtu(self):
         added = tuple(digest(f"a{i}") for i in range(400))
         removed = tuple(digest(f"r{i}") for i in range(100))
-        mtu = 512
-        messages = build_set_update_messages(
-            REPR_EXACT, added, removed, mtu=mtu
-        )
+        messages = build_set_update_messages(REPR_EXACT, added, removed)
         assert len(messages) > 1
         for message in messages:
-            assert message.wire_size() <= mtu
+            assert message.wire_size() <= MTU
         got_added = [r for m in messages for r in m.added]
         got_removed = [r for m in messages for r in m.removed]
         assert got_added == list(added)
@@ -161,22 +157,19 @@ class TestBatching:
 
     def test_variable_length_names_batch(self):
         added = names(*(f"server-{i:03d}.example.net" for i in range(80)))
-        messages = build_set_update_messages(
-            REPR_SERVER_NAME, added, (), mtu=256
-        )
+        messages = build_set_update_messages(REPR_SERVER_NAME, added, ())
         assert len(messages) > 1
         assert [r for m in messages for r in m.added] == list(added)
         for message in messages:
-            assert message.wire_size() <= 256
+            assert message.wire_size() <= MTU
 
     def test_mtu_too_small_raises(self):
-        floor = ICP_HEADER_SIZE + SET_UPDATE_HEADER_SIZE
-        with pytest.raises(ProtocolError):
+        # A server name comes from a client's URL, so it can outgrow
+        # the datagram.
+        budget = MTU - ICP_HEADER_SIZE - SET_UPDATE_HEADER_SIZE
+        with pytest.raises(ProtocolError, match="mtu"):
             build_set_update_messages(
-                REPR_EXACT,
-                (digest("a"),),
-                (),
-                mtu=floor + EXACT_RECORD_BYTES - 1,
+                REPR_SERVER_NAME, names("h" * budget + ".example.net"), ()
             )
 
     def test_empty_delta_builds_no_messages(self):

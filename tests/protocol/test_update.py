@@ -11,6 +11,8 @@ from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
 from repro.errors import ProtocolError
 from repro.protocol.update import (
+    FLIPS_PER_MESSAGE,
+    MTU,
     DigestAssembler,
     build_digest_messages,
     build_dir_update_messages,
@@ -31,9 +33,11 @@ class TestDirUpdateBatching:
         cbf = filled_filter()
         flips = cbf.drain_flips()
         messages = build_dir_update_messages(
-            flips, cbf.hash_family, cbf.num_bits, mtu=400
+            flips, cbf.hash_family, cbf.num_bits
         )
-        assert all(len(m.encode()) <= 400 for m in messages)
+        assert len(messages) > 1
+        assert all(len(m.encode()) <= MTU for m in messages)
+        assert len(messages[0].flips) == FLIPS_PER_MESSAGE == 342
         assert sum(len(m.flips) for m in messages) == len(flips)
 
     def test_every_message_carries_full_header(self):
@@ -41,7 +45,7 @@ class TestDirUpdateBatching:
         # hash functions, so that receivers can verify the information."
         cbf = filled_filter()
         messages = build_dir_update_messages(
-            cbf.drain_flips(), cbf.hash_family, cbf.num_bits, mtu=300
+            cbf.drain_flips(), cbf.hash_family, cbf.num_bits
         )
         assert len(messages) > 1
         for m in messages:
@@ -51,7 +55,7 @@ class TestDirUpdateBatching:
     def test_applying_all_messages_syncs_peer(self):
         cbf = filled_filter()
         messages = build_dir_update_messages(
-            cbf.drain_flips(), cbf.hash_family, cbf.num_bits, mtu=500
+            cbf.drain_flips(), cbf.hash_family, cbf.num_bits
         )
         peer = BloomFilter(cbf.num_bits, hash_family=cbf.hash_family)
         for m in messages:
@@ -63,7 +67,7 @@ class TestDirUpdateBatching:
         (within one batch, where each bit appears once)."""
         cbf = filled_filter()
         messages = build_dir_update_messages(
-            cbf.drain_flips(), cbf.hash_family, cbf.num_bits, mtu=300
+            cbf.drain_flips(), cbf.hash_family, cbf.num_bits
         )
         peer = BloomFilter(cbf.num_bits, hash_family=cbf.hash_family)
         shuffled = list(messages) * 2
@@ -77,7 +81,7 @@ class TestDirUpdateBatching:
         other messages -- the paper's loss-tolerance design goal."""
         cbf = filled_filter()
         messages = build_dir_update_messages(
-            cbf.drain_flips(), cbf.hash_family, cbf.num_bits, mtu=300
+            cbf.drain_flips(), cbf.hash_family, cbf.num_bits
         )
         assert len(messages) >= 3
         peer = BloomFilter(cbf.num_bits, hash_family=cbf.hash_family)
@@ -90,13 +94,6 @@ class TestDirUpdateBatching:
         for i in range(cbf.num_bits):
             if i not in lost_indices:
                 assert peer.bits.get(i) == expected.bits.get(i)
-
-    def test_mtu_too_small(self):
-        cbf = filled_filter(10)
-        with pytest.raises(ProtocolError, match="mtu"):
-            build_dir_update_messages(
-                cbf.drain_flips(), cbf.hash_family, cbf.num_bits, mtu=30
-            )
 
     def test_empty_flips_yield_no_messages(self):
         cbf = filled_filter(5)
@@ -134,10 +131,10 @@ class TestApplyGeometryCheck:
 
 class TestDigestTransfer:
     def test_chunking_and_reassembly(self):
-        cbf = filled_filter(500)
-        chunks = build_digest_messages(cbf, mtu=256)
+        cbf = filled_filter(5000)
+        chunks = build_digest_messages(cbf)
         assert len(chunks) > 1
-        assert all(len(c.encode()) <= 256 for c in chunks)
+        assert all(len(c.encode()) <= MTU for c in chunks)
         assembler = DigestAssembler()
         result = None
         for chunk in chunks:
@@ -145,8 +142,8 @@ class TestDigestTransfer:
         assert result == cbf.snapshot()
 
     def test_out_of_order_and_duplicate_chunks(self):
-        cbf = filled_filter(500)
-        chunks = build_digest_messages(cbf, mtu=256)
+        cbf = filled_filter(5000)
+        chunks = build_digest_messages(cbf)
         assembler = DigestAssembler()
         shuffled = list(chunks) + [chunks[0]]
         random.Random(11).shuffle(shuffled)
@@ -155,16 +152,16 @@ class TestDigestTransfer:
         assert completed and completed[-1] == cbf.snapshot()
 
     def test_incomplete_returns_none(self):
-        cbf = filled_filter(500)
-        chunks = build_digest_messages(cbf, mtu=256)
+        cbf = filled_filter(5000)
+        chunks = build_digest_messages(cbf)
         assembler = DigestAssembler()
         assert assembler.add(chunks[0]) is None
 
     def test_geometry_change_restarts_assembly(self):
-        big = filled_filter(500)
+        big = filled_filter(5000)
         small = filled_filter(50)
-        big_chunks = build_digest_messages(big, mtu=256)
-        small_chunks = build_digest_messages(small, mtu=4096)
+        big_chunks = build_digest_messages(big)
+        small_chunks = build_digest_messages(small)
         assembler = DigestAssembler()
         assembler.add(big_chunks[0])
         # A chunk with different geometry discards the partial state.
@@ -172,11 +169,11 @@ class TestDigestTransfer:
         assert result == small.snapshot()
 
     def test_lost_chunk_never_completes_from_the_next_snapshot(self):
-        cbf = filled_filter(500)
-        older = build_digest_messages(cbf, mtu=256)
+        cbf = filled_filter(5000)
+        older = build_digest_messages(cbf)
         for i in range(500, 560):  # same geometry, other bits
             cbf.add(f"http://later.com/doc{i}")
-        newer = build_digest_messages(cbf, mtu=256)
+        newer = build_digest_messages(cbf)
         assert older[0].request_number != newer[0].request_number
         assembler = DigestAssembler()
         # The older transfer lost its first chunk; the newer one arrives
@@ -187,12 +184,8 @@ class TestDigestTransfer:
 
     def test_assembler_resets_after_completion(self):
         cbf = filled_filter(100)
-        chunks = build_digest_messages(cbf, mtu=4096)
+        chunks = build_digest_messages(cbf)
         assembler = DigestAssembler()
         first = assembler.add(chunks[0])
         second = assembler.add(chunks[0])
         assert first == second == cbf.snapshot()
-
-    def test_mtu_too_small(self):
-        with pytest.raises(ProtocolError, match="mtu"):
-            build_digest_messages(filled_filter(10), mtu=20)

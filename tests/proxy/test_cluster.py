@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.counting_bloom import CountingBloomFilter
+from repro.core.position_cache import get_position_cache
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.errors import ConfigurationError
 from repro.protocol.core import NO_HOLDER
@@ -430,3 +432,39 @@ class TestSummaryResize:
         assert geometry == proxy0.summary.geometry
         assert coverage > len(urls) * 0.9
         assert proxy1.stats.remote_hits == 1
+
+    def test_resized_summary_equals_a_fresh_rebuild(self):
+        """A proxy keeps serving across its resizes, and its filter is
+        the one a rebuild from the cached URLs and a cleared URL memo
+        gives."""
+
+        async def scenario():
+            config = replace(BASE_CONFIG, expected_doc_size=32 * 1024)
+            async with ProxyCluster(
+                num_proxies=2,
+                mode=ProxyMode.SC_ICP,
+                cache_capacity=2 * 2**20,
+                base_config=config,
+            ) as cluster:
+                driver = cluster.driver_for(0)
+                urls = [f"http://fresh.com/d{i}" for i in range(200)]
+                for url in urls:
+                    await driver.fetch(url, size=512)
+                hits = cluster.proxies[0].stats.local_hits
+                for url in urls[::20]:
+                    await driver.fetch(url, size=512)
+                return cluster.proxies[0], hits
+
+        proxy, hits = run(scenario())
+        assert proxy.stats.summary_resizes >= 1
+        assert proxy.stats.local_hits == hits + 10
+        live = proxy.summary.counting_filter
+        get_position_cache().clear()
+        fresh = CountingBloomFilter(
+            live.num_bits,
+            hash_family=live.hash_family,
+            counter_width=proxy.summary.config.counter_width,
+        )
+        fresh.add_many(proxy.cache.urls())
+        assert live.snapshot() == fresh.snapshot()
+        assert live.counters.to_bytes() == fresh.counters.to_bytes()

@@ -237,6 +237,32 @@ def test_half_close_after_a_pipelined_miss_still_gets_the_answer():
     assert rest == b""
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "Content-Length : 0",
+        "Bad Name: 1",
+        "X: a\nTransfer-Encoding: chunked",
+    ],
+)
+def test_a_forbidden_header_line_gets_a_final_400(line):
+    seen = []
+
+    def serve(request: HttpRequest):
+        seen.append(request.url)
+        return echo(request)
+
+    async def scenario():
+        transport = FakeTransport(HttpConnection(serve), takes=True)
+        transport.feed(get("/a", line) + get("/b"))
+        return await parse_all(transport.data, 1), transport
+
+    (response,), transport = asyncio.run(scenario())
+    assert seen == []
+    assert response.status == 400 and not response.keep_alive
+    assert transport.closed
+
+
 def test_a_request_body_is_not_served_as_the_next_request():
     smuggled = b"GET /smuggled HTTP/1.1\r\n\r\n"
     seen = []

@@ -17,6 +17,7 @@ from repro.proxy.http import (
     HttpConnection,
     parse_content_length,
     parse_request,
+    parse_response,
     render_request,
     synth_body,
 )
@@ -190,6 +191,47 @@ class TestFramingValidation:
         for code in (b"20", b"2000", b"+20", b"2_0"):
             with pytest.raises(ProtocolError, match="status code"):
                 read(b"HTTP/1.1 " + code + b" OK\r\n\r\n")
+
+
+#: Header lines RFC 9112 forbids: a field name is an RFC 9110 token (no
+#: whitespace, nothing else outside ``tchar``), and a field value holds
+#: no CR, LF or NUL.
+FORBIDDEN_FIELD_LINES = [
+    b"Content-Length : 0",  # whitespace before the colon
+    b"Bad Name: 1",  # whitespace inside the name
+    b"X: a\nTransfer-Encoding: chunked",  # a bare LF smuggles a field
+    b" X: 1",  # a folded (obs-fold) line
+    b": no-name",
+    b"X(y): 1",
+    b"X: a\rb",
+    b"X: a\x00b",
+]
+
+
+class TestHeaderFieldGrammar:
+    @pytest.mark.parametrize("line", FORBIDDEN_FIELD_LINES)
+    def test_request_rejects_forbidden_line(self, line):
+        with pytest.raises(ProtocolError, match="header line"):
+            parse_request(b"GET /x HTTP/1.1\r\n" + line + b"\r\n\r\n")
+
+    @pytest.mark.parametrize("line", FORBIDDEN_FIELD_LINES)
+    def test_response_rejects_forbidden_line(self, line):
+        with pytest.raises(ProtocolError, match="header line"):
+            parse_response(b"HTTP/1.1 200 OK\r\n" + line + b"\r\n\r\n")
+
+    def test_client_rejects_forbidden_response_line(self):
+        with pytest.raises(ProtocolError, match="header line"):
+            read(b"HTTP/1.1 200 OK\r\nBad Name: 1\r\n\r\n")
+
+    def test_token_names_and_padded_values_parse(self):
+        head = (
+            b"GET /x HTTP/1.1\r\nX-A.b_c~!: \t v  a \t\r\n"
+            b"Empty:\r\n\r\n"
+        )
+        assert parse_request(head).headers == {
+            "x-a.b_c~!": "v  a",
+            "empty": "",
+        }
 
 
 class TestKeepAliveSemantics:

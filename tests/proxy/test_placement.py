@@ -28,7 +28,7 @@ def run(coro):
 
 
 def cached_urls(proxy) -> set:
-    return set(proxy.cache.digests())
+    return set(proxy.cache.urls())
 
 
 class TestCarpRouting:

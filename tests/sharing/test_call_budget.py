@@ -47,7 +47,7 @@ from __future__ import annotations
 import cProfile
 from collections import Counter
 
-from repro.core.position_cache import HashPositionCache, position_cache
+from repro.core.position_cache import get_position_cache
 from repro.sharing.summary_sharing import (
     SummarySharingConfig,
     simulate_summary_sharing,
@@ -106,10 +106,10 @@ def check_budget(kind: str) -> None:
         expected_doc_size=2048,
     )
     profile = cProfile.Profile()
-    with position_cache(HashPositionCache()):
-        profile.enable()
-        result = simulate_summary_sharing(trace, proxies, 256 * 1024, config)
-        profile.disable()
+    get_position_cache().clear()  # every URL hashes once, as in a fresh run
+    profile.enable()
+    result = simulate_summary_sharing(trace, proxies, 256 * 1024, config)
+    profile.disable()
 
     calls: Counter = Counter()
     for entry in profile.getstats():

@@ -38,7 +38,7 @@ def node_for(kind: str) -> SummaryNode:
 
 def messages_for(node: SummaryNode, now: float = 1.0):
     delta = node.publish(now)
-    return codec.delta_messages(node.local, delta, mtu=1400)
+    return codec.delta_messages(node.local, delta)
 
 
 class TestRepresentationIds:
@@ -83,13 +83,11 @@ class TestDeltaMessages:
     def test_whole_summary_messages_bloom_only(self):
         node = node_for("bloom")
         node.on_insert(URLS[0])
-        chunks = codec.whole_summary_messages(node.local, mtu=1400)
+        chunks = codec.whole_summary_messages(node.local)
         assert chunks
         assert all(isinstance(c, DigestChunk) for c in chunks)
         with pytest.raises(ConfigurationError):
-            codec.whole_summary_messages(
-                node_for("server-name").local, mtu=1400
-            )
+            codec.whole_summary_messages(node_for("server-name").local)
 
 
 def replay(kind: str, messages, store=None):
@@ -181,7 +179,7 @@ class TestApplyUpdate:
         store = replay("bloom", messages_for(node))
         node.rebuild(URLS[5:], now=2.0)  # double the bits, new contents
         assembler = DigestAssembler()
-        for chunk in codec.whole_summary_messages(node.local, mtu=1400):
+        for chunk in codec.whole_summary_messages(node.local):
             whole = assembler.add(chunk)
         codec.apply_digest(store, 0, whole)
         assert store.geometry(0) == node.local.geometry

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.protocol.update import FLIPS_PER_MESSAGE
 from repro.summaries import (
     IntervalUpdatePolicy,
     PacketFillUpdatePolicy,
@@ -69,7 +70,7 @@ class TestPacketFill:
         assert due(policy, pending_records=342)
 
     def test_default_is_one_mtu_of_flip_records(self):
-        assert PacketFillUpdatePolicy().records == (1400 - 32) // 4
+        assert PacketFillUpdatePolicy().records == FLIPS_PER_MESSAGE == 342
 
     def test_rejects_zero(self):
         with pytest.raises(ConfigurationError):
