@@ -113,22 +113,6 @@ def test_micro_bitarray_set_many(benchmark):
     assert benchmark(set_clear) is True
 
 
-def test_micro_bitarray_flipped_indices(benchmark):
-    # The XOR diff between a live filter and a shipped copy.
-    rng = random.Random(13)
-    mine = BitArray(BITARRAY_BITS)
-    mine.set_many(
-        rng.randrange(BITARRAY_BITS) for _ in range(BITARRAY_BITS // 8)
-    )
-    theirs = mine.copy()
-    drift = [rng.randrange(BITARRAY_BITS) for _ in range(64)]
-    for index in drift:
-        theirs.set(index, not theirs.get(index))
-
-    flips = benchmark(lambda: mine.flipped_indices(theirs))
-    assert len(flips) == len(set(drift))
-
-
 def test_micro_md5_family(benchmark):
     family = MD5HashFamily()
     urls = itertools.cycle(URLS)

@@ -194,33 +194,6 @@ class BitArray:
                 held.append(record)
         return held
 
-    def flipped_indices(self, other: "BitArray") -> List[Tuple[int, bool]]:
-        """Positions where this array differs from *other*, as
-        ``(index, value-in-self)`` records.
-
-        One big-int XOR finds all differing bytes at C speed; only those
-        are walked bit by bit.  This is the delta a summary owner ships
-        when reconciling a peer copy against the live filter.
-        """
-        if self._size != other._size:
-            raise ConfigurationError(
-                f"cannot diff BitArrays of {self._size} and "
-                f"{other._size} bits"
-            )
-        diff = int.from_bytes(self._buf, "little") ^ int.from_bytes(
-            other._buf, "little"
-        )
-        mine = self._buf
-        flips: List[Tuple[int, bool]] = []
-        while diff:
-            low = diff & -diff
-            index = low.bit_length() - 1
-            flips.append(
-                (index, bool(mine[index >> 3] & (1 << (index & 7))))
-            )
-            diff ^= low
-        return flips
-
     def reset(self) -> None:
         """Clear every bit (in place, so a :meth:`view` stays attached)."""
         self._buf[:] = bytes(len(self._buf))
@@ -470,36 +443,6 @@ class CounterArray:
             f"counter {index} underflow: decrement of a zero counter"
         )
 
-    def _sync_flags(self) -> None:
-        """Recompute :attr:`bits` from the counters, in place."""
-        flags = bytearray(len(self._flags))
-        per_byte = self._slot_mask + 1
-        for byte_index, byte in enumerate(self._buf):
-            if not byte:
-                continue
-            base = byte_index << self._byte_shift
-            for slot in range(per_byte):
-                index = base + slot
-                if index < self._size and (
-                    (byte >> (slot * self._width)) & self._max
-                ):
-                    flags[index >> 3] |= 1 << (index & 7)
-        self._flags[:] = flags
-
-    def load_from(self, values: Iterable[int]) -> None:
-        """Bulk-load counter values (used when rebuilding after restart)."""
-        try:
-            for i, value in enumerate(values):
-                if not 0 <= value <= self._max:
-                    raise ConfigurationError(
-                        f"counter value {value} out of range [0, {self._max}]"
-                    )
-                byte_index, shift = self._locate(i)
-                cleared = self._buf[byte_index] & ~(self._max << shift) & 0xFF
-                self._buf[byte_index] = cleared | (value << shift)
-        finally:
-            self._sync_flags()
-
     def size_bytes(self) -> int:
         """Memory footprint of the packed counters, in bytes."""
         return len(self._buf)
@@ -507,21 +450,6 @@ class CounterArray:
     def to_bytes(self) -> bytes:
         """Return the packed counter payload."""
         return bytes(self._buf)
-
-    def load_bytes(self, payload: bytes) -> None:
-        """Replace all counters with a packed payload from :meth:`to_bytes`.
-
-        Saturation-event history is not part of the payload and resets
-        to zero.
-        """
-        if len(payload) != len(self._buf):
-            raise ConfigurationError(
-                f"counter payload is {len(payload)} bytes, "
-                f"expected {len(self._buf)}"
-            )
-        self._buf = bytearray(payload)
-        self._saturated = 0
-        self._sync_flags()
 
     def __len__(self) -> int:
         return self._size

@@ -23,22 +23,12 @@ array (or bit-flip records).
 
 from __future__ import annotations
 
-import struct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import Key, MD5HashFamily
-from repro.errors import ConfigurationError, ProtocolError
-
-
-#: Magic prefix of the serialized filter format.
-_MAGIC = b"SCBF"
-
-#: Serialization format version.
-_FORMAT_VERSION = 1
-
-_HEADER = struct.Struct("!4sBBHHIi")
+from repro.errors import ConfigurationError
 
 #: The paper's recommended counter width: "4 bits per count would be
 #: amply sufficient."
@@ -238,72 +228,6 @@ class CountingBloomFilter:
     def remote_size_bytes(self) -> int:
         """Footprint of the shipped representation (bit array only)."""
         return self.filter.size_bytes()
-
-    # ------------------------------------------------------------------
-    # Persistence (warm restart)
-    # ------------------------------------------------------------------
-    #
-    # The paper notes a saturated-counter false negative is less likely
-    # than "the proxy server would be rebooted in the meantime and the
-    # entire structure reconstructed."  Serializing the counters makes
-    # the reboot cheap instead: the filter restarts warm and the first
-    # post-restart update to peers is a small delta, not a full digest.
-
-    def to_bytes(self) -> bytes:
-        """Serialize the full filter state (counters included).
-
-        Layout: a fixed header (magic, format version, counter width,
-        hash spec, bit count, net key count) followed by the packed
-        counter array.  The bit array is derived from the counters at
-        load time, so it is not stored.
-        """
-        num, bits = self.hash_family.spec()
-        header = _HEADER.pack(
-            _MAGIC,
-            _FORMAT_VERSION,
-            self.counters.width,
-            num,
-            bits,
-            self.num_bits,
-            self._keys_added,
-        )
-        return header + self.counters.to_bytes()
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CountingBloomFilter":
-        """Rebuild a filter from :meth:`to_bytes` output.
-
-        Raises :class:`~repro.errors.ProtocolError` on a bad magic,
-        unsupported format version, or truncated payload.
-        """
-        if len(data) < _HEADER.size:
-            raise ProtocolError(
-                f"serialized filter truncated: {len(data)} bytes"
-            )
-        magic, version, width, num, bits, num_bits, keys_added = (
-            _HEADER.unpack_from(data)
-        )
-        if magic != _MAGIC:
-            raise ProtocolError(f"bad magic {magic!r}")
-        if version != _FORMAT_VERSION:
-            raise ProtocolError(
-                f"unsupported filter format version {version}"
-            )
-        filt = cls(
-            num_bits,
-            hash_family=MD5HashFamily.from_spec(num, bits),
-            counter_width=width,
-        )
-        payload = data[_HEADER.size :]
-        expected = filt.counters.size_bytes()
-        if len(payload) != expected:
-            raise ProtocolError(
-                f"counter payload is {len(payload)} bytes, "
-                f"expected {expected}"
-            )
-        filt.counters.load_bytes(payload)
-        filt._keys_added = keys_added
-        return filt
 
     def __repr__(self) -> str:
         return (

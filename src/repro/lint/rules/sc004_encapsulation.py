@@ -38,8 +38,6 @@ MUTATOR_METHODS = (
     "reset",
     "add_at",
     "remove_at",
-    "load_from",
-    "load_bytes",
     "apply_flips",
 )
 

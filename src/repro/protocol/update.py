@@ -82,21 +82,15 @@ def build_set_update_messages(
     *removed* are already-encoded records (16-byte digests, or UTF-8
     names), split greedily so each datagram stays within the byte
     budget.  Records keep their added/removed polarity across message
-    boundaries.  When no record fits the budget (a server name comes
-    from a client's URL), raises :class:`ProtocolError`.
+    boundaries.  A record larger than the budget (a server name comes
+    from a client's URL) travels alone in its own datagram, whatever
+    else the delta holds: every message is at most :data:`MTU` bytes
+    or carries exactly one record.
     """
-    overhead = ICP_HEADER_SIZE + SET_UPDATE_HEADER_SIZE
-    budget = MTU - overhead
+    budget = MTU - ICP_HEADER_SIZE - SET_UPDATE_HEADER_SIZE
     tagged = [(record, True) for record in added] + [
         (record, False) for record in removed
     ]
-    if tagged:
-        smallest = min(_set_record_size(representation, r) for r, _ in tagged)
-        if budget < smallest:
-            raise ProtocolError(
-                f"mtu of {MTU} bytes cannot carry any set-delta records "
-                f"(fixed overhead is {overhead} bytes)"
-            )
     messages = []
     batch_added: List[bytes] = []
     batch_removed: List[bytes] = []

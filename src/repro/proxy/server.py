@@ -90,7 +90,6 @@ from repro.proxy.config import PeerAddress, ProxyConfig, scheme_for
 from repro.summaries import LocalSummary, PeerSummaries, SummaryNode
 from repro.summaries import codec
 from repro.summaries.backend import Geometry, SummaryDelta
-from repro.summaries.bloom import BloomSummary
 from repro.proxy.http import (
     HttpConnection,
     HttpRequest,
@@ -513,13 +512,15 @@ class SummaryCacheProxy:
         against in the cluster aggregator's attribution report.  Exact
         and server-name directories have no false positives by
         construction (server-name summaries trade them for *aliasing*,
-        which the measured ratio still captures), so they report 0.
+        which the measured ratio still captures); their geometry is
+        ``()``, and they report 0.
         """
-        local = self._node.local
-        if not isinstance(local, BloomSummary):
+        geometry = self._node.local.geometry
+        if not geometry:
             return 0.0
+        num_bits, (num_hashes, _) = geometry
         return false_positive_probability_exact(
-            local.num_bits, len(self._cache), local.config.num_hashes
+            num_bits, len(self._cache), num_hashes
         )
 
     # ------------------------------------------------------------------
@@ -812,11 +813,12 @@ class SummaryCacheProxy:
         summary: Dict[str, object] = {
             "representation": self.config.summary.kind
         }
-        local = self._node.local
-        if isinstance(local, BloomSummary):
+        geometry = self._node.local.geometry
+        if geometry:
+            num_bits, (num_hashes, _) = geometry
             summary.update(
-                num_bits=local.num_bits,
-                num_hashes=local.config.num_hashes,
+                num_bits=num_bits,
+                num_hashes=num_hashes,
                 load_factor=self.config.summary.load_factor,
             )
         payload = {

@@ -11,8 +11,9 @@ wire protocol, and the live asyncio proxy all consume the same classes:
   ``--summary-repr`` CLI names), delta types, the
   :func:`make_local_summary` factory, and :class:`SummaryNode` (shared
   update bookkeeping);
-- :mod:`repro.summaries.exact`, :mod:`repro.summaries.servername`,
-  :mod:`repro.summaries.bloom` -- one module per representation;
+- :mod:`repro.summaries.keyset` -- the set representations
+  (exact directory, server names): one class, told apart by kind;
+- :mod:`repro.summaries.bloom` -- the Bloom representation;
 - :mod:`repro.summaries.peers` -- :class:`PeerSummaries`, every peer's
   shipped copy in one bit-sliced store, probed in one pass (all three
   engines);
@@ -35,7 +36,6 @@ from repro.summaries.backend import (
     summary_config_for_repr,
 )
 from repro.summaries.bloom import BloomSummary
-from repro.summaries.exact import ExactDirectorySummary
 from repro.summaries.peers import PeerSummaries, slots_of
 from repro.summaries.policies import (
     IntervalUpdatePolicy,
@@ -44,7 +44,6 @@ from repro.summaries.policies import (
     UpdatePolicy,
     parse_update_policy,
 )
-from repro.summaries.servername import ServerNameSummary
 
 __all__ = [
     "AVERAGE_DOCUMENT_SIZE",
@@ -52,12 +51,10 @@ __all__ = [
     "BitFlipDelta",
     "BloomSummary",
     "DigestDelta",
-    "ExactDirectorySummary",
     "IntervalUpdatePolicy",
     "LocalSummary",
     "PacketFillUpdatePolicy",
     "PeerSummaries",
-    "ServerNameSummary",
     "SummaryConfig",
     "SummaryNode",
     "ThresholdUpdatePolicy",

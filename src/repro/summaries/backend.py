@@ -8,15 +8,17 @@ hold of it, patched with those deltas, live in one
 :class:`~repro.summaries.peers.PeerSummaries` store per proxy.
 
 Three representations are implemented, exactly the ones the paper
-evaluates (Section V):
+evaluates (Section V).  The two set representations are one class,
+:class:`~repro.summaries.keyset.KeySetSummary`, told apart by the key
+a URL is filed under (:data:`SET_KINDS`):
 
-==========================================  =====================================  =============================
-Representation                              Local state                            Shipped/peer state
-==========================================  =====================================  =============================
-:class:`~repro.summaries.exact.ExactDirectorySummary`       set of 16-byte MD5 URL digests        same set
-:class:`~repro.summaries.servername.ServerNameSummary`      refcounted set of server names        set of names
-:class:`~repro.summaries.bloom.BloomSummary`                counting Bloom filter                 plain Bloom filter bits
-==========================================  =====================================  =============================
+=====================  ==========================================  =======================
+Representation         Local state                                 Shipped/peer state
+=====================  ==========================================  =======================
+``exact-directory``    counted set of 16-byte MD5 URL digests      set of digests
+``server-name``        counted set of server names                 set of names
+``bloom``              counting Bloom filter                       plain Bloom filter bits
+=====================  ==========================================  =======================
 
 Every consumer -- the Section V simulator, the wire protocol codec, and
 the live asyncio proxy -- works against these ABCs; representation is
@@ -31,6 +33,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -39,12 +42,22 @@ from typing import (
     Union,
 )
 
+from repro.core.hashing import md5_digest
 from repro.errors import ConfigurationError
 from repro.summaries.policies import UpdatePolicy
+from repro.urlutil import server_of
 
 #: A digest-set change record: a 16-byte MD5 digest (exact directory)
 #: or a server name (server-name summary).
 DigestKey = Union[bytes, str]
+
+#: The set representations, each named once with the key it files a
+#: URL under: its MD5 signature, or its server name.  Every other
+#: representation is Bloom.
+SET_KINDS: Dict[str, Callable[[str], DigestKey]] = {
+    "exact-directory": md5_digest,
+    "server-name": server_of,
+}
 
 #: Any delta a summary can emit: digest-set changes or bit flips.
 SummaryDelta = Union["DigestDelta", "BitFlipDelta"]
@@ -82,7 +95,7 @@ class SummaryConfig:
     num_hashes: int = 4
     counter_width: int = 4
 
-    KINDS = ("exact-directory", "server-name", "bloom")
+    KINDS = (*SET_KINDS, "bloom")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
@@ -281,13 +294,10 @@ def make_local_summary(
     """Construct the local summary named by *config* for a cache of the given size."""
     # Imported here: the representation modules subclass the ABCs above.
     from repro.summaries.bloom import BloomSummary
-    from repro.summaries.exact import ExactDirectorySummary
-    from repro.summaries.servername import ServerNameSummary
+    from repro.summaries.keyset import KeySetSummary
 
-    if config.kind == "exact-directory":
-        return ExactDirectorySummary()
-    if config.kind == "server-name":
-        return ServerNameSummary()
+    if config.kind in SET_KINDS:
+        return KeySetSummary(config.kind)
     return BloomSummary(
         expected_documents_for_cache(cache_size_bytes, doc_size),
         config=config,

@@ -2,8 +2,9 @@
 
 The wire protocol tags every ``ICP_OP_DIRUPDATE`` with a representation
 id (see :mod:`repro.protocol.wire`); this module is the single place
-that maps between those ids, the summary classes, and their delta
-payloads, so the proxy never dispatches on concrete summary types:
+that maps between those ids, the ``SummaryConfig.kind`` names
+(:data:`KIND_TO_REPRESENTATION`), and their delta payloads, so the
+proxy never dispatches on concrete summary types:
 
 - :func:`ships_whole` -- Section VI's encoding rule: flip records or
   the whole bit array, whichever is smaller;
@@ -18,6 +19,11 @@ payloads, so the proxy never dispatches on concrete summary types:
   a received DIRUPDATE or a completed DIGEST, rejecting one that does
   not match the store's representation or the copy's geometry with
   :class:`~repro.errors.SummaryMismatchError`.
+
+A set summary's records are tagged with the id of its ``kind``; the
+codec imports no set summary class.  Only :class:`BloomSummary` is told
+apart by class: its flips need the filter's hash family, and its whole
+array has a wire form of its own.
 """
 
 from __future__ import annotations
@@ -49,9 +55,7 @@ from repro.summaries.backend import (
     SummaryDelta,
 )
 from repro.summaries.bloom import BloomSummary
-from repro.summaries.exact import ExactDirectorySummary
 from repro.summaries.peers import PeerSummaries
-from repro.summaries.servername import ServerNameSummary
 
 #: SummaryConfig.kind <-> wire representation id.
 KIND_TO_REPRESENTATION: Dict[str, int] = {
@@ -128,20 +132,12 @@ def delta_messages(
         return build_dir_update_messages(
             delta.flips, summary.hash_family, summary.num_bits
         )
-    if isinstance(summary, ExactDirectorySummary):
-        representation = REPR_EXACT
-    elif isinstance(summary, ServerNameSummary):
-        representation = REPR_SERVER_NAME
-    else:
-        raise ConfigurationError(
-            f"no codec for summary type {type(summary).__name__}"
-        )
     if not isinstance(delta, DigestDelta):
         raise ConfigurationError(
             f"set summary cannot ship a {type(delta).__name__}"
         )
     return build_set_update_messages(
-        representation,
+        KIND_TO_REPRESENTATION[summary.kind],
         [_encode_record(r) for r in delta.added],
         [_encode_record(r) for r in delta.removed],
     )

@@ -25,9 +25,10 @@ from abc import ABC, abstractmethod
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.hashing import MD5HashFamily, md5_digest
+from repro.core.hashing import MD5HashFamily
 from repro.errors import BitIndexError, ConfigurationError, SummaryMismatchError
 from repro.summaries.backend import (
+    SET_KINDS,
     BitFlipDelta,
     DigestDelta,
     DigestKey,
@@ -35,15 +36,8 @@ from repro.summaries.backend import (
     LocalSummary,
     SummaryDelta,
 )
-from repro.urlutil import server_of
 
 __all__ = ["PeerSummaries", "slots_of"]
-
-#: The probe key of a URL in each digest-set representation.
-_SET_KEY_OF: Dict[str, Callable[[str], DigestKey]] = {
-    "exact-directory": md5_digest,
-    "server-name": server_of,
-}
 
 
 def slots_of(mask: int) -> List[int]:
@@ -88,7 +82,7 @@ class PeerSummaries(ABC):
         """A store of *kind* copies in which no slot holds one yet."""
         if kind == "bloom":
             return _BloomColumns()
-        if kind in _SET_KEY_OF:
+        if kind in SET_KINDS:
             return _KeyMasks(kind)
         raise ConfigurationError(f"unknown summary kind {kind!r}")
 
@@ -288,7 +282,7 @@ class _KeyMasks(PeerSummaries):
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.key_of = _SET_KEY_OF[kind]
+        self.key_of = SET_KINDS[kind]
         self.probe = self._probe
         self._masks: Dict[DigestKey, int] = {}
         #: The slots that hold a copy.

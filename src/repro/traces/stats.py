@@ -17,11 +17,9 @@ bytes once per document, matching "unique documents").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable
+from typing import Dict
 
-from repro.traces.model import Request
-
-TraceLike = Iterable[Request]
+from repro.traces.partition import TraceLike
 
 #: The cacheability limit the paper's simulations apply.
 DEFAULT_CACHEABLE_LIMIT = 250 * 1024

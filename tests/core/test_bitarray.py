@@ -118,27 +118,6 @@ class TestBitArray:
         with pytest.raises(IndexError):
             bits.set_many([-1], value=False)
 
-    def test_flipped_indices(self):
-        mine = BitArray(80)
-        mine.set_many([1, 9, 40])
-        theirs = BitArray(80)
-        theirs.set_many([9, 40, 77])
-        flips = mine.flipped_indices(theirs)
-        # (index, value-in-self): replaying onto `theirs` yields `mine`.
-        assert sorted(flips) == [(1, True), (77, False)]
-        for index, value in flips:
-            theirs.set(index, value)
-        assert theirs == mine
-
-    def test_flipped_indices_identical(self):
-        mine = BitArray(33)
-        mine.set_many([0, 32])
-        assert mine.flipped_indices(mine.copy()) == []
-
-    def test_flipped_indices_size_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            BitArray(8).flipped_indices(BitArray(16))
-
     @given(
         st.lists(
             st.tuples(st.integers(0, 199), st.booleans()),
@@ -172,10 +151,7 @@ class TestBitArray:
         assert set(changed_clear) == reference & set(removed)
         reference -= set(removed)
         assert bits.popcount == len(reference)
-        empty = BitArray(200)
-        assert sorted(i for i, v in bits.flipped_indices(empty)) == sorted(
-            reference
-        )
+        assert sorted(bits.iter_set_bits()) == sorted(reference)
 
 
 def count_in(counters, indices):
@@ -275,15 +251,6 @@ class TestCounterArray:
         assert counters.to_bytes() == before
         assert counters.bits == bits
         assert list(flips.items()) == list(recorded.items())
-
-    def test_load_from(self):
-        counters = CounterArray(4, width=4)
-        counters.load_from([1, 15, 0, 7])
-        assert [counters.get(i) for i in range(4)] == [1, 15, 0, 7]
-
-    def test_load_from_rejects_out_of_range(self):
-        with pytest.raises(ConfigurationError):
-            CounterArray(2, width=4).load_from([16, 0])
 
     def test_size_bytes_packs_nibbles(self):
         assert CounterArray(10, width=4).size_bytes() == 5

@@ -223,75 +223,6 @@ def test_random_ops_match_multiset_model(ops):
     assert shipped == cbf.snapshot()
 
 
-class TestPersistence:
-    """Warm-restart serialization (counters survive a reboot)."""
-
-    def make_filter(self, width: int = 4) -> CountingBloomFilter:
-        cbf = CountingBloomFilter.for_capacity(
-            400, load_factor=8, counter_width=width
-        )
-        for i in range(250):
-            cbf.add(f"http://persist{i}.net/doc")
-        for i in range(40):
-            cbf.remove(f"http://persist{i}.net/doc")
-        return cbf
-
-    def test_roundtrip_preserves_state(self):
-        cbf = self.make_filter()
-        clone = CountingBloomFilter.from_bytes(cbf.to_bytes())
-        assert clone.snapshot() == cbf.snapshot()
-        assert clone.keys_added == cbf.keys_added
-        assert clone.hash_family == cbf.hash_family
-        assert clone.counters.width == cbf.counters.width
-
-    def test_deletions_work_after_restart(self):
-        cbf = self.make_filter()
-        clone = CountingBloomFilter.from_bytes(cbf.to_bytes())
-        clone.remove("http://persist100.net/doc")
-        # A cold rebuild of a plain filter could not have done this.
-        cbf.remove("http://persist100.net/doc")
-        assert clone.snapshot() == cbf.snapshot()
-
-    @pytest.mark.parametrize("width", [1, 2, 4, 8])
-    def test_all_counter_widths(self, width):
-        cbf = self.make_filter(width=width)
-        clone = CountingBloomFilter.from_bytes(cbf.to_bytes())
-        assert clone.snapshot() == cbf.snapshot()
-
-    def test_bad_magic_rejected(self):
-        from repro.errors import ProtocolError
-
-        data = bytearray(self.make_filter().to_bytes())
-        data[0] = ord("X")
-        with pytest.raises(ProtocolError, match="magic"):
-            CountingBloomFilter.from_bytes(bytes(data))
-
-    def test_bad_version_rejected(self):
-        from repro.errors import ProtocolError
-
-        data = bytearray(self.make_filter().to_bytes())
-        data[4] = 99
-        with pytest.raises(ProtocolError, match="version"):
-            CountingBloomFilter.from_bytes(bytes(data))
-
-    def test_truncated_payload_rejected(self):
-        from repro.errors import ProtocolError
-
-        data = self.make_filter().to_bytes()
-        with pytest.raises(ProtocolError):
-            CountingBloomFilter.from_bytes(data[: len(data) // 2])
-        with pytest.raises(ProtocolError):
-            CountingBloomFilter.from_bytes(b"\x01")
-
-    def test_pending_flips_not_persisted(self):
-        cbf = self.make_filter()
-        assert cbf.pending_flip_count > 0
-        clone = CountingBloomFilter.from_bytes(cbf.to_bytes())
-        # A restarted filter starts with a clean delta (peers should be
-        # resynced with a full digest after a restart).
-        assert clone.pending_flip_count == 0
-
-
 class TestBatchOperations:
     def test_add_many_equals_repeated_add(self):
         urls = [f"http://batch{i}.net/doc" for i in range(60)]

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BloomSummary,
-    ExactDirectorySummary,
     PeerSummaries,
-    ServerNameSummary,
     SummaryConfig,
     expected_documents_for_cache,
     make_local_summary,
 )
+from repro.summaries.keyset import KeySetSummary
 from repro.errors import ConfigurationError
 
 URLS = [f"http://server{i // 3}.com/doc{i}" for i in range(30)]
@@ -28,8 +27,8 @@ def holds(copies, url):
 
 def make_all_summaries():
     return [
-        ExactDirectorySummary(),
-        ServerNameSummary(),
+        KeySetSummary("exact-directory"),
+        KeySetSummary("server-name"),
         BloomSummary(100, SummaryConfig(kind="bloom", load_factor=16)),
     ]
 
@@ -104,28 +103,28 @@ class TestCommonBehaviour:
 
 class TestExactDirectory:
     def test_remove_clears_membership(self):
-        summary = ExactDirectorySummary()
+        summary = KeySetSummary("exact-directory")
         summary.add(URLS[0])
         summary.remove(URLS[0])
         assert not summary.may_contain(URLS[0])
         assert len(summary) == 0
 
     def test_add_remove_within_one_delta_cancels(self):
-        summary = ExactDirectorySummary()
+        summary = KeySetSummary("exact-directory")
         summary.add(URLS[0])
         summary.remove(URLS[0])
         delta = summary.drain_delta()
         assert delta.is_empty()
 
     def test_duplicate_add_is_noop(self):
-        summary = ExactDirectorySummary()
+        summary = KeySetSummary("exact-directory")
         summary.add(URLS[0])
         summary.add(URLS[0])
         assert len(summary) == 1
         assert summary.drain_delta().change_count == 1
 
     def test_sizes_are_16_bytes_per_url(self):
-        summary = ExactDirectorySummary()
+        summary = KeySetSummary("exact-directory")
         for url in URLS:
             summary.add(url)
         assert summary.size_bytes() == 30 * 16
@@ -135,7 +134,7 @@ class TestExactDirectory:
 
 class TestServerName:
     def test_collapses_urls_to_servers(self):
-        summary = ServerNameSummary()
+        summary = KeySetSummary("server-name")
         summary.add("http://a.com/1")
         summary.add("http://a.com/2")
         assert len(summary) == 1
@@ -144,7 +143,7 @@ class TestServerName:
         assert summary.may_contain("http://a.com/unrelated")
 
     def test_refcounting_keeps_name_until_last_url_leaves(self):
-        summary = ServerNameSummary()
+        summary = KeySetSummary("server-name")
         summary.add("http://a.com/1")
         summary.add("http://a.com/2")
         summary.remove("http://a.com/1")
@@ -153,7 +152,7 @@ class TestServerName:
         assert not summary.may_contain("http://a.com/2")
 
     def test_delta_only_on_first_and_last(self):
-        summary = ServerNameSummary()
+        summary = KeySetSummary("server-name")
         summary.add("http://a.com/1")
         assert summary.drain_delta().change_count == 1
         summary.add("http://a.com/2")
@@ -164,7 +163,7 @@ class TestServerName:
         assert summary.drain_delta().change_count == 1
 
     def test_ports_are_distinct_servers(self):
-        summary = ServerNameSummary()
+        summary = KeySetSummary("server-name")
         summary.add("http://a.com:8080/1")
         assert not summary.may_contain("http://a.com/1")
 
@@ -214,8 +213,8 @@ class TestFactories:
     @pytest.mark.parametrize(
         "kind,cls",
         [
-            ("exact-directory", ExactDirectorySummary),
-            ("server-name", ServerNameSummary),
+            ("exact-directory", KeySetSummary),
+            ("server-name", KeySetSummary),
             ("bloom", BloomSummary),
         ],
     )
@@ -224,6 +223,7 @@ class TestFactories:
             SummaryConfig(kind=kind), 1024 * 1024
         )
         assert isinstance(summary, cls)
+        assert summary.kind == kind
 
 
 @given(

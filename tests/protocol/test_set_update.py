@@ -23,7 +23,6 @@ from repro.protocol.wire import (
     REPR_BLOOM,
     REPR_EXACT,
     REPR_SERVER_NAME,
-    SET_UPDATE_HEADER_SIZE,
     DirUpdate,
     Opcode,
     SetDirUpdate,
@@ -163,17 +162,38 @@ class TestBatching:
         for message in messages:
             assert message.wire_size() <= MTU
 
-    def test_mtu_too_small_raises(self):
+    def test_oversized_name_travels_alone(self):
         # A server name comes from a client's URL, so it can outgrow
-        # the datagram.
-        budget = MTU - ICP_HEADER_SIZE - SET_UPDATE_HEADER_SIZE
-        with pytest.raises(ProtocolError, match="mtu"):
-            build_set_update_messages(
-                REPR_SERVER_NAME, names("h" * budget + ".example.net"), ()
-            )
+        # the datagram: it goes in one of its own, alone or not.
+        huge = "h" * 2000
+        (alone,) = build_set_update_messages(
+            REPR_SERVER_NAME, names(huge), ()
+        )
+        assert alone.added == names(huge)
+        assert alone.wire_size() > MTU
+        assert decode_message(alone.encode()) == alone
+        small, big = build_set_update_messages(
+            REPR_SERVER_NAME, names("a.com", huge), ()
+        )
+        assert (small.added, big.added) == (names("a.com"), names(huge))
+        assert (small.wire_size(), big.wire_size()) == (35, 2030)
 
     def test_empty_delta_builds_no_messages(self):
         assert build_set_update_messages(REPR_EXACT, (), ()) == []
+
+
+@given(
+    st.lists(st.integers(1, 3 * MTU).map(lambda n: b"n" * n), max_size=12),
+    st.lists(st.integers(1, 3 * MTU).map(lambda n: b"o" * n), max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_batches_fit_the_mtu_or_carry_one_record(added, removed):
+    messages = build_set_update_messages(REPR_SERVER_NAME, added, removed)
+    for message in messages:
+        records = len(message.added) + len(message.removed)
+        assert message.wire_size() <= MTU or records == 1
+    assert [r for m in messages for r in m.added] == added
+    assert [r for m in messages for r in m.removed] == removed
 
 
 @given(

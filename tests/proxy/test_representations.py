@@ -114,6 +114,34 @@ class TestRepresentationsEndToEnd:
         assert held == cached
 
 
+    def test_host_larger_than_a_datagram_reaches_the_peer(self):
+        """A server name over the update budget ships alone in an
+        oversized datagram: the client still gets its document, and the
+        peer's copy holds the name."""
+        url = f"http://{'h' * 2000}/doc"
+
+        async def scenario():
+            config = config_for(
+                "server-name", update_policy=ThresholdUpdatePolicy(0.0)
+            )
+            async with ProxyCluster(
+                num_proxies=2,
+                mode=ProxyMode.SC_ICP,
+                cache_capacity=512 * 1024,
+                base_config=config,
+            ) as cluster:
+                body = await cluster.driver_for(0).fetch(url, size=512)
+                await asyncio.sleep(0.1)
+                proxy0, proxy1 = cluster.proxies
+                addr0 = (proxy0.config.host, proxy0.icp_port)
+                return proxy1, body, copy_holds(proxy1, addr0, url)
+
+        proxy1, body, held = run(scenario())
+        assert len(body) == 512
+        assert held
+        assert proxy1.stats.dirupdate_rejects == 0
+
+
 class TestMixedRepresentations:
     """A peer whose updates carry another representation than this
     proxy's is rejected and counted; its slot never gets a copy."""

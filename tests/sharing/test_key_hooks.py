@@ -5,7 +5,7 @@ The replay loop wires each summary-sharing proxy's cache to
 url -> summary key memo, so no insert or evict re-derives a key.  Any
 request sequence must leave each summary exactly as the URL-deriving
 :meth:`SummaryNode.on_insert` / :meth:`SummaryNode.on_evict` leave it:
-same counters and bits, digest set or refcounts, pending record count,
+same counters and bits, key counts, pending record count,
 and drained delta.
 """
 
@@ -18,7 +18,6 @@ from repro.cache import WebCache
 from repro.sharing.engine import _summary_proxies
 from repro.sharing.summary_sharing import SummarySharingConfig
 from repro.summaries import BloomSummary, SummaryConfig, SummaryNode
-from repro.summaries.servername import ServerNameSummary
 
 KiB = 1024
 URLS = [f"http://s{i % 4}.example.com/doc{i}" for i in range(12)]
@@ -56,10 +55,8 @@ def _state(node: SummaryNode):
     if isinstance(local, BloomSummary):
         cbf = local.counting_filter
         held = (cbf.counters.to_bytes(), cbf.filter.bits.to_bytes(), len(local))
-    elif isinstance(local, ServerNameSummary):
-        held = sorted(local._refcounts.items())
     else:
-        held = list(local.export().added)
+        held = sorted(local._counts.items())
     return node.new_since_update, held, local.pending_change_count()
 
 

@@ -19,8 +19,7 @@ from repro.summaries import (
     make_local_summary,
 )
 from repro.summaries.bloom import BloomSummary
-from repro.summaries.exact import ExactDirectorySummary
-from repro.summaries.servername import ServerNameSummary
+from repro.summaries.keyset import KeySetSummary
 
 ALL_KINDS = ("bloom", "exact-directory", "server-name")
 
@@ -37,8 +36,8 @@ class TestFactory:
         "kind, cls",
         [
             ("bloom", BloomSummary),
-            ("exact-directory", ExactDirectorySummary),
-            ("server-name", ServerNameSummary),
+            ("exact-directory", KeySetSummary),
+            ("server-name", KeySetSummary),
         ],
     )
     def test_kind_selects_class(self, kind, cls):
@@ -46,6 +45,7 @@ class TestFactory:
             SummaryConfig(kind=kind), 1024 * 1024
         )
         assert isinstance(summary, cls)
+        assert summary.kind == kind
 
     def test_unknown_kind_rejected_at_config(self):
         with pytest.raises(ConfigurationError):

@@ -22,8 +22,7 @@ from repro.protocol.wire import (
 from repro.protocol.update import DigestAssembler
 from repro.summaries import PeerSummaries, SummaryConfig, SummaryNode, codec
 from repro.summaries.bloom import BloomSummary
-from repro.summaries.exact import ExactDirectorySummary
-from repro.summaries.servername import ServerNameSummary
+from repro.summaries.keyset import KeySetSummary
 
 URLS = [f"http://c{i % 5}.codec.net/doc{i}" for i in range(25)]
 #: Expected documents of the two Bloom geometries the encoding rule is
@@ -230,11 +229,9 @@ class TestLocalRemoteAgreement:
         for url in probes:
             assert holds(store, url) == summary.may_contain(url)
 
-    @pytest.mark.parametrize(
-        "summary_cls", [ExactDirectorySummary, ServerNameSummary]
-    )
-    def test_export_matches_local(self, summary_cls):
-        self.assert_agrees(summary_cls())
+    @pytest.mark.parametrize("kind", ["exact-directory", "server-name"])
+    def test_export_matches_local(self, kind):
+        self.assert_agrees(KeySetSummary(kind))
 
     def test_bloom_export_matches_local(self):
         self.assert_agrees(BloomSummary(1000, SummaryConfig(kind="bloom")))

@@ -24,8 +24,7 @@ from repro.errors import (
     SummaryStateError,
 )
 from repro.obs.spans import SpanRing
-from repro.summaries.exact import ExactDirectorySummary
-from repro.summaries.servername import ServerNameSummary
+from repro.summaries.keyset import KeySetSummary
 
 
 class TestDualInheritance:
@@ -82,12 +81,12 @@ class TestRaiseSites:
             cbf.remove("absent")
 
     def test_exact_summary_remove_unknown_url(self):
-        summary = ExactDirectorySummary()
+        summary = KeySetSummary("exact-directory")
         with pytest.raises(SummaryStateError):
             summary.remove("http://never.added/doc")
 
     def test_servername_summary_remove_unknown_server(self):
-        summary = ServerNameSummary()
+        summary = KeySetSummary("server-name")
         with pytest.raises(SummaryStateError):
             summary.remove("http://never.added/doc")
 
