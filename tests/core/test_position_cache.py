@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,12 @@ from repro.core.position_cache import (
     positions_from_stream,
 )
 from repro.errors import ConfigurationError, KeyTypeError
+from repro.sharing.summary_sharing import (
+    SummarySharingConfig,
+    simulate_summary_sharing,
+)
+from repro.summaries import SummaryConfig
+from repro.traces.binary import BinaryTraceReader, pack_trace
 
 URL = "http://www.example.com/a/b/c.html"
 
@@ -129,6 +137,19 @@ class TestLruBound:
         cache.positions("a", 4, 32, 1_000)
         assert cache.stats()["misses"] == misses + 1
 
+    def test_miss_at_a_new_geometry_refreshes_recency(self):
+        """A rebuild's just-used line is the hottest, not the coldest."""
+        cache = HashPositionCache(max_entries=2)
+        cache.positions("a", 4, 32, 1_000)
+        cache.positions("b", 4, 32, 1_000)
+        cache.positions("a", 4, 32, 2_000)  # a miss on a held line
+        cache.digest("c")  # evicts "b", the least recently used
+        misses = cache.stats()["misses"]
+        cache.digest("a")
+        assert cache.stats()["misses"] == misses
+        cache.digest("b")
+        assert cache.stats()["misses"] == misses + 1
+
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ConfigurationError):
             HashPositionCache(max_entries=0)
@@ -140,6 +161,102 @@ class TestLruBound:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["hits"] == 1
+
+
+class TestEvictionAcrossTables:
+    def test_evicted_key_is_left_in_no_table(self):
+        cache = HashPositionCache(max_entries=3)
+        for key in ("a", "b", "c"):
+            cache.positions(key, 4, 32, 1_000)
+            cache.positions(key, 4, 32, 2_000)
+            cache.positions(key, 4, 50, 99_991)  # 200 bits: a wide line
+        cache.digest("d")  # evicts "a"
+        assert "a" not in cache._lines
+        assert all("a" not in table for table in cache._tables.values())
+        assert "a" not in cache._wide
+        assert set(cache._wide) == {"b", "c"}
+        assert len(cache._tables) == 3
+
+    def test_emptied_table_is_dropped(self):
+        cache = HashPositionCache(max_entries=1)
+        cache.positions("a", 4, 32, 1_000)
+        cache.positions("b", 4, 32, 2_000)  # evicts "a", the 1,000 table's last key
+        assert set(cache._tables) == {(4, 32, 2_000)}
+        assert cache.positions("b", 4, 32, 2_000) == reference("b", 4, 32, 2_000)
+
+    def test_wide_positions_survive_a_narrow_eviction(self):
+        cache = HashPositionCache(max_entries=2)
+        first = cache.positions("a", 4, 50, 99_991)
+        cache.positions("b", 4, 32, 1_000)
+        cache.positions("a", 4, 50, 88_883)  # re-sliced from the held stream
+        cache.digest("c")  # evicts "b"
+        assert cache.positions("a", 4, 50, 99_991) is first
+        assert cache.positions("a", 4, 50, 88_883) == reference("a", 4, 50, 88_883)
+
+    @pytest.mark.parametrize("kind", ["bloom", "exact-directory"])
+    def test_replay_is_identical_under_a_tiny_memo(
+        self, kind, small_trace, tmp_path, monkeypatch
+    ):
+        """A memo that evicts on nearly every lookup changes no counter."""
+        path = str(tmp_path / "small.sctr")
+        pack_trace(small_trace, path)
+        config = SummarySharingConfig(summary=SummaryConfig(kind=kind))
+
+        def replay():
+            return simulate_summary_sharing(
+                BinaryTraceReader(path), 4, 256 * 1024, config
+            )
+
+        full = replay()
+        memo = get_position_cache()
+        memo.clear()
+        monkeypatch.setattr(memo, "_max_entries", 64)
+        evictions = memo.evictions
+        tiny = replay()
+        assert len(memo) == 64
+        assert memo.evictions > evictions
+        assert tiny == full
+
+
+URLS = [f"http://www.site{i % 977}.example.com/doc/{i}.html" for i in range(50_000)]
+
+
+class TestFootprint:
+    """What one line costs: a few dict entries, no object of its own."""
+
+    @staticmethod
+    def bytes_per_line(fill) -> float:
+        cache = HashPositionCache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fill(cache)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (after - before) / len(URLS)
+
+    def test_bloom_line_bytes(self):
+        per_line = self.bytes_per_line(
+            lambda cache: [cache.positions(url, 4, 32, 1 << 20) for url in URLS]
+        )
+        assert per_line <= 400
+
+    def test_digest_line_bytes(self):
+        per_line = self.bytes_per_line(
+            lambda cache: [cache.digest(url) for url in URLS]
+        )
+        assert per_line <= 170
+
+    def test_lines_are_not_gc_tracked(self):
+        cache = HashPositionCache()
+        gc.collect()
+        before = len(gc.get_objects())
+        for url in URLS[:10_000]:
+            cache.positions(url, 4, 32, 1 << 20)
+        gc.collect()
+        assert len(gc.get_objects()) - before < 100
 
 
 class TestProcessDefault:
