@@ -33,6 +33,7 @@ from typing import List
 
 from repro.placement.ring import carp_owner
 from repro.sharing.engine import _replay
+from repro.sharing.schemes import resolve_capacities
 from repro.traces.partition import TraceLike
 
 __all__ = ["CarpResult", "simulate_carp"]
@@ -73,7 +74,7 @@ def simulate_carp(
     tally, caches, rerouted = _replay(
         trace,
         "carp",
-        [capacity_per_proxy] * num_proxies,
+        resolve_capacities(num_proxies, capacity_per_proxy),
         policy=policy,
         route=lambda url: carp_owner(url, num_proxies),
     )

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sharing.engine import _replay
+from repro.sharing.schemes import resolve_capacities
 from repro.traces.partition import TraceLike
 
 
@@ -59,7 +60,7 @@ def simulate_directory_server(
     result = _replay(
         trace,
         "directory-server",
-        [capacity_per_proxy] * num_proxies,
+        resolve_capacities(num_proxies, capacity_per_proxy),
         policy=policy,
         ask="directory",
         messages="directory",

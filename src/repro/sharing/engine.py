@@ -37,7 +37,7 @@ from repro.sharing.messages import (
 from repro.sharing.results import MessageCounts, SharingResult
 from repro.summaries import BitFlipDelta, PeerSummaries, SummaryNode
 from repro.summaries.codec import ships_whole
-from repro.traces.partition import TraceLike, grouped_chunks
+from repro.traces.partition import TraceLike
 
 if TYPE_CHECKING:
     from repro.sharing.summary_sharing import SummarySharingConfig
@@ -203,99 +203,99 @@ def _replay(
     lookups = [cache.peek for cache in caches]
     rerouted = 0
 
-    # Replay in chunks, each chunk's group ids derived in one sweep.
-    for chunk in grouped_chunks(trace, groups):
-        for g, req in chunk:
-            url = req.url
-            if owners is not None:
-                owner = owners[url]
-                if owner != g:
-                    rerouted += 1
-                g = owner
-            cache = caches[g]
-            result.requests += 1
-            result.bytes_requested += req.size
+    # One record at a time: nothing a record allocates outlives it.
+    for req in trace:
+        g = req.client_id % groups
+        url = req.url
+        if owners is not None:
+            owner = owners[url]
+            if owner != g:
+                rerouted += 1
+            g = owner
+        cache = caches[g]
+        result.requests += 1
+        result.bytes_requested += req.size
 
-            entry = cache.get(url, req.version, req.size)
-            if entry is not None:
-                result.local_hits += 1
-                result.bytes_hit += entry.size
-                continue
+        entry = cache.get(url, req.version, req.size)
+        if entry is not None:
+            result.local_hits += 1
+            result.bytes_hit += entry.size
+            continue
 
-            # Who is asked, as a peer bitmask; never the requester.
+        # Who is asked, as a peer bitmask; never the requester.
+        if probe is not None:
+            mask = probe(keys[url])
+        elif directory is not None:
+            mask = directory.get(url, 0)
+        else:
+            mask = everyone
+        mask &= ~(1 << g)
+        # slots_of(mask), spelled out: a call per miss is the one
+        # thing this loop can still save.
+        candidates = []
+        while mask:
+            low = mask & -mask
+            candidates.append(low.bit_length() - 1)
+            mask ^= low
+
+        version = req.version
+        fresh = None
+        stale_seen = False
+        if candidates:
+            if per_peer:
+                asked = len(candidates)
+                msgs.query_messages += asked
+                msgs.reply_messages += asked
+                msgs.query_bytes += QUERY_MESSAGE_BYTES * asked
+                msgs.reply_bytes += QUERY_MESSAGE_BYTES * asked
+            for j in candidates:
+                entry = lookups[j](url)
+                if entry is not None:
+                    if entry.version == version:
+                        fresh = j
+                        break
+                    stale_seen = True
+        if fresh is not None:
+            result.remote_hits += 1
+            result.bytes_hit += req.size
+            caches[fresh].touch(url)  # serving peer refreshes recency
+            if not caches_remote_hits:
+                continue  # the single copy stays at the peer
+        else:
+            if stale_seen:
+                result.remote_stale_hits += 1
+            elif candidates and probe is not None:
+                result.false_hits += 1
             if probe is not None:
-                mask = probe(keys[url])
-            elif directory is not None:
-                mask = directory.get(url, 0)
-            else:
-                mask = everyone
-            mask &= ~(1 << g)
-            # slots_of(mask), spelled out: a call per miss is the one
-            # thing this loop can still save.
-            candidates = []
-            while mask:
-                low = mask & -mask
-                candidates.append(low.bit_length() - 1)
-                mask ^= low
+                # Only a summary can hide a peer's copy: a fresh one
+                # anywhere is one the summaries failed to reveal.
+                for lookup in lookups:
+                    entry = lookup(url)
+                    if entry is not None and entry.version == version:
+                        result.false_misses += 1
+                        break
+            if parent is not None:
+                # The parent serves from its cache, or fetches from
+                # the origin on the child's behalf and keeps a copy.
+                if parent.get(url, version, req.size) is None:
+                    parent.put(url, req.size, version=version)
 
-            version = req.version
-            fresh = None
-            stale_seen = False
-            if candidates:
-                if per_peer:
-                    asked = len(candidates)
-                    msgs.query_messages += asked
-                    msgs.reply_messages += asked
-                    msgs.query_bytes += QUERY_MESSAGE_BYTES * asked
-                    msgs.reply_bytes += QUERY_MESSAGE_BYTES * asked
-                for j in candidates:
-                    entry = lookups[j](url)
-                    if entry is not None:
-                        if entry.version == version:
-                            fresh = j
-                            break
-                        stale_seen = True
-            if fresh is not None:
-                result.remote_hits += 1
-                result.bytes_hit += req.size
-                caches[fresh].touch(url)  # serving peer refreshes recency
-                if not caches_remote_hits:
-                    continue  # the single copy stays at the peer
-            else:
-                if stale_seen:
-                    result.remote_stale_hits += 1
-                elif candidates and probe is not None:
-                    result.false_hits += 1
-                if probe is not None:
-                    # Only a summary can hide a peer's copy: a fresh one
-                    # anywhere is one the summaries failed to reveal.
-                    for lookup in lookups:
-                        entry = lookup(url)
-                        if entry is not None and entry.version == version:
-                            result.false_misses += 1
-                            break
-                if parent is not None:
-                    # The parent serves from its cache, or fetches from
-                    # the origin on the child's behalf and keeps a copy.
-                    if parent.get(url, version, req.size) is None:
-                        parent.put(url, req.size, version=version)
-
-            # Cache what was fetched (from a peer, the parent or the
-            # origin); the insert may have made an update due.
-            cache.put(url, req.size, version=version)
-            if update_policy is not None and (
-                live
-                or nodes[g].due_for_update(
-                    update_policy, req.timestamp, len(cache)
-                )
-            ):
-                delta = nodes[g].publish(req.timestamp)
-                shipped.apply_delta(g, delta)
-                if live:
-                    continue  # no update delay: no message to count
-                update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
-                msgs.update_messages += fanout
-                msgs.update_bytes += update_bytes
+        # Cache what was fetched (from a peer, the parent or the
+        # origin); the insert may have made an update due.
+        cache.put(url, req.size, version=version)
+        if update_policy is not None and (
+            live
+            or nodes[g].due_for_update(
+                update_policy, req.timestamp, len(cache)
+            )
+        ):
+            delta = nodes[g].publish(req.timestamp)
+            shipped.apply_delta(g, delta)
+            if live:
+                continue  # no update delay: no message to count
+            update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
+            msgs.update_messages += fanout
+            msgs.update_bytes += update_bytes
 
     if messages == "directory":
         # One query to the server and one reply back per local miss.

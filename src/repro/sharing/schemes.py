@@ -31,6 +31,8 @@ def resolve_capacities(
     num_proxies: int, capacity: Capacity
 ) -> List[int]:
     """Expand a scalar or per-proxy capacity spec into one int per proxy."""
+    if num_proxies < 1:
+        raise ConfigurationError(f"num_proxies must be >= 1, got {num_proxies}")
     if isinstance(capacity, int):
         sizes = [capacity] * num_proxies
     else:

@@ -84,8 +84,8 @@ def simulate_summary_sharing(
 
     *trace* may be a materialized :class:`~repro.traces.model.Trace`, an
     mmap-backed :class:`~repro.traces.binary.BinaryTraceReader`, or any
-    request iterable; the replay consumes it once, chunk by chunk, so a
-    streamed trace is never resident in memory.  Counters are bit-exact
+    request iterable; the replay reads it once, one record at a time,
+    so a streamed trace is never resident in memory.  Counters are bit-exact
     across all three for the same request stream.
     """
     cfg = config or SummarySharingConfig()

@@ -3,25 +3,23 @@
 The paper partitions trace clients into proxy groups: "A client is put
 in a group if its clientid mod the group size equals the group ID"
 (16 groups for DEC, 8 for UCB and UPisa; Questnet's 12 child proxies and
-NLANR's 4 proxies are given by the traces themselves).
+NLANR's 4 proxies are given by the traces themselves).  The sharing
+simulators apply that rule record by record as they replay
+(``repro.sharing.engine._replay``); :func:`client_streams` deals a trace
+to the proxies and serial clients of the DES and the live cluster.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
-from repro.traces.model import Request, Trace
+from repro.traces.model import Request
 
 #: What the partitioners accept: a materialized :class:`Trace`, an
 #: mmap-backed binary reader, or any plain request iterable/generator.
 TraceLike = Iterable[Request]
-
-#: Default replay chunk: large enough to amortise the per-chunk sweep,
-#: small enough that a chunk of annotated requests stays cache-resident.
-DEFAULT_CHUNK_SIZE = 2048
 
 
 def group_of(client_id: int, num_groups: int) -> int:
@@ -29,43 +27,6 @@ def group_of(client_id: int, num_groups: int) -> int:
     if num_groups < 1:
         raise ConfigurationError(f"num_groups must be >= 1, got {num_groups}")
     return client_id % num_groups
-
-
-def grouped_chunks(
-    trace: TraceLike,
-    num_groups: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Iterator[List[Tuple[int, Request]]]:
-    """Yield the merged stream in chunks of ``(group_id, request)`` pairs.
-
-    Group ids for a whole chunk are derived in one comprehension sweep
-    rather than one :func:`group_of` call per request -- the batched
-    replay path of the sharing simulators.  Request order is unchanged,
-    so replaying chunk-by-chunk is bit-exact with the per-request loop.
-
-    Accepts any request iterable.  A materialized trace (or any random
-    access sequence) is sliced in place; everything else -- generators,
-    mmap-backed binary readers -- streams through :func:`itertools.islice`
-    windows, so no more than one chunk is ever resident.
-    """
-    if num_groups < 1:
-        raise ConfigurationError(f"num_groups must be >= 1, got {num_groups}")
-    if chunk_size < 1:
-        raise ConfigurationError(f"chunk_size must be >= 1, got {chunk_size}")
-    requests: Iterable[Request] = (
-        trace.requests if isinstance(trace, Trace) else trace
-    )
-    if isinstance(requests, Sequence):
-        for start in range(0, len(requests), chunk_size):
-            chunk = requests[start : start + chunk_size]
-            yield [(req.client_id % num_groups, req) for req in chunk]
-        return
-    stream = iter(requests)
-    while True:
-        chunk = list(islice(stream, chunk_size))
-        if not chunk:
-            return
-        yield [(req.client_id % num_groups, req) for req in chunk]
 
 
 def client_streams(

@@ -56,6 +56,30 @@ class TestTinyTraceByHand:
         assert r.total_hit_ratio == pytest.approx(0.5)
 
 
+class TestGroupRule:
+    """Client c is served by proxy c mod N (the paper's partition)."""
+
+    def test_clients_congruent_mod_n_share_a_proxy(self):
+        trace = Trace(
+            requests=[
+                Request(0.0, 1, "http://x.com/a", 100),
+                Request(1.0, 3, "http://x.com/a", 100),
+            ]
+        )
+        r = simulate_no_sharing(trace, 2, 10_000)
+        assert (r.requests, r.local_hits) == (2, 1)
+
+    def test_clients_apart_mod_n_do_not(self):
+        trace = Trace(
+            requests=[
+                Request(0.0, 0, "http://x.com/b", 100),
+                Request(1.0, 1, "http://x.com/b", 100),
+            ]
+        )
+        r = simulate_no_sharing(trace, 2, 10_000)
+        assert (r.requests, r.local_hits) == (2, 0)
+
+
 class TestSingleCopyKeepsOneCopy:
     def test_no_duplicate_caching_on_remote_hit(self):
         trace = Trace(

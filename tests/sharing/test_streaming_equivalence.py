@@ -6,13 +6,19 @@ must not change a single counter of what they compute.  Every sharing
 simulator is fed the same workload three ways -- materialized
 :class:`~repro.traces.model.Trace`, :class:`~repro.traces.binary.
 BinaryTraceReader`, and one-shot generator -- and the results compared
-with dataclass equality (every hit, byte, and message count).
+with dataclass equality (every hit, byte, and message count).  The
+replay also reads its input lazily, one record at a time, and refuses
+a zero proxy count before it reads any record.
 """
 
 from __future__ import annotations
 
+import uuid
+
 import pytest
 
+from repro.core.position_cache import get_position_cache
+from repro.errors import ConfigurationError
 from repro.sharing.carp import simulate_carp
 from repro.sharing.directory_server import simulate_directory_server
 from repro.sharing.hierarchy import simulate_hierarchy
@@ -29,6 +35,7 @@ from repro.sharing.summary_sharing import (
 )
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.traces.binary import BinaryTraceReader, pack_trace
+from repro.traces.model import Request
 
 GROUPS = 4
 CAPACITY = 256 * 1024
@@ -140,3 +147,58 @@ def test_generator_reports_stream_name(small_trace):
         (r for r in small_trace.requests), GROUPS, CAPACITY
     )
     assert result.trace_name == "stream"
+
+
+@pytest.mark.parametrize("kind", ["bloom", "exact-directory"])
+def test_the_replay_reads_one_record_at_a_time(kind):
+    """Record k is drawn only after records 0..k-1 have been replayed.
+
+    Every URL is new to the process-wide memo, so each record's local
+    miss installs one memo line when it derives its probe key; the
+    lines installed count the records replayed so far.
+    """
+    memo = get_position_cache()
+
+    def installed():
+        return len(memo) + memo.evictions
+
+    start = installed()
+    run = uuid.uuid4().hex
+
+    def records():
+        for k in range(40):
+            behind = k - (installed() - start)
+            assert behind == 0, (
+                f"record {k} drawn with {behind} records not yet replayed"
+            )
+            yield Request(float(k), k, f"http://lazy-{run}.test/{k}", 100)
+
+    cfg = SummarySharingConfig(summary=SummaryConfig(kind=kind))
+    result = simulate_summary_sharing(records(), GROUPS, CAPACITY, cfg)
+    assert result.requests == 40
+    assert installed() - start == 40
+
+
+def _untouched():
+    """A trace that fails the test if anything reads a record of it."""
+    raise AssertionError("a record was read")
+    yield  # pragma: no cover - makes this a generator
+
+
+@pytest.mark.parametrize(
+    "simulate",
+    [
+        simulate_no_sharing,
+        simulate_simple_sharing,
+        simulate_single_copy_sharing,
+        simulate_global_cache,
+        simulate_summary_sharing,
+        simulate_icp,
+        simulate_carp,
+        simulate_directory_server,
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_zero_proxies_rejected_before_any_record_is_read(simulate):
+    with pytest.raises(ConfigurationError, match="num_proxies"):
+        simulate(_untouched(), 0, CAPACITY)

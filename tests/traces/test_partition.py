@@ -18,59 +18,6 @@ class TestGroupOf:
             group_of(1, 0)
 
 
-class TestGroupedChunks:
-    def test_flattened_chunks_equal_split_by_group(self, tiny_trace):
-        from repro.traces.partition import grouped_chunks
-
-        expected = [(group_of(r.client_id, 2), r) for r in tiny_trace]
-        for chunk_size in (1, 2, len(tiny_trace), len(tiny_trace) + 5):
-            flattened = [
-                pair
-                for chunk in grouped_chunks(tiny_trace, 2, chunk_size=chunk_size)
-                for pair in chunk
-            ]
-            assert flattened == expected
-
-    def test_chunk_boundaries(self, tiny_trace):
-        from repro.traces.partition import grouped_chunks
-
-        sizes = [len(c) for c in grouped_chunks(tiny_trace, 2, chunk_size=4)]
-        assert sizes == [4, len(tiny_trace) - 4]
-
-    def test_rejects_bad_group_count(self, tiny_trace):
-        from repro.traces.partition import grouped_chunks
-
-        with pytest.raises(ConfigurationError):
-            list(grouped_chunks(tiny_trace, 0))
-
-    def test_rejects_bad_chunk_size(self, tiny_trace):
-        from repro.traces.partition import grouped_chunks
-
-        with pytest.raises(ConfigurationError):
-            list(grouped_chunks(tiny_trace, 2, chunk_size=0))
-
-
-class TestIterableInputs:
-    """The partition helpers accept any Request iterable, not just Trace."""
-
-    def test_grouped_chunks_over_generator(self, tiny_trace):
-        from repro.traces.partition import grouped_chunks
-
-        from_trace = [
-            pair
-            for chunk in grouped_chunks(tiny_trace, 2, chunk_size=2)
-            for pair in chunk
-        ]
-        from_stream = [
-            pair
-            for chunk in grouped_chunks(
-                (r for r in tiny_trace.requests), 2, chunk_size=2
-            )
-            for pair in chunk
-        ]
-        assert from_stream == from_trace
-
-
 def dealt(streams):
     return [(proxy, [r.timestamp for r in requests]) for proxy, requests in streams]
 
