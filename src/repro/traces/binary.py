@@ -28,8 +28,11 @@ size (u32), and document version (u32).  URLs are deduplicated into the
 string table, so a trace's on-disk cost is ~24 bytes/request plus its
 *distinct* URL bytes.
 
-Memory model: :class:`BinaryTraceWriter` holds only the URL-dedup dict
-(O(distinct URLs)); :class:`BinaryTraceReader` maps the file and decodes
+Memory model: :class:`BinaryTraceWriter` holds the string table and,
+for :class:`Request` input, the URL-dedup dict (O(distinct URLs)); a
+source that hands out URL ids itself needs no dict
+(:meth:`BinaryTraceWriter.pack_records`).  :class:`BinaryTraceReader`
+maps the file and decodes
 records on the fly, advising consumed pages away (``MADV_DONTNEED``)
 during sequential scans so peak RSS stays flat in the trace length.
 """
@@ -45,8 +48,10 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
+    Tuple,
     Type,
     Union,
 )
@@ -72,14 +77,26 @@ STRING_ENTRY_SIZE = 2
 
 #: A u16 length prefix caps string-table entries (URLs) at 64 KiB - 1.
 MAX_URL_BYTES = 0xFFFF
-#: Record fields are u32: client id, URL id, size, and version ceilings.
-MAX_FIELD_VALUE = 0xFFFFFFFF
 
-#: Writer buffer: packed records accumulate and flush at this size.
+#: Writer buffer: packed records accumulate and flush at about this size.
 _WRITE_BUFFER_BYTES = 1 << 20
 #: Sequential reads advise consumed pages away once this many bytes of
 #: the mapping are behind the iterator (multiple of the page size).
 DEFAULT_ADVISE_WINDOW = 8 * 1024 * 1024
+
+
+def _encode_url(url: str) -> bytes:
+    """*url* as a string-table entry's bytes, checked against the format."""
+    try:
+        encoded = url.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TraceFormatError(f"URL is not encodable as UTF-8: {exc}") from exc
+    if len(encoded) > MAX_URL_BYTES:
+        raise TraceFormatError(
+            f"URL is {len(encoded)} bytes; the string table's u16 "
+            f"length prefix caps entries at {MAX_URL_BYTES}"
+        )
+    return encoded
 
 
 class BinaryTraceWriter:
@@ -92,6 +109,9 @@ class BinaryTraceWriter:
         with BinaryTraceWriter(path, name="dec") as writer:
             for request in iter_requests(config):
                 writer.append(request)
+
+    An exception that leaves the ``with`` block removes the file
+    instead: a pack cut short never reads as a complete trace.
     """
 
     def __init__(self, path: PathLike, name: str = "unnamed") -> None:
@@ -129,59 +149,77 @@ class BinaryTraceWriter:
     def extend(self, requests: Iterable[Request]) -> None:
         """Append every request from an iterable.
 
-        One loop packs every record: a URL seen before costs one dict
-        read, a new one is checked (UTF-8, the u16 length prefix, the
-        u32 id space) and added to the string table.
+        Each URL is looked up in the writer's URL -> id dict and the
+        records go to :meth:`pack_records`.  A URL the table lacks gets
+        the table's next id; the dict learns it only once its record has
+        packed (the lookup resumes after the packer took the record), so
+        a rejected record leaves no trace in either.
         """
         url_ids = self._url_ids
+        table = self._url_bytes
+        new_urls: Dict[int, str] = {}
+
+        def records() -> Iterator[Tuple[float, int, int, int, int]]:
+            for timestamp, client_id, url, size, version in requests:
+                url_id = url_ids.get(url)
+                fresh = url_id is None
+                if url_id is None:
+                    url_id = len(table)
+                    new_urls[url_id] = url
+                yield timestamp, client_id, url_id, size, version
+                if fresh:
+                    url_ids[url] = url_id
+                    del new_urls[url_id]
+
+        self.pack_records(records(), new_urls)
+
+    def pack_records(
+        self,
+        records: Iterable[Tuple[float, int, int, int, int]],
+        urls: Union[Sequence[str], Mapping[int, str]],
+    ) -> None:
+        """Append ``(timestamp, client_id, url_id, size, version)`` records.
+
+        The writer's one record packer.  URL ids must appear in
+        first-use order: an id equal to the string table's length adds
+        ``urls[url_id]`` to the table, once its record has packed (UTF-8,
+        the u16 length prefix and every u32 field checked), and an id
+        past it is rejected.  A rejected record leaves the ones before it.
+        """
         buffer = self._buffer
+        table = self._url_bytes
+        next_id = len(table)
         pack = _TRACE_RECORD.pack
         count = self._count
+        flush_at = count + max(
+            1, (_WRITE_BUFFER_BYTES - len(buffer)) // TRACE_RECORD_SIZE
+        )
         try:
-            for request in requests:
-                url = request.url
-                url_id = url_ids.get(url)
-                if url_id is None:
-                    url_id = url_ids[url] = self._new_url_id(url)
+            for timestamp, client_id, url_id, size, version in records:
                 try:
-                    buffer += pack(
-                        request.timestamp,
-                        request.client_id,
-                        url_id,
-                        request.size,
-                        request.version,
-                    )
+                    record = pack(timestamp, client_id, url_id, size, version)
                 except struct.error as exc:
                     raise TraceFormatError(
                         f"request field out of range for u32 record layout: "
-                        f"client_id={request.client_id} size={request.size} "
-                        f"version={request.version}: {exc}"
+                        f"client_id={client_id} url_id={url_id} size={size} "
+                        f"version={version}: {exc}"
                     ) from exc
+                if url_id >= next_id:
+                    if url_id > next_id:
+                        raise TraceFormatError(
+                            f"URL id {url_id} skips the string table's next "
+                            f"id {next_id}"
+                        )
+                    table.append(_encode_url(urls[url_id]))
+                    next_id += 1
+                buffer += record
                 count += 1
-                if len(buffer) >= _WRITE_BUFFER_BYTES:
+                if count == flush_at:
                     self._fh.write(buffer)
                     buffer.clear()
+                    flush_at = count + _WRITE_BUFFER_BYTES // TRACE_RECORD_SIZE
         finally:
             self._count = count
-
-    def _new_url_id(self, url: str) -> int:
-        """Add *url* to the string table and return its id."""
-        try:
-            encoded = url.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise TraceFormatError(
-                f"URL is not encodable as UTF-8: {exc}"
-            ) from exc
-        if len(encoded) > MAX_URL_BYTES:
-            raise TraceFormatError(
-                f"URL is {len(encoded)} bytes; the string table's u16 "
-                f"length prefix caps entries at {MAX_URL_BYTES}"
-            )
-        url_id = len(self._url_bytes)
-        if url_id > MAX_FIELD_VALUE:
-            raise TraceFormatError("string table exceeds 2^32 entries")
-        self._url_bytes.append(encoded)
-        return url_id
 
     def close(self) -> None:
         """Flush records, write the string table, back-patch the header."""
@@ -220,7 +258,14 @@ class BinaryTraceWriter:
         exc: Optional[BaseException],
         tb: Optional[TracebackType],
     ) -> None:
-        self.close()
+        if exc_type is None:
+            self.close()
+        elif not self._closed:
+            # No back-patch: a pack that raised leaves no file that
+            # reads as a whole, shorter trace.
+            self._closed = True
+            self._fh.close()
+            self._path.unlink(missing_ok=True)
 
 
 def pack_trace(requests, path: PathLike, name: str = "unnamed") -> int:
@@ -410,6 +455,8 @@ class BinaryTraceReader:
                     _TRACE_RECORD.iter_unpack(view)
                 ):
                     yield Request(ts, client_id, urls[url_id], size, version)
+            except IndexError:
+                raise self._bad_url_id(url_id) from None
             finally:
                 view.release()
             pos = block_end
@@ -425,7 +472,17 @@ class BinaryTraceReader:
         ts, client_id, url_id, size, version = _TRACE_RECORD.unpack_from(
             self._mm, offset
         )
-        return Request(ts, client_id, self._urls[url_id], size, version)
+        try:
+            url = self._urls[url_id]
+        except IndexError:
+            raise self._bad_url_id(url_id) from None
+        return Request(ts, client_id, url, size, version)
+
+    def _bad_url_id(self, url_id: int) -> TraceFormatError:
+        return TraceFormatError(
+            f"{self._path}: a record's URL id {url_id} is past the "
+            f"string table's {len(self._urls)} entries"
+        )
 
     def close(self) -> None:
         """Unmap the file; the reader is unusable afterwards."""

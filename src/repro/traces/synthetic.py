@@ -31,7 +31,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from itertools import islice
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Iterator, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.traces.model import Request, Trace
@@ -44,6 +44,8 @@ if TYPE_CHECKING:
 #: amortise the vectorised draws, small enough that a block of pending
 #: draws is cache-resident.
 STREAM_BLOCK_SIZE = 8192
+#: Smallest body size drawn: the Pareto draw is raised to it.
+MIN_BODY_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,13 @@ class SyntheticTraceConfig:
         if self.pareto_alpha <= 1.0:
             raise ConfigurationError(
                 "pareto_alpha must be > 1 for a finite mean"
+            )
+        if self.mean_size < 1:
+            raise ConfigurationError("mean_size must be >= 1")
+        if self.max_size < MIN_BODY_SIZE:
+            raise ConfigurationError(
+                f"max_size must be >= {MIN_BODY_SIZE}, the smallest body "
+                f"the generator emits"
             )
         if not 0.0 <= self.mod_probability <= 1.0:
             raise ConfigurationError("mod_probability must be in [0, 1]")
@@ -175,7 +184,7 @@ def _pareto_sizes(
     # for the scale that yields the configured mean.
     scale = mean * (alpha - 1.0) / alpha
     sizes = scale * (1.0 + rng.pareto(alpha, size=count))
-    return np.minimum(sizes, cap).astype(np.int64).clip(min=64)
+    return np.minimum(sizes, cap).astype(np.int64).clip(min=MIN_BODY_SIZE)
 
 
 def _nth_newest(stack: "OrderedDict[int, None]", back: int) -> int:
@@ -207,10 +216,19 @@ def _stream_at(state: dict, offset: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def iter_requests(
-    config: SyntheticTraceConfig, block_size: int = STREAM_BLOCK_SIZE
-) -> Iterator[Request]:
-    """Stream the synthetic trace for *config* without materializing it.
+def iter_records(
+    config: SyntheticTraceConfig,
+    urls: List[str],
+    block_size: int = STREAM_BLOCK_SIZE,
+) -> Iterator[Tuple[float, int, int, int, int]]:
+    """Stream *config*'s trace as ``(timestamp, client, url_id, size,
+    version)`` records: the generator's one per-record loop.
+
+    A document's URL is built on its first request and appended to
+    *urls*, before that record is yielded, so ``urls[url_id]`` is the
+    record's URL and ids run in first-request order -- the ``.sctr``
+    string table's order, which lets the writer pack the ids as they
+    come (:meth:`~repro.traces.binary.BinaryTraceWriter.pack_records`).
 
     Bit-exact with ``generate_trace(config)`` for any *block_size*: the
     generator state is identical (per-client recency stacks, popularity
@@ -224,8 +242,7 @@ def iter_requests(
     The per-record loop reads Python objects only: each block's draws
     are turned into lists once, and the per-document tables are read
     through ``memoryview``s over their arrays (not lists, which would
-    hold a Python int per document).  Each document's URL is built on
-    its first request and reused.  The emitted records are
+    hold a Python int per document).  The emitted records are
     byte-identical for any *block_size*, which
     ``tests/traces/test_trace_digests.py`` pins.
     """
@@ -260,11 +277,10 @@ def iter_requests(
         config.docs_per_server,
         config.server_size_alpha,
     )
-    server_of_rank = np.searchsorted(
+    server_for_doc = np.empty(config.num_documents, dtype=np.int64)
+    server_for_doc[doc_ids] = np.searchsorted(
         server_rank_bounds, np.arange(config.num_documents), side="right"
     )
-    server_for_doc = np.empty(config.num_documents, dtype=np.int64)
-    server_for_doc[doc_ids] = server_of_rank
     client_ids = np_rng.permutation(config.num_clients)
 
     # The monolithic generator pre-drew six n-length streams here, one
@@ -287,21 +303,17 @@ def iter_requests(
         interarrival_stream,
     ) = (_stream_at(base_state, k * n) for k in range(6))
 
-    rank_of_doc = np.empty(config.num_documents, dtype=np.int64)
-    rank_of_doc[doc_ids] = np.arange(config.num_documents)
-
     # A memoryview read yields a plain int at a fraction of a numpy
     # scalar read's cost; a list of the table would be faster still but
     # raises the high-water mark by megabytes at preset scale.
     doc_id_of = memoryview(doc_ids)
-    rank_of = memoryview(rank_of_doc)
-    server_at_rank = memoryview(server_of_rank)
     rank_bounds = memoryview(server_rank_bounds)
     size_of = memoryview(sizes)
     server_of_doc = memoryview(server_for_doc)
     client_at_rank = memoryview(client_ids)
-    # One URL string per document, built on its first request.
-    urls: List[Optional[str]] = [None] * config.num_documents
+    # Each document's URL id, -1 until its first request.
+    url_id_of = memoryview(np.full(config.num_documents, -1, dtype=np.int64))
+    versions = [0] * config.num_documents
 
     locality_probability = config.locality_probability
     server_locality = config.server_locality
@@ -313,10 +325,12 @@ def iter_requests(
 
     # Per-client state, indexed by client id (a permutation of
     # ``range(num_clients)``): a bounded LRU stack of recent documents
-    # and the popularity rank of the last request.
-    stacks: List[Optional["OrderedDict[int, None]"]] = [None] * len(client_ids)
-    last_rank: List[Optional[int]] = [None] * len(client_ids)
-    versions: Dict[int, int] = {}
+    # and the document of the last request (-1 before the first), which
+    # is the stack's newest entry whenever the stack is not empty.
+    stacks: List["OrderedDict[int, None]"] = [
+        OrderedDict() for _ in range(config.num_clients)
+    ]
+    last_doc = [-1] * config.num_clients
     timestamp = 0.0
     produced = 0
     while produced < n:
@@ -334,41 +348,58 @@ def iter_requests(
             timestamp += gap
             client = client_at_rank[client_rank]
             stack = stacks[client]
-            if stack is None:
-                stack = stacks[client] = OrderedDict()
-
             if stack and locality < locality_probability:
-                # A re-reference, geometrically biased to recent entries.
-                doc = _nth_newest(stack, int(expovariate(0.5)))
+                # A re-reference, geometrically biased to recent
+                # entries; the newest (back == 0) is already in place.
+                back = int(expovariate(0.5))
+                if back:
+                    doc = _nth_newest(stack, back)
+                    stack.move_to_end(doc)
+                else:
+                    doc = last_doc[client]
             else:
-                prev_rank = last_rank[client]
-                if prev_rank is not None and same_site < server_locality:
+                prev = last_doc[client]
+                if prev >= 0 and same_site < server_locality:
                     # Stay on the same site: another page of the previous
                     # request's server (a rank range of its boundary table).
-                    server = server_at_rank[prev_rank]
+                    server = server_of_doc[prev]
                     low = rank_bounds[server - 1] if server > 0 else 0
                     rank = low + randrange(max(1, rank_bounds[server] - low))
                 else:
                     rank = doc_rank
                 doc = doc_id_of[rank]
-            last_rank[client] = rank_of[doc]
-            if doc in stack:
-                stack.move_to_end(doc)
-            else:
-                stack[doc] = None
-                if len(stack) > depth:
-                    stack.popitem(last=False)
+                if doc in stack:
+                    stack.move_to_end(doc)
+                else:
+                    stack[doc] = None
+                    if len(stack) > depth:
+                        stack.popitem(last=False)
+            last_doc[client] = doc
 
             if modified < mod_probability:
-                versions[doc] = versions.get(doc, 0) + 1
-
-            url = urls[doc]
-            if url is None:
-                url = urls[doc] = make_url(server_of_doc[doc], doc)
-            yield Request(
-                timestamp, client, url, size_of[doc], versions.get(doc, 0)
-            )
+                versions[doc] += 1
+            url_id = url_id_of[doc]
+            if url_id < 0:
+                url_id = url_id_of[doc] = len(urls)
+                urls.append(make_url(server_of_doc[doc], doc))
+            yield timestamp, client, url_id, size_of[doc], versions[doc]
         produced += m
+
+
+def iter_requests(
+    config: SyntheticTraceConfig, block_size: int = STREAM_BLOCK_SIZE
+) -> Iterator[Request]:
+    """Stream the synthetic trace for *config* without materializing it.
+
+    The records of :func:`iter_records` with each URL id mapped back to
+    its URL; bit-exact with ``generate_trace(config)`` for any
+    *block_size*.
+    """
+    urls: List[str] = []
+    for timestamp, client, url_id, size, version in iter_records(
+        config, urls, block_size
+    ):
+        yield Request(timestamp, client, urls[url_id], size, version)
 
 
 def generate_trace(config: SyntheticTraceConfig) -> Trace:

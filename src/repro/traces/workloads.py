@@ -23,14 +23,14 @@ Request counts are scaled down ~100x from the paper's (full-scale DEC is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.traces.model import Trace
 from repro.traces.synthetic import (
     SyntheticTraceConfig,
     generate_trace,
-    iter_requests,
+    iter_records,
 )
 
 
@@ -195,16 +195,20 @@ def pack_workload(
 ) -> Tuple[int, int]:
     """Stream preset workload *name* into a packed binary trace at *path*.
 
-    Returns ``(records_written, num_groups)``.  The request stream is
-    drained straight from the generator core into the writer, so memory
-    stays O(clients + documents + distinct URLs) however large
-    *num_requests* is.  The packed file replays bit-exact with
+    Returns ``(records_written, num_groups)``.  The generator core's
+    records go straight to the writer's packer as URL ids, with no
+    :class:`~repro.traces.model.Request` in between, so memory stays
+    O(clients + documents + distinct URLs) however large *num_requests*
+    is.  The packed file is byte-identical with
+    ``pack_trace(iter_requests(config))`` and replays bit-exact with
     ``make_workload(name, scale, seed)[0]`` (same config, same stream).
     """
-    from repro.traces.binary import pack_trace
+    from repro.traces.binary import BinaryTraceWriter
 
     config, num_groups = workload_config(
         name, scale=scale, seed=seed, num_requests=num_requests
     )
-    records = pack_trace(iter_requests(config), path, name=config.name)
-    return records, num_groups
+    urls: List[str] = []
+    with BinaryTraceWriter(path, name=config.name) as writer:
+        writer.pack_records(iter_records(config, urls), urls)
+    return writer.count, num_groups

@@ -114,11 +114,19 @@ class TestValidation:
             {"mod_probability": -0.1},
             {"request_rate": 0.0},
             {"docs_per_server": 0},
+            {"mean_size": 0},
+            {"mean_size": -5},
+            {"max_size": 10},
+            {"max_size": 63},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ConfigurationError):
             replace(BASE, **kwargs)
+
+    def test_smallest_sizes_are_honoured(self):
+        config = replace(BASE, num_requests=200, mean_size=1, max_size=64)
+        assert {r.size for r in generate_trace(config)} == {64}
 
     def test_scaled(self):
         scaled = BASE.scaled(0.5)

@@ -3,8 +3,16 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.traces.binary import BinaryTraceReader, BinaryTraceWriter, pack_trace
+from repro.traces.synthetic import (
+    SyntheticTraceConfig,
+    iter_records,
+    iter_requests,
+)
 from repro.traces.workloads import WORKLOAD_PRESETS, make_workload
 
 
@@ -82,7 +90,6 @@ class TestWorkloadConfig:
 
 class TestPackWorkload:
     def test_packed_file_replays_bit_exact(self, tmp_path):
-        from repro.traces.binary import BinaryTraceReader
         from repro.traces.workloads import pack_workload
 
         path = str(tmp_path / "nlanr.sctr")
@@ -94,7 +101,6 @@ class TestPackWorkload:
             assert list(reader) == trace.requests
 
     def test_num_requests_knob(self, tmp_path):
-        from repro.traces.binary import BinaryTraceReader
         from repro.traces.workloads import pack_workload
 
         path = str(tmp_path / "short.sctr")
@@ -102,3 +108,41 @@ class TestPackWorkload:
         assert records == 500
         with BinaryTraceReader(path) as reader:
             assert len(reader) == 500
+
+
+_configs = st.builds(
+    SyntheticTraceConfig,
+    num_requests=st.integers(min_value=1, max_value=400),
+    num_clients=st.integers(min_value=1, max_value=12),
+    num_documents=st.integers(min_value=1, max_value=300),
+    locality_probability=st.floats(min_value=0.0, max_value=1.0),
+    server_locality=st.floats(min_value=0.0, max_value=1.0),
+    mod_probability=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestPackPaths:
+    """The id path ``pack_workload`` takes writes what the Request path
+    writes, for any configuration and block size."""
+
+    # tmp_path is reused across examples on purpose: each example
+    # overwrites the same files, so the health check is a false alarm.
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(config=_configs, block_size=st.integers(min_value=1, max_value=64))
+    def test_id_path_writes_the_request_path_bytes(
+        self, config, block_size, tmp_path
+    ):
+        by_ids = tmp_path / "ids.sctr"
+        urls = []
+        with BinaryTraceWriter(by_ids, name=config.name) as writer:
+            writer.pack_records(iter_records(config, urls, block_size), urls)
+        by_requests = tmp_path / "requests.sctr"
+        pack_trace(iter_requests(config), by_requests, name=config.name)
+        assert by_ids.read_bytes() == by_requests.read_bytes()
+        with BinaryTraceReader(by_ids) as reader:
+            assert list(reader) == list(iter_requests(config))
