@@ -151,10 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser (exposed for shell-completion tools).
 
     Handlers import what they run, so building the parser loads neither
-    the experiment stack nor numpy.
+    the experiment stack, nor numpy, nor ``repro.lint``.
     """
-    from repro.lint.cli import add_lint_arguments
-
     parser = argparse.ArgumentParser(
         prog="summary-cache",
         description=(
@@ -591,13 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "lint",
-        help="run the sc-lint static-analysis suite (SC001..SC009)",
-    )
-    p.set_defaults(handler=_lint)
-    add_lint_arguments(p)
-
-    p = sub.add_parser(
         "sanitize-run",
         help=(
             "boot a live cluster with the interleaving sanitizer armed, "
@@ -845,12 +836,6 @@ def _metrics(args: argparse.Namespace) -> int:
     else:
         print(render_prometheus(registry), end="")
     return 0
-
-
-def _lint(args: argparse.Namespace) -> int:
-    from repro.lint.cli import run
-
-    return run(args)
 
 
 async def _serve(args: argparse.Namespace) -> int:

@@ -3,7 +3,7 @@
 Every exception raised deliberately by this package derives from
 :class:`ReproError`, so callers can catch library failures without
 swallowing programming errors such as :class:`TypeError`.  This is
-machine-enforced: lint rule SC005 (``summary-cache lint``) rejects any
+machine-enforced: lint rule SC005 (``python -m repro.lint``) rejects any
 ``raise`` of a bare builtin exception in library code.
 
 Where a builtin type is the natural contract -- an out-of-range index

@@ -10,10 +10,10 @@ those invariants machine-checked:
 
 - :mod:`repro.lint.framework` -- the AST visitor core, rule registry,
   per-line suppression comments, and the runner;
-- :mod:`repro.lint.rules` -- the domain rules (SC001..SC006);
-- :mod:`repro.lint.reporters` -- text and JSON output;
-- :mod:`repro.lint.cli` -- the ``summary-cache lint`` subcommand and the
-  ``python -m repro.lint`` entry point.
+- :mod:`repro.lint.flow` -- the control-flow graphs SC007 walks;
+- :mod:`repro.lint.rules` -- the domain rules (SC001..SC008);
+- :mod:`repro.lint.cli` -- ``python -m repro.lint``, the one entry
+  point, and its text report.
 
 See ``docs/static-analysis.md`` for the rule catalogue and the paper
 rationale behind each rule.

@@ -7,11 +7,11 @@ from typing import Dict, List, Optional, Tuple
 
 
 def import_map(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted names they import.
+    """Map the local names an import renames to the dotted names bound.
 
-    ``import time`` yields ``{"time": "time"}``; ``import numpy as np``
-    yields ``{"np": "numpy"}``; ``from time import sleep as zz`` yields
-    ``{"zz": "time.sleep"}``.  Star imports are ignored.
+    ``import numpy as np`` yields ``{"np": "numpy"}``; ``from time
+    import sleep as zz`` yields ``{"zz": "time.sleep"}``.  A plain
+    ``import time`` needs no entry: an unmapped root stands for itself.
     """
     out: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -19,19 +19,9 @@ def import_map(tree: ast.Module) -> Dict[str, str]:
             for alias in node.names:
                 if alias.asname:
                     out[alias.asname] = alias.name
-                else:
-                    root = alias.name.partition(".")[0]
-                    out[root] = root
         elif isinstance(node, ast.ImportFrom):
-            if node.level or node.module is None:
-                # Relative imports never alias the stdlib modules the
-                # rules watch for; skip them.
-                continue
             for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                out[local] = f"{node.module}.{alias.name}"
+                out[alias.asname or alias.name] = f"{node.module}.{alias.name}"
     return out
 
 

@@ -1,5 +1,4 @@
-"""The ``sc-lint`` command line: ``summary-cache lint`` and
-``python -m repro.lint``.
+"""``python -m repro.lint``: the lint's one entry point and its report.
 
 Exit codes: 0 clean, 1 findings, 2 usage or I/O error.
 """
@@ -11,43 +10,23 @@ from pathlib import Path
 from typing import FrozenSet, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.lint.framework import LintConfig, all_rules, run_lint
-from repro.lint.reporters import render_json, render_sarif, render_text
+from repro.lint.framework import LintConfig, LintResult, all_rules, run_lint
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``sc-lint`` argument parser (also mounted under ``summary-cache``)."""
+    """The ``python -m repro.lint`` argument parser."""
     parser = argparse.ArgumentParser(
-        prog="sc-lint",
+        prog="python -m repro.lint",
         description=(
             "Project-invariant static analysis for the summary cache "
-            "reproduction (rules SC001..SC009; see "
-            "docs/static-analysis.md)."
+            "reproduction (see docs/static-analysis.md)."
         ),
     )
-    add_lint_arguments(parser)
-    return parser
-
-
-def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install the lint options on *parser* (shared with the main CLI)."""
     parser.add_argument(
         "paths",
         nargs="*",
         default=["src"],
         help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="write the report to FILE instead of stdout",
     )
     parser.add_argument(
         "--select",
@@ -75,6 +54,7 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="list the registered rules and exit",
     )
+    return parser
 
 
 def _parse_ids(raw: Optional[str]) -> Optional[FrozenSet[str]]:
@@ -93,8 +73,31 @@ def list_rules() -> str:
     return "\n".join(lines)
 
 
-def run(args: argparse.Namespace) -> int:
-    """Execute a parsed lint invocation; returns the exit code."""
+def render_text(result: LintResult) -> str:
+    """One ``path:line:col: RULE message`` line per finding.
+
+    Ends with a one-line summary (findings, files, rules) so a clean run
+    still produces evidence it looked at something.
+    """
+    lines = [finding.render() for finding in result.findings]
+    counts = result.counts
+    if counts:
+        per_rule = ", ".join(f"{rule}: {n}" for rule, n in counts.items())
+        summary = (
+            f"{len(result.findings)} finding(s) in "
+            f"{result.files_checked} file(s) ({per_rule})"
+        )
+    else:
+        summary = (
+            f"clean: {result.files_checked} file(s), "
+            f"{len(result.rules_run)} rule(s)"
+        )
+    return "\n".join([*lines, summary])
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Parse *argv*, lint, print the report; returns the exit code."""
+    args = build_parser().parse_args(argv)
     if args.list_rules:
         print(list_rules())
         return 0
@@ -108,25 +111,5 @@ def run(args: argparse.Namespace) -> int:
     except ConfigurationError as exc:
         print(f"sc-lint: error: {exc}")
         return 2
-    if args.format == "json":
-        report = render_json(result)
-    elif args.format == "sarif":
-        report = render_sarif(result)
-    else:
-        report = render_text(result)
-    output = getattr(args, "output", None)
-    if output:
-        try:
-            Path(output).write_text(report + "\n", encoding="utf-8")
-        except OSError as exc:
-            print(f"sc-lint: error: cannot write {output}: {exc}")
-            return 2
-    else:
-        print(report)
+    print(render_text(result))
     return result.exit_code
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Standalone entry point (``python -m repro.lint``)."""
-    args = build_parser().parse_args(argv)
-    return run(args)

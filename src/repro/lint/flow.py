@@ -1,22 +1,18 @@
 """Flow-sensitive analysis core: CFGs over ``async def`` bodies.
 
-The per-file rules up to SC006 are syntax walkers: they look at one
-node at a time.  The concurrency rules (SC007..SC009) need *order* --
-"a read of ``self._placement`` happens, then an ``await`` yields the
-event loop, then a write lands" is a statement about paths, not nodes.
-This module builds that path structure once so the rules stay small:
+The other rules are syntax walkers: they look at one node at a time.
+SC007 needs *order* -- "a read of ``self._placement`` happens, then an
+``await`` yields the event loop, then a write lands" is a statement
+about paths, not nodes.  This module builds that path structure:
 
 - :func:`build_flow_graph` turns one function into basic blocks of
   ordered :class:`Event` records (reads/writes of ``self.<attr>``,
-  await points, calls, returns/raises) linked by normal and
-  exceptional successor edges;
+  await points, raises) linked by normal and exceptional successor
+  edges;
 - :func:`class_method_effects` computes, per class, the transitive
   ``self``-attribute read/write sets of every method, so a call like
   ``self.remove_peer(...)`` expands to the placement/peer-table writes
-  it performs;
-- annotation helpers parse the source-comment conventions the rules
-  honour (``# sc-lint: single-writer``, ``# sc-lint: no-await``,
-  ``# sc-lint: shared-state=a,b``).
+  it performs.
 
 Everything here is dependency-free ``ast`` analysis; the asyncio model
 is the cooperative one the proxy relies on: **code between two awaits
@@ -26,7 +22,6 @@ is atomic**, every ``await`` is a preemption (and cancellation) point.
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -65,25 +60,16 @@ CAN_RAISE_KINDS: FrozenSet[str] = frozenset({"await", "raise"})
 
 AnyFunc = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-_SINGLE_WRITER_RE = re.compile(r"#\s*sc-lint\s*:\s*single-writer\b")
-_NO_AWAIT_RE = re.compile(r"#\s*sc-lint\s*:\s*no-await\b")
-_SHARED_STATE_RE = re.compile(
-    r"#\s*sc-lint\s*:\s*shared-state\s*=\s*(?P<names>[A-Za-z0-9_,\s]+)"
-)
-
 
 @dataclass
 class Event:
     """One atomic action on some path through a function.
 
     ``kind`` is one of ``read``/``write`` (of the ``self``-attribute in
-    ``attr``), ``await``, ``call``, ``assign``, ``return``, ``raise``.
-    ``derived`` marks read/write events inferred from the effect set of
-    a called ``self.<method>`` rather than written in place.  ``locks``
-    names the ``async with <lock>`` regions enclosing the event, as
-    ``(chain, with_node_id)`` pairs -- two events share a critical
-    section only when the *node id* matches.  ``exc_targets`` are the
-    block indices an exception raised here may continue at (ending with
+    ``attr``), ``await``, ``raise``.  ``derived`` marks read/write
+    events inferred from the effect set of a called ``self.<method>``
+    rather than written in place.  ``exc_targets`` are the block
+    indices an exception raised here may continue at (ending with
     :data:`EXIT` when it can escape the function).
     """
 
@@ -91,16 +77,7 @@ class Event:
     node: ast.AST
     attr: str = ""
     derived: bool = False
-    locks: Tuple[Tuple[str, int], ...] = ()
     exc_targets: Tuple[int, ...] = ()
-    #: For ``call`` events: root name of the callee chain ("self",
-    #: "span", "asyncio"), the final method name, and the plain-name
-    #: positional args (for release/escape matching).
-    call_root: str = ""
-    call_method: str = ""
-    call_args: Tuple[str, ...] = ()
-    #: For ``assign`` events: the simple names bound by the statement.
-    targets: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -125,14 +102,12 @@ class MethodEffects:
 
     reads: FrozenSet[str] = frozenset()
     writes: FrozenSet[str] = frozenset()
-    has_await: bool = False
 
 
 class FlowGraph:
     """The CFG of one function: blocks of events, entry block 0."""
 
-    def __init__(self, func: AnyFunc, blocks: List[Block]) -> None:
-        self.func = func
+    def __init__(self, blocks: List[Block]) -> None:
         self.blocks = blocks
 
     def events(self) -> Iterator[Tuple[EventPos, Event]]:
@@ -186,9 +161,10 @@ class _ExcLevel:
     """One enclosing try context during construction.
 
     ``stops`` means an exception cannot propagate past this level on
-    its own: either a handler catches ``BaseException``, or the level
-    has a ``finally`` suite -- the exception flows *into* the finally,
-    whose own outgoing edges model the re-raise.
+    its own: the level has a ``finally`` suite, and the exception flows
+    *into* the finally, whose own outgoing edges model the re-raise.
+    Handlers never stop it: the model does not match exception types,
+    so an exception may pass any handler.
     """
 
     targets: List[int]
@@ -198,24 +174,13 @@ class _ExcLevel:
 class _CfgBuilder:
     """Single-pass recursive CFG construction for one function body."""
 
-    def __init__(
-        self,
-        effects: Dict[str, MethodEffects],
-        no_await_lines: FrozenSet[int],
-        no_await_chains: FrozenSet[str],
-    ) -> None:
+    def __init__(self, effects: Dict[str, MethodEffects]) -> None:
         self._effects = effects
-        self._no_await_lines = no_await_lines
-        self._no_await_chains = no_await_chains
         self.blocks: List[Block] = []
         self._cur = self._new_block()
         #: (continue target, break target) per enclosing loop.
         self._loops: List[Tuple[int, int]] = []
         self._exc: List[_ExcLevel] = []
-        self._locks: List[Tuple[str, int]] = []
-        #: Entry blocks of enclosing ``finally`` suites: a ``return``
-        #: runs the innermost one before leaving the function.
-        self._finallies: List[int] = []
 
     # -- plumbing ------------------------------------------------------
 
@@ -229,7 +194,6 @@ class _CfgBuilder:
             self.blocks[src].succs.append(dst)
 
     def _emit(self, event: Event) -> None:
-        event.locks = tuple(self._locks)
         if event.kind in CAN_RAISE_KINDS:
             event.exc_targets = self._exc_chain()
         self.blocks[self._cur].events.append(event)
@@ -248,11 +212,8 @@ class _CfgBuilder:
 
     def build(self, func: AnyFunc) -> FlowGraph:
         self._stmts(func.body)
-        self._edge_to_exit()
-        return FlowGraph(func, self.blocks)
-
-    def _edge_to_exit(self) -> None:
         self._edge(self._cur, EXIT)
+        return FlowGraph(self.blocks)
 
     # -- statements ----------------------------------------------------
 
@@ -263,7 +224,7 @@ class _CfgBuilder:
     def _stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.If):
             self._if(stmt)
-        elif isinstance(stmt, (ast.While,)):
+        elif isinstance(stmt, ast.While):
             self._while(stmt)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._for(stmt)
@@ -274,11 +235,7 @@ class _CfgBuilder:
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
                 self._expr(stmt.value)
-            self._emit(Event("return", stmt))
-            # A return inside try/finally runs the finally suite first
-            # (whose own edges propagate outward to EXIT).
-            target = self._finallies[-1] if self._finallies else EXIT
-            self._edge(self._cur, target)
+            self._edge(self._cur, EXIT)
             self._cur = self._new_block()
         elif isinstance(stmt, ast.Raise):
             if stmt.exc is not None:
@@ -294,7 +251,9 @@ class _CfgBuilder:
                 self._edge(self._cur, self._loops[-1][0])
             self._cur = self._new_block()
         elif isinstance(stmt, ast.Assign):
-            self._assign(stmt)
+            self._expr(stmt.value)
+            for target in stmt.targets:
+                self._store_target(target)
         elif isinstance(stmt, ast.AugAssign):
             self._expr(stmt.value)
             self._store_target(stmt.target, aug=True)
@@ -313,8 +272,6 @@ class _CfgBuilder:
             stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
             pass  # a nested definition's body is not on this CFG
-        elif isinstance(stmt, getattr(ast, "Match", ())):
-            self._match(stmt)
         else:
             for child in ast.iter_child_nodes(stmt):
                 if isinstance(child, ast.expr):
@@ -387,21 +344,12 @@ class _CfgBuilder:
         final_entry = self._new_block() if stmt.finalbody else None
         after = self._new_block()
 
-        catches_all = any(
-            h.type is None or _catches_everything(h.type)
-            for h in stmt.handlers
-        )
         level_targets = list(handler_entries)
         if final_entry is not None:
             level_targets.append(final_entry)
         self._exc.append(
-            _ExcLevel(
-                targets=level_targets,
-                stops=catches_all or final_entry is not None,
-            )
+            _ExcLevel(targets=level_targets, stops=final_entry is not None)
         )
-        if final_entry is not None:
-            self._finallies.append(final_entry)
         self._stmts(stmt.body)
         body_exit = self._cur
         self._exc.pop()
@@ -429,7 +377,6 @@ class _CfgBuilder:
             self._edge(self._cur, join)
         if final_entry is not None:
             self._exc.pop()
-            self._finallies.pop()
 
         if final_entry is not None:
             self._cur = final_entry
@@ -442,71 +389,17 @@ class _CfgBuilder:
         self._cur = after
 
     def _with(self, stmt: Union[ast.With, ast.AsyncWith]) -> None:
-        acquired: List[Tuple[str, int]] = []
         for item in stmt.items:
             self._expr(item.context_expr)
-            if isinstance(stmt, ast.AsyncWith):
-                chain = attribute_chain(item.context_expr)
-                if chain is not None and self._is_lock(chain, stmt.lineno):
-                    acquired.append((chain, id(stmt) & 0x7FFFFFFF))
             if item.optional_vars is not None:
                 self._store_target(item.optional_vars)
         if isinstance(stmt, ast.AsyncWith):
             self._emit(Event("await", stmt))  # __aenter__
-        else:
-            # A sync ``with NAME:`` hands cleanup to the context
-            # manager; SC008 treats the entry as a release of NAME.
-            for item in stmt.items:
-                if isinstance(item.context_expr, ast.Name):
-                    self._emit(
-                        Event(
-                            "call",
-                            stmt,
-                            call_root=item.context_expr.id,
-                            call_method="__exit__",
-                        )
-                    )
-        self._locks.extend(acquired)
         self._stmts(stmt.body)
-        for _ in acquired:
-            self._locks.pop()
         if isinstance(stmt, ast.AsyncWith):
             self._emit(Event("await", stmt))  # __aexit__
 
-    def _is_lock(self, chain: str, lineno: int) -> bool:
-        last = chain.rsplit(".", 1)[-1].lower()
-        return (
-            "lock" in last
-            or "sem" in last
-            or chain in self._no_await_chains
-            or lineno in self._no_await_lines
-        )
-
-    def _match(self, stmt: ast.AST) -> None:
-        subject = getattr(stmt, "subject", None)
-        if isinstance(subject, ast.expr):
-            self._expr(subject)
-        cond = self._cur
-        after = self._new_block()
-        for case in getattr(stmt, "cases", []):
-            entry = self._new_block()
-            self._edge(cond, entry)
-            self._cur = entry
-            self._stmts(case.body)
-            self._edge(self._cur, after)
-        self._edge(cond, after)
-        self._cur = after
-
     # -- expressions and effects --------------------------------------
-
-    def _assign(self, stmt: ast.Assign) -> None:
-        self._expr(stmt.value)
-        names: List[str] = []
-        for target in stmt.targets:
-            self._store_target(target)
-            names.extend(_bound_names(target))
-        if names:
-            self._emit(Event("assign", stmt, targets=tuple(names)))
 
     def _store_target(self, target: ast.expr, aug: bool = False) -> None:
         """Write events for a store/del target (``self.attr`` forms)."""
@@ -574,26 +467,19 @@ class _CfgBuilder:
         for kw in call.keywords:
             self._expr(kw.value)
         func = call.func
-        root, method = _call_root_method(func)
-        arg_names = tuple(
-            a.id for a in call.args if isinstance(a, ast.Name)
-        )
-
         # ``self.<attr>.<method>(...)``: a read or mutation of <attr>.
-        owner_attr = _self_attr_method_owner(func)
+        owner = _self_attr_call(func)
         # ``self.<method>(...)``: expand the method's effect sets.
-        self_method = (
-            method if root == "self" and owner_attr is None else ""
-        )
+        self_method = _self_method(func)
 
         if awaited:
             # The callee's effects land *during* the suspension, so the
             # await event precedes them on the path.
             self._emit(Event("await", call))
-        if owner_attr is not None:
-            kind = "write" if method in MUTATOR_METHODS else "read"
-            self._emit(Event(kind, call, attr=owner_attr))
-        elif self_method and self_method in self._effects:
+        if owner is not None:
+            attr, kind = owner
+            self._emit(Event(kind, call, attr=attr))
+        elif self_method in self._effects:
             eff = self._effects[self_method]
             for attr in sorted(eff.reads):
                 self._emit(Event("read", call, attr=attr, derived=True))
@@ -601,33 +487,11 @@ class _CfgBuilder:
                 self._emit(Event("write", call, attr=attr, derived=True))
         elif isinstance(func, ast.Attribute):
             self._expr(func.value)
-        self._emit(
-            Event(
-                "call",
-                call,
-                call_root=root,
-                call_method=method,
-                call_args=arg_names,
-            )
-        )
 
 
 # ----------------------------------------------------------------------
 # AST helpers
 # ----------------------------------------------------------------------
-
-
-def attribute_chain(node: ast.expr) -> Optional[str]:
-    """``self._pool`` -> ``"self._pool"``; None for non-name chains."""
-    parts: List[str] = []
-    probe: ast.expr = node
-    while isinstance(probe, ast.Attribute):
-        parts.append(probe.attr)
-        probe = probe.value
-    if isinstance(probe, ast.Name):
-        parts.append(probe.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def _self_attr_of_load(node: ast.Attribute) -> Optional[str]:
@@ -656,67 +520,29 @@ def _self_attr_of_store(target: ast.expr) -> Optional[str]:
     return None
 
 
-def _call_root_method(func: ast.expr) -> Tuple[str, str]:
-    """Root name and final method of a call target chain."""
-    if isinstance(func, ast.Name):
-        return func.id, func.id
-    if isinstance(func, ast.Attribute):
-        method = func.attr
-        probe: ast.expr = func.value
-        while isinstance(probe, ast.Attribute):
-            probe = probe.value
-        while isinstance(probe, ast.Call):
-            # chained calls: span.set(...).end() roots at span
-            probe = probe.func
-            while isinstance(probe, ast.Attribute):
-                probe = probe.value
-        if isinstance(probe, ast.Name):
-            return probe.id, method
-        return "", method
-    return "", ""
-
-
-def _self_attr_method_owner(func: ast.expr) -> Optional[str]:
-    """For ``self.<attr>(...).<...>`` call chains of depth exactly two
-    (``self.<attr>.<method>``), the owning attribute."""
-    if not isinstance(func, ast.Attribute):
-        return None
-    value = func.value
+def _self_method(func: ast.expr) -> str:
+    """``m`` for a ``self.m`` call target, else the empty string."""
     if (
-        isinstance(value, ast.Attribute)
-        and isinstance(value.value, ast.Name)
-        and value.value.id == "self"
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Name)
+        and func.value.id == "self"
     ):
-        return value.attr
+        return func.attr
+    return ""
+
+
+def _self_attr_call(func: ast.expr) -> Optional[Tuple[str, str]]:
+    """``(attr, kind)`` for a ``self.<attr>.<method>`` call target: a
+    ``write`` of *attr* when *method* mutates it, else a ``read``."""
+    if (
+        isinstance(func, ast.Attribute)
+        and isinstance(func.value, ast.Attribute)
+        and isinstance(func.value.value, ast.Name)
+        and func.value.value.id == "self"
+    ):
+        kind = "write" if func.attr in MUTATOR_METHODS else "read"
+        return func.value.attr, kind
     return None
-
-
-def _bound_names(target: ast.expr) -> List[str]:
-    if isinstance(target, ast.Name):
-        return [target.id]
-    if isinstance(target, (ast.Tuple, ast.List)):
-        out: List[str] = []
-        for elt in target.elts:
-            out.extend(_bound_names(elt))
-        return out
-    return []
-
-
-def _catches_everything(handler_type: ast.expr) -> bool:
-    """True when the except clause catches ``BaseException`` (so even
-    ``asyncio.CancelledError`` cannot escape past it)."""
-    types: List[ast.expr]
-    if isinstance(handler_type, ast.Tuple):
-        types = list(handler_type.elts)
-    else:
-        types = [handler_type]
-    for t in types:
-        name = t.attr if isinstance(t, ast.Attribute) else (
-            t.id if isinstance(t, ast.Name) else ""
-        )
-        if name == "BaseException":
-            return True
-    return False
 
 
 # ----------------------------------------------------------------------
@@ -731,39 +557,19 @@ class _EffectCollector(ast.NodeVisitor):
         self.reads: Set[str] = set()
         self.writes: Set[str] = set()
         self.calls: Set[str] = set()
-        self.has_await = False
-
-    def visit_Await(self, node: ast.Await) -> None:
-        self.has_await = True
-        self.generic_visit(node)
-
-    def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
-        self.has_await = True
-        self.generic_visit(node)
-
-    def visit_AsyncWith(self, node: ast.AsyncWith) -> None:
-        self.has_await = True
-        self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        owner = _self_attr_method_owner(node.func)
+        owner = _self_attr_call(node.func)
         if owner is not None:
-            method = (
-                node.func.attr
-                if isinstance(node.func, ast.Attribute)
-                else ""
-            )
-            if method in MUTATOR_METHODS:
-                self.writes.add(owner)
-            else:
-                self.reads.add(owner)
+            attr, kind = owner
+            (self.writes if kind == "write" else self.reads).add(attr)
             for arg in node.args:
                 self.visit(arg)
             for kw in node.keywords:
                 self.visit(kw.value)
             return
-        root, method = _call_root_method(node.func)
-        if root == "self":
+        method = _self_method(node.func)
+        if method:
             self.calls.add(method)
         self.generic_visit(node)
 
@@ -809,13 +615,10 @@ def class_method_effects(cls: ast.ClassDef) -> Dict[str, MethodEffects]:
             collector = _EffectCollector()
             for body_stmt in stmt.body:
                 collector.visit(body_stmt)
-            if isinstance(stmt, ast.AsyncFunctionDef):
-                collector.has_await = True
             direct[stmt.name] = collector
 
     reads = {name: set(c.reads) for name, c in direct.items()}
     writes = {name: set(c.writes) for name, c in direct.items()}
-    awaits = {name: c.has_await for name, c in direct.items()}
     changed = True
     while changed:
         changed = False
@@ -829,14 +632,10 @@ def class_method_effects(cls: ast.ClassDef) -> Dict[str, MethodEffects]:
                 if not writes[callee] <= writes[name]:
                     writes[name] |= writes[callee]
                     changed = True
-                if awaits[callee] and not awaits[name]:
-                    awaits[name] = True
-                    changed = True
     return {
         name: MethodEffects(
             reads=frozenset(reads[name]),
             writes=frozenset(writes[name]),
-            has_await=awaits[name],
         )
         for name in direct
     }
@@ -860,100 +659,17 @@ def iter_async_functions(
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from walk(child, child)
-            elif isinstance(child, ast.AsyncFunctionDef):
-                yield cls, child
-                yield from walk(child, cls)
-            elif isinstance(child, ast.FunctionDef):
-                yield from walk(child, cls)
             else:
+                if isinstance(child, ast.AsyncFunctionDef):
+                    yield cls, child
                 yield from walk(child, cls)
 
     yield from walk(tree, None)
 
 
 def build_flow_graph(
-    func: AnyFunc,
-    effects: Optional[Dict[str, MethodEffects]] = None,
-    no_await_lines: FrozenSet[int] = frozenset(),
-    no_await_chains: FrozenSet[str] = frozenset(),
+    func: AnyFunc, effects: Optional[Dict[str, MethodEffects]] = None
 ) -> FlowGraph:
     """The CFG of *func* (effect expansion for ``self.m()`` calls when
     *effects* is the enclosing class's effect table)."""
-    builder = _CfgBuilder(
-        effects if effects is not None else {},
-        no_await_lines,
-        no_await_chains,
-    )
-    return builder.build(func)
-
-
-# ----------------------------------------------------------------------
-# Source annotations
-# ----------------------------------------------------------------------
-
-
-def single_writer_lines(source: str) -> FrozenSet[int]:
-    """Lines carrying ``# sc-lint: single-writer`` (1-based)."""
-    return frozenset(
-        lineno
-        for lineno, text in enumerate(source.splitlines(), start=1)
-        if _SINGLE_WRITER_RE.search(text)
-    )
-
-
-def no_await_lines(source: str) -> FrozenSet[int]:
-    """Lines carrying ``# sc-lint: no-await`` (1-based)."""
-    return frozenset(
-        lineno
-        for lineno, text in enumerate(source.splitlines(), start=1)
-        if _NO_AWAIT_RE.search(text)
-    )
-
-
-def shared_state_fields(source: str) -> FrozenSet[str]:
-    """Field names declared shared via ``# sc-lint: shared-state=a,b``."""
-    out: Set[str] = set()
-    for text in source.splitlines():
-        match = _SHARED_STATE_RE.search(text)
-        if match:
-            out.update(
-                part.strip()
-                for part in match.group("names").split(",")
-                if part.strip()
-            )
-    return frozenset(out)
-
-
-def no_await_lock_chains(
-    tree: ast.Module, annotated_lines: FrozenSet[int]
-) -> FrozenSet[str]:
-    """Lock chains (``self._lock``) whose *defining assignment* line is
-    annotated ``# sc-lint: no-await`` -- e.g. in ``__init__``::
-
-        self._lock = asyncio.Lock()  # sc-lint: no-await
-    """
-    out: Set[str] = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Assign):
-            continue
-        if node.lineno not in annotated_lines:
-            continue
-        for target in node.targets:
-            chain = attribute_chain(target)
-            if chain is not None:
-                out.add(chain)
-    return frozenset(out)
-
-
-def function_is_single_writer(
-    func: AnyFunc, annotated_lines: FrozenSet[int]
-) -> bool:
-    """Whether *func*'s ``def`` line (or a decorator line) is annotated
-    ``# sc-lint: single-writer``."""
-    first = min(
-        [func.lineno]
-        + [dec.lineno for dec in func.decorator_list]
-    )
-    return any(
-        line in annotated_lines for line in range(first, func.lineno + 1)
-    )
+    return _CfgBuilder(effects if effects is not None else {}).build(func)

@@ -62,18 +62,8 @@ class Finding:
     rule: str  #: rule id, e.g. ``"SC001"``
     message: str
 
-    def as_dict(self) -> Dict[str, object]:
-        """JSON-ready record (the JSON reporter's element schema)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
-
     def render(self) -> str:
-        """``path:line:col: RULE message`` (the text reporter's line)."""
+        """``path:line:col: RULE message`` (one line of the report)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
 
@@ -136,12 +126,8 @@ class Suppressions:
 class ProjectContext:
     """Cross-file state shared by every rule over one run."""
 
-    def __init__(
-        self, root: Path, docs_dir: Optional[Path] = None
-    ) -> None:
+    def __init__(self, root: Path) -> None:
         self.root = root
-        docs = docs_dir if docs_dir is not None else root / "docs"
-        self.docs_dir: Optional[Path] = docs if docs.is_dir() else None
         self._scratch: Dict[str, Dict[str, object]] = {}
         #: rel_path -> that file's suppression map (finalize filtering).
         self.suppressions: Dict[str, Suppressions] = {}
@@ -152,23 +138,10 @@ class ProjectContext:
 
     def read_doc(self, name: str) -> Optional[str]:
         """The text of ``docs/<name>``, or ``None`` when unavailable."""
-        if self.docs_dir is None:
-            return None
-        path = self.docs_dir / name
         try:
-            return path.read_text(encoding="utf-8")
+            return (self.root / "docs" / name).read_text(encoding="utf-8")
         except OSError:
             return None
-
-    def doc_rel_path(self, name: str) -> str:
-        """Project-relative posix path of ``docs/<name>`` (for findings)."""
-        if self.docs_dir is None:
-            return f"docs/{name}"
-        path = self.docs_dir / name
-        try:
-            return path.relative_to(self.root).as_posix()
-        except ValueError:
-            return path.as_posix()
 
 
 @dataclass
@@ -281,14 +254,12 @@ class LintConfig:
     ``select`` limits the run to those rule ids (None = all registered);
     ``ignore`` removes ids after selection.  ``root`` pins the project
     root (default: nearest ancestor of the first path holding a
-    ``pyproject.toml``); ``docs_dir`` pins where the doc cross-check
-    rules look for ``docs/*.md``.
+    ``pyproject.toml``); the doc cross-checks read ``<root>/docs``.
     """
 
     select: Optional[FrozenSet[str]] = None
     ignore: FrozenSet[str] = frozenset()
     root: Optional[Path] = None
-    docs_dir: Optional[Path] = None
 
 
 @dataclass
@@ -379,7 +350,7 @@ def run_lint(
         if config.root is not None
         else find_project_root(files[0] if files else Path.cwd())
     )
-    project = ProjectContext(root, docs_dir=config.docs_dir)
+    project = ProjectContext(root)
     rules = _selected_rules(config)
     result = LintResult(rules_run=tuple(rule.id for rule in rules))
 

@@ -13,4 +13,3 @@ import repro.lint.rules.sc005_exceptions  # noqa: F401
 import repro.lint.rules.sc006_codec_sync  # noqa: F401
 import repro.lint.rules.sc007_races  # noqa: F401
 import repro.lint.rules.sc008_lifecycle  # noqa: F401
-import repro.lint.rules.sc009_locks  # noqa: F401

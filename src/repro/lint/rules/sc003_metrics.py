@@ -58,7 +58,6 @@ class MetricNameConventions(Rule):
         "Really Need A Good Ruler...')."
     )
     scopes = ("repro",)
-    exempt = ("repro/lint",)
 
     #: The doc file holding the catalogue table.
     doc_name = "observability.md"
@@ -148,7 +147,7 @@ class MetricNameConventions(Rule):
         doc = project.read_doc(self.doc_name)
         if doc is None or not by_name:
             return iter(findings)
-        doc_path = project.doc_rel_path(self.doc_name)
+        doc_path = f"docs/{self.doc_name}"
         documented: Dict[str, Tuple[str, int]] = {}
         for lineno, line_text in enumerate(doc.splitlines(), start=1):
             match = _DOC_ROW_RE.match(line_text.strip())
@@ -157,21 +156,6 @@ class MetricNameConventions(Rule):
                     match.group("kind"),
                     lineno,
                 )
-        if not documented:
-            findings.append(
-                Finding(
-                    path=doc_path,
-                    line=1,
-                    col=0,
-                    rule=self.id,
-                    message=(
-                        "no metric catalogue table found "
-                        "(rows of the form | `name` | kind | ...)"
-                    ),
-                )
-            )
-            return iter(findings)
-
         for name, sites in sorted(by_name.items()):
             kind, path, line = sites[0]
             entry = documented.get(name)

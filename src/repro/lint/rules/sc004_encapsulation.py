@@ -14,27 +14,26 @@ owner derivation in agreement, which only holds while membership
 changes travel through their public API.  Reaching into ring internals
 (``placement._ring``, ``ring._points``) from a caller would let one
 proxy's view drift from its peers' with no runtime error, so those
-privates are confined to ``repro.placement``.
+privates are touched only through ``self``, by their own object.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.lint.astutil import dotted_name
 from repro.lint.framework import FileContext, Finding, Rule, register
 
 #: Attribute names that hold a BitArray / CounterArray on the summary
 #: structures (``BloomFilter.bits``, ``CountingBloomFilter.counters``).
-STORAGE_ATTRIBUTES = ("bits", "counters", "bit_array", "counter_array")
+STORAGE_ATTRIBUTES = ("bits", "counters")
 
 #: Mutating methods of BitArray / CounterArray.
 MUTATOR_METHODS = (
     "set",
     "set_many",
     "write_many",
-    "flip",
     "reset",
     "add_at",
     "remove_at",
@@ -45,14 +44,11 @@ MUTATOR_METHODS = (
 #: anywhere outside core/ is always a violation.
 PRIVATE_STORAGE_ATTRIBUTES = ("_buf", "_flags")
 
-#: Private internals of HashRing / Placement; touching these anywhere
-#: outside ``repro/placement`` is always a violation (membership
-#: changes go through the public with_member / add_member API, which
-#: keeps every proxy's owner derivation consistent).
+#: Private internals of HashRing / Placement; only the object itself
+#: touches these (membership changes go through the public
+#: with_member / add_member API, which keeps every proxy's owner
+#: derivation consistent).
 PLACEMENT_PRIVATE_ATTRIBUTES = ("_ring", "_points", "_self_name")
-
-#: Directories allowed to touch placement internals.
-PLACEMENT_EXEMPT = ("repro/placement",)
 
 
 @register
@@ -62,7 +58,7 @@ class SummaryEncapsulation(Rule):
     id = "SC004"
     title = (
         "no direct BitArray/counter mutation outside core and "
-        "summaries; no placement/ring internals outside placement"
+        "summaries; placement/ring internals only through self"
     )
     rationale = (
         "Section V-C's counter overflow bound assumes disciplined "
@@ -72,13 +68,9 @@ class SummaryEncapsulation(Rule):
         "changes through repro.placement's public API."
     )
     scopes = ("repro",)
-    exempt = ("repro/core", "repro/summaries", "repro/lint")
+    exempt = ("repro/core", "repro/summaries")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        placement_confined = not any(
-            self._fragment_matches(f, ctx.rel_path)
-            for f in PLACEMENT_EXEMPT
-        )
         findings: List[Finding] = []
         for node in ast.walk(ctx.tree):
             if (
@@ -95,8 +87,7 @@ class SummaryEncapsulation(Rule):
                     )
                 )
             if (
-                placement_confined
-                and isinstance(node, ast.Attribute)
+                isinstance(node, ast.Attribute)
                 and node.attr in PLACEMENT_PRIVATE_ATTRIBUTES
                 and not self._is_self_access(node.value)
             ):
@@ -105,44 +96,34 @@ class SummaryEncapsulation(Rule):
                         self.id,
                         node,
                         f"access to placement internal .{node.attr} "
-                        "outside repro.placement; go through the "
-                        "Placement / HashRing public API instead",
+                        "of another object; go through the "
+                        "repro.placement Placement / HashRing public "
+                        "API instead",
                     )
                 )
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
+            # ``<x>.bits.set(...)``: the receiver's last attribute names
+            # bit or counter storage.
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr in MUTATOR_METHODS
+                and isinstance(func.value, ast.Attribute)
+                and func.value.attr in STORAGE_ATTRIBUTES
             ):
-                owner = self._storage_owner(func.value)
-                if owner is not None:
-                    findings.append(
-                        ctx.finding(
-                            self.id,
-                            node,
-                            f"direct mutation {owner}.{func.attr}(...) "
-                            "outside repro.core/repro.summaries; go "
-                            "through CountingBloomFilter / the summary "
-                            "backend instead",
-                        )
+                owner = dotted_name(func.value) or func.value.attr
+                findings.append(
+                    ctx.finding(
+                        self.id,
+                        node,
+                        f"direct mutation {owner}.{func.attr}(...) "
+                        "outside repro.core/repro.summaries; go "
+                        "through CountingBloomFilter / the summary "
+                        "backend instead",
                     )
+                )
         return iter(findings)
-
-    @staticmethod
-    def _storage_owner(node: ast.expr) -> Optional[str]:
-        """Dotted receiver when it names bit/counter storage, else None.
-
-        Matches receivers whose final attribute (or bare name) is one of
-        :data:`STORAGE_ATTRIBUTES`, e.g. ``summary.filter.bits`` or a
-        local variable literally called ``counters``.
-        """
-        if isinstance(node, ast.Attribute) and node.attr in STORAGE_ATTRIBUTES:
-            return dotted_name(node) or node.attr
-        if isinstance(node, ast.Name) and node.id in STORAGE_ATTRIBUTES:
-            return node.id
-        return None
 
     @staticmethod
     def _is_self_access(node: ast.expr) -> bool:

@@ -108,41 +108,28 @@ class CodecDocSync(Rule):
         return None
 
     def _wire_constants(self, ctx: FileContext) -> Dict[str, int]:
-        """``REPR_* -> id`` from protocol/wire.py (static parse first)."""
+        """``REPR_* -> id`` parsed from the sibling ``protocol/wire.py``
+        (empty when it is missing or does not parse)."""
         wire_path = ctx.path.parent.parent / "protocol" / "wire.py"
-        if wire_path.is_file():
-            try:
-                tree = ast.parse(
-                    wire_path.read_text(encoding="utf-8"),
-                    filename=str(wire_path),
-                )
-            except (OSError, SyntaxError):
-                return {}
-            out: Dict[str, int] = {}
-            for node in tree.body:
-                assign = single_name_assign(node)
-                if assign is None or not assign[0].startswith("REPR_"):
-                    continue
-                value = int_value(assign[1])
-                if value is not None:
-                    out[assign[0]] = value
-            return out
-        # Outside a source tree (installed package): use the live module.
         try:
-            from repro.protocol import wire
-        except ImportError:  # pragma: no cover - repro always importable
+            tree = ast.parse(wire_path.read_text(encoding="utf-8"))
+        except (OSError, SyntaxError):
             return {}
-        return {
-            name: value
-            for name, value in vars(wire).items()
-            if name.startswith("REPR_") and isinstance(value, int)
-        }
+        out: Dict[str, int] = {}
+        for node in tree.body:
+            assign = single_name_assign(node)
+            if assign is None or not assign[0].startswith("REPR_"):
+                continue
+            value = int_value(assign[1])
+            if value is not None:
+                out[assign[0]] = value
+        return out
 
     def _check_doc(
         self, ctx: FileContext, doc: str, constants: Dict[str, int]
     ) -> List[Finding]:
         findings: List[Finding] = []
-        doc_path = ctx.project.doc_rel_path(self.doc_name)
+        doc_path = f"docs/{self.doc_name}"
         documented: Dict[str, Tuple[int, int]] = {}
         for lineno, line_text in enumerate(doc.splitlines(), start=1):
             match = _DOC_ROW_RE.match(line_text.strip())
@@ -151,20 +138,6 @@ class CodecDocSync(Rule):
                     int(match.group("id")),
                     lineno,
                 )
-        if not documented:
-            findings.append(
-                Finding(
-                    path=doc_path,
-                    line=1,
-                    col=0,
-                    rule=self.id,
-                    message=(
-                        "no representation-id table found (rows of the "
-                        "form | 0 | `REPR_BLOOM` | ...)"
-                    ),
-                )
-            )
-            return findings
         for name, value in sorted(constants.items()):
             entry = documented.get(name)
             if entry is None:

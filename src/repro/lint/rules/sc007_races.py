@@ -14,23 +14,14 @@ windows statically.
 The rule analyses every ``async def``, expanding ``self.<method>()``
 calls through the class's transitive effect sets (so a write hidden
 behind ``self.remove_peer(...) -> _rebalance -> remove_member`` is
-seen).  Watched fields are the known-hot ones seeded per module below,
-plus any declared in-file with ``# sc-lint: shared-state=a,b``.
-
-Three ways to satisfy the rule:
-
-- hold one ``async with <lock>`` across both the read and the write
-  (the same critical section, not two sections on one lock);
-- re-validate with a fresh read of the field immediately before the
-  write (a direct read after the await closes the window -- see
-  ``Placement.version`` in ``_owner_path``);
-- annotate the function ``# sc-lint: single-writer`` when only one
-  task can ever execute it.
+seen).  Watched fields are the known-hot ones seeded per module below.
+A fresh read of the field after the await and before the write closes
+the window (see ``Placement.version`` in ``_owner_path``); a window the
+design accepts carries a ``# sc-lint: disable=SC007`` that says why.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from repro.lint.flow import (
@@ -40,10 +31,7 @@ from repro.lint.flow import (
     FlowGraph,
     build_flow_graph,
     class_method_effects,
-    function_is_single_writer,
     iter_async_functions,
-    shared_state_fields,
-    single_writer_lines,
 )
 from repro.lint.framework import FileContext, Finding, Rule, register
 
@@ -59,24 +47,15 @@ SHARED_FIELDS: Dict[str, FrozenSet[str]] = {
         }
     ),
     "repro/proxy/pool.py": frozenset({"_idle", "_closed"}),
-    "repro/placement/live.py": frozenset({"_ring"}),
 }
 
 
-def _watched_fields(rel_path: str, source: str) -> FrozenSet[str]:
-    fields: Set[str] = set(shared_state_fields(source))
+def _watched_fields(rel_path: str) -> FrozenSet[str]:
     probe = "/" + rel_path.strip("/")
     for fragment, seeded in SHARED_FIELDS.items():
         if probe.endswith("/" + fragment):
-            fields |= seeded
-    return frozenset(fields)
-
-
-def _common_section(read: Event, write: Event) -> bool:
-    """Same ``async with <lock>`` critical section around both events."""
-    read_ids = {node_id for _, node_id in read.locks}
-    write_ids = {node_id for _, node_id in write.locks}
-    return bool(read_ids & write_ids)
+            return seeded
+    return frozenset()
 
 
 @register
@@ -92,17 +71,12 @@ class InterleavedReadModifyWrite(Rule):
         "read..await..write window acts on state another task may have "
         "changed."
     )
-    scopes = ()  # seeded fields + in-file annotations bound the blast radius
+    scopes = tuple(SHARED_FIELDS)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        fields = _watched_fields(ctx.rel_path, ctx.source)
-        if not fields:
-            return iter(())
-        writer_lines = single_writer_lines(ctx.source)
+        fields = _watched_fields(ctx.rel_path)
         findings: List[Finding] = []
         for cls, func in iter_async_functions(ctx.tree):
-            if function_is_single_writer(func, writer_lines):
-                continue
             effects = class_method_effects(cls) if cls is not None else {}
             graph = build_flow_graph(func, effects)
             self._check_graph(ctx, graph, fields, findings)
@@ -156,7 +130,7 @@ class InterleavedReadModifyWrite(Rule):
                 if not event.derived:
                     continue  # fresh in-place read: window re-validated
             elif event.kind == "write" and event.attr == attr:
-                if crossed and not _common_section(read, event):
+                if crossed:
                     line = getattr(event.node, "lineno", 0)
                     key = (attr, line)
                     if key not in reported:
@@ -178,8 +152,6 @@ class InterleavedReadModifyWrite(Rule):
             write.node,
             f"write of self.{attr} may act on a stale value: {how} at "
             f"line {read_line} crosses an await before this write, so "
-            "another task can mutate the field in between; hold one "
-            "async lock across both, re-read the field after the "
-            "await, or annotate the function '# sc-lint: "
-            "single-writer'",
+            "another task can mutate the field in between; re-read "
+            "the field after the await before writing it",
         )

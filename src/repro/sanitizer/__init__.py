@@ -1,6 +1,6 @@
 """Runtime interleaving sanitizer for the proxy data plane.
 
-The static rules (SC007..SC009) prove the *shape* of asyncio races;
+The static rule SC007 proves the *shape* of asyncio races;
 this package catches the ones that actually happen.  It wraps the
 proxy's shared mutable state -- :class:`~repro.summaries.backend.SummaryNode`,
 :class:`~repro.placement.live.Placement`,

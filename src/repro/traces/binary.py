@@ -303,13 +303,16 @@ class BinaryTraceReader:
         self._advise_window = advise_window
         self._fh = open(self._path, "rb")
         try:
-            self._mm = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
-        except ValueError as exc:
-            self._fh.close()
-            raise TraceFormatError(f"{path}: cannot map: {exc}") from exc
-        try:
+            try:
+                self._mm = mmap.mmap(
+                    self._fh.fileno(), 0, access=mmap.ACCESS_READ
+                )
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}: cannot map: {exc}") from exc
             self._parse_header()
-        except TraceFormatError:
+        except BaseException:
+            # Any header failure leaves neither the mapping nor the
+            # file open behind it.
             self.close()
             raise
 
@@ -345,9 +348,10 @@ class BinaryTraceReader:
                 f"{self._path}: string table offset {strings_offset} does "
                 f"not follow {count} records ending at {records_end}"
             )
-        self.name = bytes(mm[TRACE_HEADER_SIZE : self._records_offset]).decode(
-            "utf-8"
-        )
+        try:
+            self.name = mm[TRACE_HEADER_SIZE : self._records_offset].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{self._path}: name is not UTF-8: {exc}") from exc
         self._count = count
         self._urls = self._parse_strings(strings_offset, strings_count)
         self._clients: Optional[List[int]] = None
@@ -367,7 +371,12 @@ class BinaryTraceReader:
                 raise TraceFormatError(
                     f"{self._path}: string entry {index} overruns the file"
                 )
-            urls.append(bytes(mm[pos : pos + length]).decode("utf-8"))
+            try:
+                urls.append(mm[pos : pos + length].decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise TraceFormatError(
+                    f"{self._path}: string entry {index} is not UTF-8: {exc}"
+                ) from exc
             pos += length
         return urls
 

@@ -1,16 +1,14 @@
-"""CLI surface: ``python -m repro.lint`` and ``summary-cache lint``.
+"""CLI surface: ``python -m repro.lint``, the lint's one entry point.
 
 Exit-code contract: 0 clean, 1 findings, 2 usage/configuration error.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main as summary_cache_main
 from repro.lint.cli import main as lint_main
 from tests.lint.conftest import LintProject
 
@@ -55,15 +53,6 @@ class TestLintMain:
         assert lint_main(_args(project, "--select", "SC999")) == 2
         assert "unknown rule ids: SC999" in capsys.readouterr().out
 
-    def test_json_format(
-        self, project: LintProject, capsys: pytest.CaptureFixture
-    ) -> None:
-        project.write("src/repro/core/mod.py", _VIOLATION)
-        assert lint_main(_args(project, "--format", "json")) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert payload["counts"] == {"SC005": 1}
-
     def test_select_and_ignore_flags(
         self, project: LintProject, capsys: pytest.CaptureFixture
     ) -> None:
@@ -80,29 +69,11 @@ class TestLintMain:
         assert "repro/proxy" in out  # scopes are shown
 
 
-class TestSummaryCacheSubcommand:
-    def test_lint_subcommand_clean(
-        self, project: LintProject, capsys: pytest.CaptureFixture
-    ) -> None:
-        project.write("src/repro/core/mod.py", "x = 1\n")
-        code = summary_cache_main(["lint", *_args(project)])
-        assert code == 0
-        assert "clean:" in capsys.readouterr().out
-
-    def test_lint_subcommand_findings(
-        self, project: LintProject, capsys: pytest.CaptureFixture
-    ) -> None:
-        project.write("src/repro/core/mod.py", _VIOLATION)
-        code = summary_cache_main(["lint", *_args(project)])
-        assert code == 1
-        assert "SC005" in capsys.readouterr().out
-
-
 class TestSelfClean:
     def test_repo_sources_are_lint_clean(
         self, capsys: pytest.CaptureFixture
     ) -> None:
-        """The acceptance gate: ``summary-cache lint src`` exits 0."""
+        """The acceptance gate: ``python -m repro.lint src`` exits 0."""
         repo_root = Path(__file__).resolve().parents[2]
         src = repo_root / "src"
         if not src.is_dir():  # running from an installed package

@@ -1,17 +1,9 @@
-"""Text, JSON, and SARIF reporter output contracts."""
+"""The text report's output contract."""
 
 from __future__ import annotations
 
-import json
-
+from repro.lint.cli import render_text
 from repro.lint.framework import Finding, LintResult
-from repro.lint.reporters import (
-    JSON_SCHEMA_VERSION,
-    SARIF_VERSION,
-    render_json,
-    render_sarif,
-    render_text,
-)
 
 
 def _dirty_result() -> LintResult:
@@ -53,71 +45,3 @@ class TestTextReporter:
     def test_clean_summary_reports_work_done(self) -> None:
         result = LintResult(files_checked=83, rules_run=tuple("ABCDEF"))
         assert render_text(result) == "clean: 83 file(s), 6 rule(s)"
-
-
-class TestJsonReporter:
-    def test_schema_version_1_fields(self) -> None:
-        payload = json.loads(render_json(_dirty_result()))
-        assert payload["version"] == JSON_SCHEMA_VERSION == 1
-        assert payload["files_checked"] == 2
-        assert payload["rules_run"] == ["SC001", "SC005"]
-        assert payload["counts"] == {"SC001": 1, "SC005": 1}
-        assert payload["findings"] == [
-            {
-                "rule": "SC005",
-                "path": "src/repro/core/mod.py",
-                "line": 3,
-                "col": 8,
-                "message": "raise of builtin ValueError",
-            },
-            {
-                "rule": "SC001",
-                "path": "src/repro/proxy/mod.py",
-                "line": 4,
-                "col": 4,
-                "message": "blocking call time.sleep()",
-            },
-        ]
-
-    def test_clean_result_round_trips(self) -> None:
-        payload = json.loads(
-            render_json(LintResult(files_checked=5, rules_run=("SC001",)))
-        )
-        assert payload["findings"] == []
-        assert payload["counts"] == {}
-        assert payload["files_checked"] == 5
-
-
-class TestSarifReporter:
-    def test_results_carry_rule_location_and_level(self) -> None:
-        payload = json.loads(render_sarif(_dirty_result()))
-        assert payload["version"] == SARIF_VERSION
-        run = payload["runs"][0]
-        assert run["tool"]["driver"]["name"] == "sc-lint"
-        results = run["results"]
-        assert len(results) == 2
-        first = results[0]
-        assert first["ruleId"] == "SC005"
-        assert first["level"] == "error"
-        assert first["message"]["text"] == "raise of builtin ValueError"
-        location = first["locations"][0]["physicalLocation"]
-        assert (
-            location["artifactLocation"]["uri"]
-            == "src/repro/core/mod.py"
-        )
-        # sc-lint columns are 0-based, SARIF's are 1-based.
-        assert location["region"] == {"startLine": 3, "startColumn": 9}
-
-    def test_executed_rules_are_declared_even_when_clean(self) -> None:
-        payload = json.loads(
-            render_sarif(
-                LintResult(files_checked=5, rules_run=("SC001", "SC007"))
-            )
-        )
-        run = payload["runs"][0]
-        assert run["results"] == []
-        declared = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert declared == {"SC001", "SC007"}
-        for rule in run["tool"]["driver"]["rules"]:
-            assert rule["defaultConfiguration"] == {"level": "error"}
-            assert rule["fullDescription"]["text"]

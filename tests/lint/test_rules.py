@@ -52,7 +52,6 @@ class TestSC001Blocking:
         assert project.rule_counts(select="SC001") == {"SC001": 1}
 
     def test_bare_open_in_async(self, project: LintProject) -> None:
-        # Two findings: blocking open() plus the unbounded fh.read().
         project.write(
             "src/repro/proxy/mod.py",
             """\
@@ -61,83 +60,7 @@ class TestSC001Blocking:
                     return fh.read()
             """,
         )
-        assert project.rule_counts(select="SC001") == {"SC001": 2}
-
-    def test_unbounded_reader_read_flagged(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(reader):
-                return await reader.read()
-            """,
-        )
-        findings = project.lint(select="SC001")
-        assert len(findings) == 1
-        assert "unbounded .read()" in findings[0].message
-
-    def test_read_to_eof_sentinel_flagged(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(reader):
-                return await reader.read(-1)
-            """,
-        )
-        findings = project.lint(select="SC001")
-        assert len(findings) == 1
-        assert "read-to-EOF" in findings[0].message
-
-    def test_bounded_read_is_fine(self, project: LintProject) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(reader, remaining):
-                return await reader.read(min(65536, remaining))
-            """,
-        )
-        assert project.lint(select="SC001") == []
-
-    def test_readexactly_nonconstant_flagged(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(reader, length):
-                return await reader.readexactly(length)
-            """,
-        )
-        findings = project.lint(select="SC001")
-        assert len(findings) == 1
-        assert "readexactly" in findings[0].message
-
-    def test_readexactly_literal_is_fine(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(reader):
-                return await reader.readexactly(16)
-            """,
-        )
-        assert project.lint(select="SC001") == []
-
-    def test_unbounded_read_in_sync_def_not_checked(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            def drain(reader):
-                return reader.read()
-            """,
-        )
-        assert project.lint(select="SC001") == []
+        assert project.rule_counts(select="SC001") == {"SC001": 1}
 
     def test_sync_def_is_fine(self, project: LintProject) -> None:
         project.write(
@@ -588,16 +511,6 @@ class TestSC004Encapsulation:
         assert len(findings) == 1
         assert "remote.bits.set(...)" in findings[0].message
 
-    def test_bare_storage_name_mutation(self, project: LintProject) -> None:
-        project.write(
-            "src/repro/simulation/mod.py",
-            """\
-            def poke(counters):
-                counters.add_at([3], {})
-            """,
-        )
-        assert project.rule_counts(select="SC004") == {"SC004": 1}
-
     def test_private_storage_access(self, project: LintProject) -> None:
         project.write(
             "src/repro/sharing/mod.py",
@@ -669,9 +582,11 @@ class TestSC004Encapsulation:
         )
         assert project.rule_counts(select="SC004") == {"SC004": 1}
 
-    def test_placement_package_touches_own_internals(
+    def test_placement_package_reaches_in_only_through_self(
         self, project: LintProject
     ) -> None:
+        # No placement code touches another object's internals, so the
+        # package gets no carve-out beyond the self access below.
         project.write(
             "src/repro/placement/mod.py",
             """\
@@ -680,7 +595,7 @@ class TestSC004Encapsulation:
                 return placement._self_name
             """,
         )
-        assert project.lint(select="SC004") == []
+        assert project.rule_counts(select="SC004") == {"SC004": 2}
 
     def test_placement_self_access_allowed(
         self, project: LintProject
@@ -898,8 +813,8 @@ class TestSC006CodecSync:
             "docs/wire-protocol.md", "Prose only, no table here.\n"
         )
         findings = project.lint(select="SC006")
-        assert len(findings) == 1
-        assert "no representation-id table" in findings[0].message
+        assert len(findings) == 2
+        assert all("missing" in f.message for f in findings)
 
 
 class TestSC001NestedScopes:
@@ -1022,9 +937,11 @@ class TestSC007Races:
         )
         assert project.rule_counts(select="SC007") == {}
 
-    def test_common_lock_section_is_safe(
+    def test_lock_section_does_not_hide_a_window(
         self, project: LintProject
     ) -> None:
+        # No src/ code holds an asyncio lock, so the rule knows no lock
+        # escape: a read..await..write window inside one is a finding.
         project.write(
             "src/repro/proxy/server.py",
             """\
@@ -1036,43 +953,6 @@ class TestSC007Races:
                         n = len(self._cache)
                         await asyncio.sleep(0)
                         self._cache = {}
-            """,
-        )
-        assert project.rule_counts(select="SC007") == {}
-
-    def test_single_writer_annotation_exempts(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/server.py",
-            """\
-            import asyncio
-
-            class Proxy:
-                async def handler(self):  # sc-lint: single-writer
-                    n = len(self._cache)
-                    await asyncio.sleep(0)
-                    self._cache = {}
-            """,
-        )
-        assert project.rule_counts(select="SC007") == {}
-
-    def test_shared_state_annotation_extends_fields(
-        self, project: LintProject
-    ) -> None:
-        # A file outside the seeded modules opts fields in explicitly.
-        project.write(
-            "src/repro/other/mod.py",
-            """\
-            import asyncio
-
-            # sc-lint: shared-state=_table
-
-            class Thing:
-                async def handler(self):
-                    n = len(self._table)
-                    await asyncio.sleep(0)
-                    self._table = {}
             """,
         )
         assert project.rule_counts(select="SC007") == {"SC007": 1}
@@ -1106,7 +986,7 @@ class TestSC008Lifecycle:
         )
         findings = project.lint(select="SC008")
         assert len(findings) == 1
-        assert "span 'span' can leak" in findings[0].message
+        assert "the span can leak" in findings[0].message
         assert "cancellation" in findings[0].message
 
     def test_record_alone_is_safe_and_start_span_still_fires(
@@ -1129,7 +1009,7 @@ class TestSC008Lifecycle:
         )
         findings = project.lint(select="SC008")
         assert len(findings) == 1
-        assert "span 'span' can leak" in findings[0].message
+        assert "the span can leak" in findings[0].message
         assert "ring.record(...)" in findings[0].message
 
     def test_span_in_with_statement_is_safe(
@@ -1147,9 +1027,11 @@ class TestSC008Lifecycle:
         )
         assert project.rule_counts(select="SC008") == {}
 
-    def test_span_with_try_finally_is_safe(
+    def test_span_ended_in_finally_is_still_flagged(
         self, project: LintProject
     ) -> None:
+        # The with statement is the one accepted shape: no src/ code
+        # ends a started span by hand, so no other shape is learned.
         project.write(
             "src/repro/proxy/mod.py",
             """\
@@ -1161,154 +1043,5 @@ class TestSC008Lifecycle:
                     span.end("ok")
             """,
         )
-        assert project.rule_counts(select="SC008") == {}
+        assert project.rule_counts(select="SC008") == {"SC008": 1}
 
-    def test_pooled_connection_leak_on_exception_path(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(self, host, port):
-                conn = await self._pool.acquire(host, port)
-                body = await exchange(conn)
-                self._pool.release(conn)
-                return body
-            """,
-        )
-        findings = project.lint(select="SC008")
-        assert len(findings) == 1
-        assert "pooled connection 'conn' can leak" in findings[0].message
-
-    def test_return_escape_transfers_ownership(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            async def handler(self, host, port):
-                conn = await self._pool.acquire(host, port)
-                return conn
-            """,
-        )
-        assert project.rule_counts(select="SC008") == {}
-
-    def test_writer_closed_in_finally_is_safe(
-        self, project: LintProject
-    ) -> None:
-        # Returns route through the finally suite; this fixture guards
-        # the CFG fix that removed the false positive here.
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            import asyncio
-
-            async def handler(self, host, port):
-                reader, writer = await asyncio.open_connection(host, port)
-                try:
-                    return await exchange(reader, writer)
-                finally:
-                    writer.close()
-            """,
-        )
-        assert project.rule_counts(select="SC008") == {}
-
-    def test_writer_without_close_is_flagged(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/proxy/mod.py",
-            """\
-            import asyncio
-
-            async def handler(self, host, port):
-                reader, writer = await asyncio.open_connection(host, port)
-                return await exchange(reader, writer)
-            """,
-        )
-        findings = project.lint(select="SC008")
-        assert len(findings) == 1
-        assert "stream writer 'writer' can leak" in findings[0].message
-
-
-class TestSC009Locks:
-    def test_double_acquire_flagged(self, project: LintProject) -> None:
-        project.write(
-            "src/repro/any/mod.py",
-            """\
-            class Thing:
-                async def handler(self):
-                    async with self._lock:
-                        async with self._lock:
-                            pass
-            """,
-        )
-        findings = project.lint(select="SC009")
-        assert len(findings) == 1
-        assert "double-acquire of self._lock" in findings[0].message
-
-    def test_double_acquire_through_distinct_locks_ok(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/any/mod.py",
-            """\
-            class Thing:
-                async def handler(self):
-                    async with self._ring_lock:
-                        async with self._io_lock:
-                            pass
-            """,
-        )
-        assert project.rule_counts(select="SC009") == {}
-
-    def test_await_inside_no_await_section_flagged(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/any/mod.py",
-            """\
-            import asyncio
-
-            class Thing:
-                async def handler(self):
-                    async with self._lock:  # sc-lint: no-await
-                        await asyncio.sleep(0)
-            """,
-        )
-        findings = project.lint(select="SC009")
-        assert len(findings) == 1
-        assert "annotated '# sc-lint: no-await'" in findings[0].message
-
-    def test_await_inside_ordinary_section_ok(
-        self, project: LintProject
-    ) -> None:
-        project.write(
-            "src/repro/any/mod.py",
-            """\
-            import asyncio
-
-            class Thing:
-                async def handler(self):
-                    async with self._lock:
-                        await asyncio.sleep(0)
-            """,
-        )
-        assert project.rule_counts(select="SC009") == {}
-
-    def test_bare_acquire_flagged(self, project: LintProject) -> None:
-        project.write(
-            "src/repro/any/mod.py",
-            """\
-            class Thing:
-                async def handler(self):
-                    await self._lock.acquire()
-                    try:
-                        pass
-                    finally:
-                        self._lock.release()
-            """,
-        )
-        findings = project.lint(select="SC009")
-        assert len(findings) == 1
-        assert "bare self._lock.acquire()" in findings[0].message

@@ -139,6 +139,21 @@ def test_cli_parser_loads_no_experiment_stack():
     assert loaded == []
 
 
+def test_cli_parser_loads_no_lint_module():
+    loaded = fresh(
+        """
+        import json, sys
+        from repro.cli import build_parser
+        build_parser()
+        print(json.dumps(sorted(
+            m for m in sys.modules
+            if m == "repro.lint" or m.startswith("repro.lint.")
+        )))
+        """
+    )
+    assert loaded == []
+
+
 def test_serve_runs_without_numpy_or_experiment_stack():
     loaded = fresh(
         """

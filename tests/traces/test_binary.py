@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError, TraceIndexError
+from repro.traces import binary
 from repro.traces.binary import (
     TRACE_HEADER_SIZE,
     TRACE_MAGIC,
@@ -303,6 +305,88 @@ class TestCorruptFiles:
                 window[1]
             with pytest.raises(TraceFormatError, match="URL id"):
                 list(window)
+
+    @pytest.mark.parametrize(
+        "byte, what", [("first name", "name"), ("last URL", "string entry 0")]
+    )
+    def test_non_utf8_text_raises_format_error_and_closes(
+        self, byte, what, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "one.sctr"
+        pack_trace([Request(0.0, 1, "http://u/x", 1, 0)], path, name="one")
+        data = bytearray(path.read_bytes())
+        data[TRACE_HEADER_SIZE if byte == "first name" else -1] = 0xFF
+        path.write_bytes(bytes(data))
+        opened, mapped = [], []
+        real_mmap = mmap.mmap
+
+        def spy_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def spy_mmap(*args, **kwargs):
+            mapped.append(real_mmap(*args, **kwargs))
+            return mapped[-1]
+
+        monkeypatch.setattr(binary, "open", spy_open, raising=False)
+        monkeypatch.setattr(binary.mmap, "mmap", spy_mmap)
+        with pytest.raises(TraceFormatError, match=f"{what} is not UTF-8"):
+            BinaryTraceReader(path)
+        assert len(opened) == len(mapped) == 1
+        assert opened[0].closed
+        assert mapped[0].closed
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory) -> bytes:
+    """A small ``.sctr`` file's bytes: a name, three URLs, four records."""
+    path = tmp_path_factory.mktemp("small") / "small.sctr"
+    requests = [
+        Request(0.0, 0, "http://a.com/1", 100, 0),
+        Request(0.5, 1, "http://b.com/é", 2048, 3),
+        Request(1.5, 0, "http://a.com/1", 100, 0),
+        Request(2.0, 7, "http://c.com/3?q=1", 64, 1),
+    ]
+    pack_trace(requests, path, name="small")
+    return path.read_bytes()
+
+
+def _open_and_iterate(data: bytes, path) -> None:
+    """Write *data* to *path*, open it and read every record; any
+    failure must be a :class:`TraceFormatError`."""
+    path.write_bytes(data)
+    try:
+        with BinaryTraceReader(path) as reader:
+            list(reader)
+    except TraceFormatError:
+        pass
+
+
+class TestDamagedFiles:
+    """One changed byte or a cut anywhere: open and iterate either
+    succeed or raise ``TraceFormatError``, never anything else."""
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_any_one_byte_changed(self, data, small, tmp_path):
+        damaged = bytearray(small)
+        index = data.draw(st.integers(min_value=0, max_value=len(small) - 1))
+        damaged[index] = data.draw(st.integers(min_value=0, max_value=255))
+        _open_and_iterate(bytes(damaged), tmp_path / "changed.sctr")
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_truncated_anywhere(self, data, small, tmp_path):
+        length = data.draw(st.integers(min_value=0, max_value=len(small) - 1))
+        _open_and_iterate(small[:length], tmp_path / "cut.sctr")
 
 
 # Surrogates (category Cs) are not encodable as UTF-8; the writer
