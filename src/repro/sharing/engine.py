@@ -19,7 +19,8 @@ only in who a proxy asks on a miss and what each exchange costs, so
 
 Every scheme choice is hoisted into a local before the loop, which makes
 no per-request or per-miss strategy call: the summary path keeps the
-shape it had as a loop of its own.
+shape it had as a loop of its own.  The loop's tallies are locals too,
+written to the :class:`SharingResult` once, after the last record.
 """
 
 from __future__ import annotations
@@ -57,11 +58,30 @@ class _KeyMemo(dict):
         return key
 
 
-def _feed(
-    update: Callable[[Any], None], keys: Dict[str, Any], url: str
-) -> None:
-    """Cache hook: hand *update* the summary key *keys* holds for *url*."""
-    update(keys[url])
+def _summary_hooks(
+    node: SummaryNode, keys: Dict[str, Any]
+) -> Tuple[Callable[[str], None], Callable[[str], None]]:
+    """The cache's insert and evict hooks for *node*.
+
+    Each reads the URL's summary key from the run's memo *keys* and
+    hands it straight to the local summary's key writer
+    (:meth:`~repro.summaries.backend.LocalSummary.key_writers`); the
+    insert hook also counts the new document, as
+    :meth:`SummaryNode.on_insert` does.  Each hook is one frame above
+    the summary's counters.  The evict hook is named for what it does:
+    ``bench/``'s per-layer report counts a cache call into a function
+    named ``*evict*`` as an eviction.
+    """
+    add_key, remove_key = node.local.key_writers()
+
+    def insert(url: str) -> None:
+        add_key(keys[url])
+        node.new_since_update += 1
+
+    def evict(url: str) -> None:
+        remove_key(keys[url])
+
+    return insert, evict
 
 
 def _summary_proxies(
@@ -93,13 +113,10 @@ def _summary_proxies(
         space = getattr(node.local, "num_bits", None)
         if space not in memos:
             memos[space] = _KeyMemo(node.local.key_of)
-        keys = memos[space]
+        insert, evict = _summary_hooks(node, memos[space])
         caches.append(
             WebCache(
-                size,
-                policy=config.policy,
-                on_insert=partial(_feed, node.insert, keys),
-                on_evict=partial(_feed, node.evict, keys),
+                size, policy=config.policy, on_insert=insert, on_evict=evict
             )
         )
     if len(memos) == 1:
@@ -155,6 +172,9 @@ def _replay(
 ) -> Tuple[SharingResult, List[WebCache], int]:
     """Replay *trace* through one scheme; see the module docstring.
 
+    *trace* yields five-field records, ``(timestamp, client_id, url,
+    size, version)`` in that order -- a :class:`~repro.traces.model.Request`
+    or any equal 5-tuple -- and each is unpacked once, by position.
     Proxy *i* has cache ``capacities[i]`` and serves the clients whose id
     modulo the proxy count is *i*.  *ask* is ``"none"``, ``"all"``,
     ``"summaries"`` (of the *summary* configuration) or ``"directory"``;
@@ -175,13 +195,15 @@ def _replay(
     msgs = result.messages
     nodes: List[SummaryNode] = []
     directory: Optional[Dict[str, int]] = None
-    probe = update_policy = None
+    probe = due = None
+    live = False  # threshold 0: no update delay
     if ask == "summaries":
         assert summary is not None
         caches, nodes, shipped, keys = _summary_proxies(capacities, summary)
         probe = shipped.probe
         if messages == "summary":
-            update_policy = summary.update_policy
+            due = summary.update_policy.due
+            live = getattr(summary.update_policy, "live", False)
     elif ask == "directory":
         directory = {}
         caches = []
@@ -195,31 +217,33 @@ def _replay(
     owners = _KeyMemo(route) if route is not None else None
     everyone = (1 << groups) - 1 if ask == "all" else 0
     per_peer = messages in ("icp", "summary")  # a query + reply per peer asked
-    live = getattr(update_policy, "live", False)  # threshold 0: no delay
     fanout = groups - 1
     filter_bits = [getattr(node.local, "num_bits", None) for node in nodes]
     # Peer directories, read in place: asking a peer is one lookup and
     # one version compare.
     lookups = [cache.peek for cache in caches]
     rerouted = 0
+    requests = local_hits = remote_hits = 0
+    remote_stale_hits = false_hits = false_misses = 0
+    bytes_requested = bytes_hit = 0
+    asked = publishes = update_bytes = 0
 
     # One record at a time: nothing a record allocates outlives it.
-    for req in trace:
-        g = req.client_id % groups
-        url = req.url
+    for timestamp, client_id, url, size, version in trace:
+        g = client_id % groups
         if owners is not None:
             owner = owners[url]
             if owner != g:
                 rerouted += 1
             g = owner
         cache = caches[g]
-        result.requests += 1
-        result.bytes_requested += req.size
+        requests += 1
+        bytes_requested += size
 
-        entry = cache.get(url, req.version, req.size)
+        entry = cache.get(url, version, size)
         if entry is not None:
-            result.local_hits += 1
-            result.bytes_hit += entry.size
+            local_hits += 1
+            bytes_hit += entry.size
             continue
 
         # Who is asked, as a peer bitmask; never the requester.
@@ -238,16 +262,11 @@ def _replay(
             candidates.append(low.bit_length() - 1)
             mask ^= low
 
-        version = req.version
         fresh = None
         stale_seen = False
         if candidates:
             if per_peer:
-                asked = len(candidates)
-                msgs.query_messages += asked
-                msgs.reply_messages += asked
-                msgs.query_bytes += QUERY_MESSAGE_BYTES * asked
-                msgs.reply_bytes += QUERY_MESSAGE_BYTES * asked
+                asked += len(candidates)
             for j in candidates:
                 entry = lookups[j](url)
                 if entry is not None:
@@ -256,50 +275,58 @@ def _replay(
                         break
                     stale_seen = True
         if fresh is not None:
-            result.remote_hits += 1
-            result.bytes_hit += req.size
+            remote_hits += 1
+            bytes_hit += size
             caches[fresh].touch(url)  # serving peer refreshes recency
             if not caches_remote_hits:
                 continue  # the single copy stays at the peer
         else:
             if stale_seen:
-                result.remote_stale_hits += 1
+                remote_stale_hits += 1
             elif candidates and probe is not None:
-                result.false_hits += 1
+                false_hits += 1
             if probe is not None:
                 # Only a summary can hide a peer's copy: a fresh one
                 # anywhere is one the summaries failed to reveal.
                 for lookup in lookups:
                     entry = lookup(url)
                     if entry is not None and entry.version == version:
-                        result.false_misses += 1
+                        false_misses += 1
                         break
             if parent is not None:
                 # The parent serves from its cache, or fetches from
                 # the origin on the child's behalf and keeps a copy.
-                if parent.get(url, version, req.size) is None:
-                    parent.put(url, req.size, version=version)
+                if parent.get(url, version, size) is None:
+                    parent.put(url, size, version=version)
 
         # Cache what was fetched (from a peer, the parent or the
         # origin); the insert may have made an update due.
-        cache.put(url, req.size, version=version)
-        if update_policy is not None and (
-            live
-            or nodes[g].due_for_update(
-                update_policy, req.timestamp, len(cache)
-            )
-        ):
-            delta = nodes[g].publish(req.timestamp)
+        cache.put(url, size, version=version)
+        if due is not None and (live or due(nodes[g], timestamp, len(cache))):
+            delta = nodes[g].publish(timestamp)
             shipped.apply_delta(g, delta)
             if live:
                 continue  # no update delay: no message to count
-            update_bytes = _delta_bytes(delta, filter_bits[g]) * fanout
-            msgs.update_messages += fanout
-            msgs.update_bytes += update_bytes
+            publishes += 1
+            update_bytes += _delta_bytes(delta, filter_bits[g]) * fanout
 
+    result.requests = requests
+    result.local_hits = local_hits
+    result.remote_hits = remote_hits
+    result.remote_stale_hits = remote_stale_hits
+    result.false_hits = false_hits
+    result.false_misses = false_misses
+    result.bytes_requested = bytes_requested
+    result.bytes_hit = bytes_hit
+    # A query and a reply, of one size each, per peer asked.
+    msgs.query_messages = msgs.reply_messages = asked
+    msgs.query_bytes = msgs.reply_bytes = QUERY_MESSAGE_BYTES * asked
+    # The directory's notifications were counted as they went.
+    msgs.update_messages += publishes * fanout
+    msgs.update_bytes += update_bytes
     if messages == "directory":
         # One query to the server and one reply back per local miss.
-        misses = result.requests - result.local_hits
+        misses = requests - local_hits
         msgs.query_messages = msgs.reply_messages = misses
         msgs.query_bytes = msgs.reply_bytes = QUERY_MESSAGE_BYTES * misses
     result.cache_capacity_bytes = sum(capacities) // groups

@@ -198,6 +198,18 @@ class LocalSummary(ABC):
         before anything changes.
         """
 
+    def key_writers(
+        self,
+    ) -> Tuple[Callable[[Any], None], Callable[[Any], None]]:
+        """The callables that do :meth:`add_key` / :meth:`remove_key`'s
+        work, for a caller that binds them once and writes keys in a
+        hot loop (the Section V simulator's cache hooks).
+
+        They stay valid until :meth:`rebuild`, which the simulators
+        never call.
+        """
+        return self.add_key, self.remove_key
+
     def add(self, url: str) -> None:
         """Record that *url* entered the cache."""
         self.add_key(self.key_of(url))
@@ -309,8 +321,14 @@ class SummaryNode:
 
     Bundles the local summary with the counters the update policies
     consult.  The Section V simulator, the discrete-event simulator and
-    the live proxy all drive their summaries through this class, so the
-    "when is an update due" logic exists exactly once.  The copies
+    the live proxy all drive their summaries through this class, and
+    every one asks ``policy.due(node, now, cached_documents)``, so the
+    "when is an update due" logic exists exactly once.  The live proxy
+    and the discrete-event simulator hold only URLs and hook the cache to
+    :meth:`on_insert` / :meth:`on_evict`; the Section V simulators,
+    which derive each URL's key once per run, write keys through
+    :meth:`LocalSummary.key_writers` and count :attr:`new_since_update`
+    in hooks of their own.  The copies
     peers hold are not kept here: :meth:`publish` hands the drained
     delta to the caller, which applies it to its
     :class:`~repro.summaries.peers.PeerSummaries` (simulators) or puts
@@ -329,38 +347,22 @@ class SummaryNode:
         self.new_since_update = 0
         self.last_update_time = 0.0
 
-    def insert(self, key: Any) -> None:
-        """A document filed under summary *key* entered the cache.
-
-        *key* is ``self.local.key_of(url)``; a caller that already holds
-        it (the simulators' per-run memo) passes it straight in.
-        """
-        self.local.add_key(key)
+    def on_insert(self, url: str) -> None:
+        """Cache-insert hook: *url* entered the cache."""
+        local = self.local
+        local.add_key(local.key_of(url))
         self.new_since_update += 1
 
-    def evict(self, key: Any) -> None:
-        """A document filed under summary *key* left the cache."""
-        self.local.remove_key(key)
-
-    def on_insert(self, url: str) -> None:
-        """Cache-insert hook for callers holding only the URL."""
-        self.insert(self.local.key_of(url))
-
     def on_evict(self, url: str) -> None:
-        """Cache-evict hook for callers holding only the URL."""
-        self.evict(self.local.key_of(url))
+        """Cache-evict hook: *url* left the cache."""
+        local = self.local
+        local.remove_key(local.key_of(url))
 
     def due_for_update(
         self, policy: UpdatePolicy, now: float, cached_documents: int
     ) -> bool:
         """Check whether the copies peers hold should be refreshed."""
-        return policy.due(
-            new_documents=self.new_since_update,
-            cached_documents=cached_documents,
-            pending_records=self.local.pending_change_count(),
-            now=now,
-            last_update=self.last_update_time,
-        )
+        return policy.due(self, now, cached_documents)
 
     def publish(self, now: float) -> SummaryDelta:
         """Drain the pending delta and reset the update bookkeeping.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
@@ -73,6 +73,12 @@ class BloomSummary(LocalSummary):
 
     def remove_key(self, key: Sequence[int]) -> None:
         self._cbf.remove_at(key)
+
+    def key_writers(
+        self,
+    ) -> Tuple[Callable[[Sequence[int]], None], Callable[[Sequence[int]], None]]:
+        # The counting filter's own methods: the summary's frame goes.
+        return self._cbf.add_at, self._cbf.remove_at
 
     def may_contain(self, url: str) -> bool:
         return self._cbf.may_contain(url)

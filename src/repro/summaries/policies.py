@@ -10,6 +10,13 @@ The paper studies three triggers (Sections V-A and VI-B):
 - :class:`PacketFillUpdatePolicy` -- ship once the pending change
   records fill one IP packet (the Squid prototype's behaviour).
 
+Each policy answers ``due(node, now, cached_documents)`` -- is an
+update of :class:`~repro.summaries.backend.SummaryNode` *node* due at
+time *now*, with *cached_documents* in the cache -- and reads only the
+one counter its trigger needs: the threshold ``node.new_since_update``,
+the interval ``node.last_update_time``, and the packet fill the local
+summary's pending change count.
+
 A threshold of 0 means no update delay at all: the Section V simulator
 treats it as "peers probe the live directory" (the top line of Fig. 2),
 while the live proxy ships an update after every insert -- the closest
@@ -19,10 +26,13 @@ a real wire protocol can get to that ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from repro.errors import ConfigurationError
 from repro.protocol.update import FLIPS_PER_MESSAGE
+
+if TYPE_CHECKING:  # backend imports this module for UpdatePolicy
+    from repro.summaries.backend import SummaryNode
 
 
 @dataclass(frozen=True)
@@ -48,17 +58,12 @@ class ThresholdUpdatePolicy:
         return self.threshold == 0.0
 
     def due(
-        self,
-        *,
-        new_documents: int,
-        cached_documents: int,
-        pending_records: int,
-        now: float,
-        last_update: float,
+        self, node: SummaryNode, now: float, cached_documents: int
     ) -> bool:
+        new = node.new_since_update
         if self.threshold == 0.0:
-            return new_documents > 0
-        return new_documents / max(1, cached_documents) >= self.threshold
+            return new > 0
+        return new / max(1, cached_documents) >= self.threshold
 
     def label(self) -> str:
         return f"threshold={self.threshold:g}"
@@ -77,15 +82,9 @@ class IntervalUpdatePolicy:
             )
 
     def due(
-        self,
-        *,
-        new_documents: int,
-        cached_documents: int,
-        pending_records: int,
-        now: float,
-        last_update: float,
+        self, node: SummaryNode, now: float, cached_documents: int
     ) -> bool:
-        return now - last_update >= self.interval
+        return now - node.last_update_time >= self.interval
 
     def label(self) -> str:
         return f"interval={self.interval:g}s"
@@ -109,15 +108,9 @@ class PacketFillUpdatePolicy:
             )
 
     def due(
-        self,
-        *,
-        new_documents: int,
-        cached_documents: int,
-        pending_records: int,
-        now: float,
-        last_update: float,
+        self, node: SummaryNode, now: float, cached_documents: int
     ) -> bool:
-        return pending_records >= self.records
+        return node.local.pending_change_count() >= self.records
 
     def label(self) -> str:
         return f"packet-fill={self.records}"

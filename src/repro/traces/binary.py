@@ -455,6 +455,7 @@ class BinaryTraceReader:
         # iter_unpack needs buffers that are whole multiples of the
         # record size; round the block step down to a record boundary.
         block_bytes = (_WRITE_BUFFER_BYTES // TRACE_RECORD_SIZE) * TRACE_RECORD_SIZE
+        new = tuple.__new__  # Request._make without its frame
         pos = lo
         while pos < hi:
             block_end = min(hi, pos + block_bytes)
@@ -463,7 +464,9 @@ class BinaryTraceReader:
                 for ts, client_id, url_id, size, version in (
                     _TRACE_RECORD.iter_unpack(view)
                 ):
-                    yield Request(ts, client_id, urls[url_id], size, version)
+                    yield new(
+                        Request, (ts, client_id, urls[url_id], size, version)
+                    )
             except IndexError:
                 raise self._bad_url_id(url_id) from None
             finally:
@@ -485,7 +488,7 @@ class BinaryTraceReader:
             url = self._urls[url_id]
         except IndexError:
             raise self._bad_url_id(url_id) from None
-        return Request(ts, client_id, url, size, version)
+        return tuple.__new__(Request, (ts, client_id, url, size, version))
 
     def _bad_url_id(self, url_id: int) -> TraceFormatError:
         return TraceFormatError(

@@ -22,8 +22,12 @@ class Request(NamedTuple):
 
     An immutable tuple of five fields: the generator, the ``.sctr``
     reader and the Squid log reader build one per record, and a tuple is
-    the cheapest record to build.  Being a tuple, it also compares
-    equal to a plain tuple of the same values.
+    the cheapest record to build.  The generator and the ``.sctr``
+    reader call ``tuple.__new__(Request, fields)``: that is
+    ``Request._make`` without its Python frame or its length check, so
+    they pass exactly the five fields, in order.  Being a tuple, a
+    request also compares equal to a plain tuple of the same values, and
+    a consumer may unpack it by position.
 
     Attributes
     ----------

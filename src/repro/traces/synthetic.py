@@ -396,10 +396,11 @@ def iter_requests(
     *block_size*.
     """
     urls: List[str] = []
+    new = tuple.__new__  # Request._make without its frame
     for timestamp, client, url_id, size, version in iter_records(
         config, urls, block_size
     ):
-        yield Request(timestamp, client, urls[url_id], size, version)
+        yield new(Request, (timestamp, client, urls[url_id], size, version))
 
 
 def generate_trace(config: SyntheticTraceConfig) -> Trace:

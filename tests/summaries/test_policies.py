@@ -2,28 +2,39 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.protocol.update import FLIPS_PER_MESSAGE
 from repro.summaries import (
     IntervalUpdatePolicy,
     PacketFillUpdatePolicy,
+    SummaryConfig,
+    SummaryNode,
     ThresholdUpdatePolicy,
     parse_update_policy,
 )
 
 
-def due(policy, **overrides):
-    kwargs = {
-        "new_documents": 0,
-        "cached_documents": 100,
-        "pending_records": 0,
-        "now": 0.0,
-        "last_update": 0.0,
-    }
-    kwargs.update(overrides)
-    return policy.due(**kwargs)
+def due(
+    policy,
+    new_documents=0,
+    cached_documents=100,
+    pending_records=0,
+    now=0.0,
+    last_update=0.0,
+):
+    """Ask *policy* about a node stub holding exactly these counters."""
+    node = SimpleNamespace(
+        new_since_update=new_documents,
+        last_update_time=last_update,
+        local=SimpleNamespace(pending_change_count=lambda: pending_records),
+    )
+    return policy.due(node, now, cached_documents)
 
 
 class TestThreshold:
@@ -107,3 +118,53 @@ class TestParse:
         assert ThresholdUpdatePolicy(0.01).label() == "threshold=0.01"
         assert IntervalUpdatePolicy(300).label() == "interval=300s"
         assert PacketFillUpdatePolicy(342).label() == "packet-fill=342"
+
+
+def keyword_due(policy, new, cached, pending, now, last_update):
+    """The policies' rule as it read when ``due`` took every counter by
+    keyword, whichever one the policy used."""
+    if isinstance(policy, ThresholdUpdatePolicy):
+        if policy.threshold == 0.0:
+            return new > 0
+        return new / max(1, cached) >= policy.threshold
+    if isinstance(policy, IntervalUpdatePolicy):
+        return now - last_update >= policy.interval
+    return pending >= policy.records
+
+
+policies = st.one_of(
+    st.builds(
+        ThresholdUpdatePolicy,
+        st.one_of(
+            st.just(0.0), st.floats(0.0, 1.0), st.sampled_from([0.01, 0.1])
+        ),
+    ),
+    st.builds(IntervalUpdatePolicy, st.floats(0.001, 1e4)),
+    st.builds(PacketFillUpdatePolicy, st.integers(1, 40)),
+)
+times = st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@given(
+    policies,
+    st.integers(0, 2_000),
+    st.integers(0, 2_000),
+    st.integers(0, 50),
+    times,
+    times,
+)
+@settings(max_examples=300, deadline=None)
+def test_positional_due_is_the_keyword_rule(
+    policy, new, cached, pending, now, last_update
+):
+    """``policy.due(node, now, cached)`` and ``SummaryNode.due_for_update``
+    answer as the keyword formula did, for all three policies."""
+    node = SummaryNode(SummaryConfig(kind="exact-directory"), 1 << 20)
+    for key in range(pending):
+        node.local.add_key(key.to_bytes(16, "big"))
+    node.new_since_update = new
+    node.last_update_time = last_update
+    assert node.local.pending_change_count() == pending
+    expected = keyword_due(policy, new, cached, pending, now, last_update)
+    assert policy.due(node, now, cached) is expected
+    assert node.due_for_update(policy, now, cached) is expected
