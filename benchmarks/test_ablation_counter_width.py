@@ -12,7 +12,8 @@ import random
 
 from repro.analysis.tables import format_table
 from repro.core.bfmath import counter_overflow_probability
-from repro.core.counting_bloom import CountingBloomFilter
+from repro.summaries import SummaryConfig
+from repro.summaries.bloom import BloomSummary
 
 from benchmarks._shared import write_result
 
@@ -23,7 +24,7 @@ CHURN_OPS = 30_000
 def churn(width: int):
     """Random adds/removes at a steady ~2000 live keys."""
     rng = random.Random(width)
-    cbf = CountingBloomFilter(NUM_BITS, counter_width=width)
+    cbf = BloomSummary(NUM_BITS // 8, SummaryConfig(counter_width=width))
     live = []
     for op in range(CHURN_OPS):
         if live and rng.random() < 0.45:

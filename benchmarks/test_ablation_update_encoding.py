@@ -12,11 +12,11 @@ apply.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.core.counting_bloom import CountingBloomFilter
 from repro.protocol.update import (
     build_digest_messages,
     build_dir_update_messages,
 )
+from repro.summaries.bloom import BloomSummary
 from repro.summaries.codec import ships_whole
 
 from benchmarks._shared import write_result
@@ -25,18 +25,20 @@ NUM_BITS = 131_072  # a 16 KB filter (2K documents at load factor 8)
 
 
 def measure(batch_size: int):
-    cbf = CountingBloomFilter(NUM_BITS)
+    cbf = BloomSummary(NUM_BITS // 8)  # load factor 8
     for i in range(2000):
         cbf.add(f"http://base{i}.com/x")
-    cbf.drain_flips()  # baseline shipped
+    cbf.drain_delta()  # baseline shipped
     for i in range(batch_size):
         cbf.add(f"http://delta{i}.com/y")
-    flips = cbf.drain_flips()
+    flips = cbf.drain_delta().flips
     delta_messages = build_dir_update_messages(
         flips, cbf.hash_family, cbf.num_bits
     )
     delta_bytes = sum(len(m.encode()) for m in delta_messages)
-    digest_messages = build_digest_messages(cbf)
+    digest_messages = build_digest_messages(
+        cbf.counters.bits.to_bytes(), cbf.hash_family, cbf.num_bits
+    )
     digest_bytes = sum(len(c.encode()) for c in digest_messages)
     return len(flips), delta_bytes, digest_bytes
 

@@ -14,10 +14,10 @@ import random
 
 from repro.core.bitarray import BitArray
 from repro.core.bloom import BloomFilter
-from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily, PolynomialHashFamily
 from repro.protocol.update import build_dir_update_messages
 from repro.protocol.wire import IcpQuery, decode_message
+from repro.summaries.bloom import BloomSummary
 from repro.traces import BinaryTraceReader, pack_trace
 from repro.traces.synthetic import SyntheticTraceConfig, iter_requests
 
@@ -64,7 +64,7 @@ def test_micro_bloom_negative_probe(benchmark):
 
 
 def test_micro_counting_add_remove(benchmark):
-    cbf = CountingBloomFilter.for_capacity(5000, load_factor=8)
+    cbf = BloomSummary(5000)  # load factor 8
     urls = itertools.cycle(URLS)
 
     def add_remove():
@@ -73,8 +73,8 @@ def test_micro_counting_add_remove(benchmark):
         cbf.remove(url)
         # Bound the pending-flip list: a deployed proxy drains it on
         # every update, so steady state never accumulates.
-        if cbf.pending_flip_count > 1024:
-            cbf.drain_flips()
+        if cbf.pending_change_count() > 1024:
+            cbf.drain_delta()
 
     benchmark(add_remove)
 
@@ -137,10 +137,10 @@ def test_micro_query_encode_decode(benchmark):
 
 
 def test_micro_dirupdate_build(benchmark):
-    cbf = CountingBloomFilter.for_capacity(5000, load_factor=8)
+    cbf = BloomSummary(5000)
     for url in URLS[:1000]:
         cbf.add(url)
-    flips = cbf.drain_flips()
+    flips = cbf.drain_delta().flips
 
     def build():
         return build_dir_update_messages(

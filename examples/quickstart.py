@@ -17,8 +17,8 @@ from repro.core.bfmath import (
     optimal_integer_num_hashes,
 )
 from repro.core.bloom import BloomFilter
-from repro.core.counting_bloom import CountingBloomFilter
 from repro.protocol import build_dir_update_messages, decode_message
+from repro.summaries import BloomSummary
 
 
 def main() -> None:
@@ -26,11 +26,15 @@ def main() -> None:
     # 1. A proxy summarizes its own directory with a counting filter.
     # ------------------------------------------------------------------
     print("=== 1. Counting Bloom filter (the proxy's local summary) ===")
-    summary = CountingBloomFilter.for_capacity(10_000, load_factor=8)
+    summary = BloomSummary(10_000)  # 8 bits per expected document
     urls = [f"http://server{i % 50}.edu/page/{i}" for i in range(2_000)]
     for url in urls:
         summary.add(url)
-    print(f"inserted {len(urls)} URLs into {summary!r}")
+    print(
+        f"inserted {len(urls)} URLs into a {summary.num_bits}-bit filter "
+        f"with {summary.config.counter_width}-bit counters "
+        f"(fill ratio {summary.fill_ratio():.4f})"
+    )
 
     probe = urls[123]
     print(f"may_contain({probe!r}) -> {summary.may_contain(probe)}")
@@ -43,7 +47,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     print("\n=== 2. Delta updates over the wire ===")
     peer_copy = BloomFilter(summary.num_bits, hash_family=summary.hash_family)
-    flips = summary.drain_flips()
+    flips = summary.drain_delta().flips
     messages = build_dir_update_messages(
         flips, summary.hash_family, summary.num_bits
     )
@@ -56,7 +60,7 @@ def main() -> None:
         peer_copy.apply_flips(decode_message(datagram).flips)
     print(
         "peer copy agrees with local filter:",
-        peer_copy == summary.snapshot(),
+        peer_copy.bits == summary.counters.bits,
     )
 
     # ------------------------------------------------------------------
@@ -76,7 +80,7 @@ def main() -> None:
     # 4. A cache that keeps its summary in sync automatically.
     # ------------------------------------------------------------------
     print("\n=== 4. Cache + summary, wired by callbacks ===")
-    live = CountingBloomFilter.for_capacity(100, load_factor=8)
+    live = BloomSummary(100)
     cache = WebCache(
         capacity_bytes=64 * 1024,
         on_insert=live.add,

@@ -3,8 +3,10 @@ Protocol* (Fan, Cao, Almeida, Broder; SIGCOMM 1998 / IEEE-ACM ToN 2000).
 
 The package is organized around the paper's structure:
 
-- :mod:`repro.core` -- Bloom filters, counting Bloom filters, summary
-  representations, and the analytic math (Sections V-B/C/D, Fig. 4).
+- :mod:`repro.core` -- hashing, bit and counter arrays, the plain Bloom
+  filter, and the analytic math (Sections V-B/C/D, Fig. 4).
+- :mod:`repro.summaries` -- the summary representations, the counting
+  Bloom filter among them (Section V-C), and their wire codec.
 - :mod:`repro.cache` -- the proxy cache substrate (Section II).
 - :mod:`repro.traces` -- synthetic trace generation and statistics
   standing in for the paper's five proxy traces (Table I).
@@ -26,9 +28,9 @@ The package is organized around the paper's structure:
 
 Quickstart::
 
-    from repro.core.counting_bloom import CountingBloomFilter
+    from repro.summaries import BloomSummary
 
-    summary = CountingBloomFilter.for_capacity(10_000, load_factor=8)
+    summary = BloomSummary(10_000)  # 8 bits per expected document
     summary.add("http://example.com/index.html")
     assert summary.may_contain("http://example.com/index.html")
     summary.remove("http://example.com/index.html")

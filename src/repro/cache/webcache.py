@@ -79,6 +79,10 @@ class WebCache:
         #: own ``get``, so a simulator reading a peer's copy pays one
         #: dict read and compares ``entry.version`` itself.
         self.peek: Callable[[str], Optional[CacheEntry]] = self._entries.get
+        #: ``num_documents()``: ``len(cache)`` as the directory dict's
+        #: own ``__len__``, so a simulator asking after every insert
+        #: runs no Python frame for it.
+        self.num_documents: Callable[[], int] = self._entries.__len__
         self._used = 0
         self._on_insert = on_insert
         self._on_evict = on_evict

@@ -10,7 +10,8 @@ Two storage primitives back the summary data structures:
   saturated counter should simply stick at its maximum; both behaviours
   are implemented here.  A counter array also owns the bit array of
   which counters are nonzero -- the public bits of a counting filter --
-  and moves a counter and its bit in the same pass.
+  and the journal of their flips; it moves a counter, its bit and the
+  journal in the same pass.
 
 Both classes pack their payload densely (``CounterArray`` packs two 4-bit
 counters per byte) because the memory analysis of Table III depends on
@@ -171,29 +172,6 @@ class BitArray:
                 changed += 1
         return changed
 
-    def holding(
-        self, records: Iterable[Tuple[int, bool]]
-    ) -> List[Tuple[int, bool]]:
-        """The ``(index, value)`` records whose value bit *index* holds
-        now, in the order given.
-
-        A counting filter drains its delta this way: of the first flip
-        recorded per bit since the last update, only those the bit still
-        agrees with are a net change worth shipping.
-        """
-        buf = self._buf
-        size = self._size
-        held: List[Tuple[int, bool]] = []
-        for record in records:
-            index, value = record
-            if not 0 <= index < size:
-                raise BitIndexError(
-                    f"bit index {index} out of range [0, {size})"
-                )
-            if bool(buf[index >> 3] & (1 << (index & 7))) == value:
-                held.append(record)
-        return held
-
     def reset(self) -> None:
         """Clear every bit (in place, so a :meth:`view` stays attached)."""
         self._buf[:] = bytes(len(self._buf))
@@ -264,14 +242,19 @@ class CounterArray:
 
     The array also owns :attr:`bits`, whose bit *i* is set exactly when
     counter *i* is nonzero -- the public bit array of a counting Bloom
-    filter.  :meth:`add_at` and :meth:`remove_at` are the one place a
-    counter moves: each walks a key's positions once, moving the counter,
-    writing its bit on a 0 <-> 1 transition and recording the flip.
+    filter -- and the journal of those bits' flips since the last
+    :meth:`drain_flips`, which a delta update ships.  :meth:`add_at` and
+    :meth:`remove_at` are the one place a counter moves: each walks a
+    key's positions once, moving the counter, writing its bit on a
+    0 <-> 1 transition and journaling the flip.  The journal is
+    coalesced as it is written -- one entry per bit, holding its first
+    flip -- so a drain reads each changed bit once, while
+    :attr:`pending_flip_count` still counts every flip.
     """
 
     __slots__ = (
         "_size", "_width", "_max", "_byte_shift", "_slot_mask", "_buf",
-        "_flags", "_saturated", "bits",
+        "_flags", "_saturated", "bits", "_pending", "pending_flip_count",
     )
 
     #: Widths that pack evenly into bytes; arbitrary widths would
@@ -299,6 +282,16 @@ class CounterArray:
         #: Which counters are nonzero, as a bit array over the flags
         #: this array writes; read it, never write it.
         self.bits = BitArray.view(self._flags, size)
+        #: Bit index -> the value of its first flip since the last
+        #: drain, in first-flip order; the bit's current value says
+        #: whether that flip still stands.
+        self._pending: Dict[int, bool] = {}
+        #: Flips journaled since the last drain, before coalescing:
+        #: every 0 <-> 1 transition counts, including ones that later
+        #: cancel out.  This is what a packet-fill update policy
+        #: (:class:`~repro.summaries.PacketFillUpdatePolicy`) fills a
+        #: packet with.
+        self.pending_flip_count = 0
 
     @property
     def size(self) -> int:
@@ -347,16 +340,16 @@ class CounterArray:
             f"counter index {bad} out of range [0, {self._size})"
         )
 
-    def add_at(self, indices: Sequence[int], flips: Dict[int, bool]) -> int:
-        """Count one key in at *indices*; return how many bits went 0 -> 1.
+    def add_at(self, indices: Sequence[int]) -> None:
+        """Count one key in at *indices*.
 
         One pass: each counter moves up one, saturating at
         :attr:`max_value` (a counter already at the ceiling stays there
         and counts one saturation event).  A counter leaving zero sets
-        its bit in :attr:`bits` and records ``index -> True`` in *flips*
-        unless *index* already has a record there (the first one is
-        kept).  An index listed twice counts twice -- two of a key's
-        hash functions may collide.  An out-of-range index raises
+        its bit in :attr:`bits` and journals the flip, as
+        ``index -> True`` unless *index* already has an entry since the
+        last drain (the first one is kept).  An index listed twice
+        counts twice -- two of a key's hash functions may collide.  An out-of-range index raises
         :class:`~repro.errors.BitIndexError` before any counter moves.
         """
         size = self._size
@@ -364,6 +357,7 @@ class CounterArray:
             raise self._out_of_range(indices)
         counts = self._buf
         flags = self._flags
+        pending = self._pending
         width = self._width
         top = self._max
         byte_shift = self._byte_shift
@@ -380,34 +374,35 @@ class CounterArray:
                 if not value:
                     flags[index >> 3] |= 1 << (index & 7)
                     raised += 1
-                    if index not in flips:
-                        flips[index] = True
-        return raised
+                    if index not in pending:
+                        pending[index] = True
+        self.pending_flip_count += raised
 
-    def remove_at(self, indices: Sequence[int], flips: Dict[int, bool]) -> int:
-        """Count one key out at *indices*; return how many bits went 1 -> 0.
+    def remove_at(self, indices: Sequence[int]) -> None:
+        """Count one key out at *indices*.
 
         The mirror of :meth:`add_at`: a saturated counter is left
         untouched (the paper's stick-at-max rule), and a counter reaching
-        zero clears its bit and records ``index -> False`` in *flips*
-        unless *index* already has a record.  All or nothing: an
+        zero clears its bit and journals ``index -> False`` unless
+        *index* already has an entry.  All or nothing: an
         out-of-range index raises :class:`~repro.errors.BitIndexError`
         before any counter moves, and a counter that would drop below
         zero raises :class:`~repro.errors.SummaryStateError` (the caller
         tried to delete a key that was never inserted, or listed an index
         more often than it was counted) after putting back every counter,
-        bit and flip record this call changed.
+        bit and journal entry this call changed.
         """
         size = self._size
         if indices and (min(indices) < 0 or max(indices) >= size):
             raise self._out_of_range(indices)
         counts = self._buf
         flags = self._flags
+        pending = self._pending
         width = self._width
         top = self._max
         byte_shift = self._byte_shift
         slot_mask = self._slot_mask
-        records_before = len(flips)
+        records_before = len(pending)
         cleared = 0
         # An explicit iterator, so that on underflow what is left of it
         # tells how many indices were already counted out.
@@ -424,10 +419,11 @@ class CounterArray:
             if value == 1:
                 flags[index >> 3] &= ~(1 << (index & 7))
                 cleared += 1
-                if index not in flips:
-                    flips[index] = False
+                if index not in pending:
+                    pending[index] = False
         else:
-            return cleared
+            self.pending_flip_count += cleared
+            return
         done = len(indices) - 1 - sum(1 for _ in walk)
         for undone in reversed(indices[:done]):
             byte_index = undone >> byte_shift
@@ -437,11 +433,35 @@ class CounterArray:
                 counts[byte_index] += 1 << shift
                 if not value:
                     flags[undone >> 3] |= 1 << (undone & 7)
-        while len(flips) > records_before:
-            flips.popitem()
+        while len(pending) > records_before:
+            pending.popitem()
         raise SummaryStateError(
             f"counter {index} underflow: decrement of a zero counter"
         )
+
+    def peek_flips(self) -> List[Tuple[int, bool]]:
+        """The coalesced journal, without emptying it.
+
+        Records come in the order each bit first flipped since the last
+        drain.  A bit that flipped several times is shipped with its
+        current value, and one back at its last-shipped state (the
+        opposite of its first flip) is not shipped at all -- exactly
+        what a delta update message should carry.
+        """
+        flags = self._flags
+        held: List[Tuple[int, bool]] = []
+        for record in self._pending.items():
+            index, value = record
+            if bool(flags[index >> 3] & (1 << (index & 7))) == value:
+                held.append(record)
+        return held
+
+    def drain_flips(self) -> List[Tuple[int, bool]]:
+        """Return :meth:`peek_flips` and empty the journal."""
+        flips = self.peek_flips()
+        self._pending.clear()
+        self.pending_flip_count = 0
+        return flips
 
     def size_bytes(self) -> int:
         """Memory footprint of the packed counters, in bytes."""

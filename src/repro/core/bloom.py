@@ -6,7 +6,7 @@ a :class:`~repro.summaries.peers.PeerSummaries`.  Because a shipped copy
 is only ever probed and patched (bits set or cleared by absolute index,
 per the loss-tolerant update design of Section VI-A), the plain filter
 carries no counters -- those live only in the owning proxy's
-:class:`~repro.core.counting_bloom.CountingBloomFilter`.
+:class:`~repro.summaries.bloom.BloomSummary`.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The Section V-C overflow analysis (4-bit counters overflow with
 probability 1.37e-15 per entry) holds only when every increment and
-decrement travels through :class:`~repro.core.counting_bloom.
-CountingBloomFilter`, which validates underflow and records the 0 <-> 1
-transitions a delta update needs.  A stray ``filter.bits.set(...)`` in a
+decrement travels through :class:`~repro.core.bitarray.CounterArray`'s
+own methods, called by :class:`~repro.summaries.bloom.BloomSummary`,
+which validate underflow and journal the 0 <-> 1 transitions a delta
+update needs.  A stray ``filter.bits.set(...)`` in a
 simulator desynchronizes the shipped copy from the counters without any
 runtime error.
 
@@ -26,7 +27,7 @@ from repro.lint.astutil import dotted_name
 from repro.lint.framework import FileContext, Finding, Rule, register
 
 #: Attribute names that hold a BitArray / CounterArray on the summary
-#: structures (``BloomFilter.bits``, ``CountingBloomFilter.counters``).
+#: structures (``BloomFilter.bits``, ``BloomSummary.counters``).
 STORAGE_ATTRIBUTES = ("bits", "counters")
 
 #: Mutating methods of BitArray / CounterArray.
@@ -119,7 +120,7 @@ class SummaryEncapsulation(Rule):
                         node,
                         f"direct mutation {owner}.{func.attr}(...) "
                         "outside repro.core/repro.summaries; go "
-                        "through CountingBloomFilter / the summary "
+                        "through BloomSummary / the summary "
                         "backend instead",
                     )
                 )

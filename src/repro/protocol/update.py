@@ -19,9 +19,8 @@ import zlib
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bloom import BloomFilter
-from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
-from repro.errors import ProtocolError
+from repro.errors import ConfigurationError, SummaryMismatchError
 from repro.protocol.wire import (
     DIGEST_HEADER_SIZE,
     DIRUPDATE_HEADER_SIZE,
@@ -119,30 +118,30 @@ def build_set_update_messages(
     return messages
 
 
-def build_digest_messages(source: CountingBloomFilter) -> List[DigestChunk]:
-    """Chunk a whole-filter snapshot into ``DigestChunk`` messages of at
-    most :data:`MTU` bytes, each stamped with the snapshot's CRC-32 (see
-    :class:`DigestChunk`)."""
+def build_digest_messages(
+    data: bytes,
+    hash_family: MD5HashFamily,
+    bit_array_size: int,
+) -> List[DigestChunk]:
+    """Chunk a whole bit array, packed as *data*, into ``DigestChunk``
+    messages of at most :data:`MTU` bytes, each stamped with the
+    snapshot's CRC-32 (see :class:`DigestChunk`).
+    """
     per_chunk = MTU - ICP_HEADER_SIZE - DIGEST_HEADER_SIZE
-    data = source.filter.to_bytes()
     snapshot = zlib.crc32(data)
-    num, bits = source.hash_family.spec()
-    chunks = []
-    for offset in range(0, len(data), per_chunk):
-        chunks.append(
-            DigestChunk(
-                function_num=num,
-                function_bits=bits,
-                bit_array_size=source.num_bits,
-                byte_offset=offset,
-                total_bytes=len(data),
-                payload=data[offset : offset + per_chunk],
-                request_number=snapshot,
-            )
+    num, bits = hash_family.spec()
+    return [
+        DigestChunk(
+            function_num=num,
+            function_bits=bits,
+            bit_array_size=bit_array_size,
+            byte_offset=offset,
+            total_bytes=len(data),
+            payload=data[offset : offset + per_chunk],
+            request_number=snapshot,
         )
-    if not chunks:  # zero-bit filters cannot occur, but guard anyway
-        raise ProtocolError("cannot build digest messages for empty filter")
-    return chunks
+        for offset in range(0, len(data), per_chunk)
+    ]
 
 
 class DigestAssembler:
@@ -159,7 +158,13 @@ class DigestAssembler:
         self._pieces: Dict[int, bytes] = {}
 
     def add(self, chunk: DigestChunk) -> Optional[BloomFilter]:
-        """Feed one chunk; return the completed filter or ``None``."""
+        """Feed one chunk; return the completed filter or ``None``.
+
+        A completed transfer whose hash family cannot be built (a
+        ``Function_Bits`` above 64) raises
+        :class:`~repro.errors.SummaryMismatchError`, as the same header
+        on a DIRUPDATE does when it is applied.
+        """
         spec = (
             chunk.function_num,
             chunk.function_bits,
@@ -185,12 +190,16 @@ class DigestAssembler:
         if covered != chunk.total_bytes:
             return None  # duplicates overlapped; wait for real coverage
 
-        family = MD5HashFamily.from_spec(
-            chunk.function_num, chunk.function_bits
-        )
-        completed = BloomFilter.from_bytes(
-            chunk.bit_array_size, bytes(data), hash_family=family
-        )
         self._spec = None
         self._pieces = {}
-        return completed
+        try:
+            family = MD5HashFamily.from_spec(
+                chunk.function_num, chunk.function_bits
+            )
+        except ConfigurationError as exc:
+            # Rejected as a DIRUPDATE announcing it would be (codec's
+            # geometry check): the header is well formed, the family not.
+            raise SummaryMismatchError(f"unusable geometry: {exc}") from exc
+        return BloomFilter.from_bytes(
+            chunk.bit_array_size, bytes(data), hash_family=family
+        )

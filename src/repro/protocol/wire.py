@@ -247,6 +247,25 @@ def decode_flip(record: int) -> Tuple[int, bool]:
     return record & MAX_BIT_INDEX, bool(record >> 31)
 
 
+def _check_geometry(
+    function_num: int, function_bits: int, bit_array_size: int
+) -> None:
+    """The header rule a DIRUPDATE and a DIGEST share: each field is
+    nonzero and fits its wire field (``Function_Num`` and
+    ``Function_Bits`` 16 bits, ``BitArray_Size_InBits`` at most 2**31,
+    the range a 31-bit flip index addresses)."""
+    if not 1 <= function_num <= 0xFFFF:
+        raise ProtocolError(f"function_num {function_num} out of 16-bit range")
+    if not 1 <= function_bits <= 0xFFFF:
+        raise ProtocolError(
+            f"function_bits {function_bits} out of 16-bit range"
+        )
+    if not 1 <= bit_array_size <= MAX_BIT_INDEX + 1:
+        raise ProtocolError(
+            f"bit_array_size {bit_array_size} outside [1, 2**31] bits"
+        )
+
+
 @dataclass(frozen=True)
 class DirUpdate:
     """An ``ICP_OP_DIRUPDATE``: a batch of absolute bit set/clear records.
@@ -264,19 +283,9 @@ class DirUpdate:
     sender: int = 0
 
     def __post_init__(self) -> None:
-        if not 1 <= self.function_num <= 0xFFFF:
-            raise ProtocolError(
-                f"function_num {self.function_num} out of 16-bit range"
-            )
-        if not 1 <= self.function_bits <= 0xFFFF:
-            raise ProtocolError(
-                f"function_bits {self.function_bits} out of 16-bit range"
-            )
-        if not 1 <= self.bit_array_size <= MAX_BIT_INDEX + 1:
-            raise ProtocolError(
-                f"bit_array_size {self.bit_array_size} exceeds the "
-                "2-billion-bit protocol limit"
-            )
+        _check_geometry(
+            self.function_num, self.function_bits, self.bit_array_size
+        )
         for index, _value in self.flips:
             if not 0 <= index < self.bit_array_size:
                 raise ProtocolError(
@@ -362,6 +371,13 @@ class SetDirUpdate:
                     f"server-name record of {len(record)} bytes outside "
                     "[1, 65535]"
                 )
+            else:
+                try:
+                    record.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ProtocolError(
+                        f"server-name record is not UTF-8: {exc}"
+                    ) from None
 
     def encode(self) -> bytes:
         """Serialize to a wire datagram."""
@@ -444,6 +460,9 @@ class DigestChunk:
     sender: int = 0
 
     def __post_init__(self) -> None:
+        _check_geometry(
+            self.function_num, self.function_bits, self.bit_array_size
+        )
         expected_total = (self.bit_array_size + 7) // 8
         if self.total_bytes != expected_total:
             raise ProtocolError(

@@ -302,7 +302,9 @@ def _replay(
         # Cache what was fetched (from a peer, the parent or the
         # origin); the insert may have made an update due.
         cache.put(url, size, version=version)
-        if due is not None and (live or due(nodes[g], timestamp, len(cache))):
+        if due is not None and (
+            live or due(nodes[g], timestamp, cache.num_documents())
+        ):
             delta = nodes[g].publish(timestamp)
             shipped.apply_delta(g, delta)
             if live:

@@ -152,7 +152,11 @@ def whole_summary_messages(summary: LocalSummary) -> List[DigestChunk]:
     pending-everything delta after :meth:`LocalSummary.rebuild`.
     """
     if isinstance(summary, BloomSummary):
-        return build_digest_messages(summary.counting_filter)
+        return build_digest_messages(
+            summary.counters.bits.to_bytes(),
+            summary.hash_family,
+            summary.num_bits,
+        )
     raise ConfigurationError(
         "whole-summary digest transfers are defined for Bloom summaries "
         f"only, not {type(summary).__name__}"

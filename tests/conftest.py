@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.bloom import BloomFilter
 from repro.traces.model import Request, Trace
 from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 
@@ -11,6 +12,16 @@ from repro.traces.synthetic import SyntheticTraceConfig, generate_trace
 # with the process-wide interleaving sanitizer and this plugin fails
 # any test that produced violations (the CI sanitizer-smoke job).
 pytest_plugins = ("repro.sanitizer.pytest_plugin",)
+
+
+def plain_copy(summary) -> BloomFilter:
+    """The plain filter a peer holds of a Bloom *summary*: its bits, as
+    a completed DIGEST delivers them."""
+    return BloomFilter.from_bytes(
+        summary.num_bits,
+        summary.counters.bits.to_bytes(),
+        hash_family=summary.hash_family,
+    )
 
 
 @pytest.fixture(scope="session")

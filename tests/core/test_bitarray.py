@@ -156,18 +156,22 @@ class TestBitArray:
 
 def count_in(counters, indices):
     """Count a key in; the indices whose counter went 0 -> 1, in order."""
-    flips = {}
-    raised = counters.add_at(indices, flips)
-    assert raised == len(flips) and all(flips.values())
-    return list(flips)
+    counters.drain_flips()
+    counters.add_at(indices)
+    flips = counters.peek_flips()
+    assert counters.pending_flip_count == len(flips)
+    assert all(value for _index, value in flips)
+    return [index for index, _value in flips]
 
 
 def count_out(counters, indices):
     """Count a key out; the indices whose counter went 1 -> 0, in order."""
-    flips = {}
-    cleared = counters.remove_at(indices, flips)
-    assert cleared == len(flips) and not any(flips.values())
-    return list(flips)
+    counters.drain_flips()
+    counters.remove_at(indices)
+    flips = counters.peek_flips()
+    assert counters.pending_flip_count == len(flips)
+    assert not any(value for _index, value in flips)
+    return [index for index, _value in flips]
 
 
 class TestCounterArray:
@@ -241,16 +245,17 @@ class TestCounterArray:
         # 3 was never counted, 2 only once, 8 is out of range: the
         # counters before the offending index must be put back.
         counters = CounterArray(8)
-        flips = {6: False}
-        counters.add_at([1, 1, 2], flips)
+        counters.add_at([6])
+        counters.remove_at([6])  # a journal entry for a bit back at 0
+        counters.add_at([1, 1, 2])
         before = counters.to_bytes()
         bits = counters.bits.copy()
-        recorded = dict(flips)
+        journal = (counters.peek_flips(), counters.pending_flip_count)
         with pytest.raises((ValueError, IndexError)):
-            counters.remove_at(bad, flips)
+            counters.remove_at(bad)
         assert counters.to_bytes() == before
         assert counters.bits == bits
-        assert list(flips.items()) == list(recorded.items())
+        assert (counters.peek_flips(), counters.pending_flip_count) == journal
 
     def test_size_bytes_packs_nibbles(self):
         assert CounterArray(10, width=4).size_bytes() == 5

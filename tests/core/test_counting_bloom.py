@@ -1,4 +1,6 @@
-"""Tests for the counting Bloom filter (the paper's contribution)."""
+"""Tests for the counting Bloom filter (the paper's contribution):
+:class:`~repro.summaries.bloom.BloomSummary` over its
+:class:`~repro.core.bitarray.CounterArray`."""
 
 from __future__ import annotations
 
@@ -6,30 +8,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counting_bloom import CountingBloomFilter
+from repro.core.bitarray import CounterArray
 from repro.errors import BitIndexError, ConfigurationError, SummaryStateError
 from repro.summaries import PacketFillUpdatePolicy, SummaryConfig, SummaryNode
+from repro.summaries.bloom import BloomSummary
+from tests.conftest import plain_copy
+
+
+def summary(num_bits: int, counter_width: int = 4) -> BloomSummary:
+    """A Bloom summary of exactly *num_bits* bits (one expected document)."""
+    return BloomSummary(
+        1, SummaryConfig(load_factor=num_bits, counter_width=counter_width)
+    )
 
 
 class TestAddRemove:
     def test_add_then_contains(self):
-        cbf = CountingBloomFilter(1024)
+        cbf = summary(1024)
         cbf.add("http://a.com/x")
         assert cbf.may_contain("http://a.com/x")
-        assert "http://a.com/x" in cbf
+        assert plain_copy(cbf).may_contain("http://a.com/x")
 
     def test_remove_restores_emptiness(self):
-        cbf = CountingBloomFilter(1024)
+        cbf = summary(1024)
         cbf.add("http://a.com/x")
         cbf.remove("http://a.com/x")
         assert not cbf.may_contain("http://a.com/x")
         assert cbf.fill_ratio() == 0.0
-        assert cbf.keys_added == 0
 
     def test_overlapping_keys_survive_removal(self):
         # Deleting one key must not delete another that shares bits:
         # this is exactly what the counters buy over a plain filter.
-        cbf = CountingBloomFilter(64)  # tiny: collisions guaranteed
+        cbf = summary(64)  # tiny: collisions guaranteed
         keys = [f"http://s{i}.com/d" for i in range(20)]
         for key in keys:
             cbf.add(key)
@@ -37,23 +47,23 @@ class TestAddRemove:
         assert all(cbf.may_contain(k) for k in keys[1:])
 
     def test_remove_unknown_key_raises_and_leaves_state(self):
-        cbf = CountingBloomFilter(1024)
+        cbf = summary(1024)
         cbf.add("http://a.com/x")
-        before = cbf.snapshot()
+        before = plain_copy(cbf)
         with pytest.raises(ValueError):
             cbf.remove("http://never-added.com/y")
-        assert cbf.snapshot() == before
+        assert plain_copy(cbf) == before
 
     def test_bad_remove_midway_leaves_counters_bits_and_flips(self):
         # A tiny filter, so an absent key shares its first position with
         # present keys: that counter could be decremented before the
         # zero one further on is met.  Nothing may move.
-        cbf = CountingBloomFilter(16)
+        cbf = summary(16)
         for key in ("a", "b"):
             cbf.add(key)
 
         def fails_midway(key):
-            counts = [cbf.counters.get(p) for p in cbf.filter.positions(key)]
+            counts = [cbf.counters.get(p) for p in cbf.key_of(key)]
             return counts[0] > 0 and 0 in counts
 
         absent = next(
@@ -61,109 +71,102 @@ class TestAddRemove:
             if fails_midway(key)
         )
         counters = cbf.counters.to_bytes()
-        bits = cbf.snapshot()
-        pending = cbf.peek_flips()
+        bits = plain_copy(cbf)
+        pending = cbf.counters.peek_flips()
         with pytest.raises(ValueError):
             cbf.remove(absent)
         assert cbf.counters.to_bytes() == counters
-        assert cbf.snapshot() == bits
-        assert cbf.peek_flips() == pending
-        assert cbf.pending_flip_count == len(pending)
-        assert cbf.keys_added == 2
+        assert plain_copy(cbf) == bits
+        assert cbf.counters.peek_flips() == pending
+        assert cbf.pending_change_count() == len(pending)
 
     def test_colliding_positions_of_one_key_count_twice(self):
         # Two bits, four hash functions: positions repeat within the key.
-        cbf = CountingBloomFilter(2)
+        cbf = summary(2)
         cbf.add("k")
-        positions = cbf.filter.positions("k")
+        positions = cbf.key_of("k")
         assert len(set(positions)) < len(positions)
         assert sum(cbf.counters.get(p) for p in set(positions)) == 4
-        assert sorted(cbf.peek_flips()) == [(p, True) for p in sorted(set(positions))]
+        assert sorted(cbf.counters.peek_flips()) == [
+            (p, True) for p in sorted(set(positions))
+        ]
         cbf.remove("k")
         assert list(cbf.counters.bits.iter_set_bits()) == []
         assert cbf.fill_ratio() == 0.0
-        assert cbf.drain_flips() == []
-
-    def test_keys_added_tracks_net_count(self):
-        cbf = CountingBloomFilter(1024)
-        for i in range(5):
-            cbf.add(f"u{i}")
-        cbf.remove("u0")
-        assert cbf.keys_added == 4
+        assert cbf.drain_delta().flips == []
 
     def test_for_capacity(self):
-        cbf = CountingBloomFilter.for_capacity(100, load_factor=16)
+        cbf = BloomSummary(100, SummaryConfig(load_factor=16))
         assert cbf.num_bits == 1600
 
     def test_for_capacity_validation(self):
         with pytest.raises(ConfigurationError):
-            CountingBloomFilter.for_capacity(0)
+            BloomSummary(0)
         with pytest.raises(ConfigurationError):
-            CountingBloomFilter.for_capacity(10, load_factor=0)
+            SummaryConfig(load_factor=0)
 
 
 class TestDeltaFlips:
     def test_add_records_set_flips(self):
-        cbf = CountingBloomFilter(1 << 16)
+        cbf = summary(1 << 16)
         cbf.add("http://a.com/x")
-        flips = cbf.drain_flips()
+        flips = cbf.drain_delta().flips
         assert flips
         assert all(value is True for _idx, value in flips)
 
     def test_add_remove_cancels_out(self):
-        cbf = CountingBloomFilter(1 << 16)
+        cbf = summary(1 << 16)
         cbf.add("http://a.com/x")
         cbf.remove("http://a.com/x")
-        assert cbf.drain_flips() == []
+        assert cbf.drain_delta().flips == []
 
     def test_drain_clears_pending(self):
-        cbf = CountingBloomFilter(1 << 16)
+        cbf = summary(1 << 16)
         cbf.add("u1")
-        cbf.drain_flips()
-        assert cbf.pending_flip_count == 0
-        assert cbf.drain_flips() == []
+        cbf.drain_delta()
+        assert cbf.pending_change_count() == 0
+        assert cbf.drain_delta().flips == []
 
     def test_peek_does_not_clear(self):
-        cbf = CountingBloomFilter(1 << 16)
+        cbf = summary(1 << 16)
         cbf.add("u1")
-        first = cbf.peek_flips()
-        second = cbf.peek_flips()
+        first = cbf.counters.peek_flips()
+        second = cbf.counters.peek_flips()
         assert first == second != []
 
     def test_flips_replay_onto_snapshot(self):
         """Applying drained flips to an old snapshot reproduces the
         current filter -- the core correctness property of DIRUPDATE."""
-        cbf = CountingBloomFilter(2048)
+        cbf = summary(2048)
         for i in range(50):
             cbf.add(f"http://x{i}.com/a")
-        shipped = cbf.snapshot()
-        cbf.drain_flips()
+        peer = plain_copy(cbf)
+        cbf.drain_delta()
 
         for i in range(50, 80):
             cbf.add(f"http://x{i}.com/a")
         for i in range(0, 20):
             cbf.remove(f"http://x{i}.com/a")
-        shipped.apply_flips(cbf.drain_flips())
-        assert shipped == cbf.snapshot()
+        peer.apply_flips(cbf.drain_delta().flips)
+        assert peer == plain_copy(cbf)
 
     def test_shared_bit_not_flipped_while_still_referenced(self):
         # Two keys sharing a bit: removing one key must not emit a clear
         # flip for the shared bit.
-        cbf = CountingBloomFilter(32)
+        cbf = summary(32)
         keys = [f"k{i}" for i in range(10)]
         for key in keys:
             cbf.add(key)
-        cbf.drain_flips()
+        cbf.drain_delta()
         cbf.remove(keys[0])
-        shipped = cbf.snapshot()
-        for idx, value in cbf.peek_flips():
+        for idx, value in cbf.counters.peek_flips():
             if not value:
                 assert cbf.counters.get(idx) == 0
 
 
 class TestSaturation:
     def test_counter_saturates_and_sticks(self):
-        cbf = CountingBloomFilter(8, counter_width=2)  # max count 3
+        cbf = summary(8, counter_width=2)  # max count 3
         # Hammer the same key so its counters exceed 3.
         for i in range(6):
             cbf.add("same-key")
@@ -176,19 +179,19 @@ class TestSaturation:
         assert cbf.may_contain("same-key")
 
     def test_four_bit_default(self):
-        cbf = CountingBloomFilter(128)
+        cbf = BloomSummary(16)
         assert cbf.counters.width == 4
 
 
 class TestMemoryAccounting:
     def test_local_includes_counters(self):
-        cbf = CountingBloomFilter(8000, counter_width=4)
+        cbf = summary(8000, counter_width=4)
         assert cbf.remote_size_bytes() == 1000
         assert cbf.size_bytes() == 1000 + 4000
 
     def test_counter_width_changes_local_size_only(self):
-        narrow = CountingBloomFilter(8000, counter_width=2)
-        wide = CountingBloomFilter(8000, counter_width=8)
+        narrow = summary(8000, counter_width=2)
+        wide = summary(8000, counter_width=8)
         assert narrow.remote_size_bytes() == wide.remote_size_bytes()
         assert narrow.size_bytes() < wide.size_bytes()
 
@@ -203,8 +206,8 @@ class TestMemoryAccounting:
 def test_random_ops_match_multiset_model(ops):
     """Under random adds/removes, the filter never loses a present key,
     and the delta stream keeps a peer snapshot in sync."""
-    cbf = CountingBloomFilter(4096)
-    shipped = cbf.snapshot()
+    cbf = summary(4096)
+    peer = plain_copy(cbf)
     present: dict = {}
     for url, is_add in ops:
         if is_add:
@@ -214,38 +217,27 @@ def test_random_ops_match_multiset_model(ops):
             cbf.remove(url)
             present[url] -= 1
         # Periodically sync the peer copy.
-        if len(cbf.peek_flips()) > 16:
-            shipped.apply_flips(cbf.drain_flips())
+        if len(cbf.counters.peek_flips()) > 16:
+            peer.apply_flips(cbf.drain_delta().flips)
     for url, count in present.items():
         if count > 0:
             assert cbf.may_contain(url)
-    shipped.apply_flips(cbf.drain_flips())
-    assert shipped == cbf.snapshot()
+    peer.apply_flips(cbf.drain_delta().flips)
+    assert peer == plain_copy(cbf)
 
 
 class TestBatchOperations:
-    def test_add_many_equals_repeated_add(self):
-        urls = [f"http://batch{i}.net/doc" for i in range(60)]
-        one_by_one = CountingBloomFilter(2048)
-        for url in urls:
-            one_by_one.add(url)
-        batched = CountingBloomFilter(2048)
-        batched.add_many(urls)
-        assert batched.snapshot() == one_by_one.snapshot()
-        assert batched.keys_added == one_by_one.keys_added
-        assert batched.drain_flips() == one_by_one.drain_flips()
-
     def test_add_at_precomputed_positions_equals_add(self):
         url = "http://precomputed.org/x"
-        direct = CountingBloomFilter(2048)
+        direct = summary(2048)
         direct.add(url)
-        via_positions = CountingBloomFilter(2048)
+        via_positions = summary(2048)
         positions = via_positions.hash_family.hashes(
             url, via_positions.num_bits
         )
-        via_positions.add_at(positions)
-        assert via_positions.snapshot() == direct.snapshot()
-        assert via_positions.keys_added == direct.keys_added
+        via_positions.add_key(positions)
+        assert plain_copy(via_positions) == plain_copy(direct)
+        assert via_positions.counters.to_bytes() == direct.counters.to_bytes()
 
 
 def reference_peek_flips(records):
@@ -327,34 +319,34 @@ class TestSinglePassWritePath:
         positions, saturating counters, underflowing removes): the
         drained records equal the old rescanning algorithm's, in order,
         and ``pending_flip_count`` is the uncoalesced log length."""
-        cbf = CountingBloomFilter(NUM_BITS, counter_width=width)
+        counters = CounterArray(NUM_BITS, width=width)
         ref = ReferenceCountingFilter(NUM_BITS, width)
         for op, positions in ops:
             if op == "add":
-                cbf.add_at(positions)
+                counters.add_at(positions)
                 ref.add_at(positions)
             elif op == "remove":
                 if ref.remove_at(positions):
-                    cbf.remove_at(positions)
+                    counters.remove_at(positions)
                 else:
                     with pytest.raises(SummaryStateError):
-                        cbf.remove_at(positions)
+                        counters.remove_at(positions)
             else:
-                assert cbf.drain_flips() == ref.drain()
-            assert cbf.pending_flip_count == len(ref.log)
-            assert cbf.peek_flips() == reference_peek_flips(ref.log)
-            assert [cbf.counters.get(i) for i in range(NUM_BITS)] == ref.counts
-            assert cbf.filter.bits.popcount == sum(1 for c in ref.counts if c)
-        assert cbf.counters.saturation_events == ref.saturated
-        assert cbf.drain_flips() == ref.drain()
+                assert counters.drain_flips() == ref.drain()
+            assert counters.pending_flip_count == len(ref.log)
+            assert counters.peek_flips() == reference_peek_flips(ref.log)
+            assert [counters.get(i) for i in range(NUM_BITS)] == ref.counts
+            assert counters.bits.popcount == sum(1 for c in ref.counts if c)
+        assert counters.saturation_events == ref.saturated
+        assert counters.drain_flips() == ref.drain()
 
     def test_pending_count_is_uncoalesced(self):
-        cbf = CountingBloomFilter(1 << 16)
+        cbf = summary(1 << 16)
         cbf.add("http://a.com/x")
         cbf.remove("http://a.com/x")
-        assert cbf.peek_flips() == []
-        assert cbf.pending_flip_count == 2 * len(
-            set(cbf.filter.positions("http://a.com/x"))
+        assert cbf.counters.peek_flips() == []
+        assert cbf.pending_change_count() == 2 * len(
+            set(cbf.key_of("http://a.com/x"))
         )
 
     def test_packet_fill_policy_fires_at_the_same_insert(self):
@@ -364,8 +356,8 @@ class TestSinglePassWritePath:
         cfg = SummaryConfig(kind="bloom", load_factor=4, counter_width=2)
         node = SummaryNode(cfg, 64 * 1024, doc_size=2048)
         policy = PacketFillUpdatePolicy(records=40)
-        cbf = node.local.counting_filter
-        ref = ReferenceCountingFilter(cbf.num_bits, 2)
+        local = node.local
+        ref = ReferenceCountingFilter(local.num_bits, 2)
         held = []
         fired = []
         for i in range(400):
@@ -373,12 +365,12 @@ class TestSinglePassWritePath:
             if url in held:
                 continue
             node.on_insert(url)
-            ref.add_at(cbf.filter.positions(url))
+            ref.add_at(local.key_of(url))
             held.append(url)
             if len(held) > 20:
                 evicted = held.pop(0)
                 node.on_evict(evicted)
-                ref.remove_at(cbf.filter.positions(evicted))
+                ref.remove_at(local.key_of(evicted))
             due = node.due_for_update(policy, float(i), len(held))
             assert due == (len(ref.log) >= policy.records)
             if due:
@@ -387,7 +379,7 @@ class TestSinglePassWritePath:
         assert len(fired) > 3
 
     def test_failed_remove_at_leaves_everything(self):
-        cbf = CountingBloomFilter(16, counter_width=2)
+        cbf = CounterArray(16, width=2)
         cbf.add_at([1, 2, 2, 5])
         cbf.drain_flips()
         cbf.add_at([3, 7])
@@ -395,12 +387,11 @@ class TestSinglePassWritePath:
 
         def state():
             return (
-                cbf.counters.to_bytes(),
-                cbf.snapshot().to_bytes(),
-                cbf.filter.bits.popcount,
+                cbf.to_bytes(),
+                cbf.bits.to_bytes(),
+                cbf.bits.popcount,
                 cbf.peek_flips(),
                 cbf.pending_flip_count,
-                cbf.keys_added,
             )
 
         before = state()
@@ -414,7 +405,7 @@ class TestSinglePassWritePath:
             with pytest.raises(error):
                 cbf.remove_at(positions)
             assert state() == before
-        # The pending dict was put back exactly: a later flip of bit 3
+        # The journal was put back exactly: a later flip of bit 3
         # still coalesces against its first record.
         cbf.remove_at([3])
         assert cbf.peek_flips() == []

@@ -182,13 +182,6 @@ class TestBloomSummary:
         # Local adds 4-bit counters: half a byte per bit.
         assert summary.size_bytes() == 1000 + 4000
 
-    def test_len_is_net_keys(self):
-        summary = BloomSummary(100, SummaryConfig(kind="bloom"))
-        summary.add(URLS[0])
-        summary.add(URLS[1])
-        summary.remove(URLS[0])
-        assert len(summary) == 1
-
 
 class TestFactories:
     def test_expected_documents_default_divisor(self):

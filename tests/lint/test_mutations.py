@@ -180,13 +180,13 @@ MUTATIONS: List[Mutation] = [
     # -- SC004: summary storage and placement internals ----------------
     Mutation(
         "SC004", SERVER, "self._node.rebuild(self._cache.urls(), perf_counter())",
-        "self._node.local._cbf.counters.add_at([0], {})",
-        "direct mutation self._node.local._cbf.counters.add_at(...)",
+        "self._node.local.counters.add_at([0])",
+        "direct mutation self._node.local.counters.add_at(...)",
         insert=True,
     ),
     Mutation(
         "SC004", SERVER, "self._node.rebuild(self._cache.urls(), perf_counter())",
-        "flags = self._node.local._cbf.counters._flags",
+        "flags = self._node.local.counters._flags",
         "private storage field ._flags", insert=True,
     ),
     Mutation(

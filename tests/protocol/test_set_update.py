@@ -114,6 +114,10 @@ class TestValidation:
                 added=(b"x" * 0x10000,),
             )
 
+    def test_server_name_must_be_utf8(self):
+        with pytest.raises(ProtocolError, match="UTF-8"):
+            SetDirUpdate(representation=REPR_SERVER_NAME, removed=(b"\xff",))
+
     def test_invalid_representation_at_construction(self):
         with pytest.raises(ProtocolError):
             SetDirUpdate(representation=REPR_BLOOM)

@@ -171,6 +171,16 @@ class TestValidation:
         with pytest.raises(ProtocolError):
             DirUpdate(function_num=4, function_bits=0, bit_array_size=8)
 
+    @pytest.mark.parametrize(
+        "header",
+        [(0, 32, 8), (4, 0, 8), (4, 32, 0), (4, 32, MAX_BIT_INDEX + 2)],
+        ids=["zero-functions", "zero-function-bits", "zero-bits", "too-large"],
+    )
+    def test_digest_header_checked_as_dirupdate_header(self, header):
+        num, bits, size = header
+        with pytest.raises(ProtocolError):
+            DigestChunk(num, bits, size, 0, (size + 7) // 8, b"")
+
     def test_dirupdate_record_count_mismatch(self):
         data = bytearray(
             DirUpdate(

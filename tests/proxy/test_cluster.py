@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.counting_bloom import CountingBloomFilter
+from repro.core.bitarray import CounterArray
 from repro.core.position_cache import get_position_cache
 from repro.summaries import SummaryConfig, ThresholdUpdatePolicy
 from repro.errors import ConfigurationError
@@ -458,13 +458,10 @@ class TestSummaryResize:
         proxy, hits = run(scenario())
         assert proxy.stats.summary_resizes >= 1
         assert proxy.stats.local_hits == hits + 10
-        live = proxy.summary.counting_filter
+        live = proxy.summary
         get_position_cache().clear()
-        fresh = CountingBloomFilter(
-            live.num_bits,
-            hash_family=live.hash_family,
-            counter_width=proxy.summary.config.counter_width,
-        )
-        fresh.add_many(proxy.cache.urls())
-        assert live.snapshot() == fresh.snapshot()
-        assert live.counters.to_bytes() == fresh.counters.to_bytes()
+        fresh = CounterArray(live.num_bits, width=live.config.counter_width)
+        for url in proxy.cache.urls():
+            fresh.add_at(live.hash_family.hashes(url, live.num_bits))
+        assert live.counters.bits == fresh.bits
+        assert live.counters.to_bytes() == fresh.to_bytes()

@@ -3,7 +3,9 @@
 No sockets: random streams of DIRUPDATE, SetDirUpdate and DIGEST
 datagrams go straight into ``_on_datagram``, mixed with lost updates,
 stale old-geometry deltas, sender resizes and membership changes
-(``reset_peer``, ``add_peer``, ``remove_peer``).  After every step
+(``reset_peer``, ``add_peer``, ``remove_peer``) and hostile datagrams
+that no message constructor builds (an unusable hash family, a zero-bit
+array, a server name that is not UTF-8).  After every step
 ``_candidate_peers(url)`` must name, in peer order, exactly the peers
 whose reference copy -- a ``BloomFilter`` or a ``set``, initialized by
 the first update and replaced by a digest, as Section VI-B describes --
@@ -15,17 +17,27 @@ chunks, and a copy must not change until the last chunk arrives.
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter
 from repro.core.hashing import MD5HashFamily, md5_digest
-from repro.protocol.wire import DigestChunk, DirUpdate, decode_message
+from repro.protocol.wire import (
+    ICP_HEADER_SIZE,
+    REPR_SERVER_NAME,
+    DigestChunk,
+    DirUpdate,
+    SetDirUpdate,
+    decode_message,
+)
 from repro.proxy.config import PeerAddress, ProxyConfig, ProxyMode
 from repro.proxy.server import SummaryCacheProxy
 from repro.summaries import SummaryConfig, SummaryNode, codec
 from repro.urlutil import server_of
+from tests.conftest import plain_copy
 
 URLS = [f"http://h{i % 4}.store.net/d{i}" for i in range(16)]
 PEERS = [
@@ -52,6 +64,7 @@ steps = st.lists(
                 "reset",
                 "remove",
                 "add",
+                "hostile",
             ]
         ),
         st.integers(0, len(PEERS) - 1),
@@ -59,6 +72,47 @@ steps = st.lists(
     ),
     max_size=60,
 )
+
+
+def rewritten(message, fields: str, *values) -> bytes:
+    """*message*'s datagram with the leading fields of its extension
+    header (struct format *fields*) rewritten to *values*."""
+    data = bytearray(message.encode())
+    struct.pack_into(fields, data, ICP_HEADER_SIZE, *values)
+    return bytes(data)
+
+
+#: Datagrams a broken or hostile peer may send, by what is wrong, each
+#: with whether the receiver counts it as a rejected update (a header
+#: that decodes but names no usable geometry) or drops it as garbage
+#: (a header or record the wire format forbids).  A DIGEST and a
+#: DIRUPDATE with the same header meet the same fate.
+HOSTILE = [
+    # Function_Bits 65 fits the header, but no MD5 slice is that wide.
+    (
+        [
+            DigestChunk(4, 65, 8, 0, 1, b"\x01").encode(),
+            DirUpdate(4, 65, 8, flips=((1, True),)).encode(),
+        ],
+        True,
+    ),
+    # A zero-bit array.
+    (
+        [
+            rewritten(DigestChunk(4, 32, 8, 0, 1, b""), "!HHIII", 4, 32, 0, 0, 0),
+            rewritten(DirUpdate(4, 32, 8), "!HHI", 4, 32, 0),
+        ],
+        False,
+    ),
+    # A server name that is not UTF-8.
+    (
+        [
+            SetDirUpdate(REPR_SERVER_NAME, added=(b"ab",)).encode()[:-2]
+            + b"\xff\xfe",
+        ],
+        False,
+    ),
+]
 
 
 class Receiver:
@@ -183,7 +237,7 @@ def run(kind, ops):
                 send(peer, chunk)
                 check("digest chunk")
             send(peer, last)
-            receiver.replace(peer.name, node.local.counting_filter.snapshot())
+            receiver.replace(peer.name, plain_copy(node.local))
         elif action == "stale" and kind == "bloom":
             # A delta cut for the sender's geometry before its last
             # resize, arriving late.
@@ -202,6 +256,12 @@ def run(kind, ops):
             proxy.add_peer(peer)
             if peer.name not in receiver.order:
                 receiver.order.append(peer.name)
+        elif action == "hostile":
+            datagrams, counted = HOSTILE[url_index % len(HOSTILE)]
+            for datagram in datagrams:
+                proxy._on_datagram(datagram, peer.icp_addr)
+                if counted and peer.name in receiver.order:
+                    receiver.rejects += 1
         check(action)
 
 
@@ -250,6 +310,14 @@ def test_stale_resize_and_membership_in_one_story():
             ("stale", 2, 9),
             ("evict", 2, 8),
             ("publish", 2, 0),
+            # Each kind of hostile datagram, from peers holding copies
+            # and from one the proxy does not know.
+            ("hostile", 2, 0),
+            ("hostile", 2, 1),
+            ("hostile", 2, 2),
+            ("hostile", 0, 0),
+            ("hostile", 0, 1),
+            ("hostile", 3, 0),
         ],
     )
 
@@ -287,7 +355,7 @@ def test_multi_chunk_digest_replaces_the_copy_on_its_last_chunk():
         assert [u for u in urls if proxy._candidate_peers(u)] == held
     proxy._on_datagram(chunks[-1].encode(), peer.icp_addr)
 
-    snapshot = sender.local.counting_filter.snapshot()
+    snapshot = plain_copy(sender.local)
     assert proxy.peer_geometry(peer.icp_addr) == (
         snapshot.num_bits,
         snapshot.hash_family.spec(),

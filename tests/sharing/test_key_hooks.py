@@ -53,8 +53,8 @@ def _state(node: SummaryNode):
     """Everything an insert or evict can change in *node*'s summary."""
     local = node.local
     if isinstance(local, BloomSummary):
-        cbf = local.counting_filter
-        held = (cbf.counters.to_bytes(), cbf.filter.bits.to_bytes(), len(local))
+        counters = local.counters
+        held = (counters.to_bytes(), counters.bits.to_bytes())
     else:
         held = sorted(local._counts.items())
     return node.new_since_update, held, local.pending_change_count()

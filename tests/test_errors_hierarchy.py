@@ -13,7 +13,6 @@ import pytest
 
 from repro.cache.policies import LRUPolicy
 from repro.core.bitarray import BitArray, CounterArray
-from repro.core.counting_bloom import CountingBloomFilter
 from repro.core.hashing import MD5HashFamily
 from repro.errors import (
     BitIndexError,
@@ -24,6 +23,7 @@ from repro.errors import (
     SummaryStateError,
 )
 from repro.obs.spans import SpanRing
+from repro.summaries.bloom import BloomSummary
 from repro.summaries.keyset import KeySetSummary
 
 
@@ -70,12 +70,12 @@ class TestRaiseSites:
     def test_counter_underflow(self):
         counters = CounterArray(4)
         with pytest.raises(SummaryStateError):
-            counters.remove_at([0], {})
+            counters.remove_at([0])
         with pytest.raises(ValueError):  # old-vocabulary callers
-            counters.remove_at([0], {})
+            counters.remove_at([0])
 
     def test_counting_bloom_remove_never_added(self):
-        cbf = CountingBloomFilter(64, hash_family=MD5HashFamily())
+        cbf = BloomSummary(8)
         cbf.add("present")
         with pytest.raises(SummaryStateError):
             cbf.remove("absent")
@@ -114,6 +114,6 @@ class TestRaiseSites:
         with pytest.raises(ReproError):
             BitArray(8).get(99)
         with pytest.raises(ReproError):
-            CounterArray(4).remove_at([0], {})
+            CounterArray(4).remove_at([0])
         with pytest.raises(ReproError):
             LRUPolicy().victim()

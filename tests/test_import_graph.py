@@ -78,7 +78,7 @@ def test_binary_traces_load_no_cache_or_summary_stack():
         print(json.dumps(sorted(
             m for m in sys.modules
             if m.split(".")[:2] in (["repro", "summaries"], ["repro", "cache"])
-            or m == "repro.core.counting_bloom"
+            or m == "repro.core.bitarray"
         )))
         """
     )
