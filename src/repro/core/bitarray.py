@@ -13,9 +13,13 @@ Two storage primitives back the summary data structures:
   and the journal of their flips; it moves a counter, its bit and the
   journal in the same pass.
 
-Both classes pack their payload densely (``CounterArray`` packs two 4-bit
-counters per byte) because the memory analysis of Table III depends on
-the real footprint of each representation.
+A bit array packs eight bits per byte, in the process and on the wire.
+A counter array holds one counter per byte in the process, so a counter
+moves with one byte read and one byte write.  Its ``size_bytes()`` and
+``to_bytes()`` are the paper's figure and payload, the counters packed
+*width* bits each (two 4-bit counters per byte), which is what the memory
+analysis of Table III counts -- as the exact directory's 16 bytes per key
+is the paper's figure, not the process's.
 """
 
 from __future__ import annotations
@@ -232,7 +236,7 @@ class BitArray:
 
 
 class CounterArray:
-    """A fixed-size array of saturating counters packed *width* bits wide.
+    """A fixed-size array of saturating counters, each *width* bits wide.
 
     The paper's counting Bloom filter keeps one counter per bit position.
     A counter that reaches its maximum value sticks there: "if the count
@@ -240,25 +244,31 @@ class CounterArray:
     saturated counter is therefore a no-op, trading an astronomically
     unlikely false negative for bounded memory.
 
+    The process holds one counter per byte, so moving a counter is one
+    byte read and one byte write, with no shift or mask.  The width sets
+    the saturation ceiling and what :meth:`size_bytes` and
+    :meth:`to_bytes` report: the counters packed *width* bits each, the
+    footprint the paper's memory analysis counts.
+
     The array also owns :attr:`bits`, whose bit *i* is set exactly when
     counter *i* is nonzero -- the public bit array of a counting Bloom
     filter -- and the journal of those bits' flips since the last
     :meth:`drain_flips`, which a delta update ships.  :meth:`add_at` and
     :meth:`remove_at` are the one place a counter moves: each walks a
-    key's positions once, moving the counter, writing its bit on a
-    0 <-> 1 transition and journaling the flip.  The journal is
-    coalesced as it is written -- one entry per bit, holding its first
-    flip -- so a drain reads each changed bit once, while
-    :attr:`pending_flip_count` still counts every flip.
+    key's positions once, checking each index, moving its counter,
+    writing its bit on a 0 <-> 1 transition and journaling the flip.
+    The journal is coalesced as it is written -- one entry per bit,
+    holding its first flip -- so a drain reads each changed bit once,
+    while :attr:`pending_flip_count` still counts every flip.
     """
 
     __slots__ = (
-        "_size", "_width", "_max", "_byte_shift", "_slot_mask", "_buf",
-        "_flags", "_saturated", "bits", "_pending", "pending_flip_count",
+        "_size", "_width", "_max", "_buf", "_flags", "_saturated", "bits",
+        "_pending", "pending_flip_count",
     )
 
     #: Widths that pack evenly into bytes; arbitrary widths would
-    #: complicate indexing for no experimental benefit.
+    #: complicate :meth:`to_bytes` for no experimental benefit.
     SUPPORTED_WIDTHS = (1, 2, 4, 8)
 
     def __init__(self, size: int, width: int = 4) -> None:
@@ -271,19 +281,15 @@ class CounterArray:
         self._size = size
         self._width = width
         self._max = (1 << width) - 1
-        per_byte = 8 // width
-        #: ``per_byte`` is a power of two, so locating counter *i* is a
-        #: shift (its byte) and a mask (its slot within the byte).
-        self._byte_shift = per_byte.bit_length() - 1
-        self._slot_mask = per_byte - 1
-        self._buf = bytearray((size + per_byte - 1) // per_byte)
+        #: Counter *i* is byte *i*.
+        self._buf = bytearray(size)
         self._flags = bytearray((size + 7) // 8)
         self._saturated = 0
         #: Which counters are nonzero, as a bit array over the flags
         #: this array writes; read it, never write it.
         self.bits = BitArray.view(self._flags, size)
         #: Bit index -> the value of its first flip since the last
-        #: drain, in first-flip order; the bit's current value says
+        #: drain, in first-flip order; the counter's current value says
         #: whether that flip still stands.
         self._pending: Dict[int, bool] = {}
         #: Flips journaled since the last drain, before coalescing:
@@ -319,26 +325,16 @@ class CounterArray:
         """
         return self._saturated
 
-    def _locate(self, index: int) -> Tuple[int, int]:
-        if not 0 <= index < self._size:
-            raise BitIndexError(
-                f"counter index {index} out of range [0, {self._size})"
-            )
-        return (
-            index >> self._byte_shift,
-            (index & self._slot_mask) * self._width,
+    def _out_of_range(self, index: int) -> BitIndexError:
+        return BitIndexError(
+            f"counter index {index} out of range [0, {self._size})"
         )
 
     def get(self, index: int) -> int:
         """Return the value of counter *index*."""
-        byte_index, shift = self._locate(index)
-        return (self._buf[byte_index] >> shift) & self._max
-
-    def _out_of_range(self, indices: Iterable[int]) -> BitIndexError:
-        bad = next(i for i in indices if not 0 <= i < self._size)
-        return BitIndexError(
-            f"counter index {bad} out of range [0, {self._size})"
-        )
+        if not 0 <= index < self._size:
+            raise self._out_of_range(index)
+        return self._buf[index]
 
     def add_at(self, indices: Sequence[int]) -> None:
         """Count one key in at *indices*.
@@ -349,34 +345,57 @@ class CounterArray:
         its bit in :attr:`bits` and journals the flip, as
         ``index -> True`` unless *index* already has an entry since the
         last drain (the first one is kept).  An index listed twice
-        counts twice -- two of a key's hash functions may collide.  An out-of-range index raises
-        :class:`~repro.errors.BitIndexError` before any counter moves.
+        counts twice -- two of a key's hash functions may collide.
+
+        All or nothing: an out-of-range index raises
+        :class:`~repro.errors.BitIndexError` after putting back every
+        counter, bit and journal entry this call changed, and neither
+        :attr:`pending_flip_count` nor :attr:`saturation_events` moves.
         """
         size = self._size
-        if indices and (min(indices) < 0 or max(indices) >= size):
-            raise self._out_of_range(indices)
         counts = self._buf
         flags = self._flags
         pending = self._pending
-        width = self._width
         top = self._max
-        byte_shift = self._byte_shift
-        slot_mask = self._slot_mask
         raised = 0
+        journaled = 0
+        # The indices found at the ceiling, in walk order: the steps
+        # that moved nothing, which an undo skips.
+        stuck: List[int] = []
         for index in indices:
-            byte_index = index >> byte_shift
-            shift = (index & slot_mask) * width
-            value = (counts[byte_index] >> shift) & top
+            if not 0 <= index < size:
+                break
+            value = counts[index]
             if value == top:
-                self._saturated += 1
+                stuck.append(index)
             else:
-                counts[byte_index] += 1 << shift
+                counts[index] = value + 1
                 if not value:
                     flags[index >> 3] |= 1 << (index & 7)
                     raised += 1
                     if index not in pending:
                         pending[index] = True
-        self.pending_flip_count += raised
+                        journaled += 1
+        else:
+            if stuck:
+                self._saturated += len(stuck)
+            self.pending_flip_count += raised
+            return
+        # The walk stopped at the first out-of-range index, so that
+        # value's first position is where it stopped.  A counter stays
+        # at the ceiling once there, so the newest entry of `stuck`
+        # names the latest skipped step not yet undone.
+        for undone in reversed(indices[:indices.index(index)]):
+            if stuck and stuck[-1] == undone:
+                stuck.pop()
+                continue
+            value = counts[undone] - 1
+            counts[undone] = value
+            if not value:
+                flags[undone >> 3] &= ~(1 << (undone & 7))
+        for _ in range(journaled):
+            pending.popitem()
+        raise self._out_of_range(index)
 
     def remove_at(self, indices: Sequence[int]) -> None:
         """Count one key out at *indices*.
@@ -384,57 +403,55 @@ class CounterArray:
         The mirror of :meth:`add_at`: a saturated counter is left
         untouched (the paper's stick-at-max rule), and a counter reaching
         zero clears its bit and journals ``index -> False`` unless
-        *index* already has an entry.  All or nothing: an
-        out-of-range index raises :class:`~repro.errors.BitIndexError`
-        before any counter moves, and a counter that would drop below
-        zero raises :class:`~repro.errors.SummaryStateError` (the caller
-        tried to delete a key that was never inserted, or listed an index
-        more often than it was counted) after putting back every counter,
-        bit and journal entry this call changed.
+        *index* already has an entry.  All or nothing: an out-of-range
+        index raises :class:`~repro.errors.BitIndexError`, and a counter
+        that would drop below zero raises
+        :class:`~repro.errors.SummaryStateError` (the caller tried to
+        delete a key that was never inserted, or listed an index more
+        often than it was counted), each after putting back every
+        counter, bit and journal entry this call changed.
         """
         size = self._size
-        if indices and (min(indices) < 0 or max(indices) >= size):
-            raise self._out_of_range(indices)
         counts = self._buf
         flags = self._flags
         pending = self._pending
-        width = self._width
         top = self._max
-        byte_shift = self._byte_shift
-        slot_mask = self._slot_mask
-        records_before = len(pending)
         cleared = 0
-        # An explicit iterator, so that on underflow what is left of it
+        journaled = 0
+        # An explicit iterator, so that on failure what is left of it
         # tells how many indices were already counted out.
         walk = iter(indices)
         for index in walk:
-            byte_index = index >> byte_shift
-            shift = (index & slot_mask) * width
-            value = (counts[byte_index] >> shift) & top
+            if not 0 <= index < size:
+                break
+            value = counts[index]
             if value == top:
                 continue
             if not value:
                 break
-            counts[byte_index] -= 1 << shift
+            counts[index] = value - 1
             if value == 1:
                 flags[index >> 3] &= ~(1 << (index & 7))
                 cleared += 1
                 if index not in pending:
                     pending[index] = False
+                    journaled += 1
         else:
             self.pending_flip_count += cleared
             return
         done = len(indices) - 1 - sum(1 for _ in walk)
+        # A decrement never leaves a counter at the ceiling, so one
+        # found there was skipped, not moved.
         for undone in reversed(indices[:done]):
-            byte_index = undone >> byte_shift
-            shift = (undone & slot_mask) * width
-            value = (counts[byte_index] >> shift) & top
-            if value != top:  # at the ceiling: was skipped, not moved
-                counts[byte_index] += 1 << shift
+            value = counts[undone]
+            if value != top:
+                counts[undone] = value + 1
                 if not value:
                     flags[undone >> 3] |= 1 << (undone & 7)
-        while len(pending) > records_before:
+        for _ in range(journaled):
             pending.popitem()
+        if not 0 <= index < size:
+            raise self._out_of_range(index)
         raise SummaryStateError(
             f"counter {index} underflow: decrement of a zero counter"
         )
@@ -448,11 +465,11 @@ class CounterArray:
         opposite of its first flip) is not shipped at all -- exactly
         what a delta update message should carry.
         """
-        flags = self._flags
+        counts = self._buf
         held: List[Tuple[int, bool]] = []
         for record in self._pending.items():
             index, value = record
-            if bool(flags[index >> 3] & (1 << (index & 7))) == value:
+            if (counts[index] != 0) == value:
                 held.append(record)
         return held
 
@@ -464,12 +481,31 @@ class CounterArray:
         return flips
 
     def size_bytes(self) -> int:
-        """Memory footprint of the packed counters, in bytes."""
-        return len(self._buf)
+        """Footprint of the counters packed *width* bits each, in bytes.
+
+        The paper's figure (Table III's local counters), as
+        :class:`~repro.summaries.keyset.KeySetSummary` reports 16 bytes
+        per MD5 key; the process itself holds one byte per counter.
+        """
+        return (self._size * self._width + 7) // 8
 
     def to_bytes(self) -> bytes:
-        """Return the packed counter payload."""
-        return bytes(self._buf)
+        """The counters packed *width* bits each, :meth:`size_bytes` long.
+
+        Counter *i* sits in byte ``i * width // 8``, the lowest-numbered
+        counter of a byte in its low bits.  Packed on each call, from
+        one stripe of every ``8 // width``-th counter per slot: a stripe
+        read as one little-endian integer and shifted by the slot's bit
+        offset moves each counter within its own byte, since a counter
+        never exceeds ``2**width - 1``.
+        """
+        per_byte = 8 // self._width
+        counts = bytes(self._buf) + bytes(-self._size % per_byte)
+        packed = 0
+        for slot in range(per_byte):
+            stripe = int.from_bytes(counts[slot::per_byte], "little")
+            packed |= stripe << (slot * self._width)
+        return packed.to_bytes(len(counts) // per_byte, "little")
 
     def __len__(self) -> int:
         return self._size

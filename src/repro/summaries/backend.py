@@ -42,7 +42,7 @@ from typing import (
     Union,
 )
 
-from repro.core.hashing import md5_digest
+from repro.core.hashing import MAX_NUM_FUNCTIONS, md5_digest
 from repro.errors import ConfigurationError
 from repro.summaries.policies import UpdatePolicy
 from repro.urlutil import server_of
@@ -85,7 +85,8 @@ class SummaryConfig:
         Bits per expected document for Bloom summaries (8/16/32 in the
         paper).  Ignored by the other representations.
     num_hashes:
-        Hash functions for Bloom summaries (the paper uses 4).
+        Hash functions for Bloom summaries (the paper uses 4), at most
+        :data:`~repro.core.hashing.MAX_NUM_FUNCTIONS`.
     counter_width:
         Counter bits for the local counting filter (the paper uses 4).
     """
@@ -106,9 +107,10 @@ class SummaryConfig:
             raise ConfigurationError(
                 f"load_factor must be >= 1, got {self.load_factor}"
             )
-        if self.num_hashes < 1:
+        if not 1 <= self.num_hashes <= MAX_NUM_FUNCTIONS:
             raise ConfigurationError(
-                f"num_hashes must be >= 1, got {self.num_hashes}"
+                f"num_hashes must be in [1, {MAX_NUM_FUNCTIONS}], "
+                f"got {self.num_hashes}"
             )
 
     def label(self) -> str:

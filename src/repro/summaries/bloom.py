@@ -13,9 +13,9 @@ The summary owns its hash family and one
 the public bits (the counters' nonzero flags) and the flip journal: an
 insert or evict is one pass over the key's k positions
 (:meth:`~repro.core.bitarray.CounterArray.add_at` /
-:meth:`~repro.core.bitarray.CounterArray.remove_at`).  The counters
-never leave the proxy; peers receive only the bit array (or bit-flip
-records) and hold it as a plain
+:meth:`~repro.core.bitarray.CounterArray.remove_at`), one byte read and
+written per position.  The counters never leave the proxy; peers
+receive only the bit array (or bit-flip records) and hold it as a plain
 :class:`~repro.core.bloom.BloomFilter` or a slice of a
 :class:`~repro.summaries.peers.PeerSummaries`.
 """
@@ -70,8 +70,8 @@ class BloomSummary(LocalSummary):
         self.hash_family = MD5HashFamily(num_functions=cfg.num_hashes)
         #: Bit array size (``BitArray_Size_InBits`` on the wire).
         self.num_bits = expected_documents * cfg.load_factor
-        #: One counter per bit; its nonzero flags (``counters.bits``)
-        #: are the bits peers are shipped.
+        #: One counter per bit, held one per byte; its nonzero flags
+        #: (``counters.bits``) are the bits peers are shipped.
         self.counters = CounterArray(self.num_bits, width=cfg.counter_width)
 
     @property
@@ -140,12 +140,14 @@ class BloomSummary(LocalSummary):
         return self.counters.bits.fill_ratio
 
     def size_bytes(self) -> int:
-        """Local footprint: bit array plus counters.
+        """Local footprint as the paper counts it: bit array plus
+        counters packed ``counter_width`` bits each.
 
         Section V-F's extrapolation separates the two ("about 200 MB to
         represent all the summaries plus another 8 MB to represent its
         own counters"); :meth:`remote_size_bytes` gives the former per
-        peer.
+        peer.  The process itself holds ``num_bits`` bytes of counters,
+        one per byte (:class:`~repro.core.bitarray.CounterArray`).
         """
         return self.remote_size_bytes() + self.counters.size_bytes()
 

@@ -332,3 +332,148 @@ class TestCounterArray:
         assert list(counters.bits.iter_set_bits()) == [
             i for i, value in enumerate(reference) if value
         ]
+
+
+class CounterModel:
+    """The counter array's contract as a dict of ints, one step at a time.
+
+    A step that fails -- an index outside ``[0, size)`` or a count
+    below zero -- leaves the model as it was.
+    """
+
+    def __init__(self, size, width):
+        self.size = size
+        self.width = width
+        self.top = (1 << width) - 1
+        self.counts = {}
+        self.first_flips = {}
+        self.flips = 0
+        self.saturated = 0
+
+    def step(self, increment, indices):
+        counts = dict(self.counts)
+        first_flips = dict(self.first_flips)
+        flips = saturated = 0
+        for index in indices:
+            if not 0 <= index < self.size:
+                return IndexError
+            value = counts.get(index, 0)
+            if value == self.top:
+                saturated += 1 if increment else 0
+                continue
+            if not increment and not value:
+                return ValueError
+            counts[index] = value + 1 if increment else value - 1
+            if value == (0 if increment else 1):  # a 0 <-> 1 transition
+                flips += 1
+                first_flips.setdefault(index, increment)
+        self.counts, self.first_flips = counts, first_flips
+        self.flips += flips
+        self.saturated += saturated
+        return None
+
+    def drain(self):
+        held = self.held()
+        self.first_flips = {}
+        self.flips = 0
+        return held
+
+    def held(self):
+        return [
+            (index, value)
+            for index, value in self.first_flips.items()
+            if (self.counts.get(index, 0) != 0) == value
+        ]
+
+    def packed(self):
+        """Counter *i* at bit ``i * width`` of a little-endian payload."""
+        out = bytearray((self.size * self.width + 7) // 8)
+        for index, value in self.counts.items():
+            bit = index * self.width
+            out[bit // 8] |= value << (bit % 8)
+        return bytes(out)
+
+
+def observed(counters):
+    """Everything a caller can read off a counter array."""
+    return (
+        [counters.get(i) for i in range(counters.size)],
+        list(counters.bits.iter_set_bits()),
+        counters.peek_flips(),
+        counters.pending_flip_count,
+        counters.saturation_events,
+        counters.to_bytes(),
+    )
+
+
+def expected(model):
+    return (
+        [model.counts.get(i, 0) for i in range(model.size)],
+        sorted(i for i, value in model.counts.items() if value),
+        model.held(),
+        model.flips,
+        model.saturated,
+        model.packed(),
+    )
+
+
+#: 13 counters: no width packs them into whole bytes but 8.
+MODEL_SIZE = 13
+
+
+class TestCounterArrayModel:
+    @given(
+        st.sampled_from(CounterArray.SUPPORTED_WIDTHS),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["add", "add", "remove", "drain"]),
+                st.lists(st.integers(-2, MODEL_SIZE + 1), max_size=6),
+            ),
+            max_size=80,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_the_model(self, width, steps):
+        counters = CounterArray(MODEL_SIZE, width=width)
+        model = CounterModel(MODEL_SIZE, width)
+        for action, indices in steps:
+            if action == "drain":
+                assert counters.drain_flips() == model.drain()
+            else:
+                increment = action == "add"
+                failure = model.step(increment, indices)
+                move = counters.add_at if increment else counters.remove_at
+                if failure is None:
+                    move(indices)
+                else:
+                    with pytest.raises(failure):
+                        move(indices)
+            assert observed(counters) == expected(model), (action, indices)
+        assert counters.size_bytes() == len(model.packed())
+
+    @pytest.mark.parametrize("width", CounterArray.SUPPORTED_WIDTHS)
+    @pytest.mark.parametrize(
+        "bad", [[5, 3, 3, 5, 99], [3, 5, 3, -1], [4, 4, 3, 4, 4, 13]]
+    )
+    def test_saturated_index_before_a_bad_one_moves_nothing(self, width, bad):
+        # Counter 3 sits at the ceiling with one saturation event and
+        # counter 4 one below it, so the walk saturates 3 (and climbs 4
+        # to the ceiling, then saturates it) before the bad index: the
+        # undo must tell a skipped step from a moved one.
+        counters = CounterArray(MODEL_SIZE, width=width)
+        top = counters.max_value
+        for _ in range(top + 1):
+            counters.add_at([3])
+        for _ in range(top - 1):
+            counters.add_at([4])
+        counters.drain_flips()
+        counters.add_at([6])
+        counters.remove_at([6])  # a journal entry for a bit back at 0
+        before = observed(counters)
+        assert before[4] == 1
+        with pytest.raises(IndexError):
+            counters.add_at(bad)
+        assert observed(counters) == before
+        with pytest.raises((IndexError, ValueError)):  # 5 is at zero
+            counters.remove_at(bad)
+        assert observed(counters) == before

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import (
+    MAX_NUM_FUNCTIONS,
     MD5HashFamily,
     PolynomialHashFamily,
     md5_digest,
@@ -81,7 +82,7 @@ class TestMD5HashFamily:
     def test_equality_with_other_types(self):
         assert MD5HashFamily() != object()
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, MAX_NUM_FUNCTIONS + 1, 0xFFFF])
     def test_rejects_bad_num_functions(self, bad):
         with pytest.raises(ConfigurationError):
             MD5HashFamily(num_functions=bad)

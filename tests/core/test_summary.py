@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bfmath import optimal_integer_num_hashes
+from repro.core.hashing import MAX_NUM_FUNCTIONS
 from repro.summaries import (
     AVERAGE_DOCUMENT_SIZE,
     BloomSummary,
@@ -55,6 +57,13 @@ class TestSummaryConfig:
     def test_rejects_bad_num_hashes(self):
         with pytest.raises(ConfigurationError):
             SummaryConfig(num_hashes=0)
+
+    def test_num_hashes_capped_by_the_family_limit(self):
+        # The optimal k at the paper's largest load factor fits.
+        SummaryConfig(num_hashes=optimal_integer_num_hashes(32))
+        SummaryConfig(num_hashes=MAX_NUM_FUNCTIONS)
+        with pytest.raises(ConfigurationError):
+            SummaryConfig(num_hashes=MAX_NUM_FUNCTIONS + 1)
 
 
 class TestCommonBehaviour:

@@ -18,13 +18,14 @@ chunks, and a copy must not change until the last chunk arrives.
 from __future__ import annotations
 
 import struct
+from time import perf_counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bloom import BloomFilter
-from repro.core.hashing import MD5HashFamily, md5_digest
+from repro.core.hashing import MAX_NUM_FUNCTIONS, MD5HashFamily, md5_digest
 from repro.protocol.wire import (
     ICP_HEADER_SIZE,
     REPR_SERVER_NAME,
@@ -93,6 +94,15 @@ HOSTILE = [
         [
             DigestChunk(4, 65, 8, 0, 1, b"\x01").encode(),
             DirUpdate(4, 65, 8, flips=((1, True),)).encode(),
+        ],
+        True,
+    ),
+    # Function_Num 65,535 fits the header, but a probe of the copy
+    # would read 65,535 positions.
+    (
+        [
+            DigestChunk(0xFFFF, 32, 8, 0, 1, b"\x01").encode(),
+            DirUpdate(0xFFFF, 32, 8, flips=((1, True),)).encode(),
         ],
         True,
     ),
@@ -315,6 +325,7 @@ def test_stale_resize_and_membership_in_one_story():
             ("hostile", 2, 0),
             ("hostile", 2, 1),
             ("hostile", 2, 2),
+            ("hostile", 2, 3),
             ("hostile", 0, 0),
             ("hostile", 0, 1),
             ("hostile", 3, 0),
@@ -364,3 +375,41 @@ def test_multi_chunk_digest_replaces_the_copy_on_its_last_chunk():
     assert [u for u in urls if proxy._candidate_peers(u)] == expected
     assert set(urls[50:300]) <= set(expected)
     assert not set(urls[:50]) <= set(expected)
+
+
+def test_a_huge_hash_family_is_rejected_and_probes_stay_fast():
+    """A configured peer announcing ``Function_Num`` 65,535 in a
+    DIRUPDATE or a DIGEST is rejected and counted, and neither the copy
+    it holds nor the empty slot of a peer with none changes: every probe
+    still reads one column per function of the family in use."""
+    config = ProxyConfig(
+        summary=SummaryConfig(kind="bloom", load_factor=8),
+        mode=ProxyMode.SC_ICP,
+    )
+    proxy = SummaryCacheProxy(config, ("127.0.0.1", 9))
+    holder, newcomer = PEERS[:2]
+    proxy.set_peers([holder, newcomer])
+    sender = SummaryNode(config.summary, CAPACITY)
+    sender.on_insert(URLS[0])
+    for message in codec.delta_messages(sender.local, sender.publish(0.0)):
+        proxy._on_datagram(message.encode(), holder.icp_addr)
+    held = proxy.peer_geometry(holder.icp_addr)
+    assert held == (sender.local.num_bits, (4, 32))
+
+    hostile = [
+        DirUpdate(0xFFFF, 32, 8192, flips=((1, True),)).encode(),
+        DigestChunk(0xFFFF, 32, 64, 0, 8, bytes(8)).encode(),
+        DirUpdate(MAX_NUM_FUNCTIONS + 1, 32, 64).encode(),
+    ]
+    for peer in (holder, newcomer):
+        for datagram in hostile:
+            proxy._on_datagram(datagram, peer.icp_addr)
+    assert proxy.stats.dirupdate_rejects == 2 * len(hostile)
+    assert proxy.peer_geometry(holder.icp_addr) == held
+    assert proxy.peer_geometry(newcomer.icp_addr) is None
+
+    assert all(len(proxy._peer_summaries.key_of(u)) == 4 for u in URLS)
+    start = perf_counter()
+    found = [[s.address.name for s in proxy._candidate_peers(u)] for u in URLS]
+    assert perf_counter() - start < 1.0
+    assert found[0] == [holder.name]
