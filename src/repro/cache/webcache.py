@@ -8,7 +8,7 @@ document version validator.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, KeysView, List, Optional, Union
 
 from repro.cache.entry import CacheEntry
 from repro.cache.policies import ReplacementPolicy, make_policy
@@ -103,9 +103,10 @@ class WebCache:
     def __contains__(self, url: str) -> bool:
         return url in self._entries
 
-    def urls(self) -> List[str]:
-        """Return the cached URLs (no particular order)."""
-        return list(self._entries)
+    def urls(self) -> KeysView[str]:
+        """The cached URLs (no particular order), as a live view that
+        changes with the cache: copy it to keep it across a change."""
+        return self._entries.keys()
 
     # ------------------------------------------------------------------
     # The request path

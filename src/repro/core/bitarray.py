@@ -24,6 +24,7 @@ is the paper's figure, not the process's.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import (
@@ -254,12 +255,14 @@ class CounterArray:
     counter *i* is nonzero -- the public bit array of a counting Bloom
     filter -- and the journal of those bits' flips since the last
     :meth:`drain_flips`, which a delta update ships.  :meth:`add_at` and
-    :meth:`remove_at` are the one place a counter moves: each walks a
+    :meth:`remove_at` are the one place a held counter moves: each walks a
     key's positions once, checking each index, moving its counter,
     writing its bit on a 0 <-> 1 transition and journaling the flip.
     The journal is coalesced as it is written -- one entry per bit,
     holding its first flip -- so a drain reads each changed bit once,
     while :attr:`pending_flip_count` still counts every flip.
+    :meth:`counted` builds an array already holding a set of keys, with
+    nothing journaled.
     """
 
     __slots__ = (
@@ -329,6 +332,30 @@ class CounterArray:
         return BitIndexError(
             f"counter index {index} out of range [0, {self._size})"
         )
+
+    @classmethod
+    def counted(
+        cls, size: int, keys: Iterable[Iterable[int]], width: int = 4
+    ) -> "CounterArray":
+        """An array of *size* counters with every key of *keys* counted in.
+
+        Its counters, bits and :attr:`saturation_events` are what
+        :meth:`add_at` on each key leaves, but its journal stays empty:
+        no peer holds anything of the new array yet.  One tally of every
+        position, then one write per counter and bit it reaches.  An
+        out-of-range position raises :class:`~repro.errors.BitIndexError`.
+        """
+        array = cls(size, width)
+        tally = Counter(index for key in keys for index in key)
+        if tally and (min(tally) < 0 or max(tally) >= size):
+            raise BitIndexError(f"counter index out of range [0, {size})")
+        counts, flags, top = array._buf, array._flags, array._max
+        for index, count in tally.items():
+            counts[index] = count if count < top else top
+            flags[index >> 3] |= 1 << (index & 7)
+        # Each increment a counter at the ceiling did not take.
+        array._saturated = sum(tally.values()) - sum(counts)
+        return array
 
     def get(self, index: int) -> int:
         """Return the value of counter *index*."""

@@ -48,7 +48,7 @@ MUTATOR_METHODS: FrozenSet[str] = frozenset(
         "append", "extend", "insert", "add", "discard", "remove",
         "pop", "popitem", "clear", "update", "setdefault",
         # repro domain objects
-        "put", "publish", "rebuild", "on_insert", "on_evict",
+        "put", "publish", "grow", "on_insert", "on_evict",
         "add_member", "remove_member", "acquire", "release",
         "set_result", "set_exception", "cancel",
         "apply_delta", "reset_slot", "drop_slot",

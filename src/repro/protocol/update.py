@@ -16,11 +16,9 @@ a peer needs a full resynchronization (e.g. after a resize).
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bloom import BloomFilter
 from repro.core.hashing import MD5HashFamily
-from repro.errors import ConfigurationError, SummaryMismatchError
 from repro.protocol.wire import (
     DIGEST_HEADER_SIZE,
     DIRUPDATE_HEADER_SIZE,
@@ -145,7 +143,7 @@ def build_digest_messages(
 
 
 class DigestAssembler:
-    """Reassembles a peer's filter from ``DigestChunk`` messages.
+    """Reassembles a peer's bit array from ``DigestChunk`` messages.
 
     Chunks may arrive out of order or duplicated; a chunk of another
     snapshot (its geometry or its CRC-32 differs) restarts assembly, so
@@ -154,52 +152,31 @@ class DigestAssembler:
     """
 
     def __init__(self) -> None:
-        self._spec: Optional[Tuple[int, int, int, int, int]] = None
+        self._spec: Optional[Tuple[Any, ...]] = None
         self._pieces: Dict[int, bytes] = {}
 
-    def add(self, chunk: DigestChunk) -> Optional[BloomFilter]:
-        """Feed one chunk; return the completed filter or ``None``.
-
-        A completed transfer whose hash family cannot be built (a
-        ``Function_Bits`` above 64) raises
-        :class:`~repro.errors.SummaryMismatchError`, as the same header
-        on a DIRUPDATE does when it is applied.
+    def add(self, chunk: DigestChunk) -> Optional[Tuple[Tuple[Any, ...], bytes]]:
+        """Feed one chunk; once the transfer is whole, return the
+        geometry its headers announce, ``(BitArray_Size_InBits,
+        (Function_Num, Function_Bits))``, and the packed bits.
+        ``None`` until then.
         """
-        spec = (
-            chunk.function_num,
-            chunk.function_bits,
+        geometry = (
             chunk.bit_array_size,
-            chunk.total_bytes,
-            chunk.request_number,
+            (chunk.function_num, chunk.function_bits),
         )
+        spec = (geometry, chunk.total_bytes, chunk.request_number)
         if self._spec != spec:
             self._spec = spec
             self._pieces = {}
         self._pieces[chunk.byte_offset] = chunk.payload
 
         received = sum(len(p) for p in self._pieces.values())
-        if received < chunk.total_bytes:
-            return None
-
-        data = bytearray(chunk.total_bytes)
-        covered = 0
-        for offset in sorted(self._pieces):
-            piece = self._pieces[offset]
+        if received != chunk.total_bytes:
+            return None  # not yet, or pieces of two chunkings overlap
+        data = bytearray(received)
+        for offset, piece in self._pieces.items():
             data[offset : offset + len(piece)] = piece
-            covered += len(piece)
-        if covered != chunk.total_bytes:
-            return None  # duplicates overlapped; wait for real coverage
-
         self._spec = None
         self._pieces = {}
-        try:
-            family = MD5HashFamily.from_spec(
-                chunk.function_num, chunk.function_bits
-            )
-        except ConfigurationError as exc:
-            # Rejected as a DIRUPDATE announcing it would be (codec's
-            # geometry check): the header is well formed, the family not.
-            raise SummaryMismatchError(f"unusable geometry: {exc}") from exc
-        return BloomFilter.from_bytes(
-            chunk.bit_array_size, bytes(data), hash_family=family
-        )
+        return geometry, bytes(data)

@@ -100,7 +100,7 @@ class ProxyMetrics:
             labels=rep,
         )
         self.summary_resizes = c(
-            "proxy_summary_resizes_total", "summary rebuilds",
+            "proxy_summary_resizes_total", "times the Bloom summary doubled",
             labels=rep,
         )
         self.udp_sent = c("proxy_udp_sent_total", "UDP datagrams sent")

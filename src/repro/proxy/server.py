@@ -119,10 +119,6 @@ FORWARD_HEADER = "X-SC-Forward"
 #: Response header naming the proxy that answered a forwarded fetch.
 OWNER_HEADER = "X-SC-Owner"
 
-#: A Bloom summary is rebuilt at double the bits once the cache holds
-#: this many times the documents it was sized for.
-RESIZE_FACTOR = 2.0
-
 
 class _PeerState:
     """What a proxy knows about one neighbour."""
@@ -548,29 +544,20 @@ class SummaryCacheProxy:
             self._maybe_broadcast_update()
 
     def _maybe_resize_summary(self) -> None:
-        """Rebuild the summary when the cache outruns its expected size.
-
-        A Bloom summary was sized for ``cache_capacity /
-        expected_doc_size`` documents; if the cache holds far more
-        (documents smaller than anticipated), the effective load factor
-        -- and with it the false-hit rate at every peer -- degrades.
-        Rebuilding at double the bits from the live directory restores
-        it; peers resync via a whole-filter digest (a delta cannot
-        describe a geometry change).  Set representations never report
-        themselves overloaded, so this is a no-op for them.
-        """
-        if not self._node.local.overloaded(len(self._cache), RESIZE_FACTOR):
+        """Double a Bloom summary the cache has outgrown
+        (:meth:`SummaryNode.grow`) and resync every peer with the whole
+        array: a delta cannot describe a geometry change."""
+        if not self._node.grow(self._cache.urls(), perf_counter()):
             return
-        self._node.rebuild(self._cache.urls(), perf_counter())
         self._m.summary_resizes.inc()
         logger.info(
             "proxy=%s summary resized to %d bits (%d cached documents)",
             self.config.name,
-            getattr(self._node.local, "num_bits", 0),
+            self._node.local.geometry[0],
             len(self._cache),
         )
         if self._peers:
-            self._broadcast()  # a delta cannot describe the new geometry
+            self._broadcast()
 
     def _broadcast(self, delta: Optional[SummaryDelta] = None) -> None:
         """Ship the summary to every peer and record a
@@ -578,10 +565,13 @@ class SummaryCacheProxy:
 
         *delta* travels as the codec picks (DIRUPDATE flips, or DIGEST
         chunks when the whole array is smaller); with none (the resync
-        after a resize) the whole array goes.
+        after a growth) the whole array goes.
         """
         wall, start = time(), perf_counter()
-        messages = codec.update_messages(self._node.local, delta)
+        local = self._node.local
+        messages = codec.whole_summary_messages(local) if delta is None else (
+            codec.update_messages(local, delta)
+        )
         encoded = [message.encode() for message in messages]
         for peer_addr in self._peers:
             for data in encoded:
@@ -695,23 +685,24 @@ class SummaryCacheProxy:
     ) -> None:
         """Patch the sender's slot from a (Set)DirUpdate or a DIGEST.
 
-        DIGEST chunks are reassembled first, and the completed filter
+        DIGEST chunks are reassembled first, and the completed array
         replaces the copy.  A mismatched update -- another
-        representation than this proxy's, or a Bloom delta whose
-        geometry disagrees with the copy (the peer resized and this
-        datagram predates the digest resync) -- is rejected cleanly: the
-        copy is left untouched and the peer's digest (or
-        pending-everything delta after a set rebuild) resynchronizes it.
+        representation than this proxy's, a geometry over the codec's
+        size bound, or a Bloom delta whose geometry disagrees with the
+        copy (the peer resized and this datagram predates the digest
+        resync) -- is rejected cleanly: the copy is left untouched and
+        the peer's digest resynchronizes it.
         """
         peer = state.address.name
         wall, start = time(), perf_counter()
         try:
             if isinstance(message, DigestChunk):
-                whole = state.assembler.add(message)
-                if whole is None:
+                geometry = codec.apply_digest(
+                    self._peer_summaries, state.slot, state.assembler, message
+                )
+                if geometry is None:
                     return
-                codec.apply_digest(self._peer_summaries, state.slot, whole)
-                name, attrs = "digest.apply", ("bits", whole.num_bits)
+                name, attrs = "digest.apply", ("bits", geometry[0])
             else:
                 codec.apply_update(self._peer_summaries, state.slot, message)
                 name, attrs = "dirupdate.apply", (

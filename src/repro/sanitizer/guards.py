@@ -11,7 +11,7 @@ Recording granularity is deliberate:
   them as reads would re-arm a task's read marker and mask genuine
   staleness.
 - ``SummaryNode``: the mutators (``on_insert``/``on_evict``/
-  ``publish``/``rebuild``) are writes, ``due_for_update`` is the
+  ``publish``/``grow``) are writes, ``due_for_update`` is the
   paired read.  Raw attribute access (``node.local`` for scrape
   gauges and encoding) stays unrecorded: telemetry reads are not
   check-then-act participants.
@@ -72,9 +72,9 @@ class GuardedSummaryNode:
         self._san.record_write(self._key, "publish")
         return self._inner.publish(*args, **kwargs)
 
-    def rebuild(self, *args: Any, **kwargs: Any) -> Any:
-        self._san.record_write(self._key, "rebuild")
-        return self._inner.rebuild(*args, **kwargs)
+    def grow(self, *args: Any, **kwargs: Any) -> bool:
+        self._san.record_write(self._key, "grow")
+        return bool(self._inner.grow(*args, **kwargs))
 
 
 class GuardedPlacement:

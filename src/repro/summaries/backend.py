@@ -32,20 +32,26 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
+    Collection,
     Dict,
-    Iterable,
     List,
     Sequence,
     Tuple,
     Union,
+    cast,
 )
 
+from repro.core.bitarray import CounterArray
 from repro.core.hashing import MAX_NUM_FUNCTIONS, md5_digest
 from repro.errors import ConfigurationError
 from repro.summaries.policies import UpdatePolicy
 from repro.urlutil import server_of
+
+if TYPE_CHECKING:  # the Bloom module subclasses the ABCs below
+    from repro.summaries.bloom import BloomSummary
 
 #: A digest-set change record: a 16-byte MD5 digest (exact directory)
 #: or a server name (server-name summary).
@@ -71,6 +77,13 @@ Geometry = Tuple[Any, ...]
 #: documents is calculated by dividing the cache size by 8 K (the average
 #: document size)."
 AVERAGE_DOCUMENT_SIZE = 8 * 1024
+
+#: The largest Bloom filter a summary grows to, and the largest
+#: ``BitArray_Size_InBits`` a receiver accepts.  Section V-F's own
+#: summary: an 8 GB cache of 8 KB pages at load factor 16 is 2**20
+#: documents x 16 bits.  The wire header allows 2**31, which a
+#: receiver would hold as 2**31 column slots (16 GiB) for one copy.
+MAX_SUMMARY_BITS = 2**24
 
 
 @dataclass(frozen=True)
@@ -207,8 +220,8 @@ class LocalSummary(ABC):
         work, for a caller that binds them once and writes keys in a
         hot loop (the Section V simulator's cache hooks).
 
-        They stay valid until :meth:`rebuild`, which the simulators
-        never call.
+        They stay valid until :meth:`SummaryNode.grow` doubles a Bloom
+        filter, which the simulators never call.
         """
         return self.add_key, self.remove_key
 
@@ -255,26 +268,6 @@ class LocalSummary(ABC):
     @abstractmethod
     def remote_size_bytes(self) -> int:
         """DRAM footprint of the shipped representation at one peer."""
-
-    @abstractmethod
-    def rebuild(self, urls: Iterable[str]) -> None:
-        """Reconstruct the summary from the live directory *urls*.
-
-        For Bloom summaries this grows the filter geometry (the proxy's
-        resize-and-redigest path); peers must resynchronize from a whole
-        summary transfer afterwards, so implementations discard any
-        pending delta and, for set representations, mark the full
-        directory as pending so the next delta carries everything.
-        """
-
-    def overloaded(self, num_documents: int, factor: float) -> bool:
-        """Does holding *num_documents* degrade this summary's accuracy?
-
-        Only fixed-geometry representations (Bloom filters sized for an
-        expected document count) can be overloaded; set representations
-        grow with the directory and always return ``False``.
-        """
-        return False
 
     def fill_ratio(self) -> float:
         """Fraction of summary capacity in use (0.0 when not meaningful)."""
@@ -376,12 +369,31 @@ class SummaryNode:
         self.last_update_time = now
         return delta
 
-    def rebuild(self, urls: Iterable[str], now: float) -> None:
-        """Rebuild the local summary from the live directory.
+    def grow(self, urls: Collection[str], now: float) -> bool:
+        """Double a Bloom filter the cache has outgrown; say whether it did.
 
-        Resets the update bookkeeping: after a rebuild, peers resync
-        from a whole-summary transfer, not a delta.
+        *urls* are the cached URLs.  A filter sized for ``num_bits /
+        load_factor`` documents that holds more than twice that many has
+        lost its load factor, and every peer's false-hit rate with it,
+        so it is built again at double the bits from *urls*, up to
+        :data:`MAX_SUMMARY_BITS`.  A URL whose memo line is still held
+        gets its new positions with no MD5.  Nothing is pending
+        afterwards and the update bookkeeping restarts: a delta cannot
+        describe the new geometry, so the caller ships the whole array
+        (:func:`~repro.summaries.codec.whole_summary_messages`).  A set
+        summary grows with its directory and never does this.
         """
-        self.local.rebuild(urls)
+        if self.local.kind != "bloom":
+            return False
+        bloom = cast("BloomSummary", self.local)
+        num_bits = bloom.num_bits * 2
+        # The filter holds num_bits / load_factor documents at its load
+        # factor; it grows once the cache holds more than twice that.
+        if len(urls) * bloom.config.load_factor <= num_bits or num_bits > MAX_SUMMARY_BITS:
+            return False
+        keys = (bloom.hash_family.hashes(url, num_bits) for url in urls)
+        bloom.counters = CounterArray.counted(num_bits, keys, bloom.config.counter_width)
+        bloom.num_bits = num_bits
         self.new_since_update = 0
         self.last_update_time = now
+        return True

@@ -22,7 +22,7 @@ receive only the bit array (or bit-flip records) and hold it as a plain
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from repro.core.bitarray import CounterArray
 from repro.core.hashing import MD5HashFamily
@@ -106,35 +106,6 @@ class BloomSummary(LocalSummary):
     def export(self) -> BitFlipDelta:
         held = self.counters.bits.iter_set_bits()
         return BitFlipDelta(flips=[(index, True) for index in held])
-
-    def overloaded(self, num_documents: int, factor: float) -> bool:
-        """Cache outran the geometry: documents exceed capacity x *factor*.
-
-        The filter was sized for ``num_bits / load_factor`` documents;
-        holding many more degrades the effective load factor -- and with
-        it the false-hit rate at every peer.
-        """
-        expected = self.num_bits // self.config.load_factor
-        return num_documents > expected * factor
-
-    def rebuild(self, urls: Iterable[str]) -> None:
-        """Rebuild at double the bits from the live directory.
-
-        Pending flips are discarded: a delta cannot describe a geometry
-        change, so peers must resync from a whole-filter digest.  A URL
-        whose memo line is still held (its key was derived on insert)
-        gets its new positions from the line's bit stream with no MD5;
-        one whose line aged out of the memo's LRU costs one MD5.
-        """
-        num_bits = self.num_bits * 2
-        counters = CounterArray(num_bits, width=self.config.counter_width)
-        hashes = self.hash_family.hashes
-        add_at = counters.add_at
-        for url in urls:
-            add_at(hashes(url, num_bits))
-        counters.drain_flips()
-        self.num_bits = num_bits
-        self.counters = counters
 
     def fill_ratio(self) -> float:
         return self.counters.bits.fill_ratio

@@ -16,9 +16,10 @@ proxy never dispatches on concrete summary types:
   only: ``ICP_OP_DIGEST`` chunks);
 - :func:`apply_update` / :func:`apply_digest` -- patch (or initialize)
   a peer's slot of a :class:`~repro.summaries.peers.PeerSummaries` from
-  a received DIRUPDATE or a completed DIGEST, rejecting one that does
-  not match the store's representation or the copy's geometry with
-  :class:`~repro.errors.SummaryMismatchError`.
+  a received DIRUPDATE or DIGEST chunk, rejecting one that does not
+  match the store's representation or the copy's geometry, or that
+  announces more than :data:`~repro.summaries.backend.MAX_SUMMARY_BITS`
+  bits, with :class:`~repro.errors.SummaryMismatchError`.
 
 A set summary's records are tagged with the id of its ``kind``; the
 codec imports no set summary class.  Only :class:`BloomSummary` is told
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from repro.core.bloom import BloomFilter
+from repro.core.bitarray import BitArray
 from repro.errors import ConfigurationError, SummaryMismatchError
 from repro.protocol.update import (
+    DigestAssembler,
     build_digest_messages,
     build_dir_update_messages,
     build_set_update_messages,
@@ -47,6 +49,7 @@ from repro.protocol.wire import (
     SetDirUpdate,
 )
 from repro.summaries.backend import (
+    MAX_SUMMARY_BITS,
     BitFlipDelta,
     DigestDelta,
     DigestKey,
@@ -103,18 +106,16 @@ def ships_whole(change_count: int, num_bits: int) -> bool:
 
 
 def update_messages(
-    summary: LocalSummary, delta: Optional[SummaryDelta]
+    summary: LocalSummary, delta: SummaryDelta
 ) -> Sequence[Union[UpdateMessage, DigestChunk]]:
     """The datagrams that carry one update of *summary* to a peer.
 
     A Bloom *delta* whose flips outweigh the bit array (:func:`ships_whole`)
-    and no *delta* at all (the resync after a rebuild) travel as DIGEST
-    chunks; every other delta as DIRUPDATEs.  Set representations always
-    ship their delta.
+    travels as DIGEST chunks, every other delta as DIRUPDATEs.  Set
+    representations always ship their delta.
     """
-    if delta is None or (
-        isinstance(summary, BloomSummary)
-        and ships_whole(delta.change_count, summary.num_bits)
+    if isinstance(summary, BloomSummary) and ships_whole(
+        delta.change_count, summary.num_bits
     ):
         return whole_summary_messages(summary)
     return delta_messages(summary, delta)
@@ -144,12 +145,13 @@ def delta_messages(
 
 
 def whole_summary_messages(summary: LocalSummary) -> List[DigestChunk]:
-    """Whole-summary transfer (resync after a rebuild, or a delta larger
+    """Whole-summary transfer (the resync after
+    :meth:`~repro.summaries.backend.SummaryNode.grow`, or a delta larger
     than the array).
 
     Only Bloom summaries have a whole-summary wire form
-    (``ICP_OP_DIGEST``); set representations resync through their
-    pending-everything delta after :meth:`LocalSummary.rebuild`.
+    (``ICP_OP_DIGEST``): a set summary's geometry never changes, so its
+    deltas always describe it.
     """
     if isinstance(summary, BloomSummary):
         return build_digest_messages(
@@ -170,54 +172,78 @@ def apply_update(
 
     A slot with no copy yet is first given an empty one of the geometry
     the update announces.  An update of another representation than the
-    store's, or a Bloom delta whose geometry differs from the copy's
-    (the peer resized and this datagram predates the digest resync),
-    raises :class:`~repro.errors.SummaryMismatchError` before anything
+    store's, over the size bound, or a Bloom delta whose geometry
+    differs from the copy's (the peer resized and this datagram
+    predates the digest resync), raises
+    :class:`~repro.errors.SummaryMismatchError` before anything
     changes: the peer needs a whole-summary resynchronization.
     """
+    geometry = _announced(store, update)
     delta: SummaryDelta
-    if isinstance(update, DirUpdate):
-        kind = "bloom"
-        geometry: Geometry = (
-            update.bit_array_size,
-            (update.function_num, update.function_bits),
-        )
-        delta = BitFlipDelta(flips=list(update.flips))
-    elif isinstance(update, SetDirUpdate):
-        kind, geometry = representation_kind(update.representation), ()
+    if isinstance(update, SetDirUpdate):
         delta = DigestDelta(
             added=_decode_records(update.representation, update.added),
             removed=_decode_records(update.representation, update.removed),
         )
     else:
-        raise ConfigurationError(
-            f"cannot apply message type {type(update).__name__}"
-        )
-    _prepare(store, slot, kind, geometry, reset=False)
+        delta = BitFlipDelta(flips=list(update.flips))
+    _prepare(store, slot, geometry, reset=False)
     store.apply_delta(slot, delta)
 
 
-def apply_digest(store: PeerSummaries, slot: int, whole: BloomFilter) -> None:
-    """Replace *slot*'s copy in *store* with a completed DIGEST transfer."""
-    geometry = (whole.num_bits, whole.hash_family.spec())
-    _prepare(store, slot, "bloom", geometry, reset=True)
-    held = whole.bits.iter_set_bits()
+def apply_digest(
+    store: PeerSummaries,
+    slot: int,
+    assembler: DigestAssembler,
+    chunk: DigestChunk,
+) -> Optional[Geometry]:
+    """Feed a received DIGEST *chunk* to *slot*'s *assembler*; once the
+    transfer is whole, replace *slot*'s copy with it and return its
+    geometry (``None`` until then).
+
+    Every chunk's header is checked before it is buffered, so a
+    transfer a DIRUPDATE with that header would be rejected for is
+    rejected on its first chunk.  Bits past ``num_bits`` in the last
+    byte are ignored.
+    """
+    _announced(store, chunk)
+    whole = assembler.add(chunk)
+    if whole is None:
+        return None
+    geometry, data = whole
+    _prepare(store, slot, geometry, reset=True)
+    held = BitArray.from_bytes(geometry[0], data).iter_set_bits()
     store.apply_delta(slot, BitFlipDelta(flips=[(i, True) for i in held]))
+    return geometry
+
+
+def _announced(
+    store: PeerSummaries, message: Union[UpdateMessage, DigestChunk]
+) -> Geometry:
+    """The one check of what a received header announces, made before
+    anything is built or buffered: the representation is the store's,
+    and a Bloom array is at most :data:`MAX_SUMMARY_BITS` bits.
+    Returns the announced geometry.  The hash family is checked where a
+    copy of it is built (:meth:`PeerSummaries.reset_slot`).
+    """
+    geometry: Geometry
+    if isinstance(message, SetDirUpdate):
+        kind, bits, geometry = representation_kind(message.representation), 0, ()
+    else:
+        kind, bits = "bloom", message.bit_array_size
+        geometry = (bits, (message.function_num, message.function_bits))
+    if kind != store.kind:
+        raise SummaryMismatchError(f"{kind} summary for a store of {store.kind} copies")
+    if bits > MAX_SUMMARY_BITS:
+        raise SummaryMismatchError(f"{bits} bits announced, over the {MAX_SUMMARY_BITS} bound")
+    return geometry
 
 
 def _prepare(
-    store: PeerSummaries,
-    slot: int,
-    kind: str,
-    geometry: Geometry,
-    reset: bool,
+    store: PeerSummaries, slot: int, geometry: Geometry, reset: bool
 ) -> None:
-    """Check an incoming summary against *slot*'s copy; reset the slot
-    to *geometry* when *reset* is set or it holds no copy yet."""
-    if kind != store.kind:
-        raise SummaryMismatchError(
-            f"{kind} summary for a store of {store.kind} copies"
-        )
+    """Check an announced *geometry* against *slot*'s copy; reset the
+    slot to it when *reset* is set or it holds no copy yet."""
     held = store.geometry(slot)
     if reset or held is None:
         try:

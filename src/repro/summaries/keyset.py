@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+from typing import Dict, Set
 
 from repro.errors import ConfigurationError, SummaryStateError
 from repro.summaries.backend import SET_KINDS, DigestDelta, DigestKey, LocalSummary
@@ -75,16 +75,6 @@ class KeySetSummary(LocalSummary):
 
     def export(self) -> DigestDelta:
         return DigestDelta(added=sorted(self._counts))
-
-    def rebuild(self, urls: Iterable[str]) -> None:
-        counts: Dict[DigestKey, int] = {}
-        for url in urls:
-            key = self._key_of(url)
-            counts[key] = counts.get(key, 0) + 1
-        self._counts = counts
-        # Peers must receive the full key set next update.
-        self._pending_added = set(counts)
-        self._pending_removed = set()
 
     def size_bytes(self) -> int:
         return len(self._counts) * 16

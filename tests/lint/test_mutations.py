@@ -179,18 +179,18 @@ MUTATIONS: List[Mutation] = [
     ),
     # -- SC004: summary storage and placement internals ----------------
     Mutation(
-        "SC004", SERVER, "self._node.rebuild(self._cache.urls(), perf_counter())",
+        "SC004", SERVER, "self._m.summary_resizes.inc()",
         "self._node.local.counters.add_at([0])",
         "direct mutation self._node.local.counters.add_at(...)",
         insert=True,
     ),
     Mutation(
-        "SC004", SERVER, "self._node.rebuild(self._cache.urls(), perf_counter())",
+        "SC004", SERVER, "self._m.summary_resizes.inc()",
         "flags = self._node.local.counters._flags",
         "private storage field ._flags", insert=True,
     ),
     Mutation(
-        "SC004", SERVER, "self._node.rebuild(self._cache.urls(), perf_counter())",
+        "SC004", SERVER, "self._m.summary_resizes.inc()",
         "ring = self._placement._ring",
         "placement internal ._ring", insert=True,
     ),

@@ -3,7 +3,7 @@
 :class:`~repro.core.position_cache.HashPositionCache` is the only
 URL -> digest/positions memo, and it is always on.  A second copy of the
 digest (a cache flag that stores it per entry, a ``digests=`` argument
-that carries it into a rebuild) or a switch that swaps the memo out
+that carries it into a filter's growth) or a switch that swaps the memo out
 would come back through one of these signatures, so adding a parameter
 here needs a test edit and a line in CHANGES.md.
 """
@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import inspect
 
-import pytest
-
 from repro.cache import WebCache
 from repro.core.position_cache import HashPositionCache
 from repro.summaries import SummaryNode
-from repro.summaries.backend import LocalSummary, SummaryConfig, make_local_summary
-from repro.summaries.bloom import BloomSummary
 
 
 def parameters(function) -> list:
@@ -36,22 +32,8 @@ def test_web_cache_parameters_are_pinned():
     ]
 
 
-def built_for(kind: str) -> type:
-    return type(make_local_summary(SummaryConfig(kind=kind), 1024 * 1024))
-
-
-# A set kind's case checks the class make_local_summary builds for it.
-@pytest.mark.parametrize(
-    "summary",
-    [LocalSummary, BloomSummary, built_for("exact-directory"), built_for("server-name")],
-    ids=["LocalSummary", "BloomSummary", "ExactDirectorySummary", "ServerNameSummary"],
-)
-def test_local_summary_rebuild_takes_only_urls(summary):
-    assert parameters(summary.rebuild) == ["self", "urls"]
-
-
-def test_summary_node_rebuild_takes_urls_and_time():
-    assert parameters(SummaryNode.rebuild) == ["self", "urls", "now"]
+def test_summary_node_grow_takes_urls_and_time():
+    assert parameters(SummaryNode.grow) == ["self", "urls", "now"]
 
 
 def test_position_cache_takes_only_its_bound():

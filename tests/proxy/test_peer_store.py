@@ -18,6 +18,7 @@ chunks, and a copy must not change until the last chunk arrives.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 from time import perf_counter
 
 import pytest
@@ -45,11 +46,13 @@ PEERS = [
     PeerAddress(f"p{i}", "127.0.0.1", http_port=1, icp_port=2000 + i)
     for i in range(5)
 ]
-#: 64-bit Bloom filters at first, so the peers' bits collide ...
 CAPACITY = 64 * 1024
-MAX_BITS = 1024
+#: 8-bit Bloom filters at first, for one document, so the peers' bits
+#: collide and a sender outgrows its filter at 3, 5 and 9 held
+#: documents ...
+SMALL = 8 * 1024
 #: ... except peer 2's: 32,768 bits, a digest of three 1,364-byte chunks.
-SENDER_CAPACITY = [CAPACITY, CAPACITY, 512 * CAPACITY, CAPACITY, CAPACITY]
+SENDER_CAPACITY = [SMALL, SMALL, 512 * CAPACITY, SMALL, SMALL]
 SET_KEYS = {"exact-directory": md5_digest, "server-name": server_of}
 
 steps = st.lists(
@@ -103,6 +106,14 @@ HOSTILE = [
         [
             DigestChunk(0xFFFF, 32, 8, 0, 1, b"\x01").encode(),
             DirUpdate(0xFFFF, 32, 8, flips=((1, True),)).encode(),
+        ],
+        True,
+    ),
+    # 2**31 bits, the header's ceiling: above the receiver's bound.
+    (
+        [
+            DigestChunk(4, 32, 2**31, 0, 2**28, b"\x01").encode(),
+            DirUpdate(4, 32, 2**31, flips=((1, True),)).encode(),
         ],
         True,
     ),
@@ -238,10 +249,10 @@ def run(kind, ops):
                 for message in codec.delta_messages(node.local, delta):
                     send(peer, message)
         elif action == "resize" and kind == "bloom":
-            # The sender doubles its filter and resyncs with a digest;
-            # the copy stays as it was until the last chunk completes it.
-            if node.local.num_bits < MAX_BITS:
-                node.rebuild(sorted(held[index]), 0.0)
+            # The sender doubles a filter it outgrew and resyncs with a
+            # digest; the copy stays as it was until the last chunk
+            # completes it.
+            node.grow(sorted(held[index]), 0.0)
             *head, last = codec.whole_summary_messages(node.local)
             for chunk in head:
                 send(peer, chunk)
@@ -304,6 +315,8 @@ def test_stale_resize_and_membership_in_one_story():
             ("publish", 0, 0),
             ("reset", 0, 0),
             ("stale", 0, 5),
+            # Five documents outgrow the 16 bits peer 0 grew to above.
+            ("insert", 0, 3),
             ("resize", 0, 0),
             ("remove", 1, 0),
             ("add", 4, 0),
@@ -326,6 +339,7 @@ def test_stale_resize_and_membership_in_one_story():
             ("hostile", 2, 1),
             ("hostile", 2, 2),
             ("hostile", 2, 3),
+            ("hostile", 2, 4),
             ("hostile", 0, 0),
             ("hostile", 0, 1),
             ("hostile", 3, 0),
@@ -344,22 +358,26 @@ def test_multi_chunk_digest_replaces_the_copy_on_its_last_chunk():
     proxy = SummaryCacheProxy(config, ("127.0.0.1", 9))
     peer = PEERS[0]
     proxy.set_peers([peer])
-    sender = SummaryNode(config.summary, 256 * CAPACITY)
-    urls = [f"http://h{i % 7}.store.net/d{i}" for i in range(400)]
+    # 8,192 bits for 1,024 documents, outgrown past 2,048 and doubled to
+    # 16,384 bits: a digest of two datagrams.
+    sender = SummaryNode(config.summary, 128 * CAPACITY)
+    urls = [f"http://h{i % 7}.store.net/d{i}" for i in range(2100)]
     for url in urls[:100]:
         sender.on_insert(url)
     for message in codec.delta_messages(sender.local, sender.publish(0.0)):
         proxy._on_datagram(message.encode(), peer.icp_addr)
     before = proxy.peer_geometry(peer.icp_addr)
     held = [u for u in urls if proxy._candidate_peers(u)]
-    assert before == (16384, (4, 32))
+    assert before == (8192, (4, 32))
     assert set(urls[:100]) <= set(held)
 
-    for url in urls[100:300]:
+    for url in urls[100:]:
         sender.on_insert(url)
-    sender.rebuild(urls[50:300], 0.0)
+    for url in urls[:50]:
+        sender.on_evict(url)
+    assert sender.grow(urls[50:], 0.0)
     chunks = codec.whole_summary_messages(sender.local)
-    assert len(chunks) == 4
+    assert len(chunks) == 2
     for chunk in chunks[:-1]:
         proxy._on_datagram(chunk.encode(), peer.icp_addr)
         assert proxy.peer_geometry(peer.icp_addr) == before
@@ -373,7 +391,7 @@ def test_multi_chunk_digest_replaces_the_copy_on_its_last_chunk():
     )
     expected = [u for u in urls if snapshot.may_contain(u)]
     assert [u for u in urls if proxy._candidate_peers(u)] == expected
-    assert set(urls[50:300]) <= set(expected)
+    assert set(urls[50:]) <= set(expected)
     assert not set(urls[:50]) <= set(expected)
 
 
@@ -413,3 +431,47 @@ def test_a_huge_hash_family_is_rejected_and_probes_stay_fast():
     found = [[s.address.name for s in proxy._candidate_peers(u)] for u in URLS]
     assert perf_counter() - start < 1.0
     assert found[0] == [holder.name]
+
+
+@pytest.mark.parametrize(
+    "message",
+    [
+        DirUpdate(4, 32, 2**31, flips=((1, True),)),
+        DigestChunk(4, 32, 2**31, 0, 2**28, bytes(1024)),
+    ],
+    ids=["dirupdate", "digest"],
+)
+def test_an_array_over_the_bound_is_rejected_before_it_is_held(message):
+    """A configured peer announcing 2**31 bits, the header's ceiling, in
+    a DIRUPDATE or a DIGEST's first chunk is rejected and counted, the
+    copy it holds and the empty slot of a peer with none stay as they
+    were, and the proxy allocates under 1 MiB doing so: no column, and
+    no buffered chunk."""
+    config = ProxyConfig(
+        summary=SummaryConfig(kind="bloom", load_factor=8),
+        mode=ProxyMode.SC_ICP,
+    )
+    proxy = SummaryCacheProxy(config, ("127.0.0.1", 9))
+    holder, newcomer = PEERS[:2]
+    proxy.set_peers([holder, newcomer])
+    sender = SummaryNode(config.summary, CAPACITY)
+    sender.on_insert(URLS[0])
+    for update in codec.delta_messages(sender.local, sender.publish(0.0)):
+        proxy._on_datagram(update.encode(), holder.icp_addr)
+    held = proxy.peer_geometry(holder.icp_addr)
+    datagram = message.encode()
+
+    tracemalloc.start()
+    try:
+        for peer in (holder, newcomer):
+            proxy._on_datagram(datagram, peer.icp_addr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert proxy.stats.dirupdate_rejects == 2
+    assert proxy.peer_geometry(holder.icp_addr) == held
+    assert proxy.peer_geometry(newcomer.icp_addr) is None
+    assert [s.address.name for s in proxy._candidate_peers(URLS[0])] == [
+        holder.name
+    ]

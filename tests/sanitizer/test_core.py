@@ -256,3 +256,21 @@ class TestGuards:
         guarded.on_insert("http://a.com/1")
         assert [v.key for v in san.violations] == []
         assert san._last_write["p0.summary"].op == "on_insert"
+
+    def test_guarded_summary_node_records_growth_as_a_write(self) -> None:
+        from repro.summaries.backend import SummaryConfig
+
+        san = Sanitizer()
+        node = SummaryNode(SummaryConfig(), 16 * 1024)
+        guarded = GuardedSummaryNode(node, san, "p0")
+        urls = [f"http://a.com/{i}" for i in range(5)]
+        for url in urls:
+            guarded.on_insert(url)
+        before = node.local.num_bits
+        assert guarded.grow(urls, 1.0) is True
+        assert node.local.num_bits == 2 * before
+        assert san._last_write["p0.summary"].op == "grow"
+        # Deciding is part of the write: one that does not grow counts too.
+        san._last_write.clear()
+        assert guarded.grow(urls[:1], 2.0) is False
+        assert san._last_write["p0.summary"].op == "grow"

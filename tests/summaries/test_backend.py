@@ -10,7 +10,7 @@ import pytest
 from repro.core import position_cache
 from repro.core.bitarray import CounterArray
 from repro.core.position_cache import get_position_cache
-from repro.errors import ConfigurationError
+from repro.errors import BitIndexError, ConfigurationError
 from repro.summaries import (
     PeerSummaries,
     SummaryConfig,
@@ -18,6 +18,7 @@ from repro.summaries import (
     ThresholdUpdatePolicy,
     make_local_summary,
 )
+from repro.summaries.backend import MAX_SUMMARY_BITS
 from repro.summaries.bloom import BloomSummary
 from repro.summaries.keyset import KeySetSummary
 
@@ -109,13 +110,14 @@ class TestSummaryNode:
         assert node.local.pending_change_count() == 0
         assert node.publish(now=2.0).is_empty()
 
-    @pytest.mark.parametrize("kind", ALL_KINDS)
+    # Only a Bloom filter grows; a set summary grows with its directory.
+    @pytest.mark.parametrize("kind", ["bloom"])
     def test_rebuild_resets_bookkeeping(self, kind):
         node = SummaryNode(SummaryConfig(kind=kind), 64 * 1024)
         for url in URLS:
             node.on_insert(url)
-        live = URLS[:10]
-        node.rebuild(live, now=5.0)
+        live = URLS[:20]
+        assert node.grow(live, now=5.0)
         assert node.new_since_update == 0
         assert node.last_update_time == 5.0
         assert all(node.local.may_contain(u) for u in live)
@@ -126,23 +128,87 @@ class TestSummaryNode:
     def test_bloom_rebuild_doubles_bits(self):
         node = SummaryNode(SummaryConfig(kind="bloom"), 64 * 1024)
         before = node.local.num_bits
-        node.rebuild(URLS, now=0.0)
+        for url in URLS:
+            node.on_insert(url)
+        assert node.grow(URLS, now=0.0)
         assert node.local.num_bits == before * 2
-        # Rebuild discards pending flips: peers resync via digest.
+        # Nothing pending: peers resync via digest.
         assert node.local.pending_change_count() == 0
+        assert node.local.counters.peek_flips() == []
 
     def test_bloom_overloaded_thresholds(self):
         node = SummaryNode(
             SummaryConfig(kind="bloom", load_factor=8), 64 * 1024
         )
         expected = node.local.num_bits // 8
-        assert not node.local.overloaded(expected * 2, 2.0)
-        assert node.local.overloaded(expected * 2 + 1, 2.0)
+        urls = [f"http://t.net/{i}" for i in range(expected * 2 + 1)]
+        assert not node.grow(urls[:-1], now=1.0)
+        assert node.local.num_bits == expected * 8
+        assert node.last_update_time == 0.0
+        assert node.grow(urls, now=1.0)
+        assert node.local.num_bits == expected * 16
 
     @pytest.mark.parametrize("kind", ["exact-directory", "server-name"])
     def test_set_summaries_never_overloaded(self, kind):
         node = SummaryNode(SummaryConfig(kind=kind), 64 * 1024)
-        assert not node.local.overloaded(10**9, 2.0)
+        assert not node.grow(range(10**9), now=1.0)
+        assert node.last_update_time == 0.0
+
+    def test_growth_stops_at_the_receivers_bound(self):
+        # However many documents the cache holds, a filter at
+        # MAX_SUMMARY_BITS stays there: a peer never rejects one that grew.
+        node = SummaryNode(
+            SummaryConfig(kind="bloom", load_factor=8), 2**21 * 8 * 1024
+        )
+        assert node.local.num_bits == MAX_SUMMARY_BITS
+        assert not node.grow(range(10**9), now=1.0)
+        assert node.local.num_bits == MAX_SUMMARY_BITS
+
+
+class TestGrowthEqualsAReference:
+    """The doubled filter is the one ``add_at`` builds over the same
+    URLs -- counters, bits, saturation events and packed bytes -- and no
+    flip journal is written for it."""
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    def test_doubled_filter_equals_add_at(self, width, monkeypatch):
+        # 4 expected documents: 32 bits, doubled to 64 by 60 URLs, so
+        # narrow counters saturate.
+        config = SummaryConfig(kind="bloom", load_factor=8, counter_width=width)
+        node = SummaryNode(config, 4 * 1024, doc_size=1024)
+        urls = [f"http://g{i % 3}.grow.net/d{i}" for i in range(60)]
+        for url in urls:
+            node.on_insert(url)
+
+        def journal(*args):
+            raise AssertionError("growth wrote the flip journal")
+
+        monkeypatch.setattr(CounterArray, "add_at", journal)
+        monkeypatch.setattr(CounterArray, "remove_at", journal)
+        assert node.grow(urls, now=1.0)
+        monkeypatch.undo()
+
+        grown = node.local.counters
+        num_bits = node.local.num_bits
+        assert num_bits == 64
+        reference = CounterArray(num_bits, width=width)
+        for url in urls:
+            reference.add_at(node.local.hash_family.hashes(url, num_bits))
+        assert [grown.get(i) for i in range(num_bits)] == [
+            reference.get(i) for i in range(num_bits)
+        ]
+        assert grown.bits == reference.bits
+        assert grown.saturation_events == reference.saturation_events
+        assert grown.to_bytes() == reference.to_bytes()
+        if width < 4:
+            assert grown.saturation_events > 0
+        assert node.local.pending_change_count() == 0
+        assert grown.peek_flips() == []
+
+    def test_counted_rejects_out_of_range_positions(self):
+        for key in ((0, 64), (-1, 3)):
+            with pytest.raises(BitIndexError):
+                CounterArray.counted(64, [(1, 2), key])
 
 
 class TestRebuildHashesNothing:
@@ -168,13 +234,14 @@ class TestRebuildHashesNothing:
         get_position_cache().clear()
         return calls
 
-    @pytest.mark.parametrize("kind", ["bloom", "exact-directory"])
+    # Only a Bloom filter grows.
+    @pytest.mark.parametrize("kind", ["bloom"])
     def test_rebuild_runs_no_md5(self, kind, md5_calls):
         node = SummaryNode(SummaryConfig(kind=kind), 64 * 1024)
         for url in self.URLS:
             node.on_insert(url)
         assert len(md5_calls) == len(self.URLS)  # one per insert
-        node.rebuild(self.URLS, now=1.0)
+        assert node.grow(self.URLS, now=1.0)
         assert len(md5_calls) == len(self.URLS)
         assert all(node.local.may_contain(url) for url in self.URLS)
 
@@ -183,15 +250,16 @@ class TestRebuildHashesNothing:
         for url in self.URLS:
             node.on_insert(url)
         get_position_cache().clear()
-        node.rebuild(self.URLS, now=1.0)
+        assert node.grow(self.URLS, now=1.0)
         assert len(md5_calls) == 2 * len(self.URLS)
         assert all(node.local.may_contain(url) for url in self.URLS)
 
     def test_rebuild_equals_fresh_hashing(self):
-        summary = BloomSummary(128, SummaryConfig(kind="bloom"))
+        node = SummaryNode(SummaryConfig(kind="bloom"), 16 * 1024)
         for url in self.URLS:
-            summary.add_key(summary.key_of(url))
-        summary.rebuild(self.URLS)
+            node.on_insert(url)
+        assert node.grow(self.URLS, now=1.0)
+        summary = node.local
         get_position_cache().clear()
         fresh = CounterArray(
             summary.num_bits, width=summary.config.counter_width

@@ -21,6 +21,7 @@ from repro.protocol.wire import (
 )
 from repro.protocol.update import DigestAssembler
 from repro.summaries import PeerSummaries, SummaryConfig, SummaryNode, codec
+from repro.summaries.backend import MAX_SUMMARY_BITS
 from repro.summaries.bloom import BloomSummary
 from repro.summaries.keyset import KeySetSummary
 
@@ -172,19 +173,55 @@ class TestApplyUpdate:
         assert store.geometry(0) is None
 
     def test_digest_replaces_the_copy(self):
-        node = node_for("bloom")
+        node = SummaryNode(SummaryConfig(kind="bloom"), 2 * 1024, 1024)
         for url in URLS[:5]:
             node.on_insert(url)
         store = replay("bloom", messages_for(node))
-        node.rebuild(URLS[5:], now=2.0)  # double the bits, new contents
+        for url in URLS[5:]:
+            node.on_insert(url)
+        for url in URLS[:5]:
+            node.on_evict(url)
+        assert node.grow(URLS[5:], now=2.0)  # double the bits
+        chunks = codec.whole_summary_messages(node.local)
         assembler = DigestAssembler()
-        for chunk in codec.whole_summary_messages(node.local):
-            whole = assembler.add(chunk)
-        codec.apply_digest(store, 0, whole)
+        for chunk in chunks:
+            codec.apply_digest(store, 0, assembler, chunk)
         assert store.geometry(0) == node.local.geometry
         assert all(holds(store, u) for u in URLS[5:])
         with pytest.raises(SummaryMismatchError):
-            codec.apply_digest(PeerSummaries.empty("server-name"), 0, whole)
+            codec.apply_digest(
+                PeerSummaries.empty("server-name"), 0, assembler, chunks[0]
+            )
+
+    def test_digest_tail_bits_past_num_bits_are_ignored(self):
+        # 12 bits travel in 2 bytes; the last byte's top 4 bits name
+        # positions 12-15, which the copy does not have.
+        store = PeerSummaries.empty("bloom")
+        chunk = DigestChunk(4, 32, 12, 0, 2, b"\x05\xff")
+        assert codec.apply_digest(store, 0, DigestAssembler(), chunk) == (
+            12,
+            (4, 32),
+        )
+        assert slot_bits(store, 12) == {0, 2, 8, 9, 10, 11}
+
+    @pytest.mark.parametrize("message", ["dirupdate", "digest"])
+    def test_geometry_over_the_bound_is_a_mismatch(self, message):
+        node = node_for("bloom")
+        node.on_insert(URLS[0])
+        store = replay("bloom", messages_for(node))
+        held = store.geometry(0)
+        over = MAX_SUMMARY_BITS + 1
+        assembler = DigestAssembler()
+        with pytest.raises(SummaryMismatchError, match="bound"):
+            if message == "dirupdate":
+                codec.apply_update(store, 0, DirUpdate(4, 32, over))
+            else:
+                first = DigestChunk(4, 32, over, 0, (over + 7) // 8, b"\x01")
+                codec.apply_digest(store, 0, assembler, first)
+        assert store.geometry(0) == held
+        # At the bound the header passes: a first chunk is buffered.
+        at = DigestChunk(4, 32, MAX_SUMMARY_BITS, 0, MAX_SUMMARY_BITS // 8, b"\x01")
+        assert codec.apply_digest(store, 0, assembler, at) is None
 
     def test_lost_chunk_does_not_mix_two_digests(self):
         # 16,384 bits travel in two chunks of one geometry.
@@ -204,9 +241,7 @@ class TestApplyUpdate:
         assembler = DigestAssembler()
         completed = 0
         for chunk in older[1:] + newer:  # the older first chunk is lost
-            whole = assembler.add(chunk)
-            if whole is not None:
-                codec.apply_digest(store, 0, whole)
+            if codec.apply_digest(store, 0, assembler, chunk) is not None:
                 completed += 1
         assert completed == 1
         sender = {i for i, _ in node.local.export().flips}
@@ -244,9 +279,7 @@ def deliver(store, messages, slot: int = 0) -> None:
     assembler = DigestAssembler()
     for message in messages:
         if isinstance(message, DigestChunk):
-            whole = assembler.add(message)
-            if whole is not None:
-                codec.apply_digest(store, slot, whole)
+            codec.apply_digest(store, slot, assembler, message)
         else:
             codec.apply_update(store, slot, message)
 
@@ -323,7 +356,8 @@ class TestUpdateEncodingRule:
         )
         for url in URLS:
             node.on_insert(url)
-        messages = codec.update_messages(node.local, None)
+        # The resync after a growth: no delta, the whole array.
+        messages = codec.whole_summary_messages(node.local)
         assert messages
         assert all(isinstance(m, DigestChunk) for m in messages)
         store = PeerSummaries.empty("bloom")

@@ -29,12 +29,12 @@ from repro.urlutil import server_of
 ALL_KINDS = ("bloom", "exact-directory", "server-name")
 SET_KEYS = {"exact-directory": md5_digest, "server-name": server_of}
 
-#: Few servers and a small Bloom filter (64 bits at this capacity), so
-#: names alias and bits collide and "maybe" answers differ between peers.
+#: Few servers and a small Bloom filter (8 bits at this capacity, for
+#: one document), so names alias and bits collide and "maybe" answers
+#: differ between peers, and a slot outgrows its filter at 3, 5, 9 and
+#: 17 held documents.
 URLS = [f"http://host{i % 5}.org/doc{i}" for i in range(24)]
-CAPACITY = 64 * 1024
-#: Resizes double a Bloom filter; past this many bits they stop.
-MAX_BITS = 1024
+CAPACITY = 8 * 1024
 
 
 def make_nodes(kind, count, capacities=None):
@@ -174,11 +174,10 @@ def run_steps(kind, capacities, ops):
                 shipped.probe(shipped.key_of(u)) >> slot & 1 for u in URLS
             )
         elif action == "resize":
-            # A Bloom rebuild doubles the filter: the copy moves to the
-            # new geometry's columns and is resynced whole.  Set
+            # A Bloom filter the slot outgrew doubles: the copy moves to
+            # the new geometry's columns and is resynced whole.  Set
             # summaries never outgrow themselves; theirs is a resync.
-            if kind == "bloom" and node.local.num_bits < MAX_BITS:
-                node.rebuild(sorted(held[slot]), now=0.0)
+            node.grow(sorted(held[slot]), now=0.0)
             resync(slot)
         elif action == "drop":
             shipped.drop_slot(slot)
